@@ -825,10 +825,11 @@ def generate_task(family, task_type, form_index, scene_template, scene_seed,
     """Instantiate one episode on a freshly randomized scene.
 
     Raises UnsatisfiableTemplate when the scene cannot host the template
-    (missing classes, no capacity, unachievable forced answer).
+    (missing classes, no capacity, unachievable forced answer, overrides
+    that delete the target or the movable receptacle).
     """
-    state = randomize_scene(scene_template, scene_seed, registry=registry,
-                            config=config)
+    state = initial = randomize_scene(scene_template, scene_seed,
+                                      registry=registry, config=config)
     reg = state.registry
     forms = TEMPLATES[family][task_type]
     form = forms[form_index % len(forms)]
@@ -1080,6 +1081,12 @@ def generate_task(family, task_type, form_index, scene_template, scene_seed,
 
     else:
         raise ValueError(family)
+
+    # a vacate that finds no free receptacle deletes what it moves out
+    final = apply_overrides(initial, ops)
+    for iid in (target_iid, bindings.get("mrecep_iid")):
+        if iid is not None and not final.has(iid):
+            raise UnsatisfiableTemplate("overrides remove a bound instance")
 
     def name_of(cls_id):
         return reg[cls_id].name.lower()

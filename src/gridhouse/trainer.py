@@ -720,12 +720,17 @@ def _qa_episode_samples(session, rng, cfg, vocab, mode, registry, world_config):
 # multi-task driver
 
 
-def multi_task_sample(split, rng):
-    """Family ~ training counts, episode uniform within the family."""
-    episodes = split.episodes if hasattr(split, "episodes") else split
+def group_by_family(episodes) -> dict:
+    """family -> its episodes in split order; the input of multi_task_sample."""
     by_family = {}
     for e in episodes:
         by_family.setdefault(e.family, []).append(e)
+    return by_family
+
+
+def multi_task_sample(by_family, rng):
+    """Family ~ training counts, episode uniform within the family.
+    `by_family` comes from `group_by_family`, built once per run."""
     families = sorted(by_family)
     counts = np.array([len(by_family[f]) for f in families], dtype=float)
     probs = counts / counts.sum()
@@ -851,11 +856,12 @@ def train_multitask(agent, split, templates_by_id, schedule: ScheduleConfig,
     episodes = split.episodes if hasattr(split, "episodes") else list(split)
     if single_family:
         episodes = [e for e in episodes if e.family == single_family]
+    by_family = group_by_family(episodes)
     steps_done = {"tf": 0, "sf": 0}
     pending: list[EpisodeBatch] = []
     for stage, budget in (("tf", schedule.tf_steps), ("sf", schedule.sf_steps)):
         while steps_done[stage] < budget:
-            task = multi_task_sample(episodes, rng)
+            task = multi_task_sample(by_family, rng)
             template = templates_by_id[task.scene_template_id]
             state = task_initial_state(task, template, registry=registry,
                                        config=world_config)

@@ -213,13 +213,25 @@ def footprint_cells(anchor, size):
 
 
 def state_hash(state: WorldState) -> str:
-    parts = [state.width, state.height, state.agent.cell, int(state.agent.heading),
-             state.agent.pitch, state.agent.held]
-    for o in sorted(state.objects, key=lambda o: o.instance_id):
-        parts.append((o.instance_id, o.class_id, o.anchor, o.container, o.size,
-                      o.openness.value, o.power.value, o.cleanliness.value,
-                      o.sliced, o.temperature.value))
-    return hashlib.sha256(repr(parts).encode()).hexdigest()
+    """SHA-256 of `repr([width, height, cell, heading, pitch, held, *objs])`,
+    one tuple of fields per object in instance-id order.  The objects part
+    of that text depends only on `objects`, so it is memoized on the state
+    and carried by `step` like the geometry; the pose part is formatted on
+    every call.  States are never mutated, so a memo cannot go stale."""
+    a = state.agent
+    head = repr([state.width, state.height, a.cell, int(a.heading), a.pitch, a.held])
+    return hashlib.sha256((head[:-1] + _objects_text(state) + "]").encode()).hexdigest()
+
+
+def _objects_text(state: WorldState) -> str:
+    text = state.__dict__.get("_objects_text")
+    if text is None:
+        text = "".join(", " + repr((o.instance_id, o.class_id, o.anchor, o.container,
+                                    o.size, o.openness.value, o.power.value,
+                                    o.cleanliness.value, o.sliced, o.temperature.value))
+                       for o in sorted(state.objects, key=lambda o: o.instance_id))
+        state.__dict__["_objects_text"] = text
+    return text
 
 
 # --------------------------------------------------------------------------
@@ -301,8 +313,11 @@ def build_geometry(state: WorldState) -> SceneGeometry:
 
 
 def cached_geometry(state: WorldState) -> SceneGeometry:
-    """Geometry memoized on the state instance (states are immutable by
-    convention; dataclasses.replace always yields a fresh object)."""
+    """Geometry memoized on the state instance.  It depends only on `walls`
+    and `objects`, so `step` hands it to a successor that keeps both.
+    States are never mutated (dataclasses.replace always yields a fresh
+    object without memos), so a memo cannot go stale; memos are shared
+    between states and are read-only too."""
     geom = state.__dict__.get("_geom")
     if geom is None:
         geom = build_geometry(state)
@@ -311,6 +326,9 @@ def cached_geometry(state: WorldState) -> SceneGeometry:
 
 
 def cached_render(state: WorldState) -> "Observation":
+    """Observation memoized on the state instance.  It depends on `walls`,
+    `objects` and the agent pose, so `step` hands it to a successor that
+    keeps all three (Done); see `cached_geometry`."""
     obs = state.__dict__.get("_obs")
     if obs is None:
         obs = render(state, cached_geometry(state))
@@ -683,12 +701,44 @@ def _apply_effects(state: WorldState, effects: dict) -> WorldState:
     return replace(state, objects=tuple(new_objs)) if changed else state
 
 
+def _effects(state: WorldState) -> dict:
+    """`_propagation_effects` memoized on the state; see `_carry`."""
+    effects = state.__dict__.get("_effects")
+    if effects is None:
+        effects = _propagation_effects(state)
+        state.__dict__["_effects"] = effects
+    return effects
+
+
+# memos that depend only on walls and objects (and on width, height,
+# registry and config, which no step changes)
+_SCENE_MEMOS = ("_geom", "_effects", "_objects_text")
+
+
+def _carry(before: WorldState, after: WorldState):
+    """Hand `after` what `before` already derived from its scene when both
+    hold the very same walls and objects: geometry, effects and the
+    objects text of `state_hash`, plus the observation when the pose is
+    unchanged too."""
+    if after.walls is not before.walls or after.objects is not before.objects:
+        return
+    src, dst = before.__dict__, after.__dict__
+    for key in _SCENE_MEMOS:
+        if key in src:
+            dst[key] = src[key]
+    if "_obs" in src and after.agent == before.agent:
+        dst["_obs"] = src["_obs"]
+
+
 def _ok(before: WorldState, after: WorldState, target=None):
     """Successful step: bump the counter and apply heat/cool/clean effects
-    from conditions that held when the step began and when it ended."""
+    from conditions that held when the step began and when it ended.
+    `_apply_effects` returns its input when nothing changes, so carrying
+    the memos right after the replace covers every unchanged scene."""
     out = replace(after, step_count=before.step_count + 1)
-    out = _apply_effects(out, _propagation_effects(before))
-    out = _apply_effects(out, _propagation_effects(out))
+    _carry(before, out)
+    out = _apply_effects(out, _effects(before))
+    out = _apply_effects(out, _effects(out))
     return out, ActionResult(True, None, target)
 
 
@@ -701,7 +751,13 @@ def step(state: WorldState, action: PrimitiveAction, point=None,
          geom: SceneGeometry | None = None, obs: Observation | None = None):
     """Apply one primitive action.  Failures never mutate state (the same
     object is returned).  Interactive actions require a point in both
-    interaction modes."""
+    interaction modes.
+
+    `geom` and `obs`, when given, must be the state's own (as from
+    `cached_geometry` and `cached_render`).  A successful step hands the
+    successor every memo that still holds for it: geometry, effects and
+    the objects text of `state_hash` depend only on `walls` and `objects`,
+    and the observation also on the agent pose."""
     agent = state.agent
     if action is PrimitiveAction.Done:
         return _ok(state, state)
@@ -722,7 +778,7 @@ def step(state: WorldState, action: PrimitiveAction, point=None,
         nx, ny = agent.cell[0] + fx, agent.cell[1] + fy
         if not (0 <= nx < state.width and 0 <= ny < state.height):
             return _fail(state, FailureReason.BLOCKED)
-        geom = geom or build_geometry(state)
+        geom = geom or cached_geometry(state)
         if geom.blocked[ny, nx]:
             return _fail(state, FailureReason.BLOCKED)
         return _ok(state, replace(state, agent=replace(agent, cell=(nx, ny))))
@@ -730,8 +786,8 @@ def step(state: WorldState, action: PrimitiveAction, point=None,
     # interactive actions
     if point is None:
         raise InvalidAction(f"{action.name} requires an interaction point")
-    geom = geom or build_geometry(state)
-    obs = obs or render(state, geom)
+    geom = geom or cached_geometry(state)
+    obs = obs or cached_render(state)
     target_id = resolve_target(state, obs, point, mode, geom)
     if target_id is None:
         raw = _hit_ignoring_range(state, obs, point)

@@ -288,6 +288,17 @@ def test_gradcheck_gaussian_ll_wrt_mu_and_var():
     assert err < 1e-4
 
 
+def test_grad_check_command_passes(capsys):
+    # `gridhouse grad-check` as shipped: every op and both policy networks
+    # at seed 0, exit code 0 only when the worst error is below 1e-4
+    from gridhouse.cli import main
+
+    code = main(["grad-check"])
+    out = capsys.readouterr().out
+    assert "policy_hier" in out and "policy_flat" in out, out
+    assert code == 0, out
+
+
 # --------------------------------------------------------------------------
 # adam + checkpoints
 

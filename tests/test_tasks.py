@@ -246,6 +246,18 @@ def test_desk_scale_counts_preserve_proportions():
     assert round(1000 * 19728 / 33487) == 589
 
 
+def test_build_splits_rejects_overrides_that_delete_a_bound_instance():
+    # at this seed an LHIF clean_place draw (kitchen_d) has its target Cup
+    # in the Sink; vacating the Sink finds no free receptacle and deletes
+    # the Cup, which made remaining_milestones raise UnknownInstance
+    splits = build_splits(TEMPLATES_ALL, counts=desk_split_counts(3000), seed=3)
+    for split in splits:
+        for e in split.episodes:
+            state = task_initial_state(e, TBY[e.scene_template_id])
+            for iid in (e.target_iid, e.bindings.get("mrecep_iid")):
+                assert iid is None or state.has(iid), (split.name, e.task_type, iid)
+
+
 def test_split_reserved_templates_guard():
     with pytest.raises(InsufficientScenes):
         build_splits(TEMPLATES_ALL[:1], counts=SMALL_COUNTS, seed=0)

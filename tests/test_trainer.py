@@ -19,7 +19,8 @@ from gridhouse.tasks import build_vocab, generate_task, remaining_fn, task_initi
 from gridhouse.trainer import (EpisodeBatch, LossWeights, PPOConfig,
                                PretrainProgress, RewardConfig, ScheduleConfig,
                                compute_gae, compute_reward, epsilon_at,
-                               multi_task_sample, ppo_update, pretrain,
+                               group_by_family, multi_task_sample,
+                               ppo_update, pretrain,
                                run_skill_episode, teacher_forcing_update)
 from gridhouse.world import InteractionMode, PrimitiveAction, randomize_scene
 
@@ -272,11 +273,12 @@ def test_multi_task_sample_proportions_within_3_sigma():
     episodes = []
     for fam, n in counts.items():
         episodes.extend(Fake(fam) for _ in range(max(1, round(n / scale))))
+    by_family = group_by_family(episodes)
     rng = np.random.default_rng(123)
     draws = 100_000
     got = {f: 0 for f in counts}
     for _ in range(draws):
-        got[multi_task_sample(episodes, rng).family] += 1
+        got[multi_task_sample(by_family, rng).family] += 1
     total_paper = sum(counts.values())
     for fam, n in counts.items():
         p = n / total_paper
@@ -290,9 +292,10 @@ def test_single_family_config_restricts_sampling():
             self.family = family
 
     episodes = [Fake("IQA")] * 5
+    by_family = group_by_family(episodes)
     rng = np.random.default_rng(0)
     for _ in range(20):
-        assert multi_task_sample(episodes, rng).family == "IQA"
+        assert multi_task_sample(by_family, rng).family == "IQA"
 
 
 # --------------------------------------------------------------------------

@@ -2,21 +2,27 @@
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
 from gridhouse import world as W
+from gridhouse.planner import (InfeasibleSubgoal, Unreachable, expert_action,
+                               expert_point)
 from gridhouse.scenes import builtin_templates, template_by_id
+from gridhouse.skills import sample_skill_episode
 from gridhouse.world import (FLOOR, WALL, CLASS_BASE, NO_INSTANCE,
                              FailureReason, Heading, InteractionMode,
                              InvalidAction, Openness, PlacementInfeasible,
                              Power, PrimitiveAction, WorldConfig,
-                             build_geometry, footprint_cells,
-                             is_visible, randomize_scene, render,
-                             resolve_target, state_hash, step)
+                             build_geometry, cached_geometry, cached_render,
+                             footprint_cells, is_visible, randomize_scene,
+                             render, resolve_target, state_hash, step)
 
 from conftest import make_state, REG
 
@@ -348,6 +354,98 @@ def test_determinism_of_action_sequences():
         return hashes
 
     assert run() == run()
+
+
+# --------------------------------------------------------------------------
+# memos that step carries to successors
+
+
+def reference_state_hash(state):
+    """state_hash as one repr of the whole list, without the memo."""
+    parts = [state.width, state.height, state.agent.cell, int(state.agent.heading),
+             state.agent.pitch, state.agent.held]
+    for o in sorted(state.objects, key=lambda o: o.instance_id):
+        parts.append((o.instance_id, o.class_id, o.anchor, o.container, o.size,
+                      o.openness.value, o.power.value, o.cleanliness.value,
+                      o.sliced, o.temperature.value))
+    return hashlib.sha256(repr(parts).encode()).hexdigest()
+
+
+def assert_fields_equal(got, want):
+    for f in dataclasses.fields(want):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if isinstance(b, np.ndarray):
+            assert a.dtype == b.dtype and np.array_equal(a, b), f.name
+        else:
+            assert a == b, f.name
+
+
+def assert_memos_fresh(state):
+    fresh = build_geometry(state)
+    assert_fields_equal(cached_geometry(state), fresh)
+    assert_fields_equal(cached_render(state), render(state, fresh))
+    assert state_hash(state) == reference_state_hash(state)
+    assert W._effects(state) == W._propagation_effects(state)
+
+
+WALK_TEMPLATES = builtin_templates()
+EXPERT = "expert"   # walk move: the skill expert's action and point
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(scene=st.integers(0, len(WALK_TEMPLATES) - 1), seed=st.integers(0, 2 ** 16),
+       walk=st.lists(st.tuples(st.one_of(st.just(EXPERT),
+                                         st.sampled_from(list(PrimitiveAction))),
+                               st.integers(0, 63), st.booleans()),
+                     min_size=1, max_size=40))
+def test_step_memos_match_fresh_rebuilds(scene, seed, walk):
+    # start next to a skill target; the skill expert's interactions hit,
+    # and other interactions aim at expert points on nearby instances
+    base = randomize_scene(WALK_TEMPLATES[scene], seed)
+    ep = sample_skill_episode(base, np.random.default_rng(seed))
+    state = ep.initial_state
+    assert_memos_fresh(state)
+    for move, pick, hard in walk:
+        mode = InteractionMode.HARD if hard else InteractionMode.STANDARD
+        geom, obs = cached_geometry(state), cached_render(state)
+        action, point = move, None
+        if move == EXPERT:
+            try:
+                action, point = expert_action(state, ep.subgoal, mode, geom, obs)
+            except (InfeasibleSubgoal, Unreachable):
+                action = PrimitiveAction.Done
+        elif action in W.INTERACTIVE_ACTIONS:
+            near = sorted(obs.visible_set,
+                          key=lambda i: (W.instance_distance(state, geom, i), i))[:3]
+            point = (expert_point(state, obs, near[pick % len(near)], mode)
+                     if near else (pick % 32 + .5, 16.5))
+        state, res = step(state, action, point, mode, geom, obs)
+        event(f"{'interaction' if point else 'navigation'} "
+              f"{'success' if res.success else 'failure'}")
+        assert_memos_fresh(state)
+
+
+def test_step_shares_memos_only_while_scene_and_pose_hold():
+    state = make_state([{"class": "Apple", "pos": (5, 6)}], agent_cell=(5, 8))
+    geom = cached_geometry(state)
+    moved, res = step(state, PrimitiveAction.MoveAhead, geom=geom,
+                      obs=cached_render(state))
+    assert res.success and moved.agent.cell == (5, 7)
+    assert cached_geometry(moved) is geom
+    assert cached_render(moved) is not cached_render(state)
+
+    done, res = step(moved, PrimitiveAction.Done)
+    assert res.success
+    assert cached_geometry(done) is geom
+    assert cached_render(done) is cached_render(moved)
+
+    cell = cached_render(moved).visible_instance_cells()[0][0]
+    picked, res = step(moved, PrimitiveAction.Pickup,
+                       point=(cell[0] + .5, cell[1] + .5), mode=InteractionMode.HARD)
+    assert res.success and picked.agent.held == 0
+    assert cached_geometry(picked) is not geom
+    assert cached_render(picked) is not cached_render(moved)
+    assert 0 not in cached_geometry(picked).display_cells
 
 
 # --------------------------------------------------------------------------
