@@ -7,7 +7,7 @@ feature map whose spatial grid coincides with the 8x8 pointing grid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -15,11 +15,9 @@ from . import nn, tensor as T
 from .nn import Conv2d, Embedding, GRUCell, Linear, Module
 from .skills import NO_OBJECT_SKILLS, Skill, SubGoal
 from .tasks import tokenize
-from .world import (CLASS_BASE, InteractionMode, PrimitiveAction)
+from .world import (CLASS_BASE, INTERACTIVE_ACTIONS, NAV_ACTION_SPACE,
+                    InteractionMode, PrimitiveAction)
 
-NAV_ACTION_SPACE = (PrimitiveAction.MoveAhead, PrimitiveAction.RotateLeft,
-                    PrimitiveAction.RotateRight, PrimitiveAction.LookUp,
-                    PrimitiveAction.LookDown, PrimitiveAction.Done)
 INTERACT_ACTION_SPACE = tuple(PrimitiveAction)  # all 13
 ANSWER_SPACE = ("Yes", "No", "0", "1", "2", "3")
 
@@ -101,13 +99,18 @@ class TaskEncoder(Module):
 
     def __call__(self, token_rows):
         """token_rows: list of token-id lists -> (N, task_dim)."""
-        outs = []
-        for row in token_rows:
-            h = T.Tensor(np.zeros(self.cfg.task_dim))
-            for t in row:
-                h = self.gru(self.tok(int(t)), h)
-            outs.append(h)
-        return T.stack(outs, axis=0)
+        return _encode_tokens(self.tok, self.gru, token_rows)
+
+
+def _encode_tokens(tok, gru, token_rows):
+    """Final GRU state over each row's token embeddings, from zeros: (N, D)."""
+    outs = []
+    for row in token_rows:
+        h = T.Tensor(np.zeros(gru.hidden_dim))
+        for t in row:
+            h = gru(tok(int(t)), h)
+        outs.append(h)
+    return T.stack(outs, axis=0)
 
 
 class HighLevelPolicy(Module):
@@ -232,13 +235,7 @@ class QASubPolicy(Module):
         self.out2 = self.add_child("out2", Linear(rng, 128, len(ANSWER_SPACE)))
 
     def encode_question(self, token_rows):
-        outs = []
-        for row in token_rows:
-            h = T.Tensor(np.zeros(self.cfg.d))
-            for t in row:
-                h = self.gru(self.tok(int(t)), h)
-            outs.append(h)
-        return T.stack(outs, axis=0)
+        return _encode_tokens(self.tok, self.gru, token_rows)
 
     def forward(self, q, z_img, return_attention=False):
         n, d, h, w = z_img.shape
@@ -272,10 +269,6 @@ def _attend(weights, flat):
 
 NONE_ACTION = len(PrimitiveAction)
 NONE_SKILL = len(Skill)
-
-
-def none_object(num_classes):
-    return num_classes
 
 
 class HierarchicalAgent(Module):
@@ -419,9 +412,7 @@ def _sub_policy_step(agent, subgoal, obs, last_action, rng, greedy, z_task=None)
     cfg = agent.cfg
     family = SKILL_FAMILY[subgoal.skill]
     cmap, planes = obs_planes([obs], cfg.num_classes)
-    encoder = agent.sub_encoder
-    if family == "nav" and not cfg.share_sub_encoder:
-        encoder = agent.nav_encoder
+    encoder = agent.nav_image_encoder() if family == "nav" else agent.sub_encoder
     z_img = encoder(cmap, planes)
     la = [NONE_ACTION if last_action is None else int(last_action)]
     if family == "nav":
@@ -441,7 +432,7 @@ def _sub_policy_step(agent, subgoal, obs, last_action, rng, greedy, z_task=None)
     action = INTERACT_ACTION_SPACE[idx]
     point = None
     extras = {"action_logits": logits, "value": value, "point": point_maps}
-    if action in INTERACTIVE_SET:
+    if action in INTERACTIVE_ACTIONS:
         grid_logits, mu, nu, _heat = point_maps
         cell, _ = sample_logits(grid_logits.data[0], rng, greedy)
         mean = mu.data[0, :, cell]
@@ -455,13 +446,6 @@ def _sub_policy_step(agent, subgoal, obs, last_action, rng, greedy, z_task=None)
         extras["delta"] = (point[0] - (cfg.cell_px * (cell % cfg.grid) + cfg.cell_px / 2),
                            point[1] - (cfg.cell_px * (cell // cfg.grid) + cfg.cell_px / 2))
     return action, point, extras
-
-
-INTERACTIVE_SET = frozenset({
-    PrimitiveAction.Open, PrimitiveAction.Close, PrimitiveAction.Pickup,
-    PrimitiveAction.Put, PrimitiveAction.ToggleOn, PrimitiveAction.ToggleOff,
-    PrimitiveAction.Slice,
-})
 
 
 def qa_answer(agent, question_tokens, obs, return_attention=False):
@@ -577,7 +561,7 @@ def flat_act_episode(agent: FlatAgent, task, initial_state, mode, rng,
         idx, _ = sample_logits(logits.data[0], rng, greedy)
         action = INTERACT_ACTION_SPACE[idx]
         point = None
-        if action in INTERACTIVE_SET:
+        if action in INTERACTIVE_ACTIONS:
             grid_logits, mu, nu, _ = point_maps
             cell, _ = sample_logits(grid_logits.data[0], rng, greedy)
             mean = mu.data[0, :, cell]

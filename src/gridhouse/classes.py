@@ -7,7 +7,7 @@ sub-goal space matches the full-scale configuration (8*C + 2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -27,10 +27,6 @@ class ObjectClassDef:
     can_dirty: bool = False
     size: int = 1
     placements: tuple[str, ...] = ()
-
-    @property
-    def openable(self) -> bool:
-        return self.enclosed
 
 
 class ClassRegistry:

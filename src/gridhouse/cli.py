@@ -158,7 +158,7 @@ def cmd_train(args):
         if not os.path.exists(args.init):
             raise MissingInit(args.init)
         sections = nn.load_checkpoint(args.init)
-        agent.load_state_arrays(sections["model"], strict=False)
+        agent.load_state_arrays(sections["model"])
     splits = _load_splits(args.data, ["train"])
     if "train" not in splits:
         print("error: no train split found in", args.data, file=sys.stderr)
@@ -194,7 +194,7 @@ def cmd_eval(args):
     if not args.ckpt or not os.path.exists(args.ckpt or ""):
         raise MissingCheckpoint(args.ckpt or "(no checkpoint given)")
     agent, cfg = _agent_for(config, registry, vocab, seed, flat=args.flat)
-    agent.load_state_arrays(nn.load_checkpoint(args.ckpt)["model"], strict=False)
+    agent.load_state_arrays(nn.load_checkpoint(args.ckpt)["model"])
     splits = _load_splits(args.data, [args.split])
     if args.split not in splits:
         print("error: split not found:", args.split, file=sys.stderr)
@@ -220,7 +220,7 @@ def cmd_eval_skills(args):
     if not args.ckpt or not os.path.exists(args.ckpt or ""):
         raise MissingCheckpoint(args.ckpt or "(no checkpoint given)")
     agent, cfg = _agent_for(config, registry, vocab, seed)
-    agent.load_state_arrays(nn.load_checkpoint(args.ckpt)["model"], strict=False)
+    agent.load_state_arrays(nn.load_checkpoint(args.ckpt)["model"])
     n_unseen = config.get("tasks", "n_unseen", int)
     rows = []
     for split_name, pool in (("seen", templates[:-n_unseen]),

@@ -1,21 +1,21 @@
 """Run configuration: sectioned key-value text files plus run manifests.
 
-Every tunable named in the design (ranges, box sizes, schedules, loss and
-reward weights, budgets) is a key here, so a run is fully described by
-its config file and seed; the manifest records the resolved values.
+Each key is read by a typed view below or by the CLI, and the manifest
+records the resolved values.  Not every tunable is a key: the skill
+sampler's teleport radius and step budgets, the focal-loss kernel
+(`FocalConfig`), the gradient clip and the optimizer betas are constants
+of the modules that use them.
 """
 
 from __future__ import annotations
 
 import configparser
 import hashlib
-import io
 import json
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass
 
 from .agents import ModelConfig
-from .skills import SamplerConfig
 from .trainer import LossWeights, PPOConfig, RewardConfig, ScheduleConfig
 from .world import InteractionMode, WorldConfig
 
@@ -23,9 +23,6 @@ DEFAULTS = {
     "world": {
         "obs_size": "32", "upsample": "2", "view_depth": "8",
         "pitch_shift": "3", "interaction_range": "2.0", "standard_box": "3",
-    },
-    "skills": {
-        "teleport_radius": "3", "nav_max_steps": "60", "interact_max_steps": "20",
     },
     "tasks": {
         "scale": "30", "n_unseen": "2",
@@ -64,7 +61,7 @@ DEFAULTS = {
         "greedy": "true",
     },
     "runtime": {
-        "seed": "0", "workers": "1",
+        "seed": "0",
     },
 }
 
@@ -90,13 +87,6 @@ class RunConfig:
             pitch_shift=g("world", "pitch_shift", int),
             interaction_range=g("world", "interaction_range", float),
             standard_box=g("world", "standard_box", int))
-
-    def sampler(self) -> SamplerConfig:
-        g = self.get
-        return SamplerConfig(
-            teleport_radius=g("skills", "teleport_radius", int),
-            nav_max_steps=g("skills", "nav_max_steps", int),
-            interact_max_steps=g("skills", "interact_max_steps", int))
 
     def model(self, num_classes, vocab_size) -> ModelConfig:
         g = self.get
@@ -181,14 +171,6 @@ def load_config(path=None) -> RunConfig:
         with open(path) as f:
             parser.read_file(f)
     return RunConfig(raw=parser)
-
-
-def default_config_text() -> str:
-    parser = configparser.ConfigParser()
-    parser.read_dict(DEFAULTS)
-    buf = io.StringIO()
-    parser.write(buf)
-    return buf.getvalue()
 
 
 def file_sha256(path) -> str:

@@ -5,8 +5,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from . import world as W
-from .planner import ExpertController, ExpertStep, Irrecoverable
+from .planner import ExpertController, Irrecoverable
 from .skills import Skill, SubGoal
 from .world import (InteractionMode, PrimitiveAction, WorldState,
                     cached_geometry, cached_render, state_hash, step)

@@ -3,18 +3,14 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import tensor as T
-from .agents import (ANSWER_SPACE, INTERACT_ACTION_SPACE, INTERACTIVE_SET,
-                     NAV_ACTION_SPACE, SKILL_FAMILY, act_episode,
-                     flat_act_episode, point_from_grid, qa_answer,
-                     sub_policy_step)
-from .skills import (PRETRAIN_SKILLS, SceneSession, Skill, SubGoal,
-                     periodic_reset, sample_skill_episode, skill_success,
-                     NoFeasibleSkill)
+from .agents import (ANSWER_SPACE, SKILL_FAMILY, act_episode,
+                     flat_act_episode, qa_answer, sub_policy_step)
+from .skills import (PRETRAIN_SKILLS, SceneSession, periodic_reset,
+                     sample_skill_episode, skill_success, NoFeasibleSkill)
 from .tasks import (FAMILIES, remaining_fn, task_initial_state, task_success,
                     tokenize)
 from .world import (InteractionMode, PrimitiveAction, cached_geometry,
@@ -56,11 +52,6 @@ class MetricsTable:
         vals = [self.family_rates[f] for f in sorted(self.family_rates)]
         return sum(vals) / len(vals) if vals else 0.0
 
-    def rounded(self) -> dict:
-        out = {f: round1(r) for f, r in self.family_rates.items()}
-        out["macro"] = round1(self.macro)
-        return out
-
     def to_csv(self) -> str:
         fams = [f for f in FAMILIES if f in self.family_rates]
         header = "split," + ",".join(fams) + ",macro\n"
@@ -68,11 +59,6 @@ class MetricsTable:
                                           for f in fams)
         row += f",{round1(self.macro):.1f}\n"
         return header + row
-
-
-def macro_average(rates) -> float:
-    """Unweighted mean of family rates, reported at one decimal."""
-    return round1(sum(rates) / len(rates))
 
 
 def evaluate(agent, split, templates_by_id, vocab, mode=InteractionMode.HARD,
@@ -133,36 +119,10 @@ def run_skill_episode_policy(agent, episode, mode, rng, greedy=True):
     return skill_success(sub, episode.initial_state, state), episode.max_steps
 
 
-def run_skill_episode_random(episode, mode, rng):
-    """Uniform-random action/point baseline on a skill episode."""
-    state = episode.initial_state
-    sub = episode.subgoal
-    family = SKILL_FAMILY[sub.skill]
-    space = NAV_ACTION_SPACE if family == "nav" else INTERACT_ACTION_SPACE
-    n = state.config.obs_size
-    for t in range(episode.max_steps):
-        action = space[int(rng.integers(len(space)))]
-        point = None
-        if action in INTERACTIVE_SET:
-            point = (float(rng.uniform(0, n)), float(rng.uniform(0, n)))
-        obs = cached_render(state)
-        state, _res = env_step(state, action, point, mode,
-                               cached_geometry(state), obs)
-        if family != "nav" and skill_success(sub, episode.initial_state, state):
-            return True
-        if action is PrimitiveAction.Done:
-            break
-    return skill_success(sub, episode.initial_state, state)
-
-
 def eval_skills(agent, templates, n_per_skill=30, seed=0,
-                mode=InteractionMode.HARD, greedy=True, rollout=None,
+                mode=InteractionMode.HARD, greedy=True,
                 skills=PRETRAIN_SKILLS, registry=None, config=None):
-    """Success rate per skill over freshly sampled episodes.
-
-    `rollout(episode, rng) -> bool` overrides the default policy rollout
-    (used for the random baseline and expert sanity rows).
-    """
+    """Success rate per skill over freshly sampled episodes."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, 555]))
     session = SceneSession(list(templates), seed + 1, registry=registry,
                            config=config)
@@ -177,11 +137,8 @@ def eval_skills(agent, templates, n_per_skill=30, seed=0,
             except NoFeasibleSkill:
                 session.reset_scene()
                 continue
-            if rollout is not None:
-                ok = rollout(episode, rng)
-            else:
-                ok, _steps = run_skill_episode_policy(agent, episode, mode, rng,
-                                                      greedy=greedy)
+            ok, _steps = run_skill_episode_policy(agent, episode, mode, rng,
+                                                  greedy=greedy)
             wins += 1 if ok else 0
             tries += 1
         table[skill.name] = 100.0 * wins / tries if tries else float("nan")

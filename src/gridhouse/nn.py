@@ -28,6 +28,10 @@ class CountMismatch(ValueError):
     pass
 
 
+class CheckpointMismatch(ValueError):
+    pass
+
+
 class IndexOutOfRange(IndexError):
     pass
 
@@ -66,20 +70,19 @@ class Module:
     def parameters(self):
         return [p for _, p in self.named_parameters()]
 
-    def zero_grad(self):
-        for p in self.parameters():
-            p.grad = None
-
     def state_arrays(self):
         return {name: p.data for name, p in self.named_parameters()}
 
-    def load_state_arrays(self, arrays, strict=True):
+    def load_state_arrays(self, arrays):
+        """Load every parameter by name.  The names must match exactly: a
+        mismatch raises CheckpointMismatch listing the unknown and the
+        missing names."""
         own = dict(self.named_parameters())
+        unknown = sorted(set(arrays) - set(own))
+        missing = sorted(set(own) - set(arrays))
+        if unknown or missing:
+            raise CheckpointMismatch(f"unknown parameters {unknown}, missing parameters {missing}")
         for name, arr in arrays.items():
-            if name not in own:
-                if strict:
-                    raise KeyError(f"unknown parameter {name!r}")
-                continue
             if own[name].data.shape != arr.shape:
                 raise ShapeMismatch(f"{name}: {own[name].data.shape} vs {arr.shape}")
             own[name].data = arr.astype(T.DEFAULT_DTYPE, copy=True)
@@ -246,32 +249,13 @@ def gaussian_kernel_targets(centers, grid_shape, cfg: FocalConfig | None = None)
     return HeatmapTarget(heat=heat, centers=recorded, num_centers=len(recorded))
 
 
-def focal_heatmap_loss(pred, target: HeatmapTarget, cfg: FocalConfig | None = None):
-    """Penalty-reduced pixelwise focal loss over the center heatmap.
-
-    pred: Tensor of probabilities, same shape as target.heat (clamped to
-    (0, 1) internally).  Normalized by the number of centers.
-    """
-    cfg = cfg or FocalConfig()
-    pred = T.as_tensor(pred)
-    if pred.shape != target.heat.shape:
-        raise ShapeMismatch(f"pred {pred.shape} vs target {target.heat.shape}")
-    y = target.heat
-    pos = (y >= 1.0).astype(T.DEFAULT_DTYPE)
-    neg = 1.0 - pos
-    p = T.clip(pred, PROB_EPS, 1.0 - PROB_EPS)
-    # (1-p)^alpha and p^alpha via exp(alpha*log(.)): p is clamped away from {0,1}
-    pow_1mp = T.exp(T.mul(T.log(1.0 - p), cfg.alpha))
-    pow_p = T.exp(T.mul(T.log(p), cfg.alpha))
-    pos_term = T.mul(pow_1mp, T.log(p))
-    neg_term = T.mul((1.0 - y ** cfg.beta), T.mul(pow_p, T.log(1.0 - p)))
-    total = T.sum_(T.mul(pos_term, pos)) + T.sum_(T.mul(neg_term, neg))
-    return T.mul(total, -1.0 / max(target.num_centers, 1))
-
-
 def focal_loss_batched(pred, heat, inv_m):
-    """Batched focal loss: pred/heat (N, C, H, W), inv_m (N,) holding each
-    sample's 1/max(M,1).  Sum over samples of the per-sample loss."""
+    """Penalty-reduced pixelwise focal loss over center heatmaps
+    (CenterNet, alpha = 2 and beta = 4 from FocalConfig).
+
+    pred/heat (N, C, H, W), pred holding probabilities (clamped to (0, 1)
+    internally); inv_m (N,) holding each sample's 1/max(M,1) for its M
+    centers.  Sum over samples of the per-sample loss."""
     pred = T.as_tensor(pred)
     if pred.shape != heat.shape:
         raise ShapeMismatch(f"pred {pred.shape} vs target {heat.shape}")
@@ -279,6 +263,7 @@ def focal_loss_batched(pred, heat, inv_m):
     pos = (heat >= 1.0).astype(T.DEFAULT_DTYPE)
     neg = 1.0 - pos
     p = T.clip(pred, PROB_EPS, 1.0 - PROB_EPS)
+    # (1-p)^alpha and p^alpha via exp(alpha*log(.)): p is clamped away from {0,1}
     pow_1mp = T.exp(T.mul(T.log(1.0 - p), cfg.alpha))
     pow_p = T.exp(T.mul(T.log(p), cfg.alpha))
     pos_term = T.mul(T.mul(pow_1mp, T.log(p)), pos)
@@ -298,18 +283,24 @@ def offset_l1_loss(pred_offsets, target_offsets):
     return T.mul(T.sum_(T.abs_(pred_offsets - tgt)), 1.0 / max(m, 1))
 
 
+def gaussian_log_terms(delta, mu, var):
+    """Elementwise log density of `delta` under Normal(mu, var); callers
+    sum the terms over the axes they need."""
+    delta, mu, var = T.as_tensor(delta), T.as_tensor(mu), T.as_tensor(var)
+    return -0.5 * np.log(2.0 * np.pi) - T.mul(T.log(var), 0.5) \
+        - T.div(T.square(delta - mu), T.mul(var, 2.0))
+
+
 def gaussian_log_likelihood(delta, mu, var):
     """Log density of `delta` under a diagonal 2-D Normal(mu, var).
 
     All arguments (..., 2); returns the summed log density (scalar for a
     single point, batch-summed otherwise divided by caller).
     """
-    delta, mu, var = T.as_tensor(delta), T.as_tensor(mu), T.as_tensor(var)
+    var = T.as_tensor(var)
     if np.any(var.data <= 0):
         raise NonPositiveVariance("variance must be positive")
-    ll = -0.5 * np.log(2.0 * np.pi) - T.mul(T.log(var), 0.5) \
-        - T.div(T.square(delta - mu), T.mul(var, 2.0))
-    return T.sum_(ll)
+    return T.sum_(gaussian_log_terms(delta, mu, var))
 
 
 def cross_entropy(logits, target_index):
@@ -361,34 +352,44 @@ def entropy_rows(logits):
 # finite differences
 
 
-def grad_check(fn, inputs, h=1e-5, rel_floor=1e-3):
+def grad_check(fn, inputs, h=1e-5, rel_floor=1e-3, sample=None):
     """Compare reverse-mode grads of scalar fn(*inputs) to central differences.
 
-    Returns the max guarded relative error over all input elements:
-    |ad - fd| / max(|ad| + |fd|, rel_floor).
+    Returns the max guarded relative error |ad - fd| / max(|ad| + |fd|,
+    rel_floor) over every input element, or, with `sample=(rng, n)`, over
+    n elements that rng draws without replacement.  Inputs are perturbed
+    in place, so fn may ignore its arguments and read the same arrays
+    elsewhere (a module's live parameters).
     """
     inputs = [T.as_tensor(x) for x in inputs]
     for x in inputs:
         x.requires_grad = True
         x.grad = None
-    out = fn(*inputs)
-    out.backward()
+    fn(*inputs).backward()
+    grads = [np.zeros(x.data.size) if x.grad is None else x.grad.reshape(-1)
+             for x in inputs]
+    bounds = np.cumsum([x.data.size for x in inputs])
+    total = int(bounds[-1])
+    if sample is None:
+        picks = range(total)
+    else:
+        rng, n = sample
+        picks = rng.choice(total, size=min(n, total), replace=False)
     worst = 0.0
-    for x in inputs:
-        ad = np.zeros_like(x.data) if x.grad is None else x.grad
-        flat = x.data.reshape(-1)
-        fd = np.zeros_like(flat)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
+    with T.no_grad():
+        for flat_idx in picks:
+            which = int(np.searchsorted(bounds, flat_idx, side="right"))
+            local = int(flat_idx - (bounds[which - 1] if which else 0))
+            flat = inputs[which].data.reshape(-1)
+            orig = flat[local]
+            flat[local] = orig + h
             hi = fn(*inputs).item()
-            flat[i] = orig - h
+            flat[local] = orig - h
             lo = fn(*inputs).item()
-            flat[i] = orig
-            fd[i] = (hi - lo) / (2.0 * h)
-        fd = fd.reshape(x.data.shape)
-        err = np.abs(ad - fd) / np.maximum(np.abs(ad) + np.abs(fd), rel_floor)
-        worst = max(worst, float(err.max()) if err.size else 0.0)
+            flat[local] = orig
+            fd = (hi - lo) / (2.0 * h)
+            ad = grads[which][local]
+            worst = max(worst, float(abs(ad - fd) / max(abs(ad) + abs(fd), rel_floor)))
     return worst
 
 

@@ -9,17 +9,14 @@ by inserting a reversing sub-goal.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field, replace
-
-import numpy as np
+from dataclasses import dataclass
 
 from . import world as W
-from .skills import (INTERACTION_SKILLS, SKILL_PRIMITIVE, Skill, SubGoal,
-                     skill_success)
-from .world import (AgentPose, Heading, InteractionMode, Openness, Power,
+from .skills import SKILL_PRIMITIVE, Skill, SubGoal, skill_success
+from .world import (AgentPose, InteractionMode, Openness, Power,
                     PrimitiveAction, WorldState, build_geometry,
                     cached_geometry, cached_render, cell_visible_from,
-                    instance_distance, render)
+                    instance_distance)
 
 
 class Unreachable(RuntimeError):
@@ -50,9 +47,19 @@ def _goal_test(state, geom, pose, cells):
     return any(cell_visible_from(geom, cfg, pose, c) for c in cells)
 
 
+# BFS successors: every navigation action but Done, which does not move
+_MOVES = tuple(a for a in W.NAV_ACTION_SPACE if a is not PrimitiveAction.Done)
+
+
+def _node_of(state):
+    """The agent's pose as a search node (cell, heading, pitch)."""
+    a = state.agent
+    return (a.cell, a.heading, a.pitch)
+
+
 def _bfs(state, geom, cells):
     """Minimal primitive sequence to a pose seeing a target cell in range."""
-    start = (state.agent.cell, state.agent.heading, state.agent.pitch)
+    start = _node_of(state)
 
     def pose_of(node):
         return AgentPose(cell=node[0], heading=node[1], pitch=node[2])
@@ -63,20 +70,9 @@ def _bfs(state, geom, cells):
     queue = deque([(start, [])])
     while queue:
         node, path = queue.popleft()
-        (x, y), heading, pitch = node
-        succs = []
-        fx, fy = W.HEADING_VEC[heading]
-        nx, ny = x + fx, y + fy
-        if 0 <= nx < state.width and 0 <= ny < state.height and not geom.blocked[ny, nx]:
-            succs.append((PrimitiveAction.MoveAhead, ((nx, ny), heading, pitch)))
-        succs.append((PrimitiveAction.RotateLeft, ((x, y), Heading((heading - 1) % 4), pitch)))
-        succs.append((PrimitiveAction.RotateRight, ((x, y), Heading((heading + 1) % 4), pitch)))
-        if pitch < 1:
-            succs.append((PrimitiveAction.LookUp, ((x, y), heading, pitch + 1)))
-        if pitch > -1:
-            succs.append((PrimitiveAction.LookDown, ((x, y), heading, pitch - 1)))
-        for action, nxt in succs:
-            if nxt in seen:
+        for action in _MOVES:
+            nxt = W.nav_pose(state, node, action, geom)
+            if nxt is None or nxt in seen:
                 continue
             seen.add(nxt)
             npath = path + [action]
@@ -124,12 +120,8 @@ def _applicable(state, geom, skill, obj) -> bool:
         held = state.agent.held
         if held is None or held == obj.instance_id:
             return False
-        cur, seen = obj.container, set()
-        while cur is not None and cur not in seen:
-            if cur == held:
-                return False  # would nest the target inside the held object
-            seen.add(cur)
-            cur = state.obj(cur).container
+        if held in W.ancestors(state, obj.instance_id):
+            return False  # would nest the target inside the held object
         return len(state.contents_of(obj.instance_id)) < W.capacity(obj)
     if skill is Skill.ToggleOn:
         return obj.power is Power.OFF
@@ -173,23 +165,6 @@ def expert_point(state: WorldState, obs, target_iid, mode: InteractionMode):
         if W.resolve_target(state, obs, pt, mode, geom) == target_iid:
             return pt
     return (order[0][0] + 0.5, order[0][1] + 0.5)
-
-
-def _predict_pose(state, action):
-    """Agent pose after a navigation action (for nav-cache validation)."""
-    pose = state.agent
-    if action is PrimitiveAction.MoveAhead:
-        fx, fy = W.HEADING_VEC[pose.heading]
-        return replace(pose, cell=(pose.cell[0] + fx, pose.cell[1] + fy))
-    if action is PrimitiveAction.RotateLeft:
-        return replace(pose, heading=Heading((pose.heading - 1) % 4))
-    if action is PrimitiveAction.RotateRight:
-        return replace(pose, heading=Heading((pose.heading + 1) % 4))
-    if action is PrimitiveAction.LookUp:
-        return replace(pose, pitch=pose.pitch + 1)
-    if action is PrimitiveAction.LookDown:
-        return replace(pose, pitch=pose.pitch - 1)
-    return pose
 
 
 def _script_step(state, geom, obs, subgoal, target_iid, mode, store=None):
@@ -250,16 +225,6 @@ class WrongEffect:
     held_before: int | None = None
 
 
-@dataclass
-class Plan:
-    subgoals: list
-    cursor: int = 0
-    target_hints: dict = field(default_factory=dict)  # index -> instance id
-
-    def current(self):
-        return self.subgoals[self.cursor] if self.cursor < len(self.subgoals) else None
-
-
 REVERSAL = {
     PrimitiveAction.Open: Skill.Close,
     PrimitiveAction.Close: Skill.Open,
@@ -276,24 +241,14 @@ def _reversal_subgoal(effect: WrongEffect, state: WorldState, pending_classes):
         dest = _restitution_receptacle(state, effect, pending_classes)
         return SubGoal(Skill.Put, state.obj(dest).class_id), dest
     if effect.action is PrimitiveAction.Put:
+        # contents of a movable receptacle (a Plate, a Bowl) are never
+        # displayed, so nothing put there can be picked back up
+        if effect.held_before not in cached_geometry(state).display_cells:
+            raise Irrecoverable("put the object where it cannot be picked up")
         return SubGoal(Skill.Pickup, state.obj(effect.held_before).class_id), \
             effect.held_before
     skill = REVERSAL[effect.action]
     return SubGoal(skill, state.obj(effect.target).class_id), effect.target
-
-
-def recover(plan: Plan, effect: WrongEffect, state: WorldState) -> Plan:
-    """Insert the sub-goal that reverses a wrong interaction before the
-    current one.  Slicing the wrong object cannot be undone."""
-    pending = {sg.object_class for sg in plan.subgoals[plan.cursor:]
-               if sg.object_class is not None}
-    sub, hint = _reversal_subgoal(effect, state, pending)
-    subgoals = list(plan.subgoals)
-    subgoals.insert(plan.cursor, sub)
-    hints = {(i + 1 if i >= plan.cursor else i): v
-             for i, v in plan.target_hints.items()}
-    hints[plan.cursor] = hint
-    return Plan(subgoals=subgoals, cursor=plan.cursor, target_hints=hints)
 
 
 def _restitution_receptacle(state, effect, pending_classes):
@@ -357,7 +312,7 @@ class ExpertController:
         self._pinned: tuple[SubGoal, int] | None = None
         # cached tail of the current BFS script: replanning after a step the
         # plan itself predicted reproduces this suffix exactly
-        self._nav: tuple | None = None  # (subgoal, hint, [actions], pose, step_count)
+        self._nav: tuple | None = None  # (subgoal, hint, [actions], node, step_count)
         self.failed = False
 
     def _pop_completed_recovery(self, state):
@@ -373,39 +328,24 @@ class ExpertController:
         remaining = [_norm_item(i) for i in self.remaining_fn(state)]
         return remaining[0] if remaining else (SubGoal(Skill.End), None)
 
-    def plan_view(self, state) -> Plan:
-        """Snapshot of the merged recovery + task plan."""
-        tail = [_norm_item(i) for i in self.remaining_fn(state)]
-        subs = [r[0] for r in self.recovery] + [sub for sub, _ in tail]
-        hints = {i: r[1] for i, r in enumerate(self.recovery)}
-        for j, (_, hint) in enumerate(tail):
-            if hint is not None:
-                hints[len(self.recovery) + j] = hint
-        return Plan(subgoals=subs, cursor=0, target_hints=hints)
-
-    def current_subgoal(self, state) -> SubGoal:
-        self._pop_completed_recovery(state)
-        if self.recovery:
-            return self.recovery[0][0]
-        return self._head(state)[0]
-
-    def _nav_cached(self, state, sub, hint):
+    def _nav_cached(self, state, geom, sub, hint):
         if self._nav is None:
             return None
-        csub, chint, actions, pose, count = self._nav
+        csub, chint, actions, node, count = self._nav
         if csub != sub or chint != hint or not actions:
             return None
-        if state.agent != pose or state.step_count != count:
+        if _node_of(state) != node or state.step_count != count:
             return None
-        action = actions[0]
-        self._nav = (csub, chint, actions[1:],
-                     _predict_pose(state, action), count + 1)
-        return action
+        self._nav_store(state, geom, sub, hint, actions)
+        return actions[0]
 
-    def _nav_store(self, state, sub, hint, actions):
+    def _nav_store(self, state, geom, sub, hint, actions):
+        """Cache the script tail after `actions[0]` with the node and step
+        count that executing `actions[0]` from `state` leads to."""
         if actions:
             self._nav = (sub, hint, actions[1:],
-                         _predict_pose(state, actions[0]), state.step_count + 1)
+                         W.nav_pose(state, _node_of(state), actions[0], geom),
+                         state.step_count + 1)
         else:
             self._nav = None
 
@@ -415,11 +355,12 @@ class ExpertController:
         self._pop_completed_recovery(state)
         if self.recovery:
             sub, hint, _entry = self.recovery[0]
-            cached = self._nav_cached(state, sub, hint)
+            cached = self._nav_cached(state, geom, sub, hint)
             if cached is not None:
                 return ExpertStep(sub, cached, None, hint)
-            action, point = _script_step(state, geom, obs, sub, hint, self.mode,
-                                         store=lambda acts: self._nav_store(state, sub, hint, acts))
+            action, point = _script_step(
+                state, geom, obs, sub, hint, self.mode,
+                store=lambda acts: self._nav_store(state, geom, sub, hint, acts))
             return ExpertStep(sub, action, point, hint)
         sub, hint = self._head(state)
         if sub.skill in (Skill.Answer, Skill.End):
@@ -436,11 +377,12 @@ class ExpertController:
             else:
                 hint = select_target(state, geom, sub)
         self._pinned = (sub, hint)
-        cached = self._nav_cached(state, sub, hint)
+        cached = self._nav_cached(state, geom, sub, hint)
         if cached is not None:
             return ExpertStep(sub, cached, None, hint)
-        action, point = _script_step(state, geom, obs, sub, hint, self.mode,
-                                     store=lambda acts: self._nav_store(state, sub, hint, acts))
+        action, point = _script_step(
+            state, geom, obs, sub, hint, self.mode,
+            store=lambda acts: self._nav_store(state, geom, sub, hint, acts))
         return ExpertStep(sub, action, point, hint)
 
     def observe(self, state_before, action, result, state_after,

@@ -8,7 +8,7 @@ from enum import IntEnum
 import numpy as np
 
 from . import world as W
-from .world import (Cleanliness, Openness, Power, PrimitiveAction, WorldState,
+from .world import (Openness, Power, PrimitiveAction, WorldState,
                     build_geometry, cached_geometry, instance_distance,
                     is_visible)
 
@@ -57,11 +57,6 @@ class SubGoal:
                 raise ValueError(f"{self.skill.name} takes no target object")
         elif self.object_class is None:
             raise ValueError(f"{self.skill.name} requires a target object class")
-
-    def describe(self, registry) -> str:
-        if self.object_class is None:
-            return self.skill.name
-        return f"{self.skill.name} {registry[self.object_class].name}"
 
 
 def joint_space_size(num_classes: int) -> int:
@@ -136,11 +131,9 @@ class SkillEpisode:
     preconditions_applied: list = field(default_factory=list)
 
 
-@dataclass
-class SamplerConfig:
-    teleport_radius: int = 3
-    nav_max_steps: int = 60
-    interact_max_steps: int = 20
+TELEPORT_RADIUS = 3       # interaction episodes start this close (Chebyshev)
+NAV_MAX_STEPS = 60        # step budget of a GoTo episode
+INTERACT_MAX_STEPS = 20   # step budget of an interaction episode
 
 
 def _teleport_poses(state, geom, target_iid):
@@ -209,7 +202,6 @@ def _feasible_pairs(state, geom):
 
 
 def sample_skill_episode(state: WorldState, rng: np.random.Generator,
-                         cfg: SamplerConfig | None = None,
                          skills=PRETRAIN_SKILLS) -> SkillEpisode:
     """Uniform draw over feasible skill-object pairs.
 
@@ -217,19 +209,18 @@ def sample_skill_episode(state: WorldState, rng: np.random.Generator,
     skills start from the opposite state; precondition objects (held item
     for Put, a slicer for Slice) are placed in hand.
     """
-    cfg = cfg or SamplerConfig()
     geom = cached_geometry(state)
     pairs = [p for p in _feasible_pairs(state, geom) if p[0] in skills]
     order = rng.permutation(len(pairs))
     for k in order:
         skill, cls_id, iid = pairs[int(k)]
-        episode = _build_episode(state, geom, rng, cfg, skill, cls_id, iid)
+        episode = _build_episode(state, geom, rng, skill, cls_id, iid)
         if episode is not None:
             return episode
     raise NoFeasibleSkill("no feasible skill-object pair in scene")
 
 
-def _build_episode(state, geom, rng, cfg, skill, cls_id, iid):
+def _build_episode(state, geom, rng, skill, cls_id, iid):
     from . import planner  # full-state expert; deferred to avoid an import cycle
 
     pre = []
@@ -257,7 +248,7 @@ def _build_episode(state, geom, rng, cfg, skill, cls_id, iid):
         choices = [o for o in s.objects
                    if reg[o.class_id].pickupable and o.instance_id != iid
                    and o.instance_id in geom.display_cells
-                   and not _inside(s, o.instance_id, iid)]
+                   and o.instance_id not in W.ancestors(s, iid)]
         if not choices:
             return None
         pick = choices[int(rng.integers(len(choices)))]
@@ -295,7 +286,7 @@ def _build_episode(state, geom, rng, cfg, skill, cls_id, iid):
             planner.shortest_path_to_instance(s, iid)
         except planner.Unreachable:
             return None
-        return SkillEpisode(s, SubGoal(skill, cls_id), cfg.nav_max_steps, pre)
+        return SkillEpisode(s, SubGoal(skill, cls_id), NAV_MAX_STEPS, pre)
 
     poses = _teleport_poses(s, geom2, iid)
     cells = geom2.display_cells[iid]
@@ -304,23 +295,12 @@ def _build_episode(state, geom, rng, cfg, skill, cls_id, iid):
         return min(max(abs(pose.cell[0] - cx), abs(pose.cell[1] - cy))
                    for cx, cy in cells)
 
-    near = [p for p in poses if chebyshev(p) <= cfg.teleport_radius]
+    near = [p for p in poses if chebyshev(p) <= TELEPORT_RADIUS]
     if not near:
         return None
     pose = near[int(rng.integers(len(near)))]
     s = replace(s, agent=replace(s.agent, cell=pose.cell, heading=pose.heading, pitch=0))
-    return SkillEpisode(s, SubGoal(skill, cls_id), cfg.interact_max_steps, pre)
-
-
-def _inside(state, container_candidate, item):
-    cur = state.obj(item).container
-    seen = set()
-    while cur is not None and cur not in seen:
-        if cur == container_candidate:
-            return True
-        seen.add(cur)
-        cur = state.obj(cur).container
-    return False
+    return SkillEpisode(s, SubGoal(skill, cls_id), INTERACT_MAX_STEPS, pre)
 
 
 def _drop_to_any_receptacle(state, iid):

@@ -16,13 +16,11 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import planner, world as W
-from .skills import Skill, SubGoal, skill_success
+from .skills import Skill, SubGoal
 from .world import (Cleanliness, Openness, Power, Temperature, WorldState,
-                    build_geometry, cached_geometry, randomize_scene)
+                    cached_geometry, randomize_scene)
 
 FAMILIES = ("SHIF", "LHIF", "IQA", "EXIN")
-
-ANSWER_VOCAB = ("Yes", "No", "0", "1", "2", "3")
 
 # per-split step budgets; LHIF chains are long
 MAX_STEPS = {"SHIF": 100, "LHIF": 200, "IQA": 100, "EXIN": 100}
@@ -245,16 +243,11 @@ def task_initial_state(task: TaskInstance, template, registry=None, config=None)
 
 def _inside_class(state, obj, recep_cls, require=None):
     """obj transitively contained in an instance of recep_cls."""
-    cur = obj.container
-    seen = set()
-    while cur is not None and cur not in seen:
-        seen.add(cur)
-        holder = state.obj(cur)
-        if holder.class_id == recep_cls:
+    for cur in W.ancestors(state, obj.instance_id):
+        if state.obj(cur).class_id == recep_cls:
             if require:
                 return _attrs_match(obj, require)
             return True
-        cur = holder.container
     return False
 
 
@@ -335,14 +328,10 @@ def _goto_if_needed(state, geom, iid):
 
 
 def _top_closed_container(state, geom, iid):
-    cur = state.obj(iid).container
-    seen = set()
-    while cur is not None and cur not in seen:
-        seen.add(cur)
+    for cur in W.ancestors(state, iid):
         holder = state.obj(cur)
         if state.cls(holder).enclosed and holder.openness is Openness.CLOSED:
-            return holder.instance_id
-        cur = holder.container
+            return cur
     return None
 
 
@@ -744,15 +733,7 @@ def _move_out_ops(state, obj_cls, recep_cls, protect=()):
     ops = []
     recep_iids = {o.instance_id for o in state.instances_of(recep_cls)}
     for o in state.instances_of(obj_cls):
-        cur, seen = o.container, set()
-        inside = False
-        while cur is not None and cur not in seen:
-            seen.add(cur)
-            if cur in recep_iids:
-                inside = True
-                break
-            cur = state.obj(cur).container
-        if inside:
+        if any(cur in recep_iids for cur in W.ancestors(state, o.instance_id)):
             dest = _free_receptacle(state, exclude_classes=(recep_cls,),
                                     exclude_iids=tuple(recep_iids) + tuple(protect))
             if dest is None:
@@ -793,27 +774,17 @@ def compute_answer(task_type, state, obj_cls=None, recep_iid=None,
                    target_iid=None, attr=None, asked=None):
     if task_type == "existence":
         n = sum(1 for o in state.instances_of(obj_cls)
-                if _inside_iid(state, o, recep_iid))
+                if recep_iid in W.ancestors(state, o.instance_id))
         return "Yes" if n >= 1 else "No"
     if task_type == "counting":
         n = sum(1 for o in state.instances_of(obj_cls)
-                if _inside_iid(state, o, recep_iid))
+                if recep_iid in W.ancestors(state, o.instance_id))
         return str(min(n, 3))
     if task_type == "state":
         actual = getattr(state.obj(target_iid), attr)
         actual = actual.value if hasattr(actual, "value") else actual
         return "Yes" if actual == asked else "No"
     raise ValueError(task_type)
-
-
-def _inside_iid(state, obj, recep_iid):
-    cur, seen = obj.container, set()
-    while cur is not None and cur not in seen:
-        if cur == recep_iid:
-            return True
-        seen.add(cur)
-        cur = state.obj(cur).container
-    return False
 
 
 def _displayed(state, iid):

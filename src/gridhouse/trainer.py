@@ -10,24 +10,24 @@ bit-reproducible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace as dc_replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import nn, tensor as T
 from .agents import (ANSWER_SPACE, INTERACT_ACTION_SPACE, INTERACT_INDEX,
-                     INTERACTIVE_SET, NAV_ACTION_SPACE, NAV_INDEX, NONE_ACTION,
-                     NONE_SKILL, SKILL_FAMILY, FlatAgent, HierarchicalAgent,
-                     ModelConfig, _replicate_concat, high_level_step, obs_planes,
-                     point_from_grid, sample_logits, sub_policy_step)
+                     NAV_ACTION_SPACE, NAV_INDEX, NONE_ACTION, NONE_SKILL,
+                     SKILL_FAMILY, ModelConfig, _replicate_concat,
+                     high_level_step, obs_planes, sub_policy_step)
 from .planner import ExpertController, Irrecoverable, single_subgoal_stream
 from .skills import (NO_OBJECT_SKILLS, NoFeasibleSkill, PRETRAIN_SKILLS,
                      SceneSession, Skill, SubGoal, periodic_reset,
                      sample_skill_episode, skill_success)
 from .tasks import remaining_fn as task_remaining_fn
-from .tasks import task_initial_state, task_success, tokenize
-from .world import (CLASS_BASE, InteractionMode, PrimitiveAction,
-                    cached_geometry, cached_render, step as env_step)
+from .tasks import task_initial_state, tokenize
+from .world import (CLASS_BASE, INTERACTIVE_ACTIONS, InteractionMode,
+                    PrimitiveAction, cached_geometry, cached_render, is_visible,
+                    step as env_step)
 
 
 class MissingLabels(ValueError):
@@ -119,7 +119,7 @@ def compute_reward(state_after, action, point, subgoal, expert_step,
             geom = cached_geometry(state_after)
             target_visible = any(
                 o.instance_id in geom.display_cells and
-                _quick_visible(state_after, geom, o.instance_id)
+                is_visible(state_after, o.instance_id, geom)
                 for o in state_after.instances_of(subgoal.object_class))
     r_visible = 1.0 if target_visible else 0.0
     r_act = 1.0 if action == expert_step.action else 0.0
@@ -132,12 +132,6 @@ def compute_reward(state_after, action, point, subgoal, expert_step,
         sigma = cfg.sigma_point * cell_px / 2.0  # one world cell ~ upsample px
         r_point = math.exp(-d2 / (2.0 * sigma * sigma))
     return w[0] * r_success + w[1] * r_visible + w[2] * r_act + w[3] * r_point
-
-
-def _quick_visible(state, geom, iid):
-    from .world import cell_visible_from
-    return any(cell_visible_from(geom, state.config, state.agent, c)
-               for c in geom.display_cells.get(iid, ()))
 
 
 # --------------------------------------------------------------------------
@@ -309,8 +303,8 @@ def teacher_forcing_update(agent, samples, opt, cfg: ModelConfig,
             {"encoder": agent.sub_encoder, "sub": agent.interact}, inter, cfg, weights)
         parts += 1
     if nav:
-        enc = agent.sub_encoder if cfg.share_sub_encoder else agent.nav_encoder
-        loss = loss + _nav_loss({"encoder": enc, "sub": agent.nav}, nav, cfg, weights)
+        loss = loss + _nav_loss({"encoder": agent.nav_image_encoder(), "sub": agent.nav},
+                                nav, cfg, weights)
         parts += 1
     if qa:
         loss = loss + _qa_loss(agent, qa, cfg)
@@ -376,9 +370,9 @@ def multitask_episode_loss(agent, episode: EpisodeBatch, cfg: ModelConfig,
             {"encoder": agent.sub_encoder, "sub": agent.interact},
             inter, cfg, weights), len(inter))
     if nav:
-        enc = agent.sub_encoder if cfg.share_sub_encoder else agent.nav_encoder
         sub_loss = sub_loss + T.mul(
-            _nav_loss({"encoder": enc, "sub": agent.nav}, nav, cfg, weights), len(nav))
+            _nav_loss({"encoder": agent.nav_image_encoder(), "sub": agent.nav},
+                      nav, cfg, weights), len(nav))
     if qa:
         sub_loss = sub_loss + T.mul(_qa_loss(agent, qa, cfg), len(qa))
     return T.mul(loss + sub_loss, 1.0 / n)
@@ -395,7 +389,7 @@ def _record_expert(sample_obs, subgoal, last_action, ex, cfg, family):
         obj=cfg.num_classes if subgoal.object_class is None else subgoal.object_class,
         last_action=last_action,
         expert_action=_expert_action_index(family, ex.action))
-    if family == "interact" and ex.action in INTERACTIVE_SET and ex.point is not None:
+    if family == "interact" and ex.action in INTERACTIVE_ACTIONS and ex.point is not None:
         s.expert_interactive = True
         s.expert_cell, s.expert_delta = expert_cell_delta(ex.point, cfg)
     s.centers = heat_centers(sample_obs, cfg)
@@ -491,9 +485,7 @@ def _policy_logp_value(agent, samples, cfg):
             mu_sel = T.gather(mu, (idx, slice(None), cells))
             nu_sel = T.gather(nu, (idx, slice(None), cells))
             deltas = np.array([s.delta for _, s in extra])
-            diff = T.square(T.Tensor(deltas) - mu_sel)
-            ll_rows = T.sum_(-0.5 * np.log(2 * np.pi) - T.mul(T.log(nu_sel), 0.5)
-                             - T.div(diff, T.mul(nu_sel, 2.0)), axis=1)
+            ll_rows = T.sum_(nn.gaussian_log_terms(deltas, mu_sel, nu_sel), axis=1)
             scatter = np.zeros((len(subset), len(extra)))
             for k, (j, _) in enumerate(extra):
                 scatter[j, k] = 1.0
@@ -504,8 +496,7 @@ def _policy_logp_value(agent, samples, cfg):
             values[i] = value[k]
 
     if nav_rows:
-        enc = agent.sub_encoder if cfg.share_sub_encoder else agent.nav_encoder
-        fill(nav_rows, agent.nav, enc)
+        fill(nav_rows, agent.nav, agent.nav_image_encoder())
     if int_rows:
         fill(int_rows, agent.interact, agent.sub_encoder)
     logp = T.stack([lp for lp in logps if lp is not None], axis=0)
@@ -567,13 +558,6 @@ def ppo_update(agent, buffer, opt, cfg: ModelConfig, ppo: PPOConfig, rng):
 def _elementwise_min(a, b):
     mask = (a.data <= b.data).astype(float)
     return T.mul(a, mask) + T.mul(b, 1.0 - mask)
-
-
-def rollout_logp_value(agent, sample: StepSample, cfg) -> tuple[float, float]:
-    """Behaviour-policy log-prob and value for one freshly acted step."""
-    with T.no_grad():
-        logp, value, _ = _policy_logp_value(agent, [sample], cfg)
-    return float(logp.data[0]), float(value.data[0])
 
 
 # --------------------------------------------------------------------------
@@ -788,7 +772,7 @@ def run_task_episode_sf(agent, task, state, mode, rng, eps, cfg, vocab):
                 sample.family = "none"
         else:
             sample.expert_action = _expert_action_index(family, ex.action)
-            if family == "interact" and ex.action in INTERACTIVE_SET and ex.point:
+            if family == "interact" and ex.action in INTERACTIVE_ACTIONS and ex.point:
                 sample.expert_interactive = True
                 sample.expert_cell, sample.expert_delta = expert_cell_delta(ex.point, cfg)
             sample.centers = heat_centers(obs, cfg)
@@ -843,7 +827,7 @@ def train_multitask(agent, split, templates_by_id, schedule: ScheduleConfig,
                     cfg: ModelConfig, vocab, seed=0,
                     mode=InteractionMode.HARD, weights=None,
                     registry=None, world_config=None, single_family=None,
-                    episodes_per_update=2, eps_end=0.6, on_round=None):
+                    episodes_per_update=2, on_round=None):
     """Joint fine-tuning: TF then SF, high-level and gated sub-policy
     losses per step, recovery planner active during SF."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, 311]))
@@ -869,7 +853,7 @@ def train_multitask(agent, split, templates_by_id, schedule: ScheduleConfig,
                 eps = 1.0
             else:
                 eps = epsilon_at(steps_done["sf"] / max(budget, 1),
-                                 schedule.eps_start, eps_end)
+                                 schedule.eps_start, schedule.eps_end)
             steps, _traj = run_task_episode_sf(agent, task, state, mode, rng,
                                                eps, cfg, vocab)
             if not steps:

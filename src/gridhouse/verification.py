@@ -11,37 +11,6 @@ from .skills import Skill
 from .world import NO_INSTANCE, Observation
 
 
-def grad_check_sampled(fn, inputs, rng, n_coords=24, h=1e-5, rel_floor=1e-3):
-    """Central differences on a random coordinate subset of the inputs."""
-    inputs = [T.as_tensor(x) for x in inputs]
-    for x in inputs:
-        x.requires_grad = True
-        x.grad = None
-    out = fn(*inputs)
-    out.backward()
-    sizes = np.array([x.data.size for x in inputs])
-    total = int(sizes.sum())
-    picks = rng.choice(total, size=min(n_coords, total), replace=False)
-    bounds = np.cumsum(sizes)
-    worst = 0.0
-    for flat_idx in picks:
-        which = int(np.searchsorted(bounds, flat_idx, side="right"))
-        local = int(flat_idx - (bounds[which - 1] if which else 0))
-        x = inputs[which]
-        flat = x.data.reshape(-1)
-        orig = flat[local]
-        flat[local] = orig + h
-        hi = fn(*inputs).item()
-        flat[local] = orig - h
-        lo = fn(*inputs).item()
-        flat[local] = orig
-        fd = (hi - lo) / (2 * h)
-        ad = (x.grad.reshape(-1)[local] if x.grad is not None else 0.0)
-        err = abs(ad - fd) / max(abs(ad) + abs(fd), rel_floor)
-        worst = max(worst, float(err))
-    return worst
-
-
 # --------------------------------------------------------------------------
 # op-level checks
 
@@ -87,8 +56,9 @@ def _op_cases(rng):
                      T.square(T.sum_(a, axis=1)).sum(), [r(3, 4)]),
         "cross_entropy": (lambda a: nn.cross_entropy(a, ce_target), [r(5)]),
         "cross_entropy_rows": (lambda a: nn.cross_entropy_rows(a, idx[:3]), [r(3, 4)]),
-        "focal_heatmap_loss": (lambda p: nn.focal_heatmap_loss(
-            T.clip(T.sigmoid(p), 0.02, 0.98), heat_tgt), [r(2, 4, 4)]),
+        "focal_loss_batched": (lambda p: nn.focal_loss_batched(
+            T.clip(T.sigmoid(p), 0.02, 0.98), heat_tgt.heat[None],
+            [1.0 / max(heat_tgt.num_centers, 1)]), [r(1, 2, 4, 4)]),
         "offset_l1_loss": (lambda m: nn.offset_l1_loss(m, l1_target),
                            [l1_target + r(3, 2) + 0.1]),
         "gaussian_log_likelihood": (
@@ -193,7 +163,7 @@ def _flat_loss(agent, cfg, rng):
     return loss + T.mul(T.sum_(T.square(value)), 0.5)
 
 
-def _network_check(kind, rng, n_coords, h=1e-5, rel_floor=1e-3):
+def _network_check(kind, rng, n_coords):
     """FD check of a whole policy network's parameters on one random
     configuration: perturbations hit the live parameter arrays, labels are
     redrawn identically from a pinned seed."""
@@ -205,39 +175,9 @@ def _network_check(kind, rng, n_coords, h=1e-5, rel_floor=1e-3):
     else:
         agent = FlatAgent(np.random.default_rng(seed), cfg)
         loss_fn = _flat_loss
-    params = agent.parameters()
     draw = int(rng.integers(1 << 30))
-
-    def evaluate(build_graph):
-        for p in params:
-            p.grad = None
-        if build_graph:
-            return loss_fn(agent, cfg, np.random.default_rng(draw))
-        with T.no_grad():
-            return loss_fn(agent, cfg, np.random.default_rng(draw))
-
-    out = evaluate(True)
-    out.backward()
-    grads = [np.zeros_like(p.data) if p.grad is None else p.grad.copy()
-             for p in params]
-    sizes = np.array([p.data.size for p in params])
-    bounds = np.cumsum(sizes)
-    picks = rng.choice(int(sizes.sum()), size=n_coords, replace=False)
-    worst = 0.0
-    for flat_idx in picks:
-        which = int(np.searchsorted(bounds, flat_idx, side="right"))
-        local = int(flat_idx - (bounds[which - 1] if which else 0))
-        flat = params[which].data.reshape(-1)
-        orig = flat[local]
-        flat[local] = orig + h
-        hi = evaluate(False).item()
-        flat[local] = orig - h
-        lo = evaluate(False).item()
-        flat[local] = orig
-        fd = (hi - lo) / (2 * h)
-        ad = grads[which].reshape(-1)[local]
-        worst = max(worst, abs(ad - fd) / max(abs(ad) + abs(fd), rel_floor))
-    return float(worst)
+    return nn.grad_check(lambda *params: loss_fn(agent, cfg, np.random.default_rng(draw)),
+                         agent.parameters(), sample=(rng, n_coords))
 
 
 def gradient_suite(seed=0, op_configs=50, net_configs=5, net_coords=20):
@@ -247,7 +187,7 @@ def gradient_suite(seed=0, op_configs=50, net_configs=5, net_coords=20):
     for _ in range(op_configs):
         cases = _op_cases(rng)
         for name, (fn, inputs) in cases.items():
-            err = grad_check_sampled(fn, inputs, rng, n_coords=6)
+            err = nn.grad_check(fn, inputs, sample=(rng, 6))
             report[name] = max(report.get(name, 0.0), err)
     for kind in ("hier", "flat"):
         worst = 0.0

@@ -58,9 +58,9 @@ class PrimitiveAction(IntEnum):
     Done = 12
 
 
-NAV_ACTIONS = (PrimitiveAction.MoveAhead, PrimitiveAction.RotateLeft,
-               PrimitiveAction.RotateRight, PrimitiveAction.LookUp,
-               PrimitiveAction.LookDown, PrimitiveAction.Done)
+NAV_ACTION_SPACE = (PrimitiveAction.MoveAhead, PrimitiveAction.RotateLeft,
+                    PrimitiveAction.RotateRight, PrimitiveAction.LookUp,
+                    PrimitiveAction.LookDown, PrimitiveAction.Done)
 INTERACTIVE_ACTIONS = frozenset({
     PrimitiveAction.Open, PrimitiveAction.Close, PrimitiveAction.Pickup,
     PrimitiveAction.Put, PrimitiveAction.ToggleOn, PrimitiveAction.ToggleOff,
@@ -533,39 +533,37 @@ def render(state: WorldState, geom: SceneGeometry | None = None) -> Observation:
                        depth.reshape(n, n), bits.reshape(4, n, n), visible)
 
 
-def obs_cell_to_world(state: WorldState, col, row):
-    cfg = state.config
-    up = cfg.upsample
-    half = cfg.window // 2
-    r = (cfg.obs_size - 1 - row) // up
-    l = col // up - half
-    ax, ay = state.agent.cell
-    fx, fy = HEADING_VEC[state.agent.heading]
-    rx, ry = right_vec(state.agent.heading)
-    return (ax + r * fx + l * rx, ay + r * fy + l * ry)
-
-
 def instance_distance(state: WorldState, geom: SceneGeometry, instance_id) -> float:
     """Distance from the agent to the object's physical extent: footprint
     for anchored objects (regardless of what its cells currently display),
     the slot cell for contained ones, and the nearest anchored ancestor's
     footprint for objects hidden inside closed containers."""
     obj = state.obj(instance_id)
-    seen = set()
+    outer = ancestors(state, instance_id)
     while obj.anchor is None:
         cells = geom.display_cells.get(obj.instance_id)
         if cells:
             break
-        if obj.container is None or obj.container in seen:
+        holder = next(outer, None)
+        if holder is None:
             return math.inf  # held (or orphaned): no spatial location
-        seen.add(obj.container)
-        obj = state.obj(obj.container)
+        obj = state.obj(holder)
     else:
-        cells = footprint_cells(obj.anchor, obj.size)
-    if obj.anchor is not None:
         cells = footprint_cells(obj.anchor, obj.size)
     ax, ay = state.agent.cell
     return min(math.hypot(cx - ax, cy - ay) for cx, cy in cells)
+
+
+def ancestors(state: WorldState, instance_id):
+    """Ids of the containers holding the instance, innermost first.  The
+    walk stops at the first id it has already yielded, so a containment
+    cycle cannot loop."""
+    seen = set()
+    cur = state.obj(instance_id).container
+    while cur is not None and cur not in seen:
+        yield cur
+        seen.add(cur)
+        cur = state.obj(cur).container
 
 
 def is_visible(state: WorldState, instance_id, geom: SceneGeometry | None = None) -> bool:
@@ -632,17 +630,6 @@ def resolve_target(state: WorldState, obs: Observation, point,
 
 # --------------------------------------------------------------------------
 # dynamics
-
-
-def _contains_transitively(state, container_id, item_id):
-    seen = set()
-    cur = state.obj(item_id).container
-    while cur is not None and cur not in seen:
-        if cur == container_id:
-            return True
-        seen.add(cur)
-        cur = state.obj(cur).container
-    return False
 
 
 def _propagation_effects(state: WorldState) -> dict:
@@ -742,6 +729,38 @@ def _ok(before: WorldState, after: WorldState, target=None):
     return out, ActionResult(True, None, target)
 
 
+# navigation action -> (cells ahead, quarter turns clockwise, pitch change)
+_NAV_MOTION = {
+    PrimitiveAction.MoveAhead: (1, 0, 0),
+    PrimitiveAction.RotateLeft: (0, -1, 0),
+    PrimitiveAction.RotateRight: (0, 1, 0),
+    PrimitiveAction.LookUp: (0, 0, 1),
+    PrimitiveAction.LookDown: (0, 0, -1),
+}
+_HEADINGS = tuple(Heading)
+
+
+def nav_pose(state: WorldState, pose, action: PrimitiveAction,
+             geom: SceneGeometry | None = None):
+    """The `(cell, heading, pitch)` a navigation action leads to from
+    `pose`, or None when the move is blocked: by the map edge or a
+    non-traversable cell ahead, or by the pitch limits of +-1.  `geom`,
+    when given, must be the state's own; only MoveAhead reads it."""
+    cell, heading, pitch = pose
+    ahead, turn, tilt = _NAV_MOTION[action]
+    if ahead:
+        fx, fy = HEADING_VEC[heading]
+        nx, ny = cell[0] + fx, cell[1] + fy
+        if not (0 <= nx < state.width and 0 <= ny < state.height):
+            return None
+        if (geom or cached_geometry(state)).blocked[ny, nx]:
+            return None
+        return (nx, ny), heading, pitch
+    if turn:
+        return cell, _HEADINGS[(heading + turn) % 4], pitch
+    return (cell, heading, pitch + tilt) if -1 <= pitch + tilt <= 1 else None
+
+
 def _fail(state: WorldState, reason: FailureReason):
     return state, ActionResult(False, reason, None)
 
@@ -761,27 +780,13 @@ def step(state: WorldState, action: PrimitiveAction, point=None,
     agent = state.agent
     if action is PrimitiveAction.Done:
         return _ok(state, state)
-    if action is PrimitiveAction.RotateLeft:
-        return _ok(state, replace(state, agent=replace(agent, heading=Heading((agent.heading - 1) % 4))))
-    if action is PrimitiveAction.RotateRight:
-        return _ok(state, replace(state, agent=replace(agent, heading=Heading((agent.heading + 1) % 4))))
-    if action is PrimitiveAction.LookUp:
-        if agent.pitch >= 1:
+    if action not in INTERACTIVE_ACTIONS:
+        pose = nav_pose(state, (agent.cell, agent.heading, agent.pitch), action, geom)
+        if pose is None:
             return _fail(state, FailureReason.BLOCKED)
-        return _ok(state, replace(state, agent=replace(agent, pitch=agent.pitch + 1)))
-    if action is PrimitiveAction.LookDown:
-        if agent.pitch <= -1:
-            return _fail(state, FailureReason.BLOCKED)
-        return _ok(state, replace(state, agent=replace(agent, pitch=agent.pitch - 1)))
-    if action is PrimitiveAction.MoveAhead:
-        fx, fy = HEADING_VEC[agent.heading]
-        nx, ny = agent.cell[0] + fx, agent.cell[1] + fy
-        if not (0 <= nx < state.width and 0 <= ny < state.height):
-            return _fail(state, FailureReason.BLOCKED)
-        geom = geom or cached_geometry(state)
-        if geom.blocked[ny, nx]:
-            return _fail(state, FailureReason.BLOCKED)
-        return _ok(state, replace(state, agent=replace(agent, cell=(nx, ny))))
+        cell, heading, pitch = pose
+        return _ok(state, replace(state, agent=replace(agent, cell=cell, heading=heading,
+                                                       pitch=pitch)))
 
     # interactive actions
     if point is None:
@@ -824,7 +829,7 @@ def step(state: WorldState, action: PrimitiveAction, point=None,
         if len(state.contents_of(target_id)) >= capacity(target):
             return _fail(state, FailureReason.PRECONDITION_UNMET)
         held = state.obj(agent.held)
-        if target_id == held.instance_id or _contains_transitively(state, held.instance_id, target_id):
+        if target_id == held.instance_id or held.instance_id in ancestors(state, target_id):
             return _fail(state, FailureReason.PRECONDITION_UNMET)
         new = state.with_object(replace(held, anchor=None, container=target_id))
         return _ok(state, replace(new, agent=replace(agent, held=None)), target_id)
@@ -966,11 +971,6 @@ def randomize_scene(template: dict, seed: int,
                       objects=tuple(objects),
                       agent=AgentPose(cell=cell, heading=heading),
                       rng_seed=int(seed), registry=registry, config=config)
-
-
-def load_template(path) -> dict:
-    with open(path) as f:
-        return json.load(f)
 
 
 def save_template(template: dict, path):

@@ -32,6 +32,13 @@ def focal_loss_reference(pred, heat, num_centers, alpha=2.0, beta=4.0):
     return -total / max(num_centers, 1)
 
 
+def focal_one(pred, tgt):
+    """The training-path focal loss at N=1 on one HeatmapTarget."""
+    pred = T.as_tensor(pred)
+    return nn.focal_loss_batched(T.reshape(pred, (1,) + pred.shape), tgt.heat[None],
+                                 [1.0 / max(tgt.num_centers, 1)])
+
+
 def make_target(rng, shape, n_centers):
     nc, gh, gw = shape
     centers = []
@@ -79,16 +86,16 @@ def test_focal_hand_scalars():
     # Y=1, pred=0.5: -(0.5)^2 ln 0.5 = 0.173287
     heat = np.ones((1, 1, 1))
     tgt = nn.HeatmapTarget(heat=heat, num_centers=1)
-    loss = nn.focal_heatmap_loss(T.Tensor(np.array([[[0.5]]])), tgt)
+    loss = focal_one(np.array([[[0.5]]]), tgt)
     assert abs(loss.item() - 0.173287) < 1e-6
 
     # Y=0, pred=0.9: -(0.9)^2 ln 0.1 = 1.865094
     tgt0 = nn.HeatmapTarget(heat=np.zeros((1, 1, 1)), num_centers=1)
-    loss0 = nn.focal_heatmap_loss(T.Tensor(np.array([[[0.9]]])), tgt0)
+    loss0 = focal_one(np.array([[[0.9]]]), tgt0)
     assert abs(loss0.item() - 1.865094) < 1e-6
 
     # perfect center prediction -> ~0
-    lossp = nn.focal_heatmap_loss(T.Tensor(np.array([[[1.0 - 1e-7]]])), tgt)
+    lossp = focal_one(np.array([[[1.0 - 1e-7]]]), tgt)
     assert abs(lossp.item()) < 1e-5
 
 
@@ -96,7 +103,7 @@ def test_focal_matches_reference_on_random_maps():
     for _ in range(25):
         tgt = make_target(RNG, (3, 8, 8), int(RNG.integers(1, 5)))
         pred = RNG.uniform(0.01, 0.99, size=(3, 8, 8))
-        got = nn.focal_heatmap_loss(T.Tensor(pred), tgt).item()
+        got = focal_one(pred, tgt).item()
         want = focal_loss_reference(pred, tgt.heat, tgt.num_centers)
         assert abs(got - want) < 1e-9
 
@@ -104,7 +111,7 @@ def test_focal_matches_reference_on_random_maps():
 def test_focal_shape_mismatch():
     tgt = nn.HeatmapTarget(heat=np.zeros((1, 2, 2)), num_centers=1)
     with pytest.raises(nn.ShapeMismatch):
-        nn.focal_heatmap_loss(T.Tensor(np.zeros((1, 3, 3))), tgt)
+        focal_one(np.zeros((1, 3, 3)), tgt)
 
 
 # --------------------------------------------------------------------------
@@ -255,7 +262,7 @@ def test_gru_batched_matches_rowwise():
 def test_gradcheck_focal_on_random_map():
     tgt = make_target(RNG, (3, 8, 8), 3)
     pred = RNG.uniform(0.05, 0.95, size=(3, 8, 8))
-    err = nn.grad_check(lambda p: nn.focal_heatmap_loss(p, tgt), [pred])
+    err = nn.grad_check(lambda p: focal_one(p, tgt), [pred])
     assert err < 1e-4
 
 
@@ -343,3 +350,35 @@ def test_checkpoint_rejects_garbage(tmp_path):
     path.write_bytes(b"not a checkpoint")
     with pytest.raises(ValueError):
         nn.load_checkpoint(path)
+
+
+def test_checkpoint_of_another_agent_is_rejected_with_its_names(tmp_path, capsys):
+    # a hierarchical checkpoint shares no sub-policy names with FlatAgent;
+    # `eval --flat` used to load none of it and evaluate an untrained agent
+    from gridhouse.agents import FlatAgent, HierarchicalAgent
+    from gridhouse.cli import _agent_for, _setup, main
+    from gridhouse.verification import micro_model_config
+
+    cfg = micro_model_config()
+    hier = HierarchicalAgent(np.random.default_rng(0), cfg)
+    flat = FlatAgent(np.random.default_rng(0), cfg)
+    with pytest.raises(nn.CheckpointMismatch) as err:
+        flat.load_state_arrays(hier.state_arrays())
+    assert "high.gru.w_z" in str(err.value)        # unknown to FlatAgent
+    assert "policy.trunk.w" in str(err.value)      # missing from the checkpoint
+
+    ini = tmp_path / "tiny.ini"
+    ini.write_text("[model]\nd = 4\ngrid = 2\nhidden = 6\ntask_dim = 4\n"
+                   "token_dim = 3\nctx_dim = 2\ncond_dim = 4\ntrunk_dim = 8\n"
+                   "point_dim = 4\nenc_mid = 3\n")
+    args = type("Args", (), {"config": str(ini), "seed": 0})()
+    config, seed, registry, vocab, _ = _setup(args)
+    agent, _cfg = _agent_for(config, registry, vocab, seed)
+    ckpt = tmp_path / "hier.ckpt"
+    nn.save_checkpoint(ckpt, {"model": agent.state_arrays()})
+    argv = ["eval", "--config", str(ini), "--ckpt", str(ckpt), "--data", str(tmp_path),
+            "--out", str(tmp_path / "out")]
+    assert main(argv + ["--flat"]) == 1
+    assert "CheckpointMismatch" in capsys.readouterr().err
+    assert main(argv) == 1              # loads, then finds no test_seen split
+    assert "split not found" in capsys.readouterr().err

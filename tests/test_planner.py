@@ -3,17 +3,23 @@ recovery rules, label consistency."""
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from gridhouse import world as W
-from gridhouse.planner import (ExpertController, Irrecoverable, Plan,
-                               Unreachable, WrongEffect, expert_action,
-                               recover, shortest_path, single_subgoal_stream)
-from gridhouse.scenes import template_by_id
+from gridhouse.episodes import run_expert_episode
+from gridhouse.planner import (ExpertController, ExpertStep, Irrecoverable,
+                               Unreachable, expert_action, shortest_path,
+                               single_subgoal_stream)
+from gridhouse.scenes import builtin_templates, template_by_id
 from gridhouse.skills import Skill, SubGoal, sample_skill_episode, skill_success
+from gridhouse.tasks import (build_splits, desk_split_counts, remaining_fn,
+                             task_initial_state)
 from gridhouse.world import (Heading, InteractionMode, Openness,
                              PrimitiveAction, cached_geometry, cached_render,
                              randomize_scene, step)
@@ -138,15 +144,12 @@ def test_expert_point_centroid_snaps_to_target():
 # recovery
 
 
-def _orange_pickup_effect(state):
-    obs = cached_render(state)
-    ocell = obs.visible_instance_cells()[1][0]
-    after, res = step(state, PrimitiveAction.Pickup,
-                      (ocell[0] + .5, ocell[1] + .5), InteractionMode.HARD)
-    assert res.success and res.target == 1
-    return after, WrongEffect(action=PrimitiveAction.Pickup, target=1,
-                              prior_container=state.obj(1).container,
-                              held_before=None)
+def _observe_wrong(before, action, result, after, plan, expected):
+    """Controller for the fixed sub-goal list `plan`, after watching the
+    executed `action` where the expert meant `expected`."""
+    controller = ExpertController(before, lambda state: plan, InteractionMode.HARD)
+    controller.observe(before, action, result, after, expected)
+    return controller
 
 
 def test_recover_wrong_pickup_returns_to_source_container():
@@ -155,30 +158,41 @@ def test_recover_wrong_pickup_returns_to_source_container():
         {"class": "Orange", "pos": None, "container": 0},
         {"class": "Apple", "pos": (4, 7)},
     ], agent_cell=(5, 7))
-    after, effect = _orange_pickup_effect(state)
-    plan = Plan(subgoals=[SubGoal(Skill.Pickup, REG.id_of("Apple")),
-                          SubGoal(Skill.End)])
-    new = recover(plan, effect, after)
-    assert new.subgoals[0] == SubGoal(Skill.Put, REG.id_of("GarbageCan"))
-    assert new.target_hints[0] == 0
-    assert new.subgoals[1].skill is Skill.Pickup  # resumed after restitution
+    obs = cached_render(state)
+    ocell = obs.visible_instance_cells()[1][0]
+    after, res = step(state, PrimitiveAction.Pickup,
+                      (ocell[0] + .5, ocell[1] + .5), InteractionMode.HARD)
+    assert res.success and res.target == 1
+    plan = [SubGoal(Skill.Pickup, REG.id_of("Apple")), SubGoal(Skill.End)]
+    controller = _observe_wrong(state, PrimitiveAction.Pickup, res, after, plan,
+                                ExpertStep(plan[0], PrimitiveAction.Pickup, None, 2))
+    sub, hint, _entry = controller.recovery[0]
+    assert sub == SubGoal(Skill.Put, REG.id_of("GarbageCan"))
+    assert hint == 0
+    assert len(controller.recovery) == 1  # the task plan resumes after restitution
+    assert controller.expert_action(after).subgoal == sub
 
 
 def test_recover_wrong_open_inserts_close():
     state = make_state([{"class": "Cabinet", "pos": (4, 6),
                          "openness": Openness.OPEN}], agent_cell=(5, 8))
-    effect = WrongEffect(action=PrimitiveAction.Open, target=0)
-    plan = Plan(subgoals=[SubGoal(Skill.GoTo, REG.id_of("Apple")), SubGoal(Skill.End)])
-    new = recover(plan, effect, state)
-    assert new.subgoals[0] == SubGoal(Skill.Close, REG.id_of("Cabinet"))
+    before = state.with_object(dataclasses.replace(state.obj(0),
+                                                   openness=Openness.CLOSED))
+    plan = [SubGoal(Skill.GoTo, REG.id_of("Apple")), SubGoal(Skill.End)]
+    controller = _observe_wrong(before, PrimitiveAction.Open, W.ActionResult(True, None, 0),
+                                state, plan,
+                                ExpertStep(plan[0], PrimitiveAction.MoveAhead, None, None))
+    assert controller.recovery[0][0] == SubGoal(Skill.Close, REG.id_of("Cabinet"))
 
 
 def test_recover_wrong_slice_is_irrecoverable():
     state = make_state([{"class": "Bread", "pos": (5, 7), "sliced": True}],
                        agent_cell=(5, 8))
-    effect = WrongEffect(action=PrimitiveAction.Slice, target=0)
+    before = state.with_object(dataclasses.replace(state.obj(0), sliced=False))
+    plan = [SubGoal(Skill.End)]
     with pytest.raises(Irrecoverable):
-        recover(Plan(subgoals=[SubGoal(Skill.End)]), effect, state)
+        _observe_wrong(before, PrimitiveAction.Slice, W.ActionResult(True, None, 0),
+                       state, plan, ExpertStep(plan[0], PrimitiveAction.Done, None, None))
 
 
 def test_controller_recovers_from_injected_wrong_pickup():
@@ -216,6 +230,56 @@ def test_controller_recovers_from_injected_wrong_pickup():
     assert put_at < pick_at
     assert cur.agent.held == 2          # apple finally in hand
     assert cur.obj(1).container == 0    # orange restored
+
+
+FUZZ_SEED = 6   # its splits hold the two wrong Puts named in the examples below
+
+
+@functools.lru_cache(maxsize=None)
+def _fuzz_tasks():
+    templates = builtin_templates()
+    splits = build_splits(templates, desk_split_counts(3000), FUZZ_SEED)
+    by_id = {t["template_id"]: t for t in templates}
+    return [(task, by_id[task.scene_template_id]) for sp in splits for task in sp.episodes]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(index=st.integers(0, 2 ** 16), inject_seed=st.integers(0, 2 ** 32 - 1))
+# a wrong Put of the held Bowl into a Plate, and of a held object into a
+# Bowl: contents of movable receptacles are never displayed, so no expert
+# can label the reversing Pickup and the episode must end irrecoverable
+@example(index=3, inject_seed=[6, 0, 3])
+@example(index=23, inject_seed=[6, 3, 3])
+def test_expert_is_total_under_injected_interactions(index, inject_seed):
+    # replay a split episode while a quarter of the steps are replaced by a
+    # random interaction aimed at a visible instance: the controller must
+    # label every step or end the episode with a recorded reason
+    tasks = _fuzz_tasks()
+    task, template = tasks[index % len(tasks)]
+    rng = np.random.default_rng(inject_seed)
+    actions = sorted(W.INTERACTIVE_ACTIONS)
+    streams = []
+
+    def labels(state):
+        out = remaining_fn(task)(state)
+        streams.append(out)
+        return out
+
+    def intervene(t, state, geom, obs, ex):
+        visible = sorted(obs.visible_instance_cells().items())
+        if rng.random() >= 0.25 or not visible:
+            return None
+        _iid, cells = visible[int(rng.integers(len(visible)))]
+        col, row = cells[int(rng.integers(len(cells)))]
+        return actions[int(rng.integers(len(actions)))], (col + .5, row + .5)
+
+    traj = run_expert_episode(task_initial_state(task, template), labels,
+                              InteractionMode.HARD, max_steps=task.max_steps,
+                              expected_answer=task.answer, intervene=intervene)
+    assert traj.terminated in ("end", "irrecoverable", "budget")
+    assert streams and all(s[-1] == SubGoal(Skill.End) for s in streams)
+    if traj.terminated == "end":
+        assert traj.steps[-1].subgoal == SubGoal(Skill.End)
 
 
 def test_label_consistency_on_sampled_skill_episodes():

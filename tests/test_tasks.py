@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from gridhouse import tasks as TK
+from gridhouse import tasks as TK, world as W
 from gridhouse.classes import desk_registry
 from gridhouse.episodes import Trajectory, run_expert_episode
 from gridhouse.scenes import builtin_templates, template_by_id
@@ -59,7 +59,7 @@ def test_iqa_counting_answer_is_scene_truth():
     assert task.answer == "2"
     state = task_initial_state(task, TEMPLATES_ALL[1])
     inside = [o for o in state.instances_of(task.bindings["obj"])
-              if TK._inside_iid(state, o, task.target_iid)]
+              if task.target_iid in W.ancestors(state, o.instance_id)]
     assert len(inside) == 2
 
 

@@ -367,3 +367,25 @@ def test_pretrain_resume_keeps_pending_sf_and_ppo_samples():
     ppo = ScheduleConfig(tf_steps=0, sf_steps=0, ppo_steps=150)
     _assert_resume_is_exact(ppo, "ppo", 20,
                             ppo_cfg=PPOConfig(horizon=96, minibatch=16, epochs=1))
+
+
+def test_train_multitask_decays_epsilon_toward_the_schedule_end(monkeypatch):
+    class _Stop(Exception):
+        pass
+
+    ends = []
+
+    def record(progress, start, end):
+        ends.append(end)
+        raise _Stop
+
+    monkeypatch.setattr(TR, "epsilon_at", record)
+    rng = np.random.default_rng(5)
+    task = generate_task("EXIN", "pickup", 0, TEMPLATES[1], 77, rng)
+    agent = HierarchicalAgent(np.random.default_rng(1), CFG)
+    by_id = {t["template_id"]: t for t in TEMPLATES}
+    with pytest.raises(_Stop):
+        TR.train_multitask(agent, [task], by_id,
+                           ScheduleConfig(tf_steps=0, sf_steps=10, eps_end=0.25),
+                           CFG, VOCAB)
+    assert ends == [0.25]

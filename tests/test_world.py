@@ -162,6 +162,19 @@ def test_is_visible_inside_open_fridge():
     assert oracle_visible(state, 1)
 
 
+def test_ancestors_innermost_first_and_cycle_safe():
+    state = make_state([
+        {"class": "CounterTop", "pos": (4, 6)},
+        {"class": "Plate", "pos": None, "container": 0},
+        {"class": "Apple", "pos": None, "container": 1},
+    ])
+    assert list(W.ancestors(state, 2)) == [1, 0]
+    assert list(W.ancestors(state, 0)) == []
+    looped = state.with_object(replace(state.obj(0), anchor=None, container=2))
+    assert list(W.ancestors(looped, 2)) == [1, 0, 2]   # stops at the repeat
+    assert W.instance_distance(looped, W.build_geometry(looped), 2) == math.inf
+
+
 def test_is_visible_unknown_instance():
     with pytest.raises(W.UnknownInstance):
         is_visible(make_state([]), 99)
