@@ -241,10 +241,6 @@ def _reversal_subgoal(effect: WrongEffect, state: WorldState, pending_classes):
         dest = _restitution_receptacle(state, effect, pending_classes)
         return SubGoal(Skill.Put, state.obj(dest).class_id), dest
     if effect.action is PrimitiveAction.Put:
-        # contents of a movable receptacle (a Plate, a Bowl) are never
-        # displayed, so nothing put there can be picked back up
-        if effect.held_before not in cached_geometry(state).display_cells:
-            raise Irrecoverable("put the object where it cannot be picked up")
         return SubGoal(Skill.Pickup, state.obj(effect.held_before).class_id), \
             effect.held_before
     skill = REVERSAL[effect.action]
@@ -355,6 +351,12 @@ class ExpertController:
         self._pop_completed_recovery(state)
         if self.recovery:
             sub, hint, _entry = self.recovery[0]
+            if hint not in geom.display_cells:
+                # e.g. an object put into a Plate or a Bowl: contents of a
+                # movable receptacle are never displayed, so no expert can
+                # label the Pickup that would undo the wrong Put
+                self.failed = True
+                raise Irrecoverable(f"recovery target {hint} not displayed")
             cached = self._nav_cached(state, geom, sub, hint)
             if cached is not None:
                 return ExpertStep(sub, cached, None, hint)
@@ -388,7 +390,11 @@ class ExpertController:
     def observe(self, state_before, action, result, state_after,
                 expected: ExpertStep):
         """Record an executed step; queue recovery if a wrong interaction
-        succeeded.  Raises Irrecoverable for a wrong Slice."""
+        succeeded.  Raises Irrecoverable when the wrong interaction has no
+        reversing sub-goal: a Slice, or a Pickup with nowhere to put the
+        object back.  A reversal whose target is hidden is queued and
+        raises when `expert_action` would serve it, so a caller whose
+        episode ends on this step never sees it."""
         if not result.success or action not in W.INTERACTIVE_ACTIONS:
             return
         if action == expected.action and result.target == expected.target:

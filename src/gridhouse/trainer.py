@@ -402,7 +402,8 @@ def run_skill_episode(agent, episode, mode, rng, eps, cfg: ModelConfig,
     """Roll one sampled skill episode with epsilon-mixed control.
 
     eps = 1 reproduces the expert; eps = 0 is fully on-policy.  Expert
-    labels are recorded for every step either way.
+    labels are recorded for every step either way.  A wrong interaction
+    the expert cannot undo ends the episode without success.
     """
     family = SKILL_FAMILY[episode.subgoal.skill]
     state = episode.initial_state
@@ -413,7 +414,10 @@ def run_skill_episode(agent, episode, mode, rng, eps, cfg: ModelConfig,
     success = False
     for t in range(episode.max_steps):
         obs = cached_render(state)
-        ex = controller.expert_action(state)
+        try:
+            ex = controller.expert_action(state)
+        except Irrecoverable:
+            break
         sample = _record_expert(obs, episode.subgoal, last_action_id, ex, cfg, family)
         use_expert = bool(rng.random() < eps)
         if use_expert:
@@ -432,15 +436,22 @@ def run_skill_episode(agent, episode, mode, rng, eps, cfg: ModelConfig,
                 sample.delta = extras["delta"]
         new_state, res = env_step(state, action, point, mode,
                                   cached_geometry(state), obs)
-        controller.observe(state, action, res, new_state, ex)
         success = (episode.subgoal.skill is not Skill.End
                    and skill_success(episode.subgoal, episode.initial_state, new_state))
+        # a step that completes the skill ends the episode, so it needs no
+        # recovery even when it is not the interaction the expert labelled
+        irrecoverable = False
+        if not success:
+            try:
+                controller.observe(state, action, res, new_state, ex)
+            except Irrecoverable:
+                irrecoverable = True
         if collect_ppo:
             sample.reward = compute_reward(new_state, action, point,
                                            episode.subgoal, ex, success, reward_cfg)
         samples.append(sample)
         state = new_state
-        if success:
+        if success or irrecoverable:
             break
         if action is PrimitiveAction.Done and ex.subgoal.skill is Skill.End:
             break

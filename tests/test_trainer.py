@@ -14,7 +14,8 @@ from gridhouse.classes import desk_registry
 from gridhouse.episodes import run_expert_episode
 from gridhouse.planner import ExpertStep
 from gridhouse.scenes import builtin_templates
-from gridhouse.skills import SceneSession, Skill, SubGoal, sample_skill_episode
+from gridhouse.skills import (SceneSession, SkillEpisode, Skill, SubGoal,
+                              sample_skill_episode)
 from gridhouse.tasks import build_vocab, generate_task, remaining_fn, task_initial_state
 from gridhouse.trainer import (EpisodeBatch, LossWeights, PPOConfig,
                                PretrainProgress, RewardConfig, ScheduleConfig,
@@ -22,7 +23,10 @@ from gridhouse.trainer import (EpisodeBatch, LossWeights, PPOConfig,
                                group_by_family, multi_task_sample,
                                ppo_update, pretrain,
                                run_skill_episode, teacher_forcing_update)
-from gridhouse.world import InteractionMode, PrimitiveAction, randomize_scene
+from gridhouse.world import (InteractionMode, PrimitiveAction, cached_render,
+                             randomize_scene)
+
+from conftest import make_state
 
 REG = desk_registry()
 VOCAB = build_vocab(REG)
@@ -389,3 +393,50 @@ def test_train_multitask_decays_epsilon_toward_the_schedule_end(monkeypatch):
                            ScheduleConfig(tf_steps=0, sf_steps=10, eps_end=0.25),
                            CFG, VOCAB)
     assert ends == [0.25]
+
+
+# --------------------------------------------------------------------------
+# skill episodes under wrong interactions the expert cannot undo
+
+
+def _scripted_skill_episode(monkeypatch, objects, subgoal, action, wrong_iid):
+    """Roll a fully on-policy skill episode whose sub-policy always applies
+    `action` to instance `wrong_iid` while holding object 2."""
+    state = make_state(objects, agent_cell=(5, 8), held=2)
+    col, row = cached_render(state).visible_instance_cells()[wrong_iid][0]
+    monkeypatch.setattr(TR, "sub_policy_step",
+                        lambda *a, **k: (action, (col + .5, row + .5), {}))
+    return run_skill_episode(None, SkillEpisode(state, subgoal, 20),
+                             InteractionMode.HARD, np.random.default_rng(0),
+                             0.0, CFG, collect_ppo=True)
+
+
+def test_skill_episode_put_into_another_plate_succeeds(monkeypatch):
+    # the expert pins plate 0; a Put into plate 1 hides the apple, which
+    # no Pickup can undo, yet it completes Put(Plate): success, not a raise
+    objects = [{"class": "Plate", "pos": (4, 7)}, {"class": "Plate", "pos": (6, 7)},
+               {"class": "Apple", "pos": None}]
+    samples, success, final = _scripted_skill_episode(
+        monkeypatch, objects, SubGoal(Skill.Put, REG.id_of("Plate")),
+        PrimitiveAction.Put, 1)
+    assert success and len(samples) == 1 and samples[0].done
+    assert samples[0].expert_action == TR.INTERACT_INDEX[PrimitiveAction.Put]
+    assert final.obj(2).container == 1
+
+
+def test_skill_episode_ends_after_a_wrong_interaction_it_cannot_undo(monkeypatch):
+    # a Put into a Plate under Put(Bowl), and a Slice of a Tomato under
+    # Slice(Bread), end the episode unsuccessfully after that one step
+    put = [{"class": "Bowl", "pos": (4, 7)}, {"class": "Plate", "pos": (6, 7)},
+           {"class": "Apple", "pos": None}]
+    sliced = [{"class": "Bread", "pos": (4, 7)}, {"class": "Tomato", "pos": (6, 7)},
+              {"class": "Knife", "pos": None}]
+    for objects, subgoal, action, happened in (
+            (put, SubGoal(Skill.Put, REG.id_of("Bowl")), PrimitiveAction.Put,
+             lambda s: s.obj(2).container == 1),
+            (sliced, SubGoal(Skill.Slice, REG.id_of("Bread")), PrimitiveAction.Slice,
+             lambda s: s.obj(1).sliced)):
+        samples, success, final = _scripted_skill_episode(
+            monkeypatch, objects, subgoal, action, 1)
+        assert not success and len(samples) == 1 and samples[0].done
+        assert happened(final)
