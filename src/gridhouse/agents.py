@@ -54,8 +54,8 @@ def obs_planes(obs_batch, num_classes):
     bits = np.stack([o.state_bits for o in obs_batch])
     depth = np.stack([o.depth_map for o in obs_batch])
     return class_maps.astype(np.int64), np.concatenate(
-        [bits.astype(np.float64),
-         (depth[:, None, :, :] / 16.0).astype(np.float64)], axis=1)
+        [bits.astype(T.DEFAULT_DTYPE),
+         (depth[:, None, :, :] / 16.0).astype(T.DEFAULT_DTYPE)], axis=1)
 
 
 class GridEncoder(Module):
@@ -85,7 +85,7 @@ def _replicate_concat(cond, z_img):
     n, d = cond.shape
     _, di, h, w = z_img.shape
     tiled = T.reshape(cond, (n, d, 1))
-    tiled = T.mul(tiled, np.ones((1, 1, h * w)))
+    tiled = T.mul(tiled, np.ones((1, 1, h * w), dtype=T.DEFAULT_DTYPE))
     tiled = T.reshape(tiled, (n, d, h, w))
     return T.concat([tiled, z_img], axis=1)
 
@@ -106,7 +106,7 @@ def _encode_tokens(tok, gru, token_rows):
     """Final GRU state over each row's token embeddings, from zeros: (N, D)."""
     outs = []
     for row in token_rows:
-        h = T.Tensor(np.zeros(gru.hidden_dim))
+        h = T.Tensor(np.zeros(gru.hidden_dim, dtype=T.DEFAULT_DTYPE))
         for t in row:
             h = gru(tok(int(t)), h)
         outs.append(h)
@@ -132,7 +132,7 @@ class HighLevelPolicy(Module):
         self.obj_head = self.add_child("obj_head", Linear(rng, cfg.hidden, cfg.num_classes))
 
     def initial_hidden(self, n=1):
-        return T.Tensor(np.zeros((n, self.cfg.hidden)))
+        return T.Tensor(np.zeros((n, self.cfg.hidden), dtype=T.DEFAULT_DTYPE))
 
     def context(self, z_task, last_action, last_skill, last_obj):
         z = T.concat([z_task,

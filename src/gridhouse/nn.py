@@ -32,6 +32,10 @@ class CheckpointMismatch(ValueError):
     pass
 
 
+class NotFloat64(TypeError):
+    pass
+
+
 class IndexOutOfRange(IndexError):
     pass
 
@@ -74,9 +78,10 @@ class Module:
         return {name: p.data for name, p in self.named_parameters()}
 
     def load_state_arrays(self, arrays):
-        """Load every parameter by name.  The names must match exactly: a
-        mismatch raises CheckpointMismatch listing the unknown and the
-        missing names."""
+        """Load every parameter by name, cast to T.DEFAULT_DTYPE (a float64
+        checkpoint loads rounded to float32).  The names must match
+        exactly: a mismatch raises CheckpointMismatch listing the unknown
+        and the missing names."""
         own = dict(self.named_parameters())
         unknown = sorted(set(arrays) - set(own))
         missing = sorted(set(own) - set(arrays))
@@ -360,12 +365,21 @@ def grad_check(fn, inputs, h=1e-5, rel_floor=1e-3, sample=None):
     n elements that rng draws without replacement.  Inputs are perturbed
     in place, so fn may ignore its arguments and read the same arrays
     elsewhere (a module's live parameters).
+
+    Central differences at h = 1e-5 need float64: run the check inside
+    `T.precision(np.float64)`.  Raises NotFloat64 when an input or the
+    value of fn is not float64 (in float32 the errors read up to 1.0).
     """
     inputs = [T.as_tensor(x) for x in inputs]
     for x in inputs:
         x.requires_grad = True
         x.grad = None
-    fn(*inputs).backward()
+    out = fn(*inputs)
+    wrong = sorted({str(t.data.dtype) for t in inputs + [out]} - {"float64"})
+    if wrong:
+        raise NotFloat64(f"grad_check needs float64 inputs and value, got {wrong}; "
+                         "run it inside T.precision(np.float64)")
+    out.backward()
     grads = [np.zeros(x.data.size) if x.grad is None else x.grad.reshape(-1)
              for x in inputs]
     bounds = np.cumsum([x.data.size for x in inputs])
@@ -425,7 +439,9 @@ class Adam:
         if not live:
             return
         if self.clip_norm:
-            total = np.sqrt(sum(float((g * g).sum()) for _, _, g in live))
+            # a Python float: an np.float64 scale would upcast every float32
+            # gradient, moment and parameter it touches
+            total = float(np.sqrt(sum(float((g * g).sum()) for _, _, g in live)))
             if total > self.clip_norm:
                 scale = self.clip_norm / (total + 1e-12)
                 live = [(i, p, g * scale) for i, p, g in live]
@@ -447,12 +463,6 @@ class Adam:
             out[f"m{i}"] = m
             out[f"v{i}"] = v
         return out
-
-    def load_state_arrays(self, arrays):
-        self.t = int(arrays["_t"][0])
-        for i in range(len(self.params)):
-            self.m[i] = arrays[f"m{i}"].copy()
-            self.v[i] = arrays[f"v{i}"].copy()
 
 
 # --------------------------------------------------------------------------

@@ -4,6 +4,14 @@ Only the ops the policies and losses need: elementwise arithmetic with
 broadcasting, matmul, reductions, indexing/gather, concat/reshape, the
 usual nonlinearities, and a strided/padded conv2d.  Gradients accumulate
 additively; backward() on a scalar fills every reachable grad buffer.
+
+Dtype contract: every Tensor holds DEFAULT_DTYPE, float32, so the model
+trains, rolls out and evaluates in float32.  Float64 exists only inside
+`precision(np.float64)`, which the finite-difference checks (and tests of
+float64 identities) enter; `nn.grad_check` refuses any input that is not
+float64.  Code on the training path builds its constant arrays in
+DEFAULT_DTYPE and keeps scalars as Python floats: under NumPy 2 (NEP 50) a
+single float64 array or NumPy scalar upcasts a whole float32 computation.
 """
 
 from __future__ import annotations
@@ -12,9 +20,22 @@ import contextlib
 
 import numpy as np
 
-DEFAULT_DTYPE = np.float64
+DEFAULT_DTYPE = np.float32
 
 GRAD_ENABLED = True
+
+
+@contextlib.contextmanager
+def precision(dtype):
+    """Build and compute every Tensor in `dtype` inside the block (float64
+    for finite-difference checks); arrays made outside keep their dtype."""
+    global DEFAULT_DTYPE
+    prev = DEFAULT_DTYPE
+    DEFAULT_DTYPE = dtype
+    try:
+        yield
+    finally:
+        DEFAULT_DTYPE = prev
 
 
 @contextlib.contextmanager

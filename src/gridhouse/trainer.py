@@ -236,8 +236,8 @@ def _interact_loss(agent_or_policy, samples, cfg: ModelConfig,
         total = total + T.mul(ll, -weights.gaussian)
     # auxiliary heatmap + offset losses over all visible object centers,
     # batched across the whole step batch
-    heats = np.zeros((n, cfg.num_classes, cfg.grid, cfg.grid))
-    inv_m = np.zeros(n)
+    heats = np.zeros((n, cfg.num_classes, cfg.grid, cfg.grid), dtype=T.DEFAULT_DTYPE)
+    inv_m = np.zeros(n, dtype=T.DEFAULT_DTYPE)
     l1_rows, l1_cells, l1_offs, l1_w = [], [], [], []
     for i, s in enumerate(samples):
         if not s.centers:
@@ -345,13 +345,14 @@ def multitask_episode_loss(agent, episode: EpisodeBatch, cfg: ModelConfig,
     cmap, planes = obs_planes([s.obs for s in steps], cfg.num_classes)
     z_img = agent.hl_encoder(cmap, planes)
     ctx = agent.high.context(
-        T.mul(z_task, np.ones((n, 1))),
+        T.mul(z_task, np.ones((n, 1), dtype=T.DEFAULT_DTYPE)),
         [s.hl_last_action for s in steps],
         [s.hl_last_skill for s in steps],
         [cfg.num_classes if s.hl_last_obj < 0 else s.hl_last_obj for s in steps])
     feat = _replicate_concat(ctx, z_img)
     flat = T.reshape(feat, (n, feat.shape[1] * feat.shape[2] * feat.shape[3]))
-    hs = nn.gru_sequence(agent.high.gru, flat, np.zeros(cfg.hidden))
+    hs = nn.gru_sequence(agent.high.gru, flat,
+                         np.zeros(cfg.hidden, dtype=T.DEFAULT_DTYPE))
     skill_logits = agent.high.skill_head(hs)
     obj_logits = agent.high.obj_head(hs)
     loss = nn.cross_entropy_rows(skill_logits, [s.hl_skill_label for s in steps])
@@ -497,7 +498,7 @@ def _policy_logp_value(agent, samples, cfg):
             nu_sel = T.gather(nu, (idx, slice(None), cells))
             deltas = np.array([s.delta for _, s in extra])
             ll_rows = T.sum_(nn.gaussian_log_terms(deltas, mu_sel, nu_sel), axis=1)
-            scatter = np.zeros((len(subset), len(extra)))
+            scatter = np.zeros((len(subset), len(extra)), dtype=T.DEFAULT_DTYPE)
             for k, (j, _) in enumerate(extra):
                 scatter[j, k] = 1.0
             glogp = T.matmul(T.Tensor(scatter), glogp + ll_rows)
@@ -567,7 +568,7 @@ def ppo_update(agent, buffer, opt, cfg: ModelConfig, ppo: PPOConfig, rng):
 
 
 def _elementwise_min(a, b):
-    mask = (a.data <= b.data).astype(float)
+    mask = (a.data <= b.data).astype(T.DEFAULT_DTYPE)
     return T.mul(a, mask) + T.mul(b, 1.0 - mask)
 
 

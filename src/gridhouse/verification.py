@@ -181,17 +181,19 @@ def _network_check(kind, rng, n_coords):
 
 
 def gradient_suite(seed=0, op_configs=50, net_configs=5, net_coords=20):
-    """Max guarded relative error per op and per policy network."""
+    """Max guarded relative error per op and per policy network, computed
+    in float64: every input, network and target is built inside the scope."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, 424242]))
     report = {}
-    for _ in range(op_configs):
-        cases = _op_cases(rng)
-        for name, (fn, inputs) in cases.items():
-            err = nn.grad_check(fn, inputs, sample=(rng, 6))
-            report[name] = max(report.get(name, 0.0), err)
-    for kind in ("hier", "flat"):
-        worst = 0.0
-        for _ in range(net_configs):
-            worst = max(worst, _network_check(kind, rng, net_coords))
-        report[f"policy_{kind}"] = worst
+    with T.precision(np.float64):
+        for _ in range(op_configs):
+            cases = _op_cases(rng)
+            for name, (fn, inputs) in cases.items():
+                err = nn.grad_check(fn, inputs, sample=(rng, 6))
+                report[name] = max(report.get(name, 0.0), err)
+        for kind in ("hier", "flat"):
+            worst = 0.0
+            for _ in range(net_configs):
+                worst = max(worst, _network_check(kind, rng, net_coords))
+            report[f"policy_{kind}"] = worst
     return report

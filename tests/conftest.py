@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from gridhouse import tensor as T
 from gridhouse.classes import desk_registry
 from gridhouse.world import (AgentPose, Heading, ObjectInstance, Openness,
                              Power, Cleanliness, WorldConfig, WorldState)
@@ -46,3 +47,11 @@ def make_state(objects=(), agent_cell=(5, 8), heading=Heading.NORTH, pitch=0,
 @pytest.fixture
 def reg():
     return REG
+
+
+@pytest.fixture
+def float64():
+    """Build and compute the test's tensors in float64: finite-difference
+    checks and identities pinned at float64 tolerances run in this scope."""
+    with T.precision(np.float64):
+        yield

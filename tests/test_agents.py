@@ -124,6 +124,7 @@ def test_interact_sub_policy_points_only_with_interactive_actions(agent, scene_o
     assert saw_point
 
 
+@pytest.mark.usefixtures("float64")
 def test_qa_attention_sums_to_one_and_uniform_head(agent, scene_obs):
     _, obs = scene_obs
     tokens = [2, 3, 4]
@@ -136,6 +137,18 @@ def test_qa_attention_sums_to_one_and_uniform_head(agent, scene_obs):
     a2.qa.out2.b.data[:] = 0.0
     p2 = qa_answer(a2, tokens, obs)
     assert np.allclose(p2, 1.0 / len(ANSWER_SPACE))
+
+
+def test_qa_attention_and_answer_sum_to_one_in_float32(agent, scene_obs):
+    # each of the n softmax terms carries a few eps of relative error, and
+    # summing them adds up to (n - 1) eps: bound 3 * n * eps, eps the float32
+    # machine epsilon (n = 64 attention cells, 6 answers)
+    _, obs = scene_obs
+    probs, att = qa_answer(agent, [2, 3, 4], obs, return_attention=True)
+    eps = np.finfo(np.float32).eps
+    assert probs.dtype == att.dtype == np.float32
+    assert abs(float(att.sum()) - 1.0) <= 3 * att.size * eps
+    assert abs(float(probs.sum()) - 1.0) <= 3 * probs.size * eps
 
 
 def test_act_episode_deterministic_and_end_agent(agent):

@@ -99,6 +99,7 @@ def test_focal_hand_scalars():
     assert abs(lossp.item()) < 1e-5
 
 
+@pytest.mark.usefixtures("float64")
 def test_focal_matches_reference_on_random_maps():
     for _ in range(25):
         tgt = make_target(RNG, (3, 8, 8), int(RNG.integers(1, 5)))
@@ -140,6 +141,7 @@ def test_offset_l1_count_mismatch():
 # gaussian log likelihood
 
 
+@pytest.mark.usefixtures("float64")
 def test_gaussian_ll_at_mean_unit_variance():
     val = nn.gaussian_log_likelihood(np.zeros(2), np.zeros(2), np.ones(2)).item()
     assert abs(val - (-math.log(2 * math.pi))) < 1e-12
@@ -164,6 +166,7 @@ def test_gaussian_ll_rejects_nonpositive_variance():
         nn.gaussian_log_likelihood(np.zeros(2), np.zeros(2), np.array([1.0, 0.0]))
 
 
+@pytest.mark.usefixtures("float64")
 def test_gaussian_ll_matches_scipy_style_oracle():
     # independent oracle: evaluate the density formula termwise
     for _ in range(10):
@@ -180,6 +183,7 @@ def test_gaussian_ll_matches_scipy_style_oracle():
 # cross entropy
 
 
+@pytest.mark.usefixtures("float64")
 def test_cross_entropy_uniform_is_ln_k():
     assert abs(nn.cross_entropy(T.Tensor(np.zeros(10)), 3).item() - math.log(10)) < 1e-12
     assert abs(math.log(10) - 2.302585) < 1e-6
@@ -191,6 +195,7 @@ def test_cross_entropy_confident_limit():
     assert nn.cross_entropy(T.Tensor(logits), 2).item() < 1e-9
 
 
+@pytest.mark.usefixtures("float64")
 def test_cross_entropy_matches_logsumexp_oracle():
     for _ in range(20):
         v = RNG.normal(size=(5,)) * 3
@@ -205,6 +210,7 @@ def test_cross_entropy_range_error():
         nn.cross_entropy(T.Tensor(np.zeros(4)), 4)
 
 
+@pytest.mark.usefixtures("float64")
 def test_cross_entropy_rows_matches_singles():
     logits = RNG.normal(size=(6, 5))
     targets = RNG.integers(0, 5, size=6)
@@ -245,6 +251,7 @@ def test_gru_shape_mismatch():
         nn.gru_step(cell, np.ones(5), np.ones(4))
 
 
+@pytest.mark.usefixtures("float64")
 def test_gru_batched_matches_rowwise():
     cell = nn.GRUCell(np.random.default_rng(2), 3, 4)
     x = RNG.normal(size=(5, 3))
@@ -259,6 +266,7 @@ def test_gru_batched_matches_rowwise():
 # grad checks on the losses (spec tolerance 1e-4 at h=1e-5)
 
 
+@pytest.mark.usefixtures("float64")
 def test_gradcheck_focal_on_random_map():
     tgt = make_target(RNG, (3, 8, 8), 3)
     pred = RNG.uniform(0.05, 0.95, size=(3, 8, 8))
@@ -266,6 +274,7 @@ def test_gradcheck_focal_on_random_map():
     assert err < 1e-4
 
 
+@pytest.mark.usefixtures("float64")
 def test_gradcheck_gru_all_params():
     rng = np.random.default_rng(3)
     cell = nn.GRUCell(rng, 3, 4)
@@ -284,6 +293,7 @@ def test_gradcheck_gru_all_params():
     assert err < 1e-4
 
 
+@pytest.mark.usefixtures("float64")
 def test_gradcheck_gaussian_ll_wrt_mu_and_var():
     d = RNG.normal(size=2)
 
@@ -304,6 +314,53 @@ def test_grad_check_command_passes(capsys):
     out = capsys.readouterr().out
     assert "policy_hier" in out and "policy_flat" in out, out
     assert code == 0, out
+
+
+def test_grad_check_refuses_float32():
+    # outside the float64 scope its inputs become float32 tensors, where
+    # central differences at h = 1e-5 read relative errors up to 1.0
+    x = RNG.normal(size=4)
+    with pytest.raises(nn.NotFloat64):
+        nn.grad_check(lambda t: T.square(t).sum(), [x])
+    made_outside = T.Tensor(x)
+    with T.precision(np.float64):
+        assert nn.grad_check(lambda t: T.square(t).sum(), [x]) < 1e-6
+        with pytest.raises(nn.NotFloat64):
+            nn.grad_check(lambda t: T.square(t).sum(), [made_outside])
+
+
+def test_hier_loss_float32_matches_a_float64_copy():
+    # one micro agent in float32 and a float64 copy of its weights: float32
+    # rounding alone separates them.  A sum of n float32 terms errs by at
+    # most (n - 1) eps of the summed magnitudes, and the micro network's
+    # widest sum has 117 terms (conv1, 13 channels x 3 x 3), so the value
+    # and the gradients, each relative to the float64 gradient norm, must
+    # agree within 128 eps (eps the float32 machine epsilon, about 1.5e-5)
+    from gridhouse.agents import HierarchicalAgent
+    from gridhouse.verification import _hier_loss, micro_model_config
+
+    cfg = micro_model_config()
+    bound = 128 * np.finfo(np.float32).eps
+    agent = HierarchicalAgent(np.random.default_rng(4), cfg)
+    loss = _hier_loss(agent, cfg, np.random.default_rng(8))
+    loss.backward()
+    with T.precision(np.float64):
+        copy64 = HierarchicalAgent(np.random.default_rng(4), cfg)
+        copy64.load_state_arrays({name: arr.astype(np.float64)
+                                  for name, arr in agent.state_arrays().items()})
+        loss64 = _hier_loss(copy64, cfg, np.random.default_rng(8))
+        loss64.backward()
+    assert loss.data.dtype == np.float32 and loss64.data.dtype == np.float64
+    assert abs(loss.item() - loss64.item()) <= bound * abs(loss64.item())
+    pairs = [(n, p.grad, q.grad) for (n, p), (_, q)
+             in zip(agent.named_parameters(), copy64.named_parameters())]
+    norm64 = np.sqrt(sum(float((g64 * g64).sum()) for _, _, g64 in pairs
+                         if g64 is not None))
+    for name, g32, g64 in pairs:
+        assert (g32 is None) == (g64 is None), name
+        if g64 is not None:
+            assert g32.dtype == np.float32, name
+            assert np.linalg.norm(g32 - g64) <= bound * norm64, name
 
 
 # --------------------------------------------------------------------------
@@ -330,6 +387,59 @@ def test_adam_freeze_keeps_params_fixed():
     opt.step()
     np.testing.assert_allclose(a.data, np.ones(2))
     assert not np.allclose(b.data, np.ones(2))
+
+
+def _checkpoint_dtypes(path):
+    """{section: {array name: dtype}} from a checkpoint's json manifest."""
+    import json
+
+    with open(path, "rb") as f:
+        f.read(len(nn.CHECKPOINT_MAGIC))
+        head = f.read(int.from_bytes(f.read(8), "little"))
+    return {sec: {name: meta["dtype"] for name, meta in arrays.items()}
+            for sec, arrays in json.loads(head).items()}
+
+
+def test_float64_checkpoint_loads_into_a_float32_agent_and_evaluates(tmp_path):
+    # checkpoints written before the float32 switch hold float64 arrays:
+    # they load rounded to float32, and `gridhouse eval` runs on them
+    from gridhouse.cli import _agent_for, _setup, main
+    from gridhouse.scenes import builtin_templates
+    from gridhouse.tasks import DatasetSplit, generate_task, write_splits
+
+    ini = tmp_path / "small.ini"       # small widths; the 8x8 grid of 32x32 frames
+    ini.write_text("[model]\nd = 4\nhidden = 6\ntask_dim = 4\ntoken_dim = 3\n"
+                   "ctx_dim = 2\ncond_dim = 4\ntrunk_dim = 8\npoint_dim = 4\n"
+                   "enc_mid = 3\n")
+    args = type("Args", (), {"config": str(ini), "seed": 0})()
+    config, seed, registry, vocab, _ = _setup(args)
+    with T.precision(np.float64):
+        old, _cfg = _agent_for(config, registry, vocab, seed)
+    ckpt = tmp_path / "float64.ckpt"
+    nn.save_checkpoint(ckpt, {"model": old.state_arrays()})
+    assert set(_checkpoint_dtypes(ckpt)["model"].values()) == {"float64"}
+
+    agent, _cfg = _agent_for(config, registry, vocab, seed)
+    agent.load_state_arrays(nn.load_checkpoint(ckpt)["model"])
+    for name, p in agent.named_parameters():
+        assert p.data.dtype == np.float32, name
+        np.testing.assert_array_equal(p.data, old.state_arrays()[name].astype(np.float32),
+                                      err_msg=name)
+
+    template = builtin_templates()[0]
+    task = generate_task("EXIN", "pickup", 0, template, 9, np.random.default_rng(1))
+    write_splits([DatasetSplit("test_seen", [task], [template["template_id"]])],
+                 tmp_path / "data")
+    assert main(["eval", "--config", str(ini), "--ckpt", str(ckpt),
+                 "--data", str(tmp_path / "data"), "--out", str(tmp_path / "out")]) == 0
+    assert (tmp_path / "out" / "metrics_test_seen.csv").exists()
+
+    new = tmp_path / "float32.ckpt"
+    nn.save_checkpoint(new, {"model": agent.state_arrays(),
+                             "opt": nn.Adam(agent.parameters()).state_arrays()})
+    dtypes = _checkpoint_dtypes(new)
+    assert set(dtypes["model"].values()) == {"float32"}
+    assert {d for name, d in dtypes["opt"].items() if name != "_t"} == {"float32"}
 
 
 def test_checkpoint_roundtrip(tmp_path):

@@ -26,6 +26,7 @@ def test_backward_accumulates_through_shared_node():
     np.testing.assert_allclose(x.grad, [6.0])
 
 
+@pytest.mark.usefixtures("float64")
 def test_matmul_vector_matrix_grads():
     w = RNG.normal(size=(5, 3))
     x = RNG.normal(size=(3,))
@@ -54,6 +55,7 @@ def test_softmax_sums_to_one_and_is_stable():
     assert np.all(np.isfinite(T.log_softmax(big).data))
 
 
+@pytest.mark.usefixtures("float64")
 def test_log_softmax_matches_logsumexp_oracle():
     # independent oracle: direct log-sum-exp on shifted values
     for _ in range(20):
@@ -63,6 +65,7 @@ def test_log_softmax_matches_logsumexp_oracle():
         np.testing.assert_allclose(T.log_softmax(T.Tensor(v)).data, oracle, atol=1e-12)
 
 
+@pytest.mark.usefixtures("float64")
 @pytest.mark.parametrize("op", [T.exp, T.log, T.tanh, T.sigmoid, T.softplus, T.abs_, T.square])
 def test_elementwise_grads(op):
     x = RNG.uniform(0.1, 2.0, size=(4, 3))
@@ -76,6 +79,7 @@ def test_clip_gradient_masks_outside():
     np.testing.assert_allclose(x.grad, [0.0, 1.0, 0.0])
 
 
+@pytest.mark.usefixtures("float64")
 def test_concat_stack_reshape_grads():
     a = RNG.normal(size=(2, 3))
     b = RNG.normal(size=(2, 2))
@@ -93,6 +97,7 @@ def test_concat_stack_reshape_grads():
     assert grad_check(fn2, [RNG.normal(size=(2, 2)), RNG.normal(size=(2, 2))]) < 1e-6
 
 
+@pytest.mark.usefixtures("float64")
 def test_conv2d_matches_naive_loops():
     # independent oracle: direct quadruple loop
     x = RNG.normal(size=(2, 3, 6, 5))
@@ -114,6 +119,7 @@ def test_conv2d_matches_naive_loops():
     np.testing.assert_allclose(out, ref, atol=1e-12)
 
 
+@pytest.mark.usefixtures("float64")
 def test_conv2d_grads():
     x = RNG.normal(size=(1, 2, 5, 5))
     w = RNG.normal(size=(3, 2, 3, 3))
@@ -125,6 +131,7 @@ def test_conv2d_grads():
     assert grad_check(fn, [x, w, b]) < 1e-5
 
 
+@pytest.mark.usefixtures("float64")
 def test_sum_mean_axis_grads():
     x = RNG.normal(size=(3, 4))
     assert grad_check(lambda t: T.square(T.sum_(t, axis=0)).sum(), [x]) < 1e-6

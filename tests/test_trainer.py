@@ -96,6 +96,7 @@ def test_epsilon_linear_exact():
     assert epsilon_at(0.25, 1.0, 0.6) == 1.0 + 0.25 * (0.6 - 1.0)
 
 
+@pytest.mark.usefixtures("float64")
 def test_gru_sequence_matches_step_composition():
     cell = nn.GRUCell(np.random.default_rng(0), 5, 4)
     xs = np.random.default_rng(1).normal(size=(6, 5))
@@ -171,6 +172,7 @@ def _collect_buffer(agent, n_steps=40, seed=0):
     return buffer[:n_steps]
 
 
+@pytest.mark.usefixtures("float64")
 def test_ppo_ratio_is_one_at_behavior_snapshot():
     agent = HierarchicalAgent(np.random.default_rng(0), CFG)
     buffer = _collect_buffer(agent, 24)
@@ -179,6 +181,20 @@ def test_ppo_ratio_is_one_at_behavior_snapshot():
     old = np.array([s.logp for s in buffer])
     np.testing.assert_allclose(np.exp(logp.data - old), np.ones(len(buffer)),
                                atol=1e-12)
+
+
+def test_ppo_ratio_is_one_at_behavior_snapshot_in_float32():
+    # behaviour and update recompute each log-prob in float32 over different
+    # batches, so they may differ by a few ulps of |logp|; allowed: 16 ulps,
+    # |ratio - 1| <= 16 * eps * max(1, |logp|) with eps = finfo(float32).eps
+    agent = HierarchicalAgent(np.random.default_rng(0), CFG)
+    buffer = _collect_buffer(agent, 24)
+    with T.no_grad():
+        logp, _, _ = TR._policy_logp_value(agent, buffer, CFG)
+    assert logp.data.dtype == np.float32
+    old = np.array([s.logp for s in buffer])
+    bound = 16 * np.finfo(np.float32).eps * np.maximum(1.0, np.abs(old))
+    assert np.all(np.abs(np.exp(logp.data - old) - 1.0) <= bound)
 
 
 def test_ppo_update_runs_and_changes_params():
@@ -393,6 +409,52 @@ def test_train_multitask_decays_epsilon_toward_the_schedule_end(monkeypatch):
                            ScheduleConfig(tf_steps=0, sf_steps=10, eps_end=0.25),
                            CFG, VOCAB)
     assert ends == [0.25]
+
+
+def test_training_keeps_parameters_gradients_and_moments_float32(monkeypatch):
+    # one np.float64 scalar or array on the training path (NEP 50) would
+    # turn every gradient, moment and parameter it touches into float64;
+    # the run covers a clipped Adam step, a PPO update and fine-tuning
+    clipped, ppo_updates = [], []
+    adam_step, ppo = nn.Adam.step, TR.ppo_update
+
+    def step(opt):
+        grads = [p.grad for p in opt.params if p.grad is not None]
+        clipped.append(sum(float((g * g).sum()) for g in grads) > opt.clip_norm ** 2)
+        adam_step(opt)
+
+    def counted_ppo(*a, **k):
+        ppo_updates.append(1)
+        return ppo(*a, **k)
+
+    monkeypatch.setattr(nn.Adam, "step", step)
+    monkeypatch.setattr(TR, "ppo_update", counted_ppo)
+
+    def assert_float32(agent, opts):
+        for name, p in agent.named_parameters():
+            assert p.data.dtype == np.float32, name
+            assert p.grad is None or p.grad.dtype == np.float32, name
+        for opt in opts:
+            for m, v in zip(opt.m, opt.v):
+                assert m.dtype == v.dtype == np.float32
+
+    agent = HierarchicalAgent(np.random.default_rng(0), CFG)
+    sched = ScheduleConfig(tf_steps=32, sf_steps=32, ppo_steps=48, update_every=32)
+    opt, prog = pretrain(agent, TEMPLATES[:2], sched, CFG, seed=4, vocab=VOCAB,
+                         qa_fraction=0.0,
+                         ppo_cfg=PPOConfig(horizon=48, minibatch=16, epochs=1))
+    assert prog.stage == "done" and any(clipped) and ppo_updates
+    assert_float32(agent, [opt])
+
+    task = generate_task("EXIN", "pickup", 0, TEMPLATES[1], 77,
+                         np.random.default_rng(5))
+    by_id = {t["template_id"]: t for t in TEMPLATES}
+    n_before = len(clipped)
+    opts = TR.train_multitask(agent, [task], by_id,
+                              ScheduleConfig(tf_steps=8, sf_steps=8), CFG, VOCAB,
+                              episodes_per_update=1)
+    assert len(clipped) > n_before
+    assert_float32(agent, opts)
 
 
 # --------------------------------------------------------------------------
