@@ -75,6 +75,9 @@ class Module:
         return [p for _, p in self.named_parameters()]
 
     def state_arrays(self):
+        """{name: parameter array}, the live arrays themselves: Adam.step
+        updates them in place, so copy any that must outlive a step (the
+        CLI writes them to a checkpoint at once)."""
         return {name: p.data for name, p in self.named_parameters()}
 
     def load_state_arrays(self, arrays):
@@ -105,7 +108,7 @@ class Linear(Module):
         self.b = self.register("b", np.zeros(out_dim))
 
     def __call__(self, x):
-        return T.matmul(x, self.w.T) + self.b
+        return T.linear(x, self.w, self.b)
 
 
 class Embedding(Module):
@@ -163,10 +166,14 @@ def gru_step(cell, x, h):
         raise ShapeMismatch(f"gru_step got x{x.shape}, h{h.shape} for "
                             f"I={cell.in_dim}, D={cell.hidden_dim}")
     xh = T.concat([x, h], axis=-1)
-    z = T.sigmoid(T.matmul(xh, cell.w_z.T) + cell.b_z)
-    r = T.sigmoid(T.matmul(xh, cell.w_r.T) + cell.b_r)
+    z = T.sigmoid(T.linear(xh, cell.w_z, cell.b_z))
+    r = T.sigmoid(T.linear(xh, cell.w_r, cell.b_r))
     xrh = T.concat([x, T.mul(r, h)], axis=-1)
-    hcand = T.tanh(T.matmul(xrh, cell.w_h.T) + cell.b_h)
+    # The candidate of step t reads h_(t-1) through r * h, so backward runs
+    # the nodes of later steps first.  Passing w_h through a node of its own
+    # per step keeps its gradient summed earliest step first, the order the
+    # fixed-seed results were made with.
+    hcand = T.tanh(T.linear(xrh, T.alias(cell.w_h), cell.b_h))
     return T.mul(1.0 - z, h) + T.mul(z, hcand)
 
 
@@ -182,16 +189,17 @@ def gru_sequence(cell, xs, h0):
     wxz, whz = cell.w_z[:, :i], cell.w_z[:, i:]
     wxr, whr = cell.w_r[:, :i], cell.w_r[:, i:]
     wxh, whh = cell.w_h[:, :i], cell.w_h[:, i:]
-    xz = T.matmul(xs, wxz.T) + cell.b_z
-    xr = T.matmul(xs, wxr.T) + cell.b_r
-    xh = T.matmul(xs, wxh.T) + cell.b_h
+    xz = T.linear(xs, wxz, cell.b_z)
+    xr = T.linear(xs, wxr, cell.b_r)
+    xh = T.linear(xs, wxh, cell.b_h)
     h = T.as_tensor(h0)
     outs = []
     n = xs.shape[0]
     for t in range(n):
-        z = T.sigmoid(xz[t] + T.matmul(h, whz.T))
-        r = T.sigmoid(xr[t] + T.matmul(h, whr.T))
-        cand = T.tanh(xh[t] + T.matmul(T.mul(r, h), whh.T))
+        z = T.sigmoid(xz[t] + T.linear(h, whz))
+        r = T.sigmoid(xr[t] + T.linear(h, whr))
+        # whh through its own node per step, as w_h in gru_step
+        cand = T.tanh(xh[t] + T.linear(T.mul(r, h), T.alias(whh)))
         h = T.mul(1.0 - z, h) + T.mul(z, cand)
         outs.append(h)
     return T.stack(outs, axis=0)
@@ -411,8 +419,17 @@ def grad_check(fn, inputs, h=1e-5, rel_floor=1e-3, sample=None):
 # optimizer
 
 
+ADAM_BLOCK = 1 << 14   # elements per block: the block's gradient, moments,
+                       # weights and scratch (7 x 64 KB in float32) stay in L2
+
+
 class Adam:
-    """Adaptive-moment optimizer with global grad-norm clipping."""
+    """Adaptive-moment optimizer with global grad-norm clipping.
+
+    Moments and parameters are updated in place (`p.data` keeps its
+    array), block by block, with each element's float32 operations in the
+    order of the plain formula: m = b1 m + (1 - b1) g, v = b2 v +
+    (1 - b2) g g, p -= lr (m / bc1) / (sqrt(v / bc2) + eps)."""
 
     def __init__(self, params, lr=3e-4, betas=(0.9, 0.999), eps=1e-8, clip_norm=0.5):
         self.params = list(params)
@@ -421,8 +438,8 @@ class Adam:
         self.eps = eps
         self.clip_norm = clip_norm
         self.t = 0
-        self.m = [np.zeros_like(p.data) for p in self.params]
-        self.v = [np.zeros_like(p.data) for p in self.params]
+        self.m = [np.zeros(p.data.shape, p.data.dtype) for p in self.params]
+        self.v = [np.zeros(p.data.shape, p.data.dtype) for p in self.params]
         self.frozen: set[int] = set()
 
     def freeze(self, params):
@@ -438,20 +455,43 @@ class Adam:
                 if p.grad is not None and i not in self.frozen]
         if not live:
             return
+        scale = None
         if self.clip_norm:
             # a Python float: an np.float64 scale would upcast every float32
             # gradient, moment and parameter it touches
             total = float(np.sqrt(sum(float((g * g).sum()) for _, _, g in live)))
             if total > self.clip_norm:
                 scale = self.clip_norm / (total + 1e-12)
-                live = [(i, p, g * scale) for i, p, g in live]
         self.t += 1
-        bc1 = 1.0 - self.b1 ** self.t
-        bc2 = 1.0 - self.b2 ** self.t
+        b1, b2, lr, eps = self.b1, self.b2, self.lr, self.eps
+        bc1 = 1.0 - b1 ** self.t
+        bc2 = 1.0 - b2 ** self.t
         for i, p, g in live:
-            self.m[i] = self.b1 * self.m[i] + (1.0 - self.b1) * g
-            self.v[i] = self.b2 * self.v[i] + (1.0 - self.b2) * (g * g)
-            p.data = p.data - self.lr * (self.m[i] / bc1) / (np.sqrt(self.v[i] / bc2) + self.eps)
+            if not p.data.flags.c_contiguous:
+                p.data = np.ascontiguousarray(p.data)
+            w, m, v = p.data.reshape(-1), self.m[i].reshape(-1), self.v[i].reshape(-1)
+            g = g.reshape(-1)
+            gs, a, d = (np.empty(min(w.size, ADAM_BLOCK), w.dtype) for _ in range(3))
+            for lo in range(0, w.size, ADAM_BLOCK):
+                blk = slice(lo, lo + ADAM_BLOCK)
+                gb, mb, vb, wb = g[blk], m[blk], v[blk], w[blk]
+                k = gb.size
+                ab, db = a[:k], d[:k]
+                if scale is not None:
+                    gb = np.multiply(gb, scale, out=gs[:k])
+                mb *= b1
+                mb += np.multiply(gb, 1.0 - b1, out=ab)
+                vb *= b2
+                np.multiply(gb, gb, out=ab)
+                ab *= 1.0 - b2
+                vb += ab
+                np.divide(mb, bc1, out=ab)
+                ab *= lr
+                np.divide(vb, bc2, out=db)
+                np.sqrt(db, out=db)
+                db += eps
+                ab /= db
+                wb -= ab
 
     def zero_grad(self):
         for p in self.params:

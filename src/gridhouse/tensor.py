@@ -1,9 +1,10 @@
 """Minimal reverse-mode autodiff over numpy arrays.
 
 Only the ops the policies and losses need: elementwise arithmetic with
-broadcasting, matmul, reductions, indexing/gather, concat/reshape, the
-usual nonlinearities, and a strided/padded conv2d.  Gradients accumulate
-additively; backward() on a scalar fills every reachable grad buffer.
+broadcasting, matmul and the fused linear layer, reductions,
+indexing/gather, concat/reshape, the usual nonlinearities, and a
+strided/padded conv2d.  Gradients accumulate additively (see `_acc`);
+backward() on a scalar fills every reachable grad buffer.
 
 Dtype contract: every Tensor holds DEFAULT_DTYPE, float32, so the model
 trains, rolls out and evaluates in float32.  Float64 exists only inside
@@ -51,13 +52,14 @@ def no_grad():
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_owns_grad")
 
     def __init__(self, data, requires_grad=False, _parents=(), _backward=None):
         if isinstance(data, Tensor):
             data = data.data
         self.data = np.asarray(data, dtype=DEFAULT_DTYPE)
         self.grad = None
+        self._owns_grad = False
         self.requires_grad = bool(requires_grad)
         self._parents = _parents
         self._backward = _backward
@@ -100,10 +102,12 @@ class Tensor:
             for p in node._parents:
                 if id(p) not in seen:
                     stack.append((p, False))
-        self.grad = _acc(self.grad, np.asarray(grad, dtype=self.data.dtype))
+        _acc(self, np.asarray(grad, dtype=self.data.dtype))
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
+                # parents may now hold node.grad itself: never write into it
+                node._owns_grad = False
 
     # -- operators ---------------------------------------------------------
 
@@ -141,20 +145,31 @@ class Tensor:
     def sum(self, axis=None, keepdims=False):
         return sum_(self, axis=axis, keepdims=keepdims)
 
-    @property
-    def T(self):
-        return transpose(self)
-
 
 def as_tensor(x):
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _acc(buf, g):
+def _acc(t, g):
+    """Add the contribution g to t.grad.
+
+    A C-contiguous first contribution is kept as it is, without a copy,
+    and may be shared (an upstream gradient, a view of one), so t does not
+    own it; any other first contribution is copied to C order.  A later
+    contribution is added in place only into a gradient t owns, otherwise
+    into a new array that t then owns.  Every gradient therefore ends up C
+    contiguous with the values of a copy followed by in-place adds, and
+    reductions over it (the clip norm) see the same memory order."""
+    buf = t.grad
     if buf is None:
-        return g.copy() if isinstance(g, np.ndarray) else np.asarray(g)
-    buf += g
-    return buf
+        if isinstance(g, np.ndarray) and g.flags.c_contiguous:
+            t.grad, t._owns_grad = g, False
+        else:
+            t.grad, t._owns_grad = np.array(g, order="C"), True
+    elif t._owns_grad:
+        buf += g
+    else:
+        t.grad, t._owns_grad = np.add(buf, g, out=np.empty_like(buf)), True
 
 
 def _unbroadcast(grad, shape):
@@ -185,9 +200,9 @@ def add(a, b):
 
     def backward(g):
         if a.requires_grad:
-            a.grad = _acc(a.grad, _unbroadcast(g, a.data.shape))
+            _acc(a, _unbroadcast(g, a.data.shape))
         if b.requires_grad:
-            b.grad = _acc(b.grad, _unbroadcast(g, b.data.shape))
+            _acc(b, _unbroadcast(g, b.data.shape))
 
     return _make(out_data, (a, b), backward)
 
@@ -198,9 +213,9 @@ def mul(a, b):
 
     def backward(g):
         if a.requires_grad:
-            a.grad = _acc(a.grad, _unbroadcast(g * b.data, a.data.shape))
+            _acc(a, _unbroadcast(g * b.data, a.data.shape))
         if b.requires_grad:
-            b.grad = _acc(b.grad, _unbroadcast(g * a.data, b.data.shape))
+            _acc(b, _unbroadcast(g * a.data, b.data.shape))
 
     return _make(out_data, (a, b), backward)
 
@@ -211,9 +226,9 @@ def div(a, b):
 
     def backward(g):
         if a.requires_grad:
-            a.grad = _acc(a.grad, _unbroadcast(g / b.data, a.data.shape))
+            _acc(a, _unbroadcast(g / b.data, a.data.shape))
         if b.requires_grad:
-            b.grad = _acc(b.grad, _unbroadcast(-g * a.data / (b.data ** 2), b.data.shape))
+            _acc(b, _unbroadcast(-g * a.data / (b.data ** 2), b.data.shape))
 
     return _make(out_data, (a, b), backward)
 
@@ -224,7 +239,7 @@ def exp(a):
 
     def backward(g):
         if a.requires_grad:
-            a.grad = _acc(a.grad, g * out_data)
+            _acc(a, g * out_data)
 
     return _make(out_data, (a,), backward)
 
@@ -235,7 +250,7 @@ def log(a):
 
     def backward(g):
         if a.requires_grad:
-            a.grad = _acc(a.grad, g / a.data)
+            _acc(a, g / a.data)
 
     return _make(out_data, (a,), backward)
 
@@ -246,7 +261,7 @@ def tanh(a):
 
     def backward(g):
         if a.requires_grad:
-            a.grad = _acc(a.grad, g * (1.0 - out_data ** 2))
+            _acc(a, g * (1.0 - out_data ** 2))
 
     return _make(out_data, (a,), backward)
 
@@ -258,7 +273,7 @@ def sigmoid(a):
 
     def backward(g):
         if a.requires_grad:
-            a.grad = _acc(a.grad, g * out_data * (1.0 - out_data))
+            _acc(a, g * out_data * (1.0 - out_data))
 
     return _make(out_data, (a,), backward)
 
@@ -269,7 +284,7 @@ def relu(a):
 
     def backward(g):
         if a.requires_grad:
-            a.grad = _acc(a.grad, g * (a.data > 0.0))
+            _acc(a, g * (a.data > 0.0))
 
     return _make(out_data, (a,), backward)
 
@@ -281,7 +296,7 @@ def softplus(a):
     def backward(g):
         if a.requires_grad:
             sig = 0.5 * (1.0 + np.tanh(0.5 * a.data))
-            a.grad = _acc(a.grad, g * sig)
+            _acc(a, g * sig)
 
     return _make(out_data, (a,), backward)
 
@@ -293,7 +308,7 @@ def abs_(a):
     def backward(g):
         if a.requires_grad:
             # subgradient at 0 defined as 0
-            a.grad = _acc(a.grad, g * np.sign(a.data))
+            _acc(a, g * np.sign(a.data))
 
     return _make(out_data, (a,), backward)
 
@@ -304,7 +319,7 @@ def square(a):
 
     def backward(g):
         if a.requires_grad:
-            a.grad = _acc(a.grad, g * 2.0 * a.data)
+            _acc(a, g * 2.0 * a.data)
 
     return _make(out_data, (a,), backward)
 
@@ -317,7 +332,7 @@ def clip(a, lo, hi):
     def backward(g):
         if a.requires_grad:
             mask = (a.data >= lo) & (a.data <= hi)
-            a.grad = _acc(a.grad, g * mask)
+            _acc(a, g * mask)
 
     return _make(out_data, (a,), backward)
 
@@ -326,38 +341,58 @@ def clip(a, lo, hi):
 
 
 def matmul(a, b):
-    """2-D @ 2-D plus the 1-D vector combinations."""
+    """(n, m) @ (m, k) or (n, m) @ (m,)."""
     a, b = as_tensor(a), as_tensor(b)
+    if a.data.ndim != 2:
+        raise ValueError(f"matmul takes a 2-D left operand, got {a.shape}")
     out_data = a.data @ b.data
 
     def backward(g):
-        ad, bd = a.data, b.data
+        bd = b.data
         if a.requires_grad:
-            if bd.ndim == 2:
-                a.grad = _acc(a.grad, g @ bd.T)
-            elif ad.ndim == 2:  # (n,m) @ (m,) -> (n,)
-                a.grad = _acc(a.grad, np.outer(g, bd))
-            else:  # (m,) @ (m,) -> scalar
-                a.grad = _acc(a.grad, g * bd)
+            _acc(a, g @ bd.T if bd.ndim == 2 else np.outer(g, bd))
         if b.requires_grad:
-            if ad.ndim == 2:
-                b.grad = _acc(b.grad, ad.T @ g)
-            elif bd.ndim == 2:  # (m,) @ (m,k) -> (k,)
-                b.grad = _acc(b.grad, np.outer(ad, g))
-            else:
-                b.grad = _acc(b.grad, g * ad)
+            _acc(b, a.data.T @ g)
 
     return _make(out_data, (a, b), backward)
 
 
-def transpose(a):
+def linear(x, w, b=None):
+    """x @ w.T (+ b) as one node: x (n, i) or (i,), w (o, i), b (o,).
+
+    The weight gradient g.T @ x (np.outer for a 1-D x) comes out C
+    contiguous, so no transposed copy is made for it."""
+    x, w = as_tensor(x), as_tensor(w)
+    out_data = x.data @ w.data.T
+    parents = (x, w)
+    if b is not None:
+        b = as_tensor(b)
+        out_data = out_data + b.data
+        parents = (x, w, b)
+
+    def backward(g):
+        xd = x.data
+        if x.requires_grad:
+            _acc(x, g @ w.data)
+        if w.requires_grad:
+            _acc(w, g.T @ xd if xd.ndim == 2 else np.outer(g, xd))
+        if b is not None and b.requires_grad:
+            _acc(b, g.sum(axis=0) if g.ndim == 2 else g)
+
+    return _make(out_data, parents, backward)
+
+
+def alias(a):
+    """The values of `a` as a node of their own that passes its gradient on
+    unchanged.  A node per use fixes where in the order of backward that
+    gradient reaches `a` (see nn.gru_step)."""
     a = as_tensor(a)
 
     def backward(g):
         if a.requires_grad:
-            a.grad = _acc(a.grad, g.T)
+            _acc(a, g)
 
-    return _make(a.data.T, (a,), backward)
+    return _make(a.data, (a,), backward)
 
 
 def reshape(a, shape):
@@ -365,7 +400,7 @@ def reshape(a, shape):
 
     def backward(g):
         if a.requires_grad:
-            a.grad = _acc(a.grad, g.reshape(a.data.shape))
+            _acc(a, g.reshape(a.data.shape))
 
     return _make(a.data.reshape(shape), (a,), backward)
 
@@ -376,7 +411,7 @@ def permute(a, axes):
 
     def backward(g):
         if a.requires_grad:
-            a.grad = _acc(a.grad, np.ascontiguousarray(g.transpose(inv)))
+            _acc(a, np.ascontiguousarray(g.transpose(inv)))
 
     return _make(np.ascontiguousarray(a.data.transpose(axes)), (a,), backward)
 
@@ -391,7 +426,7 @@ def concat(tensors, axis=0):
         pieces = np.split(g, splits, axis=axis)
         for t, piece in zip(tensors, pieces):
             if t.requires_grad:
-                t.grad = _acc(t.grad, piece)
+                _acc(t, piece)
 
     return _make(out_data, tuple(tensors), backward)
 
@@ -404,7 +439,7 @@ def stack(tensors, axis=0):
         pieces = np.split(g, len(tensors), axis=axis)
         for t, piece in zip(tensors, pieces):
             if t.requires_grad:
-                t.grad = _acc(t.grad, piece.reshape(t.data.shape))
+                _acc(t, piece.reshape(t.data.shape))
 
     return _make(out_data, tuple(tensors), backward)
 
@@ -417,8 +452,12 @@ def gather(a, idx):
     def backward(g):
         if a.requires_grad:
             buf = np.zeros_like(a.data)
-            np.add.at(buf, idx, g)
-            a.grad = _acc(a.grad, buf)
+            if all(isinstance(i, (int, np.integer, slice))
+                   for i in (idx if isinstance(idx, tuple) else (idx,))):
+                buf[idx] += g   # ints and slices repeat no element: np.add.at's sum
+            else:
+                np.add.at(buf, idx, g)
+            _acc(a, buf)
 
     return _make(out_data, (a,), backward)
 
@@ -434,7 +473,7 @@ def sum_(a, axis=None, keepdims=False):
             else:
                 gg = g if keepdims else np.expand_dims(g, axis)
                 grad = np.broadcast_to(gg, a.data.shape)
-            a.grad = _acc(a.grad, grad.astype(a.data.dtype, copy=True))
+            _acc(a, grad.astype(a.data.dtype, copy=True))
 
     return _make(out_data, (a,), backward)
 
@@ -455,7 +494,7 @@ def log_softmax(a, axis=-1):
     def backward(g):
         if a.requires_grad:
             sm = np.exp(out_data)
-            a.grad = _acc(a.grad, g - sm * g.sum(axis=axis, keepdims=True))
+            _acc(a, g - sm * g.sum(axis=axis, keepdims=True))
 
     return _make(out_data, (a,), backward)
 
@@ -479,13 +518,16 @@ def _im2col(x, kh, kw, stride, pad):
 
 
 def _col2im(cols, x_shape, kh, kw, stride, pad, ho, wo):
+    """Sum the (n*ho*wo, c*kh*kw) column gradients back onto the input,
+    kernel offsets in row-major order.  The sum runs in (N, H, W, C), where
+    the channels are the inner run of both operands."""
     n, c, h, w = x_shape
-    xp = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=cols.dtype)
-    cols6 = cols.reshape(n, ho, wo, c, kh, kw).transpose(0, 3, 1, 2, 4, 5)
+    xp = np.zeros((n, h + 2 * pad, w + 2 * pad, c), dtype=cols.dtype)
+    cols6 = cols.reshape(n, ho, wo, c, kh, kw)
     for i in range(kh):
         for j in range(kw):
-            xp[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride] += cols6[:, :, :, :, i, j]
-    return xp[:, :, pad:pad + h, pad:pad + w] if pad else xp
+            xp[:, i:i + stride * ho:stride, j:j + stride * wo:stride] += cols6[..., i, j]
+    return xp[:, pad:pad + h, pad:pad + w].transpose(0, 3, 1, 2)
 
 
 def conv2d(x, weight, bias=None, stride=1, pad=0):
@@ -505,11 +547,11 @@ def conv2d(x, weight, bias=None, stride=1, pad=0):
     def backward(g):
         gmat = g.transpose(0, 2, 3, 1).reshape(n * ho * wo, cout)
         if weight.requires_grad:
-            weight.grad = _acc(weight.grad, (gmat.T @ cols).reshape(weight.data.shape))
+            _acc(weight, (gmat.T @ cols).reshape(weight.data.shape))
         if bias is not None and bias.requires_grad:
-            bias.grad = _acc(bias.grad, gmat.sum(axis=0))
+            _acc(bias, gmat.sum(axis=0))
         if x.requires_grad:
             gcols = gmat @ wmat
-            x.grad = _acc(x.grad, _col2im(gcols, x.data.shape, kh, kw, stride, pad, ho, wo))
+            _acc(x, _col2im(gcols, x.data.shape, kh, kw, stride, pad, ho, wo))
 
     return _make(out_data, parents, backward)

@@ -471,9 +471,7 @@ def _policy_logp_value(agent, samples, cfg):
     executed interactive actions) and the value estimates."""
     nav_rows = [i for i, s in enumerate(samples) if s.family == "nav"]
     int_rows = [i for i, s in enumerate(samples) if s.family == "interact"]
-    logps = [None] * len(samples)
-    values = [None] * len(samples)
-    ents = []
+    logps, values, ents = [], [], []
 
     def fill(rows, sub, encoder):
         subset = [samples[i] for i in rows]
@@ -483,7 +481,7 @@ def _policy_logp_value(agent, samples, cfg):
                                 [s.skill for s in subset],
                                 [s.obj for s in subset])
         logits, value, point_maps = sub.forward(cond, z_img)
-        logp_rows = T.mul(nn.log_prob_rows(logits, [s.action for s in subset]), 1.0)
+        logp_rows = nn.log_prob_rows(logits, [s.action for s in subset])
         ents.append(nn.entropy_rows(logits))
         extra = [(j, s) for j, s in enumerate(subset)
                  if s.cell >= 0 and sub.pointing is not None]
@@ -503,16 +501,17 @@ def _policy_logp_value(agent, samples, cfg):
                 scatter[j, k] = 1.0
             glogp = T.matmul(T.Tensor(scatter), glogp + ll_rows)
             logp_rows = logp_rows + glogp
-        for k, i in enumerate(rows):
-            logps[i] = logp_rows[k]
-            values[i] = value[k]
+        logps.append(logp_rows)
+        values.append(value)
 
     if nav_rows:
         fill(nav_rows, agent.nav, agent.nav_image_encoder())
     if int_rows:
         fill(int_rows, agent.interact, agent.sub_encoder)
-    logp = T.stack([lp for lp in logps if lp is not None], axis=0)
-    value = T.stack([v for v in values if v is not None], axis=0)
+    # sample i sits at position order[i] of the nav-then-interact rows
+    order = np.argsort(nav_rows + int_rows)
+    logp = T.gather(T.concat(logps), order)
+    value = T.gather(T.concat(values), order)
     entropy = ents[0]
     for e in ents[1:]:
         entropy = entropy + e

@@ -71,6 +71,12 @@ def _op_cases(rng):
              cell.b_r.data.copy(), cell.w_h.data.copy(), cell.b_h.data.copy()]),
         "entropy_rows": (lambda a: nn.entropy_rows(a), [r(3, 4)]),
         "log_prob_rows": (lambda a: T.sum_(nn.log_prob_rows(a, idx[:3])), [r(3, 4)]),
+        # 2-D and 1-D input, each with and without bias
+        "linear": (lambda x2, x1, w, b: T.sum_(T.tanh(T.linear(x2, w, b)))
+                   + T.sum_(T.square(T.linear(x2, w)))
+                   + T.sum_(T.tanh(T.linear(x1, w, b)))
+                   + T.sum_(T.square(T.linear(x1, w))),
+                   [r(3, 4), r(4), r(2, 4), r(2)]),
     }
 
 

@@ -389,6 +389,59 @@ def test_adam_freeze_keeps_params_fixed():
     assert not np.allclose(b.data, np.ones(2))
 
 
+def _reference_adam_step(opt, params, grads, m, v, t):
+    """The out-of-place update Adam.step made before it worked in place,
+    on copies: returns the new (params, m, v) for the non-frozen
+    parameters that have a gradient, the others as given."""
+    live = [i for i, g in enumerate(grads) if g is not None and i not in opt.frozen]
+    grads = list(grads)
+    if opt.clip_norm:
+        total = float(np.sqrt(sum(float((grads[i] * grads[i]).sum()) for i in live)))
+        if total > opt.clip_norm:
+            scale = opt.clip_norm / (total + 1e-12)
+            for i in live:
+                grads[i] = grads[i] * scale
+    bc1 = 1.0 - opt.b1 ** t
+    bc2 = 1.0 - opt.b2 ** t
+    params, m, v = list(params), list(m), list(v)
+    for i in live:
+        g = grads[i]
+        m[i] = opt.b1 * m[i] + (1.0 - opt.b1) * g
+        v[i] = opt.b2 * v[i] + (1.0 - opt.b2) * (g * g)
+        params[i] = params[i] - opt.lr * (m[i] / bc1) / (np.sqrt(v[i] / bc2) + opt.eps)
+    return params, m, v
+
+
+@pytest.mark.parametrize("clip_norm", [0.5, 0.0])
+def test_adam_in_place_blocks_match_the_out_of_place_formula(clip_norm):
+    # a parameter over two blocks long, a small one, a frozen one and one
+    # that never gets a gradient (its moments stay zero), in float32
+    rng = np.random.default_rng(8)
+    shapes = [(3, nn.ADAM_BLOCK - 5), (7,), (4, 2), (5,)]
+    params = [T.Tensor(rng.normal(size=s).astype(np.float32), requires_grad=True)
+              for s in shapes]
+    opt = nn.Adam(params, lr=0.01, clip_norm=clip_norm)
+    opt.freeze([params[2]])
+    arrays = [p.data for p in params]
+    ref_p = [a.copy() for a in arrays]
+    ref_m = [m.copy() for m in opt.m]
+    ref_v = [v.copy() for v in opt.v]
+    for step in range(1, 6):
+        grads = [rng.normal(size=s).astype(np.float32) * 3.0 for s in shapes[:3]] + [None]
+        for p, g in zip(params, grads):
+            p.grad = g
+        ref_p, ref_m, ref_v = _reference_adam_step(opt, ref_p, grads, ref_m, ref_v, step)
+        opt.step()
+        for i, p in enumerate(params):
+            assert p.data is arrays[i]          # updated in place
+            assert p.data.dtype == opt.m[i].dtype == opt.v[i].dtype == np.float32
+            np.testing.assert_array_equal(p.data, ref_p[i])
+            np.testing.assert_array_equal(opt.m[i], ref_m[i])
+            np.testing.assert_array_equal(opt.v[i], ref_v[i])
+    assert not opt.m[3].any() and not opt.v[3].any()
+    assert not opt.m[2].any()
+
+
 def _checkpoint_dtypes(path):
     """{section: {array name: dtype}} from a checkpoint's json manifest."""
     import json

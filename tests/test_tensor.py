@@ -27,12 +27,72 @@ def test_backward_accumulates_through_shared_node():
 
 
 @pytest.mark.usefixtures("float64")
-def test_matmul_vector_matrix_grads():
+def test_linear_vector_grads():
     w = RNG.normal(size=(5, 3))
     x = RNG.normal(size=(3,))
+    b = RNG.normal(size=(5,))
 
-    err = grad_check(lambda wt, xt: T.matmul(xt, wt.T).sum(), [w, x])
+    err = grad_check(lambda wt, xt, bt: T.tanh(T.linear(xt, wt, bt)).sum(), [w, x, b])
     assert err < 1e-6
+
+
+@pytest.mark.parametrize("n", [64, None])
+def test_linear_is_bitwise_the_matmul_transpose_add_graph(n):
+    # the graph one fused node replaced, x @ w.T then + b, computed its
+    # gradients as g @ w, (x.T @ g).T (np.outer(x, g).T for a 1-D x) and
+    # the bias sum; the fused node must give the same bits in float32
+    rng = np.random.default_rng(5)
+    shape = (8192,) if n is None else (n, 8192)
+    xd = rng.normal(size=shape).astype(np.float32)
+    wd = (rng.normal(size=(128, 8192)) * 0.01).astype(np.float32)
+    bd = rng.normal(size=128).astype(np.float32)
+    gd = rng.normal(size=shape[:-1] + (128,)).astype(np.float32)
+    x, w, b = (T.Tensor(a, requires_grad=True) for a in (xd, wd, bd))
+    out = T.linear(x, w, b)
+    out.backward(gd)
+    assert out.data.dtype == x.grad.dtype == w.grad.dtype == b.grad.dtype == np.float32
+    np.testing.assert_array_equal(out.data, xd @ wd.T + bd)
+    np.testing.assert_array_equal(x.grad, gd @ wd)
+    if n is None:
+        np.testing.assert_array_equal(w.grad, np.outer(xd, gd).T)
+        np.testing.assert_array_equal(b.grad, gd)
+    else:
+        np.testing.assert_array_equal(w.grad, (xd.T @ gd).T)
+        np.testing.assert_array_equal(b.grad, gd.sum(axis=0))
+        # and as a graph: matmul against the transposed weight as a leaf
+        x2, wt, b2 = (T.Tensor(a, requires_grad=True) for a in (xd, wd.T, bd))
+        out2 = T.matmul(x2, wt) + b2
+        out2.backward(gd)
+        np.testing.assert_array_equal(out.data, out2.data)
+        np.testing.assert_array_equal(x.grad, x2.grad)
+        np.testing.assert_array_equal(w.grad, wt.grad.T)
+        np.testing.assert_array_equal(b.grad, b2.grad)
+    assert w.grad.flags.c_contiguous
+
+
+@pytest.mark.usefixtures("float64")
+def test_shared_first_gradients_are_never_written_into():
+    # `add` hands one upstream array to both of its parents, and `concat`
+    # hands out views of its own gradient, which `add` shares with e; each
+    # receiver keeps what it gets without a copy and later gets more, so
+    # an in-place add into a first contribution would leak into the others
+    a, b = RNG.normal(size=3), RNG.normal(size=3)
+    a2, b2, e = RNG.normal(size=(2, 3)), RNG.normal(size=(2, 3)), RNG.normal(size=(4, 3))
+    w1, w2, w3 = RNG.normal(size=3), RNG.normal(size=3), RNG.normal(size=3)
+    w4, w5, w6 = RNG.normal(size=(4, 3)), RNG.normal(size=(2, 3)), RNG.normal(size=(2, 3))
+    ta, tb, ta2, tb2, te = (T.Tensor(v, requires_grad=True) for v in (a, b, a2, b2, e))
+    first = (T.mul(ta + tb, w1).sum()
+             + T.mul(T.concat([ta2, tb2], axis=0) + te, w4).sum())
+    later = (T.mul(ta, w2).sum() + T.mul(tb, w3).sum()
+             + T.mul(ta2, w5).sum() + T.mul(tb2, w6).sum())
+    # backward runs the first parent's nodes first: the shared arrays
+    # arrive before the later contributions
+    T.add(first, later).backward()
+    np.testing.assert_array_equal(ta.grad, w1 + w2)
+    np.testing.assert_array_equal(tb.grad, w1 + w3)
+    np.testing.assert_array_equal(ta2.grad, w4[:2] + w5)
+    np.testing.assert_array_equal(tb2.grad, w4[2:] + w6)
+    np.testing.assert_array_equal(te.grad, w4)
 
 
 def test_gather_scatter_add():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import hashlib
 
 import numpy as np
 import pytest
@@ -439,22 +440,54 @@ def test_training_keeps_parameters_gradients_and_moments_float32(monkeypatch):
                 assert m.dtype == v.dtype == np.float32
 
     agent = HierarchicalAgent(np.random.default_rng(0), CFG)
-    sched = ScheduleConfig(tf_steps=32, sf_steps=32, ppo_steps=48, update_every=32)
-    opt, prog = pretrain(agent, TEMPLATES[:2], sched, CFG, seed=4, vocab=VOCAB,
-                         qa_fraction=0.0,
-                         ppo_cfg=PPOConfig(horizon=48, minibatch=16, epochs=1))
+    opt, prog = _micro_pretrain(agent)
     assert prog.stage == "done" and any(clipped) and ppo_updates
     assert_float32(agent, [opt])
 
+    n_before = len(clipped)
+    opts = _micro_finetune(agent)
+    assert len(clipped) > n_before
+    assert_float32(agent, opts)
+
+
+def _micro_pretrain(agent):
+    sched = ScheduleConfig(tf_steps=32, sf_steps=32, ppo_steps=48, update_every=32)
+    return pretrain(agent, TEMPLATES[:2], sched, CFG, seed=4, vocab=VOCAB,
+                    qa_fraction=0.0,
+                    ppo_cfg=PPOConfig(horizon=48, minibatch=16, epochs=1))
+
+
+def _micro_finetune(agent):
     task = generate_task("EXIN", "pickup", 0, TEMPLATES[1], 77,
                          np.random.default_rng(5))
     by_id = {t["template_id"]: t for t in TEMPLATES}
-    n_before = len(clipped)
-    opts = TR.train_multitask(agent, [task], by_id,
+    return TR.train_multitask(agent, [task], by_id,
                               ScheduleConfig(tf_steps=8, sf_steps=8), CFG, VOCAB,
                               episodes_per_update=1)
-    assert len(clipped) > n_before
-    assert_float32(agent, opts)
+
+
+def _parameter_sha256(agent):
+    h = hashlib.sha256()
+    for name, p in agent.named_parameters():
+        h.update(name.encode())
+        h.update(np.ascontiguousarray(p.data).tobytes())
+    return h.hexdigest()
+
+
+# Golden values of the micro run above.  A change that moves fixed-seed
+# numerics on purpose updates them and says so in CHANGES.md.  float32
+# BLAS sums can differ between BLAS builds and CPUs; these were computed
+# with numpy 2.4 and scipy-openblas 0.3.31 on x86-64.
+MICRO_PRETRAIN_SHA256 = "319a6486d7b95c7a1d64fe31bd88442716afb6442ef3c3f80f8711da2844c75a"
+MICRO_FINETUNE_SHA256 = "3dce848595d8dff3c988d1576040bafd87f6b2e905f6e27f27401fb6573661bb"
+
+
+def test_fixed_seed_training_is_bit_reproducible():
+    agent = HierarchicalAgent(np.random.default_rng(0), CFG)
+    _micro_pretrain(agent)
+    assert _parameter_sha256(agent) == MICRO_PRETRAIN_SHA256
+    _micro_finetune(agent)
+    assert _parameter_sha256(agent) == MICRO_FINETUNE_SHA256
 
 
 # --------------------------------------------------------------------------
