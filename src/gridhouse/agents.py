@@ -1,5 +1,5 @@
-"""Hierarchical policy (sub-goal head + navigation/interaction/QA
-sub-policies with the grid+offset pointing head) and the flat baseline.
+"""Hierarchical policy: sub-goal head + navigation/interaction/QA
+sub-policies with the grid+offset pointing head.
 
 Shapes follow the desk-scale defaults: observations encode to a d x w x h
 feature map whose spatial grid coincides with the 8x8 pointing grid.
@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn, tensor as T
+from .episodes import rollout
 from .nn import Conv2d, Embedding, GRUCell, Linear, Module
 from .skills import NO_OBJECT_SKILLS, Skill, SubGoal
 from .tasks import tokenize
@@ -180,20 +181,14 @@ class SubPolicy(Module):
     """Shared trunk for navigation/interaction: conditioning embeddings,
     action head, value head, optional pointing head."""
 
-    def __init__(self, rng, cfg: ModelConfig, n_actions, pointing,
-                 cond_source="subgoal"):
+    def __init__(self, rng, cfg: ModelConfig, n_actions, pointing):
         super().__init__()
         self.cfg = cfg
         self.n_actions = n_actions
-        self.cond_source = cond_source
         self.act_emb = self.add_child("act_emb", Embedding(rng, len(PrimitiveAction) + 1, cfg.ctx_dim))
-        if cond_source == "subgoal":
-            self.skill_emb = self.add_child("skill_emb", Embedding(rng, len(Skill) + 1, cfg.ctx_dim))
-            self.obj_emb = self.add_child("obj_emb", Embedding(rng, cfg.num_classes + 1, cfg.ctx_dim))
-            cond_in = 3 * cfg.ctx_dim
-        else:  # flat baseline: task embedding instead of sub-goal embedding
-            cond_in = cfg.ctx_dim + cfg.task_dim
-        self.cond = self.add_child("cond", Linear(rng, cond_in, cfg.cond_dim))
+        self.skill_emb = self.add_child("skill_emb", Embedding(rng, len(Skill) + 1, cfg.ctx_dim))
+        self.obj_emb = self.add_child("obj_emb", Embedding(rng, cfg.num_classes + 1, cfg.ctx_dim))
+        self.cond = self.add_child("cond", Linear(rng, 3 * cfg.ctx_dim, cfg.cond_dim))
         feat_ch = cfg.cond_dim + cfg.d
         flat_in = feat_ch * cfg.grid * cfg.grid
         self.trunk = self.add_child("trunk", Linear(rng, flat_in, cfg.trunk_dim))
@@ -203,13 +198,10 @@ class SubPolicy(Module):
         if pointing:
             self.pointing = self.add_child("pointing", PointingHead(rng, cfg, feat_ch))
 
-    def conditioning(self, last_action, skill=None, obj=None, z_task=None):
-        a = self.act_emb(np.asarray(last_action, dtype=np.int64))
-        if self.cond_source == "subgoal":
-            z = T.concat([a, self.skill_emb(np.asarray(skill, dtype=np.int64)),
-                          self.obj_emb(np.asarray(obj, dtype=np.int64))], axis=-1)
-        else:
-            z = T.concat([a, z_task], axis=-1)
+    def conditioning(self, last_action, skill, obj):
+        z = T.concat([self.act_emb(np.asarray(last_action, dtype=np.int64)),
+                      self.skill_emb(np.asarray(skill, dtype=np.int64)),
+                      self.obj_emb(np.asarray(obj, dtype=np.int64))], axis=-1)
         return self.cond(z)
 
     def forward(self, cond, z_img):
@@ -311,28 +303,6 @@ class HierarchicalAgent(Module):
                 self.sub_encoder.cls_emb.table]
 
 
-class FlatAgent(Module):
-    """Interaction sub-policy conditioned directly on the task embedding;
-    no sub-goal head.  Carries its own answer head for QA episodes."""
-
-    def __init__(self, rng, cfg: ModelConfig):
-        super().__init__()
-        self.cfg = cfg
-        self.task_enc = self.add_child("task_enc", TaskEncoder(rng, cfg))
-        self.sub_encoder = self.add_child("sub_encoder", GridEncoder(rng, cfg))
-        self.policy = self.add_child("policy", SubPolicy(
-            rng, cfg, len(INTERACT_ACTION_SPACE), pointing=True, cond_source="task"))
-        self.answer_head = self.add_child("answer_head",
-                                          Linear(rng, cfg.trunk_dim, len(ANSWER_SPACE)))
-
-    def answer_logits(self, cond, z_img):
-        feat = _replicate_concat(cond, z_img)
-        n = feat.shape[0]
-        flat = T.reshape(feat, (n, feat.shape[1] * feat.shape[2] * feat.shape[3]))
-        hid = T.relu(self.policy.trunk(flat))
-        return self.answer_head(hid)
-
-
 # --------------------------------------------------------------------------
 # sampling helpers
 
@@ -398,17 +368,15 @@ def _high_level_step(agent, z_task, obs, last_action, last_subgoal, hidden,
     return sub, (skill_logits, obj_logits), h
 
 
-def sub_policy_step(agent, subgoal, obs, last_action, rng, greedy=False,
-                    z_task=None):
+def sub_policy_step(agent, subgoal, obs, last_action, rng, greedy=False):
     """Route to the sub-policy for the sub-goal's family and sample an
     action (plus an interaction point for interactive primitives).
     Rollout-only: no graph."""
     with T.no_grad():
-        return _sub_policy_step(agent, subgoal, obs, last_action, rng, greedy,
-                                z_task)
+        return _sub_policy_step(agent, subgoal, obs, last_action, rng, greedy)
 
 
-def _sub_policy_step(agent, subgoal, obs, last_action, rng, greedy, z_task=None):
+def _sub_policy_step(agent, subgoal, obs, last_action, rng, greedy):
     cfg = agent.cfg
     family = SKILL_FAMILY[subgoal.skill]
     cmap, planes = obs_planes([obs], cfg.num_classes)
@@ -466,121 +434,31 @@ def _qa_answer(agent, question_tokens, obs, return_attention):
 
 
 def act_episode(agent, task, initial_state, mode: InteractionMode, rng,
-                greedy=True, vocab=None, max_steps=None):
+                greedy=True, vocab=None):
     """Roll the hierarchical agent on one task episode."""
-    from .episodes import StepRecord, Trajectory
-    from .world import cached_geometry, cached_render, state_hash, step as env_step
-
-    cfg = agent.cfg
     vocab = vocab or {}
     tokens = [vocab.get(t, 1) for t in tokenize(task.instruction)]
     with T.no_grad():
         z_task = agent.task_enc([tokens])
     hidden = agent.high.initial_hidden(1)
-    state = initial_state
-    traj = Trajectory()
-    last_action = None
-    last_sub = None
-    budget = max_steps or task.max_steps
-    for t in range(budget):
-        obs = cached_render(state)
+
+    def decide(traj, state, obs, ex):
+        nonlocal hidden
+        prev = traj.steps[-1] if traj.steps else None
+        last_action = None if prev is None else prev.action
         sub, _logits, hidden = high_level_step(
-            agent, z_task, obs, last_action, last_sub, hidden, rng, greedy)
-        traj.record_subgoal(sub)
+            agent, z_task, obs, last_action, None if prev is None else prev.subgoal,
+            hidden, rng, greedy)
         if sub.skill is Skill.End:
-            state, res = env_step(state, PrimitiveAction.Done, None, mode,
-                                  cached_geometry(state), obs)
-            traj.steps.append(StepRecord(t, sub, PrimitiveAction.Done, None,
-                                         res.success, None, None, state_hash(state)))
-            traj.terminated = "end"
-            last_action = PrimitiveAction.Done
-            break
+            return sub, PrimitiveAction.Done, None, True
         if sub.skill is Skill.Answer:
             probs = qa_answer(agent, tokens, obs)
             if greedy:
                 traj.answer = ANSWER_SPACE[int(np.argmax(probs))]
             else:
                 traj.answer = ANSWER_SPACE[int(rng.choice(len(probs), p=probs))]
-            state, res = env_step(state, PrimitiveAction.Done, None, mode,
-                                  cached_geometry(state), obs)
-            traj.steps.append(StepRecord(t, sub, PrimitiveAction.Done, None,
-                                         res.success, None, None, state_hash(state)))
-            last_action = PrimitiveAction.Done
-            last_sub = sub
-            continue
-        action, point, _extras = sub_policy_step(agent, sub, obs, last_action,
-                                                 rng, greedy)
-        state, res = env_step(state, action, point, mode,
-                              cached_geometry(state), obs)
-        traj.steps.append(StepRecord(
-            t, sub, action, point, res.success,
-            res.reason.value if res.reason else None, res.target,
-            state_hash(state)))
-        last_action = action
-        last_sub = sub
-    traj.final_state = state
-    return traj
+            return sub, PrimitiveAction.Done, None, False
+        action, point, _extras = sub_policy_step(agent, sub, obs, last_action, rng, greedy)
+        return sub, action, point, False
 
-
-def flat_act_episode(agent: FlatAgent, task, initial_state, mode, rng,
-                     greedy=True, vocab=None, max_steps=None):
-    """Roll the flat baseline; for IQA its answer head is read at the step
-    it emits Done (or at the budget end)."""
-    from .episodes import StepRecord, Trajectory
-    from .world import cached_geometry, cached_render, state_hash, step as env_step
-
-    cfg = agent.cfg
-    vocab = vocab or {}
-    tokens = [vocab.get(t, 1) for t in tokenize(task.instruction)]
-    with T.no_grad():
-        z_task = agent.task_enc([tokens])
-    state = initial_state
-    traj = Trajectory()
-    last_action = None
-    budget = max_steps or task.max_steps
-
-    def read_answer(obs):
-        with T.no_grad():
-            cmap, planes = obs_planes([obs], cfg.num_classes)
-            z_img = agent.sub_encoder(cmap, planes)
-            cond = agent.policy.conditioning(
-                [NONE_ACTION if last_action is None else int(last_action)],
-                z_task=z_task)
-            logits = agent.answer_logits(cond, z_img)
-        return ANSWER_SPACE[int(np.argmax(logits.data[0]))]
-
-    for t in range(budget):
-        obs = cached_render(state)
-        with T.no_grad():
-            cmap, planes = obs_planes([obs], cfg.num_classes)
-            z_img = agent.sub_encoder(cmap, planes)
-            cond = agent.policy.conditioning(
-                [NONE_ACTION if last_action is None else int(last_action)],
-                z_task=z_task)
-            logits, _value, point_maps = agent.policy.forward(cond, z_img)
-        idx, _ = sample_logits(logits.data[0], rng, greedy)
-        action = INTERACT_ACTION_SPACE[idx]
-        point = None
-        if action in INTERACTIVE_ACTIONS:
-            grid_logits, mu, nu, _ = point_maps
-            cell, _ = sample_logits(grid_logits.data[0], rng, greedy)
-            mean = mu.data[0, :, cell]
-            delta = mean if greedy else rng.normal(mean, np.sqrt(nu.data[0, :, cell]))
-            point = point_from_grid(cfg, cell, delta)
-        state, res = env_step(state, action, point, mode,
-                              cached_geometry(state), obs)
-        traj.steps.append(StepRecord(
-            t, SubGoal(Skill.End), action, point, res.success,
-            res.reason.value if res.reason else None, res.target,
-            state_hash(state)))
-        last_action = action
-        if action is PrimitiveAction.Done:
-            traj.terminated = "end"
-            if task.family == "IQA":
-                traj.answer = read_answer(cached_render(state))
-            break
-    else:
-        if task.family == "IQA":
-            traj.answer = read_answer(cached_render(state))
-    traj.final_state = state
-    return traj
+    return rollout(initial_state, decide, mode, task.max_steps)

@@ -35,7 +35,6 @@ def _build_parser():
     sp = sub.add_parser("eval", help="evaluate a checkpoint on a split")
     common(sp, data=True, ckpt=True)
     sp.add_argument("--split", default="test_seen")
-    sp.add_argument("--flat", action="store_true", help="flat baseline agent")
     sp = sub.add_parser("eval-skills", help="per-skill success table")
     common(sp, ckpt=True)
     sp = sub.add_parser("plan-check", help="expert replay success rate")
@@ -61,12 +60,12 @@ def _setup(args):
     return config, seed, registry, vocab, templates
 
 
-def _agent_for(config, registry, vocab, seed, flat=False):
-    from .agents import FlatAgent, HierarchicalAgent
+def _agent_for(config, registry, vocab, seed):
+    from .agents import HierarchicalAgent
 
     cfg = config.model(len(registry), len(vocab))
     rng = np.random.default_rng(np.random.SeedSequence([seed, 12001]))
-    return (FlatAgent(rng, cfg) if flat else HierarchicalAgent(rng, cfg)), cfg
+    return HierarchicalAgent(rng, cfg), cfg
 
 
 def cmd_gen_scenes(args):
@@ -193,7 +192,7 @@ def cmd_eval(args):
     config, seed, registry, vocab, templates = _setup(args)
     if not args.ckpt or not os.path.exists(args.ckpt or ""):
         raise MissingCheckpoint(args.ckpt or "(no checkpoint given)")
-    agent, cfg = _agent_for(config, registry, vocab, seed, flat=args.flat)
+    agent, cfg = _agent_for(config, registry, vocab, seed)
     agent.load_state_arrays(nn.load_checkpoint(args.ckpt)["model"])
     splits = _load_splits(args.data, [args.split])
     if args.split not in splits:
@@ -203,8 +202,7 @@ def cmd_eval(args):
     table = evaluate(agent, splits[args.split], tby, vocab,
                      mode=config.mode("multitask"),
                      greedy=config.get("eval", "greedy", bool),
-                     registry=registry, config=config.world(), seed=seed,
-                     agent_kind="flat" if args.flat else "hier")
+                     registry=registry, config=config.world(), seed=seed)
     os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, f"metrics_{args.split}.csv"), "w") as f:
         f.write(table.to_csv())

@@ -7,14 +7,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .agents import (ANSWER_SPACE, SKILL_FAMILY, act_episode,
-                     flat_act_episode, qa_answer, sub_policy_step)
+from .agents import (ANSWER_SPACE, SKILL_FAMILY, act_episode, qa_answer,
+                     sub_policy_step)
+from .episodes import rollout, run_expert_episode
 from .skills import (PRETRAIN_SKILLS, SceneSession, periodic_reset,
                      sample_skill_episode, skill_success, NoFeasibleSkill)
 from .tasks import (FAMILIES, remaining_fn, task_initial_state, task_success,
                     tokenize)
-from .world import (InteractionMode, PrimitiveAction, cached_geometry,
-                    cached_render, step as env_step)
+# `env_step` stays bound: the benchmark's tracer finds `world.step` through
+# this alias too (perfbench/tests/test_spans.py)
+from .world import (InteractionMode, PrimitiveAction, cached_render,
+                    step as env_step)
 
 
 class MissingCheckpoint(FileNotFoundError):
@@ -63,7 +66,7 @@ class MetricsTable:
 
 def evaluate(agent, split, templates_by_id, vocab, mode=InteractionMode.HARD,
              greedy=True, registry=None, config=None, seed=0,
-             agent_kind="hier", results=None) -> MetricsTable:
+             results=None) -> MetricsTable:
     """Run every episode of a split with greedy decoding by default."""
     episodes = split.episodes if hasattr(split, "episodes") else list(split)
     if not episodes:
@@ -75,12 +78,8 @@ def evaluate(agent, split, templates_by_id, vocab, mode=InteractionMode.HARD,
         template = templates_by_id[task.scene_template_id]
         state = task_initial_state(task, template, registry=registry,
                                    config=config)
-        if agent_kind == "hier":
-            traj = act_episode(agent, task, state, mode, rng, greedy=greedy,
-                               vocab=vocab)
-        else:
-            traj = flat_act_episode(agent, task, state, mode, rng,
-                                    greedy=greedy, vocab=vocab)
+        traj = act_episode(agent, task, state, mode, rng, greedy=greedy,
+                           vocab=vocab)
         ok = task_success(task, traj)
         counts[task.family] = counts.get(task.family, 0) + 1
         hits[task.family] = hits.get(task.family, 0) + (1 if ok else 0)
@@ -98,25 +97,20 @@ def evaluate(agent, split, templates_by_id, vocab, mode=InteractionMode.HARD,
 # skill-level evaluation (pre-training table)
 
 
-def run_skill_episode_policy(agent, episode, mode, rng, greedy=True):
+def run_skill_episode_policy(agent, episode, mode, rng, greedy=True) -> bool:
     """Roll the sub-policy alone on one skill episode (no high level);
     success per the skill predicate at termination."""
-    state = episode.initial_state
-    sub = episode.subgoal
-    family = SKILL_FAMILY[sub.skill]
-    last_action = None
-    for t in range(episode.max_steps):
-        obs = cached_render(state)
-        action, point, _ = sub_policy_step(agent, sub, obs, last_action, rng,
-                                           greedy=greedy)
-        state, res = env_step(state, action, point, mode,
-                              cached_geometry(state), obs)
-        last_action = action
-        if family != "nav" and skill_success(sub, episode.initial_state, state):
-            return True, t + 1
-        if action is PrimitiveAction.Done:
-            break
-    return skill_success(sub, episode.initial_state, state), episode.max_steps
+    sub, start = episode.subgoal, episode.initial_state
+
+    def decide(traj, state, obs, ex):
+        last = traj.steps[-1].action if traj.steps else None
+        action, point, _ = sub_policy_step(agent, sub, obs, last, rng, greedy=greedy)
+        return sub, action, point, action is PrimitiveAction.Done
+
+    succeeded = (None if SKILL_FAMILY[sub.skill] == "nav"
+                 else lambda state: skill_success(sub, start, state))
+    traj = rollout(start, decide, mode, episode.max_steps, succeeded=succeeded)
+    return skill_success(sub, start, traj.final_state)
 
 
 def eval_skills(agent, templates, n_per_skill=30, seed=0,
@@ -137,8 +131,7 @@ def eval_skills(agent, templates, n_per_skill=30, seed=0,
             except NoFeasibleSkill:
                 session.reset_scene()
                 continue
-            ok, _steps = run_skill_episode_policy(agent, episode, mode, rng,
-                                                  greedy=greedy)
+            ok = run_skill_episode_policy(agent, episode, mode, rng, greedy=greedy)
             wins += 1 if ok else 0
             tries += 1
         table[skill.name] = 100.0 * wins / tries if tries else float("nan")
@@ -148,7 +141,6 @@ def eval_skills(agent, templates, n_per_skill=30, seed=0,
 def eval_answer_skill(agent, templates, vocab, n=40, seed=0,
                       mode=InteractionMode.HARD, registry=None, config=None):
     """Answer accuracy on expert final frames."""
-    from .episodes import run_expert_episode
     from .tasks import UnsatisfiableTemplate, generate_task
     from .tasks import remaining_fn as rfn
 
@@ -166,7 +158,7 @@ def eval_answer_skill(agent, templates, vocab, n=40, seed=0,
             continue
         state = task_initial_state(task, template, registry=registry, config=config)
         traj = run_expert_episode(state, rfn(task), mode, max_steps=task.max_steps,
-                                  expected_answer=task.answer, record_hashes=False)
+                                  expected_answer=task.answer)
         if traj.final_state is None:
             continue
         tokens = [vocab.get(t, 1) for t in tokenize(task.instruction)]
@@ -183,8 +175,6 @@ def eval_answer_skill(agent, templates, vocab, n=40, seed=0,
 def plan_check(split, templates_by_id, mode=InteractionMode.HARD,
                registry=None, config=None):
     """Expert replay over a dataset; returns the success rate."""
-    from .episodes import run_expert_episode
-
     episodes = split.episodes if hasattr(split, "episodes") else list(split)
     wins = 0
     for task in episodes:
@@ -193,7 +183,6 @@ def plan_check(split, templates_by_id, mode=InteractionMode.HARD,
                                    config=config)
         traj = run_expert_episode(state, remaining_fn(task), mode,
                                   max_steps=task.max_steps,
-                                  expected_answer=task.answer,
-                                  record_hashes=False)
+                                  expected_answer=task.answer)
         wins += 1 if task_success(task, traj) else 0
     return 100.0 * wins / max(len(episodes), 1)

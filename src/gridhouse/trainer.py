@@ -18,13 +18,15 @@ from . import nn, tensor as T
 from .agents import (ANSWER_SPACE, INTERACT_ACTION_SPACE, INTERACT_INDEX,
                      NAV_ACTION_SPACE, NAV_INDEX, NONE_ACTION, NONE_SKILL,
                      SKILL_FAMILY, ModelConfig, _replicate_concat,
-                     high_level_step, obs_planes, sub_policy_step)
-from .planner import ExpertController, Irrecoverable, single_subgoal_stream
-from .skills import (NO_OBJECT_SKILLS, NoFeasibleSkill, PRETRAIN_SKILLS,
-                     SceneSession, Skill, SubGoal, periodic_reset,
-                     sample_skill_episode, skill_success)
+                     high_level_step, obs_planes, qa_answer, sub_policy_step)
+from .episodes import rollout, run_expert_episode
+from .planner import ExpertController, single_subgoal_stream
+from .skills import (NoFeasibleSkill, PRETRAIN_SKILLS, SceneSession, Skill,
+                     periodic_reset, sample_skill_episode, skill_success)
 from .tasks import remaining_fn as task_remaining_fn
 from .tasks import task_initial_state, tokenize
+# `env_step` stays bound: the benchmark's tracer finds `world.step` through
+# this alias too (perfbench/tests/test_spans.py)
 from .world import (CLASS_BASE, INTERACTIVE_ACTIONS, InteractionMode,
                     PrimitiveAction, cached_geometry, cached_render, is_visible,
                     step as env_step)
@@ -202,23 +204,17 @@ def _expert_action_index(family, action):
 # supervised losses
 
 
-def _interact_loss(agent_or_policy, samples, cfg: ModelConfig,
+def _interact_loss(policy, samples, cfg: ModelConfig,
                    weights: LossWeights, focal_cfg=None):
     """Eq.-style interaction loss over a batch of steps: action CE, grid
     CE + weighted offset log-likelihood on expert-interactive steps, and
     the focal/L1 auxiliary losses on every step."""
-    policy = agent_or_policy
     obs_batch = [s.obs for s in samples]
     cmap, planes = obs_planes(obs_batch, cfg.num_classes)
-    encoder = policy["encoder"]
     sub = policy["sub"]
-    z_img = encoder(cmap, planes)
-    la = [s.last_action for s in samples]
-    if sub.cond_source == "subgoal":
-        cond = sub.conditioning(la, [s.skill for s in samples],
-                                [s.obj for s in samples])
-    else:
-        cond = sub.conditioning(la, z_task=policy["z_task"])
+    z_img = policy["encoder"](cmap, planes)
+    cond = sub.conditioning([s.last_action for s in samples],
+                            [s.skill for s in samples], [s.obj for s in samples])
     logits, _value, point_maps = sub.forward(cond, z_img)
     n = len(samples)
     total = T.mul(nn.cross_entropy_rows(logits, [s.expert_action for s in samples]),
@@ -406,60 +402,46 @@ def run_skill_episode(agent, episode, mode, rng, eps, cfg: ModelConfig,
     labels are recorded for every step either way.  A wrong interaction
     the expert cannot undo ends the episode without success.
     """
-    family = SKILL_FAMILY[episode.subgoal.skill]
-    state = episode.initial_state
-    controller = ExpertController(state, single_subgoal_stream(episode.subgoal, state),
-                                  mode)
+    sub = episode.subgoal
+    family = SKILL_FAMILY[sub.skill]
+    space = NAV_ACTION_SPACE if family == "nav" else INTERACT_ACTION_SPACE
+    start = episode.initial_state
     samples = []
-    last_action_id = NONE_ACTION
-    success = False
-    for t in range(episode.max_steps):
-        obs = cached_render(state)
-        try:
-            ex = controller.expert_action(state)
-        except Irrecoverable:
-            break
-        sample = _record_expert(obs, episode.subgoal, last_action_id, ex, cfg, family)
-        use_expert = bool(rng.random() < eps)
-        if use_expert:
+
+    def decide(traj, state, obs, ex):
+        last = traj.steps[-1].action if traj.steps else None
+        sample = _record_expert(obs, sub, NONE_ACTION if last is None else int(last),
+                                ex, cfg, family)
+        if rng.random() < eps:
             action, point = ex.action, ex.point
             sample.action = sample.expert_action
             sample.cell, sample.delta = sample.expert_cell, sample.expert_delta
         else:
-            action, point, extras = sub_policy_step(agent, episode.subgoal, obs,
-                                                    None if last_action_id == NONE_ACTION
-                                                    else PrimitiveAction(last_action_id),
-                                                    rng, greedy=False)
-            space = NAV_ACTION_SPACE if family == "nav" else INTERACT_ACTION_SPACE
+            action, point, extras = sub_policy_step(agent, sub, obs, last, rng,
+                                                    greedy=False)
             sample.action = space.index(action)
             if "cell" in extras:
-                sample.cell = extras["cell"]
-                sample.delta = extras["delta"]
-        new_state, res = env_step(state, action, point, mode,
-                                  cached_geometry(state), obs)
-        success = (episode.subgoal.skill is not Skill.End
-                   and skill_success(episode.subgoal, episode.initial_state, new_state))
-        # a step that completes the skill ends the episode, so it needs no
-        # recovery even when it is not the interaction the expert labelled
-        irrecoverable = False
-        if not success:
-            try:
-                controller.observe(state, action, res, new_state, ex)
-            except Irrecoverable:
-                irrecoverable = True
-        if collect_ppo:
-            sample.reward = compute_reward(new_state, action, point,
-                                           episode.subgoal, ex, success, reward_cfg)
+                sample.cell, sample.delta = extras["cell"], extras["delta"]
         samples.append(sample)
-        state = new_state
-        if success or irrecoverable:
-            break
-        if action is PrimitiveAction.Done and ex.subgoal.skill is Skill.End:
-            break
-        last_action_id = int(action)
+        return sub, action, point, (action is PrimitiveAction.Done
+                                    and ex.subgoal.skill is Skill.End)
+
+    # a step that completes the skill ends the episode, so it needs no
+    # recovery even when it is not the interaction the expert labelled
+    succeeded = (None if sub.skill is Skill.End
+                 else lambda state: skill_success(sub, start, state))
+    traj = rollout(start, decide, mode, episode.max_steps,
+                   ExpertController(start, single_subgoal_stream(sub, start), mode),
+                   succeeded)
+    success = traj.terminated == "success"
+    if collect_ppo:
+        for k, (sample, rec) in enumerate(zip(samples, traj.steps)):
+            sample.reward = compute_reward(rec.after, rec.action, rec.point, sub,
+                                           rec.expert, success and k == len(samples) - 1,
+                                           reward_cfg)
     if samples:
         samples[-1].done = True
-    return samples, success, state
+    return samples, success, traj.final_state
 
 
 # --------------------------------------------------------------------------
@@ -686,7 +668,6 @@ def _qa_episode_samples(session, rng, cfg, vocab, mode, registry, world_config):
     """Answer-skill supervision: expert navigates, the QA head is trained
     on the final frame."""
     from .tasks import generate_task, UnsatisfiableTemplate, remaining_fn
-    from .episodes import run_expert_episode
 
     template = session.template_for_next()
     seed = int(rng.integers(2 ** 62))
@@ -699,8 +680,7 @@ def _qa_episode_samples(session, rng, cfg, vocab, mode, registry, world_config):
     state = task_initial_state(task, template, registry=registry,
                                config=world_config)
     traj = run_expert_episode(state, remaining_fn(task), mode,
-                              max_steps=task.max_steps, expected_answer=task.answer,
-                              record_hashes=False)
+                              max_steps=task.max_steps, expected_answer=task.answer)
     if traj.answer != task.answer or traj.final_state is None:
         return []
     tokens = [vocab.get(t, 1) for t in tokenize(task.instruction)] if vocab else [1]
@@ -736,102 +716,74 @@ def multi_task_sample(by_family, rng):
 
 def run_task_episode_sf(agent, task, state, mode, rng, eps, cfg, vocab):
     """Multi-task SF rollout: epsilon-mixed actions, recovery-planner
-    supervision, per-step high-level labels."""
-    controller = ExpertController(state, task_remaining_fn(task), mode)
+    supervision, per-step high-level labels.  Returns the labelled steps
+    and the trajectory."""
     tokens = [vocab.get(t, 1) for t in tokenize(task.instruction)]
     with T.no_grad():
         z_task = agent.task_enc([tokens])
     hidden = agent.high.initial_hidden(1)
-    steps = []
-    last_action = NONE_ACTION
-    last_skill, last_obj = NONE_SKILL, -1
-    answered = None
-    for t in range(task.max_steps):
-        obs = cached_render(state)
-        try:
-            ex = controller.expert_action(state)
-        except Irrecoverable:
-            break
-        hl_skill = int(ex.subgoal.skill)
-        hl_obj = -1 if ex.subgoal.object_class is None else ex.subgoal.object_class
-        family = SKILL_FAMILY[ex.subgoal.skill]
-        if last_skill == NONE_SKILL:
-            last_sub = None
-        elif Skill(last_skill) in NO_OBJECT_SKILLS:
-            last_sub = SubGoal(Skill(last_skill))
-        else:
-            last_sub = SubGoal(Skill(last_skill), max(last_obj, 0))
-        sampled_sub, _logits, hidden = high_level_step(
-            agent, z_task, obs,
-            None if last_action == NONE_ACTION else PrimitiveAction(last_action),
-            last_sub, hidden, rng, greedy=False)
-        use_expert = bool(rng.random() < eps)
-        sample = StepSample(
-            obs=obs, family=family if family != "end" else "nav",
-            skill=hl_skill, obj=cfg.num_classes if hl_obj < 0 else hl_obj,
-            last_action=last_action,
-            expert_action=0,
-            hl_skill_label=hl_skill, hl_obj_label=hl_obj,
-            hl_last_action=last_action, hl_last_skill=last_skill,
-            hl_last_obj=last_obj)
-        if family == "end":
-            sample.family = "none"
-        elif family == "qa":
-            sample.answer_tokens = tokens
-            sample.answer_label = ANSWER_SPACE.index(task.answer) if task.answer else -1
-            if sample.answer_label < 0:
-                sample.family = "none"
-        else:
-            sample.expert_action = _expert_action_index(family, ex.action)
-            if family == "interact" and ex.action in INTERACTIVE_ACTIONS and ex.point:
-                sample.expert_interactive = True
-                sample.expert_cell, sample.expert_delta = expert_cell_delta(ex.point, cfg)
-            sample.centers = heat_centers(obs, cfg)
+    samples = []
 
+    def decide(traj, state, obs, ex):
+        nonlocal hidden
+        prev = traj.steps[-1] if traj.steps else None
+        last_action = None if prev is None else prev.action
+        last_sub = None if prev is None else prev.subgoal
+        sampled_sub, _logits, hidden = high_level_step(
+            agent, z_task, obs, last_action, last_sub, hidden, rng, greedy=False)
+        use_expert = rng.random() < eps
+        samples.append(_task_sample(obs, ex, last_action, last_sub, task, tokens, cfg))
         if use_expert:
-            act_sub, action, point = ex.subgoal, ex.action, ex.point
-        else:
-            act_sub = sampled_sub
-            # conditioning uses the sampled sub-goal when its family matches
-            # the supervised one, else the expert's
-            if SKILL_FAMILY[act_sub.skill] == "end":
-                action, point = PrimitiveAction.Done, None
-            elif SKILL_FAMILY[act_sub.skill] == "qa":
-                action, point = PrimitiveAction.Done, None
-                if task.family == "IQA" and answered is None:
-                    with T.no_grad():
-                        from .agents import qa_answer
-                        probs = qa_answer(agent, tokens, obs)
-                    answered = ANSWER_SPACE[int(rng.choice(len(probs), p=probs))]
-            else:
-                action, point, _ = sub_policy_step(
-                    agent, act_sub, obs,
-                    None if last_action == NONE_ACTION else PrimitiveAction(last_action),
-                    rng, greedy=False)
-        if use_expert and ex.subgoal.skill is Skill.Answer:
-            answered = task.answer
-        new_state, res = env_step(state, action, point, mode,
-                                  cached_geometry(state), obs)
-        try:
-            controller.observe(state, action, res, new_state, ex)
-        except Irrecoverable:
-            steps.append(sample)
-            state = new_state
-            break
-        steps.append(sample)
-        last_action = int(action)
-        last_skill = int(act_sub.skill)
-        last_obj = -1 if act_sub.object_class is None else act_sub.object_class
-        state = new_state
-        if action is PrimitiveAction.Done and ex.subgoal.skill is Skill.End \
-                and use_expert:
-            break
-        if not use_expert and act_sub.skill is Skill.End:
-            break
-    steps = [s for s in steps if s.family != "none"]
-    from .episodes import Trajectory
-    traj = Trajectory(final_state=state, answer=answered)
-    return steps, traj
+            if ex.subgoal.skill is Skill.Answer:
+                traj.answer = task.answer
+            return ex.subgoal, ex.action, ex.point, (ex.action is PrimitiveAction.Done
+                                                     and ex.subgoal.skill is Skill.End)
+        family = SKILL_FAMILY[sampled_sub.skill]
+        if family == "qa" and task.family == "IQA" and traj.answer is None:
+            probs = qa_answer(agent, tokens, obs)
+            traj.answer = ANSWER_SPACE[int(rng.choice(len(probs), p=probs))]
+        if family in ("qa", "end"):
+            return sampled_sub, PrimitiveAction.Done, None, family == "end"
+        action, point, _ = sub_policy_step(agent, sampled_sub, obs, last_action, rng,
+                                           greedy=False)
+        return sampled_sub, action, point, False
+
+    traj = rollout(state, decide, mode, task.max_steps,
+                   ExpertController(state, task_remaining_fn(task), mode))
+    return [s for s in samples if s.family != "none"], traj
+
+
+def _task_sample(obs, ex, last_action, last_sub, task, tokens, cfg):
+    """High-level labels of one multi-task step, plus the sub-policy labels
+    of the expert skill's family ("none" for End, and for Answer without
+    a known answer)."""
+    hl_skill = int(ex.subgoal.skill)
+    hl_obj = -1 if ex.subgoal.object_class is None else ex.subgoal.object_class
+    family = SKILL_FAMILY[ex.subgoal.skill]
+    last_action = NONE_ACTION if last_action is None else int(last_action)
+    last_skill = NONE_SKILL if last_sub is None else int(last_sub.skill)
+    last_obj = (-1 if last_sub is None or last_sub.object_class is None
+                else last_sub.object_class)
+    sample = StepSample(
+        obs=obs, family=family, skill=hl_skill,
+        obj=cfg.num_classes if hl_obj < 0 else hl_obj,
+        last_action=last_action, expert_action=0,
+        hl_skill_label=hl_skill, hl_obj_label=hl_obj,
+        hl_last_action=last_action, hl_last_skill=last_skill, hl_last_obj=last_obj)
+    if family == "end":
+        sample.family = "none"
+    elif family == "qa":
+        sample.answer_tokens = tokens
+        sample.answer_label = ANSWER_SPACE.index(task.answer) if task.answer else -1
+        if sample.answer_label < 0:
+            sample.family = "none"
+    else:
+        sample.expert_action = _expert_action_index(family, ex.action)
+        if family == "interact" and ex.action in INTERACTIVE_ACTIONS and ex.point:
+            sample.expert_interactive = True
+            sample.expert_cell, sample.expert_delta = expert_cell_delta(ex.point, cfg)
+        sample.centers = heat_centers(obs, cfg)
+    return sample
 
 
 def train_multitask(agent, split, templates_by_id, schedule: ScheduleConfig,

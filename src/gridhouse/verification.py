@@ -1,12 +1,12 @@
-"""Finite-difference verification of every differentiable op and of both
-policy networks, on tiny random configurations."""
+"""Finite-difference verification of every differentiable op and of the
+policy network, on tiny random configurations."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from . import nn, tensor as T
-from .agents import FlatAgent, HierarchicalAgent, ModelConfig
+from .agents import HierarchicalAgent, ModelConfig
 from .skills import Skill
 from .world import NO_INSTANCE, Observation
 
@@ -148,46 +148,19 @@ def _loss_weights():
     return LossWeights()
 
 
-def _flat_loss(agent, cfg, rng):
-    from .agents import obs_planes
-
-    obs = [random_observation(rng, cfg) for _ in range(2)]
-    cmap, planes = obs_planes(obs, cfg.num_classes)
-    z_img = agent.sub_encoder(cmap, planes)
-    z_task = agent.task_enc([[1, 2], [3, 1]])
-    cond = agent.policy.conditioning([3, 5], z_task=z_task)
-    logits, value, (grid_logits, mu, nu, heat) = agent.policy.forward(cond, z_img)
-    loss = nn.cross_entropy_rows(logits, rng.integers(0, 13, size=2))
-    loss = loss + nn.cross_entropy_rows(grid_logits, rng.integers(0, 4, size=2))
-    cells = np.array([0, 3])
-    mu_sel = T.gather(mu, (np.arange(2), slice(None), cells))
-    nu_sel = T.gather(nu, (np.arange(2), slice(None), cells))
-    loss = loss + T.mul(nn.gaussian_log_likelihood(rng.uniform(-1, 1, size=(2, 2)),
-                                                   mu_sel, nu_sel), -0.1)
-    ans = agent.answer_logits(cond, z_img)
-    loss = loss + nn.cross_entropy_rows(ans, rng.integers(0, 6, size=2))
-    return loss + T.mul(T.sum_(T.square(value)), 0.5)
-
-
-def _network_check(kind, rng, n_coords):
-    """FD check of a whole policy network's parameters on one random
+def _network_check(rng, n_coords):
+    """FD check of the whole policy network's parameters on one random
     configuration: perturbations hit the live parameter arrays, labels are
     redrawn identically from a pinned seed."""
     cfg = micro_model_config()
-    seed = int(rng.integers(1 << 30))
-    if kind == "hier":
-        agent = HierarchicalAgent(np.random.default_rng(seed), cfg)
-        loss_fn = _hier_loss
-    else:
-        agent = FlatAgent(np.random.default_rng(seed), cfg)
-        loss_fn = _flat_loss
+    agent = HierarchicalAgent(np.random.default_rng(int(rng.integers(1 << 30))), cfg)
     draw = int(rng.integers(1 << 30))
-    return nn.grad_check(lambda *params: loss_fn(agent, cfg, np.random.default_rng(draw)),
+    return nn.grad_check(lambda *params: _hier_loss(agent, cfg, np.random.default_rng(draw)),
                          agent.parameters(), sample=(rng, n_coords))
 
 
 def gradient_suite(seed=0, op_configs=50, net_configs=5, net_coords=20):
-    """Max guarded relative error per op and per policy network, computed
+    """Max guarded relative error per op and of the policy network, computed
     in float64: every input, network and target is built inside the scope."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, 424242]))
     report = {}
@@ -197,9 +170,6 @@ def gradient_suite(seed=0, op_configs=50, net_configs=5, net_coords=20):
             for name, (fn, inputs) in cases.items():
                 err = nn.grad_check(fn, inputs, sample=(rng, 6))
                 report[name] = max(report.get(name, 0.0), err)
-        for kind in ("hier", "flat"):
-            worst = 0.0
-            for _ in range(net_configs):
-                worst = max(worst, _network_check(kind, rng, net_coords))
-            report[f"policy_{kind}"] = worst
+        report["policy_hier"] = max(_network_check(rng, net_coords)
+                                    for _ in range(net_configs))
     return report

@@ -7,10 +7,10 @@ import pytest
 
 from gridhouse import tensor as T
 from gridhouse.agents import (ANSWER_SPACE, INTERACT_ACTION_SPACE,
-                              NAV_ACTION_SPACE, SKILL_FAMILY, FlatAgent,
-                              HierarchicalAgent, ModelConfig, act_episode,
-                              high_level_step, obs_planes, point_from_grid,
-                              qa_answer, sample_logits, sub_policy_step)
+                              NAV_ACTION_SPACE, SKILL_FAMILY, HierarchicalAgent,
+                              ModelConfig, act_episode, high_level_step,
+                              obs_planes, point_from_grid, qa_answer,
+                              sample_logits, sub_policy_step)
 from gridhouse.classes import desk_registry
 from gridhouse.scenes import builtin_templates
 from gridhouse.skills import NO_OBJECT_SKILLS, Skill, SubGoal
@@ -171,21 +171,6 @@ def test_act_episode_deterministic_and_end_agent(agent):
     assert t3.terminated == "end" and len(t3.steps) == 1
     from gridhouse.tasks import task_success
     assert not task_success(task, t3)
-
-
-def test_flat_agent_trunk_shapes_match_interact(agent):
-    flat = FlatAgent(np.random.default_rng(2), CFG)
-    hier_shapes = {name.split("interact.")[-1]: p.data.shape
-                   for name, p in agent.named_parameters()
-                   if name.startswith("interact.")
-                   and ("trunk" in name or "action_head" in name
-                        or "pointing" in name or "value_head" in name)}
-    flat_shapes = {name.split("policy.")[-1]: p.data.shape
-                   for name, p in flat.named_parameters()
-                   if name.startswith("policy.")
-                   and ("trunk" in name or "action_head" in name
-                        or "pointing" in name or "value_head" in name)}
-    assert hier_shapes == flat_shapes
 
 
 def test_pointing_heatmap_channels_cover_classes(agent, scene_obs):

@@ -306,13 +306,13 @@ def test_gradcheck_gaussian_ll_wrt_mu_and_var():
 
 
 def test_grad_check_command_passes(capsys):
-    # `gridhouse grad-check` as shipped: every op and both policy networks
+    # `gridhouse grad-check` as shipped: every op and the policy network
     # at seed 0, exit code 0 only when the worst error is below 1e-4
     from gridhouse.cli import main
 
     code = main(["grad-check"])
     out = capsys.readouterr().out
-    assert "policy_hier" in out and "policy_flat" in out, out
+    assert "policy_hier" in out, out
     assert code == 0, out
 
 
@@ -516,19 +516,25 @@ def test_checkpoint_rejects_garbage(tmp_path):
 
 
 def test_checkpoint_of_another_agent_is_rejected_with_its_names(tmp_path, capsys):
-    # a hierarchical checkpoint shares no sub-policy names with FlatAgent;
-    # `eval --flat` used to load none of it and evaluate an untrained agent
-    from gridhouse.agents import FlatAgent, HierarchicalAgent
+    # a checkpoint of an agent whose parameter names differ from this one's
+    # (here one renamed parameter) must not load partly and evaluate
+    # untrained weights: both sides of the mismatch are named
+    from gridhouse.agents import HierarchicalAgent
     from gridhouse.cli import _agent_for, _setup, main
     from gridhouse.verification import micro_model_config
 
+    def renamed(arrays):
+        out = dict(arrays)
+        out["high.gru.wz"] = out.pop("high.gru.w_z")
+        return out
+
     cfg = micro_model_config()
     hier = HierarchicalAgent(np.random.default_rng(0), cfg)
-    flat = FlatAgent(np.random.default_rng(0), cfg)
+    other = HierarchicalAgent(np.random.default_rng(1), cfg)
     with pytest.raises(nn.CheckpointMismatch) as err:
-        flat.load_state_arrays(hier.state_arrays())
-    assert "high.gru.w_z" in str(err.value)        # unknown to FlatAgent
-    assert "policy.trunk.w" in str(err.value)      # missing from the checkpoint
+        other.load_state_arrays(renamed(hier.state_arrays()))
+    assert "high.gru.wz" in str(err.value)         # unknown to the agent
+    assert "high.gru.w_z" in str(err.value)        # missing from the checkpoint
 
     ini = tmp_path / "tiny.ini"
     ini.write_text("[model]\nd = 4\ngrid = 2\nhidden = 6\ntask_dim = 4\n"
@@ -537,11 +543,12 @@ def test_checkpoint_of_another_agent_is_rejected_with_its_names(tmp_path, capsys
     args = type("Args", (), {"config": str(ini), "seed": 0})()
     config, seed, registry, vocab, _ = _setup(args)
     agent, _cfg = _agent_for(config, registry, vocab, seed)
-    ckpt = tmp_path / "hier.ckpt"
+    ckpt, bad = tmp_path / "hier.ckpt", tmp_path / "renamed.ckpt"
     nn.save_checkpoint(ckpt, {"model": agent.state_arrays()})
-    argv = ["eval", "--config", str(ini), "--ckpt", str(ckpt), "--data", str(tmp_path),
+    nn.save_checkpoint(bad, {"model": renamed(agent.state_arrays())})
+    argv = ["eval", "--config", str(ini), "--data", str(tmp_path),
             "--out", str(tmp_path / "out")]
-    assert main(argv + ["--flat"]) == 1
+    assert main(argv + ["--ckpt", str(bad)]) == 1
     assert "CheckpointMismatch" in capsys.readouterr().err
-    assert main(argv) == 1              # loads, then finds no test_seen split
+    assert main(argv + ["--ckpt", str(ckpt)]) == 1   # loads, then finds no test_seen split
     assert "split not found" in capsys.readouterr().err
