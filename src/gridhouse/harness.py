@@ -159,8 +159,6 @@ def eval_answer_skill(agent, templates, vocab, n=40, seed=0,
         state = task_initial_state(task, template, registry=registry, config=config)
         traj = run_expert_episode(state, rfn(task), mode, max_steps=task.max_steps,
                                   expected_answer=task.answer)
-        if traj.final_state is None:
-            continue
         tokens = [vocab.get(t, 1) for t in tokenize(task.instruction)]
         probs = qa_answer(agent, tokens, cached_render(traj.final_state))
         wins += 1 if ANSWER_SPACE[int(np.argmax(probs))] == task.answer else 0

@@ -6,6 +6,16 @@ indexing/gather, concat/reshape, the usual nonlinearities, and a
 strided/padded conv2d.  Gradients accumulate additively (see `_acc`);
 backward() on a scalar fills every reachable grad buffer.
 
+conv2d is one GEMM over im2col columns.  `_im2col` builds them with one
+`np.take` through a flat index that `_im2col_index` computes once per
+geometry and keeps, read-only, in `_IM2COL_INDEX`; a padded tap reads a
+zero appended to each sample's row, and a 1x1 stride-1 conv takes the
+channels-last transpose of its input as its columns.  The columns, and so
+every product, are the same bits a sliding-window copy gives.  `_col2im`
+keeps summing the kernel offsets in row-major order into zeros: a pixel
+that several windows cover is a float32 sum whose last bits depend on that
+order, so a different scatter would change every input gradient.
+
 Dtype contract: every Tensor holds DEFAULT_DTYPE, float32, so the model
 trains, rolls out and evaluates in float32.  Float64 exists only inside
 `precision(np.float64)`, which the finite-difference checks (and tests of
@@ -451,10 +461,17 @@ def gather(a, idx):
 
     def backward(g):
         if a.requires_grad:
-            buf = np.zeros_like(a.data)
+            buf = np.zeros(a.data.shape, dtype=a.data.dtype)
             if all(isinstance(i, (int, np.integer, slice))
                    for i in (idx if isinstance(idx, tuple) else (idx,))):
                 buf[idx] += g   # ints and slices repeat no element: np.add.at's sum
+            elif isinstance(idx, np.ndarray) and idx.dtype.kind == "i" and buf.ndim == 2:
+                # one row index per lookup (every Embedding): the 1-D scatter
+                # adds each element's contributions in the 2-D np.add.at order;
+                # a negative row wraps to the same flat elements
+                d = buf.shape[1]
+                flat = ((idx * d)[..., None] + np.arange(d)).reshape(-1)
+                np.add.at(buf.reshape(-1), flat, g.reshape(-1))
             else:
                 np.add.at(buf, idx, g)
             _acc(a, buf)
@@ -506,15 +523,40 @@ def softmax(a, axis=-1):
 # -- convolution -------------------------------------------------------------
 
 
+_IM2COL_INDEX = {}
+
+
+def _im2col_index(c, h, w, kh, kw, stride, pad):
+    """Read-only (ho*wo, c*kh*kw) flat index into one sample's (c*h*w + 1)
+    row, whose last element is the zero every padded tap reads; built once
+    per geometry."""
+    key = (c, h, w, kh, kw, stride, pad)
+    hit = _IM2COL_INDEX.get(key)
+    if hit is None:
+        ho = (h + 2 * pad - kh) // stride + 1
+        wo = (w + 2 * pad - kw) // stride + 1
+        # input row r and column q of every tap, on axes (ho, wo, c, kh, kw)
+        r = (np.arange(ho) * stride - pad)[:, None, None, None, None] + np.arange(kh)[:, None]
+        q = (np.arange(wo) * stride - pad)[:, None, None, None] + np.arange(kw)
+        inside = (r >= 0) & (r < h) & (q >= 0) & (q < w)
+        flat = np.where(inside, np.arange(c)[:, None, None] * (h * w) + r * w + q, c * h * w)
+        index = flat.reshape(ho * wo, c * kh * kw).astype(np.intp)
+        index.flags.writeable = False
+        hit = _IM2COL_INDEX[key] = (index, ho, wo)
+    return hit
+
+
 def _im2col(x, kh, kw, stride, pad):
+    """C-contiguous (n*ho*wo, c*kh*kw) columns: row (n, i, j) holds the
+    window at output (i, j), taps in (c, kh, kw) order, padding as zeros."""
     n, c, h, w = x.shape
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
-    ho = (h + 2 * pad - kh) // stride + 1
-    wo = (w + 2 * pad - kw) // stride + 1
-    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
-    win = win[:, :, ::stride, ::stride, :, :]  # (n, c, ho, wo, kh, kw)
-    cols = win.transpose(0, 2, 3, 1, 4, 5).reshape(n * ho * wo, c * kh * kw)
-    return np.ascontiguousarray(cols), ho, wo
+    if kh == kw == 1 and stride == 1 and pad == 0:
+        return np.ascontiguousarray(x.transpose(0, 2, 3, 1).reshape(n * h * w, c)), h, w
+    index, ho, wo = _im2col_index(c, h, w, kh, kw, stride, pad)
+    rows = np.empty((n, c * h * w + 1), dtype=x.dtype)
+    rows[:, :-1].reshape(n, c, h, w)[...] = x
+    rows[:, -1] = 0
+    return np.take(rows, index, axis=1).reshape(n * ho * wo, c * kh * kw), ho, wo
 
 
 def _col2im(cols, x_shape, kh, kw, stride, pad, ho, wo):

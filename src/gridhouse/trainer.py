@@ -205,7 +205,7 @@ def _expert_action_index(family, action):
 
 
 def _interact_loss(policy, samples, cfg: ModelConfig,
-                   weights: LossWeights, focal_cfg=None):
+                   weights: LossWeights):
     """Eq.-style interaction loss over a batch of steps: action CE, grid
     CE + weighted offset log-likelihood on expert-interactive steps, and
     the focal/L1 auxiliary losses on every step."""
@@ -238,8 +238,7 @@ def _interact_loss(policy, samples, cfg: ModelConfig,
     for i, s in enumerate(samples):
         if not s.centers:
             continue
-        tgt = nn.gaussian_kernel_targets(s.centers, (cfg.num_classes, cfg.grid, cfg.grid),
-                                         focal_cfg)
+        tgt = nn.gaussian_kernel_targets(s.centers, (cfg.num_classes, cfg.grid, cfg.grid))
         heats[i] = tgt.heat
         inv_m[i] = 1.0 / max(tgt.num_centers, 1)
         for cls, (ix, iy), (ox, oy) in tgt.centers:
@@ -681,7 +680,7 @@ def _qa_episode_samples(session, rng, cfg, vocab, mode, registry, world_config):
                                config=world_config)
     traj = run_expert_episode(state, remaining_fn(task), mode,
                               max_steps=task.max_steps, expected_answer=task.answer)
-    if traj.answer != task.answer or traj.final_state is None:
+    if traj.answer != task.answer:
         return []
     tokens = [vocab.get(t, 1) for t in tokenize(task.instruction)] if vocab else [1]
     obs = cached_render(traj.final_state)

@@ -6,7 +6,11 @@ import numpy as np
 import pytest
 
 from gridhouse import tensor as T
+from gridhouse.agents import HierarchicalAgent, ModelConfig, obs_planes
+from gridhouse.classes import desk_registry
 from gridhouse.nn import grad_check
+from gridhouse.scenes import builtin_templates
+from gridhouse.world import cached_render, randomize_scene
 
 RNG = np.random.default_rng(20240817)
 
@@ -157,38 +161,129 @@ def test_concat_stack_reshape_grads():
     assert grad_check(fn2, [RNG.normal(size=(2, 2)), RNG.normal(size=(2, 2))]) < 1e-6
 
 
+NUM_CLASSES = len(desk_registry())
+# (cin, size, cout, kernel, stride, pad) of every convolution HierarchicalAgent
+# runs: GridEncoder conv1 and conv2, PointingHead conv1, conv2 and its heads
+MODEL_CONVS = [(13, 32, 24, 3, 2, 1), (24, 16, 64, 3, 2, 1), (128, 8, 48, 1, 1, 0),
+               (48, 8, 48, 3, 1, 1), (48, 8, 1, 1, 1, 0), (48, 8, 2, 1, 1, 0),
+               (48, 8, NUM_CLASSES, 1, 1, 0)]
+CONV_KSP = sorted({(k, stride, pad) for *_, k, stride, pad in MODEL_CONVS})
+
+
 @pytest.mark.usefixtures("float64")
-def test_conv2d_matches_naive_loops():
+@pytest.mark.parametrize("k,stride,pad", CONV_KSP)
+def test_conv2d_matches_naive_loops(k, stride, pad):
     # independent oracle: direct quadruple loop
     x = RNG.normal(size=(2, 3, 6, 5))
-    w = RNG.normal(size=(4, 3, 3, 3))
+    w = RNG.normal(size=(4, 3, k, k))
     b = RNG.normal(size=(4,))
-    stride, pad = 2, 1
     out = T.conv2d(T.Tensor(x), T.Tensor(w), T.Tensor(b), stride=stride, pad=pad).data
 
     xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    ho = (6 + 2 * pad - 3) // stride + 1
-    wo = (5 + 2 * pad - 3) // stride + 1
+    ho = (6 + 2 * pad - k) // stride + 1
+    wo = (5 + 2 * pad - k) // stride + 1
     ref = np.zeros((2, 4, ho, wo))
     for n in range(2):
         for c in range(4):
             for i in range(ho):
                 for j in range(wo):
-                    patch = xp[n, :, i * stride:i * stride + 3, j * stride:j * stride + 3]
+                    patch = xp[n, :, i * stride:i * stride + k, j * stride:j * stride + k]
                     ref[n, c, i, j] = (patch * w[c]).sum() + b[c]
     np.testing.assert_allclose(out, ref, atol=1e-12)
 
 
 @pytest.mark.usefixtures("float64")
-def test_conv2d_grads():
+@pytest.mark.parametrize("k,stride,pad", CONV_KSP)
+def test_conv2d_grads(k, stride, pad):
     x = RNG.normal(size=(1, 2, 5, 5))
-    w = RNG.normal(size=(3, 2, 3, 3))
+    w = RNG.normal(size=(3, 2, k, k))
     b = RNG.normal(size=(3,))
 
     def fn(xt, wt, bt):
-        return T.tanh(T.conv2d(xt, wt, bt, stride=2, pad=1)).sum()
+        return T.tanh(T.conv2d(xt, wt, bt, stride=stride, pad=pad)).sum()
 
     assert grad_check(fn, [x, w, b]) < 1e-5
+
+
+def _sliding_window_im2col(x, kh, kw, stride, pad):
+    # the columns as conv2d first built them: pad, window view, 6-D copy
+    n, c, h, w = x.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
+    ho = (h + 2 * pad - kh) // stride + 1
+    wo = (w + 2 * pad - kw) // stride + 1
+    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
+    win = win[:, :, ::stride, ::stride, :, :]  # (n, c, ho, wo, kh, kw)
+    cols = win.transpose(0, 2, 3, 1, 4, 5).reshape(n * ho * wo, c * kh * kw)
+    return np.ascontiguousarray(cols), ho, wo
+
+
+def _bits(a):
+    # float32 as raw bits: -0.0 and 0.0 differ
+    assert a.dtype == np.float32
+    return np.ascontiguousarray(a).view(np.uint32)
+
+
+def test_model_convs_are_every_convolution_the_agent_runs(monkeypatch):
+    seen = set()
+    conv2d = T.conv2d
+
+    def spy(x, w, b=None, stride=1, pad=0):
+        cout, cin, k, _ = w.shape
+        seen.add((cin, x.shape[2], cout, k, stride, pad))
+        return conv2d(x, w, b, stride=stride, pad=pad)
+
+    cfg = ModelConfig(num_classes=NUM_CLASSES, vocab_size=8)
+    agent = HierarchicalAgent(np.random.default_rng(0), cfg)
+    state = randomize_scene(builtin_templates()[0], 2)
+    cmap, planes = obs_planes([cached_render(state)], cfg.num_classes)
+    monkeypatch.setattr(T, "conv2d", spy)
+    for enc in (agent.hl_encoder, agent.sub_encoder):
+        z = enc(cmap, planes)
+    agent.interact.forward(agent.interact.conditioning([0], [0], [0]), z)
+    assert seen == set(MODEL_CONVS)
+
+
+@pytest.mark.parametrize("layout", ["nchw", "nhwc_view"])
+@pytest.mark.parametrize("n", [1, 64])
+@pytest.mark.parametrize("cin,size,cout,k,stride,pad", MODEL_CONVS)
+def test_conv2d_is_bitwise_the_sliding_window_conv(monkeypatch, cin, size, cout, k,
+                                                   stride, pad, n, layout):
+    rng = np.random.default_rng(cin * 1000 + cout)
+    xd = rng.normal(size=(n, cin, size, size)).astype(np.float32)
+    xd[xd < -1.0] = -0.0     # relu-like zeros, with their sign
+    xd[xd < 0.0] = 0.0
+    if layout == "nhwc_view":  # a conv's output and its relu: an NHWC buffer
+        xd = np.ascontiguousarray(xd.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+    wd = (rng.normal(size=(cout, cin, k, k)) * 0.1).astype(np.float32)
+    bd = rng.normal(size=cout).astype(np.float32)
+    ho = (size + 2 * pad - k) // stride + 1
+    gd = rng.normal(size=(n, cout, ho, ho)).astype(np.float32)
+
+    def run():
+        x, w, b = (T.Tensor(a, requires_grad=True) for a in (xd, wd, bd))
+        out = T.conv2d(x, w, b, stride=stride, pad=pad)
+        out.backward(gd)
+        return [_bits(a) for a in (out.data, x.grad, w.grad, b.grad)]
+
+    got = run()
+    with monkeypatch.context() as m:
+        m.setattr(T, "_im2col", _sliding_window_im2col)
+        want = run()
+    for g, w in zip(got, want):
+        np.testing.assert_array_equal(g, w)
+
+
+def test_embedding_scatter_is_bitwise_np_add_at():
+    rng = np.random.default_rng(3)
+    table = rng.normal(size=(NUM_CLASSES, 8)).astype(np.float32)
+    idx = rng.integers(0, NUM_CLASSES, size=(64, 32, 32))
+    idx[:, :4] -= NUM_CLASSES   # negative rows address the same table rows
+    g = rng.normal(size=(64, 32, 32, 8)).astype(np.float32)
+    t = T.Tensor(table, requires_grad=True)
+    T.gather(t, idx).backward(g)
+    want = np.zeros_like(table)
+    np.add.at(want, idx, g)
+    np.testing.assert_array_equal(_bits(t.grad), _bits(want))
 
 
 @pytest.mark.usefixtures("float64")
