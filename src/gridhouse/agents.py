@@ -17,7 +17,7 @@ from .nn import Conv2d, Embedding, GRUCell, Linear, Module
 from .skills import NO_OBJECT_SKILLS, Skill, SubGoal
 from .tasks import tokenize
 from .world import (CLASS_BASE, INTERACTIVE_ACTIONS, NAV_ACTION_SPACE,
-                    InteractionMode, PrimitiveAction)
+                    InteractionMode, PrimitiveAction, WorldConfig)
 
 INTERACT_ACTION_SPACE = tuple(PrimitiveAction)  # all 13
 ANSWER_SPACE = ("Yes", "No", "0", "1", "2", "3")
@@ -30,7 +30,7 @@ INTERACT_INDEX = {a: i for i, a in enumerate(INTERACT_ACTION_SPACE)}
 class ModelConfig:
     num_classes: int
     vocab_size: int
-    obs_size: int = 32
+    obs_size: int = WorldConfig.obs_size
     d: int = 64            # feature dim of the conv map
     grid: int = 8          # w = h = pointing grid B
     hidden: int = 128      # high-level GRU width

@@ -68,6 +68,16 @@ def _agent_for(config, registry, vocab, seed):
     return HierarchicalAgent(rng, cfg), cfg
 
 
+def _load_model(agent, path):
+    """Load the model section of checkpoint `path` into `agent`."""
+    from . import nn
+    from .harness import MissingCheckpoint
+
+    if not path or not os.path.exists(path):
+        raise MissingCheckpoint(path or "(no checkpoint given)")
+    agent.load_state_arrays(nn.load_checkpoint(path)["model"])
+
+
 def cmd_gen_scenes(args):
     from .scenes import builtin_templates
     from .world import save_template
@@ -154,10 +164,7 @@ def cmd_train(args):
     config, seed, registry, vocab, templates = _setup(args)
     agent, cfg = _agent_for(config, registry, vocab, seed)
     if args.init:
-        if not os.path.exists(args.init):
-            raise MissingInit(args.init)
-        sections = nn.load_checkpoint(args.init)
-        agent.load_state_arrays(sections["model"])
+        _load_model(agent, args.init)
     splits = _load_splits(args.data, ["train"])
     if "train" not in splits:
         print("error: no train split found in", args.data, file=sys.stderr)
@@ -181,19 +188,12 @@ def cmd_train(args):
     return 0
 
 
-class MissingInit(FileNotFoundError):
-    pass
-
-
 def cmd_eval(args):
-    from . import nn
-    from .harness import MissingCheckpoint, evaluate
+    from .harness import evaluate
 
     config, seed, registry, vocab, templates = _setup(args)
-    if not args.ckpt or not os.path.exists(args.ckpt or ""):
-        raise MissingCheckpoint(args.ckpt or "(no checkpoint given)")
-    agent, cfg = _agent_for(config, registry, vocab, seed)
-    agent.load_state_arrays(nn.load_checkpoint(args.ckpt)["model"])
+    agent, _cfg = _agent_for(config, registry, vocab, seed)
+    _load_model(agent, args.ckpt)
     splits = _load_splits(args.data, [args.split])
     if args.split not in splits:
         print("error: split not found:", args.split, file=sys.stderr)
@@ -211,14 +211,11 @@ def cmd_eval(args):
 
 
 def cmd_eval_skills(args):
-    from . import nn
-    from .harness import MissingCheckpoint, eval_answer_skill, eval_skills
+    from .harness import eval_answer_skill, eval_skills
 
     config, seed, registry, vocab, templates = _setup(args)
-    if not args.ckpt or not os.path.exists(args.ckpt or ""):
-        raise MissingCheckpoint(args.ckpt or "(no checkpoint given)")
-    agent, cfg = _agent_for(config, registry, vocab, seed)
-    agent.load_state_arrays(nn.load_checkpoint(args.ckpt)["model"])
+    agent, _cfg = _agent_for(config, registry, vocab, seed)
+    _load_model(agent, args.ckpt)
     n_unseen = config.get("tasks", "n_unseen", int)
     rows = []
     for split_name, pool in (("seen", templates[:-n_unseen]),

@@ -1,10 +1,13 @@
 """Run configuration: sectioned key-value text files plus run manifests.
 
-Each key is read by a typed view below or by the CLI, and the manifest
-records the resolved values.  Not every tunable is a key: the skill
-sampler's teleport radius and step budgets, the focal-loss kernel
-(`FocalConfig`), the gradient clip and the optimizer betas are constants
-of the modules that use them.
+Each section is one dataclass (`SECTIONS`) and its keys are the fields
+with a default, so a field's default is its key's and the default's type
+parses the key's text.  One mapping is left: the inherited fields that are
+no keys, and `[multitask] lr_high`, which is `ScheduleConfig.lr`.  Loading
+rejects an unknown section, key or value by name.  Some tunables are no
+keys but constants of the modules that use them: the skill sampler's
+teleport radius and step budgets, the focal-loss kernel (`FocalConfig`),
+the gradient clip and the optimizer betas.
 """
 
 from __future__ import annotations
@@ -13,164 +16,122 @@ import configparser
 import hashlib
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields, make_dataclass
+from enum import Enum
+from functools import partialmethod
 
 from .agents import ModelConfig
 from .trainer import LossWeights, PPOConfig, RewardConfig, ScheduleConfig
 from .world import InteractionMode, WorldConfig
 
-DEFAULTS = {
-    "world": {
-        "obs_size": "32", "upsample": "2", "view_depth": "8",
-        "pitch_shift": "3", "interaction_range": "2.0", "standard_box": "3",
-    },
-    "tasks": {
-        "scale": "30", "n_unseen": "2",
-    },
-    "model": {
-        "d": "64", "grid": "8", "hidden": "128", "task_dim": "64",
-        "token_dim": "32", "ctx_dim": "16", "cond_dim": "64",
-        "trunk_dim": "128", "point_dim": "48", "enc_mid": "24",
-        "share_sub_encoder": "true",
-    },
-    "rewards": {
-        "w_success": "20.0", "w_visible": "1.0", "w_act": "1.0",
-        "w_point": "0.5", "sigma_point": "1.0",
-    },
-    "loss": {
-        "action_ce": "1.0", "grid_ce": "1.0", "lambda_g": "0.1",
-        "focal": "1.0", "l1": "1.0",
-    },
-    "ppo": {
-        "clip": "0.2", "gamma": "0.99", "lam": "0.95", "value_weight": "0.5",
-        "entropy_weight": "0.01", "epochs": "4", "minibatch": "64",
-        "horizon": "512",
-    },
-    "pretrain": {
-        "tf_steps": "200000", "sf_steps": "200000", "ppo_steps": "400000",
-        "eps_start": "1.0", "eps_end": "0.0", "lr": "3e-4",
-        "reset_period": "10", "update_every": "64", "grouping": "joint",
-        "qa_fraction": "0.08", "mode": "hard",
-    },
-    "multitask": {
-        "tf_steps": "50000", "sf_steps": "50000", "eps_start": "1.0",
-        "eps_end": "0.6", "lr_high": "3e-4", "lr_sub": "3e-5",
-        "episodes_per_update": "2", "mode": "hard", "single_family": "",
-    },
-    "eval": {
-        "greedy": "true",
-    },
-    "runtime": {
-        "seed": "0",
-    },
+
+@dataclass
+class Pretrain(ScheduleConfig):
+    grouping: str = "joint"
+    qa_fraction: float = 0.08
+    mode: InteractionMode = InteractionMode.HARD
+
+
+@dataclass
+class Multitask(ScheduleConfig):
+    tf_steps: int = 50_000
+    sf_steps: int = 50_000
+    ppo_steps: int = 0
+    eps_end: float = 0.6
+    episodes_per_update: int = 2
+    mode: InteractionMode = InteractionMode.HARD
+    single_family: str = ""
+
+
+# the sections whose fields no module's dataclass holds
+Tasks = make_dataclass("Tasks", [("scale", int, 30), ("n_unseen", int, 2)])
+Eval = make_dataclass("Eval", [("greedy", bool, True)])
+Runtime = make_dataclass("Runtime", [("seed", int, 0)])
+
+
+# section -> (its dataclass, {field: its key where the names differ, or
+# None for a field that is no key}); [model] obs_size is [world]'s
+SECTIONS = {
+    "world": (WorldConfig, {}), "tasks": (Tasks, {}),
+    "model": (ModelConfig, {"obs_size": None}),
+    "rewards": (RewardConfig, {}), "loss": (LossWeights, {}),
+    "ppo": (PPOConfig, {}), "pretrain": (Pretrain, {"lr_sub": None}),
+    "multitask": (Multitask, {"lr": "lr_high", "ppo_steps": None,
+                              "reset_period": None, "update_every": None}),
+    "eval": (Eval, {}), "runtime": (Runtime, {}),
 }
+# section -> {field: default}, for every field that has one
+_DEFAULT_VALUES = {s: {f.name: f.default for f in fields(cls) if f.default is not MISSING}
+                   for s, (cls, _) in SECTIONS.items()}
+# section -> {key: field}
+KEYS = {s: {named.get(f, f): f for f in _DEFAULT_VALUES[s] if named.get(f, f)}
+        for s, (_, named) in SECTIONS.items()}
+
+
+def _text(value) -> str:
+    """A value as the INI file and the manifest spell it."""
+    if isinstance(value, Enum):
+        return value.value
+    return str(value).lower() if isinstance(value, bool) else str(value)
 
 
 @dataclass
 class RunConfig:
-    raw: configparser.ConfigParser
+    values: dict   # section -> {field: value}, the file's over the defaults
 
     def get(self, section, key, cast=str):
-        val = self.raw.get(section, key)
-        if cast is bool:
-            return val.strip().lower() in ("1", "true", "yes", "on")
-        return cast(val)
+        return cast(self.values[section][KEYS[section][key]])
 
-    # -- typed views ---------------------------------------------------------
+    def _view(self, cls, section, **given):
+        """`cls` filled from a section's values, `given` ones over them."""
+        values = {**self.values[section], **given}
+        return cls(**{f.name: values[f.name] for f in fields(cls)})
 
-    def world(self) -> WorldConfig:
-        g = self.get
-        return WorldConfig(
-            obs_size=g("world", "obs_size", int),
-            upsample=g("world", "upsample", int),
-            view_depth=g("world", "view_depth", int),
-            pitch_shift=g("world", "pitch_shift", int),
-            interaction_range=g("world", "interaction_range", float),
-            standard_box=g("world", "standard_box", int))
+    world = partialmethod(_view, WorldConfig, "world")
+    rewards = partialmethod(_view, RewardConfig, "rewards")
+    loss_weights = partialmethod(_view, LossWeights, "loss")
+    ppo = partialmethod(_view, PPOConfig, "ppo")
+    pretrain_schedule = partialmethod(_view, ScheduleConfig, "pretrain")
+    multitask_schedule = partialmethod(_view, ScheduleConfig, "multitask")
 
     def model(self, num_classes, vocab_size) -> ModelConfig:
-        g = self.get
-        return ModelConfig(
-            num_classes=num_classes, vocab_size=vocab_size,
-            obs_size=g("world", "obs_size", int),
-            d=g("model", "d", int), grid=g("model", "grid", int),
-            hidden=g("model", "hidden", int),
-            task_dim=g("model", "task_dim", int),
-            token_dim=g("model", "token_dim", int),
-            ctx_dim=g("model", "ctx_dim", int),
-            cond_dim=g("model", "cond_dim", int),
-            trunk_dim=g("model", "trunk_dim", int),
-            point_dim=g("model", "point_dim", int),
-            enc_mid=g("model", "enc_mid", int),
-            share_sub_encoder=g("model", "share_sub_encoder", bool))
-
-    def rewards(self) -> RewardConfig:
-        g = self.get
-        return RewardConfig(
-            weights=(g("rewards", "w_success", float),
-                     g("rewards", "w_visible", float),
-                     g("rewards", "w_act", float),
-                     g("rewards", "w_point", float)),
-            sigma_point=g("rewards", "sigma_point", float))
-
-    def loss_weights(self) -> LossWeights:
-        g = self.get
-        return LossWeights(
-            action_ce=g("loss", "action_ce", float),
-            grid_ce=g("loss", "grid_ce", float),
-            gaussian=g("loss", "lambda_g", float),
-            focal=g("loss", "focal", float),
-            l1=g("loss", "l1", float))
-
-    def ppo(self) -> PPOConfig:
-        g = self.get
-        return PPOConfig(
-            clip=g("ppo", "clip", float), gamma=g("ppo", "gamma", float),
-            lam=g("ppo", "lam", float),
-            value_weight=g("ppo", "value_weight", float),
-            entropy_weight=g("ppo", "entropy_weight", float),
-            epochs=g("ppo", "epochs", int),
-            minibatch=g("ppo", "minibatch", int),
-            horizon=g("ppo", "horizon", int))
-
-    def pretrain_schedule(self) -> ScheduleConfig:
-        g = self.get
-        return ScheduleConfig(
-            tf_steps=g("pretrain", "tf_steps", int),
-            sf_steps=g("pretrain", "sf_steps", int),
-            ppo_steps=g("pretrain", "ppo_steps", int),
-            eps_start=g("pretrain", "eps_start", float),
-            eps_end=g("pretrain", "eps_end", float),
-            lr=g("pretrain", "lr", float),
-            reset_period=g("pretrain", "reset_period", int),
-            update_every=g("pretrain", "update_every", int))
-
-    def multitask_schedule(self) -> ScheduleConfig:
-        g = self.get
-        return ScheduleConfig(
-            tf_steps=g("multitask", "tf_steps", int),
-            sf_steps=g("multitask", "sf_steps", int),
-            ppo_steps=0,
-            eps_start=g("multitask", "eps_start", float),
-            eps_end=g("multitask", "eps_end", float),
-            lr=g("multitask", "lr_high", float),
-            lr_sub=g("multitask", "lr_sub", float))
+        return self._view(ModelConfig, "model", num_classes=num_classes,
+                          vocab_size=vocab_size,
+                          obs_size=self.values["world"]["obs_size"])
 
     def mode(self, section) -> InteractionMode:
-        return (InteractionMode.HARD if self.get(section, "mode") == "hard"
-                else InteractionMode.STANDARD)
+        return self.values[section]["mode"]
 
     def to_dict(self) -> dict:
-        return {s: dict(self.raw.items(s)) for s in self.raw.sections()}
+        """{section: {key: text}} of the resolved values, for the manifest."""
+        return {s: {k: _text(self.values[s][f]) for k, f in keys.items()}
+                for s, keys in KEYS.items()}
+
+
+DEFAULTS = RunConfig(_DEFAULT_VALUES).to_dict()
 
 
 def load_config(path=None) -> RunConfig:
-    parser = configparser.ConfigParser()
-    parser.read_dict(DEFAULTS)
+    values = {s: dict(d) for s, d in _DEFAULT_VALUES.items()}
     if path is not None:
+        parser = configparser.ConfigParser()
         with open(path) as f:
             parser.read_file(f)
-    return RunConfig(raw=parser)
+        for section in parser.sections():
+            if section not in KEYS:
+                raise ValueError(f"{path}: unknown section [{section}]")
+            for key, text in parser.items(section):
+                if key not in KEYS[section]:
+                    raise ValueError(f"{path}: unknown key [{section}] {key}")
+                field = KEYS[section][key]
+                default = values[section][field]
+                try:
+                    values[section][field] = (parser.getboolean(section, key)
+                                              if isinstance(default, bool)
+                                              else type(default)(text))
+                except ValueError as e:
+                    raise ValueError(f"{path}: [{section}] {key}: {e}") from None
+    return RunConfig(values)
 
 
 def file_sha256(path) -> str:

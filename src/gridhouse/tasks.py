@@ -25,6 +25,14 @@ FAMILIES = ("SHIF", "LHIF", "IQA", "EXIN")
 # per-split step budgets; LHIF chains are long
 MAX_STEPS = {"SHIF": 100, "LHIF": 200, "IQA": 100, "EXIN": 100}
 
+# EXIN state-change task type -> (skill, attribute, start value, goal value)
+STATE_CHANGES = {
+    "toggleon": (Skill.ToggleOn, "power", Power.OFF, Power.ON),
+    "toggleoff": (Skill.ToggleOff, "power", Power.ON, Power.OFF),
+    "open": (Skill.Open, "openness", Openness.CLOSED, Openness.OPEN),
+    "close": (Skill.Close, "openness", Openness.OPEN, Openness.CLOSED),
+}
+
 
 class UnsatisfiableTemplate(RuntimeError):
     pass
@@ -562,16 +570,11 @@ def remaining_milestones(task: TaskInstance, state: WorldState) -> list:
                         + [(SubGoal(Skill.Open, state.obj(blocker).class_id), blocker)])
             return (_goto_if_needed(state, geom, iid)
                     + [(SubGoal(Skill.Slice, cls_id), iid)])
-        skill = {"toggleon": Skill.ToggleOn, "toggleoff": Skill.ToggleOff,
-                 "open": Skill.Open, "close": Skill.Close}[tt]
+        skill, attr, start, _goal = STATE_CHANGES[tt]
         if goal_satisfied(task.goal, state):
             return []
-        want = {Skill.ToggleOn: ("power", Power.OFF),
-                Skill.ToggleOff: ("power", Power.ON),
-                Skill.Open: ("openness", Openness.CLOSED),
-                Skill.Close: ("openness", Openness.OPEN)}[skill]
         iid = _single(state, cls_id,
-                      pred=lambda o: getattr(o, want[0]) is want[1], near_geom=geom)
+                      pred=lambda o: getattr(o, attr) is start, near_geom=geom)
         if iid is None:
             raise InfeasibleTask("no instance in the pre-goal state")
         return _goto_if_needed(state, geom, iid) + [(SubGoal(skill, cls_id), iid)]
@@ -883,19 +886,15 @@ def generate_task(family, task_type, form_index, scene_template, scene_seed,
                 goal = {"kind": "class_state", "cls": obj_cls,
                         "attr": "sliced", "value": True}
         else:
-            skill_map = {"toggleon": ("power", "off", "on"),
-                         "toggleoff": ("power", "on", "off"),
-                         "open": ("openness", "closed", "open"),
-                         "close": ("openness", "open", "closed")}
-            attr, start, want = skill_map[task_type]
+            _skill, attr, start, want = STATE_CHANGES[task_type]
             domain = _present_classes(
                 state, lambda c: (c.toggleable if attr == "power" else c.enclosed))
             obj_cls = _choice(rng, domain)
             bindings = {"obj": obj_cls}
             for o in state.instances_of(obj_cls):
-                ops.append(("set", o.instance_id, attr, start))
+                ops.append(("set", o.instance_id, attr, start.value))
             goal = {"kind": "class_state", "cls": obj_cls, "attr": attr,
-                    "value": want}
+                    "value": want.value}
 
     elif family == "LHIF":
         recep_cls = _choice(rng, fixed_receps)

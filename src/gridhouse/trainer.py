@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -46,8 +47,11 @@ class EmptyBuffer(ValueError):
 
 @dataclass
 class RewardConfig:
-    weights: tuple = (20.0, 1.0, 1.0, 0.5)   # success, visible, act, point
-    sigma_point: float = 1.0                 # cells; reward kernel width
+    w_success: float = 20.0
+    w_visible: float = 1.0
+    w_act: float = 1.0
+    w_point: float = 0.5
+    sigma_point: float = 1.0    # world cells; point-reward kernel width
 
 
 @dataclass
@@ -72,7 +76,7 @@ class PPOConfig:
 class LossWeights:
     action_ce: float = 1.0
     grid_ce: float = 1.0
-    gaussian: float = 0.1    # lambda_g on the offset log-likelihood
+    lambda_g: float = 0.1    # on the offset log-likelihood
     focal: float = 1.0
     l1: float = 1.0
 
@@ -88,7 +92,7 @@ class ScheduleConfig:
     lr_sub: float = 3e-5
     reset_period: int = 10
     update_every: int = 64
-    grad_clip: float = 0.5
+    grad_clip: ClassVar[float] = 0.5
 
 
 def epsilon_at(progress: float, start: float, end: float) -> float:
@@ -113,7 +117,6 @@ def compute_reward(state_after, action, point, subgoal, expert_step,
     point, so it adds at most w_point.
     """
     cfg = cfg or RewardConfig()
-    w = cfg.weights
     r_success = 1.0 if success else 0.0
     if target_visible is None:
         target_visible = False
@@ -130,10 +133,10 @@ def compute_reward(state_after, action, point, subgoal, expert_step,
     if interactive_skill and point is not None and expert_step.point is not None:
         d2 = ((point[0] - expert_step.point[0]) ** 2
               + (point[1] - expert_step.point[1]) ** 2)
-        cell_px = state_after.config.obs_size / 8.0
-        sigma = cfg.sigma_point * cell_px / 2.0  # one world cell ~ upsample px
+        sigma = cfg.sigma_point * state_after.config.upsample  # world cells to px
         r_point = math.exp(-d2 / (2.0 * sigma * sigma))
-    return w[0] * r_success + w[1] * r_visible + w[2] * r_act + w[3] * r_point
+    return (cfg.w_success * r_success + cfg.w_visible * r_visible
+            + cfg.w_act * r_act + cfg.w_point * r_point)
 
 
 # --------------------------------------------------------------------------
@@ -229,7 +232,7 @@ def _interact_loss(policy, samples, cfg: ModelConfig,
         nu_sel = T.gather(nu, (np.array(rows), slice(None), cells))
         deltas = np.array([samples[i].expert_delta for i in rows])
         ll = nn.gaussian_log_likelihood(deltas, mu_sel, nu_sel)
-        total = total + T.mul(ll, -weights.gaussian)
+        total = total + T.mul(ll, -weights.lambda_g)
     # auxiliary heatmap + offset losses over all visible object centers,
     # batched across the whole step batch
     heats = np.zeros((n, cfg.num_classes, cfg.grid, cfg.grid), dtype=T.DEFAULT_DTYPE)

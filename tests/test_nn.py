@@ -552,3 +552,17 @@ def test_checkpoint_of_another_agent_is_rejected_with_its_names(tmp_path, capsys
     assert "CheckpointMismatch" in capsys.readouterr().err
     assert main(argv + ["--ckpt", str(ckpt)]) == 1   # loads, then finds no test_seen split
     assert "split not found" in capsys.readouterr().err
+
+
+def test_cli_reports_a_missing_checkpoint(tmp_path, capsys):
+    from gridhouse.cli import main
+
+    none = str(tmp_path / "none.ckpt")
+    out, data = ["--out", str(tmp_path / "out")], ["--data", str(tmp_path)]
+    for argv in (["eval", *data, *out], ["eval-skills", *out]):
+        assert main(argv) == 1
+        assert main(argv + ["--ckpt", none]) == 1
+    assert main(["train", *data, *out, "--init", none]) == 1
+    given = "error: MissingCheckpoint: (no checkpoint given)"
+    missing = f"error: MissingCheckpoint: {none}"
+    assert capsys.readouterr().err.splitlines() == [given, missing, given, missing, missing]

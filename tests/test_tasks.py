@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -290,3 +293,51 @@ def test_tokenizer_and_vocab():
     for t in toks:
         assert t in vocab
     assert "diningtable" in vocab
+
+
+# --------------------------------------------------------------------------
+# golden task content
+
+
+def _task_content_digest():
+    """SHA-256 over every (family, task type, form) generated on two fixed
+    scenes, each with its expert replay, and over the content hashes of the
+    scale-3000 splits at seed 0."""
+    h = hashlib.sha256()
+
+    def put(*xs):
+        h.update(repr(xs).encode())
+
+    for family, types in TEMPLATES.items():
+        for task_type, forms in types.items():
+            for form in range(len(forms)):
+                for seed in (11, 12):
+                    template = TEMPLATES_ALL[(seed + form) % len(TEMPLATES_ALL)]
+                    put(family, task_type, form, seed)
+                    try:
+                        task = generate_task(family, task_type, form, template,
+                                             seed, np.random.default_rng(seed))
+                    except UnsatisfiableTemplate as e:
+                        put("unsatisfiable", str(e))
+                        continue
+                    put(json.dumps(task.to_json(), sort_keys=True))
+                    traj = run_expert_episode(task_initial_state(task, template),
+                                              remaining_fn(task),
+                                              max_steps=task.max_steps,
+                                              expected_answer=task.answer)
+                    for r in traj.steps:
+                        put(r.t, r.subgoal, r.action.name, r.point, r.success,
+                            r.reason, r.target, r.state_hash)
+                    put(traj.terminated, traj.answer)
+    for split in build_splits(TEMPLATES_ALL, counts=desk_split_counts(3000), seed=0):
+        put(split.name, split_content_hash(split))
+    return h.hexdigest()
+
+
+# Any change to task generation, expert milestones or split sampling moves
+# this digest; a change that means to must say so.
+TASK_CONTENT_SHA256 = "a0ff1fe65f36862b2065efa9787c117616db5c1d6c2c14441651547d2214ddf6"
+
+
+def test_task_content_is_bit_identical_to_the_golden_digest():
+    assert _task_content_digest() == TASK_CONTENT_SHA256

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -24,8 +25,8 @@ from gridhouse.trainer import (EpisodeBatch, LossWeights, PPOConfig,
                                group_by_family, multi_task_sample,
                                ppo_update, pretrain,
                                run_skill_episode, teacher_forcing_update)
-from gridhouse.world import (InteractionMode, PrimitiveAction, cached_render,
-                             randomize_scene)
+from gridhouse.world import (InteractionMode, PrimitiveAction, WorldConfig,
+                             cached_render, randomize_scene)
 
 from conftest import make_state
 
@@ -73,7 +74,7 @@ def test_reward_all_zero():
 def test_reward_point_kernel_decays():
     # the matching Pickup earns the act term too, so only the point term
     # above w_act decays with distance, and it is at most w_point
-    _, _, w_act, w_point = RewardConfig().weights
+    w_act, w_point = RewardConfig().w_act, RewardConfig().w_point
     state = randomize_scene(TEMPLATES[0], 0)
     ex = _expert(PrimitiveAction.Pickup, (10.0, 20.0))
 
@@ -87,6 +88,18 @@ def test_reward_point_kernel_decays():
     far = reward_at((20.0, 20.0))
     assert exact == w_act + w_point
     assert w_act < far < near < exact
+
+
+def test_reward_point_kernel_is_one_world_cell_wide():
+    # sigma_point is in world cells, `upsample` observation px each, at any
+    # frame size: an offset of one cell at sigma_point 1 is one sigma
+    state = randomize_scene(TEMPLATES[0], 0, config=WorldConfig(obs_size=48, upsample=2))
+    ex = _expert(PrimitiveAction.Pickup, (10.0, 20.0))
+    cfg = RewardConfig(sigma_point=1.0)
+    r = compute_reward(state, PrimitiveAction.MoveAhead, (12.0, 20.0),
+                       SubGoal(Skill.Pickup, 13), ex, success=False, cfg=cfg,
+                       target_visible=False)
+    assert r == cfg.w_point * math.exp(-0.5)
 
 
 def test_epsilon_linear_exact():
