@@ -1,8 +1,7 @@
 """Object class registry: names, interaction flags, placement rules.
 
 Class ids index [0, C).  The desk registry is the curated set the built-in
-scenes use; the full registry carries 110 household classes so the
-sub-goal space matches the full-scale configuration (8*C + 2).
+scenes use.
 """
 
 from __future__ import annotations
@@ -110,32 +109,4 @@ def desk_registry() -> ClassRegistry:
         ObjectClassDef("Cloth", pickupable=True, can_dirty=True,
                        placements=("Sink", "CounterTop", "Shelf", "Drawer", "SideTable")),
     ]
-    return ClassRegistry(defs)
-
-
-_FULL_EXTRA = [
-    # remaining household classes to reach the full 110-way object vocabulary
-    "AlarmClock", "ArmChair", "BaseballBat", "BasketBall", "Bathtub",
-    "BathtubBasin", "Bed", "Blinds", "Boots", "Box", "Candle", "Cart", "CD",
-    "Chair", "CoffeeMachine", "Curtains", "Desk", "DishSponge", "Dresser",
-    "Footstool", "GlassBottle", "HandTowel", "HandTowelHolder", "HousePlant",
-    "Kettle", "KeyChain", "Ladle", "Laptop", "LaundryHamper",
-    "LaundryHamperLid", "LightSwitch", "Mirror", "Newspaper", "Ottoman",
-    "Painting", "Pan", "PaperTowelRoll", "Pen", "PepperShaker", "Pillow",
-    "Plunger", "Poster", "Pot", "RemoteControl", "Safe", "SaltShaker",
-    "ScrubBrush", "ShowerDoor", "ShowerGlass", "SoapBottle", "Sofa",
-    "Spatula", "SprayBottle", "Statue", "StoveBurner", "StoveKnob",
-    "TeddyBear", "Television", "TennisRacket", "TissueBox", "Toaster",
-    "Toilet", "ToiletPaper", "ToiletPaperHanger", "Towel", "TowelHolder",
-    "TVStand", "Vase", "Watch", "WateringCan", "Window", "WineBottle",
-    "Safe2", "WallShelf", "OvenTray", "CuttingBoard", "Colander",
-]
-
-
-def full_registry() -> ClassRegistry:
-    """110-class configuration matching the full-scale object vocabulary."""
-    defs = list(desk_registry().defs)
-    need = 110 - len(defs)
-    for name in _FULL_EXTRA[:need]:
-        defs.append(ObjectClassDef(name, pickupable=True, placements=_DESK_SPOTS))
     return ClassRegistry(defs)

@@ -116,7 +116,11 @@ def load_config(path=None) -> RunConfig:
     if path is not None:
         parser = configparser.ConfigParser()
         with open(path) as f:
-            parser.read_file(f)
+            try:
+                parser.read_file(f)
+            except configparser.Error as e:
+                # a missing section header reports over several lines
+                raise ValueError(f"{path}: {e}".replace("\n", " ")) from None
         for section in parser.sections():
             if section not in KEYS:
                 raise ValueError(f"{path}: unknown section [{section}]")

@@ -64,10 +64,10 @@ class MetricsTable:
         return header + row
 
 
-def evaluate(agent, split, templates_by_id, vocab, mode=InteractionMode.HARD,
-             greedy=True, registry=None, config=None, seed=0,
+def evaluate(agent, split, templates_by_id, vocab, mode=InteractionMode.HARD, *,
+             greedy, registry=None, config=None, seed=0,
              results=None) -> MetricsTable:
-    """Run every episode of a split with greedy decoding by default."""
+    """Run every episode of a split, decoding greedily or by sampling."""
     episodes = split.episodes if hasattr(split, "episodes") else list(split)
     if not episodes:
         raise EmptySplit("refusing to report rates over zero episodes")

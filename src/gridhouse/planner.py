@@ -91,18 +91,6 @@ def shortest_path_to_instance(state: WorldState, instance_id,
     return _bfs(state, geom, cells) + [PrimitiveAction.Done]
 
 
-def shortest_path(state: WorldState, target_class, geom=None) -> list[PrimitiveAction]:
-    """Minimal action sequence ending with some instance of the class
-    visible and in interaction range, terminated by Done."""
-    geom = geom or build_geometry(state)
-    cells = []
-    for o in state.instances_of(target_class):
-        cells.extend(geom.display_cells.get(o.instance_id, []))
-    if not cells:
-        raise Unreachable(f"no displayed instance of class {target_class}")
-    return _bfs(state, geom, cells) + [PrimitiveAction.Done]
-
-
 # --------------------------------------------------------------------------
 # target selection and expert points
 
@@ -201,18 +189,6 @@ def _script_step(state, geom, obs, subgoal, target_iid, mode, store=None):
     return (SKILL_PRIMITIVE[subgoal.skill], expert_point(state, obs, target_iid, mode))
 
 
-def expert_action(state: WorldState, subgoal: SubGoal,
-                  mode: InteractionMode = InteractionMode.HARD,
-                  geom=None, obs=None):
-    """Next expert primitive and ground-truth point for a sub-goal."""
-    geom = geom or cached_geometry(state)
-    obs = obs or cached_render(state)
-    if subgoal.skill in (Skill.Answer, Skill.End):
-        return (PrimitiveAction.Done, None)
-    target = select_target(state, geom, subgoal)
-    return _script_step(state, geom, obs, subgoal, target, mode)
-
-
 # --------------------------------------------------------------------------
 # plans and recovery
 
@@ -251,23 +227,13 @@ def _restitution_receptacle(state, effect, pending_classes):
     """Where to put back a wrongly picked object: its previous container,
     else the nearest free receptacle whose class the remaining plan does
     not need (so restitution never eats capacity the task requires)."""
-    if effect.prior_container is not None and state.has(effect.prior_container):
-        prior = state.obj(effect.prior_container)
-        ok = len(state.contents_of(prior.instance_id)) < W.capacity(prior)
-        if prior.is_receptacle and ok:
-            if not (state.cls(prior).enclosed and prior.openness is not Openness.OPEN):
-                return prior.instance_id
+    prior = effect.prior_container
+    if prior is not None and state.has(prior) and W.has_room(state, state.obj(prior)):
+        return prior
     geom = cached_geometry(state)
-    cands = []
-    for o in state.objects:
-        if not o.is_receptacle or o.anchor is None:
-            continue
-        if state.cls(o).enclosed and o.openness is not Openness.OPEN:
-            continue
-        if len(state.contents_of(o.instance_id)) >= W.capacity(o):
-            continue
-        cands.append((o.class_id in pending_classes,
-                      instance_distance(state, geom, o.instance_id), o.instance_id))
+    cands = [(o.class_id in pending_classes,
+              instance_distance(state, geom, o.instance_id), o.instance_id)
+             for o in W.free_fixtures(state)]
     if not cands:
         raise Irrecoverable("nowhere to return the wrongly picked object")
     return min(cands)[2]

@@ -128,10 +128,3 @@ def builtin_templates() -> list[dict]:
         {"class": "SideTable", "pos": [4, 5]},
     ])
     return [a, b, c, d, e, f]
-
-
-def template_by_id(template_id: str) -> dict:
-    for t in builtin_templates():
-        if t["template_id"] == template_id:
-            return t
-    raise KeyError(template_id)

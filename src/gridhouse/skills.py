@@ -59,11 +59,6 @@ class SubGoal:
             raise ValueError(f"{self.skill.name} requires a target object class")
 
 
-def joint_space_size(num_classes: int) -> int:
-    """Skills with objects times C, plus the two object-free skills."""
-    return (len(Skill) - len(NO_OBJECT_SKILLS)) * num_classes + len(NO_OBJECT_SKILLS)
-
-
 # --------------------------------------------------------------------------
 # success predicates
 
@@ -162,12 +157,6 @@ def _teleport_poses(state, geom, target_iid):
     return out
 
 
-def _hold(state, iid):
-    obj = state.obj(iid)
-    new = state.with_object(replace(obj, anchor=None, container=None))
-    return replace(new, agent=replace(new.agent, held=iid))
-
-
 def _feasible_pairs(state, geom):
     """(skill, class_id, target_iid) candidates before teleports/preconditions."""
     reg = state.registry
@@ -252,7 +241,7 @@ def _build_episode(state, geom, rng, skill, cls_id, iid):
         if not choices:
             return None
         pick = choices[int(rng.integers(len(choices)))]
-        s = _hold(s, pick.instance_id)
+        s = W.hold(s, pick.instance_id)
         pre.append(("held", pick.instance_id))
         if reg[target.class_id].enclosed and s.obj(iid).openness is not Openness.OPEN:
             s = s.with_object(replace(s.obj(iid), openness=Openness.OPEN))
@@ -267,7 +256,7 @@ def _build_episode(state, geom, rng, skill, cls_id, iid):
         if not slicers:
             return None
         knife = slicers[int(rng.integers(len(slicers)))]
-        s = _hold(s, knife.instance_id)
+        s = W.hold(s, knife.instance_id)
         pre.append(("held", knife.instance_id))
 
     geom2 = build_geometry(s)
@@ -304,17 +293,12 @@ def _build_episode(state, geom, rng, skill, cls_id, iid):
 
 
 def _drop_to_any_receptacle(state, iid):
-    for r in state.objects:
-        if not r.is_receptacle or r.anchor is None:
-            continue
-        if state.cls(r).enclosed and r.openness is not Openness.OPEN:
-            continue
-        if len(state.contents_of(r.instance_id)) >= W.capacity(r):
-            continue
-        new = state.with_object(replace(state.obj(iid), anchor=None,
-                                        container=r.instance_id))
-        return replace(new, agent=replace(new.agent, held=None))
-    return None
+    free = W.free_fixtures(state)
+    if not free:
+        return None
+    new = state.with_object(replace(state.obj(iid), anchor=None,
+                                    container=free[0].instance_id))
+    return replace(new, agent=replace(new.agent, held=None))
 
 
 # --------------------------------------------------------------------------

@@ -4,6 +4,10 @@ Four families: short-horizon instruction following (SHIF), long-horizon
 instruction following (LHIF), interactive question answering (IQA) and
 exploratory interaction (EXIN).  Episodes are fully regenerable from
 (scene template, seed, overrides); goals are small serializable dicts.
+The per-task-type facts are two tables: `STATE_CHANGES` for the EXIN
+state changes and `TREATMENTS` for the SHIF treatments and their LHIF
+`<treatment>_place` types.  Episode generation and the expert's
+milestones both read them.
 """
 
 from __future__ import annotations
@@ -31,6 +35,14 @@ STATE_CHANGES = {
     "toggleoff": (Skill.ToggleOff, "power", Power.ON, Power.OFF),
     "open": (Skill.Open, "openness", Openness.CLOSED, Openness.OPEN),
     "close": (Skill.Close, "openness", Openness.OPEN, Openness.CLOSED),
+}
+
+# SHIF task type, and LHIF `<type>_place` -> (appliance, attribute, start
+# value, goal value, switch turned off at the start)
+TREATMENTS = {
+    "clean": ("Sink", "cleanliness", Cleanliness.DIRTY, Cleanliness.CLEAN, "Faucet"),
+    "heat": ("Microwave", "temperature", Temperature.ROOM, Temperature.HOT, "Microwave"),
+    "cool": ("Fridge", "temperature", Temperature.ROOM, Temperature.COLD, None),
 }
 
 
@@ -167,17 +179,11 @@ def _free_receptacle(state, exclude_classes=(), exclude_iids=()):
     """Deterministic relocation target: roomy plain surfaces first, task
     machinery (sinks, fridges, microwaves) only as a last resort."""
     cands = []
-    for o in sorted(state.objects, key=lambda o: o.instance_id):
-        if not o.is_receptacle or o.anchor is None:
-            continue
+    for o in W.free_fixtures(state):
         if o.class_id in exclude_classes or o.instance_id in exclude_iids:
             continue
         cls = state.cls(o)
-        if cls.enclosed and o.openness is not Openness.OPEN:
-            continue
         free = W.capacity(o) - len(state.contents_of(o.instance_id))
-        if free <= 0:
-            continue
         machinery = cls.sink_basin or cls.heats or cls.cools
         cands.append((machinery, -free, o.instance_id))
     if not cands:
@@ -190,10 +196,7 @@ def apply_overrides(state: WorldState, ops) -> WorldState:
     for op in ops:
         kind = op[0]
         if kind == "hold":
-            _, iid = op
-            obj = state.obj(iid)
-            state = state.with_object(replace(obj, anchor=None, container=None))
-            state = replace(state, agent=replace(state.agent, held=iid))
+            state = W.hold(state, op[1])
         elif kind == "set":
             _, iid, attr, value = op
             enum_map = {"openness": Openness, "power": Power,
@@ -259,13 +262,14 @@ def _inside_class(state, obj, recep_cls, require=None):
     return False
 
 
+def _value(obj, attr):
+    """An attribute as goals and answers spell it: an enum's value."""
+    actual = getattr(obj, attr)
+    return actual.value if hasattr(actual, "value") else actual
+
+
 def _attrs_match(obj, require):
-    for attr, value in require.items():
-        actual = getattr(obj, attr)
-        actual = actual.value if hasattr(actual, "value") else actual
-        if actual != value:
-            return False
-    return True
+    return all(_value(obj, attr) == value for attr, value in require.items())
 
 
 def goal_satisfied(goal: dict, state: WorldState, answer=None) -> bool:
@@ -293,13 +297,8 @@ def goal_satisfied(goal: dict, state: WorldState, answer=None) -> bool:
     if kind == "any_container":
         return any(o.container is not None for o in state.instances_of(goal["obj"]))
     if kind == "class_state":
-        want = goal["value"]
-        for o in state.instances_of(goal["cls"]):
-            actual = getattr(o, goal["attr"])
-            actual = actual.value if hasattr(actual, "value") else actual
-            if actual == want:
-                return True
-        return False
+        return any(_value(o, goal["attr"]) == goal["value"]
+                   for o in state.instances_of(goal["cls"]))
     if kind == "held_and_on":
         held = state.held_object()
         if held is None or held.class_id != goal["obj"]:
@@ -335,41 +334,56 @@ def _goto_if_needed(state, geom, iid):
     return [(SubGoal(Skill.GoTo, state.obj(iid).class_id), iid)]
 
 
-def _top_closed_container(state, geom, iid):
+def _open_blocker(state, geom, iid):
+    """GoTo + Open of the innermost closed container hiding `iid`; None
+    when no closed container holds it."""
     for cur in W.ancestors(state, iid):
         holder = state.obj(cur)
         if state.cls(holder).enclosed and holder.openness is Openness.CLOSED:
-            return cur
+            return (_goto_if_needed(state, geom, cur)
+                    + [(SubGoal(Skill.Open, holder.class_id), cur)])
     return None
 
 
+def _retrieve_from(state, geom, iid):
+    """Open the container hiding `iid` if needed, then pick it up."""
+    return _open_blocker(state, geom, iid) or (
+        _goto_if_needed(state, geom, iid)
+        + [(SubGoal(Skill.Pickup, state.obj(iid).class_id), iid)])
+
+
 def _acquire(state, geom, iid):
-    """Milestones making `iid` held: reveal, go to, pick up."""
+    """Milestones making `iid` held: free the hands, reveal, go to, pick up."""
     if state.agent.held == iid:
         return []
     if state.agent.held is not None:
-        # hands busy with something else: free them first
-        held = state.obj(state.agent.held)
-        dest = _free_receptacle(state)
-        if dest is None:
-            raise InfeasibleTask("no receptacle frees the hands")
-        dobj = state.obj(dest)
-        return _goto_if_needed(state, geom, dest) + [(SubGoal(Skill.Put, dobj.class_id), dest)]
-    blocker = _top_closed_container(state, geom, iid)
-    if blocker is not None:
-        return (_goto_if_needed(state, geom, blocker)
-                + [(SubGoal(Skill.Open, state.obj(blocker).class_id), blocker)])
-    return (_goto_if_needed(state, geom, iid)
-            + [(SubGoal(Skill.Pickup, state.obj(iid).class_id), iid)])
+        return _free_hands(state, geom)
+    return _retrieve_from(state, geom, iid)
+
+
+def _with_pickup(fetch, state, geom, iid):
+    """`fetch`'s milestones for `iid` projected on to its Pickup: a head
+    that opens a container or frees the hands is followed by it."""
+    steps = fetch(state, geom, iid)
+    if not steps or steps[-1][0].skill is not Skill.Pickup:
+        steps = steps + [(SubGoal(Skill.Pickup, state.obj(iid).class_id), iid)]
+    return steps
+
+
+def _free_hands(state, geom):
+    """Milestones putting the held object on a free receptacle."""
+    dest = _free_receptacle(state)
+    if dest is None:
+        raise InfeasibleTask("no receptacle frees the hands")
+    return _deposit(state, geom, dest)
 
 
 def _deposit(state, geom, recep_iid):
     """Milestones putting the held object into `recep_iid`."""
-    recep = state.obj(recep_iid)
-    blocker = _top_closed_container(state, geom, recep_iid)
+    blocker = _open_blocker(state, geom, recep_iid)
     if blocker is not None:
-        return (_goto_if_needed(state, geom, blocker)
-                + [(SubGoal(Skill.Open, state.obj(blocker).class_id), blocker)])
+        return blocker
+    recep = state.obj(recep_iid)
     steps = _goto_if_needed(state, geom, recep_iid)
     if state.cls(recep).enclosed and recep.openness is not Openness.OPEN:
         steps.append((SubGoal(Skill.Open, recep.class_id), recep_iid))
@@ -396,116 +410,65 @@ def _fixture(state, cls_id):
     return iid
 
 
-def _retrieve_from(state, geom, target_iid):
-    """Open the container if needed, then pick the target back up."""
-    blocker = _top_closed_container(state, geom, target_iid)
-    if blocker is not None:
-        return (_goto_if_needed(state, geom, blocker)
-                + [(SubGoal(Skill.Open, state.obj(blocker).class_id), blocker)])
-    return (_goto_if_needed(state, geom, target_iid)
-            + [(SubGoal(Skill.Pickup, state.obj(target_iid).class_id), target_iid)])
+def _switch_off(state, geom, kind):
+    """GoTo + ToggleOff of a running switch of the treatment that is not
+    its appliance (the faucet); [] when none runs."""
+    appliance, _attr, _start, _goal, switch = TREATMENTS[kind]
+    if switch in (None, appliance):
+        return []
+    sid = state.registry.id_of(switch)
+    iid = _single(state, sid, pred=lambda o: o.power is Power.ON)
+    if iid is None:
+        return []
+    return _goto_if_needed(state, geom, iid) + [(SubGoal(Skill.ToggleOff, sid), iid)]
 
 
 def _treatment_remaining(state, geom, target_iid, kind):
-    """Milestones giving the target instance the clean/hot/cold attribute
+    """Milestones giving the target instance the treatment's goal value
     and ending with it back in hand.
 
     The head milestone is exact; the tail projects the nominal remaining
     chain (recomputed as the episode advances, so later GoTo insertions
     stay dynamic)."""
+    appliance, attr, _start, goal, switch = TREATMENTS[kind]
     reg = state.registry
     target = state.obj(target_iid)
-    obj_cls = target.class_id
-    done = {
-        "clean": target.cleanliness is Cleanliness.CLEAN,
-        "heat": target.temperature is Temperature.HOT,
-        "cool": target.temperature is Temperature.COLD,
-    }[kind]
-    pick_tail = [(SubGoal(Skill.Pickup, obj_cls), target_iid)]
-    if done:
-        faucet_off = []
-        if kind == "clean":
-            fid = _single(state, reg.id_of("Faucet"),
-                          pred=lambda o: o.power is Power.ON)
-            if fid is not None:
-                faucet_off = (_goto_if_needed(state, geom, fid)
-                              + [(SubGoal(Skill.ToggleOff, reg.id_of("Faucet")), fid)])
+    if getattr(target, attr) is goal:
+        steps = _switch_off(state, geom, kind)
         if state.agent.held == target_iid:
-            return faucet_off
-        return faucet_off + _retrieve_from_full(state, geom, target_iid)
-
-    if kind == "clean":
-        sink = _fixture(state, reg.id_of("Sink"))
-        faucet = _fixture(state, reg.id_of("Faucet"))
-        fcls = reg.id_of("Faucet")
-        wash_tail = [(SubGoal(Skill.ToggleOn, fcls), faucet),
-                     (SubGoal(Skill.ToggleOff, fcls), faucet)]
-        if target.container == sink:
-            fobj = state.obj(faucet)
-            steps = _goto_if_needed(state, geom, faucet)
-            if fobj.power is Power.OFF:
-                steps.append((SubGoal(Skill.ToggleOn, fcls), faucet))
-                steps.append((SubGoal(Skill.ToggleOff, fcls), faucet))
-            return steps + pick_tail
-        if state.agent.held == target_iid:
-            return _deposit(state, geom, sink) + wash_tail + pick_tail
-        return _acquire(state, geom, target_iid) +             [(SubGoal(Skill.Put, reg.id_of("Sink")), sink)] + wash_tail + pick_tail
-
-    appl_cls = "Microwave" if kind == "heat" else "Fridge"
-    acid = reg.id_of(appl_cls)
+            return steps
+        return steps + _with_pickup(_retrieve_from, state, geom, target_iid)
+    acid = reg.id_of(appliance)
     appl = _fixture(state, acid)
-    inside = _inside_class(state, target, acid)
-    retrieve_tail = [(SubGoal(Skill.Open, acid), appl)] + pick_tail
-    if kind == "heat":
-        cycle_tail = [(SubGoal(Skill.ToggleOn, acid), appl),
-                      (SubGoal(Skill.ToggleOff, acid), appl)] + retrieve_tail
+    # the appliance's cycle once the target is in it, ending with its Pickup
+    if switch is None:
+        cycle = [(SubGoal(Skill.Close, acid), appl)]
     else:
-        cycle_tail = [(SubGoal(Skill.Close, acid), appl)] + retrieve_tail
-    if inside:
+        sid = reg.id_of(switch)
+        sw = _fixture(state, sid)
+        cycle = [(SubGoal(Skill.ToggleOn, sid), sw), (SubGoal(Skill.ToggleOff, sid), sw)]
+    if reg[acid].enclosed:
+        cycle.append((SubGoal(Skill.Open, acid), appl))
+    pick = [(SubGoal(Skill.Pickup, target.class_id), target_iid)]
+    cycle += pick
+    if kind == "clean" and target.container == appl:
+        return _goto_if_needed(state, geom, sw) + (
+            cycle if state.obj(sw).power is Power.OFF else pick)
+    if kind != "clean" and _inside_class(state, target, acid):
+        a = state.obj(appl)
         if kind == "heat":
-            return (_goto_if_needed(state, geom, appl)
-                    + _heat_tail_after(state, appl, acid, pick_tail))
-        fridge = state.obj(appl)
-        if fridge.openness is Openness.OPEN:
-            return (_goto_if_needed(state, geom, appl)
-                    + [(SubGoal(Skill.Close, acid), appl)] + retrieve_tail)
-        # closed fridge: cooling lands on the next successful step, so
-        # retrieving the target is enough
-        return _retrieve_from_full(state, geom, target_iid)
+            if a.power is Power.ON:
+                cycle = cycle[1:]
+            elif a.openness is Openness.OPEN:
+                cycle = [(SubGoal(Skill.Close, acid), appl)] + cycle
+        elif a.openness is not Openness.OPEN:
+            # closed fridge: cooling lands on the next successful step, so
+            # retrieving the target is enough
+            return _with_pickup(_retrieve_from, state, geom, target_iid)
+        return _goto_if_needed(state, geom, appl) + cycle
     if state.agent.held == target_iid:
-        return _deposit(state, geom, appl) + cycle_tail
-    return _acquire(state, geom, target_iid) +         [(SubGoal(Skill.Put, acid), appl)] + cycle_tail
-
-
-def _heat_tail_after(state, appl, acid, pick_tail):
-    """Projected rest of the heating cycle given the appliance's state."""
-    a = state.obj(appl)
-    tail = []
-    if a.power is Power.ON:
-        tail.append((SubGoal(Skill.ToggleOff, acid), appl))
-    else:
-        if a.openness is Openness.OPEN:
-            tail.append((SubGoal(Skill.Close, acid), appl))
-        tail.append((SubGoal(Skill.ToggleOn, acid), appl))
-        tail.append((SubGoal(Skill.ToggleOff, acid), appl))
-    tail.append((SubGoal(Skill.Open, acid), appl))
-    return tail + pick_tail
-
-
-def _acquire_full(state, geom, iid):
-    steps = _acquire(state, geom, iid)
-    if not steps or steps[-1][0].skill is not Skill.Pickup:
-        steps = steps + [(SubGoal(Skill.Pickup, state.obj(iid).class_id), iid)]
-    return steps
-
-
-def _retrieve_from_full(state, geom, target_iid):
-    """_retrieve_from plus the projected Pickup when blocked."""
-    steps = _retrieve_from(state, geom, target_iid)
-    if steps and steps[-1][0].skill is Skill.Open:
-        steps = steps + [(SubGoal(Skill.Pickup, state.obj(target_iid).class_id),
-                          target_iid)]
-    return steps
+        return _deposit(state, geom, appl) + cycle
+    return _acquire(state, geom, target_iid) + [(SubGoal(Skill.Put, acid), appl)] + cycle
 
 
 def remaining_milestones(task: TaskInstance, state: WorldState) -> list:
@@ -530,30 +493,22 @@ def remaining_milestones(task: TaskInstance, state: WorldState) -> list:
             steps = _goto_if_needed(state, geom, t_iid)
         return steps + [(SubGoal(Skill.Answer), None)]
 
+    if fam == "SHIF":
+        return _treatment_remaining(state, geom, task.target_iid, tt)
+
+    if goal_satisfied(task.goal, state):
+        return []
+
     if fam == "EXIN":
         cls_id = b["obj"]
         if tt == "pickup":
-            if goal_satisfied(task.goal, state):
-                return []
             iid = _single(state, cls_id, near_geom=geom)
-            return _acquire_full(state, geom, iid)
+            return _with_pickup(_acquire, state, geom, iid)
         if tt == "put":
-            if goal_satisfied(task.goal, state):
-                return []
-            held = state.agent.held
-            iid = _single(state, cls_id, near_geom=geom)
-            if held != iid and held is not None:
-                dest = _free_receptacle(state)
-                return _deposit(state, geom, dest)
-            if held is None:
-                return _acquire(state, geom, iid)
-            dest = _free_receptacle(state)
-            if dest is None:
-                raise InfeasibleTask("no receptacle accepts the object")
-            return _deposit(state, geom, dest)
+            if state.agent.held is None:
+                return _acquire(state, geom, _single(state, cls_id, near_geom=geom))
+            return _free_hands(state, geom)
         if tt == "slice":
-            if goal_satisfied(task.goal, state):
-                return []
             iid = _single(state, cls_id, pred=lambda o: not o.sliced, near_geom=geom)
             if iid is None:
                 raise InfeasibleTask("nothing left to slice")
@@ -564,116 +519,68 @@ def remaining_milestones(task: TaskInstance, state: WorldState) -> list:
                 if knife is None:
                     raise InfeasibleTask("no slicer available")
                 return _acquire(state, geom, knife)
-            blocker = _top_closed_container(state, geom, iid)
-            if blocker is not None:
-                return (_goto_if_needed(state, geom, blocker)
-                        + [(SubGoal(Skill.Open, state.obj(blocker).class_id), blocker)])
-            return (_goto_if_needed(state, geom, iid)
-                    + [(SubGoal(Skill.Slice, cls_id), iid)])
+            return _open_blocker(state, geom, iid) or (
+                _goto_if_needed(state, geom, iid) + [(SubGoal(Skill.Slice, cls_id), iid)])
         skill, attr, start, _goal = STATE_CHANGES[tt]
-        if goal_satisfied(task.goal, state):
-            return []
         iid = _single(state, cls_id,
                       pred=lambda o: getattr(o, attr) is start, near_geom=geom)
         if iid is None:
             raise InfeasibleTask("no instance in the pre-goal state")
         return _goto_if_needed(state, geom, iid) + [(SubGoal(skill, cls_id), iid)]
 
-    if fam == "SHIF":
-        return _treatment_remaining(state, geom, task.target_iid, tt)
-
     # LHIF
     obj_cls, recep_cls = b.get("obj"), b.get("recep")
-    if tt == "pick_place":
-        if goal_satisfied(task.goal, state):
-            return []
+    kind = tt.removesuffix("_place")
+    if tt in ("pick_place", "pick_two"):
         recep = _fixture(state, recep_cls)
-        if state.agent.held is not None and \
-                state.obj(state.agent.held).class_id == obj_cls:
-            return _deposit(state, geom, recep)
-        iid = _single(state, obj_cls,
-                      pred=lambda o: not _inside_class(state, o, recep_cls),
-                      near_geom=geom)
-        return _acquire_full(state, geom, iid) + \
-            [(SubGoal(Skill.Put, recep_cls), recep)]
-    if tt in ("clean_place", "heat_place", "cool_place"):
-        kind = tt.split("_")[0]
-        require = {"clean_place": ("cleanliness", Cleanliness.CLEAN),
-                   "heat_place": ("temperature", Temperature.HOT),
-                   "cool_place": ("temperature", Temperature.COLD)}[tt]
-        if goal_satisfied(task.goal, state):
-            return []
-        t_iid = task.target_iid
-        target = state.obj(t_iid)
-        treated = getattr(target, require[0]) is require[1]
-        if not treated:
-            return _treatment_remaining(state, geom, t_iid, kind)
-        faucet_cls = state.registry.id_of("Faucet")
-        if kind == "clean":
-            fid = _single(state, faucet_cls, pred=lambda o: o.power is Power.ON)
-            if fid is not None:
-                return (_goto_if_needed(state, geom, fid)
-                        + [(SubGoal(Skill.ToggleOff, faucet_cls), fid)])
-        recep = _fixture(state, recep_cls)
-        if state.agent.held == t_iid:
-            return _deposit(state, geom, recep)
-        return _retrieve_from_full(state, geom, t_iid) + \
-            [(SubGoal(Skill.Put, recep_cls), recep)]
-    if tt == "pick_two":
-        placed = sum(1 for o in state.instances_of(obj_cls)
-                     if _inside_class(state, o, recep_cls))
-        if placed >= 2:
-            return []
-        recep = _fixture(state, recep_cls)
-        if state.agent.held is not None and \
-                state.obj(state.agent.held).class_id == obj_cls:
+        held = state.held_object()
+        if held is not None and held.class_id == obj_cls:
             return _deposit(state, geom, recep)
         iid = _single(state, obj_cls,
                       pred=lambda o: not _inside_class(state, o, recep_cls),
                       near_geom=geom)
         if iid is None:
             raise InfeasibleTask("not enough instances to place")
-        return _acquire_full(state, geom, iid) + \
+        return _with_pickup(_acquire, state, geom, iid) + \
+            [(SubGoal(Skill.Put, recep_cls), recep)]
+    if kind in TREATMENTS:
+        _appliance, attr, _start, goal, _switch = TREATMENTS[kind]
+        t_iid = task.target_iid
+        if getattr(state.obj(t_iid), attr) is not goal:
+            return _treatment_remaining(state, geom, t_iid, kind)
+        steps = _switch_off(state, geom, kind)
+        if steps:
+            return steps
+        recep = _fixture(state, recep_cls)
+        if state.agent.held == t_iid:
+            return _deposit(state, geom, recep)
+        return _with_pickup(_retrieve_from, state, geom, t_iid) + \
             [(SubGoal(Skill.Put, recep_cls), recep)]
     if tt == "examine":
         toggle_cls = b["toggle"]
-        if goal_satisfied(task.goal, state):
-            return []
+        lamp = _single(state, toggle_cls, pred=lambda o: o.power is Power.OFF,
+                       near_geom=geom)
+        switch_on = [] if lamp is None else [(SubGoal(Skill.ToggleOn, toggle_cls), lamp)]
         held = state.held_object()
         if held is None or held.class_id != obj_cls:
             iid = _single(state, obj_cls, near_geom=geom)
-            lamp0 = _single(state, toggle_cls,
-                            pred=lambda o: o.power is Power.OFF, near_geom=geom)
-            tail = [] if lamp0 is None else [(SubGoal(Skill.ToggleOn, toggle_cls), lamp0)]
-            return _acquire_full(state, geom, iid) + tail
-        lamp = _single(state, toggle_cls, pred=lambda o: o.power is Power.OFF,
-                       near_geom=geom)
+            return _with_pickup(_acquire, state, geom, iid) + switch_on
         if lamp is None:
             raise InfeasibleTask("no lamp to switch on")
-        return _goto_if_needed(state, geom, lamp) + [(SubGoal(Skill.ToggleOn, toggle_cls), lamp)]
+        return _goto_if_needed(state, geom, lamp) + switch_on
     if tt == "stack_place":
-        mrecep_cls = b["mrecep"]
-        if goal_satisfied(task.goal, state):
-            return []
-        m_iid = task.bindings.get("mrecep_iid")
-        t_iid = task.target_iid
-        target = state.obj(t_iid)
-        in_mrecep = target.container == m_iid
-        mrecep = state.obj(m_iid)
+        mrecep_cls, m_iid, t_iid = b["mrecep"], b["mrecep_iid"], task.target_iid
         recep = _fixture(state, recep_cls)
-        chain_tail = [(SubGoal(Skill.Pickup, mrecep_cls), m_iid),
-                      (SubGoal(Skill.Put, recep_cls), recep)]
-        if not in_mrecep:
+        to_recep = [(SubGoal(Skill.Put, recep_cls), recep)]
+        if state.obj(t_iid).container != m_iid:
+            chain_tail = [(SubGoal(Skill.Pickup, mrecep_cls), m_iid)] + to_recep
             if state.agent.held == t_iid:
                 return _deposit(state, geom, m_iid) + chain_tail
-            return _acquire_full(state, geom, t_iid) + \
+            return _with_pickup(_acquire, state, geom, t_iid) + \
                 [(SubGoal(Skill.Put, mrecep_cls), m_iid)] + chain_tail
-        if _inside_class(state, mrecep, recep_cls):
-            return []
         if state.agent.held == m_iid:
             return _deposit(state, geom, recep)
-        return _retrieve_from_full(state, geom, m_iid) + \
-            [(SubGoal(Skill.Put, recep_cls), recep)]
+        return _with_pickup(_retrieve_from, state, geom, m_iid) + to_recep
     raise ValueError(f"unknown task type {fam}/{tt}")
 
 
@@ -689,13 +596,6 @@ def remaining_fn(task: TaskInstance):
         return out
 
     return fn
-
-
-def decompose(task: TaskInstance, state: WorldState) -> list[SubGoal]:
-    """Expert decomposition from the given state (head recomputed as state
-    changes; see remaining_milestones)."""
-    items = remaining_milestones(task, state)
-    return [sub for sub, _hint in items] + [SubGoal(Skill.End)]
 
 
 # --------------------------------------------------------------------------
@@ -775,18 +675,14 @@ def _state_question_candidates(state, geom):
 
 def compute_answer(task_type, state, obj_cls=None, recep_iid=None,
                    target_iid=None, attr=None, asked=None):
+    if task_type == "state":
+        return "Yes" if _value(state.obj(target_iid), attr) == asked else "No"
+    n = sum(1 for o in state.instances_of(obj_cls)
+            if recep_iid in W.ancestors(state, o.instance_id))
     if task_type == "existence":
-        n = sum(1 for o in state.instances_of(obj_cls)
-                if recep_iid in W.ancestors(state, o.instance_id))
         return "Yes" if n >= 1 else "No"
     if task_type == "counting":
-        n = sum(1 for o in state.instances_of(obj_cls)
-                if recep_iid in W.ancestors(state, o.instance_id))
         return str(min(n, 3))
-    if task_type == "state":
-        actual = getattr(state.obj(target_iid), attr)
-        actual = actual.value if hasattr(actual, "value") else actual
-        return "Yes" if actual == asked else "No"
     raise ValueError(task_type)
 
 
@@ -826,34 +722,19 @@ def generate_task(family, task_type, form_index, scene_template, scene_seed,
         return min(objs, key=lambda o: o.instance_id).instance_id
 
     if family == "SHIF":
-        domain = {"clean": cleanable, "heat": foods, "cool": foods}[task_type]
-        obj_cls = _choice(rng, domain)
+        appliance, attr, start, want, switch = TREATMENTS[task_type]
+        obj_cls = _choice(rng, cleanable if task_type == "clean" else foods)
         target = _choice(rng, sorted(state.instances_of(obj_cls),
                                      key=lambda o: o.instance_id))
         target_iid = target.instance_id
         bindings = {"obj": obj_cls}
+        appl = fixture_of(reg.id_of(appliance))
         ops.append(("hold", target_iid))
-        if task_type == "clean":
-            ops.append(("set", target_iid, "cleanliness", "dirty"))
-            sink = fixture_of(reg.id_of("Sink"))
-            faucet = fixture_of(reg.id_of("Faucet"))
-            ops.append(("set", faucet, "power", "off"))
-            ops.append(("vacate", sink, 1))
-            goal = {"kind": "state_held", "cls": obj_cls,
-                    "require": {"cleanliness": "clean"}}
-        elif task_type == "heat":
-            micro = fixture_of(reg.id_of("Microwave"))
-            ops.append(("set", target_iid, "temperature", "room"))
-            ops.append(("set", micro, "power", "off"))
-            ops.append(("vacate", micro, 1))
-            goal = {"kind": "state_held", "cls": obj_cls,
-                    "require": {"temperature": "hot"}}
-        else:
-            fridge = fixture_of(reg.id_of("Fridge"))
-            ops.append(("set", target_iid, "temperature", "room"))
-            ops.append(("vacate", fridge, 1))
-            goal = {"kind": "state_held", "cls": obj_cls,
-                    "require": {"temperature": "cold"}}
+        ops.append(("set", target_iid, attr, start.value))
+        if switch is not None:
+            ops.append(("set", fixture_of(reg.id_of(switch)), "power", "off"))
+        ops.append(("vacate", appl, 1))
+        goal = {"kind": "state_held", "cls": obj_cls, "require": {attr: want.value}}
 
     elif family == "EXIN":
         if task_type in ("pickup", "put", "slice"):
@@ -900,6 +781,7 @@ def generate_task(family, task_type, form_index, scene_template, scene_seed,
         recep_cls = _choice(rng, fixed_receps)
         recep_inst = fixture_of(recep_cls)
         bindings = {"recep": recep_cls}
+        kind = task_type.removesuffix("_place")
         if task_type == "pick_place":
             obj_cls = _choice(rng, [c for c in pickupable if c != recep_cls])
             mops, state = _move_out_ops(state, obj_cls, recep_cls)
@@ -908,11 +790,10 @@ def generate_task(family, task_type, form_index, scene_template, scene_seed,
             bindings["obj"] = obj_cls
             goal = {"kind": "contained", "obj": obj_cls, "recep": recep_cls,
                     "min_count": 1}
-        elif task_type in ("clean_place", "heat_place", "cool_place"):
-            domain = cleanable if task_type == "clean_place" else foods
+        elif kind in TREATMENTS:
+            appliance_cls, attr, start, want, switch = TREATMENTS[kind]
+            domain = cleanable if kind == "clean" else foods
             obj_cls = _choice(rng, [c for c in domain if c != recep_cls])
-            appliance_cls = {"clean_place": "Sink", "heat_place": "Microwave",
-                             "cool_place": "Fridge"}[task_type]
             appliance = fixture_of(reg.id_of(appliance_cls))
             mops, state = _move_out_ops(state, obj_cls, recep_cls,
                                         protect=(appliance,))
@@ -921,22 +802,16 @@ def generate_task(family, task_type, form_index, scene_template, scene_seed,
                             key=lambda o: o.instance_id)[0]
             target_iid = target.instance_id
             bindings["obj"] = obj_cls
-            require = {"clean_place": ("cleanliness", "dirty", "clean"),
-                       "heat_place": ("temperature", "room", "hot"),
-                       "cool_place": ("temperature", "room", "cold")}[task_type]
-            attr, start, want = require
             for o in state.instances_of(obj_cls):
-                ops.append(("set", o.instance_id, attr, start))
+                ops.append(("set", o.instance_id, attr, start.value))
             # the goal receptacle and the treatment appliance must both stay
             # free, so each vacate protects the other
             ops.append(("vacate", recep_inst, 1, [appliance]))
-            if task_type == "clean_place":
-                ops.append(("set", fixture_of(reg.id_of("Faucet")), "power", "off"))
-            elif task_type == "heat_place":
-                ops.append(("set", appliance, "power", "off"))
+            if switch is not None:
+                ops.append(("set", fixture_of(reg.id_of(switch)), "power", "off"))
             ops.append(("vacate", appliance, 1, [recep_inst]))
             goal = {"kind": "contained", "obj": obj_cls, "recep": recep_cls,
-                    "min_count": 1, "require": {attr: want}}
+                    "min_count": 1, "require": {attr: want.value}}
         elif task_type == "pick_two":
             if W.capacity(state.obj(recep_inst)) < 2:
                 raise UnsatisfiableTemplate("receptacle too small for two")
@@ -1076,18 +951,6 @@ def generate_task(family, task_type, form_index, scene_template, scene_seed,
         max_steps=MAX_STEPS[family])
 
 
-def instantiate_template(family, template_string, scene_template, scene_seed,
-                         rng, registry=None, config=None, want_answer=None):
-    """Build a TaskInstance for a specific instruction surface form."""
-    for task_type, forms in TEMPLATES[family].items():
-        if template_string in forms:
-            return generate_task(family, task_type, forms.index(template_string),
-                                 scene_template, scene_seed, rng,
-                                 registry=registry, config=config,
-                                 want_answer=want_answer)
-    raise UnsatisfiableTemplate(f"unknown template {template_string!r}")
-
-
 # --------------------------------------------------------------------------
 # dataset splits
 
@@ -1114,7 +977,7 @@ FULL_SPLIT_COUNTS = {
 }
 
 
-def desk_split_counts(scale: int = 30) -> dict:
+def desk_split_counts(scale: int) -> dict:
     """Paper-shaped split sizes scaled down, proportions preserved."""
     return {split: {fam: max(1, round(n / scale)) for fam, n in fams.items()}
             for split, fams in FULL_SPLIT_COUNTS.items()}
@@ -1160,9 +1023,8 @@ def verify_episode(task: TaskInstance, templates_by_id, registry=None,
     return task_success(task, traj), traj
 
 
-def build_splits(scene_templates, counts=None, seed=0, registry=None,
-                 config=None, n_unseen=2, verify=True,
-                 max_attempts=12) -> list[DatasetSplit]:
+def build_splits(scene_templates, counts, seed=0, registry=None, config=None, *,
+                 n_unseen, verify=True, max_attempts=12) -> list[DatasetSplit]:
     """Deterministic dataset construction.
 
     Unseen splits draw only from the reserved templates; seen splits reuse
@@ -1171,7 +1033,6 @@ def build_splits(scene_templates, counts=None, seed=0, registry=None,
     """
     if n_unseen < 1 or n_unseen >= len(scene_templates):
         raise InsufficientScenes("need at least one reserved unseen template")
-    counts = counts or desk_split_counts()
     train_templates = scene_templates[:-n_unseen]
     unseen_templates = scene_templates[-n_unseen:]
     templates_by_id = {t["template_id"]: t for t in scene_templates}

@@ -197,10 +197,17 @@ def expert_cell_delta(point, cfg: ModelConfig):
     return cell, (point[0] - cx, point[1] - cy)
 
 
-def _expert_action_index(family, action):
-    if family == "nav":
-        return NAV_INDEX[action]
-    return INTERACT_INDEX[action]
+def _fill_sub_policy_labels(sample, ex, cfg: ModelConfig):
+    """Set the expert's action, point and heatmap labels of a nav or
+    interact sample."""
+    index = NAV_INDEX if sample.family == "nav" else INTERACT_INDEX
+    sample.expert_action = index[ex.action]
+    if (sample.family == "interact" and ex.action in INTERACTIVE_ACTIONS
+            and ex.point is not None):
+        sample.expert_interactive = True
+        sample.expert_cell, sample.expert_delta = expert_cell_delta(ex.point, cfg)
+    sample.centers = heat_centers(sample.obs, cfg)
+    return sample
 
 
 # --------------------------------------------------------------------------
@@ -280,44 +287,37 @@ def _qa_loss(agent, samples, cfg):
     return T.mul(ce, 1.0 / len(samples))
 
 
-def teacher_forcing_update(agent, samples, opt, cfg: ModelConfig,
-                           weights: LossWeights | None = None, stage="pretrain",
-                           hl_batches=None, opt_hl=None):
-    """One supervised optimizer step on a batch of recorded steps.
-
-    Pre-training: the per-family sub-policy losses.  Multi-task: adds the
-    high-level skill/object CE terms (see `multitask_episode_loss`).
-    """
-    weights = weights or LossWeights()
-    nav = [s for s in samples if s.family == "nav"]
+def _sub_policy_losses(agent, samples, cfg: ModelConfig, weights: LossWeights):
+    """(mean loss, sample count) of each sub-policy family present among
+    the samples, in the order interact, nav, QA."""
+    out = []
     inter = [s for s in samples if s.family == "interact"]
+    if inter:
+        out.append((_interact_loss({"encoder": agent.sub_encoder, "sub": agent.interact},
+                                   inter, cfg, weights), len(inter)))
+    nav = [s for s in samples if s.family == "nav"]
+    if nav:
+        out.append((_nav_loss({"encoder": agent.nav_image_encoder(), "sub": agent.nav},
+                              nav, cfg, weights), len(nav)))
     qa = [s for s in samples if s.family == "qa"]
-    if not (nav or inter or qa or hl_batches):
+    if qa:
+        out.append((_qa_loss(agent, qa, cfg), len(qa)))
+    return out
+
+
+def teacher_forcing_update(agent, samples, opt, cfg: ModelConfig,
+                           weights: LossWeights | None = None):
+    """One supervised optimizer step on a batch of recorded steps: the sum
+    of the per-family sub-policy losses."""
+    parts = _sub_policy_losses(agent, samples, cfg, weights or LossWeights())
+    if not parts:
         raise MissingLabels("empty batch")
     loss = T.Tensor(0.0)
-    parts = 0
-    if inter:
-        loss = loss + _interact_loss(
-            {"encoder": agent.sub_encoder, "sub": agent.interact}, inter, cfg, weights)
-        parts += 1
-    if nav:
-        loss = loss + _nav_loss({"encoder": agent.nav_image_encoder(), "sub": agent.nav},
-                                nav, cfg, weights)
-        parts += 1
-    if qa:
-        loss = loss + _qa_loss(agent, qa, cfg)
-        parts += 1
-    if hl_batches:
-        for episode in hl_batches:
-            loss = loss + multitask_episode_loss(agent, episode, cfg, weights)
-        parts += len(hl_batches)
+    for part, _n in parts:
+        loss = loss + part
     opt.zero_grad()
-    if opt_hl is not None:
-        opt_hl.zero_grad()
     loss.backward()
     opt.step()
-    if opt_hl is not None:
-        opt_hl.step()
     return float(loss.item())
 
 
@@ -360,20 +360,9 @@ def multitask_episode_loss(agent, episode: EpisodeBatch, cfg: ModelConfig,
         loss = loss + nn.cross_entropy_rows(
             picked, [steps[i].hl_obj_label for i in obj_rows])
     # indicator-gated sub-policy terms, routed by the expert skill's family
-    nav = [s for s in steps if s.family == "nav"]
-    inter = [s for s in steps if s.family == "interact"]
-    qa = [s for s in steps if s.family == "qa"]
     sub_loss = T.Tensor(0.0)
-    if inter:
-        sub_loss = sub_loss + T.mul(_interact_loss(
-            {"encoder": agent.sub_encoder, "sub": agent.interact},
-            inter, cfg, weights), len(inter))
-    if nav:
-        sub_loss = sub_loss + T.mul(
-            _nav_loss({"encoder": agent.nav_image_encoder(), "sub": agent.nav},
-                      nav, cfg, weights), len(nav))
-    if qa:
-        sub_loss = sub_loss + T.mul(_qa_loss(agent, qa, cfg), len(qa))
+    for part, k in _sub_policy_losses(agent, steps, cfg, weights):
+        sub_loss = sub_loss + T.mul(part, k)
     return T.mul(loss + sub_loss, 1.0 / n)
 
 
@@ -382,17 +371,11 @@ def multitask_episode_loss(agent, episode: EpisodeBatch, cfg: ModelConfig,
 
 
 def _record_expert(sample_obs, subgoal, last_action, ex, cfg, family):
-    s = StepSample(
+    return _fill_sub_policy_labels(StepSample(
         obs=sample_obs, family=family,
         skill=int(subgoal.skill),
         obj=cfg.num_classes if subgoal.object_class is None else subgoal.object_class,
-        last_action=last_action,
-        expert_action=_expert_action_index(family, ex.action))
-    if family == "interact" and ex.action in INTERACTIVE_ACTIONS and ex.point is not None:
-        s.expert_interactive = True
-        s.expert_cell, s.expert_delta = expert_cell_delta(ex.point, cfg)
-    s.centers = heat_centers(sample_obs, cfg)
-    return s
+        last_action=last_action, expert_action=0), ex, cfg)
 
 
 def run_skill_episode(agent, episode, mode, rng, eps, cfg: ModelConfig,
@@ -570,8 +553,8 @@ class PretrainProgress:
 
 
 def pretrain(agent, templates, schedule: ScheduleConfig, cfg: ModelConfig,
-             seed=0, mode=InteractionMode.HARD, grouping="joint",
-             qa_fraction=0.08, vocab=None, reward_cfg=None,
+             *, grouping, qa_fraction, seed=0, mode=InteractionMode.HARD,
+             vocab=None, reward_cfg=None,
              ppo_cfg: PPOConfig | None = None, weights: LossWeights | None = None,
              registry=None, world_config=None, on_round=None,
              progress: PretrainProgress | None = None, opt=None,
@@ -780,19 +763,15 @@ def _task_sample(obs, ex, last_action, last_sub, task, tokens, cfg):
         if sample.answer_label < 0:
             sample.family = "none"
     else:
-        sample.expert_action = _expert_action_index(family, ex.action)
-        if family == "interact" and ex.action in INTERACTIVE_ACTIONS and ex.point:
-            sample.expert_interactive = True
-            sample.expert_cell, sample.expert_delta = expert_cell_delta(ex.point, cfg)
-        sample.centers = heat_centers(obs, cfg)
+        _fill_sub_policy_labels(sample, ex, cfg)
     return sample
 
 
 def train_multitask(agent, split, templates_by_id, schedule: ScheduleConfig,
                     cfg: ModelConfig, vocab, seed=0,
                     mode=InteractionMode.HARD, weights=None,
-                    registry=None, world_config=None, single_family=None,
-                    episodes_per_update=2, on_round=None):
+                    registry=None, world_config=None, single_family=None, *,
+                    episodes_per_update, on_round=None):
     """Joint fine-tuning: TF then SF, high-level and gated sub-policy
     losses per step, recovery planner active during SF."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, 311]))

@@ -206,6 +206,25 @@ def capacity(obj: ObjectInstance) -> int:
     return max(1, obj.size - 1)
 
 
+def has_room(state: WorldState, obj: ObjectInstance) -> bool:
+    """A receptacle a held object can be put into now: no closed door in
+    the way and a free slot."""
+    return (obj.is_receptacle
+            and not (state.cls(obj).enclosed and obj.openness is not Openness.OPEN)
+            and len(state.contents_of(obj.instance_id)) < capacity(obj))
+
+
+def free_fixtures(state: WorldState) -> list[ObjectInstance]:
+    """Anchored receptacles with room: where a free object can go."""
+    return [o for o in state.objects if o.anchor is not None and has_room(state, o)]
+
+
+def hold(state: WorldState, instance_id) -> WorldState:
+    """The state with the instance lifted off its support into the hand."""
+    new = state.with_object(replace(state.obj(instance_id), anchor=None, container=None))
+    return replace(new, agent=replace(new.agent, held=instance_id))
+
+
 def footprint_cells(anchor, size):
     x, y = anchor
     w = math.ceil(math.sqrt(size))
@@ -816,17 +835,12 @@ def step(state: WorldState, action: PrimitiveAction, point=None,
             return _fail(state, FailureReason.HANDS_FULL)
         if not cls.pickupable:
             return _fail(state, FailureReason.PRECONDITION_UNMET)
-        new = state.with_object(replace(target, anchor=None, container=None))
-        return _ok(state, replace(new, agent=replace(agent, held=target_id)), target_id)
+        return _ok(state, hold(state, target_id), target_id)
 
     if action is PrimitiveAction.Put:
         if agent.held is None:
             return _fail(state, FailureReason.HANDS_EMPTY)
-        if not target.is_receptacle:
-            return _fail(state, FailureReason.PRECONDITION_UNMET)
-        if state.cls(target).enclosed and target.openness is not Openness.OPEN:
-            return _fail(state, FailureReason.PRECONDITION_UNMET)
-        if len(state.contents_of(target_id)) >= capacity(target):
+        if not has_room(state, target):
             return _fail(state, FailureReason.PRECONDITION_UNMET)
         held = state.obj(agent.held)
         if target_id == held.instance_id or held.instance_id in ancestors(state, target_id):

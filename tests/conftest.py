@@ -7,10 +7,12 @@ import pytest
 
 from gridhouse import tensor as T
 from gridhouse.classes import desk_registry
+from gridhouse.scenes import builtin_templates
 from gridhouse.world import (AgentPose, Heading, ObjectInstance, Openness,
                              Power, Cleanliness, WorldConfig, WorldState)
 
 REG = desk_registry()
+TEMPLATES_BY_ID = {t["template_id"]: t for t in builtin_templates()}
 
 
 def make_state(objects=(), agent_cell=(5, 8), heading=Heading.NORTH, pitch=0,

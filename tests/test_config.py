@@ -170,6 +170,8 @@ def test_manifest_records_the_resolved_values(tmp_path):
     ("[pretrain]\nmode = Hard\n", "[pretrain] mode"),
     ("[eval]\ngreedy = ture\n", "[eval] greedy"),
     ("[tasks]\nscale = 1e3\n", "[tasks] scale"),
+    ("[pretrain]\ntf_steps = 10\ntf_steps = 20\n", "'tf_steps' in section 'pretrain'"),
+    ("tf_steps = 10\n", "no section headers"),
 ])
 def test_unknown_sections_keys_and_values_stop_the_cli_in_one_line(tmp_path, capsys,
                                                                     text, named):

@@ -11,12 +11,6 @@ PACKAGE = ROOT / "src" / "gridhouse"
 # defined in src/gridhouse but referenced from nowhere in src/ or
 # perfbench/: each stays for the reason given
 ALLOWED = {
-    "shortest_path": "test entry point: BFS optimality against an independent oracle",
-    "decompose": "test entry point: expert decompositions as plain sub-goal lists",
-    "instantiate_template": "test entry point: one task per instruction surface form",
-    "joint_space_size": "test entry point: size of the joint skill-object space",
-    "template_by_id": "test entry point: builtin scenes by name",
-    "full_registry": "test entry point: the full 110-class registry",
     "write_trajectory": "trajectory logs for `gridhouse replay`; eval is to write "
                         "them (ROADMAP direction 4)",
 }
@@ -24,21 +18,36 @@ ALLOWED = {
 
 def _unreferenced():
     """Names of non-dunder functions, methods and classes defined in the
-    package that no Name or Attribute in src/ or perfbench/ mentions."""
+    package that nothing in src/ or perfbench/ reads.
+
+    Only a loaded Name counts, never a stored one such as a dataclass
+    field.  An attribute counts for a method of that name, whatever its
+    base; for a module-level definition it counts only on a module or an
+    imported name (`planner.f`), since `obj.f` reads a field or a method."""
     sources = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
-    defined, used = set(), set()
+    functions, methods = set(), set()
+    loaded, attributes, module_attributes = set(), set(), set()
     for path in sources:
         tree = ast.parse(path.read_text())
+        imported = {alias.asname or alias.name.split(".")[0]
+                    for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+                    for alias in node.names}
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                used.add(node.id)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
             elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
-            elif (path.parent == PACKAGE
-                  and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-                  and not (node.name.startswith("__") and node.name.endswith("__"))):
-                defined.add(node.name)
-    return defined - used
+                attributes.add(node.attr)
+                if isinstance(node.value, ast.Name) and node.value.id in imported:
+                    module_attributes.add(node.attr)
+        if path.parent != PACKAGE:
+            continue
+        in_class = {d for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+                    for d in node.body}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                (methods if node in in_class else functions).add(node.name)
+    dead = (functions - loaded - module_attributes) | (methods - loaded - attributes)
+    return {n for n in dead if not (n.startswith("__") and n.endswith("__"))}
 
 
 def test_every_definition_has_a_caller():

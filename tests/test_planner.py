@@ -14,9 +14,9 @@ from hypothesis import example, given, settings, strategies as st
 from gridhouse import world as W
 from gridhouse.episodes import run_expert_episode
 from gridhouse.planner import (ExpertController, ExpertStep, Irrecoverable,
-                               Unreachable, expert_action, shortest_path,
+                               Unreachable, shortest_path_to_instance,
                                single_subgoal_stream)
-from gridhouse.scenes import builtin_templates, template_by_id
+from gridhouse.scenes import builtin_templates
 from gridhouse.skills import Skill, SubGoal, sample_skill_episode, skill_success
 from gridhouse.tasks import (build_splits, desk_split_counts, remaining_fn,
                              task_initial_state)
@@ -24,18 +24,16 @@ from gridhouse.world import (Heading, InteractionMode, Openness,
                              PrimitiveAction, cached_geometry, cached_render,
                              randomize_scene, step)
 
-from conftest import REG, make_state
+from conftest import REG, TEMPLATES_BY_ID, make_state
 
 
 # --------------------------------------------------------------------------
 # independent BFS oracle (dict-based, own successor code)
 
 
-def oracle_bfs_length(state, target_class):
+def oracle_bfs_length(state, instance_id):
     geom = cached_geometry(state)
-    cells = []
-    for o in state.instances_of(target_class):
-        cells.extend(geom.display_cells.get(o.instance_id, []))
+    cells = geom.display_cells.get(instance_id)
     if not cells:
         return None
     cfg = state.config
@@ -79,39 +77,48 @@ def oracle_bfs_length(state, target_class):
 
 def test_shortest_path_already_at_goal_is_done():
     state = make_state([{"class": "Apple", "pos": (5, 6)}], agent_cell=(5, 8))
-    assert shortest_path(state, REG.id_of("Apple")) == [PrimitiveAction.Done]
+    assert shortest_path_to_instance(state, 0) == [PrimitiveAction.Done]
 
 
 def test_shortest_path_three_ahead_is_move_done():
     state = make_state([{"class": "Apple", "pos": (5, 5)}], agent_cell=(5, 8))
-    assert shortest_path(state, REG.id_of("Apple")) == \
+    assert shortest_path_to_instance(state, 0) == \
         [PrimitiveAction.MoveAhead, PrimitiveAction.Done]
 
 
 def test_shortest_path_matches_oracle_on_random_scenes():
     for seed in range(6):
-        state = randomize_scene(template_by_id("kitchen_c"), 40 + seed)
+        state = randomize_scene(TEMPLATES_BY_ID["kitchen_c"], 40 + seed)
         for cls_name in ("Apple", "Fridge", "Sink", "Knife", "DiningTable"):
-            cid = REG.id_of(cls_name)
-            want = oracle_bfs_length(state, cid)
-            if want is None:
-                with pytest.raises(Unreachable):
-                    shortest_path(state, cid)
-                continue
-            got = shortest_path(state, cid)
-            assert len(got) - 1 == want, f"{cls_name} seed={seed}"
+            for o in state.instances_of(REG.id_of(cls_name)):
+                want = oracle_bfs_length(state, o.instance_id)
+                if want is None:
+                    with pytest.raises(Unreachable):
+                        shortest_path_to_instance(state, o.instance_id)
+                    continue
+                got = shortest_path_to_instance(state, o.instance_id)
+                assert len(got) - 1 == want, f"{cls_name} {o.instance_id} seed={seed}"
 
 
 def test_shortest_path_unreachable():
-    state = make_state([])
+    # an apple in a closed fridge is displayed nowhere
+    state = make_state([{"class": "Fridge", "pos": (4, 6)},
+                        {"class": "Apple", "pos": None, "container": 0}])
     with pytest.raises(Unreachable):
-        shortest_path(state, REG.id_of("Apple"))
+        shortest_path_to_instance(state, 1)
+
+
+def expert_step(state, subgoal):
+    """The expert's label for a one-skill episode starting at `state`."""
+    controller = ExpertController(state, single_subgoal_stream(subgoal, state))
+    return controller.expert_action(state)
 
 
 def test_expert_action_open_fridge_in_range():
     state = make_state([{"class": "Fridge", "pos": (4, 6),
                          "openness": Openness.CLOSED}], agent_cell=(5, 8))
-    action, point = expert_action(state, SubGoal(Skill.Open, REG.id_of("Fridge")))
+    ex = expert_step(state, SubGoal(Skill.Open, REG.id_of("Fridge")))
+    action, point = ex.action, ex.point
     assert action is PrimitiveAction.Open and point is not None
     # the point resolves to the fridge in hard mode
     obs = cached_render(state)
@@ -121,13 +128,14 @@ def test_expert_action_open_fridge_in_range():
 
 def test_expert_action_goto_midroute_is_bfs_move():
     state = make_state([{"class": "Apple", "pos": (5, 3)}], agent_cell=(5, 8))
-    action, point = expert_action(state, SubGoal(Skill.GoTo, REG.id_of("Apple")))
-    assert action is PrimitiveAction.MoveAhead and point is None
+    ex = expert_step(state, SubGoal(Skill.GoTo, REG.id_of("Apple")))
+    assert ex.action is PrimitiveAction.MoveAhead and ex.point is None
 
 
 def test_expert_action_answer_is_done():
     state = make_state([])
-    assert expert_action(state, SubGoal(Skill.Answer)) == (PrimitiveAction.Done, None)
+    ex = expert_step(state, SubGoal(Skill.Answer))
+    assert (ex.action, ex.point) == (PrimitiveAction.Done, None)
 
 
 def test_expert_point_centroid_snaps_to_target():
@@ -238,7 +246,7 @@ FUZZ_SEED = 6   # its splits hold the two wrong Puts named in the examples below
 @functools.lru_cache(maxsize=None)
 def _fuzz_tasks():
     templates = builtin_templates()
-    splits = build_splits(templates, desk_split_counts(3000), FUZZ_SEED)
+    splits = build_splits(templates, desk_split_counts(3000), FUZZ_SEED, n_unseen=2)
     by_id = {t["template_id"]: t for t in templates}
     return [(task, by_id[task.scene_template_id]) for sp in splits for task in sp.episodes]
 
@@ -286,7 +294,7 @@ def test_label_consistency_on_sampled_skill_episodes():
     # expert actions never fail from any reachable state
     rng = np.random.default_rng(3)
     for seed in range(3):
-        state = randomize_scene(template_by_id("kitchen_d"), 60 + seed)
+        state = randomize_scene(TEMPLATES_BY_ID["kitchen_d"], 60 + seed)
         for _ in range(8):
             ep = sample_skill_episode(state, rng)
             controller = ExpertController(

@@ -6,27 +6,19 @@ import numpy as np
 import pytest
 
 from gridhouse import skills as S
-from gridhouse.classes import desk_registry, full_registry
 from gridhouse.planner import ExpertController, single_subgoal_stream
-from gridhouse.scenes import builtin_templates, template_by_id
+from gridhouse.scenes import builtin_templates
 from gridhouse.skills import (NoFeasibleSkill, SceneSession, Skill, SubGoal,
-                              joint_space_size, periodic_reset,
-                              sample_skill_episode, skill_success)
+                              periodic_reset, sample_skill_episode, skill_success)
 from gridhouse.world import (InteractionMode, Openness, Power, PrimitiveAction,
                              cached_geometry, cached_render, randomize_scene,
                              state_hash, step)
 
-from conftest import REG, make_state
-
-
-def test_ten_skills_and_joint_space():
-    assert len(Skill) == 10
-    assert joint_space_size(110) == 882
-    assert joint_space_size(len(full_registry())) == 882
-    assert joint_space_size(len(REG)) == 8 * len(REG) + 2
+from conftest import REG, TEMPLATES_BY_ID, make_state
 
 
 def test_subgoal_validation():
+    assert len(Skill) == 10
     SubGoal(Skill.Answer)
     SubGoal(Skill.End)
     SubGoal(Skill.Pickup, 3)
@@ -92,7 +84,7 @@ def test_feasible_pairs_lamp_only_scene():
 
 
 def test_sampled_slice_episode_has_knife_in_hand():
-    state = randomize_scene(template_by_id("kitchen_a"), 3)
+    state = randomize_scene(TEMPLATES_BY_ID["kitchen_a"], 3)
     rng = np.random.default_rng(0)
     for _ in range(200):
         ep = sample_skill_episode(state, rng, skills=(Skill.Slice,))
@@ -102,7 +94,7 @@ def test_sampled_slice_episode_has_knife_in_hand():
 
 
 def test_sampled_open_episode_starts_closed():
-    state = randomize_scene(template_by_id("kitchen_b"), 5)
+    state = randomize_scene(TEMPLATES_BY_ID["kitchen_b"], 5)
     rng = np.random.default_rng(1)
     ep = sample_skill_episode(state, rng, skills=(Skill.Open,))
     target_cls = ep.subgoal.object_class
@@ -144,7 +136,7 @@ def test_expert_solvability_of_sampled_episodes(seed):
 
 
 def test_periodic_reset_cadence():
-    session = SceneSession([template_by_id("kitchen_a")], 9)
+    session = SceneSession([TEMPLATES_BY_ID["kitchen_a"]], 9)
     h0 = state_hash(session.state)
     periodic_reset(session, 7, 10)          # not a multiple: unchanged
     assert state_hash(session.state) == h0

@@ -11,13 +11,12 @@ import pytest
 from gridhouse import tasks as TK, world as W
 from gridhouse.classes import desk_registry
 from gridhouse.episodes import Trajectory, run_expert_episode
-from gridhouse.scenes import builtin_templates, template_by_id
+from gridhouse.scenes import builtin_templates
 from gridhouse.skills import Skill, SubGoal
 from gridhouse.tasks import (FULL_SPLIT_COUNTS, TEMPLATES, DatasetSplit,
                              InsufficientScenes, TaskInstance,
                              UnsatisfiableTemplate, build_splits, build_vocab,
-                             decompose, desk_split_counts, generate_task,
-                             instantiate_template, load_split,
+                             desk_split_counts, generate_task, load_split,
                              remaining_fn, split_content_hash,
                              task_initial_state, task_success, tokenize,
                              verify_episode, write_splits)
@@ -27,6 +26,12 @@ from conftest import REG, make_state
 
 TEMPLATES_ALL = builtin_templates()
 TBY = {t["template_id"]: t for t in TEMPLATES_ALL}
+
+
+def plan(task, state):
+    """The expert's remaining sub-goals from `state`, ending in End."""
+    return [item[0] if isinstance(item, tuple) else item
+            for item in remaining_fn(task)(state)]
 
 
 def test_template_surface_forms_match_task_table():
@@ -44,8 +49,9 @@ def test_template_surface_forms_match_task_table():
 def test_instantiate_clean_template():
     rng = np.random.default_rng(0)
     for _ in range(20):
-        task = instantiate_template("SHIF", "clean {obj}", TEMPLATES_ALL[0],
-                                    int(rng.integers(2 ** 60)), rng)
+        form = TEMPLATES["SHIF"]["clean"].index("clean {obj}")
+        task = generate_task("SHIF", "clean", form, TEMPLATES_ALL[0],
+                             int(rng.integers(2 ** 60)), rng)
         assert task.instruction.startswith("clean ")
         obj = REG[task.bindings["obj"]]
         assert task.instruction == f"clean {obj.name.lower()}"
@@ -86,7 +92,7 @@ def test_decompose_clean_apple_matches_canonical_chain():
             SubGoal(Skill.ToggleOff, REG.id_of("Faucet")),
             SubGoal(Skill.Pickup, REG.id_of("Apple")),
             SubGoal(Skill.End)]
-    assert decompose(task, state) == want
+    assert plan(task, state) == want
     # the executed stream may insert extra GoTo hops (dynamic replanning)
     # but must contain the canonical chain in order
     traj = run_expert_episode(state, remaining_fn(task), max_steps=100)
@@ -117,7 +123,7 @@ def test_decompose_heat_contains_open_microwave():
         micro = REG.id_of("Microwave")
         if state.obj([o for o in state.instances_of(micro)][0].instance_id).openness \
                 is Openness.CLOSED:
-            subs = decompose(task, state)
+            subs = plan(task, state)
             assert SubGoal(Skill.Open, micro) in subs
             ok, traj = verify_episode(task, TBY)
             assert ok
@@ -202,11 +208,11 @@ SMALL_COUNTS = {
 
 @pytest.fixture(scope="module")
 def small_splits():
-    return build_splits(TEMPLATES_ALL, counts=SMALL_COUNTS, seed=21)
+    return build_splits(TEMPLATES_ALL, counts=SMALL_COUNTS, seed=21, n_unseen=2)
 
 
 def test_splits_deterministic(small_splits):
-    again = build_splits(TEMPLATES_ALL, counts=SMALL_COUNTS, seed=21)
+    again = build_splits(TEMPLATES_ALL, counts=SMALL_COUNTS, seed=21, n_unseen=2)
     for a, b in zip(small_splits, again):
         assert split_content_hash(a) == split_content_hash(b)
 
@@ -253,7 +259,8 @@ def test_build_splits_rejects_overrides_that_delete_a_bound_instance():
     # at this seed an LHIF clean_place draw (kitchen_d) has its target Cup
     # in the Sink; vacating the Sink finds no free receptacle and deletes
     # the Cup, which made remaining_milestones raise UnknownInstance
-    splits = build_splits(TEMPLATES_ALL, counts=desk_split_counts(3000), seed=3)
+    splits = build_splits(TEMPLATES_ALL, counts=desk_split_counts(3000), seed=3,
+                          n_unseen=2)
     for split in splits:
         for e in split.episodes:
             state = task_initial_state(e, TBY[e.scene_template_id])
@@ -263,7 +270,7 @@ def test_build_splits_rejects_overrides_that_delete_a_bound_instance():
 
 def test_split_reserved_templates_guard():
     with pytest.raises(InsufficientScenes):
-        build_splits(TEMPLATES_ALL[:1], counts=SMALL_COUNTS, seed=0)
+        build_splits(TEMPLATES_ALL[:1], counts=SMALL_COUNTS, seed=0, n_unseen=2)
 
 
 def test_splits_roundtrip_and_soundness(small_splits, tmp_path):
@@ -329,7 +336,8 @@ def _task_content_digest():
                         put(r.t, r.subgoal, r.action.name, r.point, r.success,
                             r.reason, r.target, r.state_hash)
                     put(traj.terminated, traj.answer)
-    for split in build_splits(TEMPLATES_ALL, counts=desk_split_counts(3000), seed=0):
+    for split in build_splits(TEMPLATES_ALL, counts=desk_split_counts(3000), seed=0,
+                              n_unseen=2):
         put(split.name, split_content_hash(split))
     return h.hexdigest()
 

@@ -340,7 +340,7 @@ def test_pretrain_stage_order_and_zero_skip():
     agent = HierarchicalAgent(np.random.default_rng(0), CFG)
     sched = ScheduleConfig(tf_steps=40, sf_steps=0, ppo_steps=0)
     _, prog = pretrain(agent, TEMPLATES[:2], sched, CFG, seed=2, vocab=VOCAB,
-                       qa_fraction=0.0)
+                       grouping="joint", qa_fraction=0.0)
     assert prog.stage == "done"
     assert prog.steps_done["tf"] >= 40
     assert prog.steps_done["sf"] == 0 and prog.steps_done["ppo"] == 0
@@ -356,7 +356,7 @@ def _assert_resume_is_exact(sched, stage, stop_at, **kw):
     uninterrupted run on the same schedule does, bit for bit."""
     a1 = HierarchicalAgent(np.random.default_rng(0), CFG)
     _, p1 = pretrain(a1, TEMPLATES[:2], sched, CFG, seed=4, vocab=VOCAB,
-                     qa_fraction=0.0, **kw)
+                     grouping="joint", qa_fraction=0.0, **kw)
 
     a2 = HierarchicalAgent(np.random.default_rng(0), CFG)
     rng = np.random.default_rng(np.random.SeedSequence([4, 77]))
@@ -370,13 +370,13 @@ def _assert_resume_is_exact(sched, stage, stop_at, **kw):
 
     with pytest.raises(_Stop):
         pretrain(a2, TEMPLATES[:2], sched, CFG, seed=4, vocab=VOCAB,
-                 qa_fraction=0.0, on_round=stop, progress=p2, opt=opt,
-                 rng=rng, session=session, **kw)
+                 grouping="joint", qa_fraction=0.0, on_round=stop, progress=p2,
+                 opt=opt, rng=rng, session=session, **kw)
     assert p2.stage == stage
     assert p2.batch or p2.ppo_buffer   # the stop fell between two updates
     pretrain(a2, TEMPLATES[:2], sched, CFG, seed=4, vocab=VOCAB,
-             qa_fraction=0.0, progress=p2, opt=opt, rng=rng, session=session,
-             **kw)
+             grouping="joint", qa_fraction=0.0, progress=p2, opt=opt, rng=rng,
+             session=session, **kw)
 
     assert p2.stage == p1.stage == "done"
     assert p2.steps_done == p1.steps_done and p2.episodes == p1.episodes
@@ -421,7 +421,7 @@ def test_train_multitask_decays_epsilon_toward_the_schedule_end(monkeypatch):
     with pytest.raises(_Stop):
         TR.train_multitask(agent, [task], by_id,
                            ScheduleConfig(tf_steps=0, sf_steps=10, eps_end=0.25),
-                           CFG, VOCAB)
+                           CFG, VOCAB, episodes_per_update=2)
     assert ends == [0.25]
 
 
@@ -466,7 +466,7 @@ def test_training_keeps_parameters_gradients_and_moments_float32(monkeypatch):
 def _micro_pretrain(agent):
     sched = ScheduleConfig(tf_steps=32, sf_steps=32, ppo_steps=48, update_every=32)
     return pretrain(agent, TEMPLATES[:2], sched, CFG, seed=4, vocab=VOCAB,
-                    qa_fraction=0.0,
+                    grouping="joint", qa_fraction=0.0,
                     ppo_cfg=PPOConfig(horizon=48, minibatch=16, epochs=1))
 
 

@@ -12,9 +12,9 @@ import pytest
 from hypothesis import event, given, settings, strategies as st
 
 from gridhouse import world as W
-from gridhouse.planner import (InfeasibleSubgoal, Unreachable, expert_action,
-                               expert_point)
-from gridhouse.scenes import builtin_templates, template_by_id
+from gridhouse.planner import (ExpertController, InfeasibleSubgoal, Unreachable,
+                               expert_point, single_subgoal_stream)
+from gridhouse.scenes import builtin_templates
 from gridhouse.skills import sample_skill_episode
 from gridhouse.world import (FLOOR, WALL, CLASS_BASE, NO_INSTANCE,
                              FailureReason, Heading, InteractionMode,
@@ -24,7 +24,7 @@ from gridhouse.world import (FLOOR, WALL, CLASS_BASE, NO_INSTANCE,
                              footprint_cells, is_visible, randomize_scene,
                              render, resolve_target, state_hash, step)
 
-from conftest import make_state, REG
+from conftest import REG, TEMPLATES_BY_ID, make_state
 
 
 # --------------------------------------------------------------------------
@@ -122,7 +122,7 @@ def test_render_apple_in_closed_fridge_hidden():
 
 
 def test_render_is_pure():
-    state = randomize_scene(template_by_id("kitchen_a"), 3)
+    state = randomize_scene(TEMPLATES_BY_ID["kitchen_a"], 3)
     a, b = render(state), render(state)
     assert np.array_equal(a.class_map, b.class_map)
     assert np.array_equal(a.instance_map, b.instance_map)
@@ -132,7 +132,7 @@ def test_render_is_pure():
 
 def test_instance_map_entries_subset_of_visible_set():
     for seed in range(5):
-        state = randomize_scene(template_by_id("kitchen_b"), seed)
+        state = randomize_scene(TEMPLATES_BY_ID["kitchen_b"], seed)
         obs = render(state)
         ids = set(obs.instance_map[obs.instance_map != NO_INSTANCE].tolist())
         assert ids == set(obs.visible_set)
@@ -140,7 +140,7 @@ def test_instance_map_entries_subset_of_visible_set():
 
 def test_visibility_matches_oracle_on_random_scenes():
     for seed in range(8):
-        state = randomize_scene(template_by_id("kitchen_a"), seed)
+        state = randomize_scene(TEMPLATES_BY_ID["kitchen_a"], seed)
         for o in state.objects:
             assert is_visible(state, o.instance_id) == oracle_visible(state, o.instance_id), \
                 f"seed={seed} iid={o.instance_id}"
@@ -353,7 +353,7 @@ def test_heat_cool_clean_propagation():
 
 
 def test_determinism_of_action_sequences():
-    template = template_by_id("kitchen_c")
+    template = TEMPLATES_BY_ID["kitchen_c"]
 
     def run():
         s = randomize_scene(template, 11)
@@ -417,6 +417,7 @@ def test_step_memos_match_fresh_rebuilds(scene, seed, walk):
     base = randomize_scene(WALK_TEMPLATES[scene], seed)
     ep = sample_skill_episode(base, np.random.default_rng(seed))
     state = ep.initial_state
+    stream = single_subgoal_stream(ep.subgoal, state)
     assert_memos_fresh(state)
     for move, pick, hard in walk:
         mode = InteractionMode.HARD if hard else InteractionMode.STANDARD
@@ -424,7 +425,8 @@ def test_step_memos_match_fresh_rebuilds(scene, seed, walk):
         action, point = move, None
         if move == EXPERT:
             try:
-                action, point = expert_action(state, ep.subgoal, mode, geom, obs)
+                ex = ExpertController(state, stream, mode).expert_action(state, geom, obs)
+                action, point = ex.action, ex.point
             except (InfeasibleSubgoal, Unreachable):
                 action = PrimitiveAction.Done
         elif action in W.INTERACTIVE_ACTIONS:
@@ -531,7 +533,7 @@ def test_standard_ties_break_by_distance_then_id():
 
 
 def test_hard_subset_of_standard_with_degenerate_box():
-    template = template_by_id("kitchen_d")
+    template = TEMPLATES_BY_ID["kitchen_d"]
     rng = np.random.default_rng(0)
     for seed in range(4):
         state = randomize_scene(template, seed)
@@ -550,7 +552,7 @@ def test_hard_subset_of_standard_with_degenerate_box():
 
 
 def test_randomize_deterministic_bit_for_bit():
-    t = template_by_id("kitchen_a")
+    t = TEMPLATES_BY_ID["kitchen_a"]
     assert state_hash(randomize_scene(t, 42)) == state_hash(randomize_scene(t, 42))
 
 
