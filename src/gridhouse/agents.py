@@ -14,7 +14,7 @@ import numpy as np
 from . import nn, tensor as T
 from .episodes import rollout
 from .nn import Conv2d, Embedding, GRUCell, Linear, Module
-from .skills import NO_OBJECT_SKILLS, Skill, SubGoal
+from .skills import INTERACTION_SKILLS, NO_OBJECT_SKILLS, Skill, SubGoal
 from .tasks import tokenize
 from .world import (CLASS_BASE, INTERACTIVE_ACTIONS, NAV_ACTION_SPACE,
                     InteractionMode, PrimitiveAction, WorldConfig)
@@ -41,7 +41,6 @@ class ModelConfig:
     trunk_dim: int = 128
     point_dim: int = 48
     enc_mid: int = 24
-    share_sub_encoder: bool = True
 
     @property
     def cell_px(self) -> float:
@@ -142,12 +141,15 @@ class HighLevelPolicy(Module):
                       self.obj_emb(np.asarray(last_obj, dtype=np.int64))], axis=-1)
         return self.comp2(T.relu(self.comp1(z)))
 
+    def gru_input(self, z_task, z_img, last_action, last_skill, last_obj):
+        """The context tiled over the image grid and stacked on it,
+        flattened: (N, (cond_dim + d) * grid * grid)."""
+        feat = _replicate_concat(
+            self.context(z_task, last_action, last_skill, last_obj), z_img)
+        return T.reshape(feat, (feat.shape[0], feat.shape[1] * feat.shape[2] * feat.shape[3]))
+
     def step(self, z_task, z_img, last_action, last_skill, last_obj, hidden):
-        zc = self.context(z_task, last_action, last_skill, last_obj)
-        feat = _replicate_concat(zc, z_img)
-        n = feat.shape[0]
-        flat = T.reshape(feat, (n, feat.shape[1] * feat.shape[2] * feat.shape[3]))
-        h = self.gru(flat, hidden)
+        h = self.gru(self.gru_input(z_task, z_img, last_action, last_skill, last_obj), hidden)
         return self.skill_head(h), self.obj_head(h), h
 
 
@@ -184,7 +186,6 @@ class SubPolicy(Module):
     def __init__(self, rng, cfg: ModelConfig, n_actions, pointing):
         super().__init__()
         self.cfg = cfg
-        self.n_actions = n_actions
         self.act_emb = self.add_child("act_emb", Embedding(rng, len(PrimitiveAction) + 1, cfg.ctx_dim))
         self.skill_emb = self.add_child("skill_emb", Embedding(rng, len(Skill) + 1, cfg.ctx_dim))
         self.obj_emb = self.add_child("obj_emb", Embedding(rng, cfg.num_classes + 1, cfg.ctx_dim))
@@ -272,30 +273,16 @@ class HierarchicalAgent(Module):
         self.task_enc = self.add_child("task_enc", TaskEncoder(rng, cfg))
         self.hl_encoder = self.add_child("hl_encoder", GridEncoder(rng, cfg))
         self.sub_encoder = self.add_child("sub_encoder", GridEncoder(rng, cfg))
-        if not cfg.share_sub_encoder:
-            self.nav_encoder = self.add_child("nav_encoder", GridEncoder(rng, cfg))
         self.high = self.add_child("high", HighLevelPolicy(rng, cfg))
         self.nav = self.add_child("nav", SubPolicy(rng, cfg, len(NAV_ACTION_SPACE), pointing=False))
         self.interact = self.add_child("interact", SubPolicy(rng, cfg, len(INTERACT_ACTION_SPACE), pointing=True))
         self.qa = self.add_child("qa", QASubPolicy(rng, cfg))
 
-    def nav_image_encoder(self):
-        return self.sub_encoder if self.cfg.share_sub_encoder else self.nav_encoder
-
-    def sub_policy_params(self):
-        out = []
-        for name, p in self.named_parameters():
-            if not name.startswith("high.") and not name.startswith("hl_encoder.") \
-                    and not name.startswith("task_enc."):
-                out.append(p)
-        return out
-
-    def high_level_params(self):
-        out = []
-        for name, p in self.named_parameters():
-            if name.startswith(("high.", "hl_encoder.", "task_enc.")):
-                out.append(p)
-        return out
+    def level_params(self, high):
+        """Parameters of the high level (task encoder, its image encoder
+        and the sub-goal head) if `high`, else of the sub-policies."""
+        return [p for name, p in self.named_parameters()
+                if name.startswith(("high.", "hl_encoder.", "task_enc.")) == high]
 
     def frozen_after_pretrain(self):
         """First conv block of the sub-policy encoder, frozen in stage 2."""
@@ -316,13 +303,8 @@ def sample_logits(logits_row, rng, greedy):
     return int(rng.choice(len(p), p=p)), p
 
 
-SKILL_FAMILY = {
-    Skill.GoTo: "nav",
-    Skill.Pickup: "interact", Skill.Put: "interact",
-    Skill.ToggleOn: "interact", Skill.ToggleOff: "interact",
-    Skill.Open: "interact", Skill.Close: "interact", Skill.Slice: "interact",
-    Skill.Answer: "qa", Skill.End: "end",
-}
+SKILL_FAMILY = {Skill.GoTo: "nav", **dict.fromkeys(INTERACTION_SKILLS, "interact"),
+                Skill.Answer: "qa", Skill.End: "end"}
 
 
 def point_from_grid(cfg: ModelConfig, cell_index, delta):
@@ -336,17 +318,11 @@ def point_from_grid(cfg: ModelConfig, cell_index, delta):
     return (px * x_idx + half + dx, px * y_idx + half + dy)
 
 
+@T.no_grad()
 def high_level_step(agent, z_task, obs, last_action, last_subgoal, hidden,
                     rng, greedy=False):
     """Factorized sub-goal sampling: skill first, then the target class
     (masked out entirely for Answer/End).  Rollout-only: no graph."""
-    with T.no_grad():
-        return _high_level_step(agent, z_task, obs, last_action, last_subgoal,
-                                hidden, rng, greedy)
-
-
-def _high_level_step(agent, z_task, obs, last_action, last_subgoal, hidden,
-                     rng, greedy):
     cfg = agent.cfg
     cmap, planes = obs_planes([obs], cfg.num_classes)
     z_img = agent.hl_encoder(cmap, planes)
@@ -368,69 +344,60 @@ def _high_level_step(agent, z_task, obs, last_action, last_subgoal, hidden,
     return sub, (skill_logits, obj_logits), h
 
 
+def sub_policy_forward(agent, family, obs_batch, last_action, skill, obj):
+    """(action logits, value, point maps or None) of the "nav" or
+    "interact" sub-policy on N steps: their observations and their ids of
+    the last action, the skill and the conditioning object."""
+    cmap, planes = obs_planes(obs_batch, agent.cfg.num_classes)
+    z_img = agent.sub_encoder(cmap, planes)
+    sub = agent.nav if family == "nav" else agent.interact
+    return sub.forward(sub.conditioning(last_action, skill, obj), z_img)
+
+
+@T.no_grad()
 def sub_policy_step(agent, subgoal, obs, last_action, rng, greedy=False):
     """Route to the sub-policy for the sub-goal's family and sample an
-    action (plus an interaction point for interactive primitives).
-    Rollout-only: no graph."""
-    with T.no_grad():
-        return _sub_policy_step(agent, subgoal, obs, last_action, rng, greedy)
-
-
-def _sub_policy_step(agent, subgoal, obs, last_action, rng, greedy):
+    action, plus an interaction point for interactive primitives (extras
+    then hold its grid cell and offset).  Rollout-only: no graph."""
     cfg = agent.cfg
     family = SKILL_FAMILY[subgoal.skill]
-    cmap, planes = obs_planes([obs], cfg.num_classes)
-    encoder = agent.nav_image_encoder() if family == "nav" else agent.sub_encoder
-    z_img = encoder(cmap, planes)
-    la = [NONE_ACTION if last_action is None else int(last_action)]
-    if family == "nav":
-        sub = agent.nav
-        cond = sub.conditioning(la, [int(subgoal.skill)],
-                                [cfg.num_classes if subgoal.object_class is None
-                                 else subgoal.object_class])
-        logits, value, _ = sub.forward(cond, z_img)
-        idx, _ = sample_logits(logits.data[0], rng, greedy)
-        return NAV_ACTION_SPACE[idx], None, {"action_logits": logits, "value": value}
-    sub = agent.interact
-    cond = sub.conditioning(la, [int(subgoal.skill)],
-                            [cfg.num_classes if subgoal.object_class is None
-                             else subgoal.object_class])
-    logits, value, point_maps = sub.forward(cond, z_img)
+    logits, _value, point_maps = sub_policy_forward(
+        agent, family, [obs], [NONE_ACTION if last_action is None else int(last_action)],
+        [int(subgoal.skill)],
+        [cfg.num_classes if subgoal.object_class is None else subgoal.object_class])
     idx, _ = sample_logits(logits.data[0], rng, greedy)
-    action = INTERACT_ACTION_SPACE[idx]
-    point = None
-    extras = {"action_logits": logits, "value": value, "point": point_maps}
-    if action in INTERACTIVE_ACTIONS:
-        grid_logits, mu, nu, _heat = point_maps
-        cell, _ = sample_logits(grid_logits.data[0], rng, greedy)
-        mean = mu.data[0, :, cell]
-        var = nu.data[0, :, cell]
-        if greedy:
-            delta = mean
-        else:
-            delta = rng.normal(mean, np.sqrt(var))
-        point = point_from_grid(cfg, cell, delta)
-        extras["cell"] = cell
-        extras["delta"] = (point[0] - (cfg.cell_px * (cell % cfg.grid) + cfg.cell_px / 2),
-                           point[1] - (cfg.cell_px * (cell // cfg.grid) + cfg.cell_px / 2))
-    return action, point, extras
+    action = (NAV_ACTION_SPACE if family == "nav" else INTERACT_ACTION_SPACE)[idx]
+    if action not in INTERACTIVE_ACTIONS:
+        return action, None, {}
+    grid_logits, mu, nu, _heat = point_maps
+    cell, _ = sample_logits(grid_logits.data[0], rng, greedy)
+    mean = mu.data[0, :, cell]
+    var = nu.data[0, :, cell]
+    if greedy:
+        delta = mean
+    else:
+        delta = rng.normal(mean, np.sqrt(var))
+    point = point_from_grid(cfg, cell, delta)
+    return action, point, {
+        "cell": cell,
+        "delta": (point[0] - (cfg.cell_px * (cell % cfg.grid) + cfg.cell_px / 2),
+                  point[1] - (cfg.cell_px * (cell // cfg.grid) + cfg.cell_px / 2))}
 
 
+def qa_logits(agent, token_rows, obs_batch):
+    """(answer logits, attention weights) of the QA sub-policy for N
+    questions, each on its frame."""
+    q = agent.qa.encode_question(token_rows)
+    cmap, planes = obs_planes(obs_batch, agent.cfg.num_classes)
+    return agent.qa.forward(q, agent.sub_encoder(cmap, planes), return_attention=True)
+
+
+@T.no_grad()
 def qa_answer(agent, question_tokens, obs, return_attention=False):
     """6-way answer distribution for a question on the current frame."""
-    with T.no_grad():
-        return _qa_answer(agent, question_tokens, obs, return_attention)
-
-
-def _qa_answer(agent, question_tokens, obs, return_attention):
-    q = agent.qa.encode_question([question_tokens])
-    cmap, planes = obs_planes([obs], agent.cfg.num_classes)
-    z_img = agent.sub_encoder(cmap, planes)
-    out = agent.qa.forward(q, z_img, return_attention=return_attention)
-    if return_attention:
-        logits, att = out
-        return T.softmax(logits, axis=-1).data[0], att.data[0]
-    return T.softmax(out, axis=-1).data[0]
+    logits, att = qa_logits(agent, [question_tokens], [obs])
+    probs = T.softmax(logits, axis=-1).data[0]
+    return (probs, att.data[0]) if return_attention else probs
 
 
 def act_episode(agent, task, initial_state, mode: InteractionMode, rng,

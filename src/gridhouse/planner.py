@@ -12,11 +12,10 @@ from collections import deque
 from dataclasses import dataclass
 
 from . import world as W
-from .skills import SKILL_PRIMITIVE, Skill, SubGoal, skill_success
-from .world import (AgentPose, InteractionMode, Openness, Power,
-                    PrimitiveAction, WorldState, build_geometry,
-                    cached_geometry, cached_render, cell_visible_from,
-                    instance_distance)
+from .skills import SKILL_PRIMITIVE, Skill, SubGoal, skill_success, state_change
+from .world import (AgentPose, InteractionMode, Openness, PrimitiveAction,
+                    WorldState, build_geometry, cached_geometry, cached_render,
+                    cell_visible_from, instance_distance)
 
 
 class Unreachable(RuntimeError):
@@ -96,6 +95,10 @@ def shortest_path_to_instance(state: WorldState, instance_id,
 
 
 def _applicable(state, geom, skill, obj) -> bool:
+    change = state_change(skill)
+    if change is not None:
+        attr, needed, _left = change
+        return getattr(obj, attr) is needed
     cls = state.cls(obj)
     displayed = obj.instance_id in geom.display_cells
     if skill is Skill.GoTo:
@@ -111,14 +114,6 @@ def _applicable(state, geom, skill, obj) -> bool:
         if held in W.ancestors(state, obj.instance_id):
             return False  # would nest the target inside the held object
         return len(state.contents_of(obj.instance_id)) < W.capacity(obj)
-    if skill is Skill.ToggleOn:
-        return obj.power is Power.OFF
-    if skill is Skill.ToggleOff:
-        return obj.power is Power.ON
-    if skill is Skill.Open:
-        return obj.openness is Openness.CLOSED
-    if skill is Skill.Close:
-        return obj.openness is Openness.OPEN
     if skill is Skill.Slice:
         held = state.held_object()
         return (displayed and cls.sliceable and not obj.sliced
@@ -155,33 +150,26 @@ def expert_point(state: WorldState, obs, target_iid, mode: InteractionMode):
     return (order[0][0] + 0.5, order[0][1] + 0.5)
 
 
-def _script_step(state, geom, obs, subgoal, target_iid, mode, store=None):
-    """Next primitive (+ point) advancing the sub-goal for a pinned target.
+def _script_step(state, geom, obs, subgoal, target_iid, mode, store):
+    """Next primitive (+ point) advancing a GoTo or interaction sub-goal
+    for a pinned target.
 
-    `store`, when given, receives the full BFS action tail so callers can
-    replay it without replanning while the trajectory stays on-script.
+    `store` receives the full BFS action tail so callers can replay it
+    without replanning while the trajectory stays on-script.
     """
-    cfg = state.config
-    if subgoal.skill in (Skill.Answer, Skill.End):
-        return (PrimitiveAction.Done, None)
     cells = geom.display_cells.get(target_iid)
     if not cells:
         raise InfeasibleSubgoal(f"target {target_iid} not displayed")
-    pose = state.agent
-    reachable = (_goal_test(state, geom, pose, cells)
-                 and instance_distance(state, geom, target_iid) <= cfg.interaction_range)
-    if subgoal.skill is Skill.GoTo:
+    if subgoal.skill is Skill.GoTo or not (
+            _goal_test(state, geom, state.agent, cells)
+            and instance_distance(state, geom, target_iid) <= state.config.interaction_range):
         path = _bfs(state, geom, cells)
-        if path and store is not None:
+        if path:
             store(path)
-        return (path[0], None) if path else (PrimitiveAction.Done, None)
-    if not reachable:
-        path = _bfs(state, geom, cells)
-        if not path:
+            return (path[0], None)
+        if subgoal.skill is not Skill.GoTo:
             raise InfeasibleSubgoal("goal test and reachability disagree")
-        if store is not None:
-            store(path)
-        return (path[0], None)
+        return (PrimitiveAction.Done, None)
     target = state.obj(target_iid)
     if (subgoal.skill is Skill.Put and state.cls(target).enclosed
             and target.openness is not Openness.OPEN):
@@ -251,19 +239,15 @@ class ExpertStep:
     target: int | None
 
 
-def _norm_item(item):
-    return item if isinstance(item, tuple) else (item, None)
-
-
 class ExpertController:
     """Serves per-step expert labels for a dynamic sub-goal stream and
     watches executed interactions, inserting reversing sub-goals when the
     agent's interaction diverges from the expert's.
 
-    `remaining_fn(state)` must be Markovian: it returns the sub-goals
-    (optionally `(SubGoal, target_instance)` pairs) still needed from the
-    given state, ending in End, so a recomputed head stays consistent
-    after arbitrary detours.
+    `remaining_fn(state)` must be Markovian: it returns the
+    `(SubGoal, target instance or None)` pairs still needed from the given
+    state, ending in `(SubGoal(Skill.End), None)`, so a recomputed head
+    stays consistent after arbitrary detours.
     """
 
     def __init__(self, state: WorldState, remaining_fn,
@@ -275,7 +259,6 @@ class ExpertController:
         # cached tail of the current BFS script: replanning after a step the
         # plan itself predicted reproduces this suffix exactly
         self._nav: tuple | None = None  # (subgoal, hint, [actions], node, step_count)
-        self.failed = False
 
     def _pop_completed_recovery(self, state):
         while self.recovery:
@@ -285,10 +268,6 @@ class ExpertController:
                 self._pinned = None
             else:
                 return
-
-    def _head(self, state):
-        remaining = [_norm_item(i) for i in self.remaining_fn(state)]
-        return remaining[0] if remaining else (SubGoal(Skill.End), None)
 
     def _nav_cached(self, state, geom, sub, hint):
         if self._nav is None:
@@ -321,36 +300,27 @@ class ExpertController:
                 # e.g. an object put into a Plate or a Bowl: contents of a
                 # movable receptacle are never displayed, so no expert can
                 # label the Pickup that would undo the wrong Put
-                self.failed = True
                 raise Irrecoverable(f"recovery target {hint} not displayed")
-            cached = self._nav_cached(state, geom, sub, hint)
-            if cached is not None:
-                return ExpertStep(sub, cached, None, hint)
-            action, point = _script_step(
-                state, geom, obs, sub, hint, self.mode,
-                store=lambda acts: self._nav_store(state, geom, sub, hint, acts))
-            return ExpertStep(sub, action, point, hint)
-        sub, hint = self._head(state)
-        if sub.skill in (Skill.Answer, Skill.End):
-            return ExpertStep(sub, PrimitiveAction.Done, None, None)
-        if hint is None or not state.has(hint) \
-                or not _applicable(state, geom, sub.skill, state.obj(hint)):
-            if self._pinned is not None and self._pinned[0] == sub:
-                hint = self._pinned[1]
-                ok = (state.has(hint)
-                      and _applicable(state, geom, sub.skill, state.obj(hint))
-                      and hint in geom.display_cells)
-                if not ok:
+        else:
+            sub, hint = self.remaining_fn(state)[0]
+            if sub.skill in (Skill.Answer, Skill.End):
+                return ExpertStep(sub, PrimitiveAction.Done, None, None)
+            if hint is None or not state.has(hint) \
+                    or not _applicable(state, geom, sub.skill, state.obj(hint)):
+                # keep the pinned instance while it still serves the sub-goal
+                pinned = self._pinned is not None and self._pinned[0] == sub
+                hint = self._pinned[1] if pinned else None
+                if not (pinned and state.has(hint)
+                        and _applicable(state, geom, sub.skill, state.obj(hint))
+                        and hint in geom.display_cells):
                     hint = select_target(state, geom, sub)
-            else:
-                hint = select_target(state, geom, sub)
-        self._pinned = (sub, hint)
+            self._pinned = (sub, hint)
         cached = self._nav_cached(state, geom, sub, hint)
         if cached is not None:
             return ExpertStep(sub, cached, None, hint)
         action, point = _script_step(
             state, geom, obs, sub, hint, self.mode,
-            store=lambda acts: self._nav_store(state, geom, sub, hint, acts))
+            lambda acts: self._nav_store(state, geom, sub, hint, acts))
         return ExpertStep(sub, action, point, hint)
 
     def observe(self, state_before, action, result, state_after,
@@ -371,16 +341,11 @@ class ExpertController:
         effect = WrongEffect(action=action, target=result.target,
                              prior_container=prior_container,
                              held_before=state_before.agent.held)
-        pending = [sub for sub, _ in
-                   (_norm_item(i) for i in self.remaining_fn(state_after))]
+        pending = [sub for sub, _ in self.remaining_fn(state_after)]
         pending_classes = {sg.object_class for sg in
                            pending + [r[0] for r in self.recovery]
                            if sg.object_class is not None}
-        try:
-            sub, hint = _reversal_subgoal(effect, state_after, pending_classes)
-        except Irrecoverable:
-            self.failed = True
-            raise
+        sub, hint = _reversal_subgoal(effect, state_after, pending_classes)
         # entry state is post-effect: the reversal predicate compares against
         # the world as the wrong action left it
         self.recovery.insert(0, (sub, hint, state_after))
@@ -391,10 +356,10 @@ def single_subgoal_stream(subgoal: SubGoal, initial_state: WorldState):
     """Remaining-plan callback for one-skill pre-training episodes."""
 
     def fn(state):
-        if subgoal.skill in (Skill.Answer, Skill.End):
-            return [SubGoal(Skill.End)]
-        if skill_success(subgoal, initial_state, state):
-            return [SubGoal(Skill.End)]
-        return [subgoal, SubGoal(Skill.End)]
+        end = (SubGoal(Skill.End), None)
+        if subgoal.skill in (Skill.Answer, Skill.End) or \
+                skill_success(subgoal, initial_state, state):
+            return [end]
+        return [(subgoal, None), end]
 
     return fn

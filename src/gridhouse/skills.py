@@ -8,9 +8,8 @@ from enum import IntEnum
 import numpy as np
 
 from . import world as W
-from .world import (Openness, Power, PrimitiveAction, WorldState,
-                    build_geometry, cached_geometry, instance_distance,
-                    is_visible)
+from .world import (Openness, PrimitiveAction, WorldState, build_geometry,
+                    cached_geometry, instance_distance, is_visible)
 
 
 class Skill(IntEnum):
@@ -31,15 +30,18 @@ INTERACTION_SKILLS = (Skill.Pickup, Skill.Put, Skill.ToggleOn, Skill.ToggleOff,
                       Skill.Open, Skill.Close, Skill.Slice)
 PRETRAIN_SKILLS = (Skill.GoTo,) + INTERACTION_SKILLS
 
-SKILL_PRIMITIVE = {
-    Skill.Pickup: PrimitiveAction.Pickup,
-    Skill.Put: PrimitiveAction.Put,
-    Skill.ToggleOn: PrimitiveAction.ToggleOn,
-    Skill.ToggleOff: PrimitiveAction.ToggleOff,
-    Skill.Open: PrimitiveAction.Open,
-    Skill.Close: PrimitiveAction.Close,
-    Skill.Slice: PrimitiveAction.Slice,
-}
+# each interaction skill is named after the primitive it ends with
+SKILL_PRIMITIVE = {s: PrimitiveAction[s.name] for s in INTERACTION_SKILLS}
+# ToggleOn, ToggleOff, Open, Close: `sample_skill_episode` draws pairs by
+# index, so this order is part of every fixed-seed episode
+STATE_CHANGE_SKILLS = tuple(s for s in INTERACTION_SKILLS
+                            if SKILL_PRIMITIVE[s] in W.STATE_CHANGE)
+
+
+def state_change(skill):
+    """(attribute, value needed, value left) of a state-change skill's
+    target (`world.STATE_CHANGE`); None for any other skill."""
+    return W.STATE_CHANGE.get(SKILL_PRIMITIVE.get(skill))
 
 
 class NoFeasibleSkill(RuntimeError):
@@ -99,13 +101,7 @@ def skill_success(subgoal: SubGoal, before: WorldState, after: WorldState,
                 return True
         return False
 
-    goal_attr = {
-        Skill.ToggleOn: ("power", Power.ON),
-        Skill.ToggleOff: ("power", Power.OFF),
-        Skill.Open: ("openness", Openness.OPEN),
-        Skill.Close: ("openness", Openness.CLOSED),
-    }[subgoal.skill]
-    attr, want = goal_attr
+    attr, _needed, want = state_change(subgoal.skill)
     for o in after.instances_of(cls_id):
         if getattr(o, attr) is not want or not in_range(o):
             continue
@@ -175,18 +171,12 @@ def _feasible_pairs(state, geom):
                 pairs.append((Skill.Slice, o.class_id, o.instance_id))
         if cls.receptacle and displayed and pickupables:
             pairs.append((Skill.Put, o.class_id, o.instance_id))
-        # state-change skills are plausible only when the current state is
-        # the goal state's opposite
-        if cls.toggleable:
-            if o.power is Power.OFF:
-                pairs.append((Skill.ToggleOn, o.class_id, o.instance_id))
-            elif o.power is Power.ON:
-                pairs.append((Skill.ToggleOff, o.class_id, o.instance_id))
-        if cls.enclosed:
-            if o.openness is Openness.CLOSED:
-                pairs.append((Skill.Open, o.class_id, o.instance_id))
-            elif o.openness is Openness.OPEN:
-                pairs.append((Skill.Close, o.class_id, o.instance_id))
+        # state-change skills are plausible only where the skill's action
+        # would apply
+        for skill in STATE_CHANGE_SKILLS:
+            attr, needed, _left = state_change(skill)
+            if getattr(o, attr) is needed:
+                pairs.append((skill, o.class_id, o.instance_id))
     return pairs
 
 
@@ -225,14 +215,11 @@ def _build_episode(state, geom, rng, skill, cls_id, iid):
     target = s.obj(iid)
     reg = s.registry
 
-    if skill in (Skill.Open, Skill.Close):
-        want = Openness.CLOSED if skill is Skill.Open else Openness.OPEN
-        if target.openness is not want:
+    change = state_change(skill)
+    if change is not None:
+        attr, needed, _left = change
+        if getattr(target, attr) is not needed:
             return None  # pair was enumerated from a stale state
-    elif skill in (Skill.ToggleOn, Skill.ToggleOff):
-        want = Power.OFF if skill is Skill.ToggleOn else Power.ON
-        if target.power is not want:
-            return None
     elif skill is Skill.Put:
         choices = [o for o in s.objects
                    if reg[o.class_id].pickupable and o.instance_id != iid

@@ -4,8 +4,9 @@ Four families: short-horizon instruction following (SHIF), long-horizon
 instruction following (LHIF), interactive question answering (IQA) and
 exploratory interaction (EXIN).  Episodes are fully regenerable from
 (scene template, seed, overrides); goals are small serializable dicts.
-The per-task-type facts are two tables: `STATE_CHANGES` for the EXIN
-state changes and `TREATMENTS` for the SHIF treatments and their LHIF
+The per-task-type facts are two tables: `STATE_CHANGES` maps each EXIN
+state-change task type to its skill, whose effect `world.STATE_CHANGE`
+states, and `TREATMENTS` holds the SHIF treatments and their LHIF
 `<treatment>_place` types.  Episode generation and the expert's
 milestones both read them.
 """
@@ -20,7 +21,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import planner, world as W
-from .skills import Skill, SubGoal
+from .skills import Skill, SubGoal, state_change
 from .world import (Cleanliness, Openness, Power, Temperature, WorldState,
                     cached_geometry, randomize_scene)
 
@@ -29,13 +30,9 @@ FAMILIES = ("SHIF", "LHIF", "IQA", "EXIN")
 # per-split step budgets; LHIF chains are long
 MAX_STEPS = {"SHIF": 100, "LHIF": 200, "IQA": 100, "EXIN": 100}
 
-# EXIN state-change task type -> (skill, attribute, start value, goal value)
-STATE_CHANGES = {
-    "toggleon": (Skill.ToggleOn, "power", Power.OFF, Power.ON),
-    "toggleoff": (Skill.ToggleOff, "power", Power.ON, Power.OFF),
-    "open": (Skill.Open, "openness", Openness.CLOSED, Openness.OPEN),
-    "close": (Skill.Close, "openness", Openness.OPEN, Openness.CLOSED),
-}
+# EXIN state-change task type -> its skill
+STATE_CHANGES = {"toggleon": Skill.ToggleOn, "toggleoff": Skill.ToggleOff,
+                 "open": Skill.Open, "close": Skill.Close}
 
 # SHIF task type, and LHIF `<type>_place` -> (appliance, attribute, start
 # value, goal value, switch turned off at the start)
@@ -514,14 +511,16 @@ def remaining_milestones(task: TaskInstance, state: WorldState) -> list:
                 raise InfeasibleTask("nothing left to slice")
             held = state.held_object()
             if held is None or not state.cls(held).slicer:
-                knife = _single(state, state.registry.id_of("Knife")) or \
-                    _single(state, state.registry.id_of("ButterKnife"))
+                knife = _single(state, state.registry.id_of("Knife"))
+                if knife is None:
+                    knife = _single(state, state.registry.id_of("ButterKnife"))
                 if knife is None:
                     raise InfeasibleTask("no slicer available")
                 return _acquire(state, geom, knife)
             return _open_blocker(state, geom, iid) or (
                 _goto_if_needed(state, geom, iid) + [(SubGoal(Skill.Slice, cls_id), iid)])
-        skill, attr, start, _goal = STATE_CHANGES[tt]
+        skill = STATE_CHANGES[tt]
+        attr, start, _left = state_change(skill)
         iid = _single(state, cls_id,
                       pred=lambda o: getattr(o, attr) is start, near_geom=geom)
         if iid is None:
@@ -585,15 +584,11 @@ def remaining_milestones(task: TaskInstance, state: WorldState) -> list:
 
 
 def remaining_fn(task: TaskInstance):
-    """ExpertController callback: sub-goal stream (with instance hints)."""
+    """ExpertController callback: the `(SubGoal, instance hint or None)`
+    pairs still needed, ending in End."""
 
     def fn(state):
-        items = remaining_milestones(task, state)
-        out = []
-        for sub, hint in items:
-            out.append(sub if hint is None else (sub, hint))
-        out.append(SubGoal(Skill.End))
-        return out
+        return remaining_milestones(task, state) + [(SubGoal(Skill.End), None)]
 
     return fn
 
@@ -767,7 +762,7 @@ def generate_task(family, task_type, form_index, scene_template, scene_seed,
                 goal = {"kind": "class_state", "cls": obj_cls,
                         "attr": "sliced", "value": True}
         else:
-            _skill, attr, start, want = STATE_CHANGES[task_type]
+            attr, start, want = state_change(STATE_CHANGES[task_type])
             domain = _present_classes(
                 state, lambda c: (c.toggleable if attr == "power" else c.enclosed))
             obj_cls = _choice(rng, domain)
@@ -1023,13 +1018,19 @@ def verify_episode(task: TaskInstance, templates_by_id, registry=None,
     return task_success(task, traj), traj
 
 
+# scene draws per episode before build_splits gives up on a task type
+GENERATE_ATTEMPTS = 12
+
+
 def build_splits(scene_templates, counts, seed=0, registry=None, config=None, *,
-                 n_unseen, verify=True, max_attempts=12) -> list[DatasetSplit]:
+                 n_unseen) -> list[DatasetSplit]:
     """Deterministic dataset construction.
 
     Unseen splits draw only from the reserved templates; seen splits reuse
-    the train templates with fresh seeds.  Every episode is expert-verified
-    at generation time unless `verify` is disabled.
+    the train templates with fresh seeds.  Every episode is verified at
+    generation time: the expert's replay must succeed, and its sub-goal
+    trace is stored as the episode's expert decomposition.  An episode
+    slot that fails `GENERATE_ATTEMPTS` scene draws raises RuntimeError.
     """
     if n_unseen < 1 or n_unseen >= len(scene_templates):
         raise InsufficientScenes("need at least one reserved unseen template")
@@ -1051,8 +1052,7 @@ def build_splits(scene_templates, counts, seed=0, registry=None, config=None, *,
             while made < quota:
                 task_type, form, want = cycle[ci % len(cycle)]
                 ci += 1
-                ok = False
-                for _ in range(max_attempts):
+                for _ in range(GENERATE_ATTEMPTS):
                     template = pool[int(rng.integers(len(pool)))]
                     scene_seed = int(rng.integers(2 ** 62))
                     try:
@@ -1061,24 +1061,22 @@ def build_splits(scene_templates, counts, seed=0, registry=None, config=None, *,
                                              config=config, want_answer=want)
                     except UnsatisfiableTemplate:
                         continue
-                    if verify:
-                        try:
-                            good, traj = verify_episode(task, templates_by_id,
-                                                        registry, config)
-                        except (InfeasibleTask, planner.Unreachable,
-                                planner.InfeasibleSubgoal, planner.Irrecoverable):
-                            continue
-                        if not good:
-                            continue
-                        from .episodes import expert_subgoal_trace
-                        task.expert_decomposition = [
-                            [s, (None if o is None else int(o))]
-                            for s, o in expert_subgoal_trace(traj)]
+                    try:
+                        good, traj = verify_episode(task, templates_by_id,
+                                                    registry, config)
+                    except (InfeasibleTask, planner.Unreachable,
+                            planner.InfeasibleSubgoal, planner.Irrecoverable):
+                        continue
+                    if not good:
+                        continue
+                    from .episodes import expert_subgoal_trace
+                    task.expert_decomposition = [
+                        [s, (None if o is None else int(o))]
+                        for s, o in expert_subgoal_trace(traj)]
                     episodes.append(task)
                     made += 1
-                    ok = True
                     break
-                if not ok:
+                else:
                     raise RuntimeError(
                         f"could not generate {family}/{task_type} for {sname}")
         out.append(DatasetSplit(name=sname, episodes=episodes,

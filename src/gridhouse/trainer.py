@@ -18,8 +18,8 @@ import numpy as np
 from . import nn, tensor as T
 from .agents import (ANSWER_SPACE, INTERACT_ACTION_SPACE, INTERACT_INDEX,
                      NAV_ACTION_SPACE, NAV_INDEX, NONE_ACTION, NONE_SKILL,
-                     SKILL_FAMILY, ModelConfig, _replicate_concat,
-                     high_level_step, obs_planes, qa_answer, sub_policy_step)
+                     SKILL_FAMILY, ModelConfig, high_level_step, obs_planes,
+                     qa_answer, qa_logits, sub_policy_forward, sub_policy_step)
 from .episodes import rollout, run_expert_episode
 from .planner import ExpertController, single_subgoal_stream
 from .skills import (NoFeasibleSkill, PRETRAIN_SKILLS, SceneSession, Skill,
@@ -214,21 +214,24 @@ def _fill_sub_policy_labels(sample, ex, cfg: ModelConfig):
 # supervised losses
 
 
-def _interact_loss(policy, samples, cfg: ModelConfig,
-                   weights: LossWeights):
-    """Eq.-style interaction loss over a batch of steps: action CE, grid
-    CE + weighted offset log-likelihood on expert-interactive steps, and
-    the focal/L1 auxiliary losses on every step."""
-    obs_batch = [s.obs for s in samples]
-    cmap, planes = obs_planes(obs_batch, cfg.num_classes)
-    sub = policy["sub"]
-    z_img = policy["encoder"](cmap, planes)
-    cond = sub.conditioning([s.last_action for s in samples],
-                            [s.skill for s in samples], [s.obj for s in samples])
-    logits, _value, point_maps = sub.forward(cond, z_img)
+def _forward(agent, family, samples):
+    """`sub_policy_forward` of the family's sub-policy on the samples."""
+    return sub_policy_forward(agent, family, [s.obs for s in samples],
+                              [s.last_action for s in samples],
+                              [s.skill for s in samples], [s.obj for s in samples])
+
+
+def _sub_loss(agent, family, samples, cfg: ModelConfig, weights: LossWeights):
+    """Eq.-style sub-policy loss over a batch of steps: action CE; with a
+    pointing head, also grid CE + weighted offset log-likelihood on
+    expert-interactive steps and the focal/L1 auxiliary losses on every
+    step."""
+    logits, _value, point_maps = _forward(agent, family, samples)
     n = len(samples)
     total = T.mul(nn.cross_entropy_rows(logits, [s.expert_action for s in samples]),
                   weights.action_ce)
+    if point_maps is None:
+        return T.mul(total, 1.0 / n)
     grid_logits, mu, nu, heat = point_maps
     rows = [i for i, s in enumerate(samples) if s.expert_interactive]
     if rows:
@@ -261,28 +264,12 @@ def _interact_loss(policy, samples, cfg: ModelConfig,
         mu_sel = T.gather(mu, (np.array(l1_rows), slice(None), np.array(l1_cells)))
         l1 = T.sum_(T.abs_(mu_sel - np.array(l1_offs)), axis=1)
         total = total + T.mul(T.sum_(T.mul(l1, np.array(l1_w))), weights.l1)
-    return T.mul(total, 1.0 / max(n, 1))
+    return T.mul(total, 1.0 / n)
 
 
-def _nav_loss(policy, samples, cfg, weights):
-    obs_batch = [s.obs for s in samples]
-    cmap, planes = obs_planes(obs_batch, cfg.num_classes)
-    z_img = policy["encoder"](cmap, planes)
-    sub = policy["sub"]
-    cond = sub.conditioning([s.last_action for s in samples],
-                            [s.skill for s in samples],
-                            [s.obj for s in samples])
-    logits, _value, _ = sub.forward(cond, z_img)
-    ce = nn.cross_entropy_rows(logits, [s.expert_action for s in samples])
-    return T.mul(T.mul(ce, weights.action_ce), 1.0 / len(samples))
-
-
-def _qa_loss(agent, samples, cfg):
-    qa = agent.qa
-    q = qa.encode_question([s.answer_tokens for s in samples])
-    cmap, planes = obs_planes([s.obs for s in samples], cfg.num_classes)
-    z_img = agent.sub_encoder(cmap, planes)
-    logits = qa.forward(q, z_img)
+def _qa_loss(agent, samples):
+    logits, _att = qa_logits(agent, [s.answer_tokens for s in samples],
+                             [s.obs for s in samples])
     ce = nn.cross_entropy_rows(logits, [s.answer_label for s in samples])
     return T.mul(ce, 1.0 / len(samples))
 
@@ -291,17 +278,11 @@ def _sub_policy_losses(agent, samples, cfg: ModelConfig, weights: LossWeights):
     """(mean loss, sample count) of each sub-policy family present among
     the samples, in the order interact, nav, QA."""
     out = []
-    inter = [s for s in samples if s.family == "interact"]
-    if inter:
-        out.append((_interact_loss({"encoder": agent.sub_encoder, "sub": agent.interact},
-                                   inter, cfg, weights), len(inter)))
-    nav = [s for s in samples if s.family == "nav"]
-    if nav:
-        out.append((_nav_loss({"encoder": agent.nav_image_encoder(), "sub": agent.nav},
-                              nav, cfg, weights), len(nav)))
-    qa = [s for s in samples if s.family == "qa"]
-    if qa:
-        out.append((_qa_loss(agent, qa, cfg), len(qa)))
+    for family in ("interact", "nav", "qa"):
+        batch = [s for s in samples if s.family == family]
+        if batch:
+            out.append((_qa_loss(agent, batch) if family == "qa"
+                        else _sub_loss(agent, family, batch, cfg, weights), len(batch)))
     return out
 
 
@@ -342,13 +323,11 @@ def multitask_episode_loss(agent, episode: EpisodeBatch, cfg: ModelConfig,
     z_task = agent.task_enc([episode.task_tokens])
     cmap, planes = obs_planes([s.obs for s in steps], cfg.num_classes)
     z_img = agent.hl_encoder(cmap, planes)
-    ctx = agent.high.context(
-        T.mul(z_task, np.ones((n, 1), dtype=T.DEFAULT_DTYPE)),
+    flat = agent.high.gru_input(
+        T.mul(z_task, np.ones((n, 1), dtype=T.DEFAULT_DTYPE)), z_img,
         [s.hl_last_action for s in steps],
         [s.hl_last_skill for s in steps],
         [cfg.num_classes if s.hl_last_obj < 0 else s.hl_last_obj for s in steps])
-    feat = _replicate_concat(ctx, z_img)
-    flat = T.reshape(feat, (n, feat.shape[1] * feat.shape[2] * feat.shape[3]))
     hs = nn.gru_sequence(agent.high.gru, flat,
                          np.zeros(cfg.hidden, dtype=T.DEFAULT_DTYPE))
     skill_logits = agent.high.skill_head(hs)
@@ -440,18 +419,13 @@ def _policy_logp_value(agent, samples, cfg):
     int_rows = [i for i, s in enumerate(samples) if s.family == "interact"]
     logps, values, ents = [], [], []
 
-    def fill(rows, sub, encoder):
+    def fill(rows, family):
         subset = [samples[i] for i in rows]
-        cmap, planes = obs_planes([s.obs for s in subset], cfg.num_classes)
-        z_img = encoder(cmap, planes)
-        cond = sub.conditioning([s.last_action for s in subset],
-                                [s.skill for s in subset],
-                                [s.obj for s in subset])
-        logits, value, point_maps = sub.forward(cond, z_img)
+        logits, value, point_maps = _forward(agent, family, subset)
         logp_rows = nn.log_prob_rows(logits, [s.action for s in subset])
         ents.append(nn.entropy_rows(logits))
         extra = [(j, s) for j, s in enumerate(subset)
-                 if s.cell >= 0 and sub.pointing is not None]
+                 if s.cell >= 0 and point_maps is not None]
         if extra:
             grid_logits, mu, nu, _ = point_maps
             idx = np.array([j for j, _ in extra])
@@ -472,9 +446,9 @@ def _policy_logp_value(agent, samples, cfg):
         values.append(value)
 
     if nav_rows:
-        fill(nav_rows, agent.nav, agent.nav_image_encoder())
+        fill(nav_rows, "nav")
     if int_rows:
-        fill(int_rows, agent.interact, agent.sub_encoder)
+        fill(int_rows, "interact")
     # sample i sits at position order[i] of the nav-then-interact rows
     order = np.argsort(nav_rows + int_rows)
     logp = T.gather(T.concat(logps), order)
@@ -483,6 +457,16 @@ def _policy_logp_value(agent, samples, cfg):
     for e in ents[1:]:
         entropy = entropy + e
     return logp, value, entropy
+
+
+@T.no_grad()
+def snapshot_behaviour(agent, samples, cfg):
+    """Store each sample's log-prob and value under the current policy:
+    the behaviour side of the PPO ratio."""
+    logp, value, _ = _policy_logp_value(agent, samples, cfg)
+    for k, s in enumerate(samples):
+        s.logp = float(logp.data[k])
+        s.value = float(value.data[k])
 
 
 def compute_gae(rewards, values, dones, gamma, lam):
@@ -623,11 +607,7 @@ def pretrain(agent, templates, schedule: ScheduleConfig, cfg: ModelConfig,
                     collect_ppo=(stage == "ppo"))
                 if stage == "ppo":
                     if samples:
-                        with T.no_grad():
-                            logp, value, _ = _policy_logp_value(agent, samples, cfg)
-                        for k, s in enumerate(samples):
-                            s.logp = float(logp.data[k])
-                            s.value = float(value.data[k])
+                        snapshot_behaviour(agent, samples, cfg)
                     ppo_buffer.extend(samples)
                 else:
                     batch.extend(samples)
@@ -776,9 +756,9 @@ def train_multitask(agent, split, templates_by_id, schedule: ScheduleConfig,
     losses per step, recovery planner active during SF."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, 311]))
     weights = weights or LossWeights()
-    opt_hl = nn.Adam(agent.high_level_params(), lr=schedule.lr,
+    opt_hl = nn.Adam(agent.level_params(high=True), lr=schedule.lr,
                      clip_norm=schedule.grad_clip)
-    opt_sub = nn.Adam(agent.sub_policy_params(), lr=schedule.lr_sub,
+    opt_sub = nn.Adam(agent.level_params(high=False), lr=schedule.lr_sub,
                       clip_norm=schedule.grad_clip)
     opt_sub.freeze(agent.frozen_after_pretrain())
     episodes = split.episodes if hasattr(split, "episodes") else list(split)

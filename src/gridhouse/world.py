@@ -85,6 +85,16 @@ class Power(Enum):
     NOT_TOGGLEABLE = "n/a"
 
 
+# what each state-change action needs and leaves on its target:
+# (attribute, value needed, value left)
+STATE_CHANGE = {
+    PrimitiveAction.ToggleOn: ("power", Power.OFF, Power.ON),
+    PrimitiveAction.ToggleOff: ("power", Power.ON, Power.OFF),
+    PrimitiveAction.Open: ("openness", Openness.CLOSED, Openness.OPEN),
+    PrimitiveAction.Close: ("openness", Openness.OPEN, Openness.CLOSED),
+}
+
+
 class Cleanliness(Enum):
     CLEAN = "clean"
     DIRTY = "dirty"
@@ -820,15 +830,11 @@ def step(state: WorldState, action: PrimitiveAction, point=None,
     target = state.obj(target_id)
     cls = state.cls(target)
 
-    if action is PrimitiveAction.Open:
-        if target.openness is not Openness.CLOSED:
+    if action in STATE_CHANGE:
+        attr, needed, left = STATE_CHANGE[action]
+        if getattr(target, attr) is not needed:
             return _fail(state, FailureReason.PRECONDITION_UNMET)
-        return _ok(state, state.with_object(replace(target, openness=Openness.OPEN)), target_id)
-
-    if action is PrimitiveAction.Close:
-        if target.openness is not Openness.OPEN:
-            return _fail(state, FailureReason.PRECONDITION_UNMET)
-        return _ok(state, state.with_object(replace(target, openness=Openness.CLOSED)), target_id)
+        return _ok(state, state.with_object(replace(target, **{attr: left})), target_id)
 
     if action is PrimitiveAction.Pickup:
         if agent.held is not None:
@@ -847,16 +853,6 @@ def step(state: WorldState, action: PrimitiveAction, point=None,
             return _fail(state, FailureReason.PRECONDITION_UNMET)
         new = state.with_object(replace(held, anchor=None, container=target_id))
         return _ok(state, replace(new, agent=replace(agent, held=None)), target_id)
-
-    if action is PrimitiveAction.ToggleOn:
-        if target.power is not Power.OFF:
-            return _fail(state, FailureReason.PRECONDITION_UNMET)
-        return _ok(state, state.with_object(replace(target, power=Power.ON)), target_id)
-
-    if action is PrimitiveAction.ToggleOff:
-        if target.power is not Power.ON:
-            return _fail(state, FailureReason.PRECONDITION_UNMET)
-        return _ok(state, state.with_object(replace(target, power=Power.OFF)), target_id)
 
     if action is PrimitiveAction.Slice:
         held = state.held_object()

@@ -100,7 +100,6 @@ DEFAULT_VALUES = {
     "model.d": 64, "model.grid": 8, "model.hidden": 128, "model.task_dim": 64,
     "model.token_dim": 32, "model.ctx_dim": 16, "model.cond_dim": 64,
     "model.trunk_dim": 128, "model.point_dim": 48, "model.enc_mid": 24,
-    "model.share_sub_encoder": True,
     "rewards.w_success": 20.0, "rewards.w_visible": 1.0, "rewards.w_act": 1.0,
     "rewards.w_point": 0.5, "rewards.sigma_point": 1.0,
     "loss_weights.action_ce": 1.0, "loss_weights.grid_ce": 1.0,
@@ -145,7 +144,7 @@ def test_resolved_values_are_the_recorded_ones(name):
 
 
 def test_defaults_are_the_fields_of_the_section_dataclasses():
-    assert sum(map(len, C.DEFAULTS.values())) == 59
+    assert sum(map(len, C.DEFAULTS.values())) == 58
     assert C.DEFAULTS["multitask"]["lr_high"] == "0.0003"
     assert C.DEFAULTS["eval"] == {"greedy": "true"}
     assert "obs_size" not in C.DEFAULTS["model"]

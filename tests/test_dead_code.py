@@ -1,4 +1,5 @@
-"""No function, method or class in the package lives without a caller."""
+"""No function, method or class in the package lives without a caller,
+and no attribute it stores goes unread."""
 
 from __future__ import annotations
 
@@ -16,6 +17,12 @@ ALLOWED = {
 }
 
 
+def _sources():
+    """(path, syntax tree) of every module in src/gridhouse and perfbench/."""
+    paths = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+    return [(path, ast.parse(path.read_text())) for path in paths]
+
+
 def _unreferenced():
     """Names of non-dunder functions, methods and classes defined in the
     package that nothing in src/ or perfbench/ reads.
@@ -24,11 +31,9 @@ def _unreferenced():
     field.  An attribute counts for a method of that name, whatever its
     base; for a module-level definition it counts only on a module or an
     imported name (`planner.f`), since `obj.f` reads a field or a method."""
-    sources = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
     functions, methods = set(), set()
     loaded, attributes, module_attributes = set(), set(), set()
-    for path in sources:
-        tree = ast.parse(path.read_text())
+    for path, tree in _sources():
         imported = {alias.asname or alias.name.split(".")[0]
                     for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
                     for alias in node.names}
@@ -55,3 +60,23 @@ def test_every_definition_has_a_caller():
     assert unreferenced - set(ALLOWED) == set(), "dead code; delete it or allow it with a reason"
     # an allowed name that gained a caller no longer needs its entry
     assert set(ALLOWED) - unreferenced == set()
+
+
+def _unread_attributes():
+    """Names the package assigns as `self.<name>` that no attribute read
+    in src/ or perfbench/ loads, whatever its base."""
+    stored, read = set(), set()
+    for path, tree in _sources():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Attribute):
+                continue
+            if isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif (path.parent == PACKAGE and isinstance(node.value, ast.Name)
+                  and node.value.id == "self"):
+                stored.add(node.attr)
+    return stored - read
+
+
+def test_every_stored_attribute_is_read():
+    assert _unread_attributes() == set(), "write-only attribute; delete it"

@@ -155,7 +155,8 @@ def test_expert_point_centroid_snaps_to_target():
 def _observe_wrong(before, action, result, after, plan, expected):
     """Controller for the fixed sub-goal list `plan`, after watching the
     executed `action` where the expert meant `expected`."""
-    controller = ExpertController(before, lambda state: plan, InteractionMode.HARD)
+    controller = ExpertController(before, lambda state: [(sub, None) for sub in plan],
+                                  InteractionMode.HARD)
     controller.observe(before, action, result, after, expected)
     return controller
 
@@ -285,7 +286,7 @@ def test_expert_is_total_under_injected_interactions(index, inject_seed):
                               InteractionMode.HARD, max_steps=task.max_steps,
                               expected_answer=task.answer, intervene=intervene)
     assert traj.terminated in ("end", "irrecoverable", "budget")
-    assert streams and all(s[-1] == SubGoal(Skill.End) for s in streams)
+    assert streams and all(s[-1] == (SubGoal(Skill.End), None) for s in streams)
     if traj.terminated == "end":
         assert traj.steps[-1].subgoal == SubGoal(Skill.End)
 

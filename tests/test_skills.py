@@ -40,6 +40,18 @@ def test_skill_success_open_fridge():
     assert not skill_success(sub, after, after)  # no change -> no success
 
 
+def test_feasible_pairs_keep_the_state_change_order():
+    # sample_skill_episode draws pairs by index, so this order is part of
+    # every fixed-seed skill episode; a closed, switched-off microwave has
+    # two state-change pairs
+    state = make_state([{"class": "Microwave", "pos": (4, 6)}], agent_cell=(5, 8))
+    on = state.with_object(__import__("dataclasses").replace(
+        state.obj(0), power=Power.ON, openness=Openness.OPEN))
+    for s, want in ((state, [Skill.GoTo, Skill.ToggleOn, Skill.Open]),
+                    (on, [Skill.GoTo, Skill.ToggleOff, Skill.Close])):
+        assert [p[0] for p in S._feasible_pairs(s, cached_geometry(s))] == want
+
+
 def test_skill_success_goto_visible_in_range():
     state = make_state([{"class": "Apple", "pos": (5, 6)}], agent_cell=(5, 8))
     sub = SubGoal(Skill.GoTo, REG.id_of("Apple"))

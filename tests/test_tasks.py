@@ -30,8 +30,7 @@ TBY = {t["template_id"]: t for t in TEMPLATES_ALL}
 
 def plan(task, state):
     """The expert's remaining sub-goals from `state`, ending in End."""
-    return [item[0] if isinstance(item, tuple) else item
-            for item in remaining_fn(task)(state)]
+    return [sub for sub, _hint in remaining_fn(task)(state)]
 
 
 def test_template_surface_forms_match_task_table():
@@ -99,6 +98,24 @@ def test_decompose_clean_apple_matches_canonical_chain():
     seq = list(traj.subgoal_sequence)
     it = iter(seq)
     assert all(any(step == w for step in it) for w in want), seq
+    assert task_success(task, traj)
+
+
+def test_exin_slice_fetches_a_slicer_with_instance_id_0():
+    state = make_state([
+        {"class": "Knife", "pos": None, "container": 2},
+        {"class": "Apple", "pos": None, "container": 2},
+        {"class": "CounterTop", "pos": (4, 5)},
+    ], agent_cell=(5, 9))
+    apple = REG.id_of("Apple")
+    task = TaskInstance(
+        family="EXIN", task_type="slice", instruction="slice the apple",
+        bindings={"obj": apple},
+        goal={"kind": "class_state", "cls": apple, "attr": "sliced", "value": True},
+        scene_template_id="adhoc", scene_seed=0)
+    assert TK.remaining_milestones(task, state)[-1] == \
+        (SubGoal(Skill.Pickup, REG.id_of("Knife")), 0)
+    traj = run_expert_episode(state, remaining_fn(task), max_steps=100)
     assert task_success(task, traj)
 
 

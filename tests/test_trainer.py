@@ -176,11 +176,7 @@ def _collect_buffer(agent, n_steps=40, seed=0):
                                           0.5, CFG, RewardConfig(),
                                           collect_ppo=True)
         if samples:
-            with T.no_grad():
-                logp, value, _ = TR._policy_logp_value(agent, samples, CFG)
-            for k, s in enumerate(samples):
-                s.logp = float(logp.data[k])
-                s.value = float(value.data[k])
+            TR.snapshot_behaviour(agent, samples, CFG)
             buffer.extend(samples)
         session.reset_scene()
     return buffer[:n_steps]
