@@ -17,7 +17,7 @@ from .nn import Conv2d, Embedding, GRUCell, Linear, Module
 from .skills import INTERACTION_SKILLS, NO_OBJECT_SKILLS, Skill, SubGoal
 from .tasks import tokenize
 from .world import (CLASS_BASE, INTERACTIVE_ACTIONS, NAV_ACTION_SPACE,
-                    InteractionMode, PrimitiveAction, WorldConfig)
+                    InteractionMode, PrimitiveAction, WorldConfig, cached_render)
 
 INTERACT_ACTION_SPACE = tuple(PrimitiveAction)  # all 13
 ANSWER_SPACE = ("Yes", "No", "0", "1", "2", "3")
@@ -230,16 +230,15 @@ class QASubPolicy(Module):
     def encode_question(self, token_rows):
         return _encode_tokens(self.tok, self.gru, token_rows)
 
-    def forward(self, q, z_img, return_attention=False):
+    def forward(self, q, z_img):
+        """(answer logits, attention weights over the image cells)."""
         n, d, h, w = z_img.shape
         flat = T.reshape(z_img, (n, d, h * w))
         scores = _batched_dot(q, flat)              # (N, h*w)
         weights = T.softmax(scores, axis=-1)
         att = _attend(weights, flat)                # (N, d)
         logits = self.out2(T.relu(self.out1(T.concat([q, att], axis=-1))))
-        if return_attention:
-            return logits, weights
-        return logits
+        return logits, weights
 
 
 def _batched_dot(q, flat):
@@ -389,15 +388,14 @@ def qa_logits(agent, token_rows, obs_batch):
     questions, each on its frame."""
     q = agent.qa.encode_question(token_rows)
     cmap, planes = obs_planes(obs_batch, agent.cfg.num_classes)
-    return agent.qa.forward(q, agent.sub_encoder(cmap, planes), return_attention=True)
+    return agent.qa.forward(q, agent.sub_encoder(cmap, planes))
 
 
 @T.no_grad()
-def qa_answer(agent, question_tokens, obs, return_attention=False):
+def qa_answer(agent, question_tokens, obs):
     """6-way answer distribution for a question on the current frame."""
-    logits, att = qa_logits(agent, [question_tokens], [obs])
-    probs = T.softmax(logits, axis=-1).data[0]
-    return (probs, att.data[0]) if return_attention else probs
+    logits, _att = qa_logits(agent, [question_tokens], [obs])
+    return T.softmax(logits, axis=-1).data[0]
 
 
 def act_episode(agent, task, initial_state, mode: InteractionMode, rng,
@@ -409,8 +407,9 @@ def act_episode(agent, task, initial_state, mode: InteractionMode, rng,
         z_task = agent.task_enc([tokens])
     hidden = agent.high.initial_hidden(1)
 
-    def decide(traj, state, obs, ex):
+    def decide(traj, state, ex):
         nonlocal hidden
+        obs = cached_render(state)
         prev = traj.steps[-1] if traj.steps else None
         last_action = None if prev is None else prev.action
         sub, _logits, hidden = high_level_step(

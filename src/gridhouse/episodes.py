@@ -52,9 +52,12 @@ def rollout(state: WorldState, decide, mode: InteractionMode, max_steps: int,
     """Step the world from `state` until the episode ends; every episode
     of the package runs here.
 
-    Each step renders the state, takes the controller's label `ex` (None
-    without a controller) and calls `decide(traj, state, obs, ex)`, which
-    returns `(subgoal, action, point, ends)`.  The episode ends as
+    Each step takes the controller's label `ex` (None without a
+    controller) and calls `decide(traj, state, ex)`, which returns
+    `(subgoal, action, point, ends)`.  Nothing here renders: a `decide`
+    that feeds a model calls `cached_render(state)`, the expert renders to
+    aim an interaction, and `step` renders for an interactive action; all
+    three share the state's memo.  The episode ends as
     - "success" after a step whose successor satisfies `succeeded(state)`;
       the controller does not observe that step, so a wrong interaction
       that completes the goal needs no recovery
@@ -67,16 +70,15 @@ def rollout(state: WorldState, decide, mode: InteractionMode, max_steps: int,
     traj = Trajectory()
     for t in range(max_steps):
         geom = cached_geometry(state)
-        obs = cached_render(state)
         ex = None
         if controller is not None:
             try:
-                ex = controller.expert_action(state, geom, obs)
+                ex = controller.expert_action(state, geom)
             except Irrecoverable:
                 traj.terminated = "irrecoverable"
                 break
-        subgoal, action, point, ends = decide(traj, state, obs, ex)
-        new_state, res = step(state, action, point, mode, geom, obs)
+        subgoal, action, point, ends = decide(traj, state, ex)
+        new_state, res = step(state, action, point, mode, geom)
         traj.steps.append(StepRecord(
             t=t, subgoal=subgoal, action=action, point=point,
             success=res.success, reason=res.reason.value if res.reason else None,
@@ -108,10 +110,11 @@ def run_expert_episode(initial_state: WorldState, remaining_fn,
     (action, point) to inject a wrong action (used by recovery tests); the
     controller then monitors and recovers exactly as during training.
     """
-    def decide(traj, state, obs, ex):
+    def decide(traj, state, ex):
         action, point = ex.action, ex.point
         if intervene is not None:
-            swap = intervene(len(traj.steps), state, cached_geometry(state), obs, ex)
+            swap = intervene(len(traj.steps), state, cached_geometry(state),
+                             cached_render(state), ex)
             if swap is not None:
                 action, point = swap
         own = action is ex.action

@@ -12,8 +12,8 @@ from .agents import (ANSWER_SPACE, SKILL_FAMILY, act_episode, qa_answer,
 from .episodes import rollout, run_expert_episode
 from .skills import (PRETRAIN_SKILLS, SceneSession, periodic_reset,
                      sample_skill_episode, skill_success, NoFeasibleSkill)
-from .tasks import (FAMILIES, remaining_fn, task_initial_state, task_success,
-                    tokenize)
+from .tasks import (FAMILIES, UnsatisfiableTemplate, generate_task, remaining_fn,
+                    task_initial_state, task_success, tokenize)
 # `env_step` stays bound: the benchmark's tracer finds `world.step` through
 # this alias too (perfbench/tests/test_spans.py)
 from .world import (InteractionMode, PrimitiveAction, cached_render,
@@ -102,7 +102,8 @@ def run_skill_episode_policy(agent, episode, mode, rng, greedy=True) -> bool:
     success per the skill predicate at termination."""
     sub, start = episode.subgoal, episode.initial_state
 
-    def decide(traj, state, obs, ex):
+    def decide(traj, state, ex):
+        obs = cached_render(state)
         last = traj.steps[-1].action if traj.steps else None
         action, point, _ = sub_policy_step(agent, sub, obs, last, rng, greedy=greedy)
         return sub, action, point, action is PrimitiveAction.Done
@@ -141,9 +142,6 @@ def eval_skills(agent, templates, n_per_skill=30, seed=0,
 def eval_answer_skill(agent, templates, vocab, n=40, seed=0,
                       mode=InteractionMode.HARD, registry=None, config=None):
     """Answer accuracy on expert final frames."""
-    from .tasks import UnsatisfiableTemplate, generate_task
-    from .tasks import remaining_fn as rfn
-
     rng = np.random.default_rng(np.random.SeedSequence([seed, 161]))
     wins, tries, guard = 0, 0, 0
     while tries < n and guard < n * 20:
@@ -157,7 +155,7 @@ def eval_answer_skill(agent, templates, vocab, n=40, seed=0,
         except UnsatisfiableTemplate:
             continue
         state = task_initial_state(task, template, registry=registry, config=config)
-        traj = run_expert_episode(state, rfn(task), mode, max_steps=task.max_steps,
+        traj = run_expert_episode(state, remaining_fn(task), mode, max_steps=task.max_steps,
                                   expected_answer=task.answer)
         tokens = [vocab.get(t, 1) for t in tokenize(task.instruction)]
         probs = qa_answer(agent, tokens, cached_render(traj.final_state))

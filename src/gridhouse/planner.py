@@ -1,21 +1,31 @@
-"""Full-state expert: BFS navigation, per-sub-goal scripts, recovery.
+"""Full-state expert: distance-field navigation, per-sub-goal scripts,
+recovery.
 
 The expert reads WorldState directly (the learned agent never does).  It
 serves per-step labels (a*, p*) for imitation, and the ExpertController
 additionally monitors executed interactions so a wrong one can be undone
 by inserting a reversing sub-goal.
+
+Navigation labels come from one reverse BFS per (geometry, target cells):
+the distance from every pose to the nearest pose that sees a target cell
+in range, memoized on the `SceneGeometry` that steps moving only the
+agent share.  Each step takes the first move one level closer, which is
+the path FIFO BFS from the agent's pose would return.  The expert renders
+the observation only to aim an interaction (`expert_point`).
 """
 
 from __future__ import annotations
 
-from collections import deque
+import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import world as W
 from .skills import SKILL_PRIMITIVE, Skill, SubGoal, skill_success, state_change
 from .world import (AgentPose, InteractionMode, Openness, PrimitiveAction,
-                    WorldState, build_geometry, cached_geometry, cached_render,
-                    cell_visible_from, instance_distance)
+                    WorldState, cached_geometry, cached_render, instance_distance,
+                    line_of_sight)
 
 
 class Unreachable(RuntimeError):
@@ -31,23 +41,16 @@ class Irrecoverable(RuntimeError):
 
 
 # --------------------------------------------------------------------------
-# navigation BFS over (cell, heading, pitch)
+# navigation: a distance field over poses
+#
+# A pose (cell, heading, pitch) is one bit of a Python int: heading and
+# pitch pick a block of width * height bits, the cell a bit inside it.  A
+# set of poses is one int, so one level of a search over every pose at
+# once is a few shifts and masks.
 
-
-def _goal_test(state, geom, pose, cells):
-    cfg = state.config
-    ax, ay = pose.cell
-    near = min(abs(cx - ax) + abs(cy - ay) for cx, cy in cells) if cells else 99
-    if near > cfg.interaction_range + 1:
-        return False
-    if not any((cx - ax) ** 2 + (cy - ay) ** 2 <= cfg.interaction_range ** 2
-               for cx, cy in cells):
-        return False
-    return any(cell_visible_from(geom, cfg, pose, c) for c in cells)
-
-
-# BFS successors: every navigation action but Done, which does not move
+# navigation successors: every navigation action but Done, which does not move
 _MOVES = tuple(a for a in W.NAV_ACTION_SPACE if a is not PrimitiveAction.Done)
+_PITCHES = (-1, 0, 1)
 
 
 def _node_of(state):
@@ -56,38 +59,174 @@ def _node_of(state):
     return (a.cell, a.heading, a.pitch)
 
 
-def _bfs(state, geom, cells):
-    """Minimal primitive sequence to a pose seeing a target cell in range."""
-    start = _node_of(state)
+def _block(heading, pitch, area):
+    """First bit of the block of poses with this heading and pitch."""
+    return ((pitch + 1) * 4 + heading) * area
 
-    def pose_of(node):
-        return AgentPose(cell=node[0], heading=node[1], pitch=node[2])
 
-    if _goal_test(state, geom, pose_of(start), cells):
-        return []
-    seen = {start}
-    queue = deque([(start, [])])
-    while queue:
-        node, path = queue.popleft()
+def _pose_bit(state, node):
+    (x, y), heading, pitch = node
+    return _block(heading, pitch, state.width * state.height) + y * state.width + x
+
+
+def _bits(mask):
+    """A bool (height, width) array as an int with bit y * width + x set
+    where the array is true."""
+    return int.from_bytes(np.packbits(mask.ravel(), bitorder="little").tobytes(), "little")
+
+
+_VIEW_PATTERNS: dict[tuple, dict] = {}
+
+
+def _view_patterns(cfg, area):
+    """(dx, dy) -> the first bit of every (heading, pitch) block, `area`
+    bits wide, whose view wedge holds the cell at that offset."""
+    key = (cfg.view_depth, cfg.pitch_shift, cfg.window, area)
+    table = _VIEW_PATTERNS.get(key)
+    if table is None:
+        table = {}
+        span = range(-cfg.window, cfg.window + 1)
+        for pitch in _PITCHES:
+            for heading in W.Heading:
+                pose = AgentPose(cell=(0, 0), heading=heading, pitch=pitch)
+                first = 1 << _block(heading, pitch, area)
+                for off in ((dx, dy) for dx in span for dy in span):
+                    if W.cell_in_frustum(cfg, pose, off):
+                        table[off] = table.get(off, 0) | first
+        _VIEW_PATTERNS[key] = table
+    return table
+
+
+_POSE_MASKS: dict[tuple, tuple] = {}
+
+
+def _pose_masks(w, h):
+    """Pose-bit masks that depend on the grid size only:
+    - `copies`: the first bit of every block, so `cell_bits * copies`
+      repeats a cell mask in each block
+    - `ahead`: per heading, the poses whose cell MoveAhead enters from
+      inside the grid, and the shift from each to the pose it came from
+    - the blocks facing north, facing west, at pitch -1 and at pitch 1"""
+    masks = _POSE_MASKS.get((w, h))
+    if masks is None:
+        area = w * h
+        xs, ys = np.arange(w), np.arange(h)[:, None]
+
+        def blocks(cell_bits, headings=W.Heading, pitches=_PITCHES):
+            return sum(cell_bits << _block(hd, p, area) for hd in headings for p in pitches)
+
+        ahead = []
+        for heading in W.Heading:
+            fx, fy = W.HEADING_VEC[heading]
+            inside = _bits((0 <= xs - fx) & (xs - fx < w) & (0 <= ys - fy) & (ys - fy < h))
+            ahead.append((blocks(inside, (heading,)), fy * w + fx))
+        every = (1 << area) - 1
+        masks = (blocks(1), tuple(ahead), blocks(every, (W.Heading.NORTH,)),
+                 blocks(every, (W.Heading.WEST,)), blocks(every, pitches=(-1,)),
+                 blocks(every, pitches=(1,)))
+        _POSE_MASKS[(w, h)] = masks
+    return masks
+
+
+def _goal_blocks(state, geom, cell, cells, view):
+    """The goal test for every pose at `cell`: the first bits of the
+    (heading, pitch) blocks whose pose sees a target cell while standing
+    in range of one (not necessarily the same cell)."""
+    cfg = state.config
+    ax, ay = cell
+    if min(abs(cx - ax) + abs(cy - ay) for cx, cy in cells) > cfg.interaction_range + 1:
+        return 0
+    if not any((cx - ax) ** 2 + (cy - ay) ** 2 <= cfg.interaction_range ** 2
+               for cx, cy in cells):
+        return 0
+    blocks = 0
+    for cx, cy in cells:
+        pattern = view.get((cx - ax, cy - ay), 0)
+        if pattern & ~blocks and line_of_sight(geom.opaque, cell, (cx, cy)):
+            blocks |= pattern
+    return blocks
+
+
+def _goal_test(state, geom, pose, cells):
+    area = state.width * state.height
+    blocks = _goal_blocks(state, geom, pose.cell, cells,
+                          _view_patterns(state.config, area))
+    return bool(blocks >> _block(pose.heading, pose.pitch, area) & 1)
+
+
+def _distance_field(state, geom, cells):
+    """Levels of one reverse BFS from the goal poses over the moves of
+    `nav_pose`: levels[k] holds every pose k moves from the nearest goal
+    pose.  It reads only the geometry, the grid size and the config, so it
+    is memoized on the geometry per target-cell tuple and serves every
+    state that shares the geometry."""
+    memo = geom.__dict__.setdefault("_fields", {})
+    key = tuple(cells)
+    levels = memo.get(key)
+    if levels is not None:
+        return levels
+    w, h = state.width, state.height
+    area = w * h
+    view = _view_patterns(state.config, area)
+    reach = math.ceil(state.config.interaction_range)
+    seen = 0
+    for x, y in {(x, y) for cx, cy in cells
+                 for x in range(max(cx - reach, 0), min(cx + reach + 1, w))
+                 for y in range(max(cy - reach, 0), min(cy + reach + 1, h))}:
+        seen |= _goal_blocks(state, geom, (x, y), cells, view) << y * w + x
+
+    copies, ahead, north, west, down, up = _pose_masks(w, h)
+    free = _bits(~geom.blocked) * copies
+    # MoveAhead enters a free cell from the cell behind it
+    enters = [(free & inside, shift) for inside, shift in ahead]
+    not_north, not_west, not_down, not_up = ~north, ~west, ~down, ~up
+
+    levels = []
+    frontier = seen
+    while frontier:
+        levels.append(frontier)
+        before = 0
+        for enter, shift in enters:
+            hit = frontier & enter
+            before |= hit >> shift if shift > 0 else hit << -shift
+        # RotateLeft turns heading h + 1 into h, RotateRight h - 1 into h
+        before |= (frontier & not_west) << area | (frontier & west) >> 3 * area
+        before |= (frontier & not_north) >> area | (frontier & north) << 3 * area
+        # LookUp raises pitch p - 1 to p, LookDown lowers p + 1 to p
+        before |= (frontier & not_down) >> 4 * area | (frontier & not_up) << 4 * area
+        frontier = before & ~seen
+        seen |= frontier
+    memo[key] = levels = tuple(levels)
+    return levels
+
+
+def _walk(state, geom, cells):
+    """The moves from the agent's pose to the nearest pose that sees a
+    target cell in range: at each pose, the first of `_MOVES` whose
+    successor is one level closer.  That is the shortest path first in
+    `_MOVES` order, the one FIFO BFS with that successor order returns."""
+    levels = _distance_field(state, geom, cells)
+    node = _node_of(state)
+    bit = _pose_bit(state, node)
+    dist = next((k for k, level in enumerate(levels) if level >> bit & 1), None)
+    if dist is None:
+        raise Unreachable("no pose sees the target in range")
+    for closer in reversed(levels[:dist]):
         for action in _MOVES:
             nxt = W.nav_pose(state, node, action, geom)
-            if nxt is None or nxt in seen:
-                continue
-            seen.add(nxt)
-            npath = path + [action]
-            if _goal_test(state, geom, pose_of(nxt), cells):
-                return npath
-            queue.append((nxt, npath))
-    raise Unreachable("no pose sees the target in range")
+            if nxt is not None and closer >> _pose_bit(state, nxt) & 1:
+                break
+        yield action
+        node = nxt
 
 
 def shortest_path_to_instance(state: WorldState, instance_id,
                               geom=None) -> list[PrimitiveAction]:
-    geom = geom or build_geometry(state)
+    geom = geom or cached_geometry(state)
     cells = geom.display_cells.get(instance_id)
     if not cells:
         raise Unreachable(f"instance {instance_id} is not displayed anywhere")
-    return _bfs(state, geom, cells) + [PrimitiveAction.Done]
+    return list(_walk(state, geom, cells)) + [PrimitiveAction.Done]
 
 
 # --------------------------------------------------------------------------
@@ -132,10 +271,12 @@ def select_target(state: WorldState, geom, subgoal: SubGoal):
                                      o.instance_id)).instance_id
 
 
-def expert_point(state: WorldState, obs, target_iid, mode: InteractionMode):
+def expert_point(state: WorldState, target_iid, mode: InteractionMode):
     """Ground-truth interaction point: the centroid of the target's visible
     cells, snapped into the cell (nearest the centroid) that actually
-    resolves to the target in the given mode."""
+    resolves to the target in the given mode.  The expert renders only
+    here, on the states where it interacts."""
+    obs = cached_render(state)
     cells = obs.visible_instance_cells().get(target_iid)
     if not cells:
         return None
@@ -150,31 +291,26 @@ def expert_point(state: WorldState, obs, target_iid, mode: InteractionMode):
     return (order[0][0] + 0.5, order[0][1] + 0.5)
 
 
-def _script_step(state, geom, obs, subgoal, target_iid, mode, store):
+def _script_step(state, geom, subgoal, target_iid, mode):
     """Next primitive (+ point) advancing a GoTo or interaction sub-goal
-    for a pinned target.
-
-    `store` receives the full BFS action tail so callers can replay it
-    without replanning while the trajectory stays on-script.
-    """
+    for a pinned target."""
     cells = geom.display_cells.get(target_iid)
     if not cells:
         raise InfeasibleSubgoal(f"target {target_iid} not displayed")
     if subgoal.skill is Skill.GoTo or not (
             _goal_test(state, geom, state.agent, cells)
             and instance_distance(state, geom, target_iid) <= state.config.interaction_range):
-        path = _bfs(state, geom, cells)
-        if path:
-            store(path)
-            return (path[0], None)
+        move = next(_walk(state, geom, cells), None)
+        if move is not None:
+            return (move, None)
         if subgoal.skill is not Skill.GoTo:
             raise InfeasibleSubgoal("goal test and reachability disagree")
         return (PrimitiveAction.Done, None)
     target = state.obj(target_iid)
     if (subgoal.skill is Skill.Put and state.cls(target).enclosed
             and target.openness is not Openness.OPEN):
-        return (PrimitiveAction.Open, expert_point(state, obs, target_iid, mode))
-    return (SKILL_PRIMITIVE[subgoal.skill], expert_point(state, obs, target_iid, mode))
+        return (PrimitiveAction.Open, expert_point(state, target_iid, mode))
+    return (SKILL_PRIMITIVE[subgoal.skill], expert_point(state, target_iid, mode))
 
 
 # --------------------------------------------------------------------------
@@ -247,7 +383,10 @@ class ExpertController:
     `remaining_fn(state)` must be Markovian: it returns the
     `(SubGoal, target instance or None)` pairs still needed from the given
     state, ending in `(SubGoal(Skill.End), None)`, so a recomputed head
-    stays consistent after arbitrary detours.
+    stays consistent after arbitrary detours.  Navigation labels are
+    Markovian too: each one reads the distance field of the current
+    geometry and target, so a label after a detour costs no new search
+    while the scene is unchanged.
     """
 
     def __init__(self, state: WorldState, remaining_fn,
@@ -256,9 +395,6 @@ class ExpertController:
         self.remaining_fn = remaining_fn
         self.recovery: list[tuple[SubGoal, int, WorldState]] = []
         self._pinned: tuple[SubGoal, int] | None = None
-        # cached tail of the current BFS script: replanning after a step the
-        # plan itself predicted reproduces this suffix exactly
-        self._nav: tuple | None = None  # (subgoal, hint, [actions], node, step_count)
 
     def _pop_completed_recovery(self, state):
         while self.recovery:
@@ -269,30 +405,8 @@ class ExpertController:
             else:
                 return
 
-    def _nav_cached(self, state, geom, sub, hint):
-        if self._nav is None:
-            return None
-        csub, chint, actions, node, count = self._nav
-        if csub != sub or chint != hint or not actions:
-            return None
-        if _node_of(state) != node or state.step_count != count:
-            return None
-        self._nav_store(state, geom, sub, hint, actions)
-        return actions[0]
-
-    def _nav_store(self, state, geom, sub, hint, actions):
-        """Cache the script tail after `actions[0]` with the node and step
-        count that executing `actions[0]` from `state` leads to."""
-        if actions:
-            self._nav = (sub, hint, actions[1:],
-                         W.nav_pose(state, _node_of(state), actions[0], geom),
-                         state.step_count + 1)
-        else:
-            self._nav = None
-
-    def expert_action(self, state, geom=None, obs=None) -> ExpertStep:
+    def expert_action(self, state, geom=None) -> ExpertStep:
         geom = geom or cached_geometry(state)
-        obs = obs or cached_render(state)
         self._pop_completed_recovery(state)
         if self.recovery:
             sub, hint, _entry = self.recovery[0]
@@ -315,12 +429,7 @@ class ExpertController:
                         and hint in geom.display_cells):
                     hint = select_target(state, geom, sub)
             self._pinned = (sub, hint)
-        cached = self._nav_cached(state, geom, sub, hint)
-        if cached is not None:
-            return ExpertStep(sub, cached, None, hint)
-        action, point = _script_step(
-            state, geom, obs, sub, hint, self.mode,
-            lambda acts: self._nav_store(state, geom, sub, hint, acts))
+        action, point = _script_step(state, geom, sub, hint, self.mode)
         return ExpertStep(sub, action, point, hint)
 
     def observe(self, state_before, action, result, state_after,

@@ -24,8 +24,8 @@ from .episodes import rollout, run_expert_episode
 from .planner import ExpertController, single_subgoal_stream
 from .skills import (NoFeasibleSkill, PRETRAIN_SKILLS, SceneSession, Skill,
                      periodic_reset, sample_skill_episode, skill_success)
-from .tasks import remaining_fn as task_remaining_fn
-from .tasks import task_initial_state, tokenize
+from .tasks import (UnsatisfiableTemplate, generate_task, remaining_fn,
+                    task_initial_state, tokenize)
 # `env_step` stays bound: the benchmark's tracer finds `world.step` through
 # this alias too (perfbench/tests/test_spans.py)
 from .world import (CLASS_BASE, INTERACTIVE_ACTIONS, InteractionMode,
@@ -372,7 +372,8 @@ def run_skill_episode(agent, episode, mode, rng, eps, cfg: ModelConfig,
     start = episode.initial_state
     samples = []
 
-    def decide(traj, state, obs, ex):
+    def decide(traj, state, ex):
+        obs = cached_render(state)
         last = traj.steps[-1].action if traj.steps else None
         sample = _record_expert(obs, sub, NONE_ACTION if last is None else int(last),
                                 ex, cfg, family)
@@ -632,8 +633,6 @@ def pretrain(agent, templates, schedule: ScheduleConfig, cfg: ModelConfig,
 def _qa_episode_samples(session, rng, cfg, vocab, mode, registry, world_config):
     """Answer-skill supervision: expert navigates, the QA head is trained
     on the final frame."""
-    from .tasks import generate_task, UnsatisfiableTemplate, remaining_fn
-
     template = session.template_for_next()
     seed = int(rng.integers(2 ** 62))
     qtype = ("state", "existence", "counting")[int(rng.integers(3))]
@@ -689,8 +688,9 @@ def run_task_episode_sf(agent, task, state, mode, rng, eps, cfg, vocab):
     hidden = agent.high.initial_hidden(1)
     samples = []
 
-    def decide(traj, state, obs, ex):
+    def decide(traj, state, ex):
         nonlocal hidden
+        obs = cached_render(state)
         prev = traj.steps[-1] if traj.steps else None
         last_action = None if prev is None else prev.action
         last_sub = None if prev is None else prev.subgoal
@@ -714,7 +714,7 @@ def run_task_episode_sf(agent, task, state, mode, rng, eps, cfg, vocab):
         return sampled_sub, action, point, False
 
     traj = rollout(state, decide, mode, task.max_steps,
-                   ExpertController(state, task_remaining_fn(task), mode))
+                   ExpertController(state, remaining_fn(task), mode))
     return [s for s in samples if s.family != "none"], traj
 
 

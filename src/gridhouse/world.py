@@ -390,11 +390,12 @@ def _ray_offsets(dx, dy):
 
 
 def line_of_sight(opaque, from_cell, to_cell):
-    dx, dy = to_cell[0] - from_cell[0], to_cell[1] - from_cell[1]
-    offs = _ray_offsets(dx, dy)
-    if offs.size == 0:
-        return True
-    return not opaque[from_cell[1] + offs[:, 1], from_cell[0] + offs[:, 0]].any()
+    # a ray samples a few cells, so scalar reads beat one fancy-index gather
+    x, y = from_cell
+    for ox, oy in _ray_offsets(to_cell[0] - x, to_cell[1] - y).tolist():
+        if opaque[y + oy, x + ox]:
+            return False
+    return True
 
 
 def right_vec(heading: Heading):
@@ -728,14 +729,14 @@ def _effects(state: WorldState) -> dict:
 
 # memos that depend only on walls and objects (and on width, height,
 # registry and config, which no step changes)
-_SCENE_MEMOS = ("_geom", "_effects", "_objects_text")
+_SCENE_MEMOS = ("_geom", "_effects", "_objects_text", "_settled")
 
 
 def _carry(before: WorldState, after: WorldState):
     """Hand `after` what `before` already derived from its scene when both
-    hold the very same walls and objects: geometry, effects and the
-    objects text of `state_hash`, plus the observation when the pose is
-    unchanged too."""
+    hold the very same walls and objects: geometry, effects, the objects
+    text of `state_hash` and the settled mark, plus the observation when
+    the pose is unchanged too."""
     if after.walls is not before.walls or after.objects is not before.objects:
         return
     src, dst = before.__dict__, after.__dict__
@@ -750,11 +751,19 @@ def _ok(before: WorldState, after: WorldState, target=None):
     """Successful step: bump the counter and apply heat/cool/clean effects
     from conditions that held when the step began and when it ended.
     `_apply_effects` returns its input when nothing changes, so carrying
-    the memos right after the replace covers every unchanged scene."""
+    the memos right after the replace covers every unchanged scene.
+
+    Every output is settled, a fixpoint of its own effects: effects set
+    temperatures and clean dirty items, and `_propagation_effects` reads
+    neither, except that a cleaned item drops its own clean mark.  So a
+    successor that inherits the settled mark with the scene (a pose-only
+    or Done step from an output of this function) skips both passes."""
     out = replace(after, step_count=before.step_count + 1)
     _carry(before, out)
-    out = _apply_effects(out, _effects(before))
-    out = _apply_effects(out, _effects(out))
+    if "_settled" not in out.__dict__:
+        out = _apply_effects(out, _effects(before))
+        out = _apply_effects(out, _effects(out))
+        out.__dict__["_settled"] = True
     return out, ActionResult(True, None, target)
 
 
@@ -803,9 +812,10 @@ def step(state: WorldState, action: PrimitiveAction, point=None,
 
     `geom` and `obs`, when given, must be the state's own (as from
     `cached_geometry` and `cached_render`).  A successful step hands the
-    successor every memo that still holds for it: geometry, effects and
-    the objects text of `state_hash` depend only on `walls` and `objects`,
-    and the observation also on the agent pose."""
+    successor every memo that still holds for it: geometry, effects, the
+    objects text of `state_hash` and the settled mark (see `_ok`) depend
+    only on `walls` and `objects`, and the observation also on the agent
+    pose."""
     agent = state.agent
     if action is PrimitiveAction.Done:
         return _ok(state, state)

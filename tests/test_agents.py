@@ -10,7 +10,7 @@ from gridhouse.agents import (ANSWER_SPACE, INTERACT_ACTION_SPACE,
                               NAV_ACTION_SPACE, SKILL_FAMILY, HierarchicalAgent,
                               ModelConfig, act_episode, high_level_step,
                               obs_planes, point_from_grid, qa_answer,
-                              sample_logits, sub_policy_step)
+                              qa_logits, sample_logits, sub_policy_step)
 from gridhouse.classes import desk_registry
 from gridhouse.scenes import builtin_templates
 from gridhouse.skills import NO_OBJECT_SKILLS, Skill, SubGoal
@@ -128,7 +128,9 @@ def test_interact_sub_policy_points_only_with_interactive_actions(agent, scene_o
 def test_qa_attention_sums_to_one_and_uniform_head(agent, scene_obs):
     _, obs = scene_obs
     tokens = [2, 3, 4]
-    probs, att = qa_answer(agent, tokens, obs, return_attention=True)
+    probs = qa_answer(agent, tokens, obs)
+    with T.no_grad():
+        att = qa_logits(agent, [tokens], [obs])[1].data[0]
     assert abs(att.sum() - 1.0) < 1e-9
     assert abs(probs.sum() - 1.0) < 1e-9
     # zero the output head: exactly uniform 1/6
@@ -144,7 +146,9 @@ def test_qa_attention_and_answer_sum_to_one_in_float32(agent, scene_obs):
     # summing them adds up to (n - 1) eps: bound 3 * n * eps, eps the float32
     # machine epsilon (n = 64 attention cells, 6 answers)
     _, obs = scene_obs
-    probs, att = qa_answer(agent, [2, 3, 4], obs, return_attention=True)
+    probs = qa_answer(agent, [2, 3, 4], obs)
+    with T.no_grad():
+        att = qa_logits(agent, [[2, 3, 4]], [obs])[1].data[0]
     eps = np.finfo(np.float32).eps
     assert probs.dtype == att.dtype == np.float32
     assert abs(float(att.sum()) - 1.0) <= 3 * att.size * eps
@@ -220,7 +224,7 @@ def test_qa_trains_on_toy_state_questions():
         q = agent.qa.encode_question([tokens] * len(train))
         cmap, planes = planes_of([f for f, _ in train], cfg.num_classes)
         z = agent.sub_encoder(cmap, planes)
-        logits = agent.qa.forward(q, z)
+        logits, _att = agent.qa.forward(q, z)
         loss = nn.cross_entropy_rows(logits, [ANSWER_SPACE.index(a) for _, a in train])
         opt.zero_grad()
         loss.backward()

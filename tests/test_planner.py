@@ -1,5 +1,5 @@
-"""Expert planner: BFS optimality vs an independent oracle, scripts,
-recovery rules, label consistency."""
+"""Expert planner: the distance-field walk vs a reference FIFO BFS and an
+independent oracle, scripts, recovery rules, label consistency."""
 
 from __future__ import annotations
 
@@ -75,6 +75,91 @@ def oracle_bfs_length(state, instance_id):
     return None
 
 
+# --------------------------------------------------------------------------
+# reference FIFO BFS with its own goal test: the distance field must agree
+
+
+def reference_goal_test(state, geom, pose, cells):
+    cfg = state.config
+    ax, ay = pose.cell
+    near = min(abs(cx - ax) + abs(cy - ay) for cx, cy in cells) if cells else 99
+    if near > cfg.interaction_range + 1:
+        return False
+    if not any((cx - ax) ** 2 + (cy - ay) ** 2 <= cfg.interaction_range ** 2
+               for cx, cy in cells):
+        return False
+    return any(W.cell_visible_from(geom, cfg, pose, c) for c in cells)
+
+
+def reference_bfs(state, geom, cells):
+    """Minimal primitive sequence to a pose seeing a target cell in range,
+    successors tried in `NAV_ACTION_SPACE` order."""
+    moves = [a for a in W.NAV_ACTION_SPACE if a is not PrimitiveAction.Done]
+    start = (state.agent.cell, state.agent.heading, state.agent.pitch)
+
+    def pose_of(node):
+        return W.AgentPose(cell=node[0], heading=node[1], pitch=node[2])
+
+    if reference_goal_test(state, geom, pose_of(start), cells):
+        return []
+    seen = {start}
+    queue = deque([(start, [])])
+    while queue:
+        node, path = queue.popleft()
+        for action in moves:
+            nxt = W.nav_pose(state, node, action, geom)
+            if nxt is None or nxt in seen:
+                continue
+            seen.add(nxt)
+            npath = path + [action]
+            if reference_goal_test(state, geom, pose_of(nxt), cells):
+                return npath
+            queue.append((nxt, npath))
+    raise Unreachable("no pose sees the target in range")
+
+
+FIELD_TEMPLATES = builtin_templates()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(scene=st.integers(0, len(FIELD_TEMPLATES) - 1), seed=st.integers(0, 2 ** 16),
+       cell=st.integers(0, 2 ** 16), heading=st.sampled_from(list(Heading)),
+       pitch=st.integers(-1, 1), target=st.integers(0, 2 ** 16))
+def test_distance_field_walk_is_the_reference_bfs_path(scene, seed, cell, heading,
+                                                       pitch, target):
+    # any traversable cell, heading and pitch, any displayed target: the
+    # field walk gives the reference's action sequence, or both raise
+    base = randomize_scene(FIELD_TEMPLATES[scene], seed)
+    geom = W.build_geometry(base)
+    free = [(x, y) for y in range(base.height) for x in range(base.width)
+            if not geom.blocked[y, x]]
+    agent = dataclasses.replace(base.agent, cell=free[cell % len(free)],
+                                heading=heading, pitch=pitch)
+    state = dataclasses.replace(base, agent=agent)
+    shown = sorted(geom.display_cells)
+    iid = shown[target % len(shown)]
+    try:
+        want = reference_bfs(state, geom, geom.display_cells[iid]) + [PrimitiveAction.Done]
+    except Unreachable:
+        with pytest.raises(Unreachable):
+            shortest_path_to_instance(state, iid)
+        return
+    assert shortest_path_to_instance(state, iid) == want
+
+
+def test_a_walled_off_target_is_unreachable_for_field_and_reference():
+    state = make_state([{"class": "Apple", "pos": (10, 3)}], agent_cell=(5, 8))
+    walls = state.walls.copy()
+    for x, y in [(9, 2), (10, 2), (11, 2), (9, 3), (11, 3), (9, 4), (10, 4), (11, 4)]:
+        walls[y, x] = True
+    state = dataclasses.replace(state, walls=walls)
+    geom = cached_geometry(state)
+    with pytest.raises(Unreachable):
+        reference_bfs(state, geom, geom.display_cells[0])
+    with pytest.raises(Unreachable):
+        shortest_path_to_instance(state, 0)
+
+
 def test_shortest_path_already_at_goal_is_done():
     state = make_state([{"class": "Apple", "pos": (5, 6)}], agent_cell=(5, 8))
     assert shortest_path_to_instance(state, 0) == [PrimitiveAction.Done]
@@ -144,7 +229,7 @@ def test_expert_point_centroid_snaps_to_target():
     obs = cached_render(state)
     from gridhouse.planner import expert_point
     for mode in (InteractionMode.HARD, InteractionMode.STANDARD):
-        pt = expert_point(state, obs, 1, mode)
+        pt = expert_point(state, 1, mode)
         assert W.resolve_target(state, obs, pt, mode) == 1, mode
 
 

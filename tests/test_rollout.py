@@ -6,7 +6,7 @@ import hashlib
 
 import numpy as np
 
-from gridhouse import trainer as TR
+from gridhouse import trainer as TR, world as W
 from gridhouse.agents import HierarchicalAgent, ModelConfig, act_episode
 from gridhouse.episodes import rollout, run_expert_episode
 from gridhouse.harness import run_skill_episode_policy
@@ -47,10 +47,8 @@ def _plates():
 
 
 def _script(moves):
-    """decide() playing (subgoal, action, point, ends) moves in order; it
-    checks that the observation it is handed is the state's own."""
-    def decide(traj, state, obs, ex):
-        assert obs is cached_render(state)
+    """decide() playing (subgoal, action, point, ends) moves in order."""
+    def decide(traj, state, ex):
         return moves[len(traj.steps)]
     return decide
 
@@ -62,7 +60,7 @@ class _Expert:
     def __init__(self, fail_at):
         self.fail_at, self.observed = fail_at, 0
 
-    def expert_action(self, state, geom, obs):
+    def expert_action(self, state, geom):
         if self.observed == self.fail_at:
             raise Irrecoverable("scripted")
         return ExpertStep(END, A.RotateLeft, None, None)
@@ -143,6 +141,59 @@ def test_a_wrong_interaction_that_completes_the_skill_ends_as_success():
 def test_a_rejected_step_ends_irrecoverable_on_its_successor():
     traj = _slice_bread_1(check_success=False)
     assert traj.terminated == "irrecoverable" and len(traj.steps) == 1
+
+
+# --------------------------------------------------------------------------
+# renders
+
+
+def _count_renders(monkeypatch):
+    """The states `world.render` is called on, in call order."""
+    rendered = []
+    real = W.render
+
+    def render(state, geom=None):
+        rendered.append(state)
+        return real(state, geom)
+
+    monkeypatch.setattr(W, "render", render)
+    return rendered
+
+
+def _golden_tasks():
+    exin = generate_task("EXIN", "pickup", 0, TEMPLATES[0], 9, np.random.default_rng(1))
+    iqa = generate_task("IQA", "existence", 0, TEMPLATES[2], 77, np.random.default_rng(2))
+    return [(exin, TEMPLATES[0]), (iqa, TEMPLATES[2])]
+
+
+def test_the_expert_renders_only_to_interact(monkeypatch):
+    # the expert reads the observation only to aim an interaction, and the
+    # step it labels reuses that render
+    rendered = _count_renders(monkeypatch)
+    for task, template in _golden_tasks():
+        del rendered[:]
+        traj = run_expert_episode(task_initial_state(task, template), remaining_fn(task),
+                                  HARD, max_steps=task.max_steps,
+                                  expected_answer=task.answer)
+        interactive = sum(r.action in INTERACTIVE_ACTIONS for r in traj.steps)
+        assert len(rendered) <= interactive < len(traj.steps)
+
+
+def test_an_agent_rollout_renders_every_state_it_decides_on(monkeypatch):
+    rendered = _count_renders(monkeypatch)
+    agent = HierarchicalAgent(np.random.default_rng(np.random.SeedSequence([0, 12001])),
+                              SMALL)
+    for task, template in _golden_tasks():
+        state = task_initial_state(task, template)
+        for traj in (act_episode(agent, task, state, HARD, np.random.default_rng(3),
+                                 greedy=False, vocab=VOCAB),
+                     TR.run_task_episode_sf(agent, task, state, HARD,
+                                            np.random.default_rng(4), 0.5, SMALL,
+                                            VOCAB)[1]):
+            decided = [state] + [r.after for r in traj.steps[:-1]]
+            # a Done step hands its successor the observation it keeps
+            assert all("_obs" in s.__dict__ for s in decided)
+    assert rendered
 
 
 # --------------------------------------------------------------------------

@@ -352,6 +352,50 @@ def test_heat_cool_clean_propagation():
     assert r3.success and s3.obj(2).cleanliness is W.Cleanliness.CLEAN
 
 
+def test_a_move_from_an_unsettled_state_still_applies_effects():
+    # make_state skips the effects a step would have applied: the first
+    # MoveAhead cools the apple, and its successor is settled, so the next
+    # pose-only step keeps the very same objects
+    state = make_state([{"class": "Fridge", "pos": (2, 4)},
+                        {"class": "Apple", "pos": None, "container": 0}],
+                       agent_cell=(5, 8))
+    assert state.obj(1).temperature is W.Temperature.ROOM
+    moved, res = step(state, PrimitiveAction.MoveAhead)
+    assert res.success and moved.agent.cell == (5, 7)
+    assert moved.obj(1).temperature is W.Temperature.COLD
+    turned, res = step(moved, PrimitiveAction.RotateLeft)
+    assert res.success and turned.objects is moved.objects
+
+
+def test_every_successful_step_leads_to_a_settled_state(monkeypatch):
+    # a successor that inherits the settled mark skips the effects, which
+    # is sound only if every state `_ok` returns is a fixpoint of its own
+    # effects; replay the expert over the splits of several seeds
+    from gridhouse.episodes import run_expert_episode
+    from gridhouse.tasks import (build_splits, desk_split_counts, remaining_fn,
+                                 task_initial_state)
+
+    outputs = []
+    real_ok = W._ok
+
+    def ok(before, after, target=None):
+        out = real_ok(before, after, target)
+        outputs.append(out[0])
+        return out
+
+    monkeypatch.setattr(W, "_ok", ok)
+    templates = builtin_templates()
+    for seed in (0, 4, 9):
+        for split in build_splits(templates, desk_split_counts(3000), seed, n_unseen=2):
+            for task in split.episodes:
+                state = task_initial_state(task, TEMPLATES_BY_ID[task.scene_template_id])
+                run_expert_episode(state, remaining_fn(task), InteractionMode.HARD,
+                                   max_steps=task.max_steps, expected_answer=task.answer)
+    assert any(W._propagation_effects(s) for s in outputs)
+    for s in outputs:
+        assert W._apply_effects(s, W._propagation_effects(s)) is s
+
+
 def test_determinism_of_action_sequences():
     template = TEMPLATES_BY_ID["kitchen_c"]
 
@@ -425,14 +469,14 @@ def test_step_memos_match_fresh_rebuilds(scene, seed, walk):
         action, point = move, None
         if move == EXPERT:
             try:
-                ex = ExpertController(state, stream, mode).expert_action(state, geom, obs)
+                ex = ExpertController(state, stream, mode).expert_action(state, geom)
                 action, point = ex.action, ex.point
             except (InfeasibleSubgoal, Unreachable):
                 action = PrimitiveAction.Done
         elif action in W.INTERACTIVE_ACTIONS:
             near = sorted(obs.visible_set,
                           key=lambda i: (W.instance_distance(state, geom, i), i))[:3]
-            point = (expert_point(state, obs, near[pick % len(near)], mode)
+            point = (expert_point(state, near[pick % len(near)], mode)
                      if near else (pick % 32 + .5, 16.5))
         state, res = step(state, action, point, mode, geom, obs)
         event(f"{'interaction' if point else 'navigation'} "
