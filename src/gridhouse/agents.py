@@ -131,8 +131,9 @@ class HighLevelPolicy(Module):
         self.skill_head = self.add_child("skill_head", Linear(rng, cfg.hidden, len(Skill)))
         self.obj_head = self.add_child("obj_head", Linear(rng, cfg.hidden, cfg.num_classes))
 
-    def initial_hidden(self, n=1):
-        return T.Tensor(np.zeros((n, self.cfg.hidden), dtype=T.DEFAULT_DTYPE))
+    def initial_hidden(self):
+        """The zero hidden state of one episode, (1, hidden)."""
+        return T.Tensor(np.zeros((1, self.cfg.hidden), dtype=T.DEFAULT_DTYPE))
 
     def context(self, z_task, last_action, last_skill, last_obj):
         z = T.concat([z_task,
@@ -405,7 +406,7 @@ def act_episode(agent, task, initial_state, mode: InteractionMode, rng,
     tokens = [vocab.get(t, 1) for t in tokenize(task.instruction)]
     with T.no_grad():
         z_task = agent.task_enc([tokens])
-    hidden = agent.high.initial_hidden(1)
+    hidden = agent.high.initial_hidden()
 
     def decide(traj, state, ex):
         nonlocal hidden

@@ -78,6 +78,21 @@ def _load_model(agent, path):
     agent.load_state_arrays(nn.load_checkpoint(path)["model"])
 
 
+def _skill_table(agent, config, pool, vocab, seed, registry):
+    """Per-skill success rates over the templates `pool`, Answer included,
+    in the `[pretrain]` interaction mode and with `[eval] greedy`
+    decoding."""
+    from .harness import eval_answer_skill, eval_skills
+
+    mode = config.mode("pretrain")
+    table = eval_skills(agent, pool, n_per_skill=20, seed=seed, mode=mode,
+                        greedy=config.get("eval", "greedy", bool),
+                        registry=registry, config=config.world())
+    table["Answer"] = eval_answer_skill(agent, pool, vocab, n=20, seed=seed, mode=mode,
+                                        registry=registry, config=config.world())
+    return table
+
+
 def cmd_gen_scenes(args):
     from .scenes import builtin_templates
     from .world import save_template
@@ -108,7 +123,6 @@ def cmd_gen_episodes(args):
 def cmd_pretrain(args):
     from . import nn
     from .config import write_manifest
-    from .harness import eval_skills, eval_answer_skill
     from .trainer import pretrain
 
     config, seed, registry, vocab, templates = _setup(args)
@@ -130,12 +144,7 @@ def cmd_pretrain(args):
                               "opt": opt.state_arrays(),
                               "meta": {"steps": np.array(
                                   [progress.steps_done[s] for s in ("tf", "sf", "ppo")])}})
-    table = eval_skills(agent, train_templates, n_per_skill=20, seed=seed,
-                        mode=config.mode("pretrain"), registry=registry,
-                        config=config.world())
-    table["Answer"] = eval_answer_skill(agent, train_templates, vocab, n=20,
-                                        seed=seed, registry=registry,
-                                        config=config.world())
+    table = _skill_table(agent, config, train_templates, vocab, seed, registry)
     with open(os.path.join(args.out, "skill_metrics.csv"), "w") as f:
         f.write("skill,success\n")
         for k, v in table.items():
@@ -211,22 +220,13 @@ def cmd_eval(args):
 
 
 def cmd_eval_skills(args):
-    from .harness import eval_answer_skill, eval_skills
-
     config, seed, registry, vocab, templates = _setup(args)
     agent, _cfg = _agent_for(config, registry, vocab, seed)
     _load_model(agent, args.ckpt)
     n_unseen = config.get("tasks", "n_unseen", int)
-    rows = []
-    for split_name, pool in (("seen", templates[:-n_unseen]),
-                             ("unseen", templates[-n_unseen:])):
-        table = eval_skills(agent, pool, n_per_skill=20, seed=seed,
-                            mode=config.mode("pretrain"), registry=registry,
-                            config=config.world())
-        table["Answer"] = eval_answer_skill(agent, pool, vocab, n=20, seed=seed,
-                                            registry=registry,
-                                            config=config.world())
-        rows.append((split_name, table))
+    rows = [(split_name, _skill_table(agent, config, pool, vocab, seed, registry))
+            for split_name, pool in (("seen", templates[:-n_unseen]),
+                                     ("unseen", templates[-n_unseen:]))]
     os.makedirs(args.out, exist_ok=True)
     skills = list(rows[0][1].keys())
     with open(os.path.join(args.out, "skills.csv"), "w") as f:

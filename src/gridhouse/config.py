@@ -6,8 +6,9 @@ parses the key's text.  One mapping is left: the inherited fields that are
 no keys, and `[multitask] lr_high`, which is `ScheduleConfig.lr`.  Loading
 rejects an unknown section, key or value by name.  Some tunables are no
 keys but constants of the modules that use them: the skill sampler's
-teleport radius and step budgets, the focal-loss kernel (`FocalConfig`),
-the gradient clip and the optimizer betas.
+teleport radius and step budgets, the focal-loss exponents and kernel
+width (`nn.FOCAL_ALPHA`, `nn.SIGMA_MIN`, ...), the gradient clip and the
+optimizer betas and epsilon (`nn.ADAM_BETAS`, `nn.ADAM_EPS`).
 """
 
 from __future__ import annotations

@@ -115,14 +115,13 @@ def run_skill_episode_policy(agent, episode, mode, rng, greedy=True) -> bool:
 
 
 def eval_skills(agent, templates, n_per_skill=30, seed=0,
-                mode=InteractionMode.HARD, greedy=True,
-                skills=PRETRAIN_SKILLS, registry=None, config=None):
-    """Success rate per skill over freshly sampled episodes."""
+                mode=InteractionMode.HARD, greedy=True, registry=None, config=None):
+    """Success rate per pre-training skill over freshly sampled episodes."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, 555]))
     session = SceneSession(list(templates), seed + 1, registry=registry,
                            config=config)
     table = {}
-    for skill in skills:
+    for skill in PRETRAIN_SKILLS:
         wins, tries, guard = 0, 0, 0
         while tries < n_per_skill and guard < n_per_skill * 30:
             guard += 1

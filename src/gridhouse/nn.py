@@ -16,15 +16,19 @@ from .tensor import Tensor
 
 PROB_EPS = 1e-7       # probabilities clamped to [PROB_EPS, 1 - PROB_EPS]
 VAR_FLOOR = 1e-4      # variance floor applied via softplus parameterization
+FOCAL_ALPHA = 2.0     # focal loss exponents (CenterNet)
+FOCAL_BETA = 4.0
+SIGMA_MIN = 1.0       # heatmap kernel width: max(SIGMA_MIN, radius / SIGMA_RADIUS_DIV)
+SIGMA_RADIUS_DIV = 3.0
+FD_STEP = 1e-5        # central-difference step of grad_check
+FD_REL_FLOOR = 1e-3   # grad_check's relative-error denominator floor
+ADAM_BETAS = (0.9, 0.999)
+ADAM_EPS = 1e-8
 
 CHECKPOINT_MAGIC = b"GHCKPT1\n"
 
 
 class ShapeMismatch(ValueError):
-    pass
-
-
-class CountMismatch(ValueError):
     pass
 
 
@@ -210,18 +214,6 @@ def gru_sequence(cell, xs, h0):
 
 
 @dataclass
-class FocalConfig:
-    alpha: float = 2.0
-    beta: float = 4.0
-    sigma_min: float = 1.0
-    sigma_radius_div: float = 3.0
-
-    def __post_init__(self):
-        if self.alpha <= 0 or self.beta <= 0:
-            raise ValueError("focal alpha/beta must be positive")
-
-
-@dataclass
 class HeatmapTarget:
     """Gaussian-smoothed center map plus per-center offset targets.
 
@@ -231,15 +223,13 @@ class HeatmapTarget:
 
     heat: np.ndarray
     centers: list = field(default_factory=list)  # (class_idx, cell_xy, offset_xy)
-    num_centers: int = 0
 
 
-def kernel_sigma(footprint_radius, cfg: FocalConfig | None = None):
-    cfg = cfg or FocalConfig()
-    return max(cfg.sigma_min, footprint_radius / cfg.sigma_radius_div)
+def kernel_sigma(footprint_radius):
+    return max(SIGMA_MIN, footprint_radius / SIGMA_RADIUS_DIV)
 
 
-def gaussian_kernel_targets(centers, grid_shape, cfg: FocalConfig | None = None):
+def gaussian_kernel_targets(centers, grid_shape):
     """Build a HeatmapTarget.
 
     centers: iterable of (class_idx, (cx, cy), footprint_radius) where
@@ -247,7 +237,6 @@ def gaussian_kernel_targets(centers, grid_shape, cfg: FocalConfig | None = None)
     cell is floor(cx), floor(cy); the offset target is the residual from
     that cell's center, in grid units.
     """
-    cfg = cfg or FocalConfig()
     nc, gh, gw = grid_shape
     heat = np.zeros((nc, gh, gw), dtype=T.DEFAULT_DTYPE)
     ys, xs = np.mgrid[0:gh, 0:gw]
@@ -255,16 +244,16 @@ def gaussian_kernel_targets(centers, grid_shape, cfg: FocalConfig | None = None)
     for cls, (cx, cy), radius in centers:
         ix = min(int(np.floor(cx)), gw - 1)
         iy = min(int(np.floor(cy)), gh - 1)
-        sigma = kernel_sigma(radius, cfg)
+        sigma = kernel_sigma(radius)
         kern = np.exp(-(((xs - ix) ** 2 + (ys - iy) ** 2) / (2.0 * sigma ** 2)))
         np.maximum(heat[cls], kern, out=heat[cls])
         recorded.append((cls, (ix, iy), (cx - (ix + 0.5), cy - (iy + 0.5))))
-    return HeatmapTarget(heat=heat, centers=recorded, num_centers=len(recorded))
+    return HeatmapTarget(heat=heat, centers=recorded)
 
 
 def focal_loss_batched(pred, heat, inv_m):
     """Penalty-reduced pixelwise focal loss over center heatmaps
-    (CenterNet, alpha = 2 and beta = 4 from FocalConfig).
+    (CenterNet, FOCAL_ALPHA = 2 and FOCAL_BETA = 4).
 
     pred/heat (N, C, H, W), pred holding probabilities (clamped to (0, 1)
     internally); inv_m (N,) holding each sample's 1/max(M,1) for its M
@@ -272,28 +261,17 @@ def focal_loss_batched(pred, heat, inv_m):
     pred = T.as_tensor(pred)
     if pred.shape != heat.shape:
         raise ShapeMismatch(f"pred {pred.shape} vs target {heat.shape}")
-    cfg = FocalConfig()
     pos = (heat >= 1.0).astype(T.DEFAULT_DTYPE)
     neg = 1.0 - pos
     p = T.clip(pred, PROB_EPS, 1.0 - PROB_EPS)
     # (1-p)^alpha and p^alpha via exp(alpha*log(.)): p is clamped away from {0,1}
-    pow_1mp = T.exp(T.mul(T.log(1.0 - p), cfg.alpha))
-    pow_p = T.exp(T.mul(T.log(p), cfg.alpha))
+    pow_1mp = T.exp(T.mul(T.log(1.0 - p), FOCAL_ALPHA))
+    pow_p = T.exp(T.mul(T.log(p), FOCAL_ALPHA))
     pos_term = T.mul(T.mul(pow_1mp, T.log(p)), pos)
-    neg_term = T.mul((1.0 - heat ** cfg.beta), T.mul(T.mul(pow_p, T.log(1.0 - p)), neg))
+    neg_term = T.mul((1.0 - heat ** FOCAL_BETA), T.mul(T.mul(pow_p, T.log(1.0 - p)), neg))
     per_sample = T.sum_(pos_term + neg_term, axis=(1, 2, 3))
     w = np.asarray(inv_m, dtype=T.DEFAULT_DTYPE)
     return T.mul(T.sum_(T.mul(per_sample, w)), -1.0)
-
-
-def offset_l1_loss(pred_offsets, target_offsets):
-    """Mean over centers of the L1 offset error, summed over x and y."""
-    pred_offsets = T.as_tensor(pred_offsets)
-    tgt = np.asarray(target_offsets, dtype=T.DEFAULT_DTYPE)
-    if pred_offsets.shape != tgt.shape:
-        raise CountMismatch(f"{pred_offsets.shape} vs {tgt.shape}")
-    m = tgt.shape[0] if tgt.ndim == 2 else 1
-    return T.mul(T.sum_(T.abs_(pred_offsets - tgt)), 1.0 / max(m, 1))
 
 
 def gaussian_log_terms(delta, mu, var):
@@ -316,18 +294,8 @@ def gaussian_log_likelihood(delta, mu, var):
     return T.sum_(gaussian_log_terms(delta, mu, var))
 
 
-def cross_entropy(logits, target_index):
-    """-log softmax(logits)[target] for a 1-D logit vector."""
-    logits = T.as_tensor(logits)
-    k = logits.shape[-1]
-    idx = int(target_index)
-    if not 0 <= idx < k:
-        raise IndexOutOfRange(f"target {idx} out of range for {k} classes")
-    return T.mul(T.log_softmax(logits)[idx], -1.0)
-
-
-def cross_entropy_rows(logits, targets, weights=None):
-    """Batched CE: logits (N, K), targets (N,), optional per-row weights.
+def cross_entropy_rows(logits, targets):
+    """Batched CE: logits (N, K), targets (N,).
 
     Returns the SUM over rows (caller divides by its own N).
     """
@@ -339,8 +307,6 @@ def cross_entropy_rows(logits, targets, weights=None):
     if np.any((targets < 0) | (targets >= k)):
         raise IndexOutOfRange("target index out of range")
     picked = T.gather(T.log_softmax(logits, axis=-1), (np.arange(n), targets))
-    if weights is not None:
-        picked = T.mul(picked, np.asarray(weights, dtype=T.DEFAULT_DTYPE))
     return T.mul(T.sum_(picked), -1.0)
 
 
@@ -365,16 +331,17 @@ def entropy_rows(logits):
 # finite differences
 
 
-def grad_check(fn, inputs, h=1e-5, rel_floor=1e-3, sample=None):
-    """Compare reverse-mode grads of scalar fn(*inputs) to central differences.
+def grad_check(fn, inputs, sample=None):
+    """Compare reverse-mode grads of scalar fn(*inputs) to central
+    differences at step FD_STEP.
 
     Returns the max guarded relative error |ad - fd| / max(|ad| + |fd|,
-    rel_floor) over every input element, or, with `sample=(rng, n)`, over
+    FD_REL_FLOOR) over every input element, or, with `sample=(rng, n)`, over
     n elements that rng draws without replacement.  Inputs are perturbed
     in place, so fn may ignore its arguments and read the same arrays
     elsewhere (a module's live parameters).
 
-    Central differences at h = 1e-5 need float64: run the check inside
+    Central differences at FD_STEP = 1e-5 need float64: run the check inside
     `T.precision(np.float64)`.  Raises NotFloat64 when an input or the
     value of fn is not float64 (in float32 the errors read up to 1.0).
     """
@@ -397,6 +364,7 @@ def grad_check(fn, inputs, h=1e-5, rel_floor=1e-3, sample=None):
     else:
         rng, n = sample
         picks = rng.choice(total, size=min(n, total), replace=False)
+    h = FD_STEP
     worst = 0.0
     with T.no_grad():
         for flat_idx in picks:
@@ -411,7 +379,7 @@ def grad_check(fn, inputs, h=1e-5, rel_floor=1e-3, sample=None):
             flat[local] = orig
             fd = (hi - lo) / (2.0 * h)
             ad = grads[which][local]
-            worst = max(worst, float(abs(ad - fd) / max(abs(ad) + abs(fd), rel_floor)))
+            worst = max(worst, float(abs(ad - fd) / max(abs(ad) + abs(fd), FD_REL_FLOOR)))
     return worst
 
 
@@ -429,13 +397,12 @@ class Adam:
     Moments and parameters are updated in place (`p.data` keeps its
     array), block by block, with each element's float32 operations in the
     order of the plain formula: m = b1 m + (1 - b1) g, v = b2 v +
-    (1 - b2) g g, p -= lr (m / bc1) / (sqrt(v / bc2) + eps)."""
+    (1 - b2) g g, p -= lr (m / bc1) / (sqrt(v / bc2) + eps), with
+    (b1, b2) = ADAM_BETAS and eps = ADAM_EPS."""
 
-    def __init__(self, params, lr=3e-4, betas=(0.9, 0.999), eps=1e-8, clip_norm=0.5):
+    def __init__(self, params, lr=3e-4, clip_norm=0.5):
         self.params = list(params)
         self.lr = lr
-        self.b1, self.b2 = betas
-        self.eps = eps
         self.clip_norm = clip_norm
         self.t = 0
         self.m = [np.zeros(p.data.shape, p.data.dtype) for p in self.params]
@@ -463,7 +430,7 @@ class Adam:
             if total > self.clip_norm:
                 scale = self.clip_norm / (total + 1e-12)
         self.t += 1
-        b1, b2, lr, eps = self.b1, self.b2, self.lr, self.eps
+        (b1, b2), lr, eps = ADAM_BETAS, self.lr, ADAM_EPS
         bc1 = 1.0 - b1 ** self.t
         bc2 = 1.0 - b2 ** self.t
         for i, p, g in live:

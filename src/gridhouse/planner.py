@@ -220,9 +220,8 @@ def _walk(state, geom, cells):
         node = nxt
 
 
-def shortest_path_to_instance(state: WorldState, instance_id,
-                              geom=None) -> list[PrimitiveAction]:
-    geom = geom or cached_geometry(state)
+def shortest_path_to_instance(state: WorldState, instance_id) -> list[PrimitiveAction]:
+    geom = cached_geometry(state)
     cells = geom.display_cells.get(instance_id)
     if not cells:
         raise Unreachable(f"instance {instance_id} is not displayed anywhere")
@@ -282,11 +281,10 @@ def expert_point(state: WorldState, target_iid, mode: InteractionMode):
         return None
     cx = sum(c[0] + 0.5 for c in cells) / len(cells)
     cy = sum(c[1] + 0.5 for c in cells) / len(cells)
-    geom = cached_geometry(state)
     order = sorted(cells, key=lambda c: (c[0] + 0.5 - cx) ** 2 + (c[1] + 0.5 - cy) ** 2)
     for cell in order:
         pt = (cell[0] + 0.5, cell[1] + 0.5)
-        if W.resolve_target(state, obs, pt, mode, geom) == target_iid:
+        if W.resolve_target(state, obs, pt, mode) == target_iid:
             return pt
     return (order[0][0] + 0.5, order[0][1] + 0.5)
 

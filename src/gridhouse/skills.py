@@ -2,14 +2,14 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import IntEnum
 
 import numpy as np
 
 from . import world as W
-from .world import (Openness, PrimitiveAction, WorldState, build_geometry,
-                    cached_geometry, instance_distance, is_visible)
+from .world import (Openness, PrimitiveAction, WorldState, cached_geometry,
+                    instance_distance, is_visible)
 
 
 class Skill(IntEnum):
@@ -65,12 +65,12 @@ class SubGoal:
 # success predicates
 
 
-def skill_success(subgoal: SubGoal, before: WorldState, after: WorldState,
-                  answer=None, expected_answer=None) -> bool:
-    if subgoal.skill is Skill.End:
-        raise ValueError("End has no success predicate")
-    if subgoal.skill is Skill.Answer:
-        return answer is not None and answer == expected_answer
+def skill_success(subgoal: SubGoal, before: WorldState, after: WorldState) -> bool:
+    """Whether the step from `before` to `after` achieved the sub-goal.
+    Answer and End have no predicate here: `tasks.task_success` judges an
+    answer."""
+    if subgoal.skill in NO_OBJECT_SKILLS:
+        raise ValueError(f"{subgoal.skill.name} has no success predicate")
 
     cls_id = subgoal.object_class
     geom = cached_geometry(after)
@@ -80,7 +80,7 @@ def skill_success(subgoal: SubGoal, before: WorldState, after: WorldState,
         return instance_distance(after, geom, o.instance_id) <= rng_limit
 
     if subgoal.skill is Skill.GoTo:
-        return any(in_range(o) and is_visible(after, o.instance_id, geom)
+        return any(in_range(o) and is_visible(after, o.instance_id)
                    for o in after.instances_of(cls_id))
 
     if subgoal.skill is Skill.Pickup:
@@ -119,7 +119,6 @@ class SkillEpisode:
     initial_state: WorldState
     subgoal: SubGoal
     max_steps: int
-    preconditions_applied: list = field(default_factory=list)
 
 
 TELEPORT_RADIUS = 3       # interaction episodes start this close (Chebyshev)
@@ -128,14 +127,16 @@ INTERACT_MAX_STEPS = 20   # step budget of an interaction episode
 
 
 def _teleport_poses(state, geom, target_iid):
-    """Traversable poses near the target with the target in view."""
+    """Traversable poses within TELEPORT_RADIUS (Chebyshev) of a target
+    cell with the target in view."""
     cells = geom.display_cells.get(target_iid, [])
     cfg = state.config
     out = []
     seen = set()
+    span = range(-TELEPORT_RADIUS, TELEPORT_RADIUS + 1)
     for (cx, cy) in cells:
-        for dx in range(-3, 4):
-            for dy in range(-3, 4):
+        for dx in span:
+            for dy in span:
                 p = (cx + dx, cy + dy)
                 if p in seen:
                     continue
@@ -202,15 +203,13 @@ def sample_skill_episode(state: WorldState, rng: np.random.Generator,
 def _build_episode(state, geom, rng, skill, cls_id, iid):
     from . import planner  # full-state expert; deferred to avoid an import cycle
 
-    pre = []
-    s = replace(state, agent=replace(state.agent, held=None, pitch=0))
+    s = W.with_agent(state, held=None, pitch=0)
     held_before = state.agent.held
     if held_before is not None:
         # return whatever was in hand to a receptacle slot before sampling
         s = _drop_to_any_receptacle(s, held_before)
         if s is None:
             return None
-        pre.append(("dropped_held", held_before))
 
     target = s.obj(iid)
     reg = s.registry
@@ -229,10 +228,8 @@ def _build_episode(state, geom, rng, skill, cls_id, iid):
             return None
         pick = choices[int(rng.integers(len(choices)))]
         s = W.hold(s, pick.instance_id)
-        pre.append(("held", pick.instance_id))
         if reg[target.class_id].enclosed and s.obj(iid).openness is not Openness.OPEN:
             s = s.with_object(replace(s.obj(iid), openness=Openness.OPEN))
-            pre.append(("openness", iid, "open"))
         if len(s.contents_of(iid)) >= W.capacity(s.obj(iid)):
             return None
     elif skill is Skill.Slice:
@@ -244,9 +241,8 @@ def _build_episode(state, geom, rng, skill, cls_id, iid):
             return None
         knife = slicers[int(rng.integers(len(slicers)))]
         s = W.hold(s, knife.instance_id)
-        pre.append(("held", knife.instance_id))
 
-    geom2 = build_geometry(s)
+    geom2 = cached_geometry(s)
     if iid not in geom2.display_cells:
         return None
 
@@ -257,35 +253,29 @@ def _build_episode(state, geom, rng, skill, cls_id, iid):
             return None
         cell = free[int(rng.integers(len(free)))]
         heading = W.Heading(int(rng.integers(4)))
-        s = replace(s, agent=replace(s.agent, cell=cell, heading=heading, pitch=0))
+        s = W.with_agent(s, cell=cell, heading=heading)
         try:
             planner.shortest_path_to_instance(s, iid)
         except planner.Unreachable:
             return None
-        return SkillEpisode(s, SubGoal(skill, cls_id), NAV_MAX_STEPS, pre)
+        return SkillEpisode(s, SubGoal(skill, cls_id), NAV_MAX_STEPS)
 
     poses = _teleport_poses(s, geom2, iid)
-    cells = geom2.display_cells[iid]
-
-    def chebyshev(pose):
-        return min(max(abs(pose.cell[0] - cx), abs(pose.cell[1] - cy))
-                   for cx, cy in cells)
-
-    near = [p for p in poses if chebyshev(p) <= TELEPORT_RADIUS]
-    if not near:
+    if not poses:
         return None
-    pose = near[int(rng.integers(len(near)))]
-    s = replace(s, agent=replace(s.agent, cell=pose.cell, heading=pose.heading, pitch=0))
-    return SkillEpisode(s, SubGoal(skill, cls_id), INTERACT_MAX_STEPS, pre)
+    pose = poses[int(rng.integers(len(poses)))]
+    s = W.with_agent(s, cell=pose.cell, heading=pose.heading)
+    return SkillEpisode(s, SubGoal(skill, cls_id), INTERACT_MAX_STEPS)
 
 
 def _drop_to_any_receptacle(state, iid):
+    """The state with the (already released) instance `iid` put into the
+    first free fixture, or None when there is none."""
     free = W.free_fixtures(state)
     if not free:
         return None
-    new = state.with_object(replace(state.obj(iid), anchor=None,
-                                    container=free[0].instance_id))
-    return replace(new, agent=replace(new.agent, held=None))
+    return state.with_object(replace(state.obj(iid), anchor=None,
+                                     container=free[0].instance_id))
 
 
 # --------------------------------------------------------------------------
@@ -306,10 +296,6 @@ class SceneSession:
         self.scene_count = 0
         self.state = None
         self.reset_scene()
-
-    @property
-    def template(self):
-        return self.templates[(self.scene_count - 1) % len(self.templates)]
 
     def template_for_next(self):
         return self.templates[self.scene_count % len(self.templates)]

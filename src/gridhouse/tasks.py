@@ -269,10 +269,10 @@ def _attrs_match(obj, require):
     return all(_value(obj, attr) == value for attr, value in require.items())
 
 
-def goal_satisfied(goal: dict, state: WorldState, answer=None) -> bool:
+def goal_satisfied(goal: dict, state: WorldState) -> bool:
+    """Whether the state meets a non-IQA goal; an IQA goal is met by the
+    answer (`task_success`), not by a state."""
     kind = goal["kind"]
-    if kind == "answer":
-        return answer is not None and answer == goal["expected"]
     if kind == "state_held":
         held = state.held_object()
         return (held is not None and held.class_id == goal["cls"]
@@ -1005,14 +1005,13 @@ def _family_cycle(family):
     return out
 
 
-def verify_episode(task: TaskInstance, templates_by_id, registry=None,
-                   config=None, mode=W.InteractionMode.HARD):
-    """Run the expert; returns (success, trajectory)."""
+def verify_episode(task: TaskInstance, templates_by_id, registry=None, config=None):
+    """Run the expert in HARD mode; returns (success, trajectory)."""
     from .episodes import run_expert_episode
 
     template = templates_by_id[task.scene_template_id]
     state = task_initial_state(task, template, registry=registry, config=config)
-    traj = run_expert_episode(state, remaining_fn(task), mode=mode,
+    traj = run_expert_episode(state, remaining_fn(task), W.InteractionMode.HARD,
                               max_steps=task.max_steps,
                               expected_answer=task.answer)
     return task_success(task, traj), traj

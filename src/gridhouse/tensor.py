@@ -152,8 +152,8 @@ class Tensor:
     def __getitem__(self, idx):
         return gather(self, idx)
 
-    def sum(self, axis=None, keepdims=False):
-        return sum_(self, axis=axis, keepdims=keepdims)
+    def sum(self):
+        return sum_(self)
 
 
 def as_tensor(x):
@@ -479,26 +479,25 @@ def gather(a, idx):
     return _make(out_data, (a,), backward)
 
 
-def sum_(a, axis=None, keepdims=False):
+def sum_(a, axis=None):
     a = as_tensor(a)
-    out_data = a.data.sum(axis=axis, keepdims=keepdims)
+    out_data = a.data.sum(axis=axis)
 
     def backward(g):
         if a.requires_grad:
             if axis is None:
                 grad = np.broadcast_to(g, a.data.shape)
             else:
-                gg = g if keepdims else np.expand_dims(g, axis)
-                grad = np.broadcast_to(gg, a.data.shape)
+                grad = np.broadcast_to(np.expand_dims(g, axis), a.data.shape)
             _acc(a, grad.astype(a.data.dtype, copy=True))
 
     return _make(out_data, (a,), backward)
 
 
-def mean(a, axis=None, keepdims=False):
+def mean(a, axis=None):
     a = as_tensor(a)
     n = a.data.size if axis is None else a.data.shape[axis]
-    return mul(sum_(a, axis=axis, keepdims=keepdims), 1.0 / n)
+    return mul(sum_(a, axis=axis), 1.0 / n)
 
 
 def log_softmax(a, axis=-1):

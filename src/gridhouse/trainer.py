@@ -29,7 +29,7 @@ from .tasks import (UnsatisfiableTemplate, generate_task, remaining_fn,
 # `env_step` stays bound: the benchmark's tracer finds `world.step` through
 # this alias too (perfbench/tests/test_spans.py)
 from .world import (CLASS_BASE, INTERACTIVE_ACTIONS, InteractionMode,
-                    PrimitiveAction, cached_geometry, cached_render, is_visible,
+                    PrimitiveAction, cached_render, is_visible,
                     step as env_step)
 
 
@@ -106,8 +106,7 @@ def epsilon_at(progress: float, start: float, end: float) -> float:
 
 
 def compute_reward(state_after, action, point, subgoal, expert_step,
-                   success: bool, cfg: RewardConfig | None = None,
-                   target_visible: bool | None = None) -> float:
+                   success: bool, cfg: RewardConfig | None = None) -> float:
     """Weighted shaped reward w . [success, visible, act, point].
 
     The act term counts for any action equal to the expert's, navigation
@@ -118,14 +117,9 @@ def compute_reward(state_after, action, point, subgoal, expert_step,
     """
     cfg = cfg or RewardConfig()
     r_success = 1.0 if success else 0.0
-    if target_visible is None:
-        target_visible = False
-        if subgoal.object_class is not None:
-            geom = cached_geometry(state_after)
-            target_visible = any(
-                o.instance_id in geom.display_cells and
-                is_visible(state_after, o.instance_id, geom)
-                for o in state_after.instances_of(subgoal.object_class))
+    target_visible = subgoal.object_class is not None and any(
+        is_visible(state_after, o.instance_id)
+        for o in state_after.instances_of(subgoal.object_class))
     r_visible = 1.0 if target_visible else 0.0
     r_act = 1.0 if action == expert_step.action else 0.0
     r_point = 0.0
@@ -253,7 +247,7 @@ def _sub_loss(agent, family, samples, cfg: ModelConfig, weights: LossWeights):
             continue
         tgt = nn.gaussian_kernel_targets(s.centers, (cfg.num_classes, cfg.grid, cfg.grid))
         heats[i] = tgt.heat
-        inv_m[i] = 1.0 / max(tgt.num_centers, 1)
+        inv_m[i] = 1.0 / max(len(tgt.centers), 1)
         for cls, (ix, iy), (ox, oy) in tgt.centers:
             l1_rows.append(i)
             l1_cells.append(ix + iy * cfg.grid)
@@ -685,7 +679,7 @@ def run_task_episode_sf(agent, task, state, mode, rng, eps, cfg, vocab):
     tokens = [vocab.get(t, 1) for t in tokenize(task.instruction)]
     with T.no_grad():
         z_task = agent.task_enc([tokens])
-    hidden = agent.high.initial_hidden(1)
+    hidden = agent.high.initial_hidden()
     samples = []
 
     def decide(traj, state, ex):

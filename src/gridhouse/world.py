@@ -179,8 +179,6 @@ class WorldState:
     walls: np.ndarray                 # bool (height, width); treated immutable
     objects: tuple[ObjectInstance, ...]
     agent: AgentPose
-    step_count: int = 0
-    rng_seed: int = 0
     registry: ClassRegistry = field(default_factory=desk_registry)
     config: WorldConfig = field(default_factory=WorldConfig)
 
@@ -235,6 +233,14 @@ def hold(state: WorldState, instance_id) -> WorldState:
     return replace(new, agent=replace(new.agent, held=instance_id))
 
 
+def with_agent(state: WorldState, **pose) -> WorldState:
+    """The state with only fields of its `AgentPose` changed; it keeps the
+    scene memos, as a step's successor does (see `_carry`)."""
+    out = replace(state, agent=replace(state.agent, **pose))
+    _carry(state, out)
+    return out
+
+
 def footprint_cells(anchor, size):
     x, y = anchor
     w = math.ceil(math.sqrt(size))
@@ -243,24 +249,14 @@ def footprint_cells(anchor, size):
 
 def state_hash(state: WorldState) -> str:
     """SHA-256 of `repr([width, height, cell, heading, pitch, held, *objs])`,
-    one tuple of fields per object in instance-id order.  The objects part
-    of that text depends only on `objects`, so it is memoized on the state
-    and carried by `step` like the geometry; the pose part is formatted on
-    every call.  States are never mutated, so a memo cannot go stale."""
+    one tuple of fields per object in instance-id order."""
     a = state.agent
     head = repr([state.width, state.height, a.cell, int(a.heading), a.pitch, a.held])
-    return hashlib.sha256((head[:-1] + _objects_text(state) + "]").encode()).hexdigest()
-
-
-def _objects_text(state: WorldState) -> str:
-    text = state.__dict__.get("_objects_text")
-    if text is None:
-        text = "".join(", " + repr((o.instance_id, o.class_id, o.anchor, o.container,
-                                    o.size, o.openness.value, o.power.value,
-                                    o.cleanliness.value, o.sliced, o.temperature.value))
-                       for o in sorted(state.objects, key=lambda o: o.instance_id))
-        state.__dict__["_objects_text"] = text
-    return text
+    objs = "".join(", " + repr((o.instance_id, o.class_id, o.anchor, o.container,
+                                o.size, o.openness.value, o.power.value,
+                                o.cleanliness.value, o.sliced, o.temperature.value))
+                   for o in sorted(state.objects, key=lambda o: o.instance_id))
+    return hashlib.sha256((head[:-1] + objs + "]").encode()).hexdigest()
 
 
 # --------------------------------------------------------------------------
@@ -360,7 +356,7 @@ def cached_render(state: WorldState) -> "Observation":
     keeps all three (Done); see `cached_geometry`."""
     obs = state.__dict__.get("_obs")
     if obs is None:
-        obs = render(state, cached_geometry(state))
+        obs = render(state)
         state.__dict__["_obs"] = obs
     return obs
 
@@ -409,23 +405,27 @@ def depth_band(cfg: WorldConfig, pitch: int):
     return lo, hi
 
 
+def _in_wedge(cfg: WorldConfig, pitch: int, r: int, l: int) -> bool:
+    """Whether the offset r cells ahead and l cells to the right lies in
+    the view wedge at this pitch (before occlusion): inside the depth band
+    and the window, and no wider than it is deep."""
+    lo, hi = depth_band(cfg, pitch)
+    half = cfg.window // 2
+    return lo <= r <= min(hi, cfg.window - 1) and abs(l) <= r and -half <= l < half
+
+
 _FRUSTUM_CACHE: dict[tuple, list] = {}
 
 
 def frustum_offsets(cfg: WorldConfig, pitch: int):
-    """(r, l) pairs in the view wedge for this pitch (before occlusion)."""
+    """(r, l) pairs in the view wedge for this pitch, r ascending, then l."""
     key = (cfg.view_depth, cfg.pitch_shift, cfg.window, pitch)
     cached = _FRUSTUM_CACHE.get(key)
     if cached is not None:
         return cached
-    lo, hi = depth_band(cfg, pitch)
     half = cfg.window // 2
-    out = []
-    for r in range(lo, min(hi, cfg.window - 1) + 1):
-        lmax = min(r, half - 1) if r > 0 else 0
-        lmin = -min(r, half)
-        for l in range(lmin, lmax + 1):
-            out.append((r, l))
+    out = [(r, l) for r in range(cfg.window) for l in range(-half, half)
+           if _in_wedge(cfg, pitch, r, l)]
     _FRUSTUM_CACHE[key] = out
     return out
 
@@ -434,15 +434,7 @@ def cell_in_frustum(cfg: WorldConfig, pose: AgentPose, cell):
     fx, fy = HEADING_VEC[pose.heading]
     rx, ry = right_vec(pose.heading)
     dx, dy = cell[0] - pose.cell[0], cell[1] - pose.cell[1]
-    r = dx * fx + dy * fy
-    l = dx * rx + dy * ry
-    lo, hi = depth_band(cfg, pose.pitch)
-    half = cfg.window // 2
-    if not (lo <= r <= min(hi, cfg.window - 1)):
-        return False
-    if abs(l) > r or l < -half or l > half - 1:
-        return False
-    return True
+    return _in_wedge(cfg, pose.pitch, dx * fx + dy * fy, dx * rx + dy * ry)
 
 
 def cell_visible_from(geom: SceneGeometry, cfg: WorldConfig, pose: AgentPose, cell):
@@ -461,7 +453,6 @@ class Observation:
     instance_map: np.ndarray  # int32 (H, W), NO_INSTANCE where none
     depth_map: np.ndarray     # float32 (H, W), -1 where not visible
     state_bits: np.ndarray    # uint8 (4, H, W)
-    visible_set: frozenset
 
     def visible_instance_cells(self):
         """iid -> list of (col, row) observation cells."""
@@ -522,10 +513,10 @@ def _render_table(cfg: WorldConfig, pitch: int, heading: Heading) -> _RenderTabl
     return table
 
 
-def render(state: WorldState, geom: SceneGeometry | None = None) -> Observation:
+def render(state: WorldState) -> Observation:
     """Egocentric projection of the agent's view wedge (pure in state)."""
     cfg = state.config
-    geom = geom or build_geometry(state)
+    geom = cached_geometry(state)
     n = cfg.obs_size
     table = _render_table(cfg, state.agent.pitch, state.agent.heading)
     ax, ay = state.agent.cell
@@ -557,10 +548,8 @@ def render(state: WorldState, geom: SceneGeometry | None = None) -> Observation:
     depth[flat] = np.repeat(table.dist[idx], repeat)
     for b in range(4):
         bits[b, flat] = np.repeat(geom.state_grid[b, vy, vx], repeat)
-    shown = geom.inst_grid[vy, vx]
-    visible = frozenset(int(i) for i in np.unique(shown[shown != NO_INSTANCE]))
     return Observation(n, n, class_map.reshape(n, n), inst_map.reshape(n, n),
-                       depth.reshape(n, n), bits.reshape(4, n, n), visible)
+                       depth.reshape(n, n), bits.reshape(4, n, n))
 
 
 def instance_distance(state: WorldState, geom: SceneGeometry, instance_id) -> float:
@@ -596,10 +585,10 @@ def ancestors(state: WorldState, instance_id):
         cur = state.obj(cur).container
 
 
-def is_visible(state: WorldState, instance_id, geom: SceneGeometry | None = None) -> bool:
+def is_visible(state: WorldState, instance_id) -> bool:
     if not state.has(instance_id):
         raise UnknownInstance(instance_id)
-    geom = geom or build_geometry(state)
+    geom = cached_geometry(state)
     cells = geom.display_cells.get(instance_id, [])
     cfg = state.config
     return any(cell_visible_from(geom, cfg, state.agent, c) for c in cells)
@@ -621,8 +610,7 @@ def _hit_ignoring_range(state, obs, point):
     return None if iid == NO_INSTANCE else iid
 
 
-def resolve_target(state: WorldState, obs: Observation, point,
-                   mode: InteractionMode, geom: SceneGeometry | None = None):
+def resolve_target(state: WorldState, obs: Observation, point, mode: InteractionMode):
     """Instance the point selects, or None.
 
     Hard: exact observation-cell hit, within interaction range.
@@ -630,7 +618,7 @@ def resolve_target(state: WorldState, obs: Observation, point,
     by nearer instance, then lower instance id.
     """
     cfg = state.config
-    geom = geom or build_geometry(state)
+    geom = cached_geometry(state)
     if mode is InteractionMode.HARD:
         iid = _hit_ignoring_range(state, obs, point)
         if iid is None:
@@ -729,14 +717,13 @@ def _effects(state: WorldState) -> dict:
 
 # memos that depend only on walls and objects (and on width, height,
 # registry and config, which no step changes)
-_SCENE_MEMOS = ("_geom", "_effects", "_objects_text", "_settled")
+_SCENE_MEMOS = ("_geom", "_effects", "_settled")
 
 
 def _carry(before: WorldState, after: WorldState):
     """Hand `after` what `before` already derived from its scene when both
-    hold the very same walls and objects: geometry, effects, the objects
-    text of `state_hash` and the settled mark, plus the observation when
-    the pose is unchanged too."""
+    hold the very same walls and objects: geometry, effects and the
+    settled mark, plus the observation when the pose is unchanged too."""
     if after.walls is not before.walls or after.objects is not before.objects:
         return
     src, dst = before.__dict__, after.__dict__
@@ -748,23 +735,23 @@ def _carry(before: WorldState, after: WorldState):
 
 
 def _ok(before: WorldState, after: WorldState, target=None):
-    """Successful step: bump the counter and apply heat/cool/clean effects
-    from conditions that held when the step began and when it ended.
-    `_apply_effects` returns its input when nothing changes, so carrying
-    the memos right after the replace covers every unchanged scene.
+    """Successful step: apply heat/cool/clean effects from conditions that
+    held when the step began and when it ended.  `_apply_effects` returns
+    its input when nothing changes, so carrying the memos to `after` first
+    covers every unchanged scene.
 
     Every output is settled, a fixpoint of its own effects: effects set
     temperatures and clean dirty items, and `_propagation_effects` reads
     neither, except that a cleaned item drops its own clean mark.  So a
     successor that inherits the settled mark with the scene (a pose-only
-    or Done step from an output of this function) skips both passes."""
-    out = replace(after, step_count=before.step_count + 1)
-    _carry(before, out)
-    if "_settled" not in out.__dict__:
-        out = _apply_effects(out, _effects(before))
-        out = _apply_effects(out, _effects(out))
-        out.__dict__["_settled"] = True
-    return out, ActionResult(True, None, target)
+    step from an output of this function) skips both passes, and a Done
+    step from a settled state returns that state itself."""
+    _carry(before, after)
+    if "_settled" not in after.__dict__:
+        after = _apply_effects(after, _effects(before))
+        after = _apply_effects(after, _effects(after))
+        after.__dict__["_settled"] = True
+    return after, ActionResult(True, None, target)
 
 
 # navigation action -> (cells ahead, quarter turns clockwise, pitch change)
@@ -805,17 +792,16 @@ def _fail(state: WorldState, reason: FailureReason):
 
 def step(state: WorldState, action: PrimitiveAction, point=None,
          mode: InteractionMode = InteractionMode.STANDARD,
-         geom: SceneGeometry | None = None, obs: Observation | None = None):
+         geom: SceneGeometry | None = None):
     """Apply one primitive action.  Failures never mutate state (the same
     object is returned).  Interactive actions require a point in both
     interaction modes.
 
-    `geom` and `obs`, when given, must be the state's own (as from
-    `cached_geometry` and `cached_render`).  A successful step hands the
-    successor every memo that still holds for it: geometry, effects, the
-    objects text of `state_hash` and the settled mark (see `_ok`) depend
-    only on `walls` and `objects`, and the observation also on the agent
-    pose."""
+    `geom`, when given, must be the state's own (as from
+    `cached_geometry`).  A successful step hands the successor every memo
+    that still holds for it: geometry, effects and the settled mark (see
+    `_ok`) depend only on `walls` and `objects`, and the observation also
+    on the agent pose."""
     agent = state.agent
     if action is PrimitiveAction.Done:
         return _ok(state, state)
@@ -830,9 +816,8 @@ def step(state: WorldState, action: PrimitiveAction, point=None,
     # interactive actions
     if point is None:
         raise InvalidAction(f"{action.name} requires an interaction point")
-    geom = geom or cached_geometry(state)
-    obs = obs or cached_render(state)
-    target_id = resolve_target(state, obs, point, mode, geom)
+    obs = cached_render(state)
+    target_id = resolve_target(state, obs, point, mode)
     if target_id is None:
         raw = _hit_ignoring_range(state, obs, point)
         reason = FailureReason.OUT_OF_RANGE if raw is not None else FailureReason.NO_TARGET_HIT
@@ -990,7 +975,7 @@ def randomize_scene(template: dict, seed: int,
     return WorldState(width=width, height=height, walls=walls,
                       objects=tuple(objects),
                       agent=AgentPose(cell=cell, heading=heading),
-                      rng_seed=int(seed), registry=registry, config=config)
+                      registry=registry, config=config)
 
 
 def save_template(template: dict, path):

@@ -44,7 +44,7 @@ def test_encoder_output_shape(agent, scene_obs):
 def test_high_level_masks_answer_and_end(agent, scene_obs):
     state, obs = scene_obs
     z = agent.task_enc([[2, 5, 9]])
-    h = agent.high.initial_hidden(1)
+    h = agent.high.initial_hidden()
     rng = np.random.default_rng(0)
     last = None
     for i in range(60):
@@ -65,7 +65,7 @@ def test_uniform_logits_give_uniform_skill_distribution(agent):
 def test_hidden_state_changes_every_step(agent, scene_obs):
     state, obs = scene_obs
     z = agent.task_enc([[2, 5]])
-    h = agent.high.initial_hidden(1)
+    h = agent.high.initial_hidden()
     rng = np.random.default_rng(1)
     seen = [h.data.copy()]
     last = None

@@ -190,3 +190,40 @@ def test_values_parse_by_the_default_type(tmp_path):
     assert config.get("eval", "greedy", bool) is False
     assert config.mode("multitask") is InteractionMode.STANDARD
     assert config.multitask_schedule().lr == 1e-3
+
+
+def test_eval_skills_honours_the_pretrain_mode_and_eval_greedy(tmp_path, monkeypatch):
+    # both rows of the skill table, the sub-policy skills and Answer, run
+    # in the [pretrain] mode, and the sub-policy skills decode per [eval]
+    from gridhouse import harness, nn
+    from gridhouse.cli import _agent_for, _setup
+
+    ini = tmp_path / "run.ini"
+    ini.write_text("[pretrain]\nmode = standard\n[eval]\ngreedy = false\n"
+                   "[model]\nd = 4\ngrid = 2\nhidden = 6\ntask_dim = 4\ntoken_dim = 3\n"
+                   "ctx_dim = 2\ncond_dim = 4\ntrunk_dim = 8\npoint_dim = 4\nenc_mid = 3\n")
+    args = type("Args", (), {"config": str(ini), "seed": 0})()
+    config, seed, registry, vocab, _ = _setup(args)
+    agent, _cfg = _agent_for(config, registry, vocab, seed)
+    ckpt = tmp_path / "model.ckpt"
+    nn.save_checkpoint(ckpt, {"model": agent.state_arrays()})
+
+    calls = []
+
+    def eval_skills(*args, **kwargs):
+        calls.append(("skills", kwargs))
+        return {"GoTo": 50.0}
+
+    def eval_answer_skill(*args, **kwargs):
+        calls.append(("answer", kwargs))
+        return 25.0
+
+    monkeypatch.setattr(harness, "eval_skills", eval_skills)
+    monkeypatch.setattr(harness, "eval_answer_skill", eval_answer_skill)
+    assert main(["eval-skills", "--config", str(ini), "--ckpt", str(ckpt),
+                 "--out", str(tmp_path / "out")]) == 0
+    assert [name for name, _ in calls] == ["skills", "answer"] * 2   # seen, unseen
+    for name, kwargs in calls:
+        assert kwargs["mode"] is InteractionMode.STANDARD, name
+    assert all(kwargs["greedy"] is False for name, kwargs in calls if name == "skills")
+    assert (tmp_path / "out" / "skills.csv").read_text().splitlines()[1] == "seen,50.0,25.0"

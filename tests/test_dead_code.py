@@ -1,5 +1,6 @@
 """No function, method or class in the package lives without a caller,
-and no attribute it stores goes unread."""
+no attribute it stores goes unread, and no parameter default is the only
+value its function ever sees."""
 
 from __future__ import annotations
 
@@ -28,9 +29,11 @@ def _unreferenced():
     package that nothing in src/ or perfbench/ reads.
 
     Only a loaded Name counts, never a stored one such as a dataclass
-    field.  An attribute counts for a method of that name, whatever its
-    base; for a module-level definition it counts only on a module or an
-    imported name (`planner.f`), since `obj.f` reads a field or a method."""
+    field.  A method counts as read only through an attribute of its name,
+    whatever its base, so a local variable of the same name does not keep
+    it; a module-level definition counts through a Name, or through an
+    attribute only on a module or an imported name (`planner.f`), since
+    `obj.f` reads a field or a method."""
     functions, methods = set(), set()
     loaded, attributes, module_attributes = set(), set(), set()
     for path, tree in _sources():
@@ -51,7 +54,7 @@ def _unreferenced():
         for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 (methods if node in in_class else functions).add(node.name)
-    dead = (functions - loaded - module_attributes) | (methods - loaded - attributes)
+    dead = (functions - loaded - module_attributes) | (methods - attributes)
     return {n for n in dead if not (n.startswith("__") and n.endswith("__"))}
 
 
@@ -80,3 +83,97 @@ def _unread_attributes():
 
 def test_every_stored_attribute_is_read():
     assert _unread_attributes() == set(), "write-only attribute; delete it"
+
+
+# parameters with a default that no call in src/ or perfbench/ sets: each
+# stays for the reason given
+ALLOWED_DEFAULTS = {
+    "cli.main(argv)": "the console entry point passes none; tests pass their own",
+    "tensor.Tensor.backward(grad)": "the seed gradient of a non-scalar output",
+    "trainer.pretrain(opt)": "resume a run mid-stage (ROADMAP direction 5)",
+    "trainer.pretrain(rng)": "resume a run mid-stage (ROADMAP direction 5)",
+    "trainer.pretrain(session)": "resume a run mid-stage (ROADMAP direction 5)",
+    "episodes.run_expert_episode(intervene)": "injects wrong actions for the "
+                                              "recovery tests",
+    "episodes.write_trajectory(registry)": "object names in the trajectory log "
+                                           "(ROADMAP direction 4)",
+}
+
+
+def _defaulted(fn, is_method):
+    """(position or None, name) of each parameter of `fn` that has a
+    default; positions count from the first argument a call passes, so a
+    method's `self` is skipped."""
+    a = fn.args
+    positional = a.posonlyargs + a.args
+    if is_method and not any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                             for d in fn.decorator_list):
+        positional = positional[1:]
+    first = len(positional) - len(a.defaults)
+    out = [(i, p.arg) for i, p in enumerate(positional) if i >= first]
+    out += [(None, k.arg) for k, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+    return out
+
+
+def _unset_defaults():
+    """`module.[Class.]function(parameter)` for every parameter with a
+    default that no call in src/ or perfbench/ passes, by position or by
+    keyword.
+
+    Calls are matched by name: a Name call, or an attribute call on a
+    module or an imported name, reaches a module-level function or a
+    class (whose `__init__` it runs); any other attribute call reaches a
+    method.  A call unpacking `*args` or `**kwargs` passes every
+    parameter of its kind."""
+    calls = {}   # (kind, name) -> [(positional count, keywords)]
+    sources = _sources()
+    for _path, tree in sources:
+        imported, renamed = set(), {}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    imported.add(alias.asname or alias.name.split(".")[0])
+                    if isinstance(node, ast.ImportFrom) and alias.asname:
+                        renamed[alias.asname] = alias.name
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            f = node.func
+            if isinstance(f, ast.Name):
+                key = ("function", renamed.get(f.id, f.id))
+            elif isinstance(f, ast.Attribute):
+                on_module = isinstance(f.value, ast.Name) and f.value.id in imported
+                key = ("function" if on_module else "method", f.attr)
+            else:
+                continue
+            n = (float("inf") if any(isinstance(a, ast.Starred) for a in node.args)
+                 else len(node.args))
+            calls.setdefault(key, []).append((n, {k.arg for k in node.keywords}))
+    unset = set()
+    for path, tree in sources:
+        if path.parent != PACKAGE:
+            continue
+        owner = {d: node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+                 for d in node.body}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            cls = owner.get(node)
+            if cls is None:
+                key, qualname = ("function", node.name), node.name
+            elif node.name == "__init__":
+                key, qualname = ("function", cls), f"{cls}.__init__"
+            else:
+                key, qualname = ("method", node.name), f"{cls}.{node.name}"
+            for i, name in _defaulted(node, cls is not None):
+                if not any((i is not None and n > i) or name in kws or None in kws
+                           for n, kws in calls.get(key, [])):
+                    unset.add(f"{path.stem}.{qualname}({name})")
+    return unset
+
+
+def test_every_default_is_overridden_somewhere():
+    unset = _unset_defaults()
+    assert unset - set(ALLOWED_DEFAULTS) == set(), \
+        "a parameter no caller sets; make it a constant or allow it with a reason"
+    assert set(ALLOWED_DEFAULTS) - unset == set()

@@ -36,7 +36,7 @@ def focal_one(pred, tgt):
     """The training-path focal loss at N=1 on one HeatmapTarget."""
     pred = T.as_tensor(pred)
     return nn.focal_loss_batched(T.reshape(pred, (1,) + pred.shape), tgt.heat[None],
-                                 [1.0 / max(tgt.num_centers, 1)])
+                                 [1.0 / max(len(tgt.centers), 1)])
 
 
 def make_target(rng, shape, n_centers):
@@ -70,7 +70,7 @@ def test_kernel_overlap_takes_elementwise_max():
     # the midpoint pixel sees both kernels; max wins
     v1 = math.exp(-((2 - 1) ** 2) / 2.0)
     assert abs(tgt.heat[0, 1, 2] - v1) < 1e-12
-    assert tgt.num_centers == 2
+    assert len(tgt.centers) == 2
 
 
 def test_kernel_sigma_rule():
@@ -85,12 +85,12 @@ def test_kernel_sigma_rule():
 def test_focal_hand_scalars():
     # Y=1, pred=0.5: -(0.5)^2 ln 0.5 = 0.173287
     heat = np.ones((1, 1, 1))
-    tgt = nn.HeatmapTarget(heat=heat, num_centers=1)
+    tgt = nn.HeatmapTarget(heat=heat, centers=[(0, (0, 0), (0.0, 0.0))])
     loss = focal_one(np.array([[[0.5]]]), tgt)
     assert abs(loss.item() - 0.173287) < 1e-6
 
     # Y=0, pred=0.9: -(0.9)^2 ln 0.1 = 1.865094
-    tgt0 = nn.HeatmapTarget(heat=np.zeros((1, 1, 1)), num_centers=1)
+    tgt0 = nn.HeatmapTarget(heat=np.zeros((1, 1, 1)), centers=tgt.centers)
     loss0 = focal_one(np.array([[[0.9]]]), tgt0)
     assert abs(loss0.item() - 1.865094) < 1e-6
 
@@ -105,36 +105,14 @@ def test_focal_matches_reference_on_random_maps():
         tgt = make_target(RNG, (3, 8, 8), int(RNG.integers(1, 5)))
         pred = RNG.uniform(0.01, 0.99, size=(3, 8, 8))
         got = focal_one(pred, tgt).item()
-        want = focal_loss_reference(pred, tgt.heat, tgt.num_centers)
+        want = focal_loss_reference(pred, tgt.heat, len(tgt.centers))
         assert abs(got - want) < 1e-9
 
 
 def test_focal_shape_mismatch():
-    tgt = nn.HeatmapTarget(heat=np.zeros((1, 2, 2)), num_centers=1)
+    tgt = nn.HeatmapTarget(heat=np.zeros((1, 2, 2)))
     with pytest.raises(nn.ShapeMismatch):
         focal_one(np.zeros((1, 3, 3)), tgt)
-
-
-# --------------------------------------------------------------------------
-# offset L1
-
-
-def test_offset_l1_hand_values():
-    assert nn.offset_l1_loss(T.Tensor(np.array([[0.3, -0.2]])), np.array([[0.3, -0.2]])).item() == 0.0
-    got = nn.offset_l1_loss(T.Tensor(np.array([[0.5, -0.5]])), np.array([[0.0, 0.0]])).item()
-    assert abs(got - 1.0) < 1e-12
-
-
-def test_offset_l1_gradient_sign():
-    pred = T.Tensor(np.array([[0.5, -0.5], [0.0, 2.0]]), requires_grad=True)
-    tgt = np.array([[0.0, 0.0], [0.0, 0.0]])
-    nn.offset_l1_loss(pred, tgt).backward()
-    np.testing.assert_allclose(pred.grad, np.array([[0.5, -0.5], [0.0, 0.5]]))
-
-
-def test_offset_l1_count_mismatch():
-    with pytest.raises(nn.CountMismatch):
-        nn.offset_l1_loss(T.Tensor(np.zeros((2, 2))), np.zeros((3, 2)))
 
 
 # --------------------------------------------------------------------------
@@ -183,16 +161,23 @@ def test_gaussian_ll_matches_scipy_style_oracle():
 # cross entropy
 
 
+def logsumexp_ce(v, k):
+    """-log softmax(v)[k] for one 1-D logit row, shifted by its max."""
+    shift = v.max()
+    return -(v[k] - shift - math.log(np.exp(v - shift).sum()))
+
+
 @pytest.mark.usefixtures("float64")
 def test_cross_entropy_uniform_is_ln_k():
-    assert abs(nn.cross_entropy(T.Tensor(np.zeros(10)), 3).item() - math.log(10)) < 1e-12
+    got = nn.cross_entropy_rows(T.Tensor(np.zeros((1, 10))), [3]).item()
+    assert abs(got - math.log(10)) < 1e-12
     assert abs(math.log(10) - 2.302585) < 1e-6
 
 
 def test_cross_entropy_confident_limit():
-    logits = np.zeros(5)
-    logits[2] = 1e4
-    assert nn.cross_entropy(T.Tensor(logits), 2).item() < 1e-9
+    logits = np.zeros((1, 5))
+    logits[0, 2] = 1e4
+    assert nn.cross_entropy_rows(T.Tensor(logits), [2]).item() < 1e-9
 
 
 @pytest.mark.usefixtures("float64")
@@ -200,22 +185,23 @@ def test_cross_entropy_matches_logsumexp_oracle():
     for _ in range(20):
         v = RNG.normal(size=(5,)) * 3
         k = int(RNG.integers(0, 5))
-        shift = v.max()
-        want = -(v[k] - shift - math.log(np.exp(v - shift).sum()))
-        assert abs(nn.cross_entropy(T.Tensor(v), k).item() - want) < 1e-12
+        got = nn.cross_entropy_rows(T.Tensor(v[None]), [k]).item()
+        assert abs(got - logsumexp_ce(v, k)) < 1e-12
 
 
 def test_cross_entropy_range_error():
-    with pytest.raises(nn.IndexOutOfRange):
-        nn.cross_entropy(T.Tensor(np.zeros(4)), 4)
+    for bad in (4, -1):
+        with pytest.raises(nn.IndexOutOfRange):
+            nn.cross_entropy_rows(T.Tensor(np.zeros((2, 4))), [0, bad])
 
 
 @pytest.mark.usefixtures("float64")
 def test_cross_entropy_rows_matches_singles():
+    # the sum over rows, each row its own logsumexp oracle
     logits = RNG.normal(size=(6, 5))
     targets = RNG.integers(0, 5, size=6)
     got = nn.cross_entropy_rows(T.Tensor(logits), targets).item()
-    want = sum(nn.cross_entropy(T.Tensor(logits[i]), targets[i]).item() for i in range(6))
+    want = sum(logsumexp_ce(logits[i], targets[i]) for i in range(6))
     assert abs(got - want) < 1e-10
 
 
@@ -401,14 +387,15 @@ def _reference_adam_step(opt, params, grads, m, v, t):
             scale = opt.clip_norm / (total + 1e-12)
             for i in live:
                 grads[i] = grads[i] * scale
-    bc1 = 1.0 - opt.b1 ** t
-    bc2 = 1.0 - opt.b2 ** t
+    b1, b2 = nn.ADAM_BETAS
+    bc1 = 1.0 - b1 ** t
+    bc2 = 1.0 - b2 ** t
     params, m, v = list(params), list(m), list(v)
     for i in live:
         g = grads[i]
-        m[i] = opt.b1 * m[i] + (1.0 - opt.b1) * g
-        v[i] = opt.b2 * v[i] + (1.0 - opt.b2) * (g * g)
-        params[i] = params[i] - opt.lr * (m[i] / bc1) / (np.sqrt(v[i] / bc2) + opt.eps)
+        m[i] = b1 * m[i] + (1.0 - b1) * g
+        v[i] = b2 * v[i] + (1.0 - b2) * (g * g)
+        params[i] = params[i] - opt.lr * (m[i] / bc1) / (np.sqrt(v[i] / bc2) + nn.ADAM_EPS)
     return params, m, v
 
 

@@ -152,9 +152,9 @@ def _count_renders(monkeypatch):
     rendered = []
     real = W.render
 
-    def render(state, geom=None):
+    def render(state):
         rendered.append(state)
-        return real(state, geom)
+        return real(state)
 
     monkeypatch.setattr(W, "render", render)
     return rendered

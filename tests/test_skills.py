@@ -75,13 +75,12 @@ def test_pickup_wrong_class_is_not_success():
     assert skill_success(SubGoal(Skill.Pickup, REG.id_of("Orange")), state, after)
 
 
-def test_answer_success_is_answer_match():
+def test_answer_and_end_have_no_success_predicate():
+    # an answer is judged by tasks.task_success, never by a state pair
     state = make_state([])
-    sub = SubGoal(Skill.Answer)
-    assert skill_success(sub, state, state, answer="Yes", expected_answer="Yes")
-    assert not skill_success(sub, state, state, answer="No", expected_answer="Yes")
-    with pytest.raises(ValueError):
-        skill_success(SubGoal(Skill.End), state, state)
+    for skill in (Skill.Answer, Skill.End):
+        with pytest.raises(ValueError, match=skill.name):
+            skill_success(SubGoal(skill), state, state)
 
 
 def test_feasible_pairs_lamp_only_scene():
@@ -145,6 +144,33 @@ def test_expert_solvability_of_sampled_episodes(seed):
             if ex.action is PrimitiveAction.Done and ex.subgoal.skill is Skill.End:
                 break
         assert done, f"expert failed {ep.subgoal}"
+
+
+def test_a_sampled_start_state_holds_its_geometry(monkeypatch):
+    # the sampler places the agent without dropping the scene's geometry,
+    # so the expert's first step on the episode builds none
+    from gridhouse import world as W
+
+    built = []
+    real = W.build_geometry
+
+    def build_geometry(state):
+        built.append(state)
+        return real(state)
+
+    monkeypatch.setattr(W, "build_geometry", build_geometry)
+    rng = np.random.default_rng(5)
+    for template in builtin_templates()[:4]:
+        base = randomize_scene(template, 3)
+        for _ in range(15):
+            ep = sample_skill_episode(base, rng)
+            start = ep.initial_state
+            assert "_geom" in start.__dict__, ep.subgoal
+            del built[:]
+            controller = ExpertController(start, single_subgoal_stream(ep.subgoal, start),
+                                          InteractionMode.HARD)
+            controller.expert_action(start)
+            assert built == [], ep.subgoal
 
 
 def test_periodic_reset_cadence():

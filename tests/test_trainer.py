@@ -26,7 +26,7 @@ from gridhouse.trainer import (EpisodeBatch, LossWeights, PPOConfig,
                                ppo_update, pretrain,
                                run_skill_episode, teacher_forcing_update)
 from gridhouse.world import (InteractionMode, PrimitiveAction, WorldConfig,
-                             cached_render, randomize_scene)
+                             cached_render)
 
 from conftest import make_state
 
@@ -40,34 +40,40 @@ TEMPLATES = builtin_templates()
 # rewards and schedules
 
 
+APPLE = REG.id_of("Apple")
+
+
+def _apple_scene(visible, config=None):
+    """An Apple two cells ahead of the agent (in view) or two behind it."""
+    return make_state([{"class": "Apple", "pos": (5, 6 if visible else 10)}],
+                      agent_cell=(5, 8), config=config)
+
+
 def _expert(action, point):
-    return ExpertStep(SubGoal(Skill.Pickup, 13), action, point, 7)
+    return ExpertStep(SubGoal(Skill.Pickup, APPLE), action, point, 0)
 
 
 def test_reward_all_correct_interactive_is_22_5():
-    state = randomize_scene(TEMPLATES[0], 0)
+    state = _apple_scene(visible=True)
     ex = _expert(PrimitiveAction.Pickup, (10.0, 20.0))
     r = compute_reward(state, PrimitiveAction.Pickup, (10.0, 20.0),
-                       SubGoal(Skill.Pickup, 13), ex, success=True,
-                       target_visible=True)
+                       SubGoal(Skill.Pickup, APPLE), ex, success=True)
     assert r == 22.5
 
 
 def test_reward_goto_contributes_no_point_term():
-    state = randomize_scene(TEMPLATES[0], 0)
-    ex = ExpertStep(SubGoal(Skill.GoTo, 13), PrimitiveAction.MoveAhead, None, 7)
+    state = _apple_scene(visible=True)
+    ex = ExpertStep(SubGoal(Skill.GoTo, APPLE), PrimitiveAction.MoveAhead, None, 0)
     r = compute_reward(state, PrimitiveAction.MoveAhead, (1.0, 1.0),
-                       SubGoal(Skill.GoTo, 13), ex, success=True,
-                       target_visible=True)
+                       SubGoal(Skill.GoTo, APPLE), ex, success=True)
     assert r == 22.0  # success + visible + act, no point share
 
 
 def test_reward_all_zero():
-    state = randomize_scene(TEMPLATES[0], 0)
+    state = _apple_scene(visible=False)
     ex = _expert(PrimitiveAction.Pickup, None)
     r = compute_reward(state, PrimitiveAction.MoveAhead, None,
-                       SubGoal(Skill.Pickup, 13), ex, success=False,
-                       target_visible=False)
+                       SubGoal(Skill.Pickup, APPLE), ex, success=False)
     assert r == 0.0
 
 
@@ -75,13 +81,12 @@ def test_reward_point_kernel_decays():
     # the matching Pickup earns the act term too, so only the point term
     # above w_act decays with distance, and it is at most w_point
     w_act, w_point = RewardConfig().w_act, RewardConfig().w_point
-    state = randomize_scene(TEMPLATES[0], 0)
+    state = _apple_scene(visible=False)
     ex = _expert(PrimitiveAction.Pickup, (10.0, 20.0))
 
     def reward_at(point):
         return compute_reward(state, PrimitiveAction.Pickup, point,
-                              SubGoal(Skill.Pickup, 13), ex, success=False,
-                              target_visible=False)
+                              SubGoal(Skill.Pickup, APPLE), ex, success=False)
 
     exact = reward_at((10.0, 20.0))
     near = reward_at((10.5, 20.0))
@@ -93,12 +98,11 @@ def test_reward_point_kernel_decays():
 def test_reward_point_kernel_is_one_world_cell_wide():
     # sigma_point is in world cells, `upsample` observation px each, at any
     # frame size: an offset of one cell at sigma_point 1 is one sigma
-    state = randomize_scene(TEMPLATES[0], 0, config=WorldConfig(obs_size=48, upsample=2))
+    state = _apple_scene(visible=False, config=WorldConfig(obs_size=48, upsample=2))
     ex = _expert(PrimitiveAction.Pickup, (10.0, 20.0))
     cfg = RewardConfig(sigma_point=1.0)
     r = compute_reward(state, PrimitiveAction.MoveAhead, (12.0, 20.0),
-                       SubGoal(Skill.Pickup, 13), ex, success=False, cfg=cfg,
-                       target_visible=False)
+                       SubGoal(Skill.Pickup, APPLE), ex, success=False, cfg=cfg)
     assert r == cfg.w_point * math.exp(-0.5)
 
 
@@ -277,7 +281,7 @@ def test_recovery_label_stream_contains_reversal_before_resume():
             o = cur.obj(iid)
             if cur.cls(o).pickupable and cur.agent.held is None:
                 pt = (cells[0][0] + .5, cells[0][1] + .5)
-                if resolve_target(cur, obs, pt, InteractionMode.HARD, geom) == iid:
+                if resolve_target(cur, obs, pt, InteractionMode.HARD) == iid:
                     injected["target"] = iid
                     return (PrimitiveAction.Pickup, pt)
         return None

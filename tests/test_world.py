@@ -27,6 +27,11 @@ from gridhouse.world import (FLOOR, WALL, CLASS_BASE, NO_INSTANCE,
 from conftest import REG, TEMPLATES_BY_ID, make_state
 
 
+def shown_ids(obs):
+    """Ids of the instances the observation shows."""
+    return set(obs.visible_instance_cells())
+
+
 # --------------------------------------------------------------------------
 # independent visibility oracle: re-derives opacity and samples the ray
 # densely in float space
@@ -94,7 +99,7 @@ def oracle_visible(state, instance_id):
 def test_render_empty_room_floor_and_walls_only():
     state = make_state([])
     obs = render(state)
-    assert obs.visible_set == frozenset()
+    assert shown_ids(obs) == set()
     shown = np.unique(obs.class_map)
     assert set(shown.tolist()) <= {W.SENTINEL, FLOOR, WALL}
     assert FLOOR in shown
@@ -103,7 +108,7 @@ def test_render_empty_room_floor_and_walls_only():
 def test_render_apple_ahead_unoccluded():
     state = make_state([{"class": "Apple", "pos": (5, 6)}], agent_cell=(5, 8))
     obs = render(state)
-    assert 0 in obs.visible_set
+    assert 0 in shown_ids(obs)
     cells = obs.visible_instance_cells()[0]
     assert len(cells) == 4  # one world cell = 2x2 observation cells
     assert np.all(obs.class_map[cells[0][1], cells[0][0]] == CLASS_BASE + REG.id_of("Apple"))
@@ -115,10 +120,10 @@ def test_render_apple_in_closed_fridge_hidden():
         {"class": "Apple", "pos": None, "container": 0},
     ], agent_cell=(5, 8))
     obs = render(state)
-    assert 0 in obs.visible_set       # fridge front face visible
-    assert 1 not in obs.visible_set   # closed receptacle hides contents
+    assert 0 in shown_ids(obs)       # fridge front face visible
+    assert 1 not in shown_ids(obs)   # closed receptacle hides contents
     state_open = state.with_object(replace(state.obj(0), openness=Openness.OPEN))
-    assert 1 in render(state_open).visible_set
+    assert 1 in shown_ids(render(state_open))
 
 
 def test_render_is_pure():
@@ -127,15 +132,17 @@ def test_render_is_pure():
     assert np.array_equal(a.class_map, b.class_map)
     assert np.array_equal(a.instance_map, b.instance_map)
     assert np.array_equal(a.depth_map, b.depth_map)
-    assert a.visible_set == b.visible_set
+    assert np.array_equal(a.state_bits, b.state_bits)
 
 
 def test_instance_map_entries_subset_of_visible_set():
+    # the instance map shows exactly the instances `is_visible` sees
     for seed in range(5):
         state = randomize_scene(TEMPLATES_BY_ID["kitchen_b"], seed)
         obs = render(state)
         ids = set(obs.instance_map[obs.instance_map != NO_INSTANCE].tolist())
-        assert ids == set(obs.visible_set)
+        assert ids == {o.instance_id for o in state.objects
+                       if is_visible(state, o.instance_id)}
 
 
 def test_visibility_matches_oracle_on_random_scenes():
@@ -264,9 +271,8 @@ def test_open_close_reversibility_and_toggle():
     assert r1.success and s1.obj(0).openness is Openness.OPEN
     s2, r2 = step(s1, PrimitiveAction.Close, point=pt, mode=InteractionMode.HARD)
     assert r2.success and s2.obj(0).openness is Openness.CLOSED
-    # same object state as before the pair (step_count differs)
-    assert state_hash(replace(s2, step_count=0)) == state_hash(replace(state, step_count=0))
-    assert h0 == state_hash(state)
+    # same object state as before the pair
+    assert state_hash(s2) == h0 == state_hash(state)
 
     lamp = render(s2).visible_instance_cells()[1][0]
     lpt = (lamp[0] + 0.5, lamp[1] + 0.5)
@@ -418,7 +424,7 @@ def test_determinism_of_action_sequences():
 
 
 def reference_state_hash(state):
-    """state_hash as one repr of the whole list, without the memo."""
+    """state_hash as one repr of the whole list."""
     parts = [state.width, state.height, state.agent.cell, int(state.agent.heading),
              state.agent.pitch, state.agent.held]
     for o in sorted(state.objects, key=lambda o: o.instance_id):
@@ -438,9 +444,9 @@ def assert_fields_equal(got, want):
 
 
 def assert_memos_fresh(state):
-    fresh = build_geometry(state)
-    assert_fields_equal(cached_geometry(state), fresh)
-    assert_fields_equal(cached_render(state), render(state, fresh))
+    assert_fields_equal(cached_geometry(state), build_geometry(state))
+    # a copy holds no memos, so its render builds the geometry afresh
+    assert_fields_equal(cached_render(state), render(replace(state)))
     assert state_hash(state) == reference_state_hash(state)
     assert W._effects(state) == W._propagation_effects(state)
 
@@ -474,11 +480,11 @@ def test_step_memos_match_fresh_rebuilds(scene, seed, walk):
             except (InfeasibleSubgoal, Unreachable):
                 action = PrimitiveAction.Done
         elif action in W.INTERACTIVE_ACTIONS:
-            near = sorted(obs.visible_set,
+            near = sorted(shown_ids(obs),
                           key=lambda i: (W.instance_distance(state, geom, i), i))[:3]
             point = (expert_point(state, near[pick % len(near)], mode)
                      if near else (pick % 32 + .5, 16.5))
-        state, res = step(state, action, point, mode, geom, obs)
+        state, res = step(state, action, point, mode, geom)
         event(f"{'interaction' if point else 'navigation'} "
               f"{'success' if res.success else 'failure'}")
         assert_memos_fresh(state)
@@ -487,14 +493,14 @@ def test_step_memos_match_fresh_rebuilds(scene, seed, walk):
 def test_step_shares_memos_only_while_scene_and_pose_hold():
     state = make_state([{"class": "Apple", "pos": (5, 6)}], agent_cell=(5, 8))
     geom = cached_geometry(state)
-    moved, res = step(state, PrimitiveAction.MoveAhead, geom=geom,
-                      obs=cached_render(state))
+    cached_render(state)
+    moved, res = step(state, PrimitiveAction.MoveAhead, geom=geom)
     assert res.success and moved.agent.cell == (5, 7)
     assert cached_geometry(moved) is geom
     assert cached_render(moved) is not cached_render(state)
 
     done, res = step(moved, PrimitiveAction.Done)
-    assert res.success
+    assert res.success and done is moved   # a settled state is its own successor
     assert cached_geometry(done) is geom
     assert cached_render(done) is cached_render(moved)
 
