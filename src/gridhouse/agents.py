@@ -15,7 +15,7 @@ from . import nn, tensor as T
 from .episodes import rollout
 from .nn import Conv2d, Embedding, GRUCell, Linear, Module
 from .skills import INTERACTION_SKILLS, NO_OBJECT_SKILLS, Skill, SubGoal
-from .tasks import tokenize
+from .tasks import instruction_tokens
 from .world import (CLASS_BASE, INTERACTIVE_ACTIONS, NAV_ACTION_SPACE,
                     InteractionMode, PrimitiveAction, WorldConfig, cached_render)
 
@@ -47,7 +47,7 @@ class ModelConfig:
         return self.obs_size / self.grid
 
 
-def obs_planes(obs_batch, num_classes):
+def obs_planes(obs_batch):
     """Stack observation channels into float planes (N, 6, H, W); the class
     id plane is embedded by the encoder."""
     class_maps = np.stack([o.class_map for o in obs_batch])
@@ -324,7 +324,7 @@ def high_level_step(agent, z_task, obs, last_action, last_subgoal, hidden,
     """Factorized sub-goal sampling: skill first, then the target class
     (masked out entirely for Answer/End).  Rollout-only: no graph."""
     cfg = agent.cfg
-    cmap, planes = obs_planes([obs], cfg.num_classes)
+    cmap, planes = obs_planes([obs])
     z_img = agent.hl_encoder(cmap, planes)
     ls = last_subgoal.skill if last_subgoal else None
     lo = last_subgoal.object_class if last_subgoal else None
@@ -348,7 +348,7 @@ def sub_policy_forward(agent, family, obs_batch, last_action, skill, obj):
     """(action logits, value, point maps or None) of the "nav" or
     "interact" sub-policy on N steps: their observations and their ids of
     the last action, the skill and the conditioning object."""
-    cmap, planes = obs_planes(obs_batch, agent.cfg.num_classes)
+    cmap, planes = obs_planes(obs_batch)
     z_img = agent.sub_encoder(cmap, planes)
     sub = agent.nav if family == "nav" else agent.interact
     return sub.forward(sub.conditioning(last_action, skill, obj), z_img)
@@ -388,7 +388,7 @@ def qa_logits(agent, token_rows, obs_batch):
     """(answer logits, attention weights) of the QA sub-policy for N
     questions, each on its frame."""
     q = agent.qa.encode_question(token_rows)
-    cmap, planes = obs_planes(obs_batch, agent.cfg.num_classes)
+    cmap, planes = obs_planes(obs_batch)
     return agent.qa.forward(q, agent.sub_encoder(cmap, planes))
 
 
@@ -400,10 +400,9 @@ def qa_answer(agent, question_tokens, obs):
 
 
 def act_episode(agent, task, initial_state, mode: InteractionMode, rng,
-                greedy=True, vocab=None):
+                greedy=True, *, vocab):
     """Roll the hierarchical agent on one task episode."""
-    vocab = vocab or {}
-    tokens = [vocab.get(t, 1) for t in tokenize(task.instruction)]
+    tokens = instruction_tokens(task, vocab)
     with T.no_grad():
         z_task = agent.task_enc([tokens])
     hidden = agent.high.initial_hidden()

@@ -154,15 +154,13 @@ def cmd_pretrain(args):
     return 0
 
 
-def _load_splits(data_dir, names):
+def _load_split(data_dir, name):
     from .tasks import load_split
 
-    out = {}
-    for name in names:
-        path = os.path.join(data_dir, f"{name}.jsonl")
-        if os.path.exists(path):
-            out[name] = load_split(path, name)
-    return out
+    path = os.path.join(data_dir, f"{name}.jsonl")
+    if not os.path.exists(path):
+        raise FileNotFoundError(f"split not found: {path}")
+    return load_split(path, name)
 
 
 def cmd_train(args):
@@ -174,13 +172,10 @@ def cmd_train(args):
     agent, cfg = _agent_for(config, registry, vocab, seed)
     if args.init:
         _load_model(agent, args.init)
-    splits = _load_splits(args.data, ["train"])
-    if "train" not in splits:
-        print("error: no train split found in", args.data, file=sys.stderr)
-        return 1
+    split = _load_split(args.data, "train")
     tby = {t["template_id"]: t for t in templates}
     single = config.get("multitask", "single_family") or None
-    train_multitask(agent, splits["train"], tby, config.multitask_schedule(),
+    train_multitask(agent, split, tby, config.multitask_schedule(),
                     cfg, vocab, seed=seed, mode=config.mode("multitask"),
                     weights=config.loss_weights(), registry=registry,
                     world_config=config.world(), single_family=single,
@@ -203,12 +198,9 @@ def cmd_eval(args):
     config, seed, registry, vocab, templates = _setup(args)
     agent, _cfg = _agent_for(config, registry, vocab, seed)
     _load_model(agent, args.ckpt)
-    splits = _load_splits(args.data, [args.split])
-    if args.split not in splits:
-        print("error: split not found:", args.split, file=sys.stderr)
-        return 1
+    split = _load_split(args.data, args.split)
     tby = {t["template_id"]: t for t in templates}
-    table = evaluate(agent, splits[args.split], tby, vocab,
+    table = evaluate(agent, split, tby, vocab,
                      mode=config.mode("multitask"),
                      greedy=config.get("eval", "greedy", bool),
                      registry=registry, config=config.world(), seed=seed)
@@ -242,12 +234,9 @@ def cmd_plan_check(args):
     from .harness import plan_check
 
     config, seed, registry, vocab, templates = _setup(args)
-    splits = _load_splits(args.data, [args.split])
-    if args.split not in splits:
-        print("error: split not found:", args.split, file=sys.stderr)
-        return 1
+    split = _load_split(args.data, args.split)
     tby = {t["template_id"]: t for t in templates}
-    rate = plan_check(splits[args.split], tby, mode=config.mode("multitask"),
+    rate = plan_check(split.episodes, tby, mode=config.mode("multitask"),
                       registry=registry, config=config.world())
     print(f"{rate:.1f}")
     return 0 if rate == 100.0 else 1

@@ -124,7 +124,7 @@ def run_expert_episode(initial_state: WorldState, remaining_fn,
         return ex.subgoal, action, point, ends
 
     return rollout(initial_state, decide, mode, max_steps,
-                   ExpertController(initial_state, remaining_fn, mode))
+                   ExpertController(remaining_fn, mode))
 
 
 def expert_subgoal_trace(traj: Trajectory) -> list:

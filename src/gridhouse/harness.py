@@ -9,11 +9,12 @@ import numpy as np
 
 from .agents import (ANSWER_SPACE, SKILL_FAMILY, act_episode, qa_answer,
                      sub_policy_step)
-from .episodes import rollout, run_expert_episode
+from .episodes import rollout
 from .skills import (PRETRAIN_SKILLS, SceneSession, periodic_reset,
                      sample_skill_episode, skill_success, NoFeasibleSkill)
-from .tasks import (FAMILIES, UnsatisfiableTemplate, generate_task, remaining_fn,
-                    task_initial_state, task_success, tokenize)
+from .tasks import (FAMILIES, UnsatisfiableTemplate, generate_task,
+                    instruction_tokens, replay_expert, task_initial_state,
+                    task_success)
 # `env_step` stays bound: the benchmark's tracer finds `world.step` through
 # this alias too (perfbench/tests/test_spans.py)
 from .world import (InteractionMode, PrimitiveAction, cached_render,
@@ -68,13 +69,12 @@ def evaluate(agent, split, templates_by_id, vocab, mode=InteractionMode.HARD, *,
              greedy, registry=None, config=None, seed=0,
              results=None) -> MetricsTable:
     """Run every episode of a split, decoding greedily or by sampling."""
-    episodes = split.episodes if hasattr(split, "episodes") else list(split)
-    if not episodes:
+    if not split.episodes:
         raise EmptySplit("refusing to report rates over zero episodes")
     rng = np.random.default_rng(np.random.SeedSequence([seed, 991]))
     hits = {}
     counts = {}
-    for i, task in enumerate(episodes):
+    for i, task in enumerate(split.episodes):
         template = templates_by_id[task.scene_template_id]
         state = task_initial_state(task, template, registry=registry,
                                    config=config)
@@ -86,11 +86,10 @@ def evaluate(agent, split, templates_by_id, vocab, mode=InteractionMode.HARD, *,
         if results is not None:
             results.append(EpisodeResult(
                 task_id=i, family=task.family,
-                split=getattr(split, "name", "split"), success=ok,
+                split=split.name, success=ok,
                 steps=len(traj.steps)))
     rates = {f: 100.0 * hits[f] / counts[f] for f in counts}
-    return MetricsTable(split=getattr(split, "name", "split"),
-                        family_rates=rates, counts=counts)
+    return MetricsTable(split=split.name, family_rates=rates, counts=counts)
 
 
 # --------------------------------------------------------------------------
@@ -114,8 +113,8 @@ def run_skill_episode_policy(agent, episode, mode, rng, greedy=True) -> bool:
     return skill_success(sub, start, traj.final_state)
 
 
-def eval_skills(agent, templates, n_per_skill=30, seed=0,
-                mode=InteractionMode.HARD, greedy=True, registry=None, config=None):
+def eval_skills(agent, templates, *, n_per_skill, seed, mode, greedy, registry,
+                config):
     """Success rate per pre-training skill over freshly sampled episodes."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, 555]))
     session = SceneSession(list(templates), seed + 1, registry=registry,
@@ -138,8 +137,7 @@ def eval_skills(agent, templates, n_per_skill=30, seed=0,
     return table
 
 
-def eval_answer_skill(agent, templates, vocab, n=40, seed=0,
-                      mode=InteractionMode.HARD, registry=None, config=None):
+def eval_answer_skill(agent, templates, vocab, *, n, seed, mode, registry, config):
     """Answer accuracy on expert final frames."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, 161]))
     wins, tries, guard = 0, 0, 0
@@ -153,11 +151,9 @@ def eval_answer_skill(agent, templates, vocab, n=40, seed=0,
                                  registry=registry, config=config)
         except UnsatisfiableTemplate:
             continue
-        state = task_initial_state(task, template, registry=registry, config=config)
-        traj = run_expert_episode(state, remaining_fn(task), mode, max_steps=task.max_steps,
-                                  expected_answer=task.answer)
-        tokens = [vocab.get(t, 1) for t in tokenize(task.instruction)]
-        probs = qa_answer(agent, tokens, cached_render(traj.final_state))
+        traj = replay_expert(task, template, mode, registry, config)
+        probs = qa_answer(agent, instruction_tokens(task, vocab),
+                          cached_render(traj.final_state))
         wins += 1 if ANSWER_SPACE[int(np.argmax(probs))] == task.answer else 0
         tries += 1
     return 100.0 * wins / tries if tries else float("nan")
@@ -167,17 +163,12 @@ def eval_answer_skill(agent, templates, vocab, n=40, seed=0,
 # plan check
 
 
-def plan_check(split, templates_by_id, mode=InteractionMode.HARD,
+def plan_check(episodes, templates_by_id, mode=InteractionMode.HARD,
                registry=None, config=None):
-    """Expert replay over a dataset; returns the success rate."""
-    episodes = split.episodes if hasattr(split, "episodes") else list(split)
+    """Expert replay over a list of episodes; returns the success rate."""
     wins = 0
     for task in episodes:
-        template = templates_by_id[task.scene_template_id]
-        state = task_initial_state(task, template, registry=registry,
-                                   config=config)
-        traj = run_expert_episode(state, remaining_fn(task), mode,
-                                  max_steps=task.max_steps,
-                                  expected_answer=task.answer)
+        traj = replay_expert(task, templates_by_id[task.scene_template_id], mode,
+                             registry, config)
         wins += 1 if task_success(task, traj) else 0
     return 100.0 * wins / max(len(episodes), 1)

@@ -23,8 +23,8 @@ import numpy as np
 
 from . import world as W
 from .skills import SKILL_PRIMITIVE, Skill, SubGoal, skill_success, state_change
-from .world import (AgentPose, InteractionMode, Openness, PrimitiveAction,
-                    WorldState, cached_geometry, cached_render, instance_distance,
+from .world import (AgentPose, InteractionMode, PrimitiveAction, WorldState,
+                    cached_geometry, cached_render, instance_distance,
                     line_of_sight)
 
 
@@ -244,14 +244,11 @@ def _applicable(state, geom, skill, obj) -> bool:
     if skill is Skill.Pickup:
         return displayed and cls.pickupable
     if skill is Skill.Put:
-        if not obj.is_receptacle or not displayed:
-            return False
         held = state.agent.held
-        if held is None or held == obj.instance_id:
-            return False
-        if held in W.ancestors(state, obj.instance_id):
-            return False  # would nest the target inside the held object
-        return len(state.contents_of(obj.instance_id)) < W.capacity(obj)
+        # the held object may not end up inside itself
+        return (displayed and held is not None and held != obj.instance_id
+                and held not in W.ancestors(state, obj.instance_id)
+                and W.has_room(state, obj))
     if skill is Skill.Slice:
         held = state.held_object()
         return (displayed and cls.sliceable and not obj.sliced
@@ -304,10 +301,6 @@ def _script_step(state, geom, subgoal, target_iid, mode):
         if subgoal.skill is not Skill.GoTo:
             raise InfeasibleSubgoal("goal test and reachability disagree")
         return (PrimitiveAction.Done, None)
-    target = state.obj(target_iid)
-    if (subgoal.skill is Skill.Put and state.cls(target).enclosed
-            and target.openness is not Openness.OPEN):
-        return (PrimitiveAction.Open, expert_point(state, target_iid, mode))
     return (SKILL_PRIMITIVE[subgoal.skill], expert_point(state, target_iid, mode))
 
 
@@ -387,8 +380,7 @@ class ExpertController:
     while the scene is unchanged.
     """
 
-    def __init__(self, state: WorldState, remaining_fn,
-                 mode: InteractionMode = InteractionMode.HARD):
+    def __init__(self, remaining_fn, mode: InteractionMode = InteractionMode.HARD):
         self.mode = mode
         self.remaining_fn = remaining_fn
         self.recovery: list[tuple[SubGoal, int, WorldState]] = []

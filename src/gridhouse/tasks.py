@@ -4,23 +4,30 @@ Four families: short-horizon instruction following (SHIF), long-horizon
 instruction following (LHIF), interactive question answering (IQA) and
 exploratory interaction (EXIN).  Episodes are fully regenerable from
 (scene template, seed, overrides); goals are small serializable dicts.
-The per-task-type facts are two tables: `STATE_CHANGES` maps each EXIN
-state-change task type to its skill, whose effect `world.STATE_CHANGE`
-states, and `TREATMENTS` holds the SHIF treatments and their LHIF
-`<treatment>_place` types.  Episode generation and the expert's
-milestones both read them.
+
+Each (family, task type) is one `TaskType` record in `TASK_TYPES`: its
+instruction forms, the answers `build_splits` forces, its sampler (run by
+`generate_task`) and its milestone function (run by
+`remaining_milestones`).  Records share two tables: `STATE_CHANGES` (EXIN
+state-change type -> skill) and `TREATMENTS` (SHIF treatments, also the
+LHIF `<treatment>_place` types).  Other modules replay a task's expert
+through `replay_expert` and read its token ids from `instruction_tokens`.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
 from . import planner, world as W
+from .episodes import expert_subgoal_trace, run_expert_episode
 from .skills import Skill, SubGoal, state_change
 from .world import (Cleanliness, Openness, Power, Temperature, WorldState,
                     cached_geometry, randomize_scene)
@@ -59,46 +66,6 @@ class InsufficientScenes(ValueError):
 # instruction surface forms
 
 
-TEMPLATES = {
-    "SHIF": {
-        "clean": ["clean {obj}"],
-        "heat": ["heat {obj}"],
-        "cool": ["cool {obj}"],
-    },
-    "LHIF": {
-        "pick_place": ["put a {obj} in {recep}", "put some {obj} on {recep}"],
-        "clean_place": ["put a clean {obj} in {recep}",
-                        "clean some {obj} and put it in {recep}"],
-        "heat_place": ["put a hot {obj} in {recep}",
-                       "heat some {obj} and put it in {recep}"],
-        "cool_place": ["put a cold {obj} in {recep}",
-                       "cool some {obj} and put it in {recep}"],
-        "pick_two": ["put two {obj} in {recep}",
-                     "find two {obj} and put them in {recep}"],
-        "examine": ["look at {obj} under the {toggle}",
-                    "examine the {obj} with the {toggle}"],
-        "stack_place": ["put {obj} in a {mrecep} and then put them in {recep}",
-                        "put a {mrecep} of {obj} in {recep}",
-                        "put {obj} {mrecep} in {recep}"],
-    },
-    "IQA": {
-        "state": ["is the {obj} {state}?"],
-        "existence": ["is any {obj} in or on the {recep}?",
-                      "does the {recep} contain or support at least one {obj}?"],
-        "counting": ["how many {obj} are in or on the {recep}?",
-                     "count the number of {obj} in or on the {recep}"],
-    },
-    "EXIN": {
-        "pickup": ["pick up {obj}"],
-        "put": ["put {obj}"],
-        "toggleon": ["toggle on {obj}"],
-        "toggleoff": ["toggle off {obj}"],
-        "open": ["open {obj}"],
-        "close": ["close {obj}"],
-        "slice": ["slice {obj}"],
-    },
-}
-
 STATE_WORDS = {
     ("openness", "open"): "open",
     ("openness", "closed"): "closed",
@@ -114,13 +81,18 @@ def tokenize(text: str) -> list[str]:
     return [t for t in re.sub(r"[^a-z0-9 ]", " ", text.lower()).split() if t]
 
 
+def instruction_tokens(task, vocab) -> list[int]:
+    """The task instruction's token ids; 1 (`<unk>`) for a word outside
+    `vocab`."""
+    return [vocab.get(t, 1) for t in tokenize(task.instruction)]
+
+
 def build_vocab(registry) -> dict[str, int]:
     words = {"<pad>": 0, "<unk>": 1}
     pool = set()
-    for fam in TEMPLATES.values():
-        for forms in fam.values():
-            for form in forms:
-                pool.update(tokenize(re.sub(r"\{[a-z]+\}", " ", form)))
+    for record in TASK_TYPES.values():
+        for form in record.forms:
+            pool.update(tokenize(re.sub(r"\{[a-z]+\}", " ", form)))
     for name in registry.names():
         pool.add(name.lower())
     for word in STATE_WORDS.values():
@@ -150,22 +122,11 @@ class TaskInstance:
     max_steps: int = 100
 
     def to_json(self) -> dict:
-        return {
-            "family": self.family, "task_type": self.task_type,
-            "instruction": self.instruction, "bindings": self.bindings,
-            "goal": self.goal, "scene_template_id": self.scene_template_id,
-            "scene_seed": self.scene_seed, "overrides": self.overrides,
-            "answer": self.answer, "target_iid": self.target_iid,
-            "expert_decomposition": self.expert_decomposition,
-            "max_steps": self.max_steps,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def from_json(cls, d: dict) -> "TaskInstance":
-        return cls(**{k: d[k] for k in (
-            "family", "task_type", "instruction", "bindings", "goal",
-            "scene_template_id", "scene_seed", "overrides", "answer",
-            "target_iid", "expert_decomposition", "max_steps")})
+        return cls(**{f.name: d[f.name] for f in fields(cls)})
 
 
 # --------------------------------------------------------------------------
@@ -216,12 +177,6 @@ def apply_overrides(state: WorldState, ops) -> WorldState:
                 power=Power.OFF if cls.toggleable else Power.NOT_TOGGLEABLE,
                 cleanliness=Cleanliness.CLEAN if cls.can_dirty else Cleanliness.NA)
             state = replace(state, objects=state.objects + (new,))
-        elif kind == "remove":
-            _, iid = op
-            state = replace(state, objects=tuple(
-                o for o in state.objects if o.instance_id != iid))
-            if state.agent.held == iid:
-                state = replace(state, agent=replace(state.agent, held=None))
         elif kind == "vacate":
             recep_iid, n_free = op[1], op[2]
             protected = tuple(op[3]) if len(op) > 3 else ()
@@ -400,11 +355,17 @@ def _single(state, cls_id, pred=None, near_geom=None):
     return min(cands, key=lambda o: o.instance_id).instance_id
 
 
-def _fixture(state, cls_id):
+def _fixture(state, cls_id, error):
+    """The lowest-id anchored instance of a class; raises `error` when
+    there is none."""
     iid = _single(state, cls_id, pred=lambda o: o.anchor is not None)
     if iid is None:
-        raise InfeasibleTask(f"no fixture of class {cls_id}")
+        raise error
     return iid
+
+
+def _needed_fixture(state, cls_id):
+    return _fixture(state, cls_id, InfeasibleTask(f"no fixture of class {cls_id}"))
 
 
 def _switch_off(state, geom, kind):
@@ -420,13 +381,11 @@ def _switch_off(state, geom, kind):
     return _goto_if_needed(state, geom, iid) + [(SubGoal(Skill.ToggleOff, sid), iid)]
 
 
-def _treatment_remaining(state, geom, target_iid, kind):
-    """Milestones giving the target instance the treatment's goal value
-    and ending with it back in hand.
-
-    The head milestone is exact; the tail projects the nominal remaining
-    chain (recomputed as the episode advances, so later GoTo insertions
-    stay dynamic)."""
+def _treatment_remaining(task, state, geom):
+    """SHIF, and LHIF `<treatment>_place` until treated: give the target the
+    treatment's goal value and hold it again.  The head milestone is exact;
+    the tail projects the nominal chain, recomputed at every step."""
+    kind, target_iid = task.task_type.removesuffix("_place"), task.target_iid
     appliance, attr, _start, goal, switch = TREATMENTS[kind]
     reg = state.registry
     target = state.obj(target_iid)
@@ -436,13 +395,13 @@ def _treatment_remaining(state, geom, target_iid, kind):
             return steps
         return steps + _with_pickup(_retrieve_from, state, geom, target_iid)
     acid = reg.id_of(appliance)
-    appl = _fixture(state, acid)
+    appl = _needed_fixture(state, acid)
     # the appliance's cycle once the target is in it, ending with its Pickup
     if switch is None:
         cycle = [(SubGoal(Skill.Close, acid), appl)]
     else:
         sid = reg.id_of(switch)
-        sw = _fixture(state, sid)
+        sw = _needed_fixture(state, sid)
         cycle = [(SubGoal(Skill.ToggleOn, sid), sw), (SubGoal(Skill.ToggleOff, sid), sw)]
     if reg[acid].enclosed:
         cycle.append((SubGoal(Skill.Open, acid), appl))
@@ -468,119 +427,130 @@ def _treatment_remaining(state, geom, target_iid, kind):
     return _acquire(state, geom, target_iid) + [(SubGoal(Skill.Put, acid), appl)] + cycle
 
 
+def _question_milestones(task, state, geom):
+    """IQA: reach the target, open a closed receptacle asked about, Answer."""
+    t_iid = task.target_iid
+    if not state.has(t_iid):
+        raise InfeasibleTask("question target vanished")
+    steps = _goto_if_needed(state, geom, t_iid)
+    target = state.obj(t_iid)
+    if (task.task_type != "state" and state.cls(target).enclosed
+            and target.openness is Openness.CLOSED):
+        steps.append((SubGoal(Skill.Open, target.class_id), t_iid))
+    return steps + [(SubGoal(Skill.Answer), None)]
+
+
+def _until_goal(milestones):
+    """A goal-state type's milestone function: none once the goal holds."""
+    return lambda task, state, geom: ([] if goal_satisfied(task.goal, state)
+                                      else milestones(task, state, geom))
+
+
+def _pickup_milestones(task, state, geom):
+    return _with_pickup(_acquire, state, geom,
+                        _single(state, task.bindings["obj"], near_geom=geom))
+
+
+def _put_milestones(task, state, geom):
+    if state.agent.held is None:
+        return _acquire(state, geom, _single(state, task.bindings["obj"], near_geom=geom))
+    return _free_hands(state, geom)
+
+
+def _slice_milestones(task, state, geom):
+    cls_id = task.bindings["obj"]
+    iid = _single(state, cls_id, pred=lambda o: not o.sliced, near_geom=geom)
+    if iid is None:
+        raise InfeasibleTask("nothing left to slice")
+    held = state.held_object()
+    if held is None or not state.cls(held).slicer:
+        knife = _single(state, state.registry.id_of("Knife"))
+        if knife is None:
+            knife = _single(state, state.registry.id_of("ButterKnife"))
+        if knife is None:
+            raise InfeasibleTask("no slicer available")
+        return _acquire(state, geom, knife)
+    return _open_blocker(state, geom, iid) or (
+        _goto_if_needed(state, geom, iid) + [(SubGoal(Skill.Slice, cls_id), iid)])
+
+
+def _state_change_milestones(task, state, geom):
+    cls_id = task.bindings["obj"]
+    skill = STATE_CHANGES[task.task_type]
+    attr, start, _left = state_change(skill)
+    iid = _single(state, cls_id,
+                  pred=lambda o: getattr(o, attr) is start, near_geom=geom)
+    if iid is None:
+        raise InfeasibleTask("no instance in the pre-goal state")
+    return _goto_if_needed(state, geom, iid) + [(SubGoal(skill, cls_id), iid)]
+
+
+def _place_milestones(task, state, geom):
+    """pick_place and pick_two: one instance into the receptacle at a time."""
+    obj_cls, recep_cls = task.bindings["obj"], task.bindings["recep"]
+    recep = _needed_fixture(state, recep_cls)
+    held = state.held_object()
+    if held is not None and held.class_id == obj_cls:
+        return _deposit(state, geom, recep)
+    iid = _single(state, obj_cls,
+                  pred=lambda o: not _inside_class(state, o, recep_cls),
+                  near_geom=geom)
+    if iid is None:
+        raise InfeasibleTask("not enough instances to place")
+    return _with_pickup(_acquire, state, geom, iid) + \
+        [(SubGoal(Skill.Put, recep_cls), recep)]
+
+
+def _treatment_place_milestones(task, state, geom):
+    kind = task.task_type.removesuffix("_place")
+    _appliance, attr, _start, goal, _switch = TREATMENTS[kind]
+    t_iid, recep_cls = task.target_iid, task.bindings["recep"]
+    if getattr(state.obj(t_iid), attr) is not goal:
+        return _treatment_remaining(task, state, geom)
+    steps = _switch_off(state, geom, kind)
+    if steps:
+        return steps
+    recep = _needed_fixture(state, recep_cls)
+    if state.agent.held == t_iid:
+        return _deposit(state, geom, recep)
+    return _with_pickup(_retrieve_from, state, geom, t_iid) + \
+        [(SubGoal(Skill.Put, recep_cls), recep)]
+
+
+def _examine_milestones(task, state, geom):
+    obj_cls, toggle_cls = task.bindings["obj"], task.bindings["toggle"]
+    lamp = _single(state, toggle_cls, pred=lambda o: o.power is Power.OFF,
+                   near_geom=geom)
+    switch_on = [] if lamp is None else [(SubGoal(Skill.ToggleOn, toggle_cls), lamp)]
+    held = state.held_object()
+    if held is None or held.class_id != obj_cls:
+        iid = _single(state, obj_cls, near_geom=geom)
+        return _with_pickup(_acquire, state, geom, iid) + switch_on
+    if lamp is None:
+        raise InfeasibleTask("no lamp to switch on")
+    return _goto_if_needed(state, geom, lamp) + switch_on
+
+
+def _stack_place_milestones(task, state, geom):
+    b, t_iid = task.bindings, task.target_iid
+    recep_cls, mrecep_cls, m_iid = b["recep"], b["mrecep"], b["mrecep_iid"]
+    recep = _needed_fixture(state, recep_cls)
+    to_recep = [(SubGoal(Skill.Put, recep_cls), recep)]
+    if state.obj(t_iid).container != m_iid:
+        chain_tail = [(SubGoal(Skill.Pickup, mrecep_cls), m_iid)] + to_recep
+        if state.agent.held == t_iid:
+            return _deposit(state, geom, m_iid) + chain_tail
+        return _with_pickup(_acquire, state, geom, t_iid) + \
+            [(SubGoal(Skill.Put, mrecep_cls), m_iid)] + chain_tail
+    if state.agent.held == m_iid:
+        return _deposit(state, geom, recep)
+    return _with_pickup(_retrieve_from, state, geom, m_iid) + to_recep
+
+
 def remaining_milestones(task: TaskInstance, state: WorldState) -> list:
     """(SubGoal, target instance) list still needed; [] means emit End."""
-    geom = cached_geometry(state)
-    fam, tt = task.family, task.task_type
-    b = task.bindings
-
-    if fam == "IQA":
-        t_iid = task.target_iid
-        if not state.has(t_iid):
-            raise InfeasibleTask("question target vanished")
-        steps = []
-        if tt in ("existence", "counting"):
-            recep = state.obj(t_iid)
-            if state.cls(recep).enclosed and recep.openness is Openness.CLOSED:
-                steps = _goto_if_needed(state, geom, t_iid) \
-                    + [(SubGoal(Skill.Open, recep.class_id), t_iid)]
-            else:
-                steps = _goto_if_needed(state, geom, t_iid)
-        else:
-            steps = _goto_if_needed(state, geom, t_iid)
-        return steps + [(SubGoal(Skill.Answer), None)]
-
-    if fam == "SHIF":
-        return _treatment_remaining(state, geom, task.target_iid, tt)
-
-    if goal_satisfied(task.goal, state):
-        return []
-
-    if fam == "EXIN":
-        cls_id = b["obj"]
-        if tt == "pickup":
-            iid = _single(state, cls_id, near_geom=geom)
-            return _with_pickup(_acquire, state, geom, iid)
-        if tt == "put":
-            if state.agent.held is None:
-                return _acquire(state, geom, _single(state, cls_id, near_geom=geom))
-            return _free_hands(state, geom)
-        if tt == "slice":
-            iid = _single(state, cls_id, pred=lambda o: not o.sliced, near_geom=geom)
-            if iid is None:
-                raise InfeasibleTask("nothing left to slice")
-            held = state.held_object()
-            if held is None or not state.cls(held).slicer:
-                knife = _single(state, state.registry.id_of("Knife"))
-                if knife is None:
-                    knife = _single(state, state.registry.id_of("ButterKnife"))
-                if knife is None:
-                    raise InfeasibleTask("no slicer available")
-                return _acquire(state, geom, knife)
-            return _open_blocker(state, geom, iid) or (
-                _goto_if_needed(state, geom, iid) + [(SubGoal(Skill.Slice, cls_id), iid)])
-        skill = STATE_CHANGES[tt]
-        attr, start, _left = state_change(skill)
-        iid = _single(state, cls_id,
-                      pred=lambda o: getattr(o, attr) is start, near_geom=geom)
-        if iid is None:
-            raise InfeasibleTask("no instance in the pre-goal state")
-        return _goto_if_needed(state, geom, iid) + [(SubGoal(skill, cls_id), iid)]
-
-    # LHIF
-    obj_cls, recep_cls = b.get("obj"), b.get("recep")
-    kind = tt.removesuffix("_place")
-    if tt in ("pick_place", "pick_two"):
-        recep = _fixture(state, recep_cls)
-        held = state.held_object()
-        if held is not None and held.class_id == obj_cls:
-            return _deposit(state, geom, recep)
-        iid = _single(state, obj_cls,
-                      pred=lambda o: not _inside_class(state, o, recep_cls),
-                      near_geom=geom)
-        if iid is None:
-            raise InfeasibleTask("not enough instances to place")
-        return _with_pickup(_acquire, state, geom, iid) + \
-            [(SubGoal(Skill.Put, recep_cls), recep)]
-    if kind in TREATMENTS:
-        _appliance, attr, _start, goal, _switch = TREATMENTS[kind]
-        t_iid = task.target_iid
-        if getattr(state.obj(t_iid), attr) is not goal:
-            return _treatment_remaining(state, geom, t_iid, kind)
-        steps = _switch_off(state, geom, kind)
-        if steps:
-            return steps
-        recep = _fixture(state, recep_cls)
-        if state.agent.held == t_iid:
-            return _deposit(state, geom, recep)
-        return _with_pickup(_retrieve_from, state, geom, t_iid) + \
-            [(SubGoal(Skill.Put, recep_cls), recep)]
-    if tt == "examine":
-        toggle_cls = b["toggle"]
-        lamp = _single(state, toggle_cls, pred=lambda o: o.power is Power.OFF,
-                       near_geom=geom)
-        switch_on = [] if lamp is None else [(SubGoal(Skill.ToggleOn, toggle_cls), lamp)]
-        held = state.held_object()
-        if held is None or held.class_id != obj_cls:
-            iid = _single(state, obj_cls, near_geom=geom)
-            return _with_pickup(_acquire, state, geom, iid) + switch_on
-        if lamp is None:
-            raise InfeasibleTask("no lamp to switch on")
-        return _goto_if_needed(state, geom, lamp) + switch_on
-    if tt == "stack_place":
-        mrecep_cls, m_iid, t_iid = b["mrecep"], b["mrecep_iid"], task.target_iid
-        recep = _fixture(state, recep_cls)
-        to_recep = [(SubGoal(Skill.Put, recep_cls), recep)]
-        if state.obj(t_iid).container != m_iid:
-            chain_tail = [(SubGoal(Skill.Pickup, mrecep_cls), m_iid)] + to_recep
-            if state.agent.held == t_iid:
-                return _deposit(state, geom, m_iid) + chain_tail
-            return _with_pickup(_acquire, state, geom, t_iid) + \
-                [(SubGoal(Skill.Put, mrecep_cls), m_iid)] + chain_tail
-        if state.agent.held == m_iid:
-            return _deposit(state, geom, recep)
-        return _with_pickup(_retrieve_from, state, geom, m_iid) + to_recep
-    raise ValueError(f"unknown task type {fam}/{tt}")
+    record = _task_type(task.family, task.task_type)
+    return record.milestones(task, state, cached_geometry(state))
 
 
 def remaining_fn(task: TaskInstance):
@@ -593,19 +563,58 @@ def remaining_fn(task: TaskInstance):
     return fn
 
 
+def replay_expert(task: TaskInstance, template, mode, registry, config):
+    """The expert's episode on `task` from its initial state."""
+    state = task_initial_state(task, template, registry=registry, config=config)
+    return run_expert_episode(state, remaining_fn(task), mode, max_steps=task.max_steps,
+                              expected_answer=task.answer)
+
+
 # --------------------------------------------------------------------------
 # episode generation
 
 
+@dataclass
+class _Draft:
+    """An episode being sampled: the scene as its overrides so far leave
+    it, and what is bound.  `want` is the answer to force, or None."""
+    state: WorldState
+    rng: np.random.Generator
+    want: str | None
+    ops: list = field(init=False, default_factory=list)
+    bindings: dict = field(init=False, default_factory=dict)
+    words: dict = field(init=False, default_factory=dict)   # slots naming no class
+    goal: dict | None = field(init=False, default=None)
+    answer: str | None = field(init=False, default=None)
+    target_iid: int | None = field(init=False, default=None)
+
+    def apply(self, op):
+        """Record an override and apply it."""
+        self.ops.append(op)
+        self.state = apply_overrides(self.state, [op])
+
+    def set_all(self, cls_id, attr, value):
+        """Set an attribute of every instance of a class."""
+        for o in self.state.instances_of(cls_id):
+            self.apply(("set", o.instance_id, attr, value))
+
+    def fixture(self, cls_id):
+        return _fixture(self.state, cls_id, UnsatisfiableTemplate("fixture missing"))
+
+
 def _present_classes(state, pred):
-    out = []
-    for cid in range(len(state.registry)):
-        if pred(state.registry[cid]) and state.instances_of(cid):
-            out.append(cid)
-    return out
+    reg = state.registry
+    return [cid for cid in range(len(reg)) if pred(reg[cid]) and state.instances_of(cid)]
 
 
-def _food_classes(state):
+def _pickupable(state):
+    return _present_classes(state, lambda c: c.pickupable)
+
+
+def _treatable(state, kind):
+    """Classes a treatment applies to: dirtiable pickupables, or foods."""
+    if kind == "clean":
+        return _present_classes(state, lambda c: c.pickupable and c.can_dirty)
     return _present_classes(state, lambda c: c.pickupable
                             and (c.sliceable or c.name == "Egg"))
 
@@ -615,33 +624,167 @@ def _fixture_recep_classes(state):
                    if o.is_receptacle and o.anchor is not None})
 
 
-def _lamp_classes(state):
-    return _present_classes(state, lambda c: c.toggleable and not c.water_source
-                            and not c.heats)
-
-
 def _choice(rng, seq):
     if not seq:
         raise UnsatisfiableTemplate("empty binding domain")
     return seq[int(rng.integers(len(seq)))]
 
 
-def _move_out_ops(state, obj_cls, recep_cls, protect=()):
+def _move_out(d, obj_cls, recep_cls, protect=()):
     """Relocate every obj-class instance out of recep-class containers."""
-    ops = []
-    recep_iids = {o.instance_id for o in state.instances_of(recep_cls)}
-    for o in state.instances_of(obj_cls):
-        if any(cur in recep_iids for cur in W.ancestors(state, o.instance_id)):
-            dest = _free_receptacle(state, exclude_classes=(recep_cls,),
+    recep_iids = {o.instance_id for o in d.state.instances_of(recep_cls)}
+    for o in d.state.instances_of(obj_cls):
+        if any(cur in recep_iids for cur in W.ancestors(d.state, o.instance_id)):
+            dest = _free_receptacle(d.state, exclude_classes=(recep_cls,),
                                     exclude_iids=tuple(recep_iids) + tuple(protect))
             if dest is None:
                 raise UnsatisfiableTemplate("nowhere to relocate bound object")
-            ops.append(("move", o.instance_id, dest))
-            state = apply_overrides(state, [ops[-1]])
-    return ops, state
+            d.apply(("move", o.instance_id, dest))
 
 
-def _state_question_candidates(state, geom):
+def _goal_receptacle(d):
+    """Bind an LHIF goal receptacle: (fixture class, its lowest-id instance)."""
+    recep_cls = _choice(d.rng, _fixture_recep_classes(d.state))
+    d.bindings["recep"] = recep_cls
+    return recep_cls, d.fixture(recep_cls)
+
+
+def _sample_treatment(kind, d):
+    """SHIF: the target is held untreated; the appliance is free, its switch off."""
+    appliance, attr, start, want, switch = TREATMENTS[kind]
+    reg = d.state.registry
+    d.bindings["obj"] = obj_cls = _choice(d.rng, _treatable(d.state, kind))
+    d.target_iid = _choice(d.rng, d.state.instances_of(obj_cls)).instance_id
+    appl = d.fixture(reg.id_of(appliance))
+    d.apply(("hold", d.target_iid))
+    d.apply(("set", d.target_iid, attr, start.value))
+    if switch is not None:
+        d.apply(("set", d.fixture(reg.id_of(switch)), "power", "off"))
+    d.apply(("vacate", appl, 1))
+    d.goal = {"kind": "state_held", "cls": obj_cls, "require": {attr: want.value}}
+
+
+def _sample_pickup(d):
+    d.bindings["obj"] = obj_cls = _choice(d.rng, _pickupable(d.state))
+    d.goal = {"kind": "state_held", "cls": obj_cls}
+
+
+def _sample_put(d):
+    d.bindings["obj"] = obj_cls = _choice(d.rng, _pickupable(d.state))
+    d.target_iid = _choice(d.rng, d.state.instances_of(obj_cls)).instance_id
+    d.apply(("hold", d.target_iid))
+    d.goal = {"kind": "any_container", "obj": obj_cls}
+
+
+def _sample_slice(d):
+    reg = d.state.registry
+    if not any(reg[o.class_id].slicer for o in d.state.objects):
+        raise UnsatisfiableTemplate("no slicer in scene")
+    d.bindings["obj"] = obj_cls = _choice(d.rng, _present_classes(
+        d.state, lambda c: c.sliceable and c.pickupable))
+    slicers = [o.instance_id for o in d.state.objects
+               if reg[o.class_id].slicer and o.class_id != obj_cls]
+    if not slicers:
+        raise UnsatisfiableTemplate("no slicer distinct from target")
+    d.apply(("hold", slicers[0]))
+    d.set_all(obj_cls, "sliced", False)
+    d.goal = {"kind": "class_state", "cls": obj_cls, "attr": "sliced", "value": True}
+
+
+def _sample_state_change(kind, d):
+    """EXIN toggleon/toggleoff/open/close: every instance of the class
+    starts in the state the skill needs."""
+    attr, start, want = state_change(STATE_CHANGES[kind])
+    d.bindings["obj"] = obj_cls = _choice(d.rng, _present_classes(
+        d.state, lambda c: (c.toggleable if attr == "power" else c.enclosed)))
+    d.set_all(obj_cls, attr, start.value)
+    d.goal = {"kind": "class_state", "cls": obj_cls, "attr": attr, "value": want.value}
+
+
+def _sample_place(count, d):
+    """pick_place (count 1) and pick_two (count 2, of a class that is no
+    receptacle): the empty receptacle and the scene have room for `count`."""
+    reg = d.state.registry
+    recep_cls, recep = _goal_receptacle(d)
+    if W.capacity(d.state.obj(recep)) < count:
+        raise UnsatisfiableTemplate("receptacle too small for two")
+    obj_cls = _choice(d.rng, [c for c in _pickupable(d.state) if c != recep_cls
+                              and (count == 1 or not reg[c].receptacle)])
+    _move_out(d, obj_cls, recep_cls)
+    for _ in range(count - len(d.state.instances_of(obj_cls))):
+        dest = _free_receptacle(d.state, exclude_classes=(recep_cls,))
+        if dest is None:
+            raise UnsatisfiableTemplate("no slot for second instance")
+        d.apply(("spawn", reg[obj_cls].name, dest))
+    d.apply(("vacate", recep, count))
+    d.bindings["obj"] = obj_cls
+    d.goal = {"kind": "contained", "obj": obj_cls, "recep": recep_cls,
+              "min_count": count}
+
+
+def _sample_treatment_place(kind, d):
+    """LHIF `<kind>_place`: every instance starts untreated and outside the
+    receptacle; the receptacle and the appliance have room."""
+    appliance_cls, attr, start, want, switch = TREATMENTS[kind]
+    reg = d.state.registry
+    recep_cls, recep = _goal_receptacle(d)
+    obj_cls = _choice(d.rng, [c for c in _treatable(d.state, kind) if c != recep_cls])
+    appliance = d.fixture(reg.id_of(appliance_cls))
+    _move_out(d, obj_cls, recep_cls, protect=(appliance,))
+    d.target_iid = d.state.instances_of(obj_cls)[0].instance_id
+    d.bindings["obj"] = obj_cls
+    d.set_all(obj_cls, attr, start.value)
+    # the goal receptacle and the treatment appliance must both stay
+    # free, so each vacate protects the other
+    d.apply(("vacate", recep, 1, [appliance]))
+    if switch is not None:
+        d.apply(("set", d.fixture(reg.id_of(switch)), "power", "off"))
+    d.apply(("vacate", appliance, 1, [recep]))
+    d.goal = {"kind": "contained", "obj": obj_cls, "recep": recep_cls,
+              "min_count": 1, "require": {attr: want.value}}
+
+
+def _sample_examine(d):
+    # every LHIF type draws a goal receptacle; examine binds none
+    _choice(d.rng, _fixture_recep_classes(d.state))
+    obj_cls = _choice(d.rng, _pickupable(d.state))
+    toggle_cls = _choice(d.rng, _present_classes(
+        d.state, lambda c: c.toggleable and not c.water_source and not c.heats))
+    d.bindings.update(obj=obj_cls, toggle=toggle_cls)
+    d.set_all(toggle_cls, "power", "off")
+    d.goal = {"kind": "held_and_on", "obj": obj_cls, "toggle": toggle_cls}
+
+
+def _sample_stack_place(d):
+    """LHIF stack_place: the target starts outside the free movable receptacle."""
+    reg = d.state.registry
+    recep_cls, recep = _goal_receptacle(d)
+    mrecep_cls = _choice(d.rng, _present_classes(
+        d.state, lambda c: c.pickupable and c.receptacle))
+    obj_cls = _choice(d.rng, [c for c in _pickupable(d.state)
+                              if c != mrecep_cls and not reg[c].receptacle])
+    mrecep = d.state.instances_of(mrecep_cls)[0].instance_id
+    target = d.state.instances_of(obj_cls)[0]
+    d.target_iid = target.instance_id
+    d.bindings.update(obj=obj_cls, mrecep=mrecep_cls, mrecep_iid=mrecep)
+    before = d.state
+    d.apply(("vacate", mrecep, 1, [recep]))
+    d.apply(("vacate", recep, 1, [mrecep]))
+    if target.container == mrecep:
+        d.apply(("move", d.target_iid, _free_receptacle(before, exclude_iids=(mrecep,))))
+    d.goal = {"kind": "chain", "obj": obj_cls, "mrecep": mrecep_cls,
+              "recep": recep_cls}
+
+
+def _answer(d, answer, want):
+    """Record a question's answer, which must be the one asked for."""
+    if answer != want:
+        raise UnsatisfiableTemplate("forced answer unreachable")
+    d.answer = answer
+    d.goal = {"kind": "answer", "expected": answer}
+
+
+def _state_question_candidates(state):
     """(iid, attr, asked_value, word) for single-instance classes with an
     observable mutable attribute."""
     reg = state.registry
@@ -652,37 +795,142 @@ def _state_question_candidates(state, geom):
     for cid, objs in sorted(by_cls.items()):
         if len(objs) != 1:
             continue
-        o = objs[0]
         cls = reg[cid]
-        if cls.enclosed:
-            out.append((o.instance_id, "openness", "open", "open"))
-            out.append((o.instance_id, "openness", "closed", "closed"))
-        if cls.toggleable:
-            out.append((o.instance_id, "power", "on", "turned on"))
-            out.append((o.instance_id, "power", "off", "turned off"))
-        if cls.can_dirty and cls.pickupable:
-            out.append((o.instance_id, "cleanliness", "dirty", "dirty"))
-            out.append((o.instance_id, "cleanliness", "clean", "clean"))
-        if cls.sliceable:
-            out.append((o.instance_id, "sliced", True, "sliced"))
+        asked = {"openness": cls.enclosed, "power": cls.toggleable,
+                 "cleanliness": cls.can_dirty and cls.pickupable,
+                 "sliced": cls.sliceable}
+        out += [(objs[0].instance_id, attr, value, word)
+                for (attr, value), word in STATE_WORDS.items() if asked[attr]]
     return out
 
 
-def compute_answer(task_type, state, obj_cls=None, recep_iid=None,
-                   target_iid=None, attr=None, asked=None):
-    if task_type == "state":
-        return "Yes" if _value(state.obj(target_iid), attr) == asked else "No"
-    n = sum(1 for o in state.instances_of(obj_cls)
-            if recep_iid in W.ancestors(state, o.instance_id))
-    if task_type == "existence":
-        return "Yes" if n >= 1 else "No"
-    if task_type == "counting":
-        return str(min(n, 3))
-    raise ValueError(task_type)
+def _sample_state_question(d):
+    cands = _state_question_candidates(d.state)
+    if not cands:
+        raise UnsatisfiableTemplate("no state-question candidate")
+    iid, attr, asked, word = _choice(d.rng, cands)
+    want = d.want or _choice(d.rng, ["Yes", "No"])
+    if want not in ("Yes", "No"):
+        raise UnsatisfiableTemplate("state answers are yes/no")
+    # a No sets the attribute's other worded value (False for sliced)
+    value = asked if want == "Yes" else next(
+        (v for a, v in STATE_WORDS if a == attr and v != asked), False)
+    before = d.state
+    d.apply(("set", iid, attr, value))
+    if iid not in cached_geometry(d.state).display_cells:
+        dest = _free_receptacle(before)
+        if dest is None:
+            raise UnsatisfiableTemplate("cannot surface question target")
+        d.apply(("move", iid, dest))
+    d.target_iid = iid
+    d.bindings.update(obj=before.obj(iid).class_id, attr=attr, asked=asked)
+    d.words["state"] = word
+    _answer(d, "Yes" if _value(d.state.obj(iid), attr) == asked else "No", want)
 
 
-def _displayed(state, iid):
-    return iid in cached_geometry(state).display_cells
+def _question_receptacle(d, slots):
+    """Bind a non-receptacle class and a fixture receptacle of at least
+    `slots` slots that holds none of it; returns (class, receptacle)."""
+    reg = d.state.registry
+    obj_cls = _choice(d.rng, [c for c in _pickupable(d.state) if not reg[c].receptacle])
+    recep_cls = _choice(d.rng, [c for c in _fixture_recep_classes(d.state)
+                                if W.capacity(d.state.obj(d.fixture(c))) >= slots])
+    recep = d.fixture(recep_cls)
+    _move_out(d, obj_cls, recep_cls)
+    d.target_iid = recep
+    d.bindings.update(obj=obj_cls, recep=recep_cls)
+    return obj_cls, recep
+
+
+def _put_inside(d, obj_cls, recep, k):
+    """Make room for `k` instances in the receptacle and spawn them there;
+    returns how many instances of the class it then holds."""
+    if k > 0:
+        d.apply(("vacate", recep, k))
+        for _ in range(k):
+            d.apply(("spawn", d.state.registry[obj_cls].name, recep))
+    return sum(1 for o in d.state.instances_of(obj_cls)
+               if recep in W.ancestors(d.state, o.instance_id))
+
+
+def _sample_existence(d):
+    obj_cls, recep = _question_receptacle(d, 1)
+    want = d.want or _choice(d.rng, ["Yes", "No"])
+    n = _put_inside(d, obj_cls, recep, 1 if want == "Yes" else 0)
+    _answer(d, "Yes" if n >= 1 else "No", want)
+
+
+def _sample_counting(d):
+    obj_cls, recep = _question_receptacle(d, 3)
+    want = d.want if d.want is not None else str(int(d.rng.integers(0, 4)))
+    _answer(d, str(min(_put_inside(d, obj_cls, recep, int(want)), 3)), want)
+
+
+@dataclass(frozen=True)
+class TaskType:
+    """One (family, task type).  `answers`: what `build_splits` forces for
+    each form, in cycle order.  `sample(draft)` binds an episode on a
+    `_Draft`; `milestones(task, state, geom)` is `remaining_milestones`."""
+    family: str
+    name: str
+    forms: tuple
+    answers: tuple
+    sample: Callable
+    milestones: Callable
+
+
+_ONCE = (None,)   # one cycle cell per form, with no answer forced
+TASK_TYPES = {(t.family, t.name): t for t in (
+    *(TaskType("SHIF", kind, (f"{kind} {{obj}}",), _ONCE, partial(_sample_treatment, kind),
+               _treatment_remaining) for kind in TREATMENTS),
+    TaskType("LHIF", "pick_place", ("put a {obj} in {recep}", "put some {obj} on {recep}"),
+             _ONCE, partial(_sample_place, 1), _until_goal(_place_milestones)),
+    *(TaskType("LHIF", f"{kind}_place", forms, _ONCE, partial(_sample_treatment_place, kind),
+               _until_goal(_treatment_place_milestones)) for kind, forms in (
+        ("clean", ("put a clean {obj} in {recep}", "clean some {obj} and put it in {recep}")),
+        ("heat", ("put a hot {obj} in {recep}", "heat some {obj} and put it in {recep}")),
+        ("cool", ("put a cold {obj} in {recep}", "cool some {obj} and put it in {recep}")))),
+    TaskType("LHIF", "pick_two", ("put two {obj} in {recep}",
+                                  "find two {obj} and put them in {recep}"),
+             _ONCE, partial(_sample_place, 2), _until_goal(_place_milestones)),
+    TaskType("LHIF", "examine", ("look at {obj} under the {toggle}",
+                                 "examine the {obj} with the {toggle}"),
+             _ONCE, _sample_examine, _until_goal(_examine_milestones)),
+    TaskType("LHIF", "stack_place", ("put {obj} in a {mrecep} and then put them in {recep}",
+                                     "put a {mrecep} of {obj} in {recep}",
+                                     "put {obj} {mrecep} in {recep}"),
+             _ONCE, _sample_stack_place, _until_goal(_stack_place_milestones)),
+    # state questions weigh twice as much as existence and counting
+    TaskType("IQA", "state", ("is the {obj} {state}?",), ("Yes", "Yes", "No", "No"),
+             _sample_state_question, _question_milestones),
+    TaskType("IQA", "existence", ("is any {obj} in or on the {recep}?",
+                                  "does the {recep} contain or support at least one {obj}?"),
+             ("Yes", "No"), _sample_existence, _question_milestones),
+    TaskType("IQA", "counting", ("how many {obj} are in or on the {recep}?",
+                                 "count the number of {obj} in or on the {recep}"),
+             ("0", "1", "2", "3"), _sample_counting, _question_milestones),
+    TaskType("EXIN", "pickup", ("pick up {obj}",), _ONCE, _sample_pickup,
+             _until_goal(_pickup_milestones)),
+    TaskType("EXIN", "put", ("put {obj}",), _ONCE, _sample_put, _until_goal(_put_milestones)),
+    *(TaskType("EXIN", kind, (form,), _ONCE, partial(_sample_state_change, kind),
+               _until_goal(_state_change_milestones))
+      for kind, form in (("toggleon", "toggle on {obj}"), ("toggleoff", "toggle off {obj}"),
+                         ("open", "open {obj}"), ("close", "close {obj}"))),
+    TaskType("EXIN", "slice", ("slice {obj}",), _ONCE, _sample_slice,
+             _until_goal(_slice_milestones)),
+)}
+
+# family -> task type -> instruction forms
+TEMPLATES = {family: {t.name: list(t.forms) for t in TASK_TYPES.values()
+                      if t.family == family} for family in FAMILIES}
+
+
+def _task_type(family, name) -> TaskType:
+    """The record of a (family, task type) named by a split file or a caller."""
+    record = TASK_TYPES.get((family, name))
+    if record is None:
+        raise ValueError(f"unknown task type {family}/{name}")
+    return record
 
 
 def generate_task(family, task_type, form_index, scene_template, scene_seed,
@@ -693,256 +941,26 @@ def generate_task(family, task_type, form_index, scene_template, scene_seed,
     (missing classes, no capacity, unachievable forced answer, overrides
     that delete the target or the movable receptacle).
     """
-    state = initial = randomize_scene(scene_template, scene_seed,
-                                      registry=registry, config=config)
-    reg = state.registry
-    forms = TEMPLATES[family][task_type]
-    form = forms[form_index % len(forms)]
-    ops = []
-    bindings = {}
-    goal = None
-    answer = None
-    target_iid = None
-
-    pickupable = _present_classes(state, lambda c: c.pickupable)
-    cleanable = _present_classes(state, lambda c: c.pickupable and c.can_dirty)
-    foods = _food_classes(state)
-    fixed_receps = _fixture_recep_classes(state)
-    words = {}
-
-    def fixture_of(cls_id):
-        objs = [o for o in state.instances_of(cls_id) if o.anchor is not None]
-        if not objs:
-            raise UnsatisfiableTemplate("fixture missing")
-        return min(objs, key=lambda o: o.instance_id).instance_id
-
-    if family == "SHIF":
-        appliance, attr, start, want, switch = TREATMENTS[task_type]
-        obj_cls = _choice(rng, cleanable if task_type == "clean" else foods)
-        target = _choice(rng, sorted(state.instances_of(obj_cls),
-                                     key=lambda o: o.instance_id))
-        target_iid = target.instance_id
-        bindings = {"obj": obj_cls}
-        appl = fixture_of(reg.id_of(appliance))
-        ops.append(("hold", target_iid))
-        ops.append(("set", target_iid, attr, start.value))
-        if switch is not None:
-            ops.append(("set", fixture_of(reg.id_of(switch)), "power", "off"))
-        ops.append(("vacate", appl, 1))
-        goal = {"kind": "state_held", "cls": obj_cls, "require": {attr: want.value}}
-
-    elif family == "EXIN":
-        if task_type in ("pickup", "put", "slice"):
-            domain = {"pickup": pickupable, "put": pickupable,
-                      "slice": _present_classes(
-                          state, lambda c: c.sliceable and c.pickupable)}[task_type]
-            if task_type == "slice":
-                slicers = [o for o in state.objects if reg[o.class_id].slicer]
-                if not slicers:
-                    raise UnsatisfiableTemplate("no slicer in scene")
-            obj_cls = _choice(rng, domain)
-            bindings = {"obj": obj_cls}
-            if task_type == "pickup":
-                goal = {"kind": "state_held", "cls": obj_cls}
-            elif task_type == "put":
-                target = _choice(rng, sorted(state.instances_of(obj_cls),
-                                             key=lambda o: o.instance_id))
-                ops.append(("hold", target.instance_id))
-                target_iid = target.instance_id
-                goal = {"kind": "any_container", "obj": obj_cls}
-            else:
-                slicers = sorted((o for o in state.objects if reg[o.class_id].slicer
-                                  and o.class_id != obj_cls),
-                                 key=lambda o: o.instance_id)
-                if not slicers:
-                    raise UnsatisfiableTemplate("no slicer distinct from target")
-                ops.append(("hold", slicers[0].instance_id))
-                for o in state.instances_of(obj_cls):
-                    ops.append(("set", o.instance_id, "sliced", False))
-                goal = {"kind": "class_state", "cls": obj_cls,
-                        "attr": "sliced", "value": True}
-        else:
-            attr, start, want = state_change(STATE_CHANGES[task_type])
-            domain = _present_classes(
-                state, lambda c: (c.toggleable if attr == "power" else c.enclosed))
-            obj_cls = _choice(rng, domain)
-            bindings = {"obj": obj_cls}
-            for o in state.instances_of(obj_cls):
-                ops.append(("set", o.instance_id, attr, start.value))
-            goal = {"kind": "class_state", "cls": obj_cls, "attr": attr,
-                    "value": want.value}
-
-    elif family == "LHIF":
-        recep_cls = _choice(rng, fixed_receps)
-        recep_inst = fixture_of(recep_cls)
-        bindings = {"recep": recep_cls}
-        kind = task_type.removesuffix("_place")
-        if task_type == "pick_place":
-            obj_cls = _choice(rng, [c for c in pickupable if c != recep_cls])
-            mops, state = _move_out_ops(state, obj_cls, recep_cls)
-            ops += mops
-            ops.append(("vacate", recep_inst, 1))
-            bindings["obj"] = obj_cls
-            goal = {"kind": "contained", "obj": obj_cls, "recep": recep_cls,
-                    "min_count": 1}
-        elif kind in TREATMENTS:
-            appliance_cls, attr, start, want, switch = TREATMENTS[kind]
-            domain = cleanable if kind == "clean" else foods
-            obj_cls = _choice(rng, [c for c in domain if c != recep_cls])
-            appliance = fixture_of(reg.id_of(appliance_cls))
-            mops, state = _move_out_ops(state, obj_cls, recep_cls,
-                                        protect=(appliance,))
-            ops += mops
-            target = sorted(state.instances_of(obj_cls),
-                            key=lambda o: o.instance_id)[0]
-            target_iid = target.instance_id
-            bindings["obj"] = obj_cls
-            for o in state.instances_of(obj_cls):
-                ops.append(("set", o.instance_id, attr, start.value))
-            # the goal receptacle and the treatment appliance must both stay
-            # free, so each vacate protects the other
-            ops.append(("vacate", recep_inst, 1, [appliance]))
-            if switch is not None:
-                ops.append(("set", fixture_of(reg.id_of(switch)), "power", "off"))
-            ops.append(("vacate", appliance, 1, [recep_inst]))
-            goal = {"kind": "contained", "obj": obj_cls, "recep": recep_cls,
-                    "min_count": 1, "require": {attr: want.value}}
-        elif task_type == "pick_two":
-            if W.capacity(state.obj(recep_inst)) < 2:
-                raise UnsatisfiableTemplate("receptacle too small for two")
-            obj_cls = _choice(rng, [c for c in pickupable if c != recep_cls
-                                    and not reg[c].receptacle])
-            mops, state = _move_out_ops(state, obj_cls, recep_cls)
-            ops += mops
-            have = len(state.instances_of(obj_cls))
-            for _ in range(2 - have):
-                dest = _free_receptacle(state, exclude_classes=(recep_cls,))
-                if dest is None:
-                    raise UnsatisfiableTemplate("no slot for second instance")
-                ops.append(("spawn", reg[obj_cls].name, dest))
-                state = apply_overrides(state, [ops[-1]])
-            ops.append(("vacate", recep_inst, 2))
-            bindings["obj"] = obj_cls
-            goal = {"kind": "contained", "obj": obj_cls, "recep": recep_cls,
-                    "min_count": 2}
-        elif task_type == "examine":
-            obj_cls = _choice(rng, [c for c in pickupable])
-            toggle_cls = _choice(rng, _lamp_classes(state))
-            bindings = {"obj": obj_cls, "toggle": toggle_cls}
-            for o in state.instances_of(toggle_cls):
-                ops.append(("set", o.instance_id, "power", "off"))
-            goal = {"kind": "held_and_on", "obj": obj_cls, "toggle": toggle_cls}
-        elif task_type == "stack_place":
-            mrecep_domain = _present_classes(
-                state, lambda c: c.pickupable and c.receptacle)
-            mrecep_cls = _choice(rng, mrecep_domain)
-            obj_cls = _choice(rng, [c for c in pickupable
-                                    if c != mrecep_cls and not reg[c].receptacle])
-            mrecep = sorted(state.instances_of(mrecep_cls),
-                            key=lambda o: o.instance_id)[0]
-            target = sorted(state.instances_of(obj_cls),
-                            key=lambda o: o.instance_id)[0]
-            target_iid = target.instance_id
-            bindings = {"obj": obj_cls, "recep": recep_cls,
-                        "mrecep": mrecep_cls, "mrecep_iid": mrecep.instance_id}
-            ops.append(("vacate", mrecep.instance_id, 1, [recep_inst]))
-            ops.append(("vacate", recep_inst, 1, [mrecep.instance_id]))
-            if target.container == mrecep.instance_id:
-                dest = _free_receptacle(state, exclude_iids=(mrecep.instance_id,))
-                ops.append(("move", target_iid, dest))
-            goal = {"kind": "chain", "obj": obj_cls, "mrecep": mrecep_cls,
-                    "recep": recep_cls}
-        else:
-            raise ValueError(task_type)
-
-    elif family == "IQA":
-        if task_type == "state":
-            geom = cached_geometry(state)
-            cands = _state_question_candidates(state, geom)
-            if not cands:
-                raise UnsatisfiableTemplate("no state-question candidate")
-            iid, attr, asked, word = _choice(rng, cands)
-            want = want_answer or _choice(rng, ["Yes", "No"])
-            if want not in ("Yes", "No"):
-                raise UnsatisfiableTemplate("state answers are yes/no")
-            if attr == "sliced":
-                ops.append(("set", iid, "sliced", asked if want == "Yes" else False))
-            else:
-                complement = {"open": "closed", "closed": "open", "on": "off",
-                              "off": "on", "dirty": "clean", "clean": "dirty"}
-                value = asked if want == "Yes" else complement[asked]
-                ops.append(("set", iid, attr, value))
-            if not _displayed(apply_overrides(state, ops[-1:]), iid):
-                dest = _free_receptacle(state)
-                if dest is None:
-                    raise UnsatisfiableTemplate("cannot surface question target")
-                ops.append(("move", iid, dest))
-            state2 = apply_overrides(state, ops)
-            target_iid = iid
-            bindings = {"obj": state.obj(iid).class_id, "attr": attr,
-                        "asked": asked}
-            words["state"] = word
-            answer = compute_answer("state", state2, target_iid=iid,
-                                    attr=attr, asked=asked)
-            if want_answer and answer != want_answer:
-                raise UnsatisfiableTemplate("forced answer unreachable")
-        else:
-            obj_cls = _choice(rng, [c for c in pickupable
-                                    if not reg[c].receptacle])
-            if task_type == "counting":
-                doms = [c for c in fixed_receps
-                        if W.capacity(state.obj(fixture_of(c))) >= 3]
-            else:
-                doms = fixed_receps
-            recep_cls = _choice(rng, doms)
-            recep_inst = fixture_of(recep_cls)
-            mops, state = _move_out_ops(state, obj_cls, recep_cls)
-            ops += mops
-            if task_type == "existence":
-                want = want_answer or _choice(rng, ["Yes", "No"])
-                k = 1 if want == "Yes" else 0
-            else:
-                want = want_answer if want_answer is not None \
-                    else str(int(rng.integers(0, 4)))
-                k = int(want)
-            if k > 0:
-                ops.append(("vacate", recep_inst, k))
-                state = apply_overrides(state, ops[-1:])
-                for _ in range(k):
-                    ops.append(("spawn", reg[obj_cls].name, recep_inst))
-                    state = apply_overrides(state, ops[-1:])
-            target_iid = recep_inst
-            bindings = {"obj": obj_cls, "recep": recep_cls}
-            answer = compute_answer(task_type, state, obj_cls=obj_cls,
-                                    recep_iid=recep_inst)
-            if answer != want:
-                raise UnsatisfiableTemplate("forced answer unreachable")
-        goal = {"kind": "answer", "expected": answer}
-
-    else:
-        raise ValueError(family)
-
+    record = _task_type(family, task_type)
+    d = _Draft(randomize_scene(scene_template, scene_seed, registry=registry,
+                               config=config), rng, want_answer)
+    record.sample(d)
     # a vacate that finds no free receptacle deletes what it moves out
-    final = apply_overrides(initial, ops)
-    for iid in (target_iid, bindings.get("mrecep_iid")):
-        if iid is not None and not final.has(iid):
+    for iid in (d.target_iid, d.bindings.get("mrecep_iid")):
+        if iid is not None and not d.state.has(iid):
             raise UnsatisfiableTemplate("overrides remove a bound instance")
-
-    def name_of(cls_id):
-        return reg[cls_id].name.lower()
-
-    slot_words = dict(words)
+    reg = d.state.registry
+    slots = dict(d.words)
     for slot in ("obj", "recep", "mrecep", "toggle"):
-        if slot in bindings and isinstance(bindings[slot], int):
-            slot_words[slot] = name_of(bindings[slot])
-    instruction = form.format(**slot_words)
-
+        if slot in d.bindings:
+            slots[slot] = reg[d.bindings[slot]].name.lower()
     return TaskInstance(
-        family=family, task_type=task_type, instruction=instruction,
-        bindings=bindings, goal=goal,
+        family=family, task_type=task_type,
+        instruction=record.forms[form_index % len(record.forms)].format(**slots),
+        bindings=d.bindings, goal=d.goal,
         scene_template_id=scene_template["template_id"],
-        scene_seed=int(scene_seed), overrides=[list(op) for op in ops],
-        answer=answer, target_iid=target_iid,
+        scene_seed=int(scene_seed), overrides=[list(op) for op in d.ops],
+        answer=d.answer, target_iid=d.target_iid,
         max_steps=MAX_STEPS[family])
 
 
@@ -978,42 +996,17 @@ def desk_split_counts(scale: int) -> dict:
             for split, fams in FULL_SPLIT_COUNTS.items()}
 
 
-def _iqa_cells():
-    """Balanced (task_type, form_index, answer) cycle; state questions get
-    twice the weight of existence and counting."""
-    cells = []
-    for form in range(len(TEMPLATES["IQA"]["state"])):
-        for ans in ("Yes", "No"):
-            cells.append(("state", form, ans))
-            cells.append(("state", form, ans))
-    for form in range(len(TEMPLATES["IQA"]["existence"])):
-        for ans in ("Yes", "No"):
-            cells.append(("existence", form, ans))
-    for form in range(len(TEMPLATES["IQA"]["counting"])):
-        for ans in ("0", "1", "2", "3"):
-            cells.append(("counting", form, ans))
-    return cells
-
-
 def _family_cycle(family):
-    if family == "IQA":
-        return _iqa_cells()
-    out = []
-    for task_type, forms in TEMPLATES[family].items():
-        for form in range(len(forms)):
-            out.append((task_type, form, None))
-    return out
+    """The (task type, form, forced answer) cells `build_splits` cycles
+    through: every form of every type of the family, once per answer."""
+    return [(t.name, form, answer) for t in TASK_TYPES.values() if t.family == family
+            for form in range(len(t.forms)) for answer in t.answers]
 
 
 def verify_episode(task: TaskInstance, templates_by_id, registry=None, config=None):
     """Run the expert in HARD mode; returns (success, trajectory)."""
-    from .episodes import run_expert_episode
-
-    template = templates_by_id[task.scene_template_id]
-    state = task_initial_state(task, template, registry=registry, config=config)
-    traj = run_expert_episode(state, remaining_fn(task), W.InteractionMode.HARD,
-                              max_steps=task.max_steps,
-                              expected_answer=task.answer)
+    traj = replay_expert(task, templates_by_id[task.scene_template_id],
+                         W.InteractionMode.HARD, registry, config)
     return task_success(task, traj), traj
 
 
@@ -1068,7 +1061,6 @@ def build_splits(scene_templates, counts, seed=0, registry=None, config=None, *,
                         continue
                     if not good:
                         continue
-                    from .episodes import expert_subgoal_trace
                     task.expert_decomposition = [
                         [s, (None if o is None else int(o))]
                         for s, o in expert_subgoal_trace(traj)]
@@ -1088,8 +1080,6 @@ def split_content_hash(split: DatasetSplit) -> str:
 
 
 def write_splits(splits, out_dir):
-    import os
-
     os.makedirs(out_dir, exist_ok=True)
     manifest = {}
     for s in splits:
@@ -1106,10 +1096,7 @@ def write_splits(splits, out_dir):
     return manifest
 
 
-def load_split(path, name=None) -> DatasetSplit:
-    episodes = []
+def load_split(path, name) -> DatasetSplit:
     with open(path) as f:
-        for line in f:
-            episodes.append(TaskInstance.from_json(json.loads(line)))
-    return DatasetSplit(name=name or "split", episodes=episodes,
-                        scene_template_ids=[])
+        episodes = [TaskInstance.from_json(json.loads(line)) for line in f]
+    return DatasetSplit(name=name, episodes=episodes, scene_template_ids=[])

@@ -20,12 +20,12 @@ from .agents import (ANSWER_SPACE, INTERACT_ACTION_SPACE, INTERACT_INDEX,
                      NAV_ACTION_SPACE, NAV_INDEX, NONE_ACTION, NONE_SKILL,
                      SKILL_FAMILY, ModelConfig, high_level_step, obs_planes,
                      qa_answer, qa_logits, sub_policy_forward, sub_policy_step)
-from .episodes import rollout, run_expert_episode
+from .episodes import rollout
 from .planner import ExpertController, single_subgoal_stream
 from .skills import (NoFeasibleSkill, PRETRAIN_SKILLS, SceneSession, Skill,
                      periodic_reset, sample_skill_episode, skill_success)
-from .tasks import (UnsatisfiableTemplate, generate_task, remaining_fn,
-                    task_initial_state, tokenize)
+from .tasks import (UnsatisfiableTemplate, generate_task, instruction_tokens,
+                    remaining_fn, replay_expert, task_initial_state)
 # `env_step` stays bound: the benchmark's tracer finds `world.step` through
 # this alias too (perfbench/tests/test_spans.py)
 from .world import (CLASS_BASE, INTERACTIVE_ACTIONS, InteractionMode,
@@ -315,7 +315,7 @@ def multitask_episode_loss(agent, episode: EpisodeBatch, cfg: ModelConfig,
     if n == 0:
         raise MissingLabels("empty episode")
     z_task = agent.task_enc([episode.task_tokens])
-    cmap, planes = obs_planes([s.obs for s in steps], cfg.num_classes)
+    cmap, planes = obs_planes([s.obs for s in steps])
     z_img = agent.hl_encoder(cmap, planes)
     flat = agent.high.gru_input(
         T.mul(z_task, np.ones((n, 1), dtype=T.DEFAULT_DTYPE)), z_img,
@@ -390,7 +390,7 @@ def run_skill_episode(agent, episode, mode, rng, eps, cfg: ModelConfig,
     succeeded = (None if sub.skill is Skill.End
                  else lambda state: skill_success(sub, start, state))
     traj = rollout(start, decide, mode, episode.max_steps,
-                   ExpertController(start, single_subgoal_stream(sub, start), mode),
+                   ExpertController(single_subgoal_stream(sub, start), mode),
                    succeeded)
     success = traj.terminated == "success"
     if collect_ppo:
@@ -407,7 +407,7 @@ def run_skill_episode(agent, episode, mode, rng, eps, cfg: ModelConfig,
 # PPO
 
 
-def _policy_logp_value(agent, samples, cfg):
+def _policy_logp_value(agent, samples):
     """Joint log-prob of the stored actions (+ grid cell + offset for
     executed interactive actions) and the value estimates."""
     nav_rows = [i for i, s in enumerate(samples) if s.family == "nav"]
@@ -455,10 +455,10 @@ def _policy_logp_value(agent, samples, cfg):
 
 
 @T.no_grad()
-def snapshot_behaviour(agent, samples, cfg):
+def snapshot_behaviour(agent, samples):
     """Store each sample's log-prob and value under the current policy:
     the behaviour side of the PPO ratio."""
-    logp, value, _ = _policy_logp_value(agent, samples, cfg)
+    logp, value, _ = _policy_logp_value(agent, samples)
     for k, s in enumerate(samples):
         s.logp = float(logp.data[k])
         s.value = float(value.data[k])
@@ -477,7 +477,7 @@ def compute_gae(rewards, values, dones, gamma, lam):
     return adv, returns
 
 
-def ppo_update(agent, buffer, opt, cfg: ModelConfig, ppo: PPOConfig, rng):
+def ppo_update(agent, buffer, opt, ppo: PPOConfig, rng):
     """Clipped-surrogate update over a rollout buffer of StepSamples."""
     if not buffer:
         raise EmptyBuffer("no rollout steps")
@@ -496,7 +496,7 @@ def ppo_update(agent, buffer, opt, cfg: ModelConfig, ppo: PPOConfig, rng):
         for start in range(0, len(order), ppo.minibatch):
             mb = order[start:start + ppo.minibatch]
             samples = [buffer[i] for i in mb]
-            logp, value, entropy = _policy_logp_value(agent, samples, cfg)
+            logp, value, entropy = _policy_logp_value(agent, samples)
             ratio = T.exp(logp - old_logp[mb])
             a = T.Tensor(adv_n[mb])
             un = T.mul(ratio, a)
@@ -532,9 +532,9 @@ class PretrainProgress:
 
 
 def pretrain(agent, templates, schedule: ScheduleConfig, cfg: ModelConfig,
-             *, grouping, qa_fraction, seed=0, mode=InteractionMode.HARD,
-             vocab=None, reward_cfg=None,
-             ppo_cfg: PPOConfig | None = None, weights: LossWeights | None = None,
+             *, grouping, qa_fraction, vocab, seed=0, mode=InteractionMode.HARD,
+             reward_cfg=None, ppo_cfg: PPOConfig | None = None,
+             weights: LossWeights | None = None,
              registry=None, world_config=None, on_round=None,
              progress: PretrainProgress | None = None, opt=None,
              rng=None, session=None):
@@ -602,7 +602,7 @@ def pretrain(agent, templates, schedule: ScheduleConfig, cfg: ModelConfig,
                     collect_ppo=(stage == "ppo"))
                 if stage == "ppo":
                     if samples:
-                        snapshot_behaviour(agent, samples, cfg)
+                        snapshot_behaviour(agent, samples)
                     ppo_buffer.extend(samples)
                 else:
                     batch.extend(samples)
@@ -611,7 +611,7 @@ def pretrain(agent, templates, schedule: ScheduleConfig, cfg: ModelConfig,
                 teacher_forcing_update(agent, batch, opt, cfg, weights)
                 batch.clear()
             if stage == "ppo" and len(ppo_buffer) >= ppo_cfg.horizon:
-                ppo_update(agent, ppo_buffer, opt, cfg, ppo_cfg, rng)
+                ppo_update(agent, ppo_buffer, opt, ppo_cfg, rng)
                 ppo_buffer.clear()
             if on_round is not None:
                 on_round(progress)
@@ -635,13 +635,10 @@ def _qa_episode_samples(session, rng, cfg, vocab, mode, registry, world_config):
                              rng, registry=registry, config=world_config)
     except UnsatisfiableTemplate:
         return []
-    state = task_initial_state(task, template, registry=registry,
-                               config=world_config)
-    traj = run_expert_episode(state, remaining_fn(task), mode,
-                              max_steps=task.max_steps, expected_answer=task.answer)
+    traj = replay_expert(task, template, mode, registry, world_config)
     if traj.answer != task.answer:
         return []
-    tokens = [vocab.get(t, 1) for t in tokenize(task.instruction)] if vocab else [1]
+    tokens = instruction_tokens(task, vocab)
     obs = cached_render(traj.final_state)
     s = StepSample(obs=obs, family="qa", skill=int(Skill.Answer),
                    obj=cfg.num_classes, last_action=NONE_ACTION, expert_action=0,
@@ -676,7 +673,7 @@ def run_task_episode_sf(agent, task, state, mode, rng, eps, cfg, vocab):
     """Multi-task SF rollout: epsilon-mixed actions, recovery-planner
     supervision, per-step high-level labels.  Returns the labelled steps
     and the trajectory."""
-    tokens = [vocab.get(t, 1) for t in tokenize(task.instruction)]
+    tokens = instruction_tokens(task, vocab)
     with T.no_grad():
         z_task = agent.task_enc([tokens])
     hidden = agent.high.initial_hidden()
@@ -708,7 +705,7 @@ def run_task_episode_sf(agent, task, state, mode, rng, eps, cfg, vocab):
         return sampled_sub, action, point, False
 
     traj = rollout(state, decide, mode, task.max_steps,
-                   ExpertController(state, remaining_fn(task), mode))
+                   ExpertController(remaining_fn(task), mode))
     return [s for s in samples if s.family != "none"], traj
 
 
@@ -755,7 +752,7 @@ def train_multitask(agent, split, templates_by_id, schedule: ScheduleConfig,
     opt_sub = nn.Adam(agent.level_params(high=False), lr=schedule.lr_sub,
                       clip_norm=schedule.grad_clip)
     opt_sub.freeze(agent.frozen_after_pretrain())
-    episodes = split.episodes if hasattr(split, "episodes") else list(split)
+    episodes = split.episodes
     if single_family:
         episodes = [e for e in episodes if e.family == single_family]
     by_family = group_by_family(episodes)
@@ -776,8 +773,8 @@ def train_multitask(agent, split, templates_by_id, schedule: ScheduleConfig,
                                                eps, cfg, vocab)
             if not steps:
                 continue
-            tokens = [vocab.get(t, 1) for t in tokenize(task.instruction)]
-            pending.append(EpisodeBatch(task_tokens=tokens, steps=steps))
+            pending.append(EpisodeBatch(task_tokens=instruction_tokens(task, vocab),
+                                        steps=steps))
             steps_done[stage] += len(steps)
             if len(pending) >= episodes_per_update:
                 loss = T.Tensor(0.0)

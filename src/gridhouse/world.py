@@ -604,7 +604,7 @@ def _point_cell(obs: Observation, x, y):
     return col, row
 
 
-def _hit_ignoring_range(state, obs, point):
+def _hit_ignoring_range(obs, point):
     col, row = _point_cell(obs, point[0], point[1])
     iid = int(obs.instance_map[row, col])
     return None if iid == NO_INSTANCE else iid
@@ -620,7 +620,7 @@ def resolve_target(state: WorldState, obs: Observation, point, mode: Interaction
     cfg = state.config
     geom = cached_geometry(state)
     if mode is InteractionMode.HARD:
-        iid = _hit_ignoring_range(state, obs, point)
+        iid = _hit_ignoring_range(obs, point)
         if iid is None:
             return None
         if instance_distance(state, geom, iid) <= cfg.interaction_range:
@@ -819,7 +819,7 @@ def step(state: WorldState, action: PrimitiveAction, point=None,
     obs = cached_render(state)
     target_id = resolve_target(state, obs, point, mode)
     if target_id is None:
-        raw = _hit_ignoring_range(state, obs, point)
+        raw = _hit_ignoring_range(obs, point)
         reason = FailureReason.OUT_OF_RANGE if raw is not None else FailureReason.NO_TARGET_HIT
         return _fail(state, reason)
     target = state.obj(target_id)

@@ -36,7 +36,7 @@ def scene_obs():
 
 def test_encoder_output_shape(agent, scene_obs):
     _, obs = scene_obs
-    cmap, planes = obs_planes([obs], CFG.num_classes)
+    cmap, planes = obs_planes([obs])
     z = agent.hl_encoder(cmap, planes)
     assert z.shape == (1, CFG.d, CFG.grid, CFG.grid)
 
@@ -179,7 +179,7 @@ def test_act_episode_deterministic_and_end_agent(agent):
 
 def test_pointing_heatmap_channels_cover_classes(agent, scene_obs):
     _, obs = scene_obs
-    cmap, planes = obs_planes([obs], CFG.num_classes)
+    cmap, planes = obs_planes([obs])
     with T.no_grad():
         z = agent.sub_encoder(cmap, planes)
         cond = agent.interact.conditioning([13], [int(Skill.Pickup)], [0])
@@ -222,7 +222,7 @@ def test_qa_trains_on_toy_state_questions():
     opt = nn.Adam(agent.parameters(), lr=3e-3, clip_norm=0.0)
     for epoch in range(60):
         q = agent.qa.encode_question([tokens] * len(train))
-        cmap, planes = planes_of([f for f, _ in train], cfg.num_classes)
+        cmap, planes = planes_of([f for f, _ in train])
         z = agent.sub_encoder(cmap, planes)
         logits, _att = agent.qa.forward(q, z)
         loss = nn.cross_entropy_rows(logits, [ANSWER_SPACE.index(a) for _, a in train])

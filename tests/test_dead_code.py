@@ -1,6 +1,6 @@
 """No function, method or class in the package lives without a caller,
-no attribute it stores goes unread, and no parameter default is the only
-value its function ever sees."""
+no attribute it stores goes unread, no parameter goes unread and no
+parameter default is the only value its function ever sees."""
 
 from __future__ import annotations
 
@@ -177,3 +177,54 @@ def test_every_default_is_overridden_somewhere():
     assert unset - set(ALLOWED_DEFAULTS) == set(), \
         "a parameter no caller sets; make it a constant or allow it with a reason"
     assert set(ALLOWED_DEFAULTS) - unset == set()
+
+
+# parameters a function does not read because a caller's protocol fixes
+# its signature: each stays for the reason given
+ALLOWED_UNREAD = {
+    "agents.act_episode.decide(ex)": "`episodes.rollout` calls every decide with "
+                                     "the expert's label; the agent rolls out without one",
+    "harness.run_skill_episode_policy.decide(ex)": "`episodes.rollout` calls every "
+                                                   "decide with the expert's label; the "
+                                                   "sub-policy rolls out without one",
+    "cli.cmd_grad_check(args)": "`main` calls every command handler with the parsed "
+                                "arguments; grad-check takes none",
+}
+
+
+def _unread_parameters():
+    """`module.[outer.]function(parameter)` for every parameter of a
+    function or method in the package that no Name in its body loads,
+    nested functions included; a method's `self` or `cls` is skipped."""
+    unread = set()
+
+    def visit(node, path, prefix, in_class):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, path, f"{prefix}{child.name}.", True)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                a = child.args
+                params = a.posonlyargs + a.args + a.kwonlyargs + [
+                    p for p in (a.vararg, a.kwarg) if p is not None]
+                if in_class and not any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                                        for d in child.decorator_list):
+                    params = params[1:]
+                loaded = {n.id for stmt in child.body for n in ast.walk(stmt)
+                          if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+                unread.update(f"{path.stem}.{prefix}{child.name}({p.arg})"
+                              for p in params if p.arg not in loaded)
+                visit(child, path, f"{prefix}{child.name}.", False)
+            else:
+                visit(child, path, prefix, in_class)
+
+    for path, tree in _sources():
+        if path.parent == PACKAGE:
+            visit(tree, path, "", False)
+    return unread
+
+
+def test_every_parameter_is_read():
+    unread = _unread_parameters()
+    assert unread - set(ALLOWED_UNREAD) == set(), \
+        "a parameter its function never reads; delete it or allow it with a reason"
+    assert set(ALLOWED_UNREAD) - unread == set()

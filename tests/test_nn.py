@@ -539,6 +539,11 @@ def test_checkpoint_of_another_agent_is_rejected_with_its_names(tmp_path, capsys
     assert "CheckpointMismatch" in capsys.readouterr().err
     assert main(argv + ["--ckpt", str(ckpt)]) == 1   # loads, then finds no test_seen split
     assert "split not found" in capsys.readouterr().err
+    for command in ("train", "plan-check"):   # no train split either
+        assert main([command, "--config", str(ini), "--data", str(tmp_path),
+                     "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: FileNotFoundError: split not found: {tmp_path / 'train.jsonl'}\n"
 
 
 def test_cli_reports_a_missing_checkpoint(tmp_path, capsys):

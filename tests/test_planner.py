@@ -195,7 +195,7 @@ def test_shortest_path_unreachable():
 
 def expert_step(state, subgoal):
     """The expert's label for a one-skill episode starting at `state`."""
-    controller = ExpertController(state, single_subgoal_stream(subgoal, state))
+    controller = ExpertController(single_subgoal_stream(subgoal, state))
     return controller.expert_action(state)
 
 
@@ -223,6 +223,20 @@ def test_expert_action_answer_is_done():
     assert (ex.action, ex.point) == (PrimitiveAction.Done, None)
 
 
+def test_put_goes_to_an_open_receptacle_rather_than_open_a_closed_one():
+    # a closed Drawer is nearer than an open one: the expert puts the held
+    # Apple into the open Drawer and never opens the closed one
+    state = make_state([{"class": "Drawer", "pos": (5, 6), "openness": Openness.CLOSED},
+                        {"class": "Drawer", "pos": (10, 3), "openness": Openness.OPEN},
+                        {"class": "Apple", "pos": None}], agent_cell=(5, 8), held=2)
+    put = SubGoal(Skill.Put, REG.id_of("Drawer"))
+    traj = run_expert_episode(state, single_subgoal_stream(put, state),
+                              InteractionMode.HARD, max_steps=60)
+    assert traj.terminated == "end"
+    assert PrimitiveAction.Open not in [r.action for r in traj.steps]
+    assert traj.final_state.obj(2).container == 1
+
+
 def test_expert_point_centroid_snaps_to_target():
     state = make_state([{"class": "Fridge", "pos": (4, 6)},
                         {"class": "Apple", "pos": (6, 7)}], agent_cell=(5, 8))
@@ -240,7 +254,7 @@ def test_expert_point_centroid_snaps_to_target():
 def _observe_wrong(before, action, result, after, plan, expected):
     """Controller for the fixed sub-goal list `plan`, after watching the
     executed `action` where the expert meant `expected`."""
-    controller = ExpertController(before, lambda state: [(sub, None) for sub in plan],
+    controller = ExpertController(lambda state: [(sub, None) for sub in plan],
                                   InteractionMode.HARD)
     controller.observe(before, action, result, after, expected)
     return controller
@@ -298,8 +312,7 @@ def test_controller_recovers_from_injected_wrong_pickup():
         {"class": "Apple", "pos": (4, 6)},
     ], agent_cell=(5, 7))
     sub = SubGoal(Skill.Pickup, REG.id_of("Apple"))
-    controller = ExpertController(state, single_subgoal_stream(sub, state),
-                                  InteractionMode.HARD)
+    controller = ExpertController(single_subgoal_stream(sub, state), InteractionMode.HARD)
     ex = controller.expert_action(state)
     assert ex.action is PrimitiveAction.Pickup and ex.target == 2
     obs = cached_render(state)
@@ -384,8 +397,7 @@ def test_label_consistency_on_sampled_skill_episodes():
         for _ in range(8):
             ep = sample_skill_episode(state, rng)
             controller = ExpertController(
-                ep.initial_state, single_subgoal_stream(ep.subgoal, ep.initial_state),
-                InteractionMode.HARD)
+                single_subgoal_stream(ep.subgoal, ep.initial_state), InteractionMode.HARD)
             cur = ep.initial_state
             for _t in range(ep.max_steps):
                 ex = controller.expert_action(cur)

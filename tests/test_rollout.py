@@ -122,7 +122,7 @@ def _slice_bread_1(check_success):
     state = make_state([{"class": "Bread", "pos": (4, 7)}, {"class": "Bread", "pos": (6, 7)},
                         {"class": "Knife", "pos": None}], agent_cell=(5, 8), held=2)
     col, row = cached_render(state).visible_instance_cells()[1][0]
-    controller = ExpertController(state, single_subgoal_stream(SLICE_BREAD, state), HARD)
+    controller = ExpertController(single_subgoal_stream(SLICE_BREAD, state), HARD)
     succeeded = (lambda s: skill_success(SLICE_BREAD, state, s)) if check_success else None
     moves = [(SLICE_BREAD, A.Slice, (col + .5, row + .5), False)]
     traj = rollout(state, _script(moves), HARD, 5, controller, succeeded)

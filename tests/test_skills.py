@@ -128,8 +128,7 @@ def test_expert_solvability_of_sampled_episodes(seed):
     for _ in range(12):
         ep = sample_skill_episode(state, rng)
         controller = ExpertController(
-            ep.initial_state, single_subgoal_stream(ep.subgoal, ep.initial_state),
-            InteractionMode.HARD)
+            single_subgoal_stream(ep.subgoal, ep.initial_state), InteractionMode.HARD)
         cur = ep.initial_state
         done = False
         for _t in range(ep.max_steps):
@@ -167,7 +166,7 @@ def test_a_sampled_start_state_holds_its_geometry(monkeypatch):
             start = ep.initial_state
             assert "_geom" in start.__dict__, ep.subgoal
             del built[:]
-            controller = ExpertController(start, single_subgoal_stream(ep.subgoal, start),
+            controller = ExpertController(single_subgoal_stream(ep.subgoal, start),
                                           InteractionMode.HARD)
             controller.expert_action(start)
             assert built == [], ep.subgoal

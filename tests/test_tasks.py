@@ -285,6 +285,42 @@ def test_build_splits_rejects_overrides_that_delete_a_bound_instance():
                 assert iid is None or state.has(iid), (split.name, e.task_type, iid)
 
 
+def test_split_cycles_are_pinned():
+    # the (task type, form, forced answer) cells build_splits cycles
+    # through, in order; the golden digest's splits reach only the first
+    # seven IQA cells
+    assert TK._family_cycle("SHIF") == [("clean", 0, None), ("heat", 0, None),
+                                        ("cool", 0, None)]
+    assert TK._family_cycle("LHIF") == [
+        (t, f, None) for t, forms in (("pick_place", 2), ("clean_place", 2),
+                                      ("heat_place", 2), ("cool_place", 2),
+                                      ("pick_two", 2), ("examine", 2),
+                                      ("stack_place", 3))
+        for f in range(forms)]
+    assert TK._family_cycle("IQA") == [
+        ("state", 0, "Yes"), ("state", 0, "Yes"), ("state", 0, "No"), ("state", 0, "No"),
+        ("existence", 0, "Yes"), ("existence", 0, "No"),
+        ("existence", 1, "Yes"), ("existence", 1, "No"),
+        ("counting", 0, "0"), ("counting", 0, "1"), ("counting", 0, "2"),
+        ("counting", 0, "3"), ("counting", 1, "0"), ("counting", 1, "1"),
+        ("counting", 1, "2"), ("counting", 1, "3")]
+    assert TK._family_cycle("EXIN") == [
+        (t, 0, None) for t in ("pickup", "put", "toggleon", "toggleoff", "open",
+                               "close", "slice")]
+
+
+def test_an_unknown_task_type_is_a_value_error():
+    # a split file can name a (family, task type) the code does not know
+    task = generate_task("EXIN", "pickup", 0, TEMPLATES_ALL[0], 41,
+                         np.random.default_rng(0))
+    state = task_initial_state(task, TEMPLATES_ALL[0])
+    with pytest.raises(ValueError, match="EXIN/juggle"):
+        TK.remaining_milestones(TaskInstance.from_json({**task.to_json(),
+                                                        "task_type": "juggle"}), state)
+    with pytest.raises(ValueError, match="EXIN/juggle"):
+        generate_task("EXIN", "juggle", 0, TEMPLATES_ALL[0], 41, np.random.default_rng(0))
+
+
 def test_split_reserved_templates_guard():
     with pytest.raises(InsufficientScenes):
         build_splits(TEMPLATES_ALL[:1], counts=SMALL_COUNTS, seed=0, n_unseen=2)

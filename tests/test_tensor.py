@@ -235,7 +235,7 @@ def test_model_convs_are_every_convolution_the_agent_runs(monkeypatch):
     cfg = ModelConfig(num_classes=NUM_CLASSES, vocab_size=8)
     agent = HierarchicalAgent(np.random.default_rng(0), cfg)
     state = randomize_scene(builtin_templates()[0], 2)
-    cmap, planes = obs_planes([cached_render(state)], cfg.num_classes)
+    cmap, planes = obs_planes([cached_render(state)])
     monkeypatch.setattr(T, "conv2d", spy)
     for enc in (agent.hl_encoder, agent.sub_encoder):
         z = enc(cmap, planes)

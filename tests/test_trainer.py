@@ -18,7 +18,8 @@ from gridhouse.planner import ExpertStep
 from gridhouse.scenes import builtin_templates
 from gridhouse.skills import (SceneSession, SkillEpisode, Skill, SubGoal,
                               sample_skill_episode)
-from gridhouse.tasks import build_vocab, generate_task, remaining_fn, task_initial_state
+from gridhouse.tasks import (DatasetSplit, build_vocab, generate_task, remaining_fn,
+                             task_initial_state)
 from gridhouse.trainer import (EpisodeBatch, LossWeights, PPOConfig,
                                PretrainProgress, RewardConfig, ScheduleConfig,
                                compute_gae, compute_reward, epsilon_at,
@@ -180,7 +181,7 @@ def _collect_buffer(agent, n_steps=40, seed=0):
                                           0.5, CFG, RewardConfig(),
                                           collect_ppo=True)
         if samples:
-            TR.snapshot_behaviour(agent, samples, CFG)
+            TR.snapshot_behaviour(agent, samples)
             buffer.extend(samples)
         session.reset_scene()
     return buffer[:n_steps]
@@ -191,7 +192,7 @@ def test_ppo_ratio_is_one_at_behavior_snapshot():
     agent = HierarchicalAgent(np.random.default_rng(0), CFG)
     buffer = _collect_buffer(agent, 24)
     with T.no_grad():
-        logp, _, _ = TR._policy_logp_value(agent, buffer, CFG)
+        logp, _, _ = TR._policy_logp_value(agent, buffer)
     old = np.array([s.logp for s in buffer])
     np.testing.assert_allclose(np.exp(logp.data - old), np.ones(len(buffer)),
                                atol=1e-12)
@@ -204,7 +205,7 @@ def test_ppo_ratio_is_one_at_behavior_snapshot_in_float32():
     agent = HierarchicalAgent(np.random.default_rng(0), CFG)
     buffer = _collect_buffer(agent, 24)
     with T.no_grad():
-        logp, _, _ = TR._policy_logp_value(agent, buffer, CFG)
+        logp, _, _ = TR._policy_logp_value(agent, buffer)
     assert logp.data.dtype == np.float32
     old = np.array([s.logp for s in buffer])
     bound = 16 * np.finfo(np.float32).eps * np.maximum(1.0, np.abs(old))
@@ -216,11 +217,11 @@ def test_ppo_update_runs_and_changes_params():
     buffer = _collect_buffer(agent, 32)
     before = agent.interact.action_head.w.data.copy()
     opt = nn.Adam(agent.parameters(), lr=1e-3)
-    ppo_update(agent, buffer, opt, CFG, PPOConfig(epochs=1, minibatch=16),
+    ppo_update(agent, buffer, opt, PPOConfig(epochs=1, minibatch=16),
                np.random.default_rng(0))
     assert not np.allclose(before, agent.interact.action_head.w.data)
     with pytest.raises(TR.EmptyBuffer):
-        ppo_update(agent, [], opt, CFG, PPOConfig(), np.random.default_rng(0))
+        ppo_update(agent, [], opt, PPOConfig(), np.random.default_rng(0))
 
 
 # --------------------------------------------------------------------------
@@ -419,7 +420,7 @@ def test_train_multitask_decays_epsilon_toward_the_schedule_end(monkeypatch):
     agent = HierarchicalAgent(np.random.default_rng(1), CFG)
     by_id = {t["template_id"]: t for t in TEMPLATES}
     with pytest.raises(_Stop):
-        TR.train_multitask(agent, [task], by_id,
+        TR.train_multitask(agent, DatasetSplit("train", [task], []), by_id,
                            ScheduleConfig(tf_steps=0, sf_steps=10, eps_end=0.25),
                            CFG, VOCAB, episodes_per_update=2)
     assert ends == [0.25]
@@ -474,7 +475,7 @@ def _micro_finetune(agent):
     task = generate_task("EXIN", "pickup", 0, TEMPLATES[1], 77,
                          np.random.default_rng(5))
     by_id = {t["template_id"]: t for t in TEMPLATES}
-    return TR.train_multitask(agent, [task], by_id,
+    return TR.train_multitask(agent, DatasetSplit("train", [task], []), by_id,
                               ScheduleConfig(tf_steps=8, sf_steps=8), CFG, VOCAB,
                               episodes_per_update=1)
 

@@ -475,7 +475,7 @@ def test_step_memos_match_fresh_rebuilds(scene, seed, walk):
         action, point = move, None
         if move == EXPERT:
             try:
-                ex = ExpertController(state, stream, mode).expert_action(state, geom)
+                ex = ExpertController(stream, mode).expert_action(state, geom)
                 action, point = ex.action, ex.point
             except (InfeasibleSubgoal, Unreachable):
                 action = PrimitiveAction.Done
