@@ -229,7 +229,6 @@ def _rollout_digest():
                 s.expert_interactive, s.expert_cell, _num(s.expert_delta),
                 [(c, _num(xy), _num(r)) for c, xy, r in s.centers],
                 s.action, s.cell, _num(s.delta), _num(s.reward), s.done,
-                s.hl_skill_label, s.hl_obj_label, s.hl_last_action,
                 s.hl_last_skill, s.hl_last_obj, s.answer_tokens, s.answer_label)
 
     agent = HierarchicalAgent(np.random.default_rng(np.random.SeedSequence([0, 12001])),
@@ -290,7 +289,7 @@ def _rollout_digest():
 # change that moves rollout numerics or rng draws on purpose updates it and
 # says so in CHANGES.md.  Same BLAS caveat as the training goldens in
 # test_trainer.py.
-ROLLOUT_SHA256 = "94153d20d268108e8d52cb59fe572159bbcc34c58e72918328fbb1f4b09f6f91"
+ROLLOUT_SHA256 = "dbcb88e500cc7925a1fcc281b66fce2fcf4149d9c250a678d33099453b615270"
 
 
 def test_rollouts_are_bit_identical_to_the_golden_digest():
