@@ -212,6 +212,48 @@ def test_ppo_ratio_is_one_at_behavior_snapshot_in_float32():
     assert np.all(np.abs(np.exp(logp.data - old) - 1.0) <= bound)
 
 
+def _log_softmax(z):
+    z = z - z.max()
+    return z - np.log(np.exp(z).sum())
+
+
+@pytest.mark.usefixtures("float64")
+def test_policy_logp_value_puts_each_row_in_its_sample_order():
+    """Nav rows, interact rows with an executed point and interact rows
+    without one, interleaved: each row's log-prob and value, and the summed
+    entropy, equal a one-sample forward per row."""
+    agent = HierarchicalAgent(np.random.default_rng(0), CFG)
+    buffer = _collect_buffer(agent, 24) + _collect_buffer(agent, 8, seed=2)
+    interact = [s for s in buffer if s.family == "interact"]
+    nav = [s for s in buffer if s.family == "nav"]
+    assert len(interact) >= 4 and len(nav) >= 2
+    for k, s in enumerate(interact[:4]):   # odd k: an executed point
+        s.cell = k % CFG.grid ** 2 if k % 2 else -1
+        s.delta = (0.3 - 0.2 * k, 0.1 * k)
+    samples = [interact[0], nav[0], interact[1], interact[2], nav[1], interact[3]]
+    with T.no_grad():
+        logp, value, entropy = TR._policy_logp_value(agent, samples)
+        want_logp, want_value, want_ent = [], [], 0.0
+        for s in samples:
+            logits, v, point_maps = TR._forward(agent, s.family, [s])
+            row = _log_softmax(logits.data[0])
+            lp, ent = row[s.action], -np.sum(np.exp(row) * row)
+            if s.cell >= 0 and point_maps is not None:
+                grid_logits, mu, nu, _ = point_maps
+                grow = _log_softmax(grid_logits.data[0])
+                m, var = mu.data[0, :, s.cell], nu.data[0, :, s.cell]
+                lp += grow[s.cell] + np.sum(-0.5 * np.log(2 * np.pi * var)
+                                            - (np.array(s.delta) - m) ** 2 / (2 * var))
+                ent += -np.sum(np.exp(grow) * grow)
+            want_logp.append(lp)
+            want_value.append(v.data[0])
+            want_ent += ent
+    assert logp.data.dtype == np.float64
+    np.testing.assert_allclose(logp.data, want_logp, rtol=1e-9, atol=1e-9)
+    np.testing.assert_allclose(value.data, want_value, rtol=1e-9, atol=1e-9)
+    np.testing.assert_allclose(entropy.item(), want_ent, rtol=1e-9)
+
+
 def test_ppo_update_runs_and_changes_params():
     agent = HierarchicalAgent(np.random.default_rng(0), CFG)
     buffer = _collect_buffer(agent, 32)
