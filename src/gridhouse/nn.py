@@ -301,13 +301,9 @@ def cross_entropy_rows(logits, targets):
     """
     logits = T.as_tensor(logits)
     targets = np.asarray(targets, dtype=np.int64)
-    n, k = logits.shape
-    if targets.shape != (n,):
+    if targets.shape != logits.shape[:1]:
         raise ShapeMismatch(f"targets {targets.shape} for logits {logits.shape}")
-    if np.any((targets < 0) | (targets >= k)):
-        raise IndexOutOfRange("target index out of range")
-    picked = T.gather(T.log_softmax(logits, axis=-1), (np.arange(n), targets))
-    return T.mul(T.sum_(picked), -1.0)
+    return T.mul(T.sum_(log_prob_rows(logits, targets)), -1.0)
 
 
 def log_prob_rows(logits, targets):

@@ -1,7 +1,7 @@
 """Minimal reverse-mode autodiff over numpy arrays.
 
 Only the ops the policies and losses need: elementwise arithmetic with
-broadcasting, matmul and the fused linear layer, reductions,
+broadcasting, the fused linear layer, reductions,
 indexing/gather, concat/reshape, the usual nonlinearities, and a
 strided/padded conv2d.  Gradients accumulate additively (see `_acc`);
 backward() on a scalar fills every reachable grad buffer.
@@ -80,15 +80,8 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    @property
-    def size(self):
-        return self.data.size
-
     def item(self):
         return float(self.data)
-
-    def __repr__(self):
-        return f"Tensor(shape={self.shape}, grad={'yes' if self.requires_grad else 'no'})"
 
     # -- graph ------------------------------------------------------------
 
@@ -126,28 +119,11 @@ class Tensor:
 
     __radd__ = __add__
 
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
     def __sub__(self, other):
         return add(self, mul(other, -1.0))
 
     def __rsub__(self, other):
         return add(mul(self, -1.0), other)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(as_tensor(other), self)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def __getitem__(self, idx):
         return gather(self, idx)
@@ -348,23 +324,6 @@ def clip(a, lo, hi):
 
 
 # -- linear algebra / shape --------------------------------------------------
-
-
-def matmul(a, b):
-    """(n, m) @ (m, k) or (n, m) @ (m,)."""
-    a, b = as_tensor(a), as_tensor(b)
-    if a.data.ndim != 2:
-        raise ValueError(f"matmul takes a 2-D left operand, got {a.shape}")
-    out_data = a.data @ b.data
-
-    def backward(g):
-        bd = b.data
-        if a.requires_grad:
-            _acc(a, g @ bd.T if bd.ndim == 2 else np.outer(g, bd))
-        if b.requires_grad:
-            _acc(b, a.data.T @ g)
-
-    return _make(out_data, (a, b), backward)
 
 
 def linear(x, w, b=None):

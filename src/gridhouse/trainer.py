@@ -157,12 +157,10 @@ class StepSample:
     done: bool = False
     cell: int = -1
     delta: tuple = (0.0, 0.0)
-    # multi-task extras
-    hl_skill_label: int = -1
-    hl_obj_label: int = -1           # -1: no object term (Answer/End)
-    hl_last_action: int = NONE_ACTION
+    # multi-task extras: skill, obj and last_action are the high level's
+    # labels and last action too; these are its previous sub-goal
     hl_last_skill: int = NONE_SKILL
-    hl_last_obj: int = -1
+    hl_last_obj: int = -1            # -1: none, or no object
     answer_tokens: list | None = None
     answer_label: int = -1
 
@@ -303,7 +301,7 @@ def teacher_forcing_update(agent, samples, opt, cfg: ModelConfig,
 @dataclass
 class EpisodeBatch:
     task_tokens: list
-    steps: list                       # StepSample with hl_* fields set
+    steps: list                       # StepSample with hl_last_* fields set
 
 
 def multitask_episode_loss(agent, episode: EpisodeBatch, cfg: ModelConfig,
@@ -319,19 +317,18 @@ def multitask_episode_loss(agent, episode: EpisodeBatch, cfg: ModelConfig,
     z_img = agent.hl_encoder(cmap, planes)
     flat = agent.high.gru_input(
         T.mul(z_task, np.ones((n, 1), dtype=T.DEFAULT_DTYPE)), z_img,
-        [s.hl_last_action for s in steps],
+        [s.last_action for s in steps],
         [s.hl_last_skill for s in steps],
         [cfg.num_classes if s.hl_last_obj < 0 else s.hl_last_obj for s in steps])
     hs = nn.gru_sequence(agent.high.gru, flat,
                          np.zeros(cfg.hidden, dtype=T.DEFAULT_DTYPE))
     skill_logits = agent.high.skill_head(hs)
     obj_logits = agent.high.obj_head(hs)
-    loss = nn.cross_entropy_rows(skill_logits, [s.hl_skill_label for s in steps])
-    obj_rows = [i for i, s in enumerate(steps) if s.hl_obj_label >= 0]
+    loss = nn.cross_entropy_rows(skill_logits, [s.skill for s in steps])
+    obj_rows = [i for i, s in enumerate(steps) if s.obj < cfg.num_classes]
     if obj_rows:
         picked = T.gather(obj_logits, (np.array(obj_rows), slice(None)))
-        loss = loss + nn.cross_entropy_rows(
-            picked, [steps[i].hl_obj_label for i in obj_rows])
+        loss = loss + nn.cross_entropy_rows(picked, [steps[i].obj for i in obj_rows])
     # indicator-gated sub-policy terms, routed by the expert skill's family
     sub_loss = T.Tensor(0.0)
     for part, k in _sub_policy_losses(agent, steps, cfg, weights):
@@ -432,11 +429,11 @@ def _policy_logp_value(agent, samples):
             nu_sel = T.gather(nu, (idx, slice(None), cells))
             deltas = np.array([s.delta for _, s in extra])
             ll_rows = T.sum_(nn.gaussian_log_terms(deltas, mu_sel, nu_sel), axis=1)
-            scatter = np.zeros((len(subset), len(extra)), dtype=T.DEFAULT_DTYPE)
-            for k, (j, _) in enumerate(extra):
-                scatter[j, k] = 1.0
-            glogp = T.matmul(T.Tensor(scatter), glogp + ll_rows)
-            logp_rows = logp_rows + glogp
+            # row j of point k reads slot 1 + k, every other row the zero slot
+            slot = np.zeros(len(subset), dtype=np.intp)
+            slot[idx] = np.arange(1, len(extra) + 1)
+            zero = np.zeros(1, dtype=T.DEFAULT_DTYPE)
+            logp_rows = logp_rows + T.gather(T.concat([zero, glogp + ll_rows]), slot)
         logps.append(logp_rows)
         values.append(value)
 
@@ -713,19 +710,17 @@ def _task_sample(obs, ex, last_action, last_sub, task, tokens, cfg):
     """High-level labels of one multi-task step, plus the sub-policy labels
     of the expert skill's family ("none" for End, and for Answer without
     a known answer)."""
-    hl_skill = int(ex.subgoal.skill)
-    hl_obj = -1 if ex.subgoal.object_class is None else ex.subgoal.object_class
+    obj = ex.subgoal.object_class
     family = SKILL_FAMILY[ex.subgoal.skill]
     last_action = NONE_ACTION if last_action is None else int(last_action)
     last_skill = NONE_SKILL if last_sub is None else int(last_sub.skill)
     last_obj = (-1 if last_sub is None or last_sub.object_class is None
                 else last_sub.object_class)
     sample = StepSample(
-        obs=obs, family=family, skill=hl_skill,
-        obj=cfg.num_classes if hl_obj < 0 else hl_obj,
+        obs=obs, family=family, skill=int(ex.subgoal.skill),
+        obj=cfg.num_classes if obj is None else obj,
         last_action=last_action, expert_action=0,
-        hl_skill_label=hl_skill, hl_obj_label=hl_obj,
-        hl_last_action=last_action, hl_last_skill=last_skill, hl_last_obj=last_obj)
+        hl_last_skill=last_skill, hl_last_obj=last_obj)
     if family == "end":
         sample.family = "none"
     elif family == "qa":
