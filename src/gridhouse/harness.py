@@ -12,7 +12,7 @@ from .agents import (ANSWER_SPACE, SKILL_FAMILY, act_episode, qa_answer,
 from .episodes import rollout
 from .skills import (PRETRAIN_SKILLS, SceneSession, periodic_reset,
                      sample_skill_episode, skill_success, NoFeasibleSkill)
-from .tasks import (FAMILIES, UnsatisfiableTemplate, generate_task,
+from .tasks import (FAMILIES, TEMPLATES, UnsatisfiableTemplate, generate_task,
                     instruction_tokens, replay_expert, task_initial_state,
                     task_success)
 # `env_step` stays bound: the benchmark's tracer finds `world.step` through
@@ -138,13 +138,14 @@ def eval_skills(agent, templates, *, n_per_skill, seed, mode, greedy, registry,
 
 
 def eval_answer_skill(agent, templates, vocab, *, n, seed, mode, registry, config):
-    """Answer accuracy on expert final frames."""
+    """Answer accuracy on expert final frames, cycling the IQA task types."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, 161]))
+    qtypes = list(TEMPLATES["IQA"])
     wins, tries, guard = 0, 0, 0
     while tries < n and guard < n * 20:
         guard += 1
         template = templates[int(rng.integers(len(templates)))]
-        qtype = ("state", "existence", "counting")[tries % 3]
+        qtype = qtypes[tries % len(qtypes)]
         try:
             task = generate_task("IQA", qtype, int(rng.integers(2)), template,
                                  int(rng.integers(2 ** 61)), rng,
@@ -166,9 +167,11 @@ def eval_answer_skill(agent, templates, vocab, *, n, seed, mode, registry, confi
 def plan_check(episodes, templates_by_id, mode=InteractionMode.HARD,
                registry=None, config=None):
     """Expert replay over a list of episodes; returns the success rate."""
+    if not episodes:
+        raise EmptySplit("refusing to report a rate over zero episodes")
     wins = 0
     for task in episodes:
         traj = replay_expert(task, templates_by_id[task.scene_template_id], mode,
                              registry, config)
         wins += 1 if task_success(task, traj) else 0
-    return 100.0 * wins / max(len(episodes), 1)
+    return 100.0 * wins / len(episodes)

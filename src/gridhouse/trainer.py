@@ -24,8 +24,9 @@ from .episodes import rollout
 from .planner import ExpertController, single_subgoal_stream
 from .skills import (NoFeasibleSkill, PRETRAIN_SKILLS, SceneSession, Skill,
                      periodic_reset, sample_skill_episode, skill_success)
-from .tasks import (UnsatisfiableTemplate, generate_task, instruction_tokens,
-                    remaining_fn, replay_expert, task_initial_state)
+from .tasks import (TEMPLATES, UnsatisfiableTemplate, generate_task,
+                    instruction_tokens, remaining_fn, replay_expert,
+                    task_initial_state)
 # `env_step` stays bound: the benchmark's tracer finds `world.step` through
 # this alias too (perfbench/tests/test_spans.py)
 from .world import (CLASS_BASE, INTERACTIVE_ACTIONS, InteractionMode,
@@ -622,11 +623,12 @@ def pretrain(agent, templates, schedule: ScheduleConfig, cfg: ModelConfig,
 
 
 def _qa_episode_samples(session, rng, cfg, vocab, mode, registry, world_config):
-    """Answer-skill supervision: expert navigates, the QA head is trained
-    on the final frame."""
+    """Answer-skill supervision on an IQA task of a uniformly drawn type:
+    expert navigates, the QA head is trained on the final frame."""
     template = session.template_for_next()
     seed = int(rng.integers(2 ** 62))
-    qtype = ("state", "existence", "counting")[int(rng.integers(3))]
+    qtypes = list(TEMPLATES["IQA"])
+    qtype = qtypes[int(rng.integers(len(qtypes)))]
     try:
         task = generate_task("IQA", qtype, int(rng.integers(2)), template, seed,
                              rng, registry=registry, config=world_config)

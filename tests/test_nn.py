@@ -546,6 +546,16 @@ def test_checkpoint_of_another_agent_is_rejected_with_its_names(tmp_path, capsys
         assert err == f"error: FileNotFoundError: split not found: {tmp_path / 'train.jsonl'}\n"
 
 
+def test_plan_check_refuses_an_empty_split(tmp_path, capsys):
+    from gridhouse.cli import main
+
+    (tmp_path / "train.jsonl").write_text("")
+    assert main(["plan-check", "--data", str(tmp_path), "--out", str(tmp_path / "out")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: EmptySplit: refusing to report a rate over zero episodes\n"
+
+
 def test_cli_reports_a_missing_checkpoint(tmp_path, capsys):
     from gridhouse.cli import main
 

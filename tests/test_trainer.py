@@ -375,6 +375,40 @@ def test_single_family_config_restricts_sampling():
         assert multi_task_sample(by_family, rng).family == "IQA"
 
 
+def test_answer_skill_draws_cover_every_iqa_task_type(monkeypatch):
+    from gridhouse import harness
+    from gridhouse.agents import ANSWER_SPACE
+    from gridhouse.tasks import TASK_TYPES, UnsatisfiableTemplate
+
+    iqa = [t.name for t in TASK_TYPES.values() if t.family == "IQA"]
+    drawn = []
+
+    def record(family, qtype, *args, **kwargs):
+        drawn.append(qtype)
+        return generate_task(family, qtype, *args, **kwargs)
+
+    # the evaluation cycles the types in their table order
+    monkeypatch.setattr(harness, "generate_task", record)
+    monkeypatch.setattr(harness, "qa_answer",
+                        lambda *_: np.ones(len(ANSWER_SPACE)) / len(ANSWER_SPACE))
+    harness.eval_answer_skill(None, TEMPLATES, VOCAB, n=len(iqa), seed=0,
+                              mode=InteractionMode.HARD, registry=None, config=None)
+    assert drawn == iqa
+
+    # pre-training draws them uniformly
+    def unsatisfiable(family, qtype, *args, **kwargs):
+        drawn.append(qtype)
+        raise UnsatisfiableTemplate(qtype)
+
+    drawn.clear()
+    monkeypatch.setattr(TR, "generate_task", unsatisfiable)
+    session, rng = SceneSession(TEMPLATES[:2], 0), np.random.default_rng(0)
+    for _ in range(20 * len(iqa)):
+        assert TR._qa_episode_samples(session, rng, CFG, VOCAB, InteractionMode.HARD,
+                                      None, None) == []
+    assert set(drawn) == set(iqa)
+
+
 # --------------------------------------------------------------------------
 # pretrain driver
 
