@@ -141,7 +141,7 @@ def compute_reward(state_after, action, point, subgoal, expert_step,
 @dataclass
 class StepSample:
     obs: object
-    family: str                      # nav | interact | qa
+    family: str                      # nav | interact | qa | end (multi-task only)
     skill: int
     obj: int                         # conditioning object id (or C = none)
     last_action: int                 # id in the 14-way embedding space
@@ -705,13 +705,13 @@ def run_task_episode_sf(agent, task, state, mode, rng, eps, cfg, vocab):
 
     traj = rollout(state, decide, mode, task.max_steps,
                    ExpertController(remaining_fn(task), mode))
-    return [s for s in samples if s.family != "none"], traj
+    return samples, traj
 
 
 def _task_sample(obs, ex, last_action, last_sub, task, tokens, cfg):
     """High-level labels of one multi-task step, plus the sub-policy labels
-    of the expert skill's family ("none" for End, and for Answer without
-    a known answer)."""
+    of the expert skill's family (End has none).  The expert labels Answer
+    only on IQA tasks, and every IQA task carries its answer."""
     obj = ex.subgoal.object_class
     family = SKILL_FAMILY[ex.subgoal.skill]
     last_action = NONE_ACTION if last_action is None else int(last_action)
@@ -723,14 +723,10 @@ def _task_sample(obs, ex, last_action, last_sub, task, tokens, cfg):
         obj=cfg.num_classes if obj is None else obj,
         last_action=last_action, expert_action=0,
         hl_last_skill=last_skill, hl_last_obj=last_obj)
-    if family == "end":
-        sample.family = "none"
-    elif family == "qa":
+    if family == "qa":
         sample.answer_tokens = tokens
-        sample.answer_label = ANSWER_SPACE.index(task.answer) if task.answer else -1
-        if sample.answer_label < 0:
-            sample.family = "none"
-    else:
+        sample.answer_label = ANSWER_SPACE.index(task.answer)
+    elif family != "end":
         _fill_sub_policy_labels(sample, ex, cfg)
     return sample
 

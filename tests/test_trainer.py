@@ -409,6 +409,44 @@ def test_answer_skill_draws_cover_every_iqa_task_type(monkeypatch):
     assert set(drawn) == set(iqa)
 
 
+def test_every_end_step_reaches_the_multitask_loss(monkeypatch):
+    # the high level learns to stop only if an episode's End step is one of
+    # the skill labels multitask_episode_loss trains on
+    from gridhouse.tasks import build_splits, desk_split_counts, instruction_tokens
+
+    cfg = ModelConfig(num_classes=len(REG), vocab_size=len(VOCAB), d=8, hidden=16,
+                      task_dim=8, token_dim=4, ctx_dim=4, cond_dim=8, trunk_dim=16,
+                      point_dim=8, enc_mid=6)
+    agent = HierarchicalAgent(np.random.default_rng(0), cfg)
+    train = {sp.name: sp for sp in build_splits(TEMPLATES, desk_split_counts(1000),
+                                                seed=0, n_unseen=2)}["train"]
+    by_id = {t["template_id"]: t for t in TEMPLATES}
+    labels = []
+    cross_entropy_rows = nn.cross_entropy_rows
+
+    def record(logits, targets):
+        labels.append(list(targets))
+        return cross_entropy_rows(logits, targets)
+
+    monkeypatch.setattr(nn, "cross_entropy_rows", record)
+    rng = np.random.default_rng(0)
+    tasks = [task for task in train.episodes if task.family != "IQA"]
+    assert tasks
+    for task in tasks:
+        state = task_initial_state(task, by_id[task.scene_template_id])
+        steps, traj = TR.run_task_episode_sf(agent, task, state, InteractionMode.HARD,
+                                             rng, 1.0, cfg, VOCAB)
+        assert traj.terminated == "end" and traj.steps[-1].subgoal.skill is Skill.End
+        labels.clear()
+        with T.no_grad():
+            TR.multitask_episode_loss(
+                agent, EpisodeBatch(instruction_tokens(task, VOCAB), steps), cfg,
+                LossWeights())
+        # the first cross-entropy is the high level's skill term
+        assert len(labels[0]) == len(traj.steps)
+        assert labels[0][-1] == int(Skill.End)
+
+
 # --------------------------------------------------------------------------
 # pretrain driver
 
@@ -569,7 +607,7 @@ def _parameter_sha256(agent):
 # BLAS sums can differ between BLAS builds and CPUs; these were computed
 # with numpy 2.4 and scipy-openblas 0.3.31 on x86-64.
 MICRO_PRETRAIN_SHA256 = "319a6486d7b95c7a1d64fe31bd88442716afb6442ef3c3f80f8711da2844c75a"
-MICRO_FINETUNE_SHA256 = "3dce848595d8dff3c988d1576040bafd87f6b2e905f6e27f27401fb6573661bb"
+MICRO_FINETUNE_SHA256 = "8df5709eab76139bbb358d92f665c415aa1330d2b9156b9f6a01049b00bafcec"
 
 
 def test_fixed_seed_training_is_bit_reproducible():
