@@ -416,7 +416,7 @@ def test_every_end_step_reaches_the_multitask_loss(monkeypatch):
 
     cfg = ModelConfig(num_classes=len(REG), vocab_size=len(VOCAB), d=8, hidden=16,
                       task_dim=8, token_dim=4, ctx_dim=4, cond_dim=8, trunk_dim=16,
-                      point_dim=8, enc_mid=6)
+                      point_dim=8, enc_mid=6)   # small: the expert acts, the model only labels
     agent = HierarchicalAgent(np.random.default_rng(0), cfg)
     train = {sp.name: sp for sp in build_splits(TEMPLATES, desk_split_counts(1000),
                                                 seed=0, n_unseen=2)}["train"]
