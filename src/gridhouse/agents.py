@@ -64,7 +64,6 @@ class GridEncoder(Module):
 
     def __init__(self, rng, cfg: ModelConfig):
         super().__init__()
-        self.cfg = cfg
         self.cls_emb = self.add_child("cls_emb", Embedding(rng, cfg.num_classes + CLASS_BASE, 8))
         self.conv1 = self.add_child("conv1", Conv2d(rng, 8 + 5, cfg.enc_mid, k=3, stride=2, pad=1))
         self.conv2 = self.add_child("conv2", Conv2d(rng, cfg.enc_mid, cfg.d, k=3, stride=2, pad=1))
@@ -93,7 +92,6 @@ def _replicate_concat(cond, z_img):
 class TaskEncoder(Module):
     def __init__(self, rng, cfg: ModelConfig):
         super().__init__()
-        self.cfg = cfg
         self.tok = self.add_child("tok", Embedding(rng, cfg.vocab_size, cfg.token_dim))
         self.gru = self.add_child("gru", GRUCell(rng, cfg.token_dim, cfg.task_dim))
 
@@ -186,7 +184,6 @@ class SubPolicy(Module):
 
     def __init__(self, rng, cfg: ModelConfig, n_actions, pointing):
         super().__init__()
-        self.cfg = cfg
         self.act_emb = self.add_child("act_emb", Embedding(rng, len(PrimitiveAction) + 1, cfg.ctx_dim))
         self.skill_emb = self.add_child("skill_emb", Embedding(rng, len(Skill) + 1, cfg.ctx_dim))
         self.obj_emb = self.add_child("obj_emb", Embedding(rng, cfg.num_classes + 1, cfg.ctx_dim))
@@ -222,7 +219,6 @@ class QASubPolicy(Module):
 
     def __init__(self, rng, cfg: ModelConfig):
         super().__init__()
-        self.cfg = cfg
         self.tok = self.add_child("tok", Embedding(rng, cfg.vocab_size, cfg.token_dim))
         self.gru = self.add_child("gru", GRUCell(rng, cfg.token_dim, cfg.d))
         self.out1 = self.add_child("out1", Linear(rng, 2 * cfg.d, 128))
@@ -262,6 +258,27 @@ def _attend(weights, flat):
 
 NONE_ACTION = len(PrimitiveAction)
 NONE_SKILL = len(Skill)
+
+
+def action_id(action):
+    """Embedding id of the last primitive action; NONE_ACTION before the
+    first step."""
+    return NONE_ACTION if action is None else int(action)
+
+
+def subgoal_ids(cfg: ModelConfig, subgoal):
+    """(skill id, object id) of a sub-goal in the embedding spaces:
+    NONE_SKILL for no sub-goal, num_classes for no sub-goal or no object."""
+    if subgoal is None:
+        return NONE_SKILL, cfg.num_classes
+    obj = subgoal.object_class
+    return int(subgoal.skill), cfg.num_classes if obj is None else int(obj)
+
+
+def cell_center(cfg: ModelConfig, cell):
+    """Pixel (x, y) of the centre of a pointing-grid cell."""
+    px = cfg.cell_px
+    return px * (cell % cfg.grid) + px / 2, px * (cell // cfg.grid) + px / 2
 
 
 class HierarchicalAgent(Module):
@@ -309,13 +326,10 @@ SKILL_FAMILY = {Skill.GoTo: "nav", **dict.fromkeys(INTERACTION_SKILLS, "interact
 
 def point_from_grid(cfg: ModelConfig, cell_index, delta):
     """Continuous point from a grid cell and a clamped offset."""
-    b = cfg.grid
-    px = cfg.cell_px
-    x_idx, y_idx = cell_index % b, cell_index // b
-    half = px / 2.0
-    dx = float(np.clip(delta[0], -half, half))
-    dy = float(np.clip(delta[1], -half, half))
-    return (px * x_idx + half + dx, px * y_idx + half + dy)
+    cx, cy = cell_center(cfg, cell_index)
+    half = cfg.cell_px / 2
+    return (cx + float(np.clip(delta[0], -half, half)),
+            cy + float(np.clip(delta[1], -half, half)))
 
 
 @T.no_grad()
@@ -323,17 +337,11 @@ def high_level_step(agent, z_task, obs, last_action, last_subgoal, hidden,
                     rng, greedy=False):
     """Factorized sub-goal sampling: skill first, then the target class
     (masked out entirely for Answer/End).  Rollout-only: no graph."""
-    cfg = agent.cfg
     cmap, planes = obs_planes([obs])
     z_img = agent.hl_encoder(cmap, planes)
-    ls = last_subgoal.skill if last_subgoal else None
-    lo = last_subgoal.object_class if last_subgoal else None
+    skill_id, obj_id = subgoal_ids(agent.cfg, last_subgoal)
     skill_logits, obj_logits, h = agent.high.step(
-        z_task, z_img,
-        [NONE_ACTION if last_action is None else int(last_action)],
-        [NONE_SKILL if ls is None else int(ls)],
-        [cfg.num_classes if lo is None else int(lo)],
-        hidden)
+        z_task, z_img, [action_id(last_action)], [skill_id], [obj_id], hidden)
     s_idx, _ = sample_logits(skill_logits.data[0], rng, greedy)
     skill = Skill(s_idx)
     if skill in NO_OBJECT_SKILLS:
@@ -361,10 +369,9 @@ def sub_policy_step(agent, subgoal, obs, last_action, rng, greedy=False):
     then hold its grid cell and offset).  Rollout-only: no graph."""
     cfg = agent.cfg
     family = SKILL_FAMILY[subgoal.skill]
+    skill_id, obj_id = subgoal_ids(cfg, subgoal)
     logits, _value, point_maps = sub_policy_forward(
-        agent, family, [obs], [NONE_ACTION if last_action is None else int(last_action)],
-        [int(subgoal.skill)],
-        [cfg.num_classes if subgoal.object_class is None else subgoal.object_class])
+        agent, family, [obs], [action_id(last_action)], [skill_id], [obj_id])
     idx, _ = sample_logits(logits.data[0], rng, greedy)
     action = (NAV_ACTION_SPACE if family == "nav" else INTERACT_ACTION_SPACE)[idx]
     if action not in INTERACTIVE_ACTIONS:
@@ -378,10 +385,8 @@ def sub_policy_step(agent, subgoal, obs, last_action, rng, greedy=False):
     else:
         delta = rng.normal(mean, np.sqrt(var))
     point = point_from_grid(cfg, cell, delta)
-    return action, point, {
-        "cell": cell,
-        "delta": (point[0] - (cfg.cell_px * (cell % cfg.grid) + cfg.cell_px / 2),
-                  point[1] - (cfg.cell_px * (cell // cfg.grid) + cfg.cell_px / 2))}
+    cx, cy = cell_center(cfg, cell)
+    return action, point, {"cell": cell, "delta": (point[0] - cx, point[1] - cy)}
 
 
 def qa_logits(agent, token_rows, obs_batch):

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -75,31 +76,23 @@ def _bits(mask):
     return int.from_bytes(np.packbits(mask.ravel(), bitorder="little").tobytes(), "little")
 
 
-_VIEW_PATTERNS: dict[tuple, dict] = {}
-
-
+@cache
 def _view_patterns(cfg, area):
     """(dx, dy) -> the first bit of every (heading, pitch) block, `area`
     bits wide, whose view wedge holds the cell at that offset."""
-    key = (cfg.view_depth, cfg.pitch_shift, cfg.window, area)
-    table = _VIEW_PATTERNS.get(key)
-    if table is None:
-        table = {}
-        span = range(-cfg.window, cfg.window + 1)
-        for pitch in _PITCHES:
-            for heading in W.Heading:
-                pose = AgentPose(cell=(0, 0), heading=heading, pitch=pitch)
-                first = 1 << _block(heading, pitch, area)
-                for off in ((dx, dy) for dx in span for dy in span):
-                    if W.cell_in_frustum(cfg, pose, off):
-                        table[off] = table.get(off, 0) | first
-        _VIEW_PATTERNS[key] = table
+    table = {}
+    span = range(-cfg.window, cfg.window + 1)
+    for pitch in _PITCHES:
+        for heading in W.Heading:
+            pose = AgentPose(cell=(0, 0), heading=heading, pitch=pitch)
+            first = 1 << _block(heading, pitch, area)
+            for off in ((dx, dy) for dx in span for dy in span):
+                if W.cell_in_frustum(cfg, pose, off):
+                    table[off] = table.get(off, 0) | first
     return table
 
 
-_POSE_MASKS: dict[tuple, tuple] = {}
-
-
+@cache
 def _pose_masks(w, h):
     """Pose-bit masks that depend on the grid size only:
     - `copies`: the first bit of every block, so `cell_bits * copies`
@@ -107,25 +100,21 @@ def _pose_masks(w, h):
     - `ahead`: per heading, the poses whose cell MoveAhead enters from
       inside the grid, and the shift from each to the pose it came from
     - the blocks facing north, facing west, at pitch -1 and at pitch 1"""
-    masks = _POSE_MASKS.get((w, h))
-    if masks is None:
-        area = w * h
-        xs, ys = np.arange(w), np.arange(h)[:, None]
+    area = w * h
+    xs, ys = np.arange(w), np.arange(h)[:, None]
 
-        def blocks(cell_bits, headings=W.Heading, pitches=_PITCHES):
-            return sum(cell_bits << _block(hd, p, area) for hd in headings for p in pitches)
+    def blocks(cell_bits, headings=W.Heading, pitches=_PITCHES):
+        return sum(cell_bits << _block(hd, p, area) for hd in headings for p in pitches)
 
-        ahead = []
-        for heading in W.Heading:
-            fx, fy = W.HEADING_VEC[heading]
-            inside = _bits((0 <= xs - fx) & (xs - fx < w) & (0 <= ys - fy) & (ys - fy < h))
-            ahead.append((blocks(inside, (heading,)), fy * w + fx))
-        every = (1 << area) - 1
-        masks = (blocks(1), tuple(ahead), blocks(every, (W.Heading.NORTH,)),
-                 blocks(every, (W.Heading.WEST,)), blocks(every, pitches=(-1,)),
-                 blocks(every, pitches=(1,)))
-        _POSE_MASKS[(w, h)] = masks
-    return masks
+    ahead = []
+    for heading in W.Heading:
+        fx, fy = W.HEADING_VEC[heading]
+        inside = _bits((0 <= xs - fx) & (xs - fx < w) & (0 <= ys - fy) & (ys - fy < h))
+        ahead.append((blocks(inside, (heading,)), fy * w + fx))
+    every = (1 << area) - 1
+    return (blocks(1), tuple(ahead), blocks(every, (W.Heading.NORTH,)),
+            blocks(every, (W.Heading.WEST,)), blocks(every, pitches=(-1,)),
+            blocks(every, pitches=(1,)))
 
 
 def _goal_blocks(state, geom, cell, cells, view):

@@ -8,9 +8,9 @@ backward() on a scalar fills every reachable grad buffer.
 
 conv2d is one GEMM over im2col columns.  `_im2col` builds them with one
 `np.take` through a flat index that `_im2col_index` computes once per
-geometry and keeps, read-only, in `_IM2COL_INDEX`; a padded tap reads a
-zero appended to each sample's row, and a 1x1 stride-1 conv takes the
-channels-last transpose of its input as its columns.  The columns, and so
+geometry and memoizes, read-only; a padded tap reads a zero appended to
+each sample's row, and a 1x1 stride-1 conv takes the channels-last
+transpose of its input as its columns.  The columns, and so
 every product, are the same bits a sliding-window copy gives.  `_col2im`
 keeps summing the kernel offsets in row-major order into zeros: a pixel
 that several windows cover is a float32 sum whose last bits depend on that
@@ -28,6 +28,7 @@ single float64 array or NumPy scalar upcasts a whole float32 computation.
 from __future__ import annotations
 
 import contextlib
+from functools import cache
 
 import numpy as np
 
@@ -481,27 +482,21 @@ def softmax(a, axis=-1):
 # -- convolution -------------------------------------------------------------
 
 
-_IM2COL_INDEX = {}
-
-
+@cache
 def _im2col_index(c, h, w, kh, kw, stride, pad):
     """Read-only (ho*wo, c*kh*kw) flat index into one sample's (c*h*w + 1)
     row, whose last element is the zero every padded tap reads; built once
     per geometry."""
-    key = (c, h, w, kh, kw, stride, pad)
-    hit = _IM2COL_INDEX.get(key)
-    if hit is None:
-        ho = (h + 2 * pad - kh) // stride + 1
-        wo = (w + 2 * pad - kw) // stride + 1
-        # input row r and column q of every tap, on axes (ho, wo, c, kh, kw)
-        r = (np.arange(ho) * stride - pad)[:, None, None, None, None] + np.arange(kh)[:, None]
-        q = (np.arange(wo) * stride - pad)[:, None, None, None] + np.arange(kw)
-        inside = (r >= 0) & (r < h) & (q >= 0) & (q < w)
-        flat = np.where(inside, np.arange(c)[:, None, None] * (h * w) + r * w + q, c * h * w)
-        index = flat.reshape(ho * wo, c * kh * kw).astype(np.intp)
-        index.flags.writeable = False
-        hit = _IM2COL_INDEX[key] = (index, ho, wo)
-    return hit
+    ho = (h + 2 * pad - kh) // stride + 1
+    wo = (w + 2 * pad - kw) // stride + 1
+    # input row r and column q of every tap, on axes (ho, wo, c, kh, kw)
+    r = (np.arange(ho) * stride - pad)[:, None, None, None, None] + np.arange(kh)[:, None]
+    q = (np.arange(wo) * stride - pad)[:, None, None, None] + np.arange(kw)
+    inside = (r >= 0) & (r < h) & (q >= 0) & (q < w)
+    flat = np.where(inside, np.arange(c)[:, None, None] * (h * w) + r * w + q, c * h * w)
+    index = flat.reshape(ho * wo, c * kh * kw).astype(np.intp)
+    index.flags.writeable = False
+    return index, ho, wo
 
 
 def _im2col(x, kh, kw, stride, pad):

@@ -2,9 +2,8 @@
 PPO with shaped auxiliary rewards) and joint multi-task fine-tuning with
 the recovery planner and proportional episode sampling.
 
-Rollout workers are plain objects executed synchronously (collect ->
-update -> continue); with one worker and fixed seeds every run is
-bit-reproducible.
+Rollouts and updates alternate in one process (collect -> update ->
+continue), so with fixed seeds every run is bit-reproducible.
 """
 
 from __future__ import annotations
@@ -18,8 +17,9 @@ import numpy as np
 from . import nn, tensor as T
 from .agents import (ANSWER_SPACE, INTERACT_ACTION_SPACE, INTERACT_INDEX,
                      NAV_ACTION_SPACE, NAV_INDEX, NONE_ACTION, NONE_SKILL,
-                     SKILL_FAMILY, ModelConfig, high_level_step, obs_planes,
-                     qa_answer, qa_logits, sub_policy_forward, sub_policy_step)
+                     SKILL_FAMILY, ModelConfig, action_id, cell_center,
+                     high_level_step, obs_planes, qa_answer, qa_logits,
+                     sub_policy_forward, sub_policy_step, subgoal_ids)
 from .episodes import rollout
 from .planner import ExpertController, single_subgoal_stream
 from .skills import (NoFeasibleSkill, PRETRAIN_SKILLS, SceneSession, Skill,
@@ -159,9 +159,10 @@ class StepSample:
     cell: int = -1
     delta: tuple = (0.0, 0.0)
     # multi-task extras: skill, obj and last_action are the high level's
-    # labels and last action too; these are its previous sub-goal
+    # labels and last action too; these are the `subgoal_ids` of its
+    # previous sub-goal (-1 only on samples that never reach the high level)
     hl_last_skill: int = NONE_SKILL
-    hl_last_obj: int = -1            # -1: none, or no object
+    hl_last_obj: int = -1
     answer_tokens: list | None = None
     answer_label: int = -1
 
@@ -181,12 +182,12 @@ def heat_centers(obs, cfg: ModelConfig):
 
 
 def expert_cell_delta(point, cfg: ModelConfig):
+    """(pointing-grid cell, offset from its centre) of a point in the
+    observation."""
     px = cfg.cell_px
-    x_idx = min(int(point[0] // px), cfg.grid - 1)
-    y_idx = min(int(point[1] // px), cfg.grid - 1)
-    cell = y_idx * cfg.grid + x_idx
-    cx = px * x_idx + px / 2.0
-    cy = px * y_idx + px / 2.0
+    cell = (min(int(point[1] // px), cfg.grid - 1) * cfg.grid
+            + min(int(point[0] // px), cfg.grid - 1))
+    cx, cy = cell_center(cfg, cell)
     return cell, (point[0] - cx, point[1] - cy)
 
 
@@ -320,7 +321,7 @@ def multitask_episode_loss(agent, episode: EpisodeBatch, cfg: ModelConfig,
         T.mul(z_task, np.ones((n, 1), dtype=T.DEFAULT_DTYPE)), z_img,
         [s.last_action for s in steps],
         [s.hl_last_skill for s in steps],
-        [cfg.num_classes if s.hl_last_obj < 0 else s.hl_last_obj for s in steps])
+        [s.hl_last_obj for s in steps])
     hs = nn.gru_sequence(agent.high.gru, flat,
                          np.zeros(cfg.hidden, dtype=T.DEFAULT_DTYPE))
     skill_logits = agent.high.skill_head(hs)
@@ -342,11 +343,10 @@ def multitask_episode_loss(agent, episode: EpisodeBatch, cfg: ModelConfig,
 
 
 def _record_expert(sample_obs, subgoal, last_action, ex, cfg, family):
+    skill, obj = subgoal_ids(cfg, subgoal)
     return _fill_sub_policy_labels(StepSample(
-        obs=sample_obs, family=family,
-        skill=int(subgoal.skill),
-        obj=cfg.num_classes if subgoal.object_class is None else subgoal.object_class,
-        last_action=last_action, expert_action=0), ex, cfg)
+        obs=sample_obs, family=family, skill=skill, obj=obj,
+        last_action=action_id(last_action), expert_action=0), ex, cfg)
 
 
 def run_skill_episode(agent, episode, mode, rng, eps, cfg: ModelConfig,
@@ -367,8 +367,7 @@ def run_skill_episode(agent, episode, mode, rng, eps, cfg: ModelConfig,
     def decide(traj, state, ex):
         obs = cached_render(state)
         last = traj.steps[-1].action if traj.steps else None
-        sample = _record_expert(obs, sub, NONE_ACTION if last is None else int(last),
-                                ex, cfg, family)
+        sample = _record_expert(obs, sub, last, ex, cfg, family)
         if rng.random() < eps:
             action, point = ex.action, ex.point
             sample.action = sample.expert_action
@@ -712,16 +711,12 @@ def _task_sample(obs, ex, last_action, last_sub, task, tokens, cfg):
     """High-level labels of one multi-task step, plus the sub-policy labels
     of the expert skill's family (End has none).  The expert labels Answer
     only on IQA tasks, and every IQA task carries its answer."""
-    obj = ex.subgoal.object_class
     family = SKILL_FAMILY[ex.subgoal.skill]
-    last_action = NONE_ACTION if last_action is None else int(last_action)
-    last_skill = NONE_SKILL if last_sub is None else int(last_sub.skill)
-    last_obj = (-1 if last_sub is None or last_sub.object_class is None
-                else last_sub.object_class)
+    skill, obj = subgoal_ids(cfg, ex.subgoal)
+    last_skill, last_obj = subgoal_ids(cfg, last_sub)
     sample = StepSample(
-        obs=obs, family=family, skill=int(ex.subgoal.skill),
-        obj=cfg.num_classes if obj is None else obj,
-        last_action=last_action, expert_action=0,
+        obs=obs, family=family, skill=skill, obj=obj,
+        last_action=action_id(last_action), expert_action=0,
         hl_last_skill=last_skill, hl_last_obj=last_obj)
     if family == "qa":
         sample.answer_tokens = tokens

@@ -6,7 +6,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import nn, tensor as T
-from .agents import HierarchicalAgent, ModelConfig
+from .agents import (NONE_ACTION, NONE_SKILL, HierarchicalAgent, ModelConfig,
+                     action_id, subgoal_ids)
 from .skills import Skill
 from .world import Observation
 
@@ -105,9 +106,9 @@ def _hier_loss(agent, cfg, rng):
         s = StepSample(
             obs=obs, family=fam, skill=int(rng.integers(8)),
             obj=int(rng.integers(cfg.num_classes)),
-            last_action=int(rng.integers(13)),
+            last_action=int(rng.integers(NONE_ACTION)),
             expert_action=int(rng.integers(6 if fam == "nav" else 13)),
-            hl_last_skill=int(rng.integers(10)),
+            hl_last_skill=int(rng.integers(NONE_SKILL)),
             hl_last_obj=int(rng.integers(cfg.num_classes)))
         if fam == "interact":
             s.expert_interactive = True
@@ -119,9 +120,9 @@ def _hier_loss(agent, cfg, rng):
         steps.append(s)
     qa = StepSample(obs=random_observation(rng, cfg), family="qa",
                     skill=int(Skill.Answer), obj=cfg.num_classes,
-                    last_action=13, expert_action=0,
-                    answer_tokens=[1, 2, 3], answer_label=int(rng.integers(6)),
-                    hl_last_skill=10, hl_last_obj=-1)
+                    last_action=action_id(None), expert_action=0,
+                    answer_tokens=[1, 2, 3], answer_label=int(rng.integers(6)))
+    qa.hl_last_skill, qa.hl_last_obj = subgoal_ids(cfg, None)
     steps.append(qa)
     episode = EpisodeBatch(task_tokens=[1, 4, 2], steps=steps)
     return multitask_episode_loss(agent, episode, cfg, _loss_weights())

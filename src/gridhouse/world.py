@@ -14,6 +14,7 @@ import json
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum, IntEnum
+from functools import cache
 
 import numpy as np
 
@@ -361,17 +362,11 @@ def cached_render(state: WorldState) -> "Observation":
     return obs
 
 
-_RAY_CACHE: dict[tuple[int, int], np.ndarray] = {}
-
-
+@cache
 def _ray_offsets(dx, dy):
     """Integer cell offsets strictly between (0,0) and (dx,dy) along the
     center-to-center segment, sampled densely.  This sampling IS the
     visibility rule."""
-    key = (dx, dy)
-    cached = _RAY_CACHE.get(key)
-    if cached is not None:
-        return cached
     n = 2 * max(abs(dx), abs(dy), 1)
     pts = []
     for i in range(1, n):
@@ -380,9 +375,7 @@ def _ray_offsets(dx, dy):
         oy = math.floor(0.5 + t * dy)
         if (ox, oy) not in ((0, 0), (dx, dy)) and (ox, oy) not in pts:
             pts.append((ox, oy))
-    arr = np.array(pts, dtype=np.int32).reshape(-1, 2)
-    _RAY_CACHE[key] = arr
-    return arr
+    return np.array(pts, dtype=np.int32).reshape(-1, 2)
 
 
 def line_of_sight(opaque, from_cell, to_cell):
@@ -414,20 +407,12 @@ def _in_wedge(cfg: WorldConfig, pitch: int, r: int, l: int) -> bool:
     return lo <= r <= min(hi, cfg.window - 1) and abs(l) <= r and -half <= l < half
 
 
-_FRUSTUM_CACHE: dict[tuple, list] = {}
-
-
+@cache
 def frustum_offsets(cfg: WorldConfig, pitch: int):
     """(r, l) pairs in the view wedge for this pitch, r ascending, then l."""
-    key = (cfg.view_depth, cfg.pitch_shift, cfg.window, pitch)
-    cached = _FRUSTUM_CACHE.get(key)
-    if cached is not None:
-        return cached
     half = cfg.window // 2
-    out = [(r, l) for r in range(cfg.window) for l in range(-half, half)
-           if _in_wedge(cfg, pitch, r, l)]
-    _FRUSTUM_CACHE[key] = out
-    return out
+    return [(r, l) for r in range(cfg.window) for l in range(-half, half)
+            if _in_wedge(cfg, pitch, r, l)]
 
 
 def cell_in_frustum(cfg: WorldConfig, pose: AgentPose, cell):
@@ -500,17 +485,7 @@ class _RenderTable:
         self.pix = np.array(pix, dtype=np.int64).reshape(len(cells), up * up)
 
 
-_RENDER_TABLES: dict[tuple, _RenderTable] = {}
-
-
-def _render_table(cfg: WorldConfig, pitch: int, heading: Heading) -> _RenderTable:
-    key = (cfg.obs_size, cfg.upsample, cfg.view_depth, cfg.pitch_shift,
-           pitch, int(heading))
-    table = _RENDER_TABLES.get(key)
-    if table is None:
-        table = _RenderTable(cfg, pitch, heading)
-        _RENDER_TABLES[key] = table
-    return table
+_render_table = cache(_RenderTable)
 
 
 def render(state: WorldState) -> Observation:

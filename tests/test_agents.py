@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from gridhouse import tensor as T
 from gridhouse.agents import (ANSWER_SPACE, INTERACT_ACTION_SPACE,
@@ -15,6 +16,8 @@ from gridhouse.classes import desk_registry
 from gridhouse.scenes import builtin_templates
 from gridhouse.skills import NO_OBJECT_SKILLS, Skill, SubGoal
 from gridhouse.tasks import build_vocab, generate_task, task_initial_state
+from gridhouse.trainer import expert_cell_delta
+from gridhouse.verification import micro_model_config
 from gridhouse.world import InteractionMode, cached_render, randomize_scene
 
 REG = desk_registry()
@@ -93,6 +96,20 @@ def test_point_from_grid_arithmetic():
     assert point_from_grid(CFG, cell, (0.0, 0.0)) == (14.0, 22.0)
     # offsets clamp at half a cell width
     assert point_from_grid(CFG, cell, (5.0, -9.0)) == (16.0, 20.0)
+
+
+# fractions of half a cell width, strictly inside the cell
+INSIDE = st.floats(min_value=-0.999, max_value=0.999)
+
+
+@given(fx=INSIDE, fy=INSIDE)
+def test_expert_cell_delta_inverts_point_from_grid(fx, fy):
+    for cfg in (CFG, micro_model_config()):
+        d = (fx * cfg.cell_px / 2, fy * cfg.cell_px / 2)
+        for cell in range(cfg.grid * cfg.grid):
+            got_cell, got_d = expert_cell_delta(point_from_grid(cfg, cell, d), cfg)
+            assert got_cell == cell
+            assert abs(got_d[0] - d[0]) <= 1e-9 and abs(got_d[1] - d[1]) <= 1e-9
 
 
 def test_nav_sub_policy_never_emits_interactions(agent, scene_obs):

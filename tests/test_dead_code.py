@@ -85,14 +85,45 @@ def test_every_stored_attribute_is_read():
     assert _unread_attributes() == set(), "write-only attribute; delete it"
 
 
+def _empty_container(node):
+    """Whether an expression is `{}`, `[]`, `dict()` or `set()`."""
+    if isinstance(node, ast.Dict):
+        return not node.keys
+    if isinstance(node, ast.List):
+        return not node.elts
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in ("dict", "set") and not node.args and not node.keywords)
+
+
+def _module_tables():
+    """`module.name` for every module-level name in src/gridhouse bound to
+    an empty container: a hand-written memo table, where `functools.cache`
+    on the function that fills it would do."""
+    out = set()
+    for path, tree in _sources():
+        if path.parent != PACKAGE:
+            continue
+        for node in tree.body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None \
+                    and _empty_container(node.value):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                out.update(f"{path.stem}.{t.id}" for t in targets if isinstance(t, ast.Name))
+    return out
+
+
+def test_no_module_level_table():
+    assert _module_tables() == set(), \
+        "a module-level table; memoize the function that fills it with functools.cache"
+
+
 # parameters with a default that no call in src/ or perfbench/ sets: each
 # stays for the reason given
 ALLOWED_DEFAULTS = {
     "cli.main(argv)": "the console entry point passes none; tests pass their own",
     "tensor.Tensor.backward(grad)": "the seed gradient of a non-scalar output",
-    "trainer.pretrain(opt)": "resume a run mid-stage (ROADMAP direction 5)",
-    "trainer.pretrain(rng)": "resume a run mid-stage (ROADMAP direction 5)",
-    "trainer.pretrain(session)": "resume a run mid-stage (ROADMAP direction 5)",
+    "trainer.pretrain(opt)": "resume a run mid-stage (ROADMAP direction 7)",
+    "trainer.pretrain(rng)": "resume a run mid-stage (ROADMAP direction 7)",
+    "trainer.pretrain(session)": "resume a run mid-stage (ROADMAP direction 7)",
     "episodes.run_expert_episode(intervene)": "injects wrong actions for the "
                                               "recovery tests",
     "episodes.write_trajectory(registry)": "object names in the trajectory log "

@@ -34,6 +34,10 @@ from conftest import make_state
 REG = desk_registry()
 VOCAB = build_vocab(REG)
 CFG = ModelConfig(num_classes=len(REG), vocab_size=len(VOCAB))
+# small: for tests where the expert acts and the model only labels
+SMALL = ModelConfig(num_classes=len(REG), vocab_size=len(VOCAB), d=8, hidden=16,
+                    task_dim=8, token_dim=4, ctx_dim=4, cond_dim=8, trunk_dim=16,
+                    point_dim=8, enc_mid=6)
 TEMPLATES = builtin_templates()
 
 
@@ -414,9 +418,7 @@ def test_every_end_step_reaches_the_multitask_loss(monkeypatch):
     # the skill labels multitask_episode_loss trains on
     from gridhouse.tasks import build_splits, desk_split_counts, instruction_tokens
 
-    cfg = ModelConfig(num_classes=len(REG), vocab_size=len(VOCAB), d=8, hidden=16,
-                      task_dim=8, token_dim=4, ctx_dim=4, cond_dim=8, trunk_dim=16,
-                      point_dim=8, enc_mid=6)   # small: the expert acts, the model only labels
+    cfg = SMALL
     agent = HierarchicalAgent(np.random.default_rng(0), cfg)
     train = {sp.name: sp for sp in build_splits(TEMPLATES, desk_split_counts(1000),
                                                 seed=0, n_unseen=2)}["train"]
@@ -445,6 +447,47 @@ def test_every_end_step_reaches_the_multitask_loss(monkeypatch):
         # the first cross-entropy is the high level's skill term
         assert len(labels[0]) == len(traj.steps)
         assert labels[0][-1] == int(Skill.End)
+
+
+def test_rollout_and_training_feed_the_high_level_the_same_ids(monkeypatch):
+    # the high level must be trained on the last-action and last-sub-goal ids
+    # it is conditioned on when it rolls out: per step in an SF rollout, for
+    # the whole episode in multitask_episode_loss
+    from gridhouse.tasks import instruction_tokens
+
+    agent = HierarchicalAgent(np.random.default_rng(0), SMALL)
+    step, gru_input = agent.high.step, agent.high.gru_input
+    by_id = {t["template_id"]: t for t in TEMPLATES}
+    exin = generate_task("EXIN", "pickup", 0, TEMPLATES[0], 9, np.random.default_rng(1))
+    iqa = generate_task("IQA", "existence", 0, TEMPLATES[2], 77, np.random.default_rng(2))
+    for task in (exin, iqa):
+        rolled, trained = [], []
+
+        def record_step(z_task, z_img, *ids_and_hidden):
+            rolled.append(ids_and_hidden[:3])
+            return step(z_task, z_img, *ids_and_hidden)
+
+        def record_gru_input(z_task, z_img, *ids):
+            trained.append(ids)
+            return gru_input(z_task, z_img, *ids)
+
+        with monkeypatch.context() as m:
+            m.setattr(agent.high, "step", record_step)
+            steps, _traj = TR.run_task_episode_sf(
+                agent, task, task_initial_state(task, by_id[task.scene_template_id]),
+                InteractionMode.HARD, np.random.default_rng(3), 1.0, SMALL, VOCAB)
+        with monkeypatch.context() as m:
+            m.setattr(agent.high, "gru_input", record_gru_input)
+            with T.no_grad():
+                TR.multitask_episode_loss(
+                    agent, EpisodeBatch(instruction_tokens(task, VOCAB), steps), SMALL,
+                    LossWeights())
+        assert len(rolled) == len(steps) and len(trained) == 1
+        assert [[ids[k][0] for ids in rolled] for k in range(3)] == \
+            [list(column) for column in trained[0]]
+        # the episode starts with no previous object and later has one
+        objects = trained[0][2]
+        assert objects[0] == SMALL.num_classes and min(objects) < SMALL.num_classes
 
 
 # --------------------------------------------------------------------------
