@@ -732,7 +732,9 @@ def train_multitask(agent, split, templates_by_id, schedule: ScheduleConfig,
                     registry=None, world_config=None, single_family=None, *,
                     episodes_per_update, on_round=None):
     """Joint fine-tuning: TF then SF, high-level and gated sub-policy
-    losses per step, recovery planner active during SF."""
+    losses per step, recovery planner active during SF.  An update averages
+    `episodes_per_update` episodes; the episodes left at a stage's end make
+    one shorter update of that stage."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, 311]))
     weights = weights or LossWeights()
     opt_hl = nn.Adam(agent.level_params(high=True), lr=schedule.lr,
@@ -746,6 +748,18 @@ def train_multitask(agent, split, templates_by_id, schedule: ScheduleConfig,
     by_family = group_by_family(episodes)
     steps_done = {"tf": 0, "sf": 0}
     pending: list[EpisodeBatch] = []
+
+    def update():
+        loss = T.Tensor(0.0)
+        for ep in pending:
+            loss = loss + multitask_episode_loss(agent, ep, cfg, weights)
+        opt_hl.zero_grad()
+        opt_sub.zero_grad()
+        T.mul(loss, 1.0 / len(pending)).backward()
+        opt_hl.step()
+        opt_sub.step()
+        pending.clear()
+
     for stage, budget in (("tf", schedule.tf_steps), ("sf", schedule.sf_steps)):
         while steps_done[stage] < budget:
             task = multi_task_sample(by_family, rng)
@@ -765,16 +779,9 @@ def train_multitask(agent, split, templates_by_id, schedule: ScheduleConfig,
                                         steps=steps))
             steps_done[stage] += len(steps)
             if len(pending) >= episodes_per_update:
-                loss = T.Tensor(0.0)
-                for ep in pending:
-                    loss = loss + multitask_episode_loss(agent, ep, cfg, weights)
-                loss = T.mul(loss, 1.0 / len(pending))
-                opt_hl.zero_grad()
-                opt_sub.zero_grad()
-                loss.backward()
-                opt_hl.step()
-                opt_sub.step()
-                pending = []
+                update()
             if on_round is not None:
                 on_round(stage, steps_done)
+        if pending:
+            update()
     return opt_hl, opt_sub

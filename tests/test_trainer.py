@@ -583,6 +583,28 @@ def test_train_multitask_decays_epsilon_toward_the_schedule_end(monkeypatch):
     assert ends == [0.25]
 
 
+def test_train_multitask_trains_every_step_it_counts(monkeypatch):
+    # episodes still pending when a stage ends, fewer than
+    # episodes_per_update, go into one last update of that stage
+    trained, counted = [], {}
+    episode_loss = TR.multitask_episode_loss
+
+    def record(agent, episode, cfg, weights):
+        trained.append(len(episode.steps))
+        return episode_loss(agent, episode, cfg, weights)
+
+    monkeypatch.setattr(TR, "multitask_episode_loss", record)
+    rng = np.random.default_rng(3)   # TF runs two episodes, SF three
+    tasks = [generate_task("EXIN", "pickup", 0, TEMPLATES[k], 77, rng) for k in range(3)]
+    by_id = {t["template_id"]: t for t in TEMPLATES}
+    TR.train_multitask(HierarchicalAgent(np.random.default_rng(1), SMALL),
+                       DatasetSplit("train", tasks, []), by_id,
+                       ScheduleConfig(tf_steps=15, sf_steps=40), SMALL, VOCAB,
+                       episodes_per_update=2,
+                       on_round=lambda stage, steps_done: counted.update(steps_done))
+    assert sum(trained) == sum(counted.values())
+
+
 def test_training_keeps_parameters_gradients_and_moments_float32(monkeypatch):
     # one np.float64 scalar or array on the training path (NEP 50) would
     # turn every gradient, moment and parameter it touches into float64;
