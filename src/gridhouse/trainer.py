@@ -523,9 +523,19 @@ class PretrainProgress:
     stage: str = "tf"
     steps_done: dict = field(default_factory=lambda: {"tf": 0, "sf": 0, "ppo": 0})
     episodes: int = 0
-    # samples collected but not yet in an update; pretrain mutates both lists
-    batch: list = field(default_factory=list, repr=False)        # TF / SF
-    ppo_buffer: list = field(default_factory=list, repr=False)   # PPO rollout
+    # the current stage's samples not yet in an update (TF / SF steps or a
+    # PPO rollout); pretrain mutates the list in place
+    pending: list = field(default_factory=list, repr=False)
+
+
+def stage_epsilon(stage, done, budget, schedule: ScheduleConfig) -> float:
+    """Probability of taking the expert's action: 1 in TF, decaying from
+    `eps_start` to `eps_end` over the SF budget, 0 in PPO."""
+    if stage == "tf":
+        return 1.0
+    if stage == "sf":
+        return epsilon_at(done / max(budget, 1), schedule.eps_start, schedule.eps_end)
+    return 0.0
 
 
 def pretrain(agent, templates, schedule: ScheduleConfig, cfg: ModelConfig,
@@ -541,17 +551,19 @@ def pretrain(agent, templates, schedule: ScheduleConfig, cfg: ModelConfig,
     restricts which skills are sampled.  Stages with zero steps are
     skipped.  Returns (optimizer, progress).
 
+    Every stage collects whole episodes into one pending list and updates
+    on it once it holds `update_every` samples (TF, SF) or `horizon`
+    samples (PPO).  What is left at the stage's end makes one shorter
+    update of that stage; PPO drops it.
+
     `progress` holds everything a run needs besides (opt, rng, session):
-    the current stage, steps and episodes done, and the samples collected
-    but not yet used by an update (`batch` for TF/SF, `ppo_buffer` for
-    PPO).  `on_round(progress)` runs at the end of every round, after any
-    update, when these are consistent; an exception raised from it (or a
+    the current stage, steps and episodes done, and the `pending` samples.
+    `on_round(progress)` runs at the end of every round, after any update,
+    when these are consistent; an exception raised from it (or a
     KeyboardInterrupt landing there) stops the call, and passing the same
     (progress, opt, rng, session) back in with the same schedule resumes
-    the run mid-stage exactly.  The partial `batch` is flushed as a short
-    update, and the leftover `ppo_buffer` (fewer than `horizon` samples)
-    is dropped, only when `steps_done[stage]` reaches the budget of the
-    schedule passed in, i.e. at that schedule's real stage end.
+    the run mid-stage exactly.  The stage-end update runs only when
+    `steps_done[stage]` reaches the budget of the schedule passed in.
     """
     rng = rng or np.random.default_rng(np.random.SeedSequence([seed, 77]))
     session = session or SceneSession(templates, seed, registry=registry,
@@ -565,21 +577,25 @@ def pretrain(agent, templates, schedule: ScheduleConfig, cfg: ModelConfig,
     opt = opt or nn.Adam(agent.parameters(), lr=schedule.lr,
                          clip_norm=schedule.grad_clip)
     progress = progress or PretrainProgress()
-    batch, ppo_buffer = progress.batch, progress.ppo_buffer
+    pending = progress.pending
 
-    for stage, budget in (("tf", schedule.tf_steps), ("sf", schedule.sf_steps),
-                          ("ppo", schedule.ppo_steps)):
+    def update(stage):
+        if stage == "ppo":
+            ppo_update(agent, pending, opt, ppo_cfg, rng)
+        else:
+            teacher_forcing_update(agent, pending, opt, cfg, weights)
+        pending.clear()
+
+    for stage, budget, size in (("tf", schedule.tf_steps, schedule.update_every),
+                                ("sf", schedule.sf_steps, schedule.update_every),
+                                ("ppo", schedule.ppo_steps, ppo_cfg.horizon)):
         if progress.stage != stage:
             continue
         while progress.steps_done[stage] < budget:
             periodic_reset(session, progress.episodes, schedule.reset_period)
             progress.episodes += 1
             if qa_fraction > 0 and rng.random() < qa_fraction and stage != "ppo":
-                qa_samples = _qa_episode_samples(session, rng, cfg, vocab, mode,
-                                                 registry, world_config)
-                if qa_samples:
-                    batch.extend(qa_samples)
-                    progress.steps_done[stage] += len(qa_samples)
+                samples = _qa_episode_samples(session, rng, cfg, vocab, mode)
             else:
                 try:
                     episode = sample_skill_episode(session.state, rng,
@@ -587,41 +603,27 @@ def pretrain(agent, templates, schedule: ScheduleConfig, cfg: ModelConfig,
                 except NoFeasibleSkill:
                     session.reset_scene()
                     continue
-                if stage == "tf":
-                    eps = 1.0
-                elif stage == "sf":
-                    eps = epsilon_at(progress.steps_done["sf"] / max(budget, 1),
-                                     schedule.eps_start, schedule.eps_end)
-                else:
-                    eps = 0.0
+                eps = stage_epsilon(stage, progress.steps_done[stage], budget, schedule)
                 samples, _succ, _ = run_skill_episode(
                     agent, episode, mode, rng, eps, cfg, reward_cfg,
                     collect_ppo=(stage == "ppo"))
-                if stage == "ppo":
-                    if samples:
-                        snapshot_behaviour(agent, samples)
-                    ppo_buffer.extend(samples)
-                else:
-                    batch.extend(samples)
-                progress.steps_done[stage] += len(samples)
-            if stage != "ppo" and len(batch) >= schedule.update_every:
-                teacher_forcing_update(agent, batch, opt, cfg, weights)
-                batch.clear()
-            if stage == "ppo" and len(ppo_buffer) >= ppo_cfg.horizon:
-                ppo_update(agent, ppo_buffer, opt, ppo_cfg, rng)
-                ppo_buffer.clear()
+                if stage == "ppo" and samples:
+                    snapshot_behaviour(agent, samples)
+            pending.extend(samples)
+            progress.steps_done[stage] += len(samples)
+            if len(pending) >= size:
+                update(stage)
             if on_round is not None:
                 on_round(progress)
-        if batch:
-            teacher_forcing_update(agent, batch, opt, cfg, weights)
-            batch.clear()
-        ppo_buffer.clear()   # a PPO remainder shorter than one horizon
-        nxt = {"tf": "sf", "sf": "ppo", "ppo": "done"}[stage]
-        progress.stage = nxt
+        if stage == "ppo":
+            pending.clear()   # a PPO remainder shorter than one horizon
+        elif pending:
+            update(stage)
+        progress.stage = {"tf": "sf", "sf": "ppo", "ppo": "done"}[stage]
     return opt, progress
 
 
-def _qa_episode_samples(session, rng, cfg, vocab, mode, registry, world_config):
+def _qa_episode_samples(session, rng, cfg, vocab, mode):
     """Answer-skill supervision on an IQA task of a uniformly drawn type:
     expert navigates, the QA head is trained on the final frame."""
     template = session.template_for_next()
@@ -630,10 +632,10 @@ def _qa_episode_samples(session, rng, cfg, vocab, mode, registry, world_config):
     qtype = qtypes[int(rng.integers(len(qtypes)))]
     try:
         task = generate_task("IQA", qtype, int(rng.integers(2)), template, seed,
-                             rng, registry=registry, config=world_config)
+                             rng, registry=session.registry, config=session.config)
     except UnsatisfiableTemplate:
         return []
-    traj = replay_expert(task, template, mode, registry, world_config)
+    traj = replay_expert(task, template, mode, session.registry, session.config)
     if traj.answer != task.answer:
         return []
     tokens = instruction_tokens(task, vocab)
@@ -766,13 +768,9 @@ def train_multitask(agent, split, templates_by_id, schedule: ScheduleConfig,
             template = templates_by_id[task.scene_template_id]
             state = task_initial_state(task, template, registry=registry,
                                        config=world_config)
-            if stage == "tf":
-                eps = 1.0
-            else:
-                eps = epsilon_at(steps_done["sf"] / max(budget, 1),
-                                 schedule.eps_start, schedule.eps_end)
-            steps, _traj = run_task_episode_sf(agent, task, state, mode, rng,
-                                               eps, cfg, vocab)
+            steps, _traj = run_task_episode_sf(
+                agent, task, state, mode, rng,
+                stage_epsilon(stage, steps_done[stage], budget, schedule), cfg, vocab)
             if not steps:
                 continue
             pending.append(EpisodeBatch(task_tokens=instruction_tokens(task, vocab),

@@ -408,8 +408,8 @@ def test_answer_skill_draws_cover_every_iqa_task_type(monkeypatch):
     monkeypatch.setattr(TR, "generate_task", unsatisfiable)
     session, rng = SceneSession(TEMPLATES[:2], 0), np.random.default_rng(0)
     for _ in range(20 * len(iqa)):
-        assert TR._qa_episode_samples(session, rng, CFG, VOCAB, InteractionMode.HARD,
-                                      None, None) == []
+        assert TR._qa_episode_samples(session, rng, CFG, VOCAB,
+                                      InteractionMode.HARD) == []
     assert set(drawn) == set(iqa)
 
 
@@ -531,7 +531,7 @@ def _assert_resume_is_exact(sched, stage, stop_at, **kw):
                  grouping="joint", qa_fraction=0.0, on_round=stop, progress=p2,
                  opt=opt, rng=rng, session=session, **kw)
     assert p2.stage == stage
-    assert p2.batch or p2.ppo_buffer   # the stop fell between two updates
+    assert p2.pending   # the stop fell between two updates
     pretrain(a2, TEMPLATES[:2], sched, CFG, seed=4, vocab=VOCAB,
              grouping="joint", qa_fraction=0.0, progress=p2, opt=opt, rng=rng,
              session=session, **kw)
@@ -539,7 +539,7 @@ def _assert_resume_is_exact(sched, stage, stop_at, **kw):
     assert p2.stage == p1.stage == "done"
     assert p2.steps_done == p1.steps_done and p2.episodes == p1.episodes
     for p in (p1, p2):
-        assert p.batch == [] and p.ppo_buffer == []
+        assert p.pending == []
     for (n1, q1), (n2, q2) in zip(a1.named_parameters(), a2.named_parameters()):
         assert n1 == n2
         np.testing.assert_array_equal(q1.data, q2.data, err_msg=n1)
