@@ -554,7 +554,7 @@ def pretrain(agent, templates, schedule: ScheduleConfig, cfg: ModelConfig,
     Every stage collects whole episodes into one pending list and updates
     on it once it holds `update_every` samples (TF, SF) or `horizon`
     samples (PPO).  What is left at the stage's end makes one shorter
-    update of that stage; PPO drops it.
+    update of that stage, so every stage trains on every sample it counts.
 
     `progress` holds everything a run needs besides (opt, rng, session):
     the current stage, steps and episodes done, and the `pending` samples.
@@ -615,9 +615,7 @@ def pretrain(agent, templates, schedule: ScheduleConfig, cfg: ModelConfig,
                 update(stage)
             if on_round is not None:
                 on_round(progress)
-        if stage == "ppo":
-            pending.clear()   # a PPO remainder shorter than one horizon
-        elif pending:
+        if pending:
             update(stage)
         progress.stage = {"tf": "sf", "sf": "ppo", "ppo": "done"}[stage]
     return opt, progress

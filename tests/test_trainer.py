@@ -555,7 +555,7 @@ def test_pretrain_resume_keeps_pending_sf_and_ppo_samples():
     sf = ScheduleConfig(tf_steps=0, sf_steps=120, ppo_steps=0, update_every=32)
     _assert_resume_is_exact(sf, "sf", 40)
     # the stop lands at 60 steps with the buffer part-filled, and the stage
-    # ends at 180 steps with 80 samples, fewer than a horizon, to drop
+    # ends at 180 steps with 80 samples, fewer than a horizon, to flush
     ppo = ScheduleConfig(tf_steps=0, sf_steps=0, ppo_steps=150)
     _assert_resume_is_exact(ppo, "ppo", 20,
                             ppo_cfg=PPOConfig(horizon=96, minibatch=16, epochs=1))
@@ -603,6 +603,34 @@ def test_train_multitask_trains_every_step_it_counts(monkeypatch):
                        episodes_per_update=2,
                        on_round=lambda stage, steps_done: counted.update(steps_done))
     assert sum(trained) == sum(counted.values())
+
+
+def test_pretrain_trains_every_step_it_counts(monkeypatch):
+    # samples still pending when a stage ends, fewer than its update size,
+    # go into one last update of that stage, PPO's included
+    trained = []
+    tf_update, ppo_update = TR.teacher_forcing_update, TR.ppo_update
+
+    def record_tf(agent, samples, *args):
+        trained.append(len(samples))
+        return tf_update(agent, samples, *args)
+
+    def record_ppo(agent, buffer, *args):
+        trained.append(len(buffer))
+        return ppo_update(agent, buffer, *args)
+
+    monkeypatch.setattr(TR, "teacher_forcing_update", record_tf)
+    monkeypatch.setattr(TR, "ppo_update", record_ppo)
+    for sched, ppo_cfg in (
+            (ScheduleConfig(tf_steps=40, sf_steps=40, ppo_steps=0, update_every=32),
+             None),
+            (ScheduleConfig(tf_steps=0, sf_steps=0, ppo_steps=150),
+             PPOConfig(horizon=96, minibatch=16, epochs=1))):
+        trained.clear()
+        _, progress = pretrain(HierarchicalAgent(np.random.default_rng(0), CFG),
+                               TEMPLATES[:2], sched, CFG, seed=4, vocab=VOCAB,
+                               grouping="joint", qa_fraction=0.0, ppo_cfg=ppo_cfg)
+        assert sum(trained) == sum(progress.steps_done.values())
 
 
 def test_training_keeps_parameters_gradients_and_moments_float32(monkeypatch):
