@@ -127,11 +127,6 @@ def run_expert_episode(initial_state: WorldState, remaining_fn,
                    ExpertController(remaining_fn, mode))
 
 
-def expert_subgoal_trace(traj: Trajectory) -> list:
-    """Consecutive-deduped sub-goal sequence as (skill name, class id)."""
-    return [(sub.skill.name, sub.object_class) for sub in traj.subgoal_sequence]
-
-
 # --------------------------------------------------------------------------
 # trajectory logs (JSON lines)
 

@@ -297,14 +297,6 @@ def _script_step(state, geom, subgoal, target_iid, mode):
 # plans and recovery
 
 
-@dataclass(frozen=True)
-class WrongEffect:
-    action: PrimitiveAction
-    target: int
-    prior_container: int | None = None
-    held_before: int | None = None
-
-
 REVERSAL = {
     PrimitiveAction.Open: Skill.Close,
     PrimitiveAction.Close: Skill.Open,
@@ -313,25 +305,26 @@ REVERSAL = {
 }
 
 
-def _reversal_subgoal(effect: WrongEffect, state: WorldState, pending_classes):
-    """(SubGoal, target instance) undoing a wrong interaction."""
-    if effect.action is PrimitiveAction.Slice:
+def _reversal_subgoal(action, target, before: WorldState, state: WorldState,
+                      pending_classes):
+    """(SubGoal, target instance) undoing a wrong interaction: `action` on
+    `target` took the world from `before` to `state`."""
+    if action is PrimitiveAction.Slice:
         raise Irrecoverable("sliced the wrong object")
-    if effect.action is PrimitiveAction.Pickup:
-        dest = _restitution_receptacle(state, effect, pending_classes)
+    if action is PrimitiveAction.Pickup:
+        dest = _restitution_receptacle(state, before.obj(target).container,
+                                       pending_classes)
         return SubGoal(Skill.Put, state.obj(dest).class_id), dest
-    if effect.action is PrimitiveAction.Put:
-        return SubGoal(Skill.Pickup, state.obj(effect.held_before).class_id), \
-            effect.held_before
-    skill = REVERSAL[effect.action]
-    return SubGoal(skill, state.obj(effect.target).class_id), effect.target
+    if action is PrimitiveAction.Put:
+        held = before.agent.held
+        return SubGoal(Skill.Pickup, state.obj(held).class_id), held
+    return SubGoal(REVERSAL[action], state.obj(target).class_id), target
 
 
-def _restitution_receptacle(state, effect, pending_classes):
-    """Where to put back a wrongly picked object: its previous container,
+def _restitution_receptacle(state, prior, pending_classes):
+    """Where to put back a wrongly picked object: its `prior` container,
     else the nearest free receptacle whose class the remaining plan does
     not need (so restitution never eats capacity the task requires)."""
-    prior = effect.prior_container
     if prior is not None and state.has(prior) and W.has_room(state, state.obj(prior)):
         return prior
     geom = cached_geometry(state)
@@ -423,17 +416,12 @@ class ExpertController:
             return
         if action == expected.action and result.target == expected.target:
             return
-        prior_container = None
-        if action is PrimitiveAction.Pickup and result.target is not None:
-            prior_container = state_before.obj(result.target).container
-        effect = WrongEffect(action=action, target=result.target,
-                             prior_container=prior_container,
-                             held_before=state_before.agent.held)
         pending = [sub for sub, _ in self.remaining_fn(state_after)]
         pending_classes = {sg.object_class for sg in
                            pending + [r[0] for r in self.recovery]
                            if sg.object_class is not None}
-        sub, hint = _reversal_subgoal(effect, state_after, pending_classes)
+        sub, hint = _reversal_subgoal(action, result.target, state_before,
+                                      state_after, pending_classes)
         # entry state is post-effect: the reversal predicate compares against
         # the world as the wrong action left it
         self.recovery.insert(0, (sub, hint, state_after))

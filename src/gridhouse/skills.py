@@ -9,7 +9,7 @@ import numpy as np
 
 from . import world as W
 from .world import (Openness, PrimitiveAction, WorldState, cached_geometry,
-                    instance_distance, is_visible)
+                    instance_distance)
 
 
 class Skill(IntEnum):
@@ -65,6 +65,18 @@ class SubGoal:
 # success predicates
 
 
+def reached(state: WorldState, geom, iid) -> bool:
+    """Whether the agent has gone to instance `iid`: it is displayed,
+    within interaction range, and one of its display cells is visible."""
+    cells = geom.display_cells.get(iid)
+    if not cells:
+        return False
+    cfg = state.config
+    if instance_distance(state, geom, iid) > cfg.interaction_range:
+        return False
+    return any(W.cell_visible_from(geom, cfg, state.agent, c) for c in cells)
+
+
 def skill_success(subgoal: SubGoal, before: WorldState, after: WorldState) -> bool:
     """Whether the step from `before` to `after` achieved the sub-goal.
     Answer and End have no predicate here: `tasks.task_success` judges an
@@ -74,13 +86,8 @@ def skill_success(subgoal: SubGoal, before: WorldState, after: WorldState) -> bo
 
     cls_id = subgoal.object_class
     geom = cached_geometry(after)
-    rng_limit = after.config.interaction_range
-
-    def in_range(o):
-        return instance_distance(after, geom, o.instance_id) <= rng_limit
-
     if subgoal.skill is Skill.GoTo:
-        return any(in_range(o) and is_visible(after, o.instance_id)
+        return any(reached(after, geom, o.instance_id)
                    for o in after.instances_of(cls_id))
 
     if subgoal.skill is Skill.Pickup:
@@ -103,7 +110,8 @@ def skill_success(subgoal: SubGoal, before: WorldState, after: WorldState) -> bo
 
     attr, _needed, want = state_change(subgoal.skill)
     for o in after.instances_of(cls_id):
-        if getattr(o, attr) is not want or not in_range(o):
+        if getattr(o, attr) is not want or \
+                instance_distance(after, geom, o.instance_id) > after.config.interaction_range:
             continue
         if before.has(o.instance_id) and getattr(before.obj(o.instance_id), attr) is not want:
             return True
@@ -303,8 +311,7 @@ class SceneSession:
     def reset_scene(self):
         child = self._seeds.spawn(1)[0]
         seed = int(child.generate_state(1, dtype=np.uint64)[0])
-        template = self.templates[self.scene_count % len(self.templates)]
-        self.state = W.randomize_scene(template, seed,
+        self.state = W.randomize_scene(self.template_for_next(), seed,
                                        registry=self.registry, config=self.config)
         self.scene_count += 1
         return self.state

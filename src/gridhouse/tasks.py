@@ -27,8 +27,8 @@ from typing import Callable
 import numpy as np
 
 from . import planner, world as W
-from .episodes import expert_subgoal_trace, run_expert_episode
-from .skills import Skill, SubGoal, state_change
+from .episodes import run_expert_episode
+from .skills import Skill, SubGoal, reached, state_change
 from .world import (Cleanliness, Openness, Power, Temperature, WorldState,
                     cached_geometry, randomize_scene)
 
@@ -170,12 +170,11 @@ def apply_overrides(state: WorldState, ops) -> WorldState:
             cid = reg.id_of(cls_name)
             cls = reg[cid]
             nid = max((o.instance_id for o in state.objects), default=-1) + 1
+            openness, power, clean = W.initial_states(cls, None, False)
             new = W.ObjectInstance(
                 instance_id=nid, class_id=cid, anchor=None, container=dest,
                 size=1, is_receptacle=cls.receptacle,
-                openness=Openness.NOT_OPENABLE,
-                power=Power.OFF if cls.toggleable else Power.NOT_TOGGLEABLE,
-                cleanliness=Cleanliness.CLEAN if cls.can_dirty else Cleanliness.NA)
+                openness=openness, power=power, cleanliness=clean)
             state = replace(state, objects=state.objects + (new,))
         elif kind == "vacate":
             recep_iid, n_free = op[1], op[2]
@@ -270,18 +269,8 @@ def task_success(task: TaskInstance, trajectory) -> bool:
 # expert decompositions (Markovian: remaining milestones from any state)
 
 
-def _reached(state, geom, iid) -> bool:
-    cells = geom.display_cells.get(iid)
-    if not cells:
-        return False
-    cfg = state.config
-    if W.instance_distance(state, geom, iid) > cfg.interaction_range:
-        return False
-    return any(W.cell_visible_from(geom, cfg, state.agent, c) for c in cells)
-
-
 def _goto_if_needed(state, geom, iid):
-    if _reached(state, geom, iid):
+    if reached(state, geom, iid):
         return []
     return [(SubGoal(Skill.GoTo, state.obj(iid).class_id), iid)]
 
@@ -1062,8 +1051,9 @@ def build_splits(scene_templates, counts, seed=0, registry=None, config=None, *,
                     if not good:
                         continue
                     task.expert_decomposition = [
-                        [s, (None if o is None else int(o))]
-                        for s, o in expert_subgoal_trace(traj)]
+                        [sub.skill.name, (None if sub.object_class is None
+                                          else int(sub.object_class))]
+                        for sub in traj.subgoal_sequence]
                     episodes.append(task)
                     made += 1
                     break

@@ -146,8 +146,7 @@ class StepSample:
     obj: int                         # conditioning object id (or C = none)
     last_action: int                 # id in the 14-way embedding space
     expert_action: int               # index in the family's action space
-    expert_interactive: bool = False
-    expert_cell: int = -1            # expert grid cell index
+    expert_cell: int = -1            # expert grid cell index; -1 = no point
     expert_delta: tuple = (0.0, 0.0)
     centers: list = field(default_factory=list)   # heatmap supervision
     # on-policy extras (student forcing / PPO)
@@ -198,7 +197,6 @@ def _fill_sub_policy_labels(sample, ex, cfg: ModelConfig):
     sample.expert_action = index[ex.action]
     if (sample.family == "interact" and ex.action in INTERACTIVE_ACTIONS
             and ex.point is not None):
-        sample.expert_interactive = True
         sample.expert_cell, sample.expert_delta = expert_cell_delta(ex.point, cfg)
     sample.centers = heat_centers(sample.obs, cfg)
     return sample
@@ -227,7 +225,7 @@ def _sub_loss(agent, family, samples, cfg: ModelConfig, weights: LossWeights):
     if point_maps is None:
         return T.mul(total, 1.0 / n)
     grid_logits, mu, nu, heat = point_maps
-    rows = [i for i, s in enumerate(samples) if s.expert_interactive]
+    rows = [i for i, s in enumerate(samples) if s.expert_cell >= 0]
     if rows:
         cells = np.array([samples[i].expert_cell for i in rows])
         picked = T.gather(grid_logits, (np.array(rows), slice(None)))

@@ -97,7 +97,7 @@ def random_observation(rng, cfg):
 def _hier_loss(agent, cfg, rng):
     """Scalar exercising every head: the multi-task episode loss on a
     synthetic two-step episode."""
-    from .trainer import EpisodeBatch, StepSample, multitask_episode_loss
+    from .trainer import EpisodeBatch, LossWeights, StepSample, multitask_episode_loss
 
     steps = []
     for t in range(2):
@@ -111,7 +111,6 @@ def _hier_loss(agent, cfg, rng):
             hl_last_skill=int(rng.integers(NONE_SKILL)),
             hl_last_obj=int(rng.integers(cfg.num_classes)))
         if fam == "interact":
-            s.expert_interactive = True
             s.expert_cell = int(rng.integers(cfg.grid * cfg.grid))
             s.expert_delta = (float(rng.uniform(-1, 1)), float(rng.uniform(-1, 1)))
             s.centers = [(int(rng.integers(cfg.num_classes)),
@@ -125,12 +124,7 @@ def _hier_loss(agent, cfg, rng):
     qa.hl_last_skill, qa.hl_last_obj = subgoal_ids(cfg, None)
     steps.append(qa)
     episode = EpisodeBatch(task_tokens=[1, 4, 2], steps=steps)
-    return multitask_episode_loss(agent, episode, cfg, _loss_weights())
-
-
-def _loss_weights():
-    from .trainer import LossWeights
-    return LossWeights()
+    return multitask_episode_loss(agent, episode, cfg, LossWeights())
 
 
 def _network_check(rng):

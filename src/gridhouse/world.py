@@ -846,7 +846,9 @@ def _border_walls(width, height):
     return walls
 
 
-def _initial_states(cls, rng, randomize):
+def initial_states(cls, rng, randomize):
+    """(openness, power, cleanliness) of a new instance of `cls`: the
+    closed, off and clean defaults, or drawn from `rng` when `randomize`."""
     openness = Openness.NOT_OPENABLE
     if cls.enclosed:
         openness = Openness.CLOSED
@@ -895,7 +897,7 @@ def randomize_scene(template: dict, seed: int,
             if c in occupied:
                 raise PlacementInfeasible(f"fixture overlap at {c}")
             occupied.add(c)
-        openness, power, clean = _initial_states(cls, rng, randomize)
+        openness, power, clean = initial_states(cls, rng, randomize)
         objects.append(ObjectInstance(
             instance_id=next_id, class_id=cls_id, anchor=tuple(fx["pos"]),
             container=None, size=size, is_receptacle=cls.receptacle,
@@ -934,7 +936,7 @@ def randomize_scene(template: dict, seed: int,
                                   f"{template.get('template_id')}")
     for cls_id, container in assignment or []:
         cls = registry[cls_id]
-        openness, power, clean = _initial_states(cls, rng, randomize)
+        openness, power, clean = initial_states(cls, rng, randomize)
         objects.append(ObjectInstance(
             instance_id=next_id, class_id=cls_id, anchor=None,
             container=container, size=1, is_receptacle=cls.receptacle,

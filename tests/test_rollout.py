@@ -226,7 +226,7 @@ def _rollout_digest():
     def put_samples(samples):
         for s in samples:
             put(s.family, s.skill, s.obj, s.last_action, s.expert_action,
-                s.expert_interactive, s.expert_cell, _num(s.expert_delta),
+                s.expert_cell >= 0, s.expert_cell, _num(s.expert_delta),
                 [(c, _num(xy), _num(r)) for c, xy, r in s.centers],
                 s.action, s.cell, _num(s.delta), _num(s.reward), s.done,
                 s.hl_last_skill, SMALL.num_classes if s.hl_last_obj < 0 else s.hl_last_obj,
