@@ -15,7 +15,10 @@ def _build_parser():
                                 description="household gridworld skill lab")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, data=False, ckpt=False):
+    def command(name, handler, help, data=False, ckpt=False):
+        """A sub-command running `handler(args)`, with the run arguments."""
+        sp = sub.add_parser(name, help=help)
+        sp.set_defaults(handler=handler)
         sp.add_argument("--config", default=None, help="run config (INI)")
         sp.add_argument("--seed", type=int, default=None,
                         help="override the manifest seed")
@@ -24,25 +27,22 @@ def _build_parser():
             sp.add_argument("--data", required=True, help="dataset directory")
         if ckpt:
             sp.add_argument("--ckpt", default=None, help="checkpoint path")
+        return sp
 
-    common(sub.add_parser("gen-scenes", help="write builtin scene templates"))
-    common(sub.add_parser("gen-episodes", help="build dataset splits"))
-    sp = sub.add_parser("pretrain", help="skill pre-training (TF->SF->PPO)")
-    common(sp)
-    sp = sub.add_parser("train", help="joint multi-task training")
-    common(sp, data=True)
-    sp.add_argument("--init", default=None, help="pre-trained checkpoint")
-    sp = sub.add_parser("eval", help="evaluate a checkpoint on a split")
-    common(sp, data=True, ckpt=True)
-    sp.add_argument("--split", default="test_seen")
-    sp = sub.add_parser("eval-skills", help="per-skill success table")
-    common(sp, ckpt=True)
-    sp = sub.add_parser("plan-check", help="expert replay success rate")
-    common(sp, data=True)
-    sp.add_argument("--split", default="train")
+    command("gen-scenes", cmd_gen_scenes, "write builtin scene templates")
+    command("gen-episodes", cmd_gen_episodes, "build dataset splits")
+    command("pretrain", cmd_pretrain, "skill pre-training (TF->SF->PPO)")
+    command("train", cmd_train, "joint multi-task training", data=True).add_argument(
+        "--init", default=None, help="pre-trained checkpoint")
+    command("eval", cmd_eval, "evaluate a checkpoint on a split", data=True,
+            ckpt=True).add_argument("--split", default="test_seen")
+    command("eval-skills", cmd_eval_skills, "per-skill success table", ckpt=True)
+    command("plan-check", cmd_plan_check, "expert replay success rate",
+            data=True).add_argument("--split", default="train")
     sp = sub.add_parser("replay", help="render a trajectory log as a table")
+    sp.set_defaults(handler=cmd_replay)
     sp.add_argument("log", help="trajectory JSONL")
-    common(sub.add_parser("grad-check", help="finite-difference suite"))
+    command("grad-check", cmd_grad_check, "finite-difference suite")
     return p
 
 
@@ -274,21 +274,9 @@ def cmd_grad_check(args):
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    handlers = {
-        "gen-scenes": cmd_gen_scenes,
-        "gen-episodes": cmd_gen_episodes,
-        "pretrain": cmd_pretrain,
-        "train": cmd_train,
-        "eval": cmd_eval,
-        "eval-skills": cmd_eval_skills,
-        "plan-check": cmd_plan_check,
-        "replay": cmd_replay,
-        "grad-check": cmd_grad_check,
-    }
+    args = _build_parser().parse_args(argv)
     try:
-        return handlers[args.command](args)
+        return args.handler(args)
     except (FileNotFoundError, ValueError, RuntimeError) as e:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return 1
