@@ -627,43 +627,36 @@ def resolve_target(state: WorldState, obs: Observation, point, mode: Interaction
 
 def _propagation_effects(state: WorldState) -> dict:
     """{instance_id: {attr: value}} for heat/cool/clean conditions holding
-    in this state configuration."""
+    in this state configuration: an item inside a running heater becomes
+    hot, inside a closed cooler cold (the innermost such container
+    decides), and a dirty item inside a basin beside a running faucet
+    clean."""
+    temperature, taps, basins = {}, [], []
+    for o in state.objects:
+        cls = state.cls(o)
+        if cls.heats and o.power is Power.ON:
+            temperature[o.instance_id] = Temperature.HOT
+        if cls.cools and o.openness is Openness.CLOSED:
+            temperature[o.instance_id] = Temperature.COLD
+        if cls.water_source and o.power is Power.ON and o.anchor is not None:
+            taps.append(o.anchor)
+        if cls.sink_basin and o.anchor is not None:
+            basins.append(o)
+    washing = {b.instance_id for b in basins
+               if any(math.hypot(cx - fx, cy - fy) <= 1.5 for fx, fy in taps
+                      for cx, cy in footprint_cells(b.anchor, b.size))}
     effects: dict[int, dict] = {}
-
-    def mark(iid, attr, value):
-        effects.setdefault(iid, {})[attr] = value
-
-    def contents_transitive(iid):
-        out = []
-        frontier = [iid]
-        while frontier:
-            cur = frontier.pop()
-            for o in state.objects:
-                if o.container == cur:
-                    out.append(o)
-                    frontier.append(o.instance_id)
-        return out
-
     for obj in state.objects:
-        cls = state.cls(obj)
-        if cls.heats and obj.power is Power.ON:
-            for item in contents_transitive(obj.instance_id):
-                mark(item.instance_id, "temperature", Temperature.HOT)
-        if cls.cools and obj.openness is Openness.CLOSED:
-            for item in contents_transitive(obj.instance_id):
-                mark(item.instance_id, "temperature", Temperature.COLD)
-        if cls.water_source and obj.power is Power.ON and obj.anchor is not None:
-            fx, fy = obj.anchor
-            for basin in state.objects:
-                if basin.anchor is None or not state.cls(basin).sink_basin:
-                    continue
-                near = any(math.hypot(cx - fx, cy - fy) <= 1.5
-                           for cx, cy in footprint_cells(basin.anchor, basin.size))
-                if not near:
-                    continue
-                for item in contents_transitive(basin.instance_id):
-                    if item.cleanliness is Cleanliness.DIRTY:
-                        mark(item.instance_id, "cleanliness", Cleanliness.CLEAN)
+        if obj.container is None:
+            continue
+        marks = {}
+        for holder in ancestors(state, obj.instance_id):
+            if holder in temperature:
+                marks.setdefault("temperature", temperature[holder])
+            if holder in washing and obj.cleanliness is Cleanliness.DIRTY:
+                marks["cleanliness"] = Cleanliness.CLEAN
+        if marks:
+            effects[obj.instance_id] = marks
     return effects
 
 
