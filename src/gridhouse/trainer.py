@@ -592,7 +592,7 @@ def pretrain(agent, templates, schedule: ScheduleConfig, cfg: ModelConfig,
         while progress.steps_done[stage] < budget:
             periodic_reset(session, progress.episodes, schedule.reset_period)
             progress.episodes += 1
-            if qa_fraction > 0 and rng.random() < qa_fraction and stage != "ppo":
+            if stage != "ppo" and qa_fraction > 0 and rng.random() < qa_fraction:
                 samples = _qa_episode_samples(session, rng, cfg, vocab, mode)
             else:
                 try:

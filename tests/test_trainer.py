@@ -633,6 +633,19 @@ def test_pretrain_trains_every_step_it_counts(monkeypatch):
         assert sum(trained) == sum(progress.steps_done.values())
 
 
+def test_qa_fraction_leaves_the_ppo_stage_alone():
+    # PPO never trains the QA head, so it draws no QA coin either
+    sched = ScheduleConfig(tf_steps=0, sf_steps=0, ppo_steps=96)
+    digests = set()
+    for qa_fraction in (0.0, 0.5):
+        agent = HierarchicalAgent(np.random.default_rng(0), SMALL)
+        pretrain(agent, TEMPLATES[:2], sched, SMALL, seed=4, vocab=VOCAB,
+                 grouping="joint", qa_fraction=qa_fraction,
+                 ppo_cfg=PPOConfig(horizon=96, minibatch=16, epochs=1))
+        digests.add(_parameter_sha256(agent))
+    assert len(digests) == 1
+
+
 def test_training_keeps_parameters_gradients_and_moments_float32(monkeypatch):
     # one np.float64 scalar or array on the training path (NEP 50) would
     # turn every gradient, moment and parameter it touches into float64;
