@@ -12,12 +12,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn, tensor as T
-from .episodes import rollout
 from .nn import Conv2d, Embedding, GRUCell, Linear, Module
 from .skills import INTERACTION_SKILLS, NO_OBJECT_SKILLS, Skill, SubGoal
-from .tasks import instruction_tokens
 from .world import (CLASS_BASE, INTERACTIVE_ACTIONS, NAV_ACTION_SPACE,
-                    InteractionMode, PrimitiveAction, WorldConfig, cached_render)
+                    PrimitiveAction, WorldConfig)
 
 INTERACT_ACTION_SPACE = tuple(PrimitiveAction)  # all 13
 ANSWER_SPACE = ("Yes", "No", "0", "1", "2", "3")
@@ -336,7 +334,8 @@ def point_from_grid(cfg: ModelConfig, cell_index, delta):
 def high_level_step(agent, z_task, obs, last_action, last_subgoal, hidden,
                     rng, greedy=False):
     """Factorized sub-goal sampling: skill first, then the target class
-    (masked out entirely for Answer/End).  Rollout-only: no graph."""
+    (masked out entirely for Answer/End).  Returns the sub-goal and the
+    next hidden state.  Rollout-only: no graph."""
     cmap, planes = obs_planes([obs])
     z_img = agent.hl_encoder(cmap, planes)
     skill_id, obj_id = subgoal_ids(agent.cfg, last_subgoal)
@@ -349,7 +348,7 @@ def high_level_step(agent, z_task, obs, last_action, last_subgoal, hidden,
     else:
         o_idx, _ = sample_logits(obj_logits.data[0], rng, greedy)
         sub = SubGoal(skill, o_idx)
-    return sub, (skill_logits, obj_logits), h
+    return sub, h
 
 
 def sub_policy_forward(agent, family, obs_batch, last_action, skill, obj):
@@ -364,11 +363,15 @@ def sub_policy_forward(agent, family, obs_batch, last_action, skill, obj):
 
 @T.no_grad()
 def sub_policy_step(agent, subgoal, obs, last_action, rng, greedy=False):
-    """Route to the sub-policy for the sub-goal's family and sample an
-    action, plus an interaction point for interactive primitives (extras
-    then hold its grid cell and offset).  Rollout-only: no graph."""
+    """The primitive that carries out a sub-goal.  Answer and End take
+    Done with no forward; GoTo and the interaction skills sample an action
+    from their family's sub-policy, plus an interaction point for
+    interactive primitives (extras then hold its grid cell and offset).
+    Rollout-only: no graph."""
     cfg = agent.cfg
     family = SKILL_FAMILY[subgoal.skill]
+    if family in ("qa", "end"):
+        return PrimitiveAction.Done, None, {}
     skill_id, obj_id = subgoal_ids(cfg, subgoal)
     logits, _value, point_maps = sub_policy_forward(
         agent, family, [obs], [action_id(last_action)], [skill_id], [obj_id])
@@ -402,34 +405,3 @@ def qa_answer(agent, question_tokens, obs):
     """6-way answer distribution for a question on the current frame."""
     logits, _att = qa_logits(agent, [question_tokens], [obs])
     return T.softmax(logits, axis=-1).data[0]
-
-
-def act_episode(agent, task, initial_state, mode: InteractionMode, rng,
-                greedy=True, *, vocab):
-    """Roll the hierarchical agent on one task episode."""
-    tokens = instruction_tokens(task, vocab)
-    with T.no_grad():
-        z_task = agent.task_enc([tokens])
-    hidden = agent.high.initial_hidden()
-
-    def decide(traj, state, ex):
-        nonlocal hidden
-        obs = cached_render(state)
-        prev = traj.steps[-1] if traj.steps else None
-        last_action = None if prev is None else prev.action
-        sub, _logits, hidden = high_level_step(
-            agent, z_task, obs, last_action, None if prev is None else prev.subgoal,
-            hidden, rng, greedy)
-        if sub.skill is Skill.End:
-            return sub, PrimitiveAction.Done, None, True
-        if sub.skill is Skill.Answer:
-            probs = qa_answer(agent, tokens, obs)
-            if greedy:
-                traj.answer = ANSWER_SPACE[int(np.argmax(probs))]
-            else:
-                traj.answer = ANSWER_SPACE[int(rng.choice(len(probs), p=probs))]
-            return sub, PrimitiveAction.Done, None, False
-        action, point, _extras = sub_policy_step(agent, sub, obs, last_action, rng, greedy)
-        return sub, action, point, False
-
-    return rollout(initial_state, decide, mode, task.max_steps)

@@ -7,18 +7,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .agents import (ANSWER_SPACE, SKILL_FAMILY, act_episode, qa_answer,
-                     sub_policy_step)
+from . import tensor as T
+from .agents import ANSWER_SPACE, high_level_step, qa_answer, sub_policy_step
 from .episodes import rollout
-from .skills import (PRETRAIN_SKILLS, SceneSession, periodic_reset,
+from .skills import (PRETRAIN_SKILLS, SceneSession, Skill, periodic_reset,
                      sample_skill_episode, skill_success, NoFeasibleSkill)
 from .tasks import (FAMILIES, TEMPLATES, UnsatisfiableTemplate, generate_task,
                     instruction_tokens, replay_expert, task_initial_state,
                     task_success)
 # `env_step` stays bound: the benchmark's tracer finds `world.step` through
 # this alias too (perfbench/tests/test_spans.py)
-from .world import (InteractionMode, PrimitiveAction, cached_render,
-                    step as env_step)
+from .world import InteractionMode, cached_render, step as env_step
 
 
 class MissingCheckpoint(FileNotFoundError):
@@ -65,6 +64,34 @@ class MetricsTable:
         return header + row
 
 
+def act_episode(agent, task, initial_state, mode: InteractionMode, rng,
+                greedy=True, *, vocab):
+    """Roll the hierarchical agent on one task episode.  Every sub-goal the
+    high level picks goes to `sub_policy_step`; End ends the episode, and
+    on an IQA task the first Answer asks the QA head for the answer."""
+    tokens = instruction_tokens(task, vocab)
+    with T.no_grad():
+        z_task = agent.task_enc([tokens])
+    hidden = agent.high.initial_hidden()
+
+    def decide(traj, state, ex):
+        nonlocal hidden
+        obs = cached_render(state)
+        prev = traj.steps[-1] if traj.steps else None
+        last_action = None if prev is None else prev.action
+        sub, hidden = high_level_step(
+            agent, z_task, obs, last_action, None if prev is None else prev.subgoal,
+            hidden, rng, greedy)
+        if sub.skill is Skill.Answer and task.family == "IQA" and traj.answer is None:
+            probs = qa_answer(agent, tokens, obs)
+            pick = np.argmax(probs) if greedy else rng.choice(len(probs), p=probs)
+            traj.answer = ANSWER_SPACE[int(pick)]
+        action, point, _extras = sub_policy_step(agent, sub, obs, last_action, rng, greedy)
+        return sub, action, point, sub.skill is Skill.End
+
+    return rollout(initial_state, decide, mode, task.max_steps)
+
+
 def evaluate(agent, split, templates_by_id, vocab, mode=InteractionMode.HARD, *,
              greedy, registry=None, config=None, seed=0,
              results=None) -> MetricsTable:
@@ -97,20 +124,20 @@ def evaluate(agent, split, templates_by_id, vocab, mode=InteractionMode.HARD, *,
 
 
 def run_skill_episode_policy(agent, episode, mode, rng, greedy=True) -> bool:
-    """Roll the sub-policy alone on one skill episode (no high level);
-    success per the skill predicate at termination."""
+    """Roll the sub-policy alone on one skill episode (no high level).  As
+    in pre-training, the episode succeeds on the step that completes the
+    skill and otherwise runs to the budget; Done is an ordinary step."""
     sub, start = episode.subgoal, episode.initial_state
 
     def decide(traj, state, ex):
         obs = cached_render(state)
         last = traj.steps[-1].action if traj.steps else None
         action, point, _ = sub_policy_step(agent, sub, obs, last, rng, greedy=greedy)
-        return sub, action, point, action is PrimitiveAction.Done
+        return sub, action, point, False
 
-    succeeded = (None if SKILL_FAMILY[sub.skill] == "nav"
-                 else lambda state: skill_success(sub, start, state))
-    traj = rollout(start, decide, mode, episode.max_steps, succeeded=succeeded)
-    return skill_success(sub, start, traj.final_state)
+    traj = rollout(start, decide, mode, episode.max_steps,
+                   succeeded=lambda state: skill_success(sub, start, state))
+    return traj.terminated == "success"
 
 
 def eval_skills(agent, templates, *, n_per_skill, seed, mode, greedy, registry,

@@ -18,7 +18,7 @@ from . import nn, tensor as T
 from .agents import (ANSWER_SPACE, INTERACT_ACTION_SPACE, INTERACT_INDEX,
                      NAV_ACTION_SPACE, NAV_INDEX, NONE_ACTION, NONE_SKILL,
                      SKILL_FAMILY, ModelConfig, action_id, cell_center,
-                     high_level_step, obs_planes, qa_answer, qa_logits,
+                     high_level_step, obs_planes, qa_logits,
                      sub_policy_forward, sub_policy_step, subgoal_ids)
 from .episodes import rollout
 from .planner import ExpertController, single_subgoal_stream
@@ -30,8 +30,7 @@ from .tasks import (TEMPLATES, UnsatisfiableTemplate, generate_task,
 # `env_step` stays bound: the benchmark's tracer finds `world.step` through
 # this alias too (perfbench/tests/test_spans.py)
 from .world import (CLASS_BASE, INTERACTIVE_ACTIONS, InteractionMode,
-                    PrimitiveAction, cached_render, is_visible,
-                    step as env_step)
+                    cached_render, is_visible, step as env_step)
 
 
 class MissingLabels(ValueError):
@@ -353,8 +352,10 @@ def run_skill_episode(agent, episode, mode, rng, eps, cfg: ModelConfig,
     """Roll one sampled skill episode with epsilon-mixed control.
 
     eps = 1 reproduces the expert; eps = 0 is fully on-policy.  Expert
-    labels are recorded for every step either way.  A wrong interaction
-    the expert cannot undo ends the episode without success.
+    labels are recorded for every step either way.  The episode succeeds
+    on the step that completes the skill and otherwise runs to the budget;
+    Done is an ordinary step.  A wrong interaction the expert cannot undo
+    ends the episode without success.
     """
     sub = episode.subgoal
     family = SKILL_FAMILY[sub.skill]
@@ -377,16 +378,13 @@ def run_skill_episode(agent, episode, mode, rng, eps, cfg: ModelConfig,
             if "cell" in extras:
                 sample.cell, sample.delta = extras["cell"], extras["delta"]
         samples.append(sample)
-        return sub, action, point, (action is PrimitiveAction.Done
-                                    and ex.subgoal.skill is Skill.End)
+        return sub, action, point, False
 
     # a step that completes the skill ends the episode, so it needs no
     # recovery even when it is not the interaction the expert labelled
-    succeeded = (None if sub.skill is Skill.End
-                 else lambda state: skill_success(sub, start, state))
     traj = rollout(start, decide, mode, episode.max_steps,
                    ExpertController(single_subgoal_stream(sub, start), mode),
-                   succeeded)
+                   lambda state: skill_success(sub, start, state))
     success = traj.terminated == "success"
     if collect_ppo:
         for k, (sample, rec) in enumerate(zip(samples, traj.steps)):
@@ -668,7 +666,8 @@ def multi_task_sample(by_family, rng):
 def run_task_episode_sf(agent, task, state, mode, rng, eps, cfg, vocab):
     """Multi-task SF rollout: epsilon-mixed actions, recovery-planner
     supervision, per-step high-level labels.  Returns the labelled steps
-    and the trajectory."""
+    and the trajectory, which records no answer: training reads the
+    expert's answer label, never the agent's."""
     tokens = instruction_tokens(task, vocab)
     with T.no_grad():
         z_task = agent.task_enc([tokens])
@@ -681,24 +680,15 @@ def run_task_episode_sf(agent, task, state, mode, rng, eps, cfg, vocab):
         prev = traj.steps[-1] if traj.steps else None
         last_action = None if prev is None else prev.action
         last_sub = None if prev is None else prev.subgoal
-        sampled_sub, _logits, hidden = high_level_step(
+        sub, hidden = high_level_step(
             agent, z_task, obs, last_action, last_sub, hidden, rng, greedy=False)
-        use_expert = rng.random() < eps
         samples.append(_task_sample(obs, ex, last_action, last_sub, task, tokens, cfg))
-        if use_expert:
-            if ex.subgoal.skill is Skill.Answer:
-                traj.answer = task.answer
-            return ex.subgoal, ex.action, ex.point, (ex.action is PrimitiveAction.Done
-                                                     and ex.subgoal.skill is Skill.End)
-        family = SKILL_FAMILY[sampled_sub.skill]
-        if family == "qa" and task.family == "IQA" and traj.answer is None:
-            probs = qa_answer(agent, tokens, obs)
-            traj.answer = ANSWER_SPACE[int(rng.choice(len(probs), p=probs))]
-        if family in ("qa", "end"):
-            return sampled_sub, PrimitiveAction.Done, None, family == "end"
-        action, point, _ = sub_policy_step(agent, sampled_sub, obs, last_action, rng,
-                                           greedy=False)
-        return sampled_sub, action, point, False
+        if rng.random() < eps:
+            sub, action, point = ex.subgoal, ex.action, ex.point
+        else:
+            action, point, _ = sub_policy_step(agent, sub, obs, last_action, rng,
+                                               greedy=False)
+        return sub, action, point, sub.skill is Skill.End
 
     traj = rollout(state, decide, mode, task.max_steps,
                    ExpertController(remaining_fn(task), mode))

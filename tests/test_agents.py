@@ -9,10 +9,11 @@ from hypothesis import given, strategies as st
 from gridhouse import tensor as T
 from gridhouse.agents import (ANSWER_SPACE, INTERACT_ACTION_SPACE,
                               NAV_ACTION_SPACE, SKILL_FAMILY, HierarchicalAgent,
-                              ModelConfig, act_episode, high_level_step,
+                              ModelConfig, high_level_step,
                               obs_planes, point_from_grid, qa_answer,
                               qa_logits, sample_logits, sub_policy_step)
 from gridhouse.classes import desk_registry
+from gridhouse.harness import act_episode
 from gridhouse.scenes import builtin_templates
 from gridhouse.skills import NO_OBJECT_SKILLS, Skill, SubGoal
 from gridhouse.tasks import build_vocab, generate_task, task_initial_state
@@ -51,7 +52,7 @@ def test_high_level_masks_answer_and_end(agent, scene_obs):
     rng = np.random.default_rng(0)
     last = None
     for i in range(60):
-        sub, _, h = high_level_step(agent, z, obs, None, last, h, rng)
+        sub, h = high_level_step(agent, z, obs, None, last, h, rng)
         if sub.skill in NO_OBJECT_SKILLS:
             assert sub.object_class is None
         else:
@@ -73,7 +74,7 @@ def test_hidden_state_changes_every_step(agent, scene_obs):
     seen = [h.data.copy()]
     last = None
     for _ in range(4):
-        sub, _, h = high_level_step(agent, z, obs, None, last, h, rng)
+        sub, h = high_level_step(agent, z, obs, None, last, h, rng)
         last = sub
         seen.append(h.data.copy())
     for a, b in zip(seen, seen[1:]):
@@ -192,6 +193,31 @@ def test_act_episode_deterministic_and_end_agent(agent):
     assert t3.terminated == "end" and len(t3.steps) == 1
     from gridhouse.tasks import task_success
     assert not task_success(task, t3)
+
+
+def test_act_episode_asks_the_qa_head_once_per_iqa_episode(monkeypatch):
+    # an agent that always picks Answer: the first Answer of an IQA episode
+    # gives the answer, and an episode of another family never asks
+    answerer = HierarchicalAgent(np.random.default_rng(7), CFG)
+    answerer.high.skill_head.b.data[:] = -1e9
+    answerer.high.skill_head.b.data[int(Skill.Answer)] = 1e9
+    forward, calls = answerer.qa.forward, []
+
+    def counted(*args):
+        calls.append(args)
+        return forward(*args)
+
+    monkeypatch.setattr(answerer.qa, "forward", counted)
+    for family, qtype, template, seed in (("IQA", "existence", TEMPLATES[2], 77),
+                                          ("EXIN", "pickup", TEMPLATES[0], 9)):
+        task = generate_task(family, qtype, 0, template, seed, np.random.default_rng(1))
+        calls.clear()
+        traj = act_episode(answerer, task, task_initial_state(task, template),
+                           InteractionMode.HARD, np.random.default_rng(0),
+                           greedy=False, vocab=VOCAB)
+        assert len(traj.steps) == task.max_steps
+        assert len(calls) == (family == "IQA")
+        assert (traj.answer is not None) == (family == "IQA")
 
 
 def test_pointing_heatmap_channels_cover_classes(agent, scene_obs):

@@ -10,7 +10,14 @@ import ast
 import importlib
 import pathlib
 
+import numpy as np
+
+import gridhouse.harness as harness
 import gridhouse.world as world
+from gridhouse.classes import desk_registry
+from gridhouse.episodes import Trajectory
+from gridhouse.scenes import builtin_templates
+from gridhouse.tasks import DatasetSplit, build_vocab, generate_task
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 BENCH = ROOT / "perfbench"
@@ -97,3 +104,23 @@ def test_the_tracer_finds_world_step_through_its_aliases():
     for alias in ("gridhouse.trainer.env_step", "gridhouse.harness.env_step",
                   "gridhouse.episodes.step"):
         assert _resolve(alias) is world.step, alias
+
+
+def test_evaluate_rolls_every_episode_through_the_harness_global(monkeypatch):
+    # perfbench/workloads.py times eval by rebinding `harness.act_episode`
+    # (`_watch_episodes`), so `evaluate` must look it up there per episode
+    templates = builtin_templates()
+    tasks = [generate_task("EXIN", "pickup", 0, templates[0], 9, np.random.default_rng(1)),
+             generate_task("IQA", "existence", 0, templates[2], 77,
+                           np.random.default_rng(2))]
+    rolled = []
+
+    def act(agent, task, state, *args, **kwargs):
+        rolled.append(task)
+        return Trajectory(final_state=state)
+
+    monkeypatch.setattr(harness, "act_episode", act)
+    harness.evaluate(None, DatasetSplit("probe", tasks, []),
+                     {t["template_id"]: t for t in templates},
+                     build_vocab(desk_registry()), greedy=True)
+    assert rolled == tasks

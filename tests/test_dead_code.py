@@ -213,7 +213,7 @@ def test_every_default_is_overridden_somewhere():
 # parameters a function does not read because a caller's protocol fixes
 # its signature: each stays for the reason given
 ALLOWED_UNREAD = {
-    "agents.act_episode.decide(ex)": "`episodes.rollout` calls every decide with "
+    "harness.act_episode.decide(ex)": "`episodes.rollout` calls every decide with "
                                      "the expert's label; the agent rolls out without one",
     "harness.run_skill_episode_policy.decide(ex)": "`episodes.rollout` calls every "
                                                    "decide with the expert's label; the "

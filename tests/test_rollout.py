@@ -6,10 +6,10 @@ import hashlib
 
 import numpy as np
 
-from gridhouse import trainer as TR, world as W
-from gridhouse.agents import HierarchicalAgent, ModelConfig, act_episode
+from gridhouse import harness, trainer as TR, world as W
+from gridhouse.agents import HierarchicalAgent, ModelConfig
 from gridhouse.episodes import rollout, run_expert_episode
-from gridhouse.harness import run_skill_episode_policy
+from gridhouse.harness import act_episode, run_skill_episode_policy
 from gridhouse.planner import (ExpertController, ExpertStep, Irrecoverable,
                                single_subgoal_stream)
 from gridhouse.scenes import builtin_templates
@@ -141,6 +141,32 @@ def test_a_wrong_interaction_that_completes_the_skill_ends_as_success():
 def test_a_rejected_step_ends_irrecoverable_on_its_successor():
     traj = _slice_bread_1(check_success=False)
     assert traj.terminated == "irrecoverable" and len(traj.steps) == 1
+
+
+def test_both_skill_runners_end_on_the_step_that_completes_the_skill(monkeypatch):
+    # evaluation ends a skill episode as pre-training does: Done is an
+    # ordinary step, and the step that completes the skill ends the episode
+    session, rng = SceneSession(TEMPLATES[:2], 5), np.random.default_rng(6)
+    for skill in (Skill.GoTo, Skill.Pickup):
+        episode = sample_skill_episode(session.state, rng, skills=(skill,))
+        sub, start = episode.subgoal, episode.initial_state
+        expert = run_expert_episode(start, single_subgoal_stream(sub, start), HARD,
+                                    max_steps=episode.max_steps)
+        done_at = next(k for k, r in enumerate(expert.steps)
+                       if skill_success(sub, start, r.after))
+        plays = [(A.Done, None)] + [(r.action, r.point) for r in expert.steps[:done_at + 1]]
+        calls = []
+
+        def play(agent, subgoal, obs, last_action, rng, greedy=False):
+            calls.append(subgoal)
+            action, point = plays[min(len(calls), len(plays)) - 1]
+            return action, point, {}
+
+        monkeypatch.setattr(harness, "sub_policy_step", play)
+        assert run_skill_episode_policy(None, episode, HARD, rng)
+        assert len(calls) == len(plays)
+        samples, success, _ = TR.run_skill_episode(None, episode, HARD, rng, 1.0, SMALL)
+        assert success and len(samples) == done_at + 1
 
 
 # --------------------------------------------------------------------------
@@ -290,7 +316,7 @@ def _rollout_digest():
 # change that moves rollout numerics or rng draws on purpose updates it and
 # says so in CHANGES.md.  Same BLAS caveat as the training goldens in
 # test_trainer.py.
-ROLLOUT_SHA256 = "44a5eaf86ff4c093ab4d8c0230c2a89e776ee0a0639ed9487ab3ac92a9656574"
+ROLLOUT_SHA256 = "e966a0c3f143a16daf0c79ed9d98dafb251f4e5db78a8c600124bbec85ca9dc0"
 
 
 def test_rollouts_are_bit_identical_to_the_golden_digest():

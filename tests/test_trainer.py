@@ -413,6 +413,26 @@ def test_answer_skill_draws_cover_every_iqa_task_type(monkeypatch):
     assert set(drawn) == set(iqa)
 
 
+def test_sf_rollouts_never_ask_the_qa_head(monkeypatch):
+    # multi-task training reads the expert's answer label, never the agent's
+    agent = HierarchicalAgent(np.random.default_rng(0), SMALL)
+    agent.high.skill_head.b.data[:] = -1e9
+    agent.high.skill_head.b.data[int(Skill.Answer)] = 1e9
+    forward, calls = agent.qa.forward, []
+
+    def counted(*args):
+        calls.append(args)
+        return forward(*args)
+
+    monkeypatch.setattr(agent.qa, "forward", counted)
+    task = generate_task("IQA", "existence", 0, TEMPLATES[2], 77, np.random.default_rng(2))
+    steps, traj = TR.run_task_episode_sf(
+        agent, task, task_initial_state(task, TEMPLATES[2]), InteractionMode.HARD,
+        np.random.default_rng(3), 0.0, SMALL, VOCAB)
+    assert len(steps) == task.max_steps and calls == []
+    assert {r.subgoal.skill for r in traj.steps} == {Skill.Answer}
+
+
 def test_every_end_step_reaches_the_multitask_loss(monkeypatch):
     # the high level learns to stop only if an episode's End step is one of
     # the skill labels multitask_episode_loss trains on
