@@ -88,7 +88,8 @@ class Module:
         """Load every parameter by name, cast to T.DEFAULT_DTYPE (a float64
         checkpoint loads rounded to float32).  The names must match
         exactly: a mismatch raises CheckpointMismatch listing the unknown
-        and the missing names."""
+        and the missing names, and a shape mismatch raises ShapeMismatch.
+        Either is raised before any parameter is loaded."""
         own = dict(self.named_parameters())
         unknown = sorted(set(arrays) - set(own))
         missing = sorted(set(own) - set(arrays))
@@ -97,6 +98,7 @@ class Module:
         for name, arr in arrays.items():
             if own[name].data.shape != arr.shape:
                 raise ShapeMismatch(f"{name}: {own[name].data.shape} vs {arr.shape}")
+        for name, arr in arrays.items():
             own[name].data = arr.astype(T.DEFAULT_DTYPE, copy=True)
 
 

@@ -303,10 +303,10 @@ class EpisodeBatch:
     steps: list                       # StepSample with hl_last_* fields set
 
 
-def multitask_episode_loss(agent, episode: EpisodeBatch, cfg: ModelConfig,
-                           weights: LossWeights):
-    """High-level skill/object CE plus the indicator-gated sub-policy loss,
-    averaged over the episode's steps."""
+def high_level_logits(agent, episode: EpisodeBatch, cfg: ModelConfig):
+    """(skill logits (N, |Skill|), object logits (N, C)) of the high level
+    over an episode's N steps, teacher-forced on their recorded last
+    actions and previous sub-goals."""
     steps = episode.steps
     n = len(steps)
     if n == 0:
@@ -321,8 +321,16 @@ def multitask_episode_loss(agent, episode: EpisodeBatch, cfg: ModelConfig,
         [s.hl_last_obj for s in steps])
     hs = nn.gru_sequence(agent.high.gru, flat,
                          np.zeros(cfg.hidden, dtype=T.DEFAULT_DTYPE))
-    skill_logits = agent.high.skill_head(hs)
-    obj_logits = agent.high.obj_head(hs)
+    return agent.high.skill_head(hs), agent.high.obj_head(hs)
+
+
+def multitask_episode_loss(agent, episode: EpisodeBatch, cfg: ModelConfig,
+                           weights: LossWeights):
+    """High-level skill/object CE plus the indicator-gated sub-policy loss,
+    averaged over the episode's steps."""
+    steps = episode.steps
+    n = len(steps)
+    skill_logits, obj_logits = high_level_logits(agent, episode, cfg)
     loss = nn.cross_entropy_rows(skill_logits, [s.skill for s in steps])
     obj_rows = [i for i, s in enumerate(steps) if s.obj < cfg.num_classes]
     if obj_rows:
@@ -333,6 +341,34 @@ def multitask_episode_loss(agent, episode: EpisodeBatch, cfg: ModelConfig,
     for part, k in _sub_policy_losses(agent, steps, cfg, weights):
         sub_loss = sub_loss + T.mul(part, k)
     return T.mul(loss + sub_loss, 1.0 / n)
+
+
+@T.no_grad()
+def subgoal_accuracy(agent, episodes, cfg: ModelConfig):
+    """Teacher-forced sub-goal accuracy of the high level over (task
+    family, EpisodeBatch) pairs of expert-labelled episodes
+    (`run_task_episode_sf` at eps 1).
+
+    A step counts in its task family's group, except that End and Answer
+    steps count in the groups "End" and "Answer".  Per group: the steps,
+    the share whose argmax skill is the label, and, over the steps with
+    an object label, their count and the share whose argmax object is the
+    label (None when there are none)."""
+    terminal = {int(Skill.End): "End", int(Skill.Answer): "Answer"}
+    counts = {}
+    for family, episode in episodes:
+        skill_logits, obj_logits = high_level_logits(agent, episode, cfg)
+        for s, skill, obj in zip(episode.steps, skill_logits.data.argmax(axis=1),
+                                 obj_logits.data.argmax(axis=1)):
+            c = counts.setdefault(terminal.get(s.skill, family), [0, 0, 0, 0])
+            c[0] += 1
+            c[1] += int(skill == s.skill)
+            if s.obj < cfg.num_classes:
+                c[2] += 1
+                c[3] += int(obj == s.obj)
+    return {group: {"steps": n, "skill": hits / n, "object_steps": m,
+                    "object": obj_hits / m if m else None}
+            for group, (n, hits, m, obj_hits) in counts.items()}
 
 
 # --------------------------------------------------------------------------

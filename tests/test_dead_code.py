@@ -15,6 +15,8 @@ PACKAGE = ROOT / "src" / "gridhouse"
 ALLOWED = {
     "write_trajectory": "trajectory logs for `gridhouse replay`; eval is to write "
                         "them (ROADMAP direction 4)",
+    "subgoal_accuracy": "rung 1 of the learning ladder; `learn-check` is to report "
+                        "it (ROADMAP direction 1)",
 }
 
 

@@ -234,90 +234,125 @@ def _num(v):
     return float(v)
 
 
-def _rollout_digest():
-    """SHA-256 over what every rollout function records on fixed seeds:
-    actions, points, step results, state hashes, training labels, rewards,
-    answers and endings."""
+def _digest(feed):
+    """SHA-256 over the repr of every argument tuple `feed(put)` puts."""
     h = hashlib.sha256()
-
-    def put(*xs):
-        h.update(repr(xs).encode())
-
-    def put_traj(traj):
-        for r in traj.steps:
-            put(r.t, r.subgoal, r.action.name, _num(r.point), r.success, r.reason,
-                r.target, r.state_hash)
-        put(traj.terminated, traj.answer, state_hash(traj.final_state))
-
-    def put_samples(samples):
-        for s in samples:
-            put(s.family, s.skill, s.obj, s.last_action, s.expert_action,
-                s.expert_cell >= 0, s.expert_cell, _num(s.expert_delta),
-                [(c, _num(xy), _num(r)) for c, xy, r in s.centers],
-                s.action, s.cell, _num(s.delta), _num(s.reward), s.done,
-                s.hl_last_skill, SMALL.num_classes if s.hl_last_obj < 0 else s.hl_last_obj,
-                s.answer_tokens, s.answer_label)
-
-    agent = HierarchicalAgent(np.random.default_rng(np.random.SeedSequence([0, 12001])),
-                              SMALL)
-    exin = generate_task("EXIN", "pickup", 0, TEMPLATES[0], 9, np.random.default_rng(1))
-    iqa = generate_task("IQA", "existence", 0, TEMPLATES[2], 77, np.random.default_rng(2))
-    tasks = [(exin, TEMPLATES[0]), (iqa, TEMPLATES[2])]
-
-    for task, template in tasks:
-        state = task_initial_state(task, template)
-        for greedy in (True, False):
-            put_traj(act_episode(agent, task, state, HARD, np.random.default_rng(3),
-                                 greedy=greedy, vocab=VOCAB))
-        rng = np.random.default_rng(4)
-        for eps in (0.5, 0.5, 0.5, 1.0):
-            samples, traj = TR.run_task_episode_sf(agent, task, state, HARD, rng,
-                                                   eps, SMALL, VOCAB)
-            put_samples(samples)
-            put(traj.answer, state_hash(traj.final_state))
-
-    session = SceneSession(TEMPLATES[:2], 5)
-    rng = np.random.default_rng(6)
-    interact = tuple(s for s in PRETRAIN_SKILLS if s is not Skill.GoTo)
-    for k in range(8):
-        episode = sample_skill_episode(session.state, rng,
-                                       skills=interact if k % 4 else (Skill.GoTo,))
-        samples, success, final = TR.run_skill_episode(
-            agent, episode, HARD, rng, 0.5, SMALL, collect_ppo=True)
-        put_samples(samples)
-        put(success, state_hash(final))
-        for greedy in (True, False):
-            ok = run_skill_episode_policy(agent, episode, HARD, rng, greedy=greedy)
-            put(ok)
-        session.reset_scene()
-
-    for task, template in tasks:
-        rng = np.random.default_rng(7)
-        actions = sorted(INTERACTIVE_ACTIONS)
-
-        def intervene(t, cur, geom, obs, ex):
-            visible = sorted(obs.visible_instance_cells().items())
-            if rng.random() >= 0.3 or not visible:
-                return None
-            _iid, cells = visible[int(rng.integers(len(visible)))]
-            col, row = cells[int(rng.integers(len(cells)))]
-            return actions[int(rng.integers(len(actions)))], (col + .5, row + .5)
-
-        for hook in (None, intervene):
-            put_traj(run_expert_episode(task_initial_state(task, template),
-                                        remaining_fn(task), HARD,
-                                        max_steps=task.max_steps,
-                                        expected_answer=task.answer,
-                                        intervene=hook))
+    feed(lambda *xs: h.update(repr(xs).encode()))
     return h.hexdigest()
 
 
-# Computed before the step loops were merged into `episodes.rollout`; a
-# change that moves rollout numerics or rng draws on purpose updates it and
-# says so in CHANGES.md.  Same BLAS caveat as the training goldens in
-# test_trainer.py.
-ROLLOUT_SHA256 = "e966a0c3f143a16daf0c79ed9d98dafb251f4e5db78a8c600124bbec85ca9dc0"
+def _put_traj(put, traj):
+    for r in traj.steps:
+        put(r.t, r.subgoal, r.action.name, _num(r.point), r.success, r.reason,
+            r.target, r.state_hash)
+    put(traj.terminated, traj.answer, state_hash(traj.final_state))
+
+
+def _put_samples(put, samples):
+    for s in samples:
+        put(s.family, s.skill, s.obj, s.last_action, s.expert_action,
+            s.expert_cell >= 0, s.expert_cell, _num(s.expert_delta),
+            [(c, _num(xy), _num(r)) for c, xy, r in s.centers],
+            s.action, s.cell, _num(s.delta), _num(s.reward), s.done,
+            s.hl_last_skill, SMALL.num_classes if s.hl_last_obj < 0 else s.hl_last_obj,
+            s.answer_tokens, s.answer_label)
+
+
+def _skill_episodes():
+    """Eight sampled skill episodes, GoTo every fourth, on fixed seeds."""
+    session = SceneSession(TEMPLATES[:2], 5)
+    rng = np.random.default_rng(6)
+    interact = tuple(s for s in PRETRAIN_SKILLS if s is not Skill.GoTo)
+    episodes = []
+    for k in range(8):
+        episodes.append(sample_skill_episode(session.state, rng,
+                                             skills=interact if k % 4 else (Skill.GoTo,)))
+        session.reset_scene()
+    return episodes
+
+
+def _rollout_digests():
+    """{runner: SHA-256 over what it records on fixed seeds}: actions,
+    points, step results, state hashes, training labels, rewards, answers
+    and endings.  Each runner draws from an rng of its own, so a change to
+    one runner moves only its digest."""
+    agent = HierarchicalAgent(np.random.default_rng(np.random.SeedSequence([0, 12001])),
+                              SMALL)
+    tasks = _golden_tasks()
+    skill_episodes = _skill_episodes()
+
+    def act(put):
+        for task, template in tasks:
+            state = task_initial_state(task, template)
+            for greedy in (True, False):
+                _put_traj(put, act_episode(agent, task, state, HARD,
+                                           np.random.default_rng(3), greedy=greedy,
+                                           vocab=VOCAB))
+
+    def task_sf(put):
+        for task, template in tasks:
+            state = task_initial_state(task, template)
+            rng = np.random.default_rng(4)
+            for eps in (0.5, 0.5, 0.5, 1.0):
+                samples, traj = TR.run_task_episode_sf(agent, task, state, HARD, rng,
+                                                       eps, SMALL, VOCAB)
+                _put_samples(put, samples)
+                put(traj.answer, state_hash(traj.final_state))
+
+    def skill(put):
+        rng = np.random.default_rng(8)
+        for episode in skill_episodes:
+            samples, success, final = TR.run_skill_episode(
+                agent, episode, HARD, rng, 0.5, SMALL, collect_ppo=True)
+            _put_samples(put, samples)
+            put(success, state_hash(final))
+
+    def skill_policy(put):
+        rng = np.random.default_rng(9)
+        for episode in skill_episodes:
+            for greedy in (True, False):
+                put(run_skill_episode_policy(agent, episode, HARD, rng, greedy=greedy))
+
+    def expert(put, intervened):
+        actions = sorted(INTERACTIVE_ACTIONS)
+        for task, template in tasks:
+            rng = np.random.default_rng(7)
+
+            def intervene(t, cur, geom, obs, ex):
+                visible = sorted(obs.visible_instance_cells().items())
+                if rng.random() >= 0.3 or not visible:
+                    return None
+                _iid, cells = visible[int(rng.integers(len(visible)))]
+                col, row = cells[int(rng.integers(len(cells)))]
+                return actions[int(rng.integers(len(actions)))], (col + .5, row + .5)
+
+            _put_traj(put, run_expert_episode(task_initial_state(task, template),
+                                              remaining_fn(task), HARD,
+                                              max_steps=task.max_steps,
+                                              expected_answer=task.answer,
+                                              intervene=intervene if intervened else None))
+
+    return {name: _digest(feed) for name, feed in (
+        ("act_episode", act), ("run_task_episode_sf", task_sf),
+        ("run_skill_episode", skill), ("run_skill_episode_policy", skill_policy),
+        ("run_expert_episode", lambda put: expert(put, False)),
+        ("run_expert_episode+intervene", lambda put: expert(put, True)))}
+
+
+# One digest per rollout runner; a change that moves a runner's numerics or
+# rng draws on purpose updates that runner's digest and says so in
+# CHANGES.md.  Same BLAS caveat as the training goldens in test_trainer.py.
+ROLLOUT_SHA256 = {
+    "act_episode": "bd77ce20f90536781200e8d6dc329ee6d351fcc5226dfe86a4719a341f4b933c",
+    "run_task_episode_sf": "5c4af81e32d2c91780e6e7615128f885dd1f42283d9bf8521a874e7663de0649",
+    "run_skill_episode": "11d6e73cb8c170bdc014f177dc0e4c11fa96fec8a454282d25e4d76a482ceb4c",
+    "run_skill_episode_policy":
+        "8b585683aeeeaab64dcc85221585f6ab7679d8760ec7922867c36c84d2d1fab5",
+    "run_expert_episode": "40ac398fb26ff2d287855abbf590aa002a4f73cf5f8009eeabe0271af746cd9b",
+    "run_expert_episode+intervene":
+        "a8db70db9fb5a68fdd3a35a227e0d54562a9b554f69813e0f19f8184ff19ab7f",
+}
 
 
 def test_rollouts_are_bit_identical_to_the_golden_digest():
-    assert _rollout_digest() == ROLLOUT_SHA256
+    assert _rollout_digests() == ROLLOUT_SHA256

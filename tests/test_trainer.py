@@ -510,6 +510,52 @@ def test_rollout_and_training_feed_the_high_level_the_same_ids(monkeypatch):
         assert objects[0] == SMALL.num_classes and min(objects) < SMALL.num_classes
 
 
+def test_subgoal_accuracy_groups_every_expert_step(monkeypatch):
+    from gridhouse.tasks import instruction_tokens
+
+    agent = HierarchicalAgent(np.random.default_rng(0), SMALL)
+    by_id = {t["template_id"]: t for t in TEMPLATES}
+    episodes = []
+    for task in (generate_task("EXIN", "pickup", 0, TEMPLATES[0], 9, np.random.default_rng(1)),
+                 generate_task("IQA", "existence", 0, TEMPLATES[2], 77,
+                               np.random.default_rng(2))):
+        steps, _traj = TR.run_task_episode_sf(
+            agent, task, task_initial_state(task, by_id[task.scene_template_id]),
+            InteractionMode.HARD, np.random.default_rng(3), 1.0, SMALL, VOCAB)
+        episodes.append((task.family, EpisodeBatch(instruction_tokens(task, VOCAB), steps)))
+    labels = [s for _, ep in episodes for s in ep.steps]
+    expected = {"End": sum(s.skill == Skill.End for s in labels),
+                "Answer": sum(s.skill == Skill.Answer for s in labels)}
+    for family, ep in episodes:
+        expected[family] = sum(s.skill not in (Skill.End, Skill.Answer) for s in ep.steps)
+    assert min(expected.values()) > 0
+
+    acc = TR.subgoal_accuracy(agent, episodes, SMALL)
+    assert {g: a["steps"] for g, a in acc.items()} == expected
+    assert all(0.0 <= a["skill"] <= 1.0 for a in acc.values())
+    # End and Answer carry no object; every GoTo and interaction does
+    assert acc["End"]["object"] is acc["Answer"]["object"] is None
+    for family, _ep in episodes:
+        assert acc[family]["object_steps"] == expected[family]
+
+    def oracle(shift):
+        # one-hot logits on each step's labels, moved `shift` classes on
+        def logits(agent, episode, cfg):
+            skills = np.eye(len(Skill))[[(s.skill + shift) % len(Skill)
+                                         for s in episode.steps]]
+            objs = np.eye(cfg.num_classes)[[(s.obj + shift) % cfg.num_classes
+                                            for s in episode.steps]]
+            return T.Tensor(skills), T.Tensor(objs)
+        return logits
+
+    for shift, share in ((0, 1.0), (1, 0.0)):
+        monkeypatch.setattr(TR, "high_level_logits", oracle(shift))
+        acc = TR.subgoal_accuracy(agent, episodes, SMALL)
+        for family, _ep in episodes:
+            assert acc[family]["skill"] == acc[family]["object"] == share
+        assert acc["End"]["skill"] == acc["Answer"]["skill"] == share
+
+
 # --------------------------------------------------------------------------
 # pretrain driver
 
