@@ -77,16 +77,6 @@ def _nhwc_to_nchw(x):
     return T.permute(x, (0, 3, 1, 2))
 
 
-def _replicate_concat(cond, z_img):
-    """cond (N, D) tiled over the spatial grid and stacked on z_img."""
-    n, d = cond.shape
-    _, di, h, w = z_img.shape
-    tiled = T.reshape(cond, (n, d, 1))
-    tiled = T.mul(tiled, np.ones((1, 1, h * w), dtype=T.DEFAULT_DTYPE))
-    tiled = T.reshape(tiled, (n, d, h, w))
-    return T.concat([tiled, z_img], axis=1)
-
-
 class TaskEncoder(Module):
     def __init__(self, rng, cfg: ModelConfig):
         super().__init__()
@@ -109,9 +99,21 @@ def _encode_tokens(tok, gru, token_rows):
     return T.stack(outs, axis=0)
 
 
+def _context_and_image(cond, z_img):
+    """[cond (N, D) * h * w; z_img (N, d, h, w) flattened]: (N, D + d * h * w).
+
+    The context counts once per cell, as it did when it was tiled over
+    the grid: a weight on the tiled context summed h * w blocks, each of
+    which Adam moved by about lr per step.  Scaling the context by h * w
+    keeps that rate for the one block; unscaled, the sub-goal head learned
+    far slower (teacher-forced sub-goal accuracy, CHANGES.md)."""
+    n, d, h, w = z_img.shape
+    return T.concat([T.mul(cond, float(h * w)), T.reshape(z_img, (n, d * h * w))], axis=-1)
+
+
 class HighLevelPolicy(Module):
-    """Per-step sub-goal head: GRU over [replicated context; image feature]
-    flattened, then factorized skill and object logits."""
+    """Per-step sub-goal head: GRU over [context; image feature flattened],
+    then factorized skill and object logits."""
 
     def __init__(self, rng, cfg: ModelConfig):
         super().__init__()
@@ -122,7 +124,7 @@ class HighLevelPolicy(Module):
         comp_in = cfg.task_dim + 3 * cfg.ctx_dim
         self.comp1 = self.add_child("comp1", Linear(rng, comp_in, 128))
         self.comp2 = self.add_child("comp2", Linear(rng, 128, cfg.cond_dim))
-        gru_in = (cfg.cond_dim + cfg.d) * cfg.grid * cfg.grid
+        gru_in = cfg.cond_dim + cfg.d * cfg.grid * cfg.grid
         self.gru = self.add_child("gru", GRUCell(rng, gru_in, cfg.hidden))
         self.skill_head = self.add_child("skill_head", Linear(rng, cfg.hidden, len(Skill)))
         self.obj_head = self.add_child("obj_head", Linear(rng, cfg.hidden, cfg.num_classes))
@@ -139,11 +141,10 @@ class HighLevelPolicy(Module):
         return self.comp2(T.relu(self.comp1(z)))
 
     def gru_input(self, z_task, z_img, last_action, last_skill, last_obj):
-        """The context tiled over the image grid and stacked on it,
-        flattened: (N, (cond_dim + d) * grid * grid)."""
-        feat = _replicate_concat(
+        """The context followed by the image feature flattened:
+        (N, cond_dim + d * grid * grid)."""
+        return _context_and_image(
             self.context(z_task, last_action, last_skill, last_obj), z_img)
-        return T.reshape(feat, (feat.shape[0], feat.shape[1] * feat.shape[2] * feat.shape[3]))
 
     def step(self, z_task, z_img, last_action, last_skill, last_obj, hidden):
         h = self.gru(self.gru_input(z_task, z_img, last_action, last_skill, last_obj), hidden)
@@ -152,22 +153,26 @@ class HighLevelPolicy(Module):
 
 class PointingHead(Module):
     """Discrete grid logits plus per-cell offset mean/variance, and the
-    auxiliary per-class center heatmap."""
+    auxiliary per-class center heatmap.  The conditioning enters as a
+    per-channel shift of the first 1x1 convolution's output, the same at
+    every cell."""
 
-    def __init__(self, rng, cfg: ModelConfig, in_ch):
+    def __init__(self, rng, cfg: ModelConfig):
         super().__init__()
         self.cfg = cfg
         d = cfg.point_dim
-        self.conv1 = self.add_child("conv1", Conv2d(rng, in_ch, d, k=1))
+        self.conv1 = self.add_child("conv1", Conv2d(rng, cfg.d, d, k=1))
+        self.ctx = self.add_child("ctx", Linear(rng, cfg.cond_dim, d))
         self.conv2 = self.add_child("conv2", Conv2d(rng, d, d, k=3, stride=1, pad=1))
         self.grid_head = self.add_child("grid_head", Conv2d(rng, d, 1, k=1))
         self.mu_head = self.add_child("mu_head", Conv2d(rng, d, 2, k=1))
         self.nu_head = self.add_child("nu_head", Conv2d(rng, d, 2, k=1))
         self.heat_head = self.add_child("heat_head", Conv2d(rng, d, cfg.num_classes, k=1))
 
-    def __call__(self, feat):
-        aug = T.relu(self.conv2(T.relu(self.conv1(feat))))
-        n = aug.shape[0]
+    def __call__(self, cond, z_img):
+        n = z_img.shape[0]
+        shift = T.reshape(self.ctx(cond), (n, self.cfg.point_dim, 1, 1))
+        aug = T.relu(self.conv2(T.relu(self.conv1(z_img) + shift)))
         b = self.cfg.grid
         grid_logits = T.reshape(self.grid_head(aug), (n, b * b))
         mu = T.reshape(self.mu_head(aug), (n, 2, b * b))
@@ -177,8 +182,9 @@ class PointingHead(Module):
 
 
 class SubPolicy(Module):
-    """Shared trunk for navigation/interaction: conditioning embeddings,
-    action head, value head, optional pointing head."""
+    """Shared trunk for navigation/interaction: conditioning embeddings, a
+    trunk over [conditioning; image feature flattened], action head, value
+    head, optional pointing head."""
 
     def __init__(self, rng, cfg: ModelConfig, n_actions, pointing):
         super().__init__()
@@ -186,14 +192,13 @@ class SubPolicy(Module):
         self.skill_emb = self.add_child("skill_emb", Embedding(rng, len(Skill) + 1, cfg.ctx_dim))
         self.obj_emb = self.add_child("obj_emb", Embedding(rng, cfg.num_classes + 1, cfg.ctx_dim))
         self.cond = self.add_child("cond", Linear(rng, 3 * cfg.ctx_dim, cfg.cond_dim))
-        feat_ch = cfg.cond_dim + cfg.d
-        flat_in = feat_ch * cfg.grid * cfg.grid
+        flat_in = cfg.cond_dim + cfg.d * cfg.grid * cfg.grid
         self.trunk = self.add_child("trunk", Linear(rng, flat_in, cfg.trunk_dim))
         self.action_head = self.add_child("action_head", Linear(rng, cfg.trunk_dim, n_actions))
         self.value_head = self.add_child("value_head", Linear(rng, cfg.trunk_dim, 1))
         self.pointing = None
         if pointing:
-            self.pointing = self.add_child("pointing", PointingHead(rng, cfg, feat_ch))
+            self.pointing = self.add_child("pointing", PointingHead(rng, cfg))
 
     def conditioning(self, last_action, skill, obj):
         z = T.concat([self.act_emb(np.asarray(last_action, dtype=np.int64)),
@@ -202,13 +207,11 @@ class SubPolicy(Module):
         return self.cond(z)
 
     def forward(self, cond, z_img):
-        feat = _replicate_concat(cond, z_img)
-        n = feat.shape[0]
-        flat = T.reshape(feat, (n, feat.shape[1] * feat.shape[2] * feat.shape[3]))
-        hid = T.relu(self.trunk(flat))
+        n = z_img.shape[0]
+        hid = T.relu(self.trunk(_context_and_image(cond, z_img)))
         action_logits = self.action_head(hid)
         value = T.reshape(self.value_head(hid), (n,))
-        point = self.pointing(feat) if self.pointing is not None else None
+        point = self.pointing(cond, z_img) if self.pointing is not None else None
         return action_logits, value, point
 
 

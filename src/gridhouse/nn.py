@@ -103,8 +103,12 @@ class Module:
 
 
 def _glorot(rng, shape, fan_in, fan_out):
-    scale = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-scale, scale, size=shape)
+    """Uniform(-s, s) draws in float32, s = sqrt(6 / (fan_in + fan_out))."""
+    scale = np.float32(np.sqrt(6.0 / (fan_in + fan_out)))
+    w = rng.random(shape, dtype=np.float32)
+    w *= 2 * scale
+    w -= scale
+    return w
 
 
 class Linear(Module):
@@ -120,7 +124,9 @@ class Linear(Module):
 class Embedding(Module):
     def __init__(self, rng, num, dim):
         super().__init__()
-        self.table = self.register("table", rng.normal(0.0, 0.1, size=(num, dim)))
+        table = rng.standard_normal((num, dim), dtype=np.float32)
+        table *= np.float32(0.1)
+        self.table = self.register("table", table)
 
     def __call__(self, idx):
         return self.table[np.asarray(idx, dtype=np.int64)]

@@ -703,11 +703,14 @@ def run_task_episode_sf(agent, task, state, mode, rng, eps, cfg, vocab):
     """Multi-task SF rollout: epsilon-mixed actions, recovery-planner
     supervision, per-step high-level labels.  Returns the labelled steps
     and the trajectory, which records no answer: training reads the
-    expert's answer label, never the agent's."""
+    expert's answer label, never the agent's.  At eps = 1 the expert acts
+    on every step, so the high level runs no forward."""
     tokens = instruction_tokens(task, vocab)
-    with T.no_grad():
-        z_task = agent.task_enc([tokens])
-    hidden = agent.high.initial_hidden()
+    agent_acts = eps < 1
+    if agent_acts:
+        with T.no_grad():
+            z_task = agent.task_enc([tokens])
+        hidden = agent.high.initial_hidden()
     samples = []
 
     def decide(traj, state, ex):
@@ -716,8 +719,9 @@ def run_task_episode_sf(agent, task, state, mode, rng, eps, cfg, vocab):
         prev = traj.steps[-1] if traj.steps else None
         last_action = None if prev is None else prev.action
         last_sub = None if prev is None else prev.subgoal
-        sub, hidden = high_level_step(
-            agent, z_task, obs, last_action, last_sub, hidden, rng, greedy=False)
+        if agent_acts:
+            sub, hidden = high_level_step(
+                agent, z_task, obs, last_action, last_sub, hidden, rng, greedy=False)
         samples.append(_task_sample(obs, ex, last_action, last_sub, task, tokens, cfg))
         if rng.random() < eps:
             sub, action, point = ex.subgoal, ex.action, ex.point

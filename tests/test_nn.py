@@ -546,6 +546,37 @@ def test_checkpoint_of_another_agent_is_rejected_with_its_names(tmp_path, capsys
         assert err == f"error: FileNotFoundError: split not found: {tmp_path / 'train.jsonl'}\n"
 
 
+def test_a_checkpoint_in_the_tiled_layout_is_refused_and_not_loaded():
+    # the layout that tiled the context over the grid: trunks and GRU gates
+    # read (cond_dim + d) * grid^2 inputs, and the pointing head's conv1
+    # read the tiled context as channels, with no context weights of its own
+    from gridhouse.agents import HierarchicalAgent, ModelConfig
+
+    cfg = ModelConfig(num_classes=10, vocab_size=40)
+    tiled_in = (cfg.cond_dim + cfg.d) * cfg.grid * cfg.grid
+    agent = HierarchicalAgent(np.random.default_rng(0), cfg)
+    before = {name: arr.copy() for name, arr in agent.state_arrays().items()}
+    rng = np.random.default_rng(1)
+    shapes = {name: arr.shape for name, arr in before.items()
+              if not name.startswith("interact.pointing.ctx.")}
+    shapes.update({"nav.trunk.w": (cfg.trunk_dim, tiled_in),
+                   "interact.trunk.w": (cfg.trunk_dim, tiled_in),
+                   "interact.pointing.conv1.w": (cfg.point_dim, cfg.cond_dim + cfg.d, 1, 1)})
+    for gate in ("w_z", "w_r", "w_h"):
+        shapes[f"high.gru.{gate}"] = (cfg.hidden, tiled_in + cfg.hidden)
+    assert tiled_in == 8192 and shapes["high.gru.w_z"] == (128, 8320)
+    tiled = {name: rng.normal(size=shape).astype(np.float32) for name, shape in shapes.items()}
+    with pytest.raises(nn.CheckpointMismatch) as err:
+        agent.load_state_arrays(tiled)
+    assert "interact.pointing.ctx.w" in str(err.value)
+    # with the context weights added the names match, and the shapes refuse it
+    tiled.update({name: before[name] for name in before if name not in tiled})
+    with pytest.raises(nn.ShapeMismatch):
+        agent.load_state_arrays(tiled)
+    for name, arr in agent.state_arrays().items():
+        np.testing.assert_array_equal(arr, before[name], err_msg=name)
+
+
 def test_plan_check_refuses_an_empty_split(tmp_path, capsys):
     from gridhouse.cli import main
 

@@ -343,9 +343,9 @@ def _rollout_digests():
 # rng draws on purpose updates that runner's digest and says so in
 # CHANGES.md.  Same BLAS caveat as the training goldens in test_trainer.py.
 ROLLOUT_SHA256 = {
-    "act_episode": "bd77ce20f90536781200e8d6dc329ee6d351fcc5226dfe86a4719a341f4b933c",
-    "run_task_episode_sf": "5c4af81e32d2c91780e6e7615128f885dd1f42283d9bf8521a874e7663de0649",
-    "run_skill_episode": "11d6e73cb8c170bdc014f177dc0e4c11fa96fec8a454282d25e4d76a482ceb4c",
+    "act_episode": "27a6ceeddc87236bf48d6a2114141c700bb2d46807353204c6af28c877e54a55",
+    "run_task_episode_sf": "a07868c40c0dfc8b21ebbd206de7d44bb08588da59ca22e04725c1015f2b1be6",
+    "run_skill_episode": "a39b938b25ef92b1845cedd94fedd80b88c5890a9f041a85aff52d2846ed80ee",
     "run_skill_episode_policy":
         "8b585683aeeeaab64dcc85221585f6ab7679d8760ec7922867c36c84d2d1fab5",
     "run_expert_episode": "40ac398fb26ff2d287855abbf590aa002a4f73cf5f8009eeabe0271af746cd9b",

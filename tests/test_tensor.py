@@ -156,7 +156,7 @@ def test_concat_stack_reshape_grads():
 NUM_CLASSES = len(desk_registry())
 # (cin, size, cout, kernel, stride, pad) of every convolution HierarchicalAgent
 # runs: GridEncoder conv1 and conv2, PointingHead conv1, conv2 and its heads
-MODEL_CONVS = [(13, 32, 24, 3, 2, 1), (24, 16, 64, 3, 2, 1), (128, 8, 48, 1, 1, 0),
+MODEL_CONVS = [(13, 32, 24, 3, 2, 1), (24, 16, 64, 3, 2, 1), (64, 8, 48, 1, 1, 0),
                (48, 8, 48, 3, 1, 1), (48, 8, 1, 1, 1, 0), (48, 8, 2, 1, 1, 0),
                (48, 8, NUM_CLASSES, 1, 1, 0)]
 CONV_KSP = sorted({(k, stride, pad) for *_, k, stride, pad in MODEL_CONVS})

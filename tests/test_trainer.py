@@ -493,9 +493,10 @@ def test_rollout_and_training_feed_the_high_level_the_same_ids(monkeypatch):
 
         with monkeypatch.context() as m:
             m.setattr(agent.high, "step", record_step)
+            # below eps 1 the high level steps on every step, whoever acts
             steps, _traj = TR.run_task_episode_sf(
                 agent, task, task_initial_state(task, by_id[task.scene_template_id]),
-                InteractionMode.HARD, np.random.default_rng(3), 1.0, SMALL, VOCAB)
+                InteractionMode.HARD, np.random.default_rng(3), 0.5, SMALL, VOCAB)
         with monkeypatch.context() as m:
             m.setattr(agent.high, "gru_input", record_gru_input)
             with T.no_grad():
@@ -508,6 +509,20 @@ def test_rollout_and_training_feed_the_high_level_the_same_ids(monkeypatch):
         # the episode starts with no previous object and later has one
         objects = trained[0][2]
         assert objects[0] == SMALL.num_classes and min(objects) < SMALL.num_classes
+
+
+def test_an_expert_only_rollout_runs_no_high_level_forward(monkeypatch):
+    agent = HierarchicalAgent(np.random.default_rng(0), SMALL)
+    calls = []
+    monkeypatch.setattr(TR, "high_level_step", lambda *args, **kw: calls.append(args))
+    monkeypatch.setattr(type(agent.task_enc), "__call__", lambda *args: calls.append(args))
+    task = generate_task("EXIN", "pickup", 0, TEMPLATES[0], 9, np.random.default_rng(1))
+    steps, traj = TR.run_task_episode_sf(agent, task, task_initial_state(task, TEMPLATES[0]),
+                                         InteractionMode.HARD, np.random.default_rng(3),
+                                         1.0, SMALL, VOCAB)
+    assert calls == []
+    assert traj.terminated == "end" and len(steps) == len(traj.steps)
+    assert [s.skill for s in steps] == [int(r.expert.subgoal.skill) for r in traj.steps]
 
 
 def test_subgoal_accuracy_groups_every_expert_step(monkeypatch):
@@ -778,8 +793,8 @@ def _parameter_sha256(agent):
 # numerics on purpose updates them and says so in CHANGES.md.  float32
 # BLAS sums can differ between BLAS builds and CPUs; these were computed
 # with numpy 2.4 and scipy-openblas 0.3.31 on x86-64.
-MICRO_PRETRAIN_SHA256 = "319a6486d7b95c7a1d64fe31bd88442716afb6442ef3c3f80f8711da2844c75a"
-MICRO_FINETUNE_SHA256 = "8df5709eab76139bbb358d92f665c415aa1330d2b9156b9f6a01049b00bafcec"
+MICRO_PRETRAIN_SHA256 = "1bc16330f8bf979b991e742cdf63bafb08afcd4861b0e7720d1b3cd4b75a02c5"
+MICRO_FINETUNE_SHA256 = "a838d0873f78081815acfe957b8cba0d44432844f6efca82fb4ca696396522ea"
 
 
 def test_fixed_seed_training_is_bit_reproducible():
