@@ -8,8 +8,7 @@ from dataclasses import dataclass, field
 
 from .planner import ExpertController, ExpertStep, Irrecoverable
 from .skills import Skill, SubGoal
-from .world import (InteractionMode, PrimitiveAction, WorldState,
-                    cached_geometry, cached_render, state_hash, step)
+from .world import InteractionMode, PrimitiveAction, WorldState, state_hash, step
 
 
 @dataclass
@@ -55,9 +54,10 @@ def rollout(state: WorldState, decide, mode: InteractionMode, max_steps: int,
     Each step takes the controller's label `ex` (None without a
     controller) and calls `decide(traj, state, ex)`, which returns
     `(subgoal, action, point, ends)`.  Nothing here renders: a `decide`
-    that feeds a model calls `cached_render(state)`, the expert renders to
-    aim an interaction, and `step` renders for an interactive action; all
-    three share the state's memo.  The episode ends as
+    that feeds a model reads `state.observation`, the expert reads it to
+    aim an interaction, and `step` reads it for an interactive action; all
+    three share the state's memo, as the expert, `step` and the milestones
+    share `state.geometry`.  The episode ends as
     - "success" after a step whose successor satisfies `succeeded(state)`;
       the controller does not observe that step, so a wrong interaction
       that completes the goal needs no recovery
@@ -69,16 +69,15 @@ def rollout(state: WorldState, decide, mode: InteractionMode, max_steps: int,
     """
     traj = Trajectory()
     for t in range(max_steps):
-        geom = cached_geometry(state)
         ex = None
         if controller is not None:
             try:
-                ex = controller.expert_action(state, geom)
+                ex = controller.expert_action(state)
             except Irrecoverable:
                 traj.terminated = "irrecoverable"
                 break
         subgoal, action, point, ends = decide(traj, state, ex)
-        new_state, res = step(state, action, point, mode, geom)
+        new_state, res = step(state, action, point, mode)
         traj.steps.append(StepRecord(
             t=t, subgoal=subgoal, action=action, point=point,
             success=res.success, reason=res.reason.value if res.reason else None,
@@ -106,15 +105,14 @@ def run_expert_episode(initial_state: WorldState, remaining_fn,
                        intervene=None) -> Trajectory:
     """Execute the privileged expert until End or the step budget.
 
-    `intervene(t, state, geom, obs, expert_step)` may return a replacement
+    `intervene(t, state, expert_step)` may return a replacement
     (action, point) to inject a wrong action (used by recovery tests); the
     controller then monitors and recovers exactly as during training.
     """
     def decide(traj, state, ex):
         action, point = ex.action, ex.point
         if intervene is not None:
-            swap = intervene(len(traj.steps), state, cached_geometry(state),
-                             cached_render(state), ex)
+            swap = intervene(len(traj.steps), state, ex)
             if swap is not None:
                 action, point = swap
         own = action is ex.action

@@ -17,7 +17,7 @@ from .tasks import (FAMILIES, TEMPLATES, UnsatisfiableTemplate, generate_task,
                     task_success)
 # `env_step` stays bound: the benchmark's tracer finds `world.step` through
 # this alias too (perfbench/tests/test_spans.py)
-from .world import InteractionMode, cached_render, step as env_step
+from .world import InteractionMode, step as env_step
 
 
 class MissingCheckpoint(FileNotFoundError):
@@ -76,7 +76,7 @@ def act_episode(agent, task, initial_state, mode: InteractionMode, rng,
 
     def decide(traj, state, ex):
         nonlocal hidden
-        obs = cached_render(state)
+        obs = state.observation
         prev = traj.steps[-1] if traj.steps else None
         last_action = None if prev is None else prev.action
         sub, hidden = high_level_step(
@@ -130,7 +130,7 @@ def run_skill_episode_policy(agent, episode, mode, rng, greedy=True) -> bool:
     sub, start = episode.subgoal, episode.initial_state
 
     def decide(traj, state, ex):
-        obs = cached_render(state)
+        obs = state.observation
         last = traj.steps[-1].action if traj.steps else None
         action, point, _ = sub_policy_step(agent, sub, obs, last, rng, greedy=greedy)
         return sub, action, point, False
@@ -181,7 +181,7 @@ def eval_answer_skill(agent, templates, vocab, *, n, seed, mode, registry, confi
             continue
         traj = replay_expert(task, template, mode, registry, config)
         probs = qa_answer(agent, instruction_tokens(task, vocab),
-                          cached_render(traj.final_state))
+                          traj.final_state.observation)
         wins += 1 if ANSWER_SPACE[int(np.argmax(probs))] == task.answer else 0
         tries += 1
     return 100.0 * wins / tries if tries else float("nan")

@@ -8,10 +8,10 @@ by inserting a reversing sub-goal.
 
 Navigation labels come from one reverse BFS per (geometry, target cells):
 the distance from every pose to the nearest pose that sees a target cell
-in range, memoized on the `SceneGeometry` that steps moving only the
+in range, memoized on the state's `geometry`, which steps moving only the
 agent share.  Each step takes the first move one level closer, which is
-the path FIFO BFS from the agent's pose would return.  The expert renders
-the observation only to aim an interaction (`expert_point`).
+the path FIFO BFS from the agent's pose would return.  The expert reads
+the state's `observation` only to aim an interaction (`expert_point`).
 """
 
 from __future__ import annotations
@@ -25,8 +25,7 @@ import numpy as np
 from . import world as W
 from .skills import SKILL_PRIMITIVE, Skill, SubGoal, skill_success, state_change
 from .world import (AgentPose, InteractionMode, PrimitiveAction, WorldState,
-                    cached_geometry, cached_render, instance_distance,
-                    line_of_sight)
+                    instance_distance, line_of_sight)
 
 
 class Unreachable(RuntimeError):
@@ -117,7 +116,7 @@ def _pose_masks(w, h):
             blocks(every, pitches=(1,)))
 
 
-def _goal_blocks(state, geom, cell, cells, view):
+def _goal_blocks(state, cell, cells, view):
     """The goal test for every pose at `cell`: the first bits of the
     (heading, pitch) blocks whose pose sees a target cell while standing
     in range of one (not necessarily the same cell)."""
@@ -131,24 +130,26 @@ def _goal_blocks(state, geom, cell, cells, view):
     blocks = 0
     for cx, cy in cells:
         pattern = view.get((cx - ax, cy - ay), 0)
-        if pattern & ~blocks and line_of_sight(geom.opaque, cell, (cx, cy)):
+        if pattern & ~blocks and line_of_sight(state.geometry.opaque, cell, (cx, cy)):
             blocks |= pattern
     return blocks
 
 
-def _goal_test(state, geom, pose, cells):
+def _goal_test(state, cells):
+    """Whether the agent's pose sees a target cell in range."""
     area = state.width * state.height
-    blocks = _goal_blocks(state, geom, pose.cell, cells,
-                          _view_patterns(state.config, area))
+    pose = state.agent
+    blocks = _goal_blocks(state, pose.cell, cells, _view_patterns(state.config, area))
     return bool(blocks >> _block(pose.heading, pose.pitch, area) & 1)
 
 
-def _distance_field(state, geom, cells):
+def _distance_field(state, cells):
     """Levels of one reverse BFS from the goal poses over the moves of
     `nav_pose`: levels[k] holds every pose k moves from the nearest goal
     pose.  It reads only the geometry, the grid size and the config, so it
     is memoized on the geometry per target-cell tuple and serves every
     state that shares the geometry."""
+    geom = state.geometry
     memo = geom.__dict__.setdefault("_fields", {})
     key = tuple(cells)
     levels = memo.get(key)
@@ -162,7 +163,7 @@ def _distance_field(state, geom, cells):
     for x, y in {(x, y) for cx, cy in cells
                  for x in range(max(cx - reach, 0), min(cx + reach + 1, w))
                  for y in range(max(cy - reach, 0), min(cy + reach + 1, h))}:
-        seen |= _goal_blocks(state, geom, (x, y), cells, view) << y * w + x
+        seen |= _goal_blocks(state, (x, y), cells, view) << y * w + x
 
     copies, ahead, north, west, down, up = _pose_masks(w, h)
     free = _bits(~geom.blocked) * copies
@@ -189,12 +190,12 @@ def _distance_field(state, geom, cells):
     return levels
 
 
-def _walk(state, geom, cells):
+def _walk(state, cells):
     """The moves from the agent's pose to the nearest pose that sees a
     target cell in range: at each pose, the first of `_MOVES` whose
     successor is one level closer.  That is the shortest path first in
     `_MOVES` order, the one FIFO BFS with that successor order returns."""
-    levels = _distance_field(state, geom, cells)
+    levels = _distance_field(state, cells)
     node = _node_of(state)
     bit = _pose_bit(state, node)
     dist = next((k for k, level in enumerate(levels) if level >> bit & 1), None)
@@ -202,7 +203,7 @@ def _walk(state, geom, cells):
         raise Unreachable("no pose sees the target in range")
     for closer in reversed(levels[:dist]):
         for action in _MOVES:
-            nxt = W.nav_pose(state, node, action, geom)
+            nxt = W.nav_pose(state, node, action)
             if nxt is not None and closer >> _pose_bit(state, nxt) & 1:
                 break
         yield action
@@ -210,24 +211,23 @@ def _walk(state, geom, cells):
 
 
 def shortest_path_to_instance(state: WorldState, instance_id) -> list[PrimitiveAction]:
-    geom = cached_geometry(state)
-    cells = geom.display_cells.get(instance_id)
+    cells = state.geometry.display_cells.get(instance_id)
     if not cells:
         raise Unreachable(f"instance {instance_id} is not displayed anywhere")
-    return list(_walk(state, geom, cells)) + [PrimitiveAction.Done]
+    return list(_walk(state, cells)) + [PrimitiveAction.Done]
 
 
 # --------------------------------------------------------------------------
 # target selection and expert points
 
 
-def _applicable(state, geom, skill, obj) -> bool:
+def _applicable(state, skill, obj) -> bool:
     change = state_change(skill)
     if change is not None:
         attr, needed, _left = change
         return getattr(obj, attr) is needed
     cls = state.cls(obj)
-    displayed = obj.instance_id in geom.display_cells
+    displayed = obj.instance_id in state.geometry.display_cells
     if skill is Skill.GoTo:
         return displayed
     if skill is Skill.Pickup:
@@ -245,24 +245,23 @@ def _applicable(state, geom, skill, obj) -> bool:
     return False
 
 
-def select_target(state: WorldState, geom, subgoal: SubGoal):
+def select_target(state: WorldState, subgoal: SubGoal):
     """Nearest applicable instance of the sub-goal's class."""
     cands = [o for o in state.instances_of(subgoal.object_class)
-             if _applicable(state, geom, subgoal.skill, o)
-             and o.instance_id in geom.display_cells]
+             if _applicable(state, subgoal.skill, o)
+             and o.instance_id in state.geometry.display_cells]
     if not cands:
         raise InfeasibleSubgoal(subgoal.skill.name)
-    return min(cands, key=lambda o: (instance_distance(state, geom, o.instance_id),
+    return min(cands, key=lambda o: (instance_distance(state, o.instance_id),
                                      o.instance_id)).instance_id
 
 
 def expert_point(state: WorldState, target_iid, mode: InteractionMode):
     """Ground-truth interaction point: the centroid of the target's visible
     cells, snapped into the cell (nearest the centroid) that actually
-    resolves to the target in the given mode.  The expert renders only
-    here, on the states where it interacts."""
-    obs = cached_render(state)
-    cells = obs.visible_instance_cells().get(target_iid)
+    resolves to the target in the given mode.  The expert reads the
+    observation only here, on the states where it interacts."""
+    cells = state.observation.visible_instance_cells().get(target_iid)
     if not cells:
         return None
     cx = sum(c[0] + 0.5 for c in cells) / len(cells)
@@ -270,21 +269,21 @@ def expert_point(state: WorldState, target_iid, mode: InteractionMode):
     order = sorted(cells, key=lambda c: (c[0] + 0.5 - cx) ** 2 + (c[1] + 0.5 - cy) ** 2)
     for cell in order:
         pt = (cell[0] + 0.5, cell[1] + 0.5)
-        if W.resolve_target(state, obs, pt, mode) == target_iid:
+        if W.resolve_target(state, pt, mode) == target_iid:
             return pt
     return (order[0][0] + 0.5, order[0][1] + 0.5)
 
 
-def _script_step(state, geom, subgoal, target_iid, mode):
+def _script_step(state, subgoal, target_iid, mode):
     """Next primitive (+ point) advancing a GoTo or interaction sub-goal
     for a pinned target."""
-    cells = geom.display_cells.get(target_iid)
+    cells = state.geometry.display_cells.get(target_iid)
     if not cells:
         raise InfeasibleSubgoal(f"target {target_iid} not displayed")
     if subgoal.skill is Skill.GoTo or not (
-            _goal_test(state, geom, state.agent, cells)
-            and instance_distance(state, geom, target_iid) <= state.config.interaction_range):
-        move = next(_walk(state, geom, cells), None)
+            _goal_test(state, cells)
+            and instance_distance(state, target_iid) <= state.config.interaction_range):
+        move = next(_walk(state, cells), None)
         if move is not None:
             return (move, None)
         if subgoal.skill is not Skill.GoTo:
@@ -327,9 +326,8 @@ def _restitution_receptacle(state, prior, pending_classes):
     not need (so restitution never eats capacity the task requires)."""
     if prior is not None and state.has(prior) and W.has_room(state, state.obj(prior)):
         return prior
-    geom = cached_geometry(state)
     cands = [(o.class_id in pending_classes,
-              instance_distance(state, geom, o.instance_id), o.instance_id)
+              instance_distance(state, o.instance_id), o.instance_id)
              for o in W.free_fixtures(state)]
     if not cands:
         raise Irrecoverable("nowhere to return the wrongly picked object")
@@ -377,12 +375,12 @@ class ExpertController:
             else:
                 return
 
-    def expert_action(self, state, geom=None) -> ExpertStep:
-        geom = geom or cached_geometry(state)
+    def expert_action(self, state) -> ExpertStep:
+        displayed = state.geometry.display_cells
         self._pop_completed_recovery(state)
         if self.recovery:
             sub, hint, _entry = self.recovery[0]
-            if hint not in geom.display_cells:
+            if hint not in displayed:
                 # e.g. an object put into a Plate or a Bowl: contents of a
                 # movable receptacle are never displayed, so no expert can
                 # label the Pickup that would undo the wrong Put
@@ -392,16 +390,16 @@ class ExpertController:
             if sub.skill in (Skill.Answer, Skill.End):
                 return ExpertStep(sub, PrimitiveAction.Done, None, None)
             if hint is None or not state.has(hint) \
-                    or not _applicable(state, geom, sub.skill, state.obj(hint)):
+                    or not _applicable(state, sub.skill, state.obj(hint)):
                 # keep the pinned instance while it still serves the sub-goal
                 pinned = self._pinned is not None and self._pinned[0] == sub
                 hint = self._pinned[1] if pinned else None
                 if not (pinned and state.has(hint)
-                        and _applicable(state, geom, sub.skill, state.obj(hint))
-                        and hint in geom.display_cells):
-                    hint = select_target(state, geom, sub)
+                        and _applicable(state, sub.skill, state.obj(hint))
+                        and hint in displayed):
+                    hint = select_target(state, sub)
             self._pinned = (sub, hint)
-        action, point = _script_step(state, geom, sub, hint, self.mode)
+        action, point = _script_step(state, sub, hint, self.mode)
         return ExpertStep(sub, action, point, hint)
 
     def observe(self, state_before, action, result, state_after,

@@ -8,8 +8,7 @@ from enum import IntEnum
 import numpy as np
 
 from . import world as W
-from .world import (Openness, PrimitiveAction, WorldState, cached_geometry,
-                    instance_distance)
+from .world import Openness, PrimitiveAction, WorldState, instance_distance
 
 
 class Skill(IntEnum):
@@ -65,16 +64,15 @@ class SubGoal:
 # success predicates
 
 
-def reached(state: WorldState, geom, iid) -> bool:
+def reached(state: WorldState, iid) -> bool:
     """Whether the agent has gone to instance `iid`: it is displayed,
     within interaction range, and one of its display cells is visible."""
-    cells = geom.display_cells.get(iid)
+    cells = state.geometry.display_cells.get(iid)
     if not cells:
         return False
-    cfg = state.config
-    if instance_distance(state, geom, iid) > cfg.interaction_range:
+    if instance_distance(state, iid) > state.config.interaction_range:
         return False
-    return any(W.cell_visible_from(geom, cfg, state.agent, c) for c in cells)
+    return any(W.cell_visible_from(state, state.agent, c) for c in cells)
 
 
 def skill_success(subgoal: SubGoal, before: WorldState, after: WorldState) -> bool:
@@ -85,9 +83,8 @@ def skill_success(subgoal: SubGoal, before: WorldState, after: WorldState) -> bo
         raise ValueError(f"{subgoal.skill.name} has no success predicate")
 
     cls_id = subgoal.object_class
-    geom = cached_geometry(after)
     if subgoal.skill is Skill.GoTo:
-        return any(reached(after, geom, o.instance_id)
+        return any(reached(after, o.instance_id)
                    for o in after.instances_of(cls_id))
 
     if subgoal.skill is Skill.Pickup:
@@ -111,7 +108,7 @@ def skill_success(subgoal: SubGoal, before: WorldState, after: WorldState) -> bo
     attr, _needed, want = state_change(subgoal.skill)
     for o in after.instances_of(cls_id):
         if getattr(o, attr) is not want or \
-                instance_distance(after, geom, o.instance_id) > after.config.interaction_range:
+                instance_distance(after, o.instance_id) > after.config.interaction_range:
             continue
         if before.has(o.instance_id) and getattr(before.obj(o.instance_id), attr) is not want:
             return True
@@ -134,11 +131,11 @@ NAV_MAX_STEPS = 60        # step budget of a GoTo episode
 INTERACT_MAX_STEPS = 20   # step budget of an interaction episode
 
 
-def _teleport_poses(state, geom, target_iid):
+def _teleport_poses(state, target_iid):
     """Traversable poses within TELEPORT_RADIUS (Chebyshev) of a target
     cell with the target in view."""
+    geom = state.geometry
     cells = geom.display_cells.get(target_iid, [])
-    cfg = state.config
     out = []
     seen = set()
     span = range(-TELEPORT_RADIUS, TELEPORT_RADIUS + 1)
@@ -155,16 +152,17 @@ def _teleport_poses(state, geom, target_iid):
                     continue
                 for h in W.Heading:
                     pose = W.AgentPose(cell=p, heading=h, pitch=0)
-                    if any(W.cell_visible_from(geom, cfg, pose, c) for c in cells):
+                    if any(W.cell_visible_from(state, pose, c) for c in cells):
                         out.append(pose)
                         break
     out.sort(key=lambda pose: (pose.cell, int(pose.heading)))
     return out
 
 
-def _feasible_pairs(state, geom):
+def _feasible_pairs(state):
     """(skill, class_id, target_iid) candidates before teleports/preconditions."""
     reg = state.registry
+    geom = state.geometry
     pairs = []
     slicers = [o for o in state.objects if reg[o.class_id].slicer]
     pickupables = [o for o in state.objects
@@ -197,18 +195,17 @@ def sample_skill_episode(state: WorldState, rng: np.random.Generator,
     skills start from the opposite state; precondition objects (held item
     for Put, a slicer for Slice) are placed in hand.
     """
-    geom = cached_geometry(state)
-    pairs = [p for p in _feasible_pairs(state, geom) if p[0] in skills]
+    pairs = [p for p in _feasible_pairs(state) if p[0] in skills]
     order = rng.permutation(len(pairs))
     for k in order:
         skill, cls_id, iid = pairs[int(k)]
-        episode = _build_episode(state, geom, rng, skill, cls_id, iid)
+        episode = _build_episode(state, rng, skill, cls_id, iid)
         if episode is not None:
             return episode
     raise NoFeasibleSkill("no feasible skill-object pair in scene")
 
 
-def _build_episode(state, geom, rng, skill, cls_id, iid):
+def _build_episode(state, rng, skill, cls_id, iid):
     from . import planner  # full-state expert; deferred to avoid an import cycle
 
     s = W.with_agent(state, held=None, pitch=0)
@@ -228,9 +225,10 @@ def _build_episode(state, geom, rng, skill, cls_id, iid):
         if getattr(target, attr) is not needed:
             return None  # pair was enumerated from a stale state
     elif skill is Skill.Put:
+        # what the scene showed before the hand was emptied
         choices = [o for o in s.objects
                    if reg[o.class_id].pickupable and o.instance_id != iid
-                   and o.instance_id in geom.display_cells
+                   and o.instance_id in state.geometry.display_cells
                    and o.instance_id not in W.ancestors(s, iid)]
         if not choices:
             return None
@@ -250,13 +248,12 @@ def _build_episode(state, geom, rng, skill, cls_id, iid):
         knife = slicers[int(rng.integers(len(slicers)))]
         s = W.hold(s, knife.instance_id)
 
-    geom2 = cached_geometry(s)
-    if iid not in geom2.display_cells:
+    if iid not in s.geometry.display_cells:
         return None
 
     if skill is Skill.GoTo:
         free = [(x, y) for y in range(1, s.height - 1) for x in range(1, s.width - 1)
-                if not geom2.blocked[y, x]]
+                if not s.geometry.blocked[y, x]]
         if not free:
             return None
         cell = free[int(rng.integers(len(free)))]
@@ -268,7 +265,7 @@ def _build_episode(state, geom, rng, skill, cls_id, iid):
             return None
         return SkillEpisode(s, SubGoal(skill, cls_id), NAV_MAX_STEPS)
 
-    poses = _teleport_poses(s, geom2, iid)
+    poses = _teleport_poses(s, iid)
     if not poses:
         return None
     pose = poses[int(rng.integers(len(poses)))]

@@ -30,7 +30,7 @@ from . import planner, world as W
 from .episodes import run_expert_episode
 from .skills import Skill, SubGoal, reached, state_change
 from .world import (Cleanliness, Openness, Power, Temperature, WorldState,
-                    cached_geometry, randomize_scene)
+                    randomize_scene)
 
 FAMILIES = ("SHIF", "LHIF", "IQA", "EXIN")
 
@@ -269,77 +269,79 @@ def task_success(task: TaskInstance, trajectory) -> bool:
 # expert decompositions (Markovian: remaining milestones from any state)
 
 
-def _goto_if_needed(state, geom, iid):
-    if reached(state, geom, iid):
+def _goto_if_needed(state, iid):
+    if reached(state, iid):
         return []
     return [(SubGoal(Skill.GoTo, state.obj(iid).class_id), iid)]
 
 
-def _open_blocker(state, geom, iid):
+def _open_blocker(state, iid):
     """GoTo + Open of the innermost closed container hiding `iid`; None
     when no closed container holds it."""
     for cur in W.ancestors(state, iid):
         holder = state.obj(cur)
         if state.cls(holder).enclosed and holder.openness is Openness.CLOSED:
-            return (_goto_if_needed(state, geom, cur)
+            return (_goto_if_needed(state, cur)
                     + [(SubGoal(Skill.Open, holder.class_id), cur)])
     return None
 
 
-def _retrieve_from(state, geom, iid):
+def _retrieve_from(state, iid):
     """Open the container hiding `iid` if needed, then pick it up."""
-    return _open_blocker(state, geom, iid) or (
-        _goto_if_needed(state, geom, iid)
+    return _open_blocker(state, iid) or (
+        _goto_if_needed(state, iid)
         + [(SubGoal(Skill.Pickup, state.obj(iid).class_id), iid)])
 
 
-def _acquire(state, geom, iid):
+def _acquire(state, iid):
     """Milestones making `iid` held: free the hands, reveal, go to, pick up."""
     if state.agent.held == iid:
         return []
     if state.agent.held is not None:
-        return _free_hands(state, geom)
-    return _retrieve_from(state, geom, iid)
+        return _free_hands(state)
+    return _retrieve_from(state, iid)
 
 
-def _with_pickup(fetch, state, geom, iid):
+def _with_pickup(fetch, state, iid):
     """`fetch`'s milestones for `iid` projected on to its Pickup: a head
     that opens a container or frees the hands is followed by it."""
-    steps = fetch(state, geom, iid)
+    steps = fetch(state, iid)
     if not steps or steps[-1][0].skill is not Skill.Pickup:
         steps = steps + [(SubGoal(Skill.Pickup, state.obj(iid).class_id), iid)]
     return steps
 
 
-def _free_hands(state, geom):
+def _free_hands(state):
     """Milestones putting the held object on a free receptacle."""
     dest = _free_receptacle(state)
     if dest is None:
         raise InfeasibleTask("no receptacle frees the hands")
-    return _deposit(state, geom, dest)
+    return _deposit(state, dest)
 
 
-def _deposit(state, geom, recep_iid):
+def _deposit(state, recep_iid):
     """Milestones putting the held object into `recep_iid`."""
-    blocker = _open_blocker(state, geom, recep_iid)
+    blocker = _open_blocker(state, recep_iid)
     if blocker is not None:
         return blocker
     recep = state.obj(recep_iid)
-    steps = _goto_if_needed(state, geom, recep_iid)
+    steps = _goto_if_needed(state, recep_iid)
     if state.cls(recep).enclosed and recep.openness is not Openness.OPEN:
         steps.append((SubGoal(Skill.Open, recep.class_id), recep_iid))
     steps.append((SubGoal(Skill.Put, recep.class_id), recep_iid))
     return steps
 
 
-def _single(state, cls_id, pred=None, near_geom=None):
-    """Deterministic instance choice for a class: nearest, then lowest id."""
+def _single(state, cls_id, pred=None, nearest=False):
+    """Deterministic instance choice for a class: the lowest id, or with
+    `nearest` the nearest displayed instance first."""
     cands = [o for o in state.instances_of(cls_id) if pred is None or pred(o)]
     if not cands:
         return None
-    if near_geom is not None:
-        return min(cands, key=lambda o: (W.instance_distance(state, near_geom, o.instance_id)
-                                         if o.instance_id in near_geom.display_cells else 1e9,
+    if nearest:
+        shown = state.geometry.display_cells
+        return min(cands, key=lambda o: (W.instance_distance(state, o.instance_id)
+                                         if o.instance_id in shown else 1e9,
                                          o.instance_id)).instance_id
     return min(cands, key=lambda o: o.instance_id).instance_id
 
@@ -357,7 +359,7 @@ def _needed_fixture(state, cls_id):
     return _fixture(state, cls_id, InfeasibleTask(f"no fixture of class {cls_id}"))
 
 
-def _switch_off(state, geom, kind):
+def _switch_off(state, kind):
     """GoTo + ToggleOff of a running switch of the treatment that is not
     its appliance (the faucet); [] when none runs."""
     appliance, _attr, _start, _goal, switch = TREATMENTS[kind]
@@ -367,10 +369,10 @@ def _switch_off(state, geom, kind):
     iid = _single(state, sid, pred=lambda o: o.power is Power.ON)
     if iid is None:
         return []
-    return _goto_if_needed(state, geom, iid) + [(SubGoal(Skill.ToggleOff, sid), iid)]
+    return _goto_if_needed(state, iid) + [(SubGoal(Skill.ToggleOff, sid), iid)]
 
 
-def _treatment_remaining(task, state, geom):
+def _treatment_remaining(task, state):
     """SHIF, and LHIF `<treatment>_place` until treated: give the target the
     treatment's goal value and hold it again.  The head milestone is exact;
     the tail projects the nominal chain, recomputed at every step."""
@@ -379,10 +381,10 @@ def _treatment_remaining(task, state, geom):
     reg = state.registry
     target = state.obj(target_iid)
     if getattr(target, attr) is goal:
-        steps = _switch_off(state, geom, kind)
+        steps = _switch_off(state, kind)
         if state.agent.held == target_iid:
             return steps
-        return steps + _with_pickup(_retrieve_from, state, geom, target_iid)
+        return steps + _with_pickup(_retrieve_from, state, target_iid)
     acid = reg.id_of(appliance)
     appl = _needed_fixture(state, acid)
     # the appliance's cycle once the target is in it, ending with its Pickup
@@ -397,7 +399,7 @@ def _treatment_remaining(task, state, geom):
     pick = [(SubGoal(Skill.Pickup, target.class_id), target_iid)]
     cycle += pick
     if kind == "clean" and target.container == appl:
-        return _goto_if_needed(state, geom, sw) + (
+        return _goto_if_needed(state, sw) + (
             cycle if state.obj(sw).power is Power.OFF else pick)
     if kind != "clean" and _inside_class(state, target, acid):
         a = state.obj(appl)
@@ -409,19 +411,19 @@ def _treatment_remaining(task, state, geom):
         elif a.openness is not Openness.OPEN:
             # closed fridge: cooling lands on the next successful step, so
             # retrieving the target is enough
-            return _with_pickup(_retrieve_from, state, geom, target_iid)
-        return _goto_if_needed(state, geom, appl) + cycle
+            return _with_pickup(_retrieve_from, state, target_iid)
+        return _goto_if_needed(state, appl) + cycle
     if state.agent.held == target_iid:
-        return _deposit(state, geom, appl) + cycle
-    return _acquire(state, geom, target_iid) + [(SubGoal(Skill.Put, acid), appl)] + cycle
+        return _deposit(state, appl) + cycle
+    return _acquire(state, target_iid) + [(SubGoal(Skill.Put, acid), appl)] + cycle
 
 
-def _question_milestones(task, state, geom):
+def _question_milestones(task, state):
     """IQA: reach the target, open a closed receptacle asked about, Answer."""
     t_iid = task.target_iid
     if not state.has(t_iid):
         raise InfeasibleTask("question target vanished")
-    steps = _goto_if_needed(state, geom, t_iid)
+    steps = _goto_if_needed(state, t_iid)
     target = state.obj(t_iid)
     if (task.task_type != "state" and state.cls(target).enclosed
             and target.openness is Openness.CLOSED):
@@ -431,24 +433,24 @@ def _question_milestones(task, state, geom):
 
 def _until_goal(milestones):
     """A goal-state type's milestone function: none once the goal holds."""
-    return lambda task, state, geom: ([] if goal_satisfied(task.goal, state)
-                                      else milestones(task, state, geom))
+    return lambda task, state: ([] if goal_satisfied(task.goal, state)
+                                else milestones(task, state))
 
 
-def _pickup_milestones(task, state, geom):
-    return _with_pickup(_acquire, state, geom,
-                        _single(state, task.bindings["obj"], near_geom=geom))
+def _pickup_milestones(task, state):
+    return _with_pickup(_acquire, state,
+                        _single(state, task.bindings["obj"], nearest=True))
 
 
-def _put_milestones(task, state, geom):
+def _put_milestones(task, state):
     if state.agent.held is None:
-        return _acquire(state, geom, _single(state, task.bindings["obj"], near_geom=geom))
-    return _free_hands(state, geom)
+        return _acquire(state, _single(state, task.bindings["obj"], nearest=True))
+    return _free_hands(state)
 
 
-def _slice_milestones(task, state, geom):
+def _slice_milestones(task, state):
     cls_id = task.bindings["obj"]
-    iid = _single(state, cls_id, pred=lambda o: not o.sliced, near_geom=geom)
+    iid = _single(state, cls_id, pred=lambda o: not o.sliced, nearest=True)
     if iid is None:
         raise InfeasibleTask("nothing left to slice")
     held = state.held_object()
@@ -458,69 +460,69 @@ def _slice_milestones(task, state, geom):
             knife = _single(state, state.registry.id_of("ButterKnife"))
         if knife is None:
             raise InfeasibleTask("no slicer available")
-        return _acquire(state, geom, knife)
-    return _open_blocker(state, geom, iid) or (
-        _goto_if_needed(state, geom, iid) + [(SubGoal(Skill.Slice, cls_id), iid)])
+        return _acquire(state, knife)
+    return _open_blocker(state, iid) or (
+        _goto_if_needed(state, iid) + [(SubGoal(Skill.Slice, cls_id), iid)])
 
 
-def _state_change_milestones(task, state, geom):
+def _state_change_milestones(task, state):
     cls_id = task.bindings["obj"]
     skill = STATE_CHANGES[task.task_type]
     attr, start, _left = state_change(skill)
     iid = _single(state, cls_id,
-                  pred=lambda o: getattr(o, attr) is start, near_geom=geom)
+                  pred=lambda o: getattr(o, attr) is start, nearest=True)
     if iid is None:
         raise InfeasibleTask("no instance in the pre-goal state")
-    return _goto_if_needed(state, geom, iid) + [(SubGoal(skill, cls_id), iid)]
+    return _goto_if_needed(state, iid) + [(SubGoal(skill, cls_id), iid)]
 
 
-def _place_milestones(task, state, geom):
+def _place_milestones(task, state):
     """pick_place and pick_two: one instance into the receptacle at a time."""
     obj_cls, recep_cls = task.bindings["obj"], task.bindings["recep"]
     recep = _needed_fixture(state, recep_cls)
     held = state.held_object()
     if held is not None and held.class_id == obj_cls:
-        return _deposit(state, geom, recep)
+        return _deposit(state, recep)
     iid = _single(state, obj_cls,
                   pred=lambda o: not _inside_class(state, o, recep_cls),
-                  near_geom=geom)
+                  nearest=True)
     if iid is None:
         raise InfeasibleTask("not enough instances to place")
-    return _with_pickup(_acquire, state, geom, iid) + \
+    return _with_pickup(_acquire, state, iid) + \
         [(SubGoal(Skill.Put, recep_cls), recep)]
 
 
-def _treatment_place_milestones(task, state, geom):
+def _treatment_place_milestones(task, state):
     kind = task.task_type.removesuffix("_place")
     _appliance, attr, _start, goal, _switch = TREATMENTS[kind]
     t_iid, recep_cls = task.target_iid, task.bindings["recep"]
     if getattr(state.obj(t_iid), attr) is not goal:
-        return _treatment_remaining(task, state, geom)
-    steps = _switch_off(state, geom, kind)
+        return _treatment_remaining(task, state)
+    steps = _switch_off(state, kind)
     if steps:
         return steps
     recep = _needed_fixture(state, recep_cls)
     if state.agent.held == t_iid:
-        return _deposit(state, geom, recep)
-    return _with_pickup(_retrieve_from, state, geom, t_iid) + \
+        return _deposit(state, recep)
+    return _with_pickup(_retrieve_from, state, t_iid) + \
         [(SubGoal(Skill.Put, recep_cls), recep)]
 
 
-def _examine_milestones(task, state, geom):
+def _examine_milestones(task, state):
     obj_cls, toggle_cls = task.bindings["obj"], task.bindings["toggle"]
     lamp = _single(state, toggle_cls, pred=lambda o: o.power is Power.OFF,
-                   near_geom=geom)
+                   nearest=True)
     switch_on = [] if lamp is None else [(SubGoal(Skill.ToggleOn, toggle_cls), lamp)]
     held = state.held_object()
     if held is None or held.class_id != obj_cls:
-        iid = _single(state, obj_cls, near_geom=geom)
-        return _with_pickup(_acquire, state, geom, iid) + switch_on
+        iid = _single(state, obj_cls, nearest=True)
+        return _with_pickup(_acquire, state, iid) + switch_on
     if lamp is None:
         raise InfeasibleTask("no lamp to switch on")
-    return _goto_if_needed(state, geom, lamp) + switch_on
+    return _goto_if_needed(state, lamp) + switch_on
 
 
-def _stack_place_milestones(task, state, geom):
+def _stack_place_milestones(task, state):
     b, t_iid = task.bindings, task.target_iid
     recep_cls, mrecep_cls, m_iid = b["recep"], b["mrecep"], b["mrecep_iid"]
     recep = _needed_fixture(state, recep_cls)
@@ -528,18 +530,18 @@ def _stack_place_milestones(task, state, geom):
     if state.obj(t_iid).container != m_iid:
         chain_tail = [(SubGoal(Skill.Pickup, mrecep_cls), m_iid)] + to_recep
         if state.agent.held == t_iid:
-            return _deposit(state, geom, m_iid) + chain_tail
-        return _with_pickup(_acquire, state, geom, t_iid) + \
+            return _deposit(state, m_iid) + chain_tail
+        return _with_pickup(_acquire, state, t_iid) + \
             [(SubGoal(Skill.Put, mrecep_cls), m_iid)] + chain_tail
     if state.agent.held == m_iid:
-        return _deposit(state, geom, recep)
-    return _with_pickup(_retrieve_from, state, geom, m_iid) + to_recep
+        return _deposit(state, recep)
+    return _with_pickup(_retrieve_from, state, m_iid) + to_recep
 
 
 def remaining_milestones(task: TaskInstance, state: WorldState) -> list:
     """(SubGoal, target instance) list still needed; [] means emit End."""
     record = _task_type(task.family, task.task_type)
-    return record.milestones(task, state, cached_geometry(state))
+    return record.milestones(task, state)
 
 
 def remaining_fn(task: TaskInstance):
@@ -806,7 +808,7 @@ def _sample_state_question(d):
         (v for a, v in STATE_WORDS if a == attr and v != asked), False)
     before = d.state
     d.apply(("set", iid, attr, value))
-    if iid not in cached_geometry(d.state).display_cells:
+    if iid not in d.state.geometry.display_cells:
         dest = _free_receptacle(before)
         if dest is None:
             raise UnsatisfiableTemplate("cannot surface question target")
@@ -859,7 +861,8 @@ def _sample_counting(d):
 class TaskType:
     """One (family, task type).  `answers`: what `build_splits` forces for
     each form, in cycle order.  `sample(draft)` binds an episode on a
-    `_Draft`; `milestones(task, state, geom)` is `remaining_milestones`."""
+    `_Draft`; `milestones(task, state)` is `remaining_milestones`, reading
+    the state's `geometry` where a milestone needs the scene."""
     family: str
     name: str
     forms: tuple
@@ -1046,7 +1049,7 @@ def build_splits(scene_templates, counts, seed=0, registry=None, config=None, *,
                         good, traj = verify_episode(task, templates_by_id,
                                                     registry, config)
                     except (InfeasibleTask, planner.Unreachable,
-                            planner.InfeasibleSubgoal, planner.Irrecoverable):
+                            planner.InfeasibleSubgoal):
                         continue
                     if not good:
                         continue

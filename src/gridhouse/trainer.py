@@ -30,7 +30,7 @@ from .tasks import (TEMPLATES, UnsatisfiableTemplate, generate_task,
 # `env_step` stays bound: the benchmark's tracer finds `world.step` through
 # this alias too (perfbench/tests/test_spans.py)
 from .world import (CLASS_BASE, INTERACTIVE_ACTIONS, InteractionMode,
-                    cached_render, is_visible, step as env_step)
+                    is_visible, step as env_step)
 
 
 class MissingLabels(ValueError):
@@ -400,7 +400,7 @@ def run_skill_episode(agent, episode, mode, rng, eps, cfg: ModelConfig,
     samples = []
 
     def decide(traj, state, ex):
-        obs = cached_render(state)
+        obs = state.observation
         last = traj.steps[-1].action if traj.steps else None
         sample = _record_expert(obs, sub, last, ex, cfg, family)
         if rng.random() < eps:
@@ -669,7 +669,7 @@ def _qa_episode_samples(session, rng, cfg, vocab, mode):
     if traj.answer != task.answer:
         return []
     tokens = instruction_tokens(task, vocab)
-    obs = cached_render(traj.final_state)
+    obs = traj.final_state.observation
     s = StepSample(obs=obs, family="qa", skill=int(Skill.Answer),
                    obj=cfg.num_classes, last_action=NONE_ACTION, expert_action=0,
                    answer_tokens=tokens, answer_label=ANSWER_SPACE.index(task.answer))
@@ -715,7 +715,7 @@ def run_task_episode_sf(agent, task, state, mode, rng, eps, cfg, vocab):
 
     def decide(traj, state, ex):
         nonlocal hidden
-        obs = cached_render(state)
+        obs = state.observation
         prev = traj.steps[-1] if traj.steps else None
         last_action = None if prev is None else prev.action
         last_sub = None if prev is None else prev.subgoal

@@ -14,7 +14,7 @@ import json
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum, IntEnum
-from functools import cache
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -175,6 +175,14 @@ class ActionResult:
 
 @dataclass
 class WorldState:
+    """A world state.  States are never mutated: `dataclasses.replace`
+    always yields a fresh object without memos, so a memo cannot go stale.
+
+    The scene-derived data below is memoized on the instance when first
+    read: `by_id`, `geometry` and `effects` depend only on `walls` and
+    `objects`, and `observation` also on the agent pose, so a step hands
+    each to a successor for which it still holds (`_carry`).  Memos are
+    shared between states and are read-only too."""
     width: int
     height: int
     walls: np.ndarray                 # bool (height, width); treated immutable
@@ -183,14 +191,34 @@ class WorldState:
     registry: ClassRegistry = field(default_factory=desk_registry)
     config: WorldConfig = field(default_factory=WorldConfig)
 
+    # the bodies look `build_geometry`, `render` and `_propagation_effects`
+    # up in the module per build, so a rebinding of the module name (a
+    # tracer, a test counter) sees every build
+    @cached_property
+    def geometry(self) -> "SceneGeometry":
+        return build_geometry(self)
+
+    @cached_property
+    def observation(self) -> "Observation":
+        return render(self)
+
+    @cached_property
+    def effects(self) -> dict:
+        return _propagation_effects(self)
+
+    @cached_property
+    def by_id(self) -> dict:
+        """{instance_id: object}"""
+        return {o.instance_id: o for o in self.objects}
+
     def obj(self, instance_id) -> ObjectInstance:
-        for o in self.objects:
-            if o.instance_id == instance_id:
-                return o
-        raise UnknownInstance(instance_id)
+        try:
+            return self.by_id[instance_id]
+        except KeyError:
+            raise UnknownInstance(instance_id) from None
 
     def has(self, instance_id) -> bool:
-        return any(o.instance_id == instance_id for o in self.objects)
+        return instance_id in self.by_id
 
     def cls(self, obj_or_id):
         cid = obj_or_id.class_id if isinstance(obj_or_id, ObjectInstance) else obj_or_id
@@ -338,30 +366,6 @@ def build_geometry(state: WorldState) -> SceneGeometry:
     return SceneGeometry(class_grid, inst_grid, state_grid, opaque, blocked, display)
 
 
-def cached_geometry(state: WorldState) -> SceneGeometry:
-    """Geometry memoized on the state instance.  It depends only on `walls`
-    and `objects`, so `step` hands it to a successor that keeps both.
-    States are never mutated (dataclasses.replace always yields a fresh
-    object without memos), so a memo cannot go stale; memos are shared
-    between states and are read-only too."""
-    geom = state.__dict__.get("_geom")
-    if geom is None:
-        geom = build_geometry(state)
-        state.__dict__["_geom"] = geom
-    return geom
-
-
-def cached_render(state: WorldState) -> "Observation":
-    """Observation memoized on the state instance.  It depends on `walls`,
-    `objects` and the agent pose, so `step` hands it to a successor that
-    keeps all three (Done); see `cached_geometry`."""
-    obs = state.__dict__.get("_obs")
-    if obs is None:
-        obs = render(state)
-        state.__dict__["_obs"] = obs
-    return obs
-
-
 @cache
 def _ray_offsets(dx, dy):
     """Integer cell offsets strictly between (0,0) and (dx,dy) along the
@@ -422,8 +426,10 @@ def cell_in_frustum(cfg: WorldConfig, pose: AgentPose, cell):
     return _in_wedge(cfg, pose.pitch, dx * fx + dy * fy, dx * rx + dy * ry)
 
 
-def cell_visible_from(geom: SceneGeometry, cfg: WorldConfig, pose: AgentPose, cell):
-    return cell_in_frustum(cfg, pose, cell) and line_of_sight(geom.opaque, pose.cell, cell)
+def cell_visible_from(state: WorldState, pose: AgentPose, cell):
+    """Whether `cell` is in view from `pose` in the state's scene."""
+    return (cell_in_frustum(state.config, pose, cell)
+            and line_of_sight(state.geometry.opaque, pose.cell, cell))
 
 
 # --------------------------------------------------------------------------
@@ -491,7 +497,7 @@ _render_table = cache(_RenderTable)
 def render(state: WorldState) -> Observation:
     """Egocentric projection of the agent's view wedge (pure in state)."""
     cfg = state.config
-    geom = cached_geometry(state)
+    geom = state.geometry
     n = cfg.obs_size
     table = _render_table(cfg, state.agent.pitch, state.agent.heading)
     ax, ay = state.agent.cell
@@ -527,7 +533,7 @@ def render(state: WorldState) -> Observation:
                        depth.reshape(n, n), bits.reshape(4, n, n))
 
 
-def instance_distance(state: WorldState, geom: SceneGeometry, instance_id) -> float:
+def instance_distance(state: WorldState, instance_id) -> float:
     """Distance from the agent to the object's physical extent: footprint
     for anchored objects (regardless of what its cells currently display),
     the slot cell for contained ones, and the nearest anchored ancestor's
@@ -535,7 +541,7 @@ def instance_distance(state: WorldState, geom: SceneGeometry, instance_id) -> fl
     obj = state.obj(instance_id)
     outer = ancestors(state, instance_id)
     while obj.anchor is None:
-        cells = geom.display_cells.get(obj.instance_id)
+        cells = state.geometry.display_cells.get(obj.instance_id)
         if cells:
             break
         holder = next(outer, None)
@@ -563,10 +569,8 @@ def ancestors(state: WorldState, instance_id):
 def is_visible(state: WorldState, instance_id) -> bool:
     if not state.has(instance_id):
         raise UnknownInstance(instance_id)
-    geom = cached_geometry(state)
-    cells = geom.display_cells.get(instance_id, [])
-    cfg = state.config
-    return any(cell_visible_from(geom, cfg, state.agent, c) for c in cells)
+    cells = state.geometry.display_cells.get(instance_id, [])
+    return any(cell_visible_from(state, state.agent, c) for c in cells)
 
 
 # --------------------------------------------------------------------------
@@ -585,20 +589,20 @@ def _hit_ignoring_range(obs, point):
     return None if iid == NO_INSTANCE else iid
 
 
-def resolve_target(state: WorldState, obs: Observation, point, mode: InteractionMode):
-    """Instance the point selects, or None.
+def resolve_target(state: WorldState, point, mode: InteractionMode):
+    """Instance the point on the state's observation selects, or None.
 
     Hard: exact observation-cell hit, within interaction range.
     Standard: k x k box vote among visible in-range instances; ties broken
     by nearer instance, then lower instance id.
     """
     cfg = state.config
-    geom = cached_geometry(state)
+    obs = state.observation
     if mode is InteractionMode.HARD:
         iid = _hit_ignoring_range(obs, point)
         if iid is None:
             return None
-        if instance_distance(state, geom, iid) <= cfg.interaction_range:
+        if instance_distance(state, iid) <= cfg.interaction_range:
             return iid
         return None
     col, row = _point_cell(obs, point[0], point[1])
@@ -609,7 +613,7 @@ def resolve_target(state: WorldState, obs: Observation, point, mode: Interaction
     visible_sizes = {iid: len(cells) for iid, cells in obs.visible_instance_cells().items()}
     best = None
     for iid, cnt in zip(ids.tolist(), counts.tolist()):
-        dist = instance_distance(state, geom, iid)
+        dist = instance_distance(state, iid)
         if dist > cfg.interaction_range:
             continue
         # overlap scored as IoU between the box and the instance's visible
@@ -674,32 +678,24 @@ def _apply_effects(state: WorldState, effects: dict) -> WorldState:
     return replace(state, objects=tuple(new_objs)) if changed else state
 
 
-def _effects(state: WorldState) -> dict:
-    """`_propagation_effects` memoized on the state; see `_carry`."""
-    effects = state.__dict__.get("_effects")
-    if effects is None:
-        effects = _propagation_effects(state)
-        state.__dict__["_effects"] = effects
-    return effects
-
-
 # memos that depend only on walls and objects (and on width, height,
 # registry and config, which no step changes)
-_SCENE_MEMOS = ("_geom", "_effects", "_settled")
+_SCENE_MEMOS = ("by_id", "geometry", "effects", "_settled")
 
 
 def _carry(before: WorldState, after: WorldState):
     """Hand `after` what `before` already derived from its scene when both
-    hold the very same walls and objects: geometry, effects and the
-    settled mark, plus the observation when the pose is unchanged too."""
+    hold the very same walls and objects: the instance index, geometry,
+    effects and the settled mark, plus the observation when the pose is
+    unchanged too."""
     if after.walls is not before.walls or after.objects is not before.objects:
         return
     src, dst = before.__dict__, after.__dict__
     for key in _SCENE_MEMOS:
         if key in src:
             dst[key] = src[key]
-    if "_obs" in src and after.agent == before.agent:
-        dst["_obs"] = src["_obs"]
+    if "observation" in src and after.agent == before.agent:
+        dst["observation"] = src["observation"]
 
 
 def _ok(before: WorldState, after: WorldState, target=None):
@@ -716,8 +712,8 @@ def _ok(before: WorldState, after: WorldState, target=None):
     step from a settled state returns that state itself."""
     _carry(before, after)
     if "_settled" not in after.__dict__:
-        after = _apply_effects(after, _effects(before))
-        after = _apply_effects(after, _effects(after))
+        after = _apply_effects(after, before.effects)
+        after = _apply_effects(after, after.effects)
         after.__dict__["_settled"] = True
     return after, ActionResult(True, None, target)
 
@@ -733,12 +729,11 @@ _NAV_MOTION = {
 _HEADINGS = tuple(Heading)
 
 
-def nav_pose(state: WorldState, pose, action: PrimitiveAction,
-             geom: SceneGeometry | None = None):
+def nav_pose(state: WorldState, pose, action: PrimitiveAction):
     """The `(cell, heading, pitch)` a navigation action leads to from
     `pose`, or None when the move is blocked: by the map edge or a
-    non-traversable cell ahead, or by the pitch limits of +-1.  `geom`,
-    when given, must be the state's own; only MoveAhead reads it."""
+    non-traversable cell ahead of the state's geometry, or by the pitch
+    limits of +-1."""
     cell, heading, pitch = pose
     ahead, turn, tilt = _NAV_MOTION[action]
     if ahead:
@@ -746,7 +741,7 @@ def nav_pose(state: WorldState, pose, action: PrimitiveAction,
         nx, ny = cell[0] + fx, cell[1] + fy
         if not (0 <= nx < state.width and 0 <= ny < state.height):
             return None
-        if (geom or cached_geometry(state)).blocked[ny, nx]:
+        if state.geometry.blocked[ny, nx]:
             return None
         return (nx, ny), heading, pitch
     if turn:
@@ -759,22 +754,20 @@ def _fail(state: WorldState, reason: FailureReason):
 
 
 def step(state: WorldState, action: PrimitiveAction, point=None,
-         mode: InteractionMode = InteractionMode.STANDARD,
-         geom: SceneGeometry | None = None):
+         mode: InteractionMode = InteractionMode.STANDARD):
     """Apply one primitive action.  Failures never mutate state (the same
     object is returned).  Interactive actions require a point in both
     interaction modes.
 
-    `geom`, when given, must be the state's own (as from
-    `cached_geometry`).  A successful step hands the successor every memo
-    that still holds for it: geometry, effects and the settled mark (see
+    A successful step hands the successor every memo that still holds for
+    it: the instance index, geometry, effects and the settled mark (see
     `_ok`) depend only on `walls` and `objects`, and the observation also
     on the agent pose."""
     agent = state.agent
     if action is PrimitiveAction.Done:
         return _ok(state, state)
     if action not in INTERACTIVE_ACTIONS:
-        pose = nav_pose(state, (agent.cell, agent.heading, agent.pitch), action, geom)
+        pose = nav_pose(state, (agent.cell, agent.heading, agent.pitch), action)
         if pose is None:
             return _fail(state, FailureReason.BLOCKED)
         cell, heading, pitch = pose
@@ -784,10 +777,9 @@ def step(state: WorldState, action: PrimitiveAction, point=None,
     # interactive actions
     if point is None:
         raise InvalidAction(f"{action.name} requires an interaction point")
-    obs = cached_render(state)
-    target_id = resolve_target(state, obs, point, mode)
+    target_id = resolve_target(state, point, mode)
     if target_id is None:
-        raw = _hit_ignoring_range(obs, point)
+        raw = _hit_ignoring_range(state.observation, point)
         reason = FailureReason.OUT_OF_RANGE if raw is not None else FailureReason.NO_TARGET_HIT
         return _fail(state, reason)
     target = state.obj(target_id)

@@ -4,12 +4,18 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from gridhouse import tensor as T
 from gridhouse.classes import desk_registry
 from gridhouse.scenes import builtin_templates
 from gridhouse.world import (AgentPose, Heading, ObjectInstance, Openness,
                              Power, Cleanliness, WorldConfig, WorldState)
+
+# property tests draw the same examples on every run, with no time limit
+# and no example database; each test sets only its `max_examples`
+settings.register_profile("fixed", deadline=None, derandomize=True, database=None)
+settings.load_profile("fixed")
 
 REG = desk_registry()
 TEMPLATES_BY_ID = {t["template_id"]: t for t in builtin_templates()}

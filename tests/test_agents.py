@@ -19,7 +19,7 @@ from gridhouse.skills import NO_OBJECT_SKILLS, Skill, SubGoal
 from gridhouse.tasks import build_vocab, generate_task, task_initial_state
 from gridhouse.trainer import expert_cell_delta
 from gridhouse.verification import micro_model_config
-from gridhouse.world import InteractionMode, cached_render, randomize_scene
+from gridhouse.world import InteractionMode, randomize_scene
 
 REG = desk_registry()
 VOCAB = build_vocab(REG)
@@ -35,7 +35,7 @@ def agent():
 @pytest.fixture(scope="module")
 def scene_obs():
     state = randomize_scene(TEMPLATES[0], 2)
-    return state, cached_render(state)
+    return state, state.observation
 
 
 def test_encoder_output_shape(agent, scene_obs):
@@ -255,12 +255,10 @@ def test_qa_trains_on_toy_state_questions():
         state = state.with_object(dc_replace(
             fridge, openness=Openness.OPEN if want_open else Openness.CLOSED))
         # stand right in front of the fridge so the state bit is in view
-        from gridhouse.world import AgentPose, Heading, build_geometry, footprint_cells
-        geom = build_geometry(state)
         from gridhouse.skills import _teleport_poses
-        pose = _teleport_poses(state, geom, fridge.instance_id)[0]
+        pose = _teleport_poses(state, fridge.instance_id)[0]
         state = dc_replace(state, agent=pose)
-        frames.append((cached_render(state), "Yes" if want_open else "No"))
+        frames.append((state.observation, "Yes" if want_open else "No"))
     train, test = frames[:30], frames[30:]
     opt = nn.Adam(agent.parameters(), lr=3e-3, clip_norm=0.0)
     for epoch in range(60):

@@ -106,6 +106,24 @@ def test_the_tracer_finds_world_step_through_its_aliases():
         assert _resolve(alias) is world.step, alias
 
 
+def test_the_tracer_sees_every_memo_build(monkeypatch):
+    # the tracer rebinds `world.build_geometry` and `world.render` at module
+    # level, so a state's memos must build through the module names
+    calls = {}
+    for name in ("build_geometry", "render", "_propagation_effects"):
+        real = getattr(world, name)
+
+        def counted(state, _name=name, _real=real):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _real(state)
+
+        monkeypatch.setattr(world, name, counted)
+    state = world.randomize_scene(builtin_templates()[0], 3)
+    for _ in range(2):
+        state.geometry, state.observation, state.effects
+        assert calls == {"build_geometry": 1, "render": 1, "_propagation_effects": 1}
+
+
 def test_evaluate_rolls_every_episode_through_the_harness_global(monkeypatch):
     # perfbench/workloads.py times eval by rebinding `harness.act_episode`
     # (`_watch_episodes`), so `evaluate` must look it up there per episode

@@ -21,8 +21,7 @@ from gridhouse.skills import Skill, SubGoal, sample_skill_episode, skill_success
 from gridhouse.tasks import (build_splits, desk_split_counts, remaining_fn,
                              task_initial_state)
 from gridhouse.world import (Heading, InteractionMode, Openness,
-                             PrimitiveAction, cached_geometry, cached_render,
-                             randomize_scene, step)
+                             PrimitiveAction, randomize_scene, step)
 
 from conftest import REG, TEMPLATES_BY_ID, make_state
 
@@ -32,7 +31,7 @@ from conftest import REG, TEMPLATES_BY_ID, make_state
 
 
 def oracle_bfs_length(state, instance_id):
-    geom = cached_geometry(state)
+    geom = state.geometry
     cells = geom.display_cells.get(instance_id)
     if not cells:
         return None
@@ -44,7 +43,7 @@ def oracle_bfs_length(state, instance_id):
                    for cx, cy in cells)
         if not near:
             return False
-        return any(W.cell_visible_from(geom, cfg, pose, c) for c in cells)
+        return any(W.cell_visible_from(state, pose, c) for c in cells)
 
     start = (state.agent.cell, int(state.agent.heading), state.agent.pitch)
     if is_goal(W.AgentPose(cell=start[0], heading=Heading(start[1]), pitch=start[2])):
@@ -79,7 +78,7 @@ def oracle_bfs_length(state, instance_id):
 # reference FIFO BFS with its own goal test: the distance field must agree
 
 
-def reference_goal_test(state, geom, pose, cells):
+def reference_goal_test(state, pose, cells):
     cfg = state.config
     ax, ay = pose.cell
     near = min(abs(cx - ax) + abs(cy - ay) for cx, cy in cells) if cells else 99
@@ -88,10 +87,10 @@ def reference_goal_test(state, geom, pose, cells):
     if not any((cx - ax) ** 2 + (cy - ay) ** 2 <= cfg.interaction_range ** 2
                for cx, cy in cells):
         return False
-    return any(W.cell_visible_from(geom, cfg, pose, c) for c in cells)
+    return any(W.cell_visible_from(state, pose, c) for c in cells)
 
 
-def reference_bfs(state, geom, cells):
+def reference_bfs(state, cells):
     """Minimal primitive sequence to a pose seeing a target cell in range,
     successors tried in `NAV_ACTION_SPACE` order."""
     moves = [a for a in W.NAV_ACTION_SPACE if a is not PrimitiveAction.Done]
@@ -100,19 +99,19 @@ def reference_bfs(state, geom, cells):
     def pose_of(node):
         return W.AgentPose(cell=node[0], heading=node[1], pitch=node[2])
 
-    if reference_goal_test(state, geom, pose_of(start), cells):
+    if reference_goal_test(state, pose_of(start), cells):
         return []
     seen = {start}
     queue = deque([(start, [])])
     while queue:
         node, path = queue.popleft()
         for action in moves:
-            nxt = W.nav_pose(state, node, action, geom)
+            nxt = W.nav_pose(state, node, action)
             if nxt is None or nxt in seen:
                 continue
             seen.add(nxt)
             npath = path + [action]
-            if reference_goal_test(state, geom, pose_of(nxt), cells):
+            if reference_goal_test(state, pose_of(nxt), cells):
                 return npath
             queue.append((nxt, npath))
     raise Unreachable("no pose sees the target in range")
@@ -121,7 +120,7 @@ def reference_bfs(state, geom, cells):
 FIELD_TEMPLATES = builtin_templates()
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@settings(max_examples=200)
 @given(scene=st.integers(0, len(FIELD_TEMPLATES) - 1), seed=st.integers(0, 2 ** 16),
        cell=st.integers(0, 2 ** 16), heading=st.sampled_from(list(Heading)),
        pitch=st.integers(-1, 1), target=st.integers(0, 2 ** 16))
@@ -139,7 +138,7 @@ def test_distance_field_walk_is_the_reference_bfs_path(scene, seed, cell, headin
     shown = sorted(geom.display_cells)
     iid = shown[target % len(shown)]
     try:
-        want = reference_bfs(state, geom, geom.display_cells[iid]) + [PrimitiveAction.Done]
+        want = reference_bfs(state, geom.display_cells[iid]) + [PrimitiveAction.Done]
     except Unreachable:
         with pytest.raises(Unreachable):
             shortest_path_to_instance(state, iid)
@@ -153,9 +152,8 @@ def test_a_walled_off_target_is_unreachable_for_field_and_reference():
     for x, y in [(9, 2), (10, 2), (11, 2), (9, 3), (11, 3), (9, 4), (10, 4), (11, 4)]:
         walls[y, x] = True
     state = dataclasses.replace(state, walls=walls)
-    geom = cached_geometry(state)
     with pytest.raises(Unreachable):
-        reference_bfs(state, geom, geom.display_cells[0])
+        reference_bfs(state, state.geometry.display_cells[0])
     with pytest.raises(Unreachable):
         shortest_path_to_instance(state, 0)
 
@@ -206,8 +204,7 @@ def test_expert_action_open_fridge_in_range():
     action, point = ex.action, ex.point
     assert action is PrimitiveAction.Open and point is not None
     # the point resolves to the fridge in hard mode
-    obs = cached_render(state)
-    got = W.resolve_target(state, obs, point, InteractionMode.HARD)
+    got = W.resolve_target(state, point, InteractionMode.HARD)
     assert got == 0
 
 
@@ -240,11 +237,10 @@ def test_put_goes_to_an_open_receptacle_rather_than_open_a_closed_one():
 def test_expert_point_centroid_snaps_to_target():
     state = make_state([{"class": "Fridge", "pos": (4, 6)},
                         {"class": "Apple", "pos": (6, 7)}], agent_cell=(5, 8))
-    obs = cached_render(state)
     from gridhouse.planner import expert_point
     for mode in (InteractionMode.HARD, InteractionMode.STANDARD):
         pt = expert_point(state, 1, mode)
-        assert W.resolve_target(state, obs, pt, mode) == 1, mode
+        assert W.resolve_target(state, pt, mode) == 1, mode
 
 
 # --------------------------------------------------------------------------
@@ -266,7 +262,7 @@ def test_recover_wrong_pickup_returns_to_source_container():
         {"class": "Orange", "pos": None, "container": 0},
         {"class": "Apple", "pos": (4, 7)},
     ], agent_cell=(5, 7))
-    obs = cached_render(state)
+    obs = state.observation
     ocell = obs.visible_instance_cells()[1][0]
     after, res = step(state, PrimitiveAction.Pickup,
                       (ocell[0] + .5, ocell[1] + .5), InteractionMode.HARD)
@@ -315,7 +311,7 @@ def test_controller_recovers_from_injected_wrong_pickup():
     controller = ExpertController(single_subgoal_stream(sub, state), InteractionMode.HARD)
     ex = controller.expert_action(state)
     assert ex.action is PrimitiveAction.Pickup and ex.target == 2
-    obs = cached_render(state)
+    obs = state.observation
     ocell = obs.visible_instance_cells()[1][0]
     after, res = step(state, PrimitiveAction.Pickup,
                       (ocell[0] + .5, ocell[1] + .5), InteractionMode.HARD)
@@ -350,7 +346,7 @@ def _fuzz_tasks():
     return [(task, by_id[task.scene_template_id]) for sp in splits for task in sp.episodes]
 
 
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@settings(max_examples=40)
 @given(index=st.integers(0, 2 ** 16), inject_seed=st.integers(0, 2 ** 32 - 1))
 # a wrong Put of the held Bowl into a Plate, and of a held object into a
 # Bowl: contents of movable receptacles are never displayed, so no expert
@@ -372,8 +368,8 @@ def test_expert_is_total_under_injected_interactions(index, inject_seed):
         streams.append(out)
         return out
 
-    def intervene(t, state, geom, obs, ex):
-        visible = sorted(obs.visible_instance_cells().items())
+    def intervene(t, state, ex):
+        visible = sorted(state.observation.visible_instance_cells().items())
         if rng.random() >= 0.25 or not visible:
             return None
         _iid, cells = visible[int(rng.integers(len(visible)))]

@@ -17,7 +17,7 @@ from gridhouse.skills import (PRETRAIN_SKILLS, SceneSession, Skill, SubGoal,
                               sample_skill_episode, skill_success)
 from gridhouse.tasks import build_vocab, generate_task, remaining_fn, task_initial_state
 from gridhouse.world import (INTERACTIVE_ACTIONS, InteractionMode, PrimitiveAction,
-                             cached_render, state_hash)
+                             state_hash)
 
 from conftest import REG, make_state
 
@@ -60,7 +60,7 @@ class _Expert:
     def __init__(self, fail_at):
         self.fail_at, self.observed = fail_at, 0
 
-    def expert_action(self, state, geom):
+    def expert_action(self, state):
         if self.observed == self.fail_at:
             raise Irrecoverable("scripted")
         return ExpertStep(END, A.RotateLeft, None, None)
@@ -121,7 +121,7 @@ def _slice_bread_1(check_success):
     Slice(Bread) and pins bread 0."""
     state = make_state([{"class": "Bread", "pos": (4, 7)}, {"class": "Bread", "pos": (6, 7)},
                         {"class": "Knife", "pos": None}], agent_cell=(5, 8), held=2)
-    col, row = cached_render(state).visible_instance_cells()[1][0]
+    col, row = state.observation.visible_instance_cells()[1][0]
     controller = ExpertController(single_subgoal_stream(SLICE_BREAD, state), HARD)
     succeeded = (lambda s: skill_success(SLICE_BREAD, state, s)) if check_success else None
     moves = [(SLICE_BREAD, A.Slice, (col + .5, row + .5), False)]
@@ -218,7 +218,7 @@ def test_an_agent_rollout_renders_every_state_it_decides_on(monkeypatch):
                                             VOCAB)[1]):
             decided = [state] + [r.after for r in traj.steps[:-1]]
             # a Done step hands its successor the observation it keeps
-            assert all("_obs" in s.__dict__ for s in decided)
+            assert all("observation" in s.__dict__ for s in decided)
     assert rendered
 
 
@@ -318,8 +318,8 @@ def _rollout_digests():
         for task, template in tasks:
             rng = np.random.default_rng(7)
 
-            def intervene(t, cur, geom, obs, ex):
-                visible = sorted(obs.visible_instance_cells().items())
+            def intervene(t, cur, ex):
+                visible = sorted(cur.observation.visible_instance_cells().items())
                 if rng.random() >= 0.3 or not visible:
                     return None
                 _iid, cells = visible[int(rng.integers(len(visible)))]

@@ -11,8 +11,7 @@ from gridhouse.scenes import builtin_templates
 from gridhouse.skills import (NoFeasibleSkill, SceneSession, Skill, SubGoal,
                               periodic_reset, sample_skill_episode, skill_success)
 from gridhouse.world import (InteractionMode, Openness, Power, PrimitiveAction,
-                             cached_geometry, cached_render, randomize_scene,
-                             state_hash, step)
+                             randomize_scene, state_hash, step)
 
 from conftest import REG, TEMPLATES_BY_ID, make_state
 
@@ -49,7 +48,7 @@ def test_feasible_pairs_keep_the_state_change_order():
         state.obj(0), power=Power.ON, openness=Openness.OPEN))
     for s, want in ((state, [Skill.GoTo, Skill.ToggleOn, Skill.Open]),
                     (on, [Skill.GoTo, Skill.ToggleOff, Skill.Close])):
-        assert [p[0] for p in S._feasible_pairs(s, cached_geometry(s))] == want
+        assert [p[0] for p in S._feasible_pairs(s)] == want
 
 
 def test_skill_success_goto_visible_in_range():
@@ -66,8 +65,7 @@ def test_pickup_wrong_class_is_not_success():
         {"class": "Apple", "pos": (5, 7)},
         {"class": "Orange", "pos": (6, 7)},
     ], agent_cell=(5, 8))
-    obs = cached_render(state)
-    ocell = obs.visible_instance_cells()[1][0]
+    ocell = state.observation.visible_instance_cells()[1][0]
     after, res = step(state, PrimitiveAction.Pickup,
                       (ocell[0] + .5, ocell[1] + .5), InteractionMode.HARD)
     assert res.success
@@ -88,8 +86,7 @@ def test_feasible_pairs_lamp_only_scene():
     # ToggleOn
     state = make_state([{"class": "DeskLamp", "pos": (5, 5), "power": Power.OFF}],
                        agent_cell=(5, 8))
-    geom = cached_geometry(state)
-    pairs = {(p[0], p[1]) for p in S._feasible_pairs(state, geom)}
+    pairs = {(p[0], p[1]) for p in S._feasible_pairs(state)}
     lamp = REG.id_of("DeskLamp")
     assert pairs == {(Skill.GoTo, lamp), (Skill.ToggleOn, lamp)}
 
@@ -164,7 +161,7 @@ def test_a_sampled_start_state_holds_its_geometry(monkeypatch):
         for _ in range(15):
             ep = sample_skill_episode(base, rng)
             start = ep.initial_state
-            assert "_geom" in start.__dict__, ep.subgoal
+            assert "geometry" in start.__dict__, ep.subgoal
             del built[:]
             controller = ExpertController(single_subgoal_stream(ep.subgoal, start),
                                           InteractionMode.HARD)

@@ -10,7 +10,7 @@ from gridhouse.agents import HierarchicalAgent, ModelConfig, obs_planes
 from gridhouse.classes import desk_registry
 from gridhouse.nn import grad_check
 from gridhouse.scenes import builtin_templates
-from gridhouse.world import cached_render, randomize_scene
+from gridhouse.world import randomize_scene
 
 RNG = np.random.default_rng(20240817)
 
@@ -227,7 +227,7 @@ def test_model_convs_are_every_convolution_the_agent_runs(monkeypatch):
     cfg = ModelConfig(num_classes=NUM_CLASSES, vocab_size=8)
     agent = HierarchicalAgent(np.random.default_rng(0), cfg)
     state = randomize_scene(builtin_templates()[0], 2)
-    cmap, planes = obs_planes([cached_render(state)])
+    cmap, planes = obs_planes([state.observation])
     monkeypatch.setattr(T, "conv2d", spy)
     for enc in (agent.hl_encoder, agent.sub_encoder):
         z = enc(cmap, planes)

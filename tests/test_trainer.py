@@ -26,8 +26,7 @@ from gridhouse.trainer import (EpisodeBatch, LossWeights, PPOConfig,
                                group_by_family, multi_task_sample,
                                ppo_update, pretrain,
                                run_skill_episode, teacher_forcing_update)
-from gridhouse.world import (InteractionMode, PrimitiveAction, WorldConfig,
-                             cached_render)
+from gridhouse.world import InteractionMode, PrimitiveAction, WorldConfig
 
 from conftest import make_state
 
@@ -314,21 +313,21 @@ def test_recovery_label_stream_contains_reversal_before_resume():
     rng = np.random.default_rng(5)
     task = generate_task("EXIN", "pickup", 0, TEMPLATES[1], 77, rng)
     state = task_initial_state(task, TEMPLATES[1])
-    from gridhouse.world import INTERACTIVE_ACTIONS, cached_render, resolve_target
+    from gridhouse.world import INTERACTIVE_ACTIONS, resolve_target
 
     injected = {}
 
-    def intervene(t, cur, geom, obs, ex):
+    def intervene(t, cur, ex):
         if injected or ex.action not in INTERACTIVE_ACTIONS:
             return None
         # pick any visible wrong target for a reversible wrong action
-        for iid, cells in obs.visible_instance_cells().items():
+        for iid, cells in cur.observation.visible_instance_cells().items():
             if iid == ex.target:
                 continue
             o = cur.obj(iid)
             if cur.cls(o).pickupable and cur.agent.held is None:
                 pt = (cells[0][0] + .5, cells[0][1] + .5)
-                if resolve_target(cur, obs, pt, InteractionMode.HARD) == iid:
+                if resolve_target(cur, pt, InteractionMode.HARD) == iid:
                     injected["target"] = iid
                     return (PrimitiveAction.Pickup, pt)
         return None
@@ -813,7 +812,7 @@ def _scripted_skill_episode(monkeypatch, objects, subgoal, action, wrong_iid):
     """Roll a fully on-policy skill episode whose sub-policy always applies
     `action` to instance `wrong_iid` while holding object 2."""
     state = make_state(objects, agent_cell=(5, 8), held=2)
-    col, row = cached_render(state).visible_instance_cells()[wrong_iid][0]
+    col, row = state.observation.visible_instance_cells()[wrong_iid][0]
     monkeypatch.setattr(TR, "sub_policy_step",
                         lambda *a, **k: (action, (col + .5, row + .5), {}))
     return run_skill_episode(None, SkillEpisode(state, subgoal, 20),
