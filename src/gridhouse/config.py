@@ -4,11 +4,13 @@ Each section is one dataclass (`SECTIONS`) and its keys are the fields
 with a default, so a field's default is its key's and the default's type
 parses the key's text.  One mapping is left: the inherited fields that are
 no keys, and `[multitask] lr_high`, which is `ScheduleConfig.lr`.  Loading
-rejects an unknown section, key or value by name.  Some tunables are no
-keys but constants of the modules that use them: the skill sampler's
-teleport radius and step budgets, the focal-loss exponents and kernel
-width (`nn.FOCAL_ALPHA`, `nn.SIGMA_MIN`, ...), the gradient clip and the
-optimizer betas and epsilon (`nn.ADAM_BETAS`, `nn.ADAM_EPS`).
+rejects an unknown section, key or value by name; a key that names an
+entry of a table (`CHOICES`) takes only that table's names.  Some
+tunables are no keys but constants of the modules that use them: the
+skill sampler's teleport radius and step budgets, the focal-loss
+exponents and kernel width (`nn.FOCAL_ALPHA`, `nn.SIGMA_MIN`, ...), the
+gradient clip and the optimizer betas and epsilon (`nn.ADAM_BETAS`,
+`nn.ADAM_EPS`).
 """
 
 from __future__ import annotations
@@ -22,7 +24,9 @@ from enum import Enum
 from functools import partialmethod
 
 from .agents import ModelConfig
-from .trainer import LossWeights, PPOConfig, RewardConfig, ScheduleConfig
+from .tasks import FAMILIES
+from .trainer import (SKILL_GROUPS, LossWeights, PPOConfig, RewardConfig,
+                      ScheduleConfig)
 from .world import InteractionMode, WorldConfig
 
 
@@ -61,6 +65,9 @@ SECTIONS = {
                               "reset_period": None, "update_every": None}),
     "eval": (Eval, {}), "runtime": (Runtime, {}),
 }
+# (section, field) -> the values a string key takes
+CHOICES = {("pretrain", "grouping"): tuple(SKILL_GROUPS),
+           ("multitask", "single_family"): ("", *FAMILIES)}
 # section -> {field: default}, for every field that has one
 _DEFAULT_VALUES = {s: {f.name: f.default for f in fields(cls) if f.default is not MISSING}
                    for s, (cls, _) in SECTIONS.items()}
@@ -130,6 +137,10 @@ def load_config(path=None) -> RunConfig:
                     raise ValueError(f"{path}: unknown key [{section}] {key}")
                 field = KEYS[section][key]
                 default = values[section][field]
+                allowed = CHOICES.get((section, field))
+                if allowed is not None and text not in allowed:
+                    raise ValueError(f"{path}: [{section}] {key}: {text!r} is not one of "
+                                     f"{allowed}")
                 try:
                     values[section][field] = (parser.getboolean(section, key)
                                               if isinstance(default, bool)

@@ -7,6 +7,7 @@ bit-reproducible.
 
 from __future__ import annotations
 
+import zipfile
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,8 +25,6 @@ FD_STEP = 1e-5        # central-difference step of grad_check
 FD_REL_FLOOR = 1e-3   # grad_check's relative-error denominator floor
 ADAM_BETAS = (0.9, 0.999)
 ADAM_EPS = 1e-8
-
-CHECKPOINT_MAGIC = b"GHCKPT1\n"
 
 
 class ShapeMismatch(ValueError):
@@ -477,52 +476,28 @@ class Adam:
 
 
 # --------------------------------------------------------------------------
-# checkpoints: versioned header + json manifest + raw little-endian buffers
+# checkpoints: one numpy archive, an array per "<section>/<name>"
 
 
 def save_checkpoint(path, sections):
     """sections: {section_name: {array_name: np.ndarray}}."""
-    import json
-
-    manifest = {}
-    blobs = []
-    offset = 0
-    for sec, arrays in sections.items():
-        manifest[sec] = {}
-        for name, arr in arrays.items():
-            arr = np.ascontiguousarray(arr)
-            manifest[sec][name] = {
-                "shape": list(arr.shape),
-                "dtype": str(arr.dtype),
-                "offset": offset,
-                "nbytes": arr.nbytes,
-            }
-            blobs.append(arr.tobytes())
-            offset += arr.nbytes
-    head = json.dumps(manifest, sort_keys=True).encode()
-    with open(path, "wb") as f:
-        f.write(CHECKPOINT_MAGIC)
-        f.write(len(head).to_bytes(8, "little"))
-        f.write(head)
-        for b in blobs:
-            f.write(b)
+    with open(path, "wb") as f:   # an open file: savez appends no ".npz"
+        np.savez(f, **{f"{sec}/{name}": arr for sec, arrays in sections.items()
+                       for name, arr in arrays.items()})
 
 
 def load_checkpoint(path):
-    import json
-
-    with open(path, "rb") as f:
-        magic = f.read(len(CHECKPOINT_MAGIC))
-        if magic != CHECKPOINT_MAGIC:
-            raise ValueError(f"not a checkpoint file: {path}")
-        head_len = int.from_bytes(f.read(8), "little")
-        manifest = json.loads(f.read(head_len).decode())
-        payload = f.read()
-    sections = {}
-    for sec, arrays in manifest.items():
-        sections[sec] = {}
-        for name, meta in arrays.items():
-            raw = payload[meta["offset"]:meta["offset"] + meta["nbytes"]]
-            arr = np.frombuffer(raw, dtype=np.dtype(meta["dtype"])).reshape(meta["shape"])
-            sections[sec][name] = arr.copy()
-    return sections
+    """The {section: {name: array}} a `save_checkpoint` wrote, in the dtypes
+    it wrote; any other file raises ValueError."""
+    try:
+        archive = np.load(path, allow_pickle=False)
+        if isinstance(archive, np.lib.npyio.NpzFile):
+            with archive:
+                sections = {}
+                for key in archive.files:
+                    sec, name = key.split("/", 1)
+                    sections.setdefault(sec, {})[name] = archive[key]
+                return sections
+    except (ValueError, EOFError, zipfile.BadZipFile) as e:
+        raise ValueError(f"not a checkpoint file: {path} ({e})") from None
+    raise ValueError(f"not a checkpoint file: {path} (a bare array)")

@@ -6,6 +6,14 @@ indexing/gather, concat/reshape, the usual nonlinearities, and a
 strided/padded conv2d.  Gradients accumulate additively (see `_acc`);
 backward() on a scalar fills every reachable grad buffer.
 
+An op states its forward value and, per parent, its local gradient: a
+function of the node's gradient, one for `_unary` and one per operand for
+`_binary`.  The node keeps them as a tuple, and backward sums each result
+down to its parent's shape.  An op whose parents share backward work (one
+split, one GEMM) hands its node one closure through `_make`.  A node keeps
+parents and a backward only when grad is enabled and a parent requires
+grad; otherwise it is a leaf.
+
 conv2d is one GEMM over im2col columns.  `_im2col` builds them with one
 `np.take` through a flat index that `_im2col_index` computes once per
 geometry and memoizes, read-only; a padded tap reads a zero appended to
@@ -108,10 +116,17 @@ class Tensor:
                     stack.append((p, False))
         _acc(self, np.asarray(grad, dtype=self.data.dtype))
         for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
-                # parents may now hold node.grad itself: never write into it
-                node._owns_grad = False
+            back, g = node._backward, node.grad
+            if back is None or g is None:
+                continue
+            if isinstance(back, tuple):     # a local gradient per parent
+                for p, local in zip(node._parents, back):
+                    if p.requires_grad:
+                        _acc(p, _unbroadcast(local(g), p.data.shape))
+            else:                           # a closure of `_make`
+                back(g)
+            # parents may now hold node.grad itself: never write into it
+            node._owns_grad = False
 
     # -- operators ---------------------------------------------------------
 
@@ -174,8 +189,25 @@ def _unbroadcast(grad, shape):
 
 def _make(data, parents, backward):
     req = GRAD_ENABLED and any(p.requires_grad for p in parents)
-    return Tensor(data, requires_grad=req, _parents=tuple(parents) if req else (),
-                  _backward=backward if req else None)
+    return Tensor(data, req, parents if req else (), backward if req else None)
+
+
+def _unary(out_data, a, local):
+    """The node of a one-parent op: `a` receives `local(g)`."""
+    if GRAD_ENABLED and a.requires_grad:
+        return Tensor(out_data, True, (a,), (local,))
+    return Tensor(out_data)
+
+
+def _binary(out_data, a, b, local_a, local_b):
+    """The node of an elementwise op of two broadcast operands."""
+    if GRAD_ENABLED and (a.requires_grad or b.requires_grad):
+        return Tensor(out_data, True, (a, b), (local_a, local_b))
+    return Tensor(out_data)
+
+
+def _same(g):
+    return g
 
 
 # -- elementwise ------------------------------------------------------------
@@ -183,145 +215,71 @@ def _make(data, parents, backward):
 
 def add(a, b):
     a, b = as_tensor(a), as_tensor(b)
-    out_data = a.data + b.data
-
-    def backward(g):
-        if a.requires_grad:
-            _acc(a, _unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            _acc(b, _unbroadcast(g, b.data.shape))
-
-    return _make(out_data, (a, b), backward)
+    return _binary(a.data + b.data, a, b, _same, _same)
 
 
 def mul(a, b):
     a, b = as_tensor(a), as_tensor(b)
-    out_data = a.data * b.data
-
-    def backward(g):
-        if a.requires_grad:
-            _acc(a, _unbroadcast(g * b.data, a.data.shape))
-        if b.requires_grad:
-            _acc(b, _unbroadcast(g * a.data, b.data.shape))
-
-    return _make(out_data, (a, b), backward)
+    return _binary(a.data * b.data, a, b, lambda g: g * b.data, lambda g: g * a.data)
 
 
 def div(a, b):
     a, b = as_tensor(a), as_tensor(b)
-    out_data = a.data / b.data
-
-    def backward(g):
-        if a.requires_grad:
-            _acc(a, _unbroadcast(g / b.data, a.data.shape))
-        if b.requires_grad:
-            _acc(b, _unbroadcast(-g * a.data / (b.data ** 2), b.data.shape))
-
-    return _make(out_data, (a, b), backward)
+    return _binary(a.data / b.data, a, b, lambda g: g / b.data,
+                   lambda g: -g * a.data / (b.data ** 2))
 
 
 def exp(a):
     a = as_tensor(a)
     out_data = np.exp(a.data)
-
-    def backward(g):
-        if a.requires_grad:
-            _acc(a, g * out_data)
-
-    return _make(out_data, (a,), backward)
+    return _unary(out_data, a, lambda g: g * out_data)
 
 
 def log(a):
     a = as_tensor(a)
-    out_data = np.log(a.data)
-
-    def backward(g):
-        if a.requires_grad:
-            _acc(a, g / a.data)
-
-    return _make(out_data, (a,), backward)
+    return _unary(np.log(a.data), a, lambda g: g / a.data)
 
 
 def tanh(a):
     a = as_tensor(a)
     out_data = np.tanh(a.data)
-
-    def backward(g):
-        if a.requires_grad:
-            _acc(a, g * (1.0 - out_data ** 2))
-
-    return _make(out_data, (a,), backward)
+    return _unary(out_data, a, lambda g: g * (1.0 - out_data ** 2))
 
 
 def sigmoid(a):
     a = as_tensor(a)
     # stable: 0.5*(1+tanh(x/2))
     out_data = 0.5 * (1.0 + np.tanh(0.5 * a.data))
-
-    def backward(g):
-        if a.requires_grad:
-            _acc(a, g * out_data * (1.0 - out_data))
-
-    return _make(out_data, (a,), backward)
+    return _unary(out_data, a, lambda g: g * out_data * (1.0 - out_data))
 
 
 def relu(a):
     a = as_tensor(a)
-    out_data = np.maximum(a.data, 0.0)
-
-    def backward(g):
-        if a.requires_grad:
-            _acc(a, g * (a.data > 0.0))
-
-    return _make(out_data, (a,), backward)
+    return _unary(np.maximum(a.data, 0.0), a, lambda g: g * (a.data > 0.0))
 
 
 def softplus(a):
     a = as_tensor(a)
-    out_data = np.logaddexp(0.0, a.data)
-
-    def backward(g):
-        if a.requires_grad:
-            sig = 0.5 * (1.0 + np.tanh(0.5 * a.data))
-            _acc(a, g * sig)
-
-    return _make(out_data, (a,), backward)
+    return _unary(np.logaddexp(0.0, a.data), a,
+                  lambda g: g * (0.5 * (1.0 + np.tanh(0.5 * a.data))))
 
 
 def abs_(a):
     a = as_tensor(a)
-    out_data = np.abs(a.data)
-
-    def backward(g):
-        if a.requires_grad:
-            # subgradient at 0 defined as 0
-            _acc(a, g * np.sign(a.data))
-
-    return _make(out_data, (a,), backward)
+    # subgradient at 0 defined as 0
+    return _unary(np.abs(a.data), a, lambda g: g * np.sign(a.data))
 
 
 def square(a):
     a = as_tensor(a)
-    out_data = a.data ** 2
-
-    def backward(g):
-        if a.requires_grad:
-            _acc(a, g * 2.0 * a.data)
-
-    return _make(out_data, (a,), backward)
+    return _unary(a.data ** 2, a, lambda g: g * 2.0 * a.data)
 
 
 def clip(a, lo, hi):
     """Clamp values; gradient is zero outside [lo, hi]."""
     a = as_tensor(a)
-    out_data = np.clip(a.data, lo, hi)
-
-    def backward(g):
-        if a.requires_grad:
-            mask = (a.data >= lo) & (a.data <= hi)
-            _acc(a, g * mask)
-
-    return _make(out_data, (a,), backward)
+    return _unary(np.clip(a.data, lo, hi), a,
+                  lambda g: g * ((a.data >= lo) & (a.data <= hi)))
 
 
 # -- linear algebra / shape --------------------------------------------------
@@ -357,33 +315,18 @@ def alias(a):
     unchanged.  A node per use fixes where in the order of backward that
     gradient reaches `a` (see nn.gru_step)."""
     a = as_tensor(a)
-
-    def backward(g):
-        if a.requires_grad:
-            _acc(a, g)
-
-    return _make(a.data, (a,), backward)
+    return _unary(a.data, a, _same)
 
 
 def reshape(a, shape):
     a = as_tensor(a)
-
-    def backward(g):
-        if a.requires_grad:
-            _acc(a, g.reshape(a.data.shape))
-
-    return _make(a.data.reshape(shape), (a,), backward)
+    return _unary(a.data.reshape(shape), a, lambda g: g.reshape(a.data.shape))
 
 
 def permute(a, axes):
     a = as_tensor(a)
-    inv = np.argsort(axes)
-
-    def backward(g):
-        if a.requires_grad:
-            _acc(a, np.ascontiguousarray(g.transpose(inv)))
-
-    return _make(np.ascontiguousarray(a.data.transpose(axes)), (a,), backward)
+    return _unary(np.ascontiguousarray(a.data.transpose(axes)), a,
+                  lambda g: np.ascontiguousarray(g.transpose(np.argsort(axes))))
 
 
 def concat(tensors, axis=0):
@@ -417,41 +360,31 @@ def stack(tensors, axis=0):
 def gather(a, idx):
     """Numpy fancy indexing with scatter-add backward."""
     a = as_tensor(a)
-    out_data = a.data[idx]
 
-    def backward(g):
-        if a.requires_grad:
-            buf = np.zeros(a.data.shape, dtype=a.data.dtype)
-            if all(isinstance(i, (int, np.integer, slice))
-                   for i in (idx if isinstance(idx, tuple) else (idx,))):
-                buf[idx] += g   # ints and slices repeat no element: np.add.at's sum
-            elif isinstance(idx, np.ndarray) and idx.dtype.kind == "i" and buf.ndim == 2:
-                # one row index per lookup (every Embedding): the 1-D scatter
-                # adds each element's contributions in the 2-D np.add.at order;
-                # a negative row wraps to the same flat elements
-                d = buf.shape[1]
-                flat = ((idx * d)[..., None] + np.arange(d)).reshape(-1)
-                np.add.at(buf.reshape(-1), flat, g.reshape(-1))
-            else:
-                np.add.at(buf, idx, g)
-            _acc(a, buf)
+    def scatter(g):
+        buf = np.zeros(a.data.shape, dtype=a.data.dtype)
+        if all(isinstance(i, (int, np.integer, slice))
+               for i in (idx if isinstance(idx, tuple) else (idx,))):
+            buf[idx] += g   # ints and slices repeat no element: np.add.at's sum
+        elif isinstance(idx, np.ndarray) and idx.dtype.kind == "i" and buf.ndim == 2:
+            # one row index per lookup (every Embedding): the 1-D scatter
+            # adds each element's contributions in the 2-D np.add.at order;
+            # a negative row wraps to the same flat elements
+            d = buf.shape[1]
+            flat = ((idx * d)[..., None] + np.arange(d)).reshape(-1)
+            np.add.at(buf.reshape(-1), flat, g.reshape(-1))
+        else:
+            np.add.at(buf, idx, g)
+        return buf
 
-    return _make(out_data, (a,), backward)
+    return _unary(a.data[idx], a, scatter)
 
 
 def sum_(a, axis=None):
     a = as_tensor(a)
-    out_data = a.data.sum(axis=axis)
-
-    def backward(g):
-        if a.requires_grad:
-            if axis is None:
-                grad = np.broadcast_to(g, a.data.shape)
-            else:
-                grad = np.broadcast_to(np.expand_dims(g, axis), a.data.shape)
-            _acc(a, grad.astype(a.data.dtype, copy=True))
-
-    return _make(out_data, (a,), backward)
+    return _unary(a.data.sum(axis=axis), a, lambda g: np.broadcast_to(
+        g if axis is None else np.expand_dims(g, axis),
+        a.data.shape).astype(a.data.dtype, copy=True))
 
 
 def mean(a, axis=None):
@@ -466,13 +399,8 @@ def log_softmax(a, axis=-1):
     shift = a.data.max(axis=axis, keepdims=True)
     ex = np.exp(a.data - shift)
     out_data = (a.data - shift) - np.log(ex.sum(axis=axis, keepdims=True))
-
-    def backward(g):
-        if a.requires_grad:
-            sm = np.exp(out_data)
-            _acc(a, g - sm * g.sum(axis=axis, keepdims=True))
-
-    return _make(out_data, (a,), backward)
+    return _unary(out_data, a,
+                  lambda g: g - np.exp(out_data) * g.sum(axis=axis, keepdims=True))
 
 
 def softmax(a, axis=-1):

@@ -343,32 +343,64 @@ def multitask_episode_loss(agent, episode: EpisodeBatch, cfg: ModelConfig,
     return T.mul(loss + sub_loss, 1.0 / n)
 
 
+def _subgoal_scores(steps, skills, objs, cfg: ModelConfig):
+    """Rung-1 metrics of the predicted skill ids (one per step, or one for
+    all) and object ids (one per step); with `objs` None no object is
+    judged, so a step counts on its skill alone."""
+    label = np.array([(s.skill, s.obj) for s in steps])
+    prev = np.array([(s.hl_last_skill, s.hl_last_obj) for s in steps])
+    skill_ok = skills == label[:, 0]
+    has_obj = label[:, 1] < cfg.num_classes
+    obj_ok = np.ones(len(steps), bool) if objs is None else objs == label[:, 1]
+    full_ok = skill_ok & (obj_ok | ~has_obj)
+    boundary = (label != prev).any(axis=1)
+    return {"steps": len(steps), "skill": float(skill_ok.mean()),
+            "object_steps": int(has_obj.sum()),
+            "object": float(obj_ok[has_obj].mean()) if objs is not None and has_obj.any()
+            else None,
+            "full": float(full_ok.mean()),
+            "balanced_skill": float(np.mean([skill_ok[label[:, 0] == k].mean()
+                                             for k in np.unique(label[:, 0])])),
+            "boundary_steps": int(boundary.sum()),
+            "boundary": float(full_ok[boundary].mean()) if boundary.any() else None}
+
+
 @T.no_grad()
 def subgoal_accuracy(agent, episodes, cfg: ModelConfig):
     """Teacher-forced sub-goal accuracy of the high level over (task
     family, EpisodeBatch) pairs of expert-labelled episodes
     (`run_task_episode_sf` at eps 1).
 
-    A step counts in its task family's group, except that End and Answer
-    steps count in the groups "End" and "Answer".  Per group: the steps,
-    the share whose argmax skill is the label, and, over the steps with
-    an object label, their count and the share whose argmax object is the
-    label (None when there are none)."""
+    Every step counts in the group "all" and in its task family's group,
+    except that End and Answer steps count in the groups "End" and
+    "Answer".  Per group, of the argmax skill and object: the share of
+    steps whose skill is right; over the steps with an object label, their
+    count and the share whose object is right (None when there are none);
+    full sub-goal accuracy (the skill right, and the object too where
+    labelled); class-balanced skill accuracy (mean recall over the skills
+    present); and full accuracy over the boundary steps, whose label
+    differs from the teacher-forced previous sub-goal, with their count.
+    "floors" holds the same metrics of two trivial predictors on the same
+    steps: always GoTo, judged on skill alone, and a copy of the previous
+    sub-goal."""
     terminal = {int(Skill.End): "End", int(Skill.Answer): "Answer"}
-    counts = {}
+    groups = {}
     for family, episode in episodes:
         skill_logits, obj_logits = high_level_logits(agent, episode, cfg)
-        for s, skill, obj in zip(episode.steps, skill_logits.data.argmax(axis=1),
-                                 obj_logits.data.argmax(axis=1)):
-            c = counts.setdefault(terminal.get(s.skill, family), [0, 0, 0, 0])
-            c[0] += 1
-            c[1] += int(skill == s.skill)
-            if s.obj < cfg.num_classes:
-                c[2] += 1
-                c[3] += int(obj == s.obj)
-    return {group: {"steps": n, "skill": hits / n, "object_steps": m,
-                    "object": obj_hits / m if m else None}
-            for group, (n, hits, m, obj_hits) in counts.items()}
+        for row in zip(episode.steps, skill_logits.data.argmax(axis=1),
+                       obj_logits.data.argmax(axis=1)):
+            for group in ("all", terminal.get(row[0].skill, family)):
+                groups.setdefault(group, []).append(row)
+    report = {}
+    for group, rows in groups.items():
+        steps, skills, objs = zip(*rows)
+        report[group] = _subgoal_scores(steps, np.array(skills), np.array(objs), cfg)
+        report[group]["floors"] = {
+            "always_goto": _subgoal_scores(steps, int(Skill.GoTo), None, cfg),
+            "copy_previous": _subgoal_scores(
+                steps, np.array([s.hl_last_skill for s in steps]),
+                np.array([s.hl_last_obj for s in steps]), cfg)}
+    return report
 
 
 # --------------------------------------------------------------------------
@@ -570,6 +602,12 @@ def stage_epsilon(stage, done, budget, schedule: ScheduleConfig) -> float:
     return 0.0
 
 
+# pretrain grouping -> the skills it samples
+SKILL_GROUPS = {"joint": PRETRAIN_SKILLS,
+                "interact": tuple(s for s in PRETRAIN_SKILLS if s is not Skill.GoTo),
+                "navigate": (Skill.GoTo,)}
+
+
 def pretrain(agent, templates, schedule: ScheduleConfig, cfg: ModelConfig,
              *, grouping, qa_fraction, vocab, seed=0, mode=InteractionMode.HARD,
              reward_cfg=None, ppo_cfg: PPOConfig | None = None,
@@ -579,9 +617,9 @@ def pretrain(agent, templates, schedule: ScheduleConfig, cfg: ModelConfig,
              rng=None, session=None):
     """TF -> SF -> PPO over continuously sampled skill episodes.
 
-    grouping: "joint" (one interact+nav regime), "interact", or "navigate"
-    restricts which skills are sampled.  Stages with zero steps are
-    skipped.  Returns (optimizer, progress).
+    grouping: a key of SKILL_GROUPS, "joint" (one interact+nav regime),
+    "interact" or "navigate", restricts which skills are sampled.  Stages
+    with zero steps are skipped.  Returns (optimizer, progress).
 
     Every stage collects whole episodes into one pending list and updates
     on it once it holds `update_every` samples (TF, SF) or `horizon`
@@ -600,9 +638,7 @@ def pretrain(agent, templates, schedule: ScheduleConfig, cfg: ModelConfig,
     rng = rng or np.random.default_rng(np.random.SeedSequence([seed, 77]))
     session = session or SceneSession(templates, seed, registry=registry,
                                       config=world_config)
-    skills_pool = {"joint": PRETRAIN_SKILLS,
-                   "interact": tuple(s for s in PRETRAIN_SKILLS if s is not Skill.GoTo),
-                   "navigate": (Skill.GoTo,)}[grouping]
+    skills_pool = SKILL_GROUPS[grouping]
     weights = weights or LossWeights()
     reward_cfg = reward_cfg or RewardConfig()
     ppo_cfg = ppo_cfg or PPOConfig()

@@ -40,7 +40,9 @@ def _config_reads(path):
     return out
 
 
-def _perturbed(value):
+def _perturbed(value, choices=()):
+    if choices:
+        return next(c for c in choices if c != value)
     if value in ("true", "false"):
         return "false" if value == "true" else "true"
     if value == "hard":
@@ -67,7 +69,9 @@ def test_every_default_key_has_an_effect(tmp_path):
     dead = []
     for section, keys in C.DEFAULTS.items():
         for key, value in keys.items():
-            config = _load_text(tmp_path, f"[{section}]\n{key} = {_perturbed(value)}\n")
+            choices = C.CHOICES.get((section, C.KEYS[section][key]), ())
+            config = _load_text(tmp_path,
+                                f"[{section}]\n{key} = {_perturbed(value, choices)}\n")
             if _views(config) == base and (section, key) not in read_by_cli:
                 dead.append((section, key))
     assert not dead, f"keys that change no typed view and that cli.py never reads: {dead}"
@@ -169,6 +173,8 @@ def test_manifest_records_the_resolved_values(tmp_path):
     ("[pretrain]\nmode = Hard\n", "[pretrain] mode"),
     ("[eval]\ngreedy = ture\n", "[eval] greedy"),
     ("[tasks]\nscale = 1e3\n", "[tasks] scale"),
+    ("[pretrain]\ngrouping = jiont\n", "[pretrain] grouping: 'jiont'"),
+    ("[multitask]\nsingle_family = shif\n", "[multitask] single_family: 'shif'"),
     ("[pretrain]\ntf_steps = 10\ntf_steps = 20\n", "'tf_steps' in section 'pretrain'"),
     ("tf_steps = 10\n", "no section headers"),
 ])

@@ -4,6 +4,7 @@ checkpoint round trips."""
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -430,14 +431,13 @@ def test_adam_in_place_blocks_match_the_out_of_place_formula(clip_norm):
 
 
 def _checkpoint_dtypes(path):
-    """{section: {array name: dtype}} from a checkpoint's json manifest."""
-    import json
-
-    with open(path, "rb") as f:
-        f.read(len(nn.CHECKPOINT_MAGIC))
-        head = f.read(int.from_bytes(f.read(8), "little"))
-    return {sec: {name: meta["dtype"] for name, meta in arrays.items()}
-            for sec, arrays in json.loads(head).items()}
+    """{section: {array name: dtype}} read through numpy's own loader."""
+    dtypes = {}
+    with np.load(path, allow_pickle=False) as archive:
+        for key in archive.files:
+            sec, name = key.split("/", 1)
+            dtypes.setdefault(sec, {})[name] = str(archive[key].dtype)
+    return dtypes
 
 
 def test_float64_checkpoint_loads_into_a_float32_agent_and_evaluates(tmp_path):
@@ -496,10 +496,16 @@ def test_checkpoint_roundtrip(tmp_path):
 
 
 def test_checkpoint_rejects_garbage(tmp_path):
-    path = tmp_path / "bad.ckpt"
-    path.write_bytes(b"not a checkpoint")
-    with pytest.raises(ValueError):
-        nn.load_checkpoint(path)
+    # garbage, a checkpoint cut short and a bare .npy are each refused by name
+    good = tmp_path / "good.ckpt"
+    nn.save_checkpoint(good, {"model": nn.Linear(np.random.default_rng(9), 4, 3).state_arrays()})
+    garbage, truncated, npy = tmp_path / "bad.ckpt", tmp_path / "cut.ckpt", tmp_path / "a.npy"
+    garbage.write_bytes(b"not a checkpoint")
+    truncated.write_bytes(good.read_bytes()[:good.stat().st_size // 2])
+    np.save(npy, np.ones(3, dtype=np.float32))
+    for path in (garbage, truncated, npy):
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            nn.load_checkpoint(path)
 
 
 def test_checkpoint_of_another_agent_is_rejected_with_its_names(tmp_path, capsys):

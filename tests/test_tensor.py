@@ -297,3 +297,65 @@ def test_backward_determinism():
 
     g1, g2 = run(), run()
     assert np.array_equal(g1[0], g2[0]) and np.array_equal(g1[1], g2[1])
+
+
+# --------------------------------------------------------------------------
+# how nodes are built
+
+
+def _reachable_nodes(root):
+    seen, stack = set(), [root]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(node._parents)
+    return len(seen)
+
+
+def test_the_multitask_loss_graph_keeps_its_node_count():
+    # read before the ops were rewritten over _unary and _binary; how an op
+    # builds its node must add or drop none
+    from gridhouse.verification import _hier_loss, micro_model_config
+
+    cfg = micro_model_config()
+    agent = HierarchicalAgent(np.random.default_rng(0), cfg)
+    assert _reachable_nodes(_hier_loss(agent, cfg, np.random.default_rng(1))) == 496
+
+
+# every op that states only its forward value and its local gradient, on
+# (2, 3) inputs in (0.5, 1.5)
+UNARY_OPS = {
+    "exp": T.exp, "log": T.log, "tanh": T.tanh, "sigmoid": T.sigmoid, "relu": T.relu,
+    "softplus": T.softplus, "abs_": T.abs_, "square": T.square,
+    "clip": lambda a: T.clip(a, 0.7, 1.2), "alias": T.alias,
+    "reshape": lambda a: T.reshape(a, (3, 2)), "permute": lambda a: T.permute(a, (1, 0)),
+    "gather": lambda a: T.gather(a, np.array([1, 0, 1])),
+    "sum_": lambda a: T.sum_(a, axis=0), "log_softmax": T.log_softmax,
+}
+BINARY_OPS = {"add": T.add, "mul": T.mul, "div": T.div}
+
+
+@pytest.mark.parametrize("name", [*UNARY_OPS, *BINARY_OPS])
+def test_an_op_keeps_exactly_its_parameters_and_is_otherwise_a_leaf(name):
+    op = UNARY_OPS.get(name) or BINARY_OPS[name]
+    rng = np.random.default_rng(5)
+    data = [rng.uniform(0.5, 1.5, size=(2, 3)) for _ in range(1 if name in UNARY_OPS else 2)]
+
+    def is_leaf(t):
+        return t._parents == () and t._backward is None and not t.requires_grad
+
+    params = [T.Tensor(d, requires_grad=True) for d in data]
+    assert is_leaf(op(*[T.Tensor(d) for d in data]))
+    with T.no_grad():
+        assert is_leaf(op(*params))
+    out = op(*params)
+    assert out.requires_grad and out._backward is not None
+    assert len(out._parents) == len(params)
+    assert all(p is q for p, q in zip(out._parents, params))
+    if name in BINARY_OPS:
+        # one operand a parameter: only it receives a gradient
+        out = op(params[0], data[1])
+        assert out._parents[0] is params[0] and not out._parents[1].requires_grad
+        T.sum_(out).backward()
+        assert params[0].grad.shape == (2, 3) and out._parents[1].grad is None

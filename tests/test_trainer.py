@@ -524,25 +524,32 @@ def test_an_expert_only_rollout_runs_no_high_level_forward(monkeypatch):
     assert [s.skill for s in steps] == [int(r.expert.subgoal.skill) for r in traj.steps]
 
 
-def test_subgoal_accuracy_groups_every_expert_step(monkeypatch):
+def _expert_labelled_episodes(agent, tasks):
+    """(task family, EpisodeBatch) of an eps-1 multi-task rollout per task."""
     from gridhouse.tasks import instruction_tokens
 
-    agent = HierarchicalAgent(np.random.default_rng(0), SMALL)
     by_id = {t["template_id"]: t for t in TEMPLATES}
     episodes = []
-    for task in (generate_task("EXIN", "pickup", 0, TEMPLATES[0], 9, np.random.default_rng(1)),
-                 generate_task("IQA", "existence", 0, TEMPLATES[2], 77,
-                               np.random.default_rng(2))):
+    for task in tasks:
         steps, _traj = TR.run_task_episode_sf(
             agent, task, task_initial_state(task, by_id[task.scene_template_id]),
             InteractionMode.HARD, np.random.default_rng(3), 1.0, SMALL, VOCAB)
         episodes.append((task.family, EpisodeBatch(instruction_tokens(task, VOCAB), steps)))
+    return episodes
+
+
+def test_subgoal_accuracy_groups_every_expert_step(monkeypatch):
+    agent = HierarchicalAgent(np.random.default_rng(0), SMALL)
+    episodes = _expert_labelled_episodes(agent, (
+        generate_task("EXIN", "pickup", 0, TEMPLATES[0], 9, np.random.default_rng(1)),
+        generate_task("IQA", "existence", 0, TEMPLATES[2], 77, np.random.default_rng(2))))
     labels = [s for _, ep in episodes for s in ep.steps]
     expected = {"End": sum(s.skill == Skill.End for s in labels),
                 "Answer": sum(s.skill == Skill.Answer for s in labels)}
     for family, ep in episodes:
         expected[family] = sum(s.skill not in (Skill.End, Skill.Answer) for s in ep.steps)
     assert min(expected.values()) > 0
+    expected["all"] = len(labels)
 
     acc = TR.subgoal_accuracy(agent, episodes, SMALL)
     assert {g: a["steps"] for g, a in acc.items()} == expected
@@ -568,6 +575,49 @@ def test_subgoal_accuracy_groups_every_expert_step(monkeypatch):
         for family, _ep in episodes:
             assert acc[family]["skill"] == acc[family]["object"] == share
         assert acc["End"]["skill"] == acc["Answer"]["skill"] == share
+        for a in acc.values():
+            assert a["full"] == a["balanced_skill"] == share
+            assert a["boundary"] in (share, None)
+
+
+def _one_hot_logits(skills, objs):
+    """A monkeypatched `high_level_logits` whose argmax is skills(step) and
+    objs(step); one column past each space holds a "no sub-goal" id."""
+    def logits(agent, episode, cfg):
+        return (T.Tensor(np.eye(len(Skill) + 1)[[skills(s) for s in episode.steps]]),
+                T.Tensor(np.eye(cfg.num_classes + 1)[[objs(s) for s in episode.steps]]))
+    return logits
+
+
+def test_trivial_predictors_read_exactly_their_subgoal_floors(monkeypatch):
+    agent = HierarchicalAgent(np.random.default_rng(0), SMALL)
+    episodes = _expert_labelled_episodes(agent, (
+        generate_task("EXIN", "pickup", 0, TEMPLATES[0], 9, np.random.default_rng(1)),
+        generate_task("IQA", "existence", 0, TEMPLATES[2], 77, np.random.default_rng(2)),
+        generate_task("SHIF", "heat", 0, TEMPLATES[0], 5, np.random.default_rng(5))))
+    skill_only = ("steps", "skill", "full", "balanced_skill", "boundary_steps", "boundary")
+
+    # the skill head always picks GoTo, the object head is right
+    monkeypatch.setattr(TR, "high_level_logits",
+                        _one_hot_logits(lambda s: int(Skill.GoTo), lambda s: s.obj))
+    acc = TR.subgoal_accuracy(agent, episodes, SMALL)
+    for a in acc.values():
+        floor = a["floors"]["always_goto"]
+        assert {k: a[k] for k in skill_only} == {k: floor[k] for k in skill_only}
+    overall = acc["all"]["floors"]
+    assert 0 < overall["always_goto"]["skill"] < 1
+    assert overall["always_goto"]["balanced_skill"] == \
+        1 / len({s.skill for _, ep in episodes for s in ep.steps})
+
+    # both heads copy the previous sub-goal
+    monkeypatch.setattr(TR, "high_level_logits",
+                        _one_hot_logits(lambda s: s.hl_last_skill, lambda s: s.hl_last_obj))
+    acc = TR.subgoal_accuracy(agent, episodes, SMALL)
+    for a in acc.values():
+        floors = a.pop("floors")
+        assert a == floors["copy_previous"]
+    assert acc["all"]["boundary_steps"] > 0 and acc["all"]["boundary"] == 0.0
+    assert 0 < acc["all"]["full"] < 1
 
 
 # --------------------------------------------------------------------------
