@@ -333,14 +333,50 @@ def point_from_grid(cfg: ModelConfig, cell_index, delta):
             cy + float(np.clip(delta[1], -half, half)))
 
 
+class ForwardMemo:
+    """The last step's forwards of one episode, for the next step to reuse.
+
+    A runner makes one per episode.  It keeps the high-level image feature
+    keyed by the `Observation` object, and the sub-policy forward output
+    keyed by that object plus (family, last-action id, skill id, object
+    id).  A matching key reuses the stored output; any other runs the
+    forward and replaces the entry.  Objects are compared by identity: a
+    step that leaves the state as it was hands its successor the very same
+    observation, whose arrays, and so the forward's bits, are unchanged."""
+
+    def __init__(self):
+        self.hl = (None, None)          # (observation, image feature)
+        self.sub = (None, None, None)   # (observation, key, forward output)
+
+    def image_feature(self, agent, obs):
+        """`agent.hl_encoder` on `obs` at batch 1."""
+        seen, z_img = self.hl
+        if seen is not obs:
+            z_img = agent.hl_encoder(*obs_planes([obs]))
+            self.hl = obs, z_img
+        return z_img
+
+    def sub_policy(self, agent, family, obs, last_action, skill, obj):
+        """`sub_policy_forward` on `obs` at batch 1, given the ids of the
+        last action, the skill and the conditioning object."""
+        key = (family, last_action, skill, obj)
+        seen, seen_key, out = self.sub
+        if seen is not obs or seen_key != key:
+            out = sub_policy_forward(agent, family, [obs], [last_action], [skill], [obj])
+            self.sub = obs, key, out
+        return out
+
+
 @T.no_grad()
 def high_level_step(agent, z_task, obs, last_action, last_subgoal, hidden,
-                    rng, greedy=False):
+                    rng, greedy=False, *, memo: ForwardMemo):
     """Factorized sub-goal sampling: skill first, then the target class
     (masked out entirely for Answer/End).  Returns the sub-goal and the
-    next hidden state.  Rollout-only: no graph."""
-    cmap, planes = obs_planes([obs])
-    z_img = agent.hl_encoder(cmap, planes)
+    next hidden state.  Rollout-only: no graph.  `memo` is the episode's
+    `ForwardMemo`: the image feature is reused when the previous step
+    decided on the same `obs` object (the key is its identity), which is
+    exact because parameters are fixed within an episode."""
+    z_img = memo.image_feature(agent, obs)
     skill_id, obj_id = subgoal_ids(agent.cfg, last_subgoal)
     skill_logits, obj_logits, h = agent.high.step(
         z_task, z_img, [action_id(last_action)], [skill_id], [obj_id], hidden)
@@ -365,19 +401,24 @@ def sub_policy_forward(agent, family, obs_batch, last_action, skill, obj):
 
 
 @T.no_grad()
-def sub_policy_step(agent, subgoal, obs, last_action, rng, greedy=False):
+def sub_policy_step(agent, subgoal, obs, last_action, rng, greedy=False, *,
+                    memo: ForwardMemo):
     """The primitive that carries out a sub-goal.  Answer and End take
     Done with no forward; GoTo and the interaction skills sample an action
     from their family's sub-policy, plus an interaction point for
     interactive primitives (extras then hold its grid cell and offset).
-    Rollout-only: no graph."""
+    Rollout-only: no graph.  `memo` is the episode's `ForwardMemo`: the
+    forward is reused when the previous step that ran one had the same
+    `obs` object (the key is its identity), family, last action and
+    sub-goal, which is exact because parameters are fixed within an
+    episode."""
     cfg = agent.cfg
     family = SKILL_FAMILY[subgoal.skill]
     if family in ("qa", "end"):
         return PrimitiveAction.Done, None, {}
     skill_id, obj_id = subgoal_ids(cfg, subgoal)
-    logits, _value, point_maps = sub_policy_forward(
-        agent, family, [obs], [action_id(last_action)], [skill_id], [obj_id])
+    logits, _value, point_maps = memo.sub_policy(
+        agent, family, obs, action_id(last_action), skill_id, obj_id)
     idx, _ = sample_logits(logits.data[0], rng, greedy)
     action = (NAV_ACTION_SPACE if family == "nav" else INTERACT_ACTION_SPACE)[idx]
     if action not in INTERACTIVE_ACTIONS:

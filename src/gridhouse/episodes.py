@@ -57,7 +57,12 @@ def rollout(state: WorldState, decide, mode: InteractionMode, max_steps: int,
     that feeds a model reads `state.observation`, the expert reads it to
     aim an interaction, and `step` reads it for an interactive action; all
     three share the state's memo, as the expert, `step` and the milestones
-    share `state.geometry`.  The episode ends as
+    share `state.geometry`.  A step that leaves the state as it was hands
+    its successor the same observation object, so a model-fed `decide`
+    keeps one `agents.ForwardMemo` per episode and reruns no forward on
+    it: that reuse is exact because parameters are fixed while `rollout`
+    runs and the memo's key is the observation's identity.  The episode
+    ends as
     - "success" after a step whose successor satisfies `succeeded(state)`;
       the controller does not observe that step, so a wrong interaction
       that completes the goal needs no recovery

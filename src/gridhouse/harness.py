@@ -8,7 +8,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .agents import ANSWER_SPACE, high_level_step, qa_answer, sub_policy_step
+from .agents import (ANSWER_SPACE, ForwardMemo, high_level_step, qa_answer,
+                     sub_policy_step)
 from .episodes import rollout
 from .skills import (PRETRAIN_SKILLS, SceneSession, Skill, periodic_reset,
                      sample_skill_episode, skill_success, NoFeasibleSkill)
@@ -68,11 +69,13 @@ def act_episode(agent, task, initial_state, mode: InteractionMode, rng,
                 greedy=True, *, vocab):
     """Roll the hierarchical agent on one task episode.  Every sub-goal the
     high level picks goes to `sub_policy_step`; End ends the episode, and
-    on an IQA task the first Answer asks the QA head for the answer."""
+    on an IQA task the first Answer asks the QA head for the answer.  The
+    episode's steps share one `ForwardMemo`."""
     tokens = instruction_tokens(task, vocab)
     with T.no_grad():
         z_task = agent.task_enc([tokens])
     hidden = agent.high.initial_hidden()
+    memo = ForwardMemo()
 
     def decide(traj, state, ex):
         nonlocal hidden
@@ -81,12 +84,13 @@ def act_episode(agent, task, initial_state, mode: InteractionMode, rng,
         last_action = None if prev is None else prev.action
         sub, hidden = high_level_step(
             agent, z_task, obs, last_action, None if prev is None else prev.subgoal,
-            hidden, rng, greedy)
+            hidden, rng, greedy, memo=memo)
         if sub.skill is Skill.Answer and task.family == "IQA" and traj.answer is None:
             probs = qa_answer(agent, tokens, obs)
             pick = np.argmax(probs) if greedy else rng.choice(len(probs), p=probs)
             traj.answer = ANSWER_SPACE[int(pick)]
-        action, point, _extras = sub_policy_step(agent, sub, obs, last_action, rng, greedy)
+        action, point, _extras = sub_policy_step(agent, sub, obs, last_action, rng,
+                                                 greedy, memo=memo)
         return sub, action, point, sub.skill is Skill.End
 
     return rollout(initial_state, decide, mode, task.max_steps)
@@ -128,11 +132,13 @@ def run_skill_episode_policy(agent, episode, mode, rng, greedy=True) -> bool:
     in pre-training, the episode succeeds on the step that completes the
     skill and otherwise runs to the budget; Done is an ordinary step."""
     sub, start = episode.subgoal, episode.initial_state
+    memo = ForwardMemo()
 
     def decide(traj, state, ex):
         obs = state.observation
         last = traj.steps[-1].action if traj.steps else None
-        action, point, _ = sub_policy_step(agent, sub, obs, last, rng, greedy=greedy)
+        action, point, _ = sub_policy_step(agent, sub, obs, last, rng, greedy=greedy,
+                                           memo=memo)
         return sub, action, point, False
 
     traj = rollout(start, decide, mode, episode.max_steps,

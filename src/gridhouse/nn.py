@@ -410,19 +410,11 @@ class Adam:
         self.t = 0
         self.m = [np.zeros(p.data.shape, p.data.dtype) for p in self.params]
         self.v = [np.zeros(p.data.shape, p.data.dtype) for p in self.params]
-        self.frozen: set[int] = set()
-
-    def freeze(self, params):
-        ids = {id(p) for p in params}
-        for i, p in enumerate(self.params):
-            if id(p) in ids:
-                self.frozen.add(i)
 
     def step(self):
         """Update parameters that received gradients; moment buffers of
         untouched parameters are left alone."""
-        live = [(i, p, p.grad) for i, p in enumerate(self.params)
-                if p.grad is not None and i not in self.frozen]
+        live = [(i, p, p.grad) for i, p in enumerate(self.params) if p.grad is not None]
         if not live:
             return
         scale = None

@@ -17,7 +17,7 @@ import numpy as np
 from . import nn, tensor as T
 from .agents import (ANSWER_SPACE, INTERACT_ACTION_SPACE, INTERACT_INDEX,
                      NAV_ACTION_SPACE, NAV_INDEX, NONE_ACTION, NONE_SKILL,
-                     SKILL_FAMILY, ModelConfig, action_id, cell_center,
+                     SKILL_FAMILY, ForwardMemo, ModelConfig, action_id, cell_center,
                      high_level_step, obs_planes, qa_logits,
                      sub_policy_forward, sub_policy_step, subgoal_ids)
 from .episodes import rollout
@@ -430,6 +430,7 @@ def run_skill_episode(agent, episode, mode, rng, eps, cfg: ModelConfig,
     space = NAV_ACTION_SPACE if family == "nav" else INTERACT_ACTION_SPACE
     start = episode.initial_state
     samples = []
+    memo = ForwardMemo()
 
     def decide(traj, state, ex):
         obs = state.observation
@@ -441,7 +442,7 @@ def run_skill_episode(agent, episode, mode, rng, eps, cfg: ModelConfig,
             sample.cell, sample.delta = sample.expert_cell, sample.expert_delta
         else:
             action, point, extras = sub_policy_step(agent, sub, obs, last, rng,
-                                                    greedy=False)
+                                                    greedy=False, memo=memo)
             sample.action = space.index(action)
             if "cell" in extras:
                 sample.cell, sample.delta = extras["cell"], extras["delta"]
@@ -748,6 +749,7 @@ def run_task_episode_sf(agent, task, state, mode, rng, eps, cfg, vocab):
             z_task = agent.task_enc([tokens])
         hidden = agent.high.initial_hidden()
     samples = []
+    memo = ForwardMemo()
 
     def decide(traj, state, ex):
         nonlocal hidden
@@ -757,13 +759,14 @@ def run_task_episode_sf(agent, task, state, mode, rng, eps, cfg, vocab):
         last_sub = None if prev is None else prev.subgoal
         if agent_acts:
             sub, hidden = high_level_step(
-                agent, z_task, obs, last_action, last_sub, hidden, rng, greedy=False)
+                agent, z_task, obs, last_action, last_sub, hidden, rng, greedy=False,
+                memo=memo)
         samples.append(_task_sample(obs, ex, last_action, last_sub, task, tokens, cfg))
         if rng.random() < eps:
             sub, action, point = ex.subgoal, ex.action, ex.point
         else:
             action, point, _ = sub_policy_step(agent, sub, obs, last_action, rng,
-                                               greedy=False)
+                                               greedy=False, memo=memo)
         return sub, action, point, sub.skill is Skill.End
 
     traj = rollout(state, decide, mode, task.max_steps,
@@ -798,14 +801,15 @@ def train_multitask(agent, split, templates_by_id, schedule: ScheduleConfig,
     """Joint fine-tuning: TF then SF, high-level and gated sub-policy
     losses per step, recovery planner active during SF.  An update averages
     `episodes_per_update` episodes; the episodes left at a stage's end make
-    one shorter update of that stage."""
+    one shorter update of that stage.  `agent.frozen_after_pretrain()`
+    requires no gradient during the call, so backward computes none for it
+    and Adam leaves it as it was."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, 311]))
     weights = weights or LossWeights()
     opt_hl = nn.Adam(agent.level_params(high=True), lr=schedule.lr,
                      clip_norm=schedule.grad_clip)
     opt_sub = nn.Adam(agent.level_params(high=False), lr=schedule.lr_sub,
                       clip_norm=schedule.grad_clip)
-    opt_sub.freeze(agent.frozen_after_pretrain())
     episodes = split.episodes
     if single_family:
         episodes = [e for e in episodes if e.family == single_family]
@@ -824,24 +828,31 @@ def train_multitask(agent, split, templates_by_id, schedule: ScheduleConfig,
         opt_sub.step()
         pending.clear()
 
-    for stage, budget in (("tf", schedule.tf_steps), ("sf", schedule.sf_steps)):
-        while steps_done[stage] < budget:
-            task = multi_task_sample(by_family, rng)
-            template = templates_by_id[task.scene_template_id]
-            state = task_initial_state(task, template, registry=registry,
-                                       config=world_config)
-            steps, _traj = run_task_episode_sf(
-                agent, task, state, mode, rng,
-                stage_epsilon(stage, steps_done[stage], budget, schedule), cfg, vocab)
-            if not steps:
-                continue
-            pending.append(EpisodeBatch(task_tokens=instruction_tokens(task, vocab),
-                                        steps=steps))
-            steps_done[stage] += len(steps)
-            if len(pending) >= episodes_per_update:
+    frozen = agent.frozen_after_pretrain()
+    for p in frozen:
+        p.requires_grad = False
+    try:
+        for stage, budget in (("tf", schedule.tf_steps), ("sf", schedule.sf_steps)):
+            while steps_done[stage] < budget:
+                task = multi_task_sample(by_family, rng)
+                template = templates_by_id[task.scene_template_id]
+                state = task_initial_state(task, template, registry=registry,
+                                           config=world_config)
+                steps, _traj = run_task_episode_sf(
+                    agent, task, state, mode, rng,
+                    stage_epsilon(stage, steps_done[stage], budget, schedule), cfg, vocab)
+                if not steps:
+                    continue
+                pending.append(EpisodeBatch(task_tokens=instruction_tokens(task, vocab),
+                                            steps=steps))
+                steps_done[stage] += len(steps)
+                if len(pending) >= episodes_per_update:
+                    update()
+                if on_round is not None:
+                    on_round(stage, steps_done)
+            if pending:
                 update()
-            if on_round is not None:
-                on_round(stage, steps_done)
-        if pending:
-            update()
+    finally:
+        for p in frozen:
+            p.requires_grad = True
     return opt_hl, opt_sub

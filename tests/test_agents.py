@@ -8,8 +8,8 @@ from hypothesis import given, strategies as st
 
 from gridhouse import tensor as T
 from gridhouse.agents import (ANSWER_SPACE, INTERACT_ACTION_SPACE,
-                              NAV_ACTION_SPACE, SKILL_FAMILY, HierarchicalAgent,
-                              ModelConfig, high_level_step,
+                              NAV_ACTION_SPACE, SKILL_FAMILY, ForwardMemo,
+                              HierarchicalAgent, ModelConfig, high_level_step,
                               obs_planes, point_from_grid, qa_answer,
                               qa_logits, sample_logits, sub_policy_step)
 from gridhouse.classes import desk_registry
@@ -51,8 +51,9 @@ def test_high_level_masks_answer_and_end(agent, scene_obs):
     h = agent.high.initial_hidden()
     rng = np.random.default_rng(0)
     last = None
+    memo = ForwardMemo()
     for i in range(60):
-        sub, h = high_level_step(agent, z, obs, None, last, h, rng)
+        sub, h = high_level_step(agent, z, obs, None, last, h, rng, memo=memo)
         if sub.skill in NO_OBJECT_SKILLS:
             assert sub.object_class is None
         else:
@@ -73,8 +74,9 @@ def test_hidden_state_changes_every_step(agent, scene_obs):
     rng = np.random.default_rng(1)
     seen = [h.data.copy()]
     last = None
+    memo = ForwardMemo()
     for _ in range(4):
-        sub, h = high_level_step(agent, z, obs, None, last, h, rng)
+        sub, h = high_level_step(agent, z, obs, None, last, h, rng, memo=memo)
         last = sub
         seen.append(h.data.copy())
     for a, b in zip(seen, seen[1:]):
@@ -116,9 +118,10 @@ def test_expert_cell_delta_inverts_point_from_grid(fx, fy):
 def test_nav_sub_policy_never_emits_interactions(agent, scene_obs):
     state, obs = scene_obs
     rng = np.random.default_rng(0)
+    memo = ForwardMemo()
     for _ in range(40):
         action, point, _ = sub_policy_step(
-            agent, SubGoal(Skill.GoTo, REG.id_of("Fridge")), obs, None, rng)
+            agent, SubGoal(Skill.GoTo, REG.id_of("Fridge")), obs, None, rng, memo=memo)
         assert action in NAV_ACTION_SPACE
         assert point is None
 
@@ -127,9 +130,10 @@ def test_interact_sub_policy_points_only_with_interactive_actions(agent, scene_o
     state, obs = scene_obs
     rng = np.random.default_rng(0)
     saw_point = False
+    memo = ForwardMemo()
     for _ in range(60):
         action, point, extras = sub_policy_step(
-            agent, SubGoal(Skill.Pickup, REG.id_of("Apple")), obs, None, rng)
+            agent, SubGoal(Skill.Pickup, REG.id_of("Apple")), obs, None, rng, memo=memo)
         assert action in INTERACT_ACTION_SPACE
         if point is not None:
             saw_point = True

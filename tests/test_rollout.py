@@ -6,8 +6,8 @@ import hashlib
 
 import numpy as np
 
-from gridhouse import harness, trainer as TR, world as W
-from gridhouse.agents import HierarchicalAgent, ModelConfig
+from gridhouse import agents, episodes, harness, trainer as TR, world as W
+from gridhouse.agents import ForwardMemo, HierarchicalAgent, ModelConfig
 from gridhouse.episodes import rollout, run_expert_episode
 from gridhouse.harness import act_episode, run_skill_episode_policy
 from gridhouse.planner import (ExpertController, ExpertStep, Irrecoverable,
@@ -157,7 +157,7 @@ def test_both_skill_runners_end_on_the_step_that_completes_the_skill(monkeypatch
         plays = [(A.Done, None)] + [(r.action, r.point) for r in expert.steps[:done_at + 1]]
         calls = []
 
-        def play(agent, subgoal, obs, last_action, rng, greedy=False):
+        def play(agent, subgoal, obs, last_action, rng, greedy=False, *, memo):
             calls.append(subgoal)
             action, point = plays[min(len(calls), len(plays)) - 1]
             return action, point, {}
@@ -355,4 +355,121 @@ ROLLOUT_SHA256 = {
 
 
 def test_rollouts_are_bit_identical_to_the_golden_digest():
+    assert _rollout_digests() == ROLLOUT_SHA256
+
+
+# --------------------------------------------------------------------------
+# the per-episode forward memo
+
+
+class _NeverHits(ForwardMemo):
+    """A memo that forgets before every lookup, so every step runs its
+    forwards."""
+
+    def image_feature(self, agent, obs):
+        self.hl = (None, None)
+        return super().image_feature(agent, obs)
+
+    def sub_policy(self, agent, *args):
+        self.sub = (None, None, None)
+        return super().sub_policy(agent, *args)
+
+
+def _never_hit(monkeypatch):
+    monkeypatch.setattr(harness, "ForwardMemo", _NeverHits)
+    monkeypatch.setattr(TR, "ForwardMemo", _NeverHits)
+
+
+def _leave_states_unchanged(monkeypatch):
+    """Every step leaves the state, and so its observation, as it was."""
+    real_step = episodes.step
+    monkeypatch.setattr(episodes, "step", lambda state, *a: (state, real_step(state, *a)[1]))
+
+
+def _distinct_runs(keys):
+    """How many entries of `keys` differ from the one before; a key's
+    first element is an observation, compared by identity."""
+    runs, prev = 0, None
+    for key in keys:
+        if prev is None or key[0] is not prev[0] or key[1:] != prev[1:]:
+            runs += 1
+        prev = key
+    return runs
+
+
+def _forward_keys(state, traj):
+    """The memo keys of a greedy `act_episode` from `state`: the observation
+    each step decided on, and for the steps that run a sub-policy its
+    family and ids."""
+    decided = [state] + [r.after for r in traj.steps[:-1]]
+    obs = [s.observation for s in decided]
+    sub = []
+    for t, (o, r) in enumerate(zip(obs, traj.steps)):
+        family = agents.SKILL_FAMILY[r.subgoal.skill]
+        if family in ("nav", "interact"):
+            last = None if t == 0 else traj.steps[t - 1].action
+            sub.append((o, family, agents.action_id(last),
+                        *agents.subgoal_ids(SMALL, r.subgoal)))
+    return [(o,) for o in obs], sub
+
+
+def test_act_episode_runs_each_forward_once_per_distinct_input(monkeypatch):
+    agent = HierarchicalAgent(np.random.default_rng(np.random.SeedSequence([0, 12001])),
+                              SMALL)
+    # zeroed action heads: the greedy sub-policies repeat their first action
+    for sub in (agent.nav, agent.interact):
+        sub.action_head.w.data[...] = 0
+        sub.action_head.b.data[...] = 0
+    encodes, forwards = [], []
+    encode, forward = type(agent.hl_encoder).__call__, agents.sub_policy_forward
+
+    def counted_encode(self, *planes):
+        encodes.append(self is agent.hl_encoder)
+        return encode(self, *planes)
+
+    def counted_forward(*args):
+        forwards.append(1)
+        return forward(*args)
+
+    monkeypatch.setattr(type(agent.hl_encoder), "__call__", counted_encode)
+    monkeypatch.setattr(agents, "sub_policy_forward", counted_forward)
+    for unchanged in (False, True):
+        if unchanged:
+            _leave_states_unchanged(monkeypatch)
+        for task, template in _golden_tasks():
+            del encodes[:], forwards[:]
+            state = task_initial_state(task, template)
+            traj = act_episode(agent, task, state, HARD, np.random.default_rng(3),
+                               greedy=True, vocab=VOCAB)
+            hl_keys, sub_keys = _forward_keys(state, traj)
+            assert sum(encodes) == _distinct_runs(hl_keys)
+            assert sum(forwards) == _distinct_runs(sub_keys)
+            if unchanged:
+                assert sum(encodes) == 1 < len(traj.steps)
+                assert 0 < sum(forwards) < len(sub_keys)
+
+
+def test_memo_hits_leave_every_trajectory_as_it_was(monkeypatch):
+    # the golden runs, and greedy task episodes and on-policy skill episodes
+    # that never change their state, give the same records when no step
+    # may reuse a forward
+    agent = HierarchicalAgent(np.random.default_rng(np.random.SeedSequence([0, 12001])),
+                              SMALL)
+    skill_episodes = _skill_episodes()
+
+    def unchanged_digest(put):
+        with monkeypatch.context() as m:
+            _leave_states_unchanged(m)
+            for task, template in _golden_tasks():
+                _put_traj(put, act_episode(agent, task, task_initial_state(task, template),
+                                           HARD, np.random.default_rng(3), greedy=True,
+                                           vocab=VOCAB))
+            rng = np.random.default_rng(8)
+            for episode in skill_episodes:
+                _put_samples(put, TR.run_skill_episode(agent, episode, HARD, rng, 0.0,
+                                                       SMALL, collect_ppo=True)[0])
+
+    with_memo = _digest(unchanged_digest)
+    _never_hit(monkeypatch)
+    assert _digest(unchanged_digest) == with_memo
     assert _rollout_digests() == ROLLOUT_SHA256

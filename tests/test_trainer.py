@@ -735,6 +735,41 @@ def test_train_multitask_trains_every_step_it_counts(monkeypatch):
     assert sum(trained) == sum(counted.values())
 
 
+def test_train_multitask_computes_no_gradient_for_the_frozen_block(monkeypatch):
+    class _Stop(Exception):
+        pass
+
+    agent = HierarchicalAgent(np.random.default_rng(1), SMALL)
+    frozen = agent.frozen_after_pretrain()
+    block = [p.data.tobytes() for p in frozen]
+    trained = agent.sub_encoder.conv2.w.data.copy()
+    seen = []
+    adam_step = nn.Adam.step
+
+    def step(opt):
+        seen.extend((p.grad, p.requires_grad) for p in frozen)
+        adam_step(opt)
+
+    def stop(stage, steps_done):
+        raise _Stop
+
+    monkeypatch.setattr(nn.Adam, "step", step)
+    task = generate_task("EXIN", "pickup", 0, TEMPLATES[1], 77, np.random.default_rng(5))
+    by_id = {t["template_id"]: t for t in TEMPLATES}
+    for on_round, sf_steps in ((None, 8), (stop, 0)):
+        try:
+            TR.train_multitask(agent, DatasetSplit("train", [task], []), by_id,
+                               ScheduleConfig(tf_steps=8, sf_steps=sf_steps), SMALL,
+                               VOCAB, episodes_per_update=1, on_round=on_round)
+        except _Stop:
+            pass
+        # restored afterwards, also when the call raises
+        assert all(p.requires_grad for p in frozen)
+    assert seen and all(g is None and not req for g, req in seen)
+    assert [p.data.tobytes() for p in frozen] == block
+    assert not np.array_equal(agent.sub_encoder.conv2.w.data, trained)
+
+
 def test_pretrain_trains_every_step_it_counts(monkeypatch):
     # samples still pending when a stage ends, fewer than its update size,
     # go into one last update of that stage, PPO's included
