@@ -171,49 +171,141 @@ class GRUCell(Module):
 
 
 def gru_step(cell, x, h):
-    """One GRU step; x: (..., I), h: (..., D) -> h': (..., D)."""
+    """One GRU step as one graph node; x: (..., I), h: (..., D) -> h': (..., D).
+
+    The values are those of the cell's convention written as ops (concat,
+    linear, sigmoid, mul, tanh, add), and the backward adds every gradient
+    in the order that op graph did, so the bits are the same:
+      - h receives (1 - z) * g, then its share of r * h, then its block of
+        the [x, h] gate products;
+      - x receives its block of [x, r * h] before its block of [x, h];
+      - z sums its -z term and its z * cand term (two terms: either order).
+    Over an unroll backward runs the steps latest first, so w_z, w_r and
+    the biases sum their gradients latest step first.  w_h reaches the
+    node through a `T.alias` of its own per step, which keeps its gradient
+    summed earliest step first, the order the fixed-seed results were made
+    with.
+    """
     x, h = T.as_tensor(x), T.as_tensor(h)
     if x.shape[-1] != cell.in_dim or h.shape[-1] != cell.hidden_dim:
         raise ShapeMismatch(f"gru_step got x{x.shape}, h{h.shape} for "
                             f"I={cell.in_dim}, D={cell.hidden_dim}")
-    xh = T.concat([x, h], axis=-1)
-    z = T.sigmoid(T.linear(xh, cell.w_z, cell.b_z))
-    r = T.sigmoid(T.linear(xh, cell.w_r, cell.b_r))
-    xrh = T.concat([x, T.mul(r, h)], axis=-1)
-    # The candidate of step t reads h_(t-1) through r * h, so backward runs
-    # the nodes of later steps first.  Passing w_h through a node of its own
-    # per step keeps its gradient summed earliest step first, the order the
-    # fixed-seed results were made with.
-    hcand = T.tanh(T.linear(xrh, T.alias(cell.w_h), cell.b_h))
-    return T.mul(1.0 - z, h) + T.mul(z, hcand)
+    i = cell.in_dim
+    w_h = T.alias(cell.w_h)
+    xd, hd = x.data, h.data
+    xh = np.concatenate([xd, hd], axis=-1)
+    z = T.logistic(xh @ cell.w_z.data.T + cell.b_z.data)
+    r = T.logistic(xh @ cell.w_r.data.T + cell.b_r.data)
+    xrh = np.concatenate([xd, r * hd], axis=-1)
+    cand = np.tanh(xrh @ w_h.data.T + cell.b_h.data)
+    parents = (x, h, cell.w_z, cell.b_z, cell.w_r, cell.b_r, w_h, cell.b_h)
+
+    def backward(g):
+        gac = g * z * (1.0 - cand ** 2)
+        gxrh = gac @ w_h.data
+        grh = gxrh[..., i:]
+        gar = grh * hd * r * (1.0 - r)
+        gaz = (-(g * hd) + g * cand) * z * (1.0 - z)
+        gxh = gaz @ cell.w_z.data + gar @ cell.w_r.data
+        if h.requires_grad:
+            for part in (g * (1.0 - z), grh * r, gxh[..., i:]):
+                T._acc(h, part)
+        if x.requires_grad:
+            T._acc(x, gxrh[..., :i])
+            T._acc(x, gxh[..., :i])
+        for w, b, ga, inp in ((cell.w_z, cell.b_z, gaz, xh), (cell.w_r, cell.b_r, gar, xh),
+                              (w_h, cell.b_h, gac, xrh)):
+            if w.requires_grad:
+                T._acc(w, T.weight_grad(ga, inp))
+            if b.requires_grad:
+                T._acc(b, T.bias_grad(ga))
+
+    return T._make((1.0 - z) * hd + z * cand, parents, backward)
 
 
 def gru_sequence(cell, xs, h0):
-    """Unroll over a (N, I) step sequence with one initial hidden (D,).
+    """Unroll over a (N, I) step sequence from one initial hidden (D,), as
+    one graph node whose backward runs backpropagation through time.
+    Returns the (N, D) hidden states after each step.
 
     The input projections of all steps run as a single matmul; only the
-    (D x D) recurrent part runs stepwise.  Equivalent to folding gru_step.
-    Returns the (N, D) hidden states after each step.
+    (D x D) recurrent part runs stepwise.  The values are those of folding
+    gru_step, with each gate weight split into its input block (the first
+    I columns) and its recurrent block.  The backward adds every gradient
+    in the order of that unroll written as ops, so the bits are the same:
+      - steps run latest first; h_(t-1) receives its piece of the output
+        gradient, then (1 - z) * g, the z gate's recurrent product, its
+        share of r * h, then the r gate's recurrent product;
+      - the recurrent blocks of w_z and w_r sum latest step first, that of
+        w_h earliest step first (the order a `T.alias` per step gives, as
+        in gru_step);
+      - after the unroll xs receives the z projection's gradient, then the
+        candidate's, then the r projection's;
+      - each gate weight receives [input block + 0.0, recurrent block + 0.0]
+        at once: the bits of slicing the blocks out of it, whose gradient
+        is a scatter into zeros.
     """
-    xs = T.as_tensor(xs)
-    i = cell.in_dim
-    wxz, whz = cell.w_z[:, :i], cell.w_z[:, i:]
-    wxr, whr = cell.w_r[:, :i], cell.w_r[:, i:]
-    wxh, whh = cell.w_h[:, :i], cell.w_h[:, i:]
-    xz = T.linear(xs, wxz, cell.b_z)
-    xr = T.linear(xs, wxr, cell.b_r)
-    xh = T.linear(xs, wxh, cell.b_h)
-    h = T.as_tensor(h0)
-    outs = []
-    n = xs.shape[0]
+    xs, h0 = T.as_tensor(xs), T.as_tensor(h0)
+    i, n = cell.in_dim, xs.shape[0]
+    gates = (cell.w_z, cell.w_r, cell.w_h)
+    (wxz, whz), (wxr, whr), (wxh, whh) = ((w.data[:, :i], w.data[:, i:]) for w in gates)
+    xz = xs.data @ wxz.T + cell.b_z.data
+    xr = xs.data @ wxr.T + cell.b_r.data
+    xc = xs.data @ wxh.T + cell.b_h.data
+    hs, zs, rs, rhs, cands = [h0.data], [], [], [], []
     for t in range(n):
-        z = T.sigmoid(xz[t] + T.linear(h, whz))
-        r = T.sigmoid(xr[t] + T.linear(h, whr))
-        # whh through its own node per step, as w_h in gru_step
-        cand = T.tanh(xh[t] + T.linear(T.mul(r, h), T.alias(whh)))
-        h = T.mul(1.0 - z, h) + T.mul(z, cand)
-        outs.append(h)
-    return T.stack(outs, axis=0)
+        h = hs[-1]
+        z = T.logistic(xz[t] + h @ whz.T)
+        r = T.logistic(xr[t] + h @ whr.T)
+        rh = r * h
+        cand = np.tanh(xc[t] + rh @ whh.T)
+        hs.append((1.0 - z) * h + z * cand)
+        zs.append(z)
+        rs.append(r)
+        rhs.append(rh)
+        cands.append(cand)
+
+    def backward(g):
+        # pre-activation gradients of z, r and the candidate, a row per step
+        gz, gr, gc = (np.zeros(xz.shape, xz.dtype) for _ in range(3))
+        carry = ()        # step t+1's contributions to h_t, in order
+        for t in reversed(range(n)):
+            gt = g[t]
+            for part in carry:
+                gt = gt + part
+            h, z, r, cand = hs[t], zs[t], rs[t], cands[t]
+            gac = gt * z * (1.0 - cand ** 2)
+            grh = gac @ whh
+            gar = grh * h * r * (1.0 - r)
+            gaz = (-(gt * h) + gt * cand) * z * (1.0 - z)
+            gz[t] += gaz
+            gr[t] += gar
+            gc[t] += gac
+            carry = (gt * (1.0 - z), gaz @ whz, grh * r, gar @ whr)
+        if h0.requires_grad:
+            for part in carry:
+                T._acc(h0, part)
+        if xs.requires_grad:
+            for rows, wx in ((gz, wxz), (gc, wxh), (gr, wxr)):
+                T._acc(xs, rows @ wx)
+        latest_first = range(n - 1, -1, -1)
+        for w, b, rows, ins, order in ((cell.w_z, cell.b_z, gz, hs, latest_first),
+                                       (cell.w_r, cell.b_r, gr, hs, latest_first),
+                                       (cell.w_h, cell.b_h, gc, rhs, range(n))):
+            if w.requires_grad:
+                gw = np.empty_like(w.data)
+                np.add(T.weight_grad(rows, xs.data), 0.0, out=gw[:, :i])
+                # summed onto +0.0: the bits of the sum plus 0.0
+                rec = gw[:, i:]
+                rec[...] = 0.0
+                for t in order:
+                    rec += np.outer(rows[t], ins[t])
+                T._acc(w, gw)
+            if b.requires_grad:
+                T._acc(b, T.bias_grad(rows))
+
+    parents = (xs, h0, cell.w_z, cell.b_z, cell.w_r, cell.b_r, cell.w_h, cell.b_h)
+    return T._make(np.stack(hs[1:], axis=0), parents, backward)
 
 
 # --------------------------------------------------------------------------

@@ -10,9 +10,11 @@ An op states its forward value and, per parent, its local gradient: a
 function of the node's gradient, one for `_unary` and one per operand for
 `_binary`.  The node keeps them as a tuple, and backward sums each result
 down to its parent's shape.  An op whose parents share backward work (one
-split, one GEMM) hands its node one closure through `_make`.  A node keeps
-parents and a backward only when grad is enabled and a parent requires
-grad; otherwise it is a leaf.
+split, one GEMM) hands its node one closure through `_make`; so do the
+GRU recurrences of `nn`, `gru_step` and `gru_sequence`, whose closures run
+the backward of a whole step or unroll.  A node keeps parents and a
+backward only when grad is enabled and a parent requires grad; otherwise
+it is a leaf.
 
 conv2d is one GEMM over im2col columns.  `_im2col` builds them with one
 `np.take` through a flat index that `_im2col_index` computes once per
@@ -246,10 +248,14 @@ def tanh(a):
     return _unary(out_data, a, lambda g: g * (1.0 - out_data ** 2))
 
 
+def logistic(x):
+    """The values of `sigmoid` on an array: the stable 0.5 * (1 + tanh(x/2))."""
+    return 0.5 * (1.0 + np.tanh(0.5 * x))
+
+
 def sigmoid(a):
     a = as_tensor(a)
-    # stable: 0.5*(1+tanh(x/2))
-    out_data = 0.5 * (1.0 + np.tanh(0.5 * a.data))
+    out_data = logistic(a.data)
     return _unary(out_data, a, lambda g: g * out_data * (1.0 - out_data))
 
 
@@ -260,8 +266,7 @@ def relu(a):
 
 def softplus(a):
     a = as_tensor(a)
-    return _unary(np.logaddexp(0.0, a.data), a,
-                  lambda g: g * (0.5 * (1.0 + np.tanh(0.5 * a.data))))
+    return _unary(np.logaddexp(0.0, a.data), a, lambda g: g * logistic(a.data))
 
 
 def abs_(a):
@@ -299,15 +304,25 @@ def linear(x, w, b=None):
         parents = (x, w, b)
 
     def backward(g):
-        xd = x.data
         if x.requires_grad:
             _acc(x, g @ w.data)
         if w.requires_grad:
-            _acc(w, g.T @ xd if xd.ndim == 2 else np.outer(g, xd))
+            _acc(w, weight_grad(g, x.data))
         if b is not None and b.requires_grad:
-            _acc(b, g.sum(axis=0) if g.ndim == 2 else g)
+            _acc(b, bias_grad(g))
 
     return _make(out_data, parents, backward)
+
+
+def weight_grad(g, x):
+    """The gradient of w in x @ w.T for output gradient g: g.T @ x, or
+    np.outer(g, x) for a 1-D x."""
+    return g.T @ x if x.ndim == 2 else np.outer(g, x)
+
+
+def bias_grad(g):
+    """The gradient of b in x @ w.T + b for output gradient g."""
+    return g.sum(axis=0) if g.ndim == 2 else g
 
 
 def alias(a):

@@ -78,6 +78,16 @@ def _op_cases(rng):
     }
 
 
+def _gru_sequence_case(rng):
+    """The BPTT of nn.gru_sequence against finite differences: a 5-step
+    unroll, over its inputs, initial hidden and the cell's six weights."""
+    cell = nn.GRUCell(np.random.default_rng(int(rng.integers(1 << 30))), 3, 4)
+    xs, h0 = rng.uniform(-1.5, 1.5, size=(5, 3)), rng.uniform(-1.5, 1.5, size=4)
+    # grad_check perturbs the cell's own parameters in place
+    return (lambda xs, h0, *_: T.square(nn.gru_sequence(cell, xs, h0)).sum(),
+            [xs, h0, *cell.parameters()])
+
+
 def micro_model_config():
     return ModelConfig(num_classes=3, vocab_size=7, obs_size=8,
                        d=4, grid=2, hidden=6, task_dim=4, token_dim=3,
@@ -150,4 +160,7 @@ def gradient_suite(seed=0):
                 err = nn.grad_check(fn, inputs, sample=(rng, 6))
                 report[name] = max(report.get(name, 0.0), err)
         report["policy_hier"] = max(_network_check(rng) for _ in range(NET_CONFIGS))
+        # drawn last, so every row above keeps its draws
+        report["gru_sequence"] = max(nn.grad_check(*_gru_sequence_case(rng), sample=(rng, 6))
+                                     for _ in range(OP_CONFIGS))
     return report

@@ -250,6 +250,169 @@ def test_gru_batched_matches_rowwise():
 
 
 # --------------------------------------------------------------------------
+# one node per GRU step and per unroll: bitwise the op compositions
+
+
+def _reference_gru_step(cell, x, h):
+    """gru_step composed of ops, a graph node each."""
+    x, h = T.as_tensor(x), T.as_tensor(h)
+    xh = T.concat([x, h], axis=-1)
+    z = T.sigmoid(T.linear(xh, cell.w_z, cell.b_z))
+    r = T.sigmoid(T.linear(xh, cell.w_r, cell.b_r))
+    xrh = T.concat([x, T.mul(r, h)], axis=-1)
+    hcand = T.tanh(T.linear(xrh, T.alias(cell.w_h), cell.b_h))
+    return T.mul(1.0 - z, h) + T.mul(z, hcand)
+
+
+def _reference_gru_sequence(cell, xs, h0):
+    """gru_sequence composed of ops: sliced weight blocks, one input
+    projection per gate, and stepwise nodes for the recurrent part."""
+    xs = T.as_tensor(xs)
+    i = cell.in_dim
+    wxz, whz = cell.w_z[:, :i], cell.w_z[:, i:]
+    wxr, whr = cell.w_r[:, :i], cell.w_r[:, i:]
+    wxh, whh = cell.w_h[:, :i], cell.w_h[:, i:]
+    xz = T.linear(xs, wxz, cell.b_z)
+    xr = T.linear(xs, wxr, cell.b_r)
+    xh = T.linear(xs, wxh, cell.b_h)
+    h = T.as_tensor(h0)
+    outs = []
+    for t in range(xs.shape[0]):
+        z = T.sigmoid(xz[t] + T.linear(h, whz))
+        r = T.sigmoid(xr[t] + T.linear(h, whr))
+        cand = T.tanh(xh[t] + T.linear(T.mul(r, h), T.alias(whh)))
+        h = T.mul(1.0 - z, h) + T.mul(z, cand)
+        outs.append(h)
+    return T.stack(outs, axis=0)
+
+
+def _fused_and_reference_bytes(monkeypatch, build):
+    """Bytes of the loss and of every leaf gradient that `build()` returns
+    as (leaves, loss), with the GRU ops and with their compositions."""
+    def run():
+        leaves, loss = build()
+        loss.backward()
+        return [loss.data.tobytes()] + [None if t.grad is None else t.grad.tobytes()
+                                        for t in leaves]
+
+    fused = run()
+    with monkeypatch.context() as m:
+        m.setattr(nn, "gru_step", _reference_gru_step)
+        m.setattr(nn, "gru_sequence", _reference_gru_sequence)
+        reference = run()
+    assert len(fused) == len(reference)
+    return fused, reference
+
+
+def _cell_leaves(cell, frozen):
+    for p in cell.parameters():
+        p.requires_grad = not frozen
+    return cell.parameters()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("batched", [False, True])
+@pytest.mark.parametrize("h0_grad", [False, True])
+@pytest.mark.parametrize("outside", [False, True])
+@pytest.mark.parametrize("frozen", [False, True])
+def test_gru_step_is_bitwise_its_composition(monkeypatch, dtype, batched, h0_grad,
+                                             outside, frozen):
+    # two token rows through one cell, from a shared initial hidden; with
+    # `outside`, every hidden state also feeds a term of the loss
+    def build():
+        rng = np.random.default_rng(17)
+        with T.precision(dtype):
+            cell = nn.GRUCell(rng, 3, 5)
+            table = T.Tensor(rng.normal(size=(6, 3)), requires_grad=True)
+            shape = (2, 5) if batched else (5,)
+            h0 = T.Tensor(rng.normal(size=shape), requires_grad=h0_grad)
+            loss = T.Tensor(0.0)
+            for row in ([1, 2, 3, 1], [3, 3, 0]):
+                h = h0
+                for tok in row:
+                    x = table[np.array([tok, 5 - tok])] if batched else table[tok]
+                    h = nn.gru_step(cell, x, h)
+                    if outside:
+                        loss = loss + T.sum_(T.tanh(h))
+                loss = loss + T.sum_(T.square(h))
+            return [table, h0, *_cell_leaves(cell, frozen)], loss
+
+    fused, reference = _fused_and_reference_bytes(monkeypatch, build)
+    assert fused == reference
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("h0_grad", [False, True])
+@pytest.mark.parametrize("outside", [False, True])
+@pytest.mark.parametrize("frozen", [False, True])
+@pytest.mark.parametrize("two", [False, True])
+def test_gru_sequence_is_bitwise_its_composition(monkeypatch, dtype, h0_grad, outside,
+                                                 frozen, two):
+    # with `outside`, the hidden states and the inputs also feed other
+    # terms; with `two`, a second unroll of the cell joins the loss, as two
+    # episodes of one multi-task update do
+    def build():
+        rng = np.random.default_rng(23)
+        with T.precision(dtype):
+            cell = nn.GRUCell(rng, 4, 3)
+            x_leaf = T.Tensor(rng.normal(size=(6, 4)), requires_grad=True)
+            h0 = T.Tensor(rng.normal(size=3), requires_grad=h0_grad)
+            xs = T.tanh(x_leaf)
+            hs = nn.gru_sequence(cell, xs, h0)
+            loss = T.sum_(T.square(hs))
+            if outside:
+                loss = loss + T.sum_(T.mul(T.sigmoid(hs), rng.normal(size=(6, 3)))) + T.sum_(xs)
+            if two:
+                loss = loss + T.sum_(T.tanh(nn.gru_sequence(cell, T.tanh(x_leaf[1:]), h0)))
+            return [x_leaf, h0, *_cell_leaves(cell, frozen)], loss
+
+    fused, reference = _fused_and_reference_bytes(monkeypatch, build)
+    assert fused == reference
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_qa_batch_sharing_one_question_is_bitwise_the_composed_one(monkeypatch, dtype):
+    # an IQA episode's QA rows all carry the task's one token list
+    from gridhouse.agents import HierarchicalAgent
+    from gridhouse.skills import Skill
+    from gridhouse.trainer import StepSample, _qa_loss
+    from gridhouse.verification import micro_model_config, random_observation
+
+    def build():
+        rng = np.random.default_rng(29)
+        with T.precision(dtype):
+            cfg = micro_model_config()
+            agent = HierarchicalAgent(np.random.default_rng(3), cfg)
+            tokens = [1, 4, 2, 5]
+            samples = [StepSample(obs=random_observation(rng, cfg), family="qa",
+                                  skill=int(Skill.Answer), obj=cfg.num_classes,
+                                  last_action=0, expert_action=0, answer_tokens=tokens,
+                                  answer_label=int(rng.integers(6)))
+                       for _ in range(5)]
+            return agent.parameters(), _qa_loss(agent, samples)
+
+    fused, reference = _fused_and_reference_bytes(monkeypatch, build)
+    assert fused == reference
+
+
+def test_two_episode_multitask_loss_is_bitwise_the_composed_one(monkeypatch):
+    # task encoder, QA question encoder and the high-level unroll of two
+    # episodes in one loss, as a multi-task update with two episodes
+    from gridhouse.agents import HierarchicalAgent
+    from gridhouse.verification import _hier_loss, micro_model_config
+
+    def build():
+        cfg = micro_model_config()
+        agent = HierarchicalAgent(np.random.default_rng(0), cfg)
+        loss = _hier_loss(agent, cfg, np.random.default_rng(1)) + \
+            _hier_loss(agent, cfg, np.random.default_rng(2))
+        return agent.parameters(), T.mul(loss, 0.5)
+
+    fused, reference = _fused_and_reference_bytes(monkeypatch, build)
+    assert fused == reference
+
+
+# --------------------------------------------------------------------------
 # grad checks on the losses (spec tolerance 1e-4 at h=1e-5)
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from gridhouse import tensor as T
+from gridhouse import nn, tensor as T
 from gridhouse.agents import HierarchicalAgent, ModelConfig, obs_planes
 from gridhouse.classes import desk_registry
 from gridhouse.nn import grad_check
@@ -314,13 +314,30 @@ def _reachable_nodes(root):
 
 
 def test_the_multitask_loss_graph_keeps_its_node_count():
-    # read before the ops were rewritten over _unary and _binary; how an op
-    # builds its node must add or drop none
+    # read with one node per GRU step and per unroll (496 when they were
+    # composed of ops); how an op builds its node must add or drop none
     from gridhouse.verification import _hier_loss, micro_model_config
 
     cfg = micro_model_config()
     agent = HierarchicalAgent(np.random.default_rng(0), cfg)
-    assert _reachable_nodes(_hier_loss(agent, cfg, np.random.default_rng(1))) == 496
+    assert _reachable_nodes(_hier_loss(agent, cfg, np.random.default_rng(1))) == 334
+
+
+def test_a_token_step_and_an_unroll_add_one_gru_node_each():
+    rng = np.random.default_rng(4)
+    cell, tok = nn.GRUCell(rng, 3, 4), nn.Embedding(rng, 6, 3)
+    h1 = cell(tok(2), T.Tensor(np.zeros(4)))
+    h2 = cell(tok(5), h1)
+    # the step, its lookup and the alias that carries w_h's gradient
+    assert _reachable_nodes(h2) - _reachable_nodes(h1) == 3
+    lookup, alias = h2._parents[0], h2._parents[6]
+    assert h2._parents[1] is h1 and lookup._parents == (tok.table,)
+    assert alias._parents == (cell.w_h,)
+
+    xs = T.Tensor(rng.normal(size=(7, 3)), requires_grad=True)
+    hs = nn.gru_sequence(cell, xs, np.zeros(4))
+    # the unroll's node, xs, the initial hidden and the six weights
+    assert hs.shape == (7, 4) and _reachable_nodes(hs) == 9
 
 
 # every op that states only its forward value and its local gradient, on
@@ -336,11 +353,31 @@ UNARY_OPS = {
 BINARY_OPS = {"add": T.add, "mul": T.mul, "div": T.div}
 
 
-@pytest.mark.parametrize("name", [*UNARY_OPS, *BINARY_OPS])
+def _cell(w_z, b_z, w_r, b_r, w_h, b_h):
+    """A GRU cell (I = 3, D = 4) whose weights are the given tensors."""
+    cell = nn.GRUCell(np.random.default_rng(0), 3, 4)
+    cell.w_z, cell.b_z, cell.w_r, cell.b_r, cell.w_h, cell.b_h = w_z, b_z, w_r, b_r, w_h, b_h
+    return cell
+
+
+# the GRU ops on their input, initial hidden and six weights, with shapes
+GRU_WEIGHTS = [(4, 7), (4,)] * 3
+GRU_OPS = {
+    "gru_step": (lambda x, h, *w: nn.gru_step(_cell(*w), x, h), [(2, 3), (2, 4)]),
+    "gru_sequence": (lambda xs, h0, *w: nn.gru_sequence(_cell(*w), xs, h0), [(2, 3), (4,)]),
+}
+
+
+@pytest.mark.parametrize("name", [*UNARY_OPS, *BINARY_OPS, *GRU_OPS])
 def test_an_op_keeps_exactly_its_parameters_and_is_otherwise_a_leaf(name):
-    op = UNARY_OPS.get(name) or BINARY_OPS[name]
     rng = np.random.default_rng(5)
-    data = [rng.uniform(0.5, 1.5, size=(2, 3)) for _ in range(1 if name in UNARY_OPS else 2)]
+    if name in GRU_OPS:
+        op, shapes = GRU_OPS[name]
+        shapes = shapes + GRU_WEIGHTS
+    else:
+        op = UNARY_OPS.get(name) or BINARY_OPS[name]
+        shapes = [(2, 3)] * (1 if name in UNARY_OPS else 2)
+    data = [rng.uniform(0.5, 1.5, size=shape) for shape in shapes]
 
     def is_leaf(t):
         return t._parents == () and t._backward is None and not t.requires_grad
@@ -351,8 +388,12 @@ def test_an_op_keeps_exactly_its_parameters_and_is_otherwise_a_leaf(name):
         assert is_leaf(op(*params))
     out = op(*params)
     assert out.requires_grad and out._backward is not None
-    assert len(out._parents) == len(params)
-    assert all(p is q for p, q in zip(out._parents, params))
+    parents = list(out._parents)
+    if name == "gru_step":      # w_h reaches the step through an alias of its own
+        assert parents[6]._parents == (params[6],)
+        parents[6] = params[6]
+    assert len(parents) == len(params)
+    assert all(p is q for p, q in zip(parents, params))
     if name in BINARY_OPS:
         # one operand a parameter: only it receives a gradient
         out = op(params[0], data[1])
