@@ -113,7 +113,17 @@ def _context_and_image(cond, z_img):
 
 class HighLevelPolicy(Module):
     """Per-step sub-goal head: GRU over [context; image feature flattened],
-    then factorized skill and object logits."""
+    then factorized skill and object logits.
+
+    Training unrolls the GRU over an episode's `gru_input` rows
+    (`trainer.high_level_logits`).  A rollout splits each gate's input
+    term into the image block's product, which `image_projection` computes
+    once per observation, and the context's, which `rollout_step` adds
+    each step with the bias; the recurrence is `nn.gru_recurrence`, the
+    one `nn.gru_sequence` runs.  The split sums a gate's pre-activation in
+    another order than the unroll's one dot product over [context; image;
+    h], so rollout gates differ from the teacher-forced ones in their low
+    bits."""
 
     def __init__(self, rng, cfg: ModelConfig):
         super().__init__()
@@ -146,8 +156,26 @@ class HighLevelPolicy(Module):
         return _context_and_image(
             self.context(z_task, last_action, last_skill, last_obj), z_img)
 
-    def step(self, z_task, z_img, last_action, last_skill, last_obj, hidden):
-        h = self.gru(self.gru_input(z_task, z_img, last_action, last_skill, last_obj), hidden)
+    def image_projection(self, z_img):
+        """Each gate's product with the image feature flattened, (z, r,
+        candidate), each (N, hidden): the columns of w_z, w_r and w_h that
+        `gru_input` fills with the image, read as views of the weights."""
+        flat = z_img.data.reshape(z_img.shape[0], -1)
+        return tuple(flat @ w.T for w in self.gru.blocks(self.cfg.cond_dim, self.gru.in_dim))
+
+    def rollout_step(self, z_task, image_proj, last_action, last_skill, last_obj, hidden):
+        """(skill logits, object logits, next hidden) of one step from the
+        step's `image_projection`: each gate adds to it the context, scaled
+        by grid * grid as `_context_and_image` scales it, times its context
+        block, then its bias, and `nn.gru_recurrence` adds the recurrent
+        products.  The gates run in numpy and build no graph: rollouts
+        call it under `T.no_grad`."""
+        cond = self.context(z_task, last_action, last_skill, last_obj).data
+        cond = cond * float(self.cfg.grid * self.cfg.grid)
+        g = self.gru
+        gx = [p + cond @ w.T + b.data for p, w, b in
+              zip(image_proj, g.blocks(0, self.cfg.cond_dim), (g.b_z, g.b_r, g.b_h))]
+        h = T.Tensor(nn.gru_recurrence(*gx, hidden.data, g.blocks(g.in_dim))[0])
         return self.skill_head(h), self.obj_head(h), h
 
 
@@ -336,25 +364,30 @@ def point_from_grid(cfg: ModelConfig, cell_index, delta):
 class ForwardMemo:
     """The last step's forwards of one episode, for the next step to reuse.
 
-    A runner makes one per episode.  It keeps the high-level image feature
+    A runner makes one per episode.  It keeps the high level's three gate
+    projections of the image feature (`HighLevelPolicy.image_projection`)
     keyed by the `Observation` object, and the sub-policy forward output
     keyed by that object plus (family, last-action id, skill id, object
     id).  A matching key reuses the stored output; any other runs the
     forward and replaces the entry.  Objects are compared by identity: a
     step that leaves the state as it was hands its successor the very same
-    observation, whose arrays, and so the forward's bits, are unchanged."""
+    observation, whose arrays, and so the forward's bits, are unchanged,
+    and parameters are fixed within an episode.  So a reuse is exact; the
+    projections themselves sum each rollout gate in another order than the
+    teacher-forced unroll, which moves its low bits (`HighLevelPolicy`)."""
 
     def __init__(self):
-        self.hl = (None, None)          # (observation, image feature)
+        self.hl = (None, None)          # (observation, gate projections)
         self.sub = (None, None, None)   # (observation, key, forward output)
 
-    def image_feature(self, agent, obs):
-        """`agent.hl_encoder` on `obs` at batch 1."""
-        seen, z_img = self.hl
+    def image_projection(self, agent, obs):
+        """`agent.high.image_projection` of `agent.hl_encoder` on `obs` at
+        batch 1."""
+        seen, proj = self.hl
         if seen is not obs:
-            z_img = agent.hl_encoder(*obs_planes([obs]))
-            self.hl = obs, z_img
-        return z_img
+            proj = agent.high.image_projection(agent.hl_encoder(*obs_planes([obs])))
+            self.hl = obs, proj
+        return proj
 
     def sub_policy(self, agent, family, obs, last_action, skill, obj):
         """`sub_policy_forward` on `obs` at batch 1, given the ids of the
@@ -373,13 +406,16 @@ def high_level_step(agent, z_task, obs, last_action, last_subgoal, hidden,
     """Factorized sub-goal sampling: skill first, then the target class
     (masked out entirely for Answer/End).  Returns the sub-goal and the
     next hidden state.  Rollout-only: no graph.  `memo` is the episode's
-    `ForwardMemo`: the image feature is reused when the previous step
-    decided on the same `obs` object (the key is its identity), which is
-    exact because parameters are fixed within an episode."""
-    z_img = memo.image_feature(agent, obs)
+    `ForwardMemo`: the image feature's three gate projections are reused
+    when the previous step decided on the same `obs` object (the key is
+    its identity), which is exact because parameters are fixed within an
+    episode; only the context, bias and recurrent terms run every step
+    (`HighLevelPolicy.rollout_step`).  Those gate sums differ from the
+    teacher-forced `trainer.high_level_logits` in their low bits."""
+    image_proj = memo.image_projection(agent, obs)
     skill_id, obj_id = subgoal_ids(agent.cfg, last_subgoal)
-    skill_logits, obj_logits, h = agent.high.step(
-        z_task, z_img, [action_id(last_action)], [skill_id], [obj_id], hidden)
+    skill_logits, obj_logits, h = agent.high.rollout_step(
+        z_task, image_proj, [action_id(last_action)], [skill_id], [obj_id], hidden)
     s_idx, _ = sample_logits(skill_logits.data[0], rng, greedy)
     skill = Skill(s_idx)
     if skill in NO_OBJECT_SKILLS:

@@ -59,10 +59,12 @@ def rollout(state: WorldState, decide, mode: InteractionMode, max_steps: int,
     three share the state's memo, as the expert, `step` and the milestones
     share `state.geometry`.  A step that leaves the state as it was hands
     its successor the same observation object, so a model-fed `decide`
-    keeps one `agents.ForwardMemo` per episode and reruns no forward on
-    it: that reuse is exact because parameters are fixed while `rollout`
-    runs and the memo's key is the observation's identity.  The episode
-    ends as
+    keeps one `agents.ForwardMemo` per episode: on that object it reuses
+    the high level's image-block gate projections and the sub-policy
+    forward.  The reuse is exact because parameters are fixed while
+    `rollout` runs and the memo's key is the observation's identity; the
+    projected gates sum in another order than the teacher-forced unroll,
+    so they differ from it in their low bits.  The episode ends as
     - "success" after a step whose successor satisfies `succeeded(state)`;
       the controller does not observe that step, so a wrong interaction
       that completes the goal needs no recovery

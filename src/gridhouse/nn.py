@@ -169,6 +169,10 @@ class GRUCell(Module):
     def __call__(self, x, h):
         return gru_step(self, x, h)
 
+    def blocks(self, start, stop=None):
+        """Columns [start:stop] of w_z, w_r and w_h, as views: no copy."""
+        return tuple(w.data[:, start:stop] for w in (self.w_z, self.w_r, self.w_h))
+
 
 def gru_step(cell, x, h):
     """One GRU step as one graph node; x: (..., I), h: (..., D) -> h': (..., D).
@@ -223,6 +227,18 @@ def gru_step(cell, x, h):
     return T._make((1.0 - z) * hd + z * cand, parents, backward)
 
 
+def gru_recurrence(xz, xr, xc, h, rec):
+    """One step of the GRU recurrence from its input terms, biases
+    included: (h', z, r, r * h, cand) as arrays.  `rec` holds the
+    recurrent blocks of w_z, w_r and w_h (`cell.blocks(cell.in_dim)`)."""
+    uz, ur, uh = rec
+    z = T.logistic(xz + h @ uz.T)
+    r = T.logistic(xr + h @ ur.T)
+    rh = r * h
+    cand = np.tanh(xc + rh @ uh.T)
+    return (1.0 - z) * h + z * cand, z, r, rh, cand
+
+
 def gru_sequence(cell, xs, h0):
     """Unroll over a (N, I) step sequence from one initial hidden (D,), as
     one graph node whose backward runs backpropagation through time.
@@ -244,22 +260,25 @@ def gru_sequence(cell, xs, h0):
       - each gate weight receives [input block + 0.0, recurrent block + 0.0]
         at once: the bits of slicing the blocks out of it, whose gradient
         is a scatter into zeros.
+
+    The forward loop is `gru_recurrence`, which rollouts also run a step at
+    a time (`agents.HighLevelPolicy.rollout_step`).  A rollout reuses each
+    gate's image-block product while the observation object stays the
+    same, which is exact because parameters are fixed within an episode,
+    and adds the context and bias to it; so its gate sums differ from this
+    unroll's in their low bits.
     """
     xs, h0 = T.as_tensor(xs), T.as_tensor(h0)
     i, n = cell.in_dim, xs.shape[0]
-    gates = (cell.w_z, cell.w_r, cell.w_h)
-    (wxz, whz), (wxr, whr), (wxh, whh) = ((w.data[:, :i], w.data[:, i:]) for w in gates)
+    (wxz, wxr, wxh), rec = cell.blocks(0, i), cell.blocks(i)
+    whz, whr, whh = rec
     xz = xs.data @ wxz.T + cell.b_z.data
     xr = xs.data @ wxr.T + cell.b_r.data
     xc = xs.data @ wxh.T + cell.b_h.data
     hs, zs, rs, rhs, cands = [h0.data], [], [], [], []
     for t in range(n):
-        h = hs[-1]
-        z = T.logistic(xz[t] + h @ whz.T)
-        r = T.logistic(xr[t] + h @ whr.T)
-        rh = r * h
-        cand = np.tanh(xc[t] + rh @ whh.T)
-        hs.append((1.0 - z) * h + z * cand)
+        h, z, r, rh, cand = gru_recurrence(xz[t], xr[t], xc[t], hs[-1], rec)
+        hs.append(h)
         zs.append(z)
         rs.append(r)
         rhs.append(rh)

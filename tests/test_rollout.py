@@ -366,9 +366,9 @@ class _NeverHits(ForwardMemo):
     """A memo that forgets before every lookup, so every step runs its
     forwards."""
 
-    def image_feature(self, agent, obs):
+    def image_projection(self, agent, obs):
         self.hl = (None, None)
-        return super().image_feature(agent, obs)
+        return super().image_projection(agent, obs)
 
     def sub_policy(self, agent, *args):
         self.sub = (None, None, None)
@@ -420,32 +420,40 @@ def test_act_episode_runs_each_forward_once_per_distinct_input(monkeypatch):
     for sub in (agent.nav, agent.interact):
         sub.action_head.w.data[...] = 0
         sub.action_head.b.data[...] = 0
-    encodes, forwards = [], []
+    encodes, projections, forwards = [], [], []
     encode, forward = type(agent.hl_encoder).__call__, agents.sub_policy_forward
+    project = type(agent.high).image_projection
 
     def counted_encode(self, *planes):
         encodes.append(self is agent.hl_encoder)
         return encode(self, *planes)
+
+    def counted_projection(self, z_img):
+        projections.append(1)
+        return project(self, z_img)
 
     def counted_forward(*args):
         forwards.append(1)
         return forward(*args)
 
     monkeypatch.setattr(type(agent.hl_encoder), "__call__", counted_encode)
+    monkeypatch.setattr(type(agent.high), "image_projection", counted_projection)
     monkeypatch.setattr(agents, "sub_policy_forward", counted_forward)
     for unchanged in (False, True):
         if unchanged:
             _leave_states_unchanged(monkeypatch)
         for task, template in _golden_tasks():
-            del encodes[:], forwards[:]
+            del encodes[:], projections[:], forwards[:]
             state = task_initial_state(task, template)
             traj = act_episode(agent, task, state, HARD, np.random.default_rng(3),
                                greedy=True, vocab=VOCAB)
             hl_keys, sub_keys = _forward_keys(state, traj)
-            assert sum(encodes) == _distinct_runs(hl_keys)
+            # the image feature and its gate projections: once per run of
+            # equal observations
+            assert sum(encodes) == len(projections) == _distinct_runs(hl_keys)
             assert sum(forwards) == _distinct_runs(sub_keys)
             if unchanged:
-                assert sum(encodes) == 1 < len(traj.steps)
+                assert sum(encodes) == len(projections) == 1 < len(traj.steps)
                 assert 0 < sum(forwards) < len(sub_keys)
 
 

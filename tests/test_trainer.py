@@ -475,23 +475,23 @@ def test_rollout_and_training_feed_the_high_level_the_same_ids(monkeypatch):
     from gridhouse.tasks import instruction_tokens
 
     agent = HierarchicalAgent(np.random.default_rng(0), SMALL)
-    step, gru_input = agent.high.step, agent.high.gru_input
+    step, gru_input = agent.high.rollout_step, agent.high.gru_input
     by_id = {t["template_id"]: t for t in TEMPLATES}
     exin = generate_task("EXIN", "pickup", 0, TEMPLATES[0], 9, np.random.default_rng(1))
     iqa = generate_task("IQA", "existence", 0, TEMPLATES[2], 77, np.random.default_rng(2))
     for task in (exin, iqa):
         rolled, trained = [], []
 
-        def record_step(z_task, z_img, *ids_and_hidden):
+        def record_step(z_task, image_proj, *ids_and_hidden):
             rolled.append(ids_and_hidden[:3])
-            return step(z_task, z_img, *ids_and_hidden)
+            return step(z_task, image_proj, *ids_and_hidden)
 
         def record_gru_input(z_task, z_img, *ids):
             trained.append(ids)
             return gru_input(z_task, z_img, *ids)
 
         with monkeypatch.context() as m:
-            m.setattr(agent.high, "step", record_step)
+            m.setattr(agent.high, "rollout_step", record_step)
             # below eps 1 the high level steps on every step, whoever acts
             steps, _traj = TR.run_task_episode_sf(
                 agent, task, task_initial_state(task, by_id[task.scene_template_id]),
@@ -508,6 +508,59 @@ def test_rollout_and_training_feed_the_high_level_the_same_ids(monkeypatch):
         # the episode starts with no previous object and later has one
         objects = trained[0][2]
         assert objects[0] == SMALL.num_classes and min(objects) < SMALL.num_classes
+
+
+def _gru_step_fold(cell, xs, h0):
+    """The hidden states of `nn.gru_step` folded over xs's rows: the
+    unroll written without `nn.gru_recurrence`."""
+    h, hs = T.as_tensor(h0), []
+    for x in T.as_tensor(xs).data:
+        h = nn.gru_step(cell, x, h)
+        hs.append(h.data)
+    return T.Tensor(np.stack(hs))
+
+
+def test_rollout_high_level_logits_agree_with_teacher_forcing(monkeypatch):
+    # the rollout projects the image block once per observation and adds the
+    # context, bias and recurrent terms each step; the teacher-forced unroll
+    # takes each gate as one dot product over [context; image; h].  Only the
+    # summation order differs: a gate sums K = in_dim + hidden float32
+    # products, and reordering them moves it by about sqrt(K) ulps of its
+    # scale.  The unroll is also read through gru_step, so a fault in the
+    # recurrence that rollout and gru_sequence share shows too.
+    from gridhouse.tasks import instruction_tokens
+
+    agent = HierarchicalAgent(np.random.default_rng(0), SMALL)
+    cell, step = agent.high.gru, agent.high.rollout_step
+    tol = math.sqrt(cell.in_dim + cell.hidden_dim) * np.finfo(np.float32).eps
+    by_id = {t["template_id"]: t for t in TEMPLATES}
+    exin = generate_task("EXIN", "pickup", 0, TEMPLATES[0], 9, np.random.default_rng(1))
+    iqa = generate_task("IQA", "existence", 0, TEMPLATES[2], 77, np.random.default_rng(2))
+    for task in (exin, iqa):
+        rolled = []
+
+        def record_step(*args):
+            skill_logits, obj_logits, h = step(*args)
+            rolled.append((skill_logits.data[0], obj_logits.data[0]))
+            return skill_logits, obj_logits, h
+
+        with monkeypatch.context() as m:
+            m.setattr(agent.high, "rollout_step", record_step)
+            steps, _traj = TR.run_task_episode_sf(
+                agent, task, task_initial_state(task, by_id[task.scene_template_id]),
+                InteractionMode.HARD, np.random.default_rng(3), 0.5, SMALL, VOCAB)
+        batch = EpisodeBatch(instruction_tokens(task, VOCAB), steps)
+        with T.no_grad():
+            forced = [TR.high_level_logits(agent, batch, SMALL)]
+            with monkeypatch.context() as m:
+                m.setattr(nn, "gru_sequence", _gru_step_fold)
+                forced.append(TR.high_level_logits(agent, batch, SMALL))
+        assert len(rolled) == len(steps) > 1
+        for k in range(2):
+            got = np.stack([r[k] for r in rolled])
+            for want in forced:
+                scale = max(1.0, float(np.abs(want[k].data).max()))
+                np.testing.assert_allclose(got, want[k].data, rtol=0, atol=tol * scale)
 
 
 def test_an_expert_only_rollout_runs_no_high_level_forward(monkeypatch):
