@@ -67,14 +67,10 @@ class GridEncoder(Module):
         self.conv2 = self.add_child("conv2", Conv2d(rng, cfg.enc_mid, cfg.d, k=3, stride=2, pad=1))
 
     def __call__(self, class_maps, planes):
-        emb = _nhwc_to_nchw(self.cls_emb(class_maps))
-        x = T.concat([emb, T.Tensor(planes)], axis=1)
-        x = T.relu(self.conv1(x))
+        c1 = self.conv1
+        x = T.relu(T.embed_conv2d(self.cls_emb.table, class_maps, planes, c1.w, c1.b,
+                                  stride=c1.stride, pad=c1.pad))
         return T.relu(self.conv2(x))
-
-
-def _nhwc_to_nchw(x):
-    return T.permute(x, (0, 3, 1, 2))
 
 
 class TaskEncoder(Module):

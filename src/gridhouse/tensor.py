@@ -2,8 +2,9 @@
 
 Only the ops the policies and losses need: elementwise arithmetic with
 broadcasting, the fused linear layer, reductions,
-indexing/gather, concat/reshape, the usual nonlinearities, and a
-strided/padded conv2d.  Gradients accumulate additively (see `_acc`);
+indexing/gather, concat/reshape, the usual nonlinearities, a
+strided/padded conv2d, and `embed_conv2d`, a conv2d over an embedding
+lookup and constant planes.  Gradients accumulate additively (see `_acc`);
 backward() on a scalar fills every reachable grad buffer.
 
 An op states its forward value and, per parent, its local gradient: a
@@ -24,7 +25,9 @@ transpose of its input as its columns.  The columns, and so
 every product, are the same bits a sliding-window copy gives.  `_col2im`
 keeps summing the kernel offsets in row-major order into zeros: a pixel
 that several windows cover is a float32 sum whose last bits depend on that
-order, so a different scatter would change every input gradient.
+order, so a different scatter would change every input gradient.  It
+returns only the leading channels asked for, in (N, H, W, C):
+`embed_conv2d` needs just its embedding channels, in the lookup's layout.
 
 Dtype contract: every Tensor holds DEFAULT_DTYPE, float32, so the model
 trains, rolls out and evaluates in float32.  Float64 exists only inside
@@ -338,12 +341,6 @@ def reshape(a, shape):
     return _unary(a.data.reshape(shape), a, lambda g: g.reshape(a.data.shape))
 
 
-def permute(a, axes):
-    a = as_tensor(a)
-    return _unary(np.ascontiguousarray(a.data.transpose(axes)), a,
-                  lambda g: np.ascontiguousarray(g.transpose(np.argsort(axes))))
-
-
 def concat(tensors, axis=0):
     tensors = [as_tensor(t) for t in tensors]
     out_data = np.concatenate([t.data for t in tensors], axis=axis)
@@ -377,22 +374,29 @@ def gather(a, idx):
     a = as_tensor(a)
 
     def scatter(g):
+        if isinstance(idx, np.ndarray) and idx.dtype.kind == "i" and a.data.ndim == 2:
+            return _scatter_rows(a.data.shape, idx, g)   # every Embedding
         buf = np.zeros(a.data.shape, dtype=a.data.dtype)
         if all(isinstance(i, (int, np.integer, slice))
                for i in (idx if isinstance(idx, tuple) else (idx,))):
             buf[idx] += g   # ints and slices repeat no element: np.add.at's sum
-        elif isinstance(idx, np.ndarray) and idx.dtype.kind == "i" and buf.ndim == 2:
-            # one row index per lookup (every Embedding): the 1-D scatter
-            # adds each element's contributions in the 2-D np.add.at order;
-            # a negative row wraps to the same flat elements
-            d = buf.shape[1]
-            flat = ((idx * d)[..., None] + np.arange(d)).reshape(-1)
-            np.add.at(buf.reshape(-1), flat, g.reshape(-1))
         else:
             np.add.at(buf, idx, g)
         return buf
 
     return _unary(a.data[idx], a, scatter)
+
+
+def _scatter_rows(shape, idx, g):
+    """The gradient of a (V, D) table from the gradient g (..., D) of its
+    row lookup table[idx]: one flat np.add.at into zeros, which adds each
+    element's contributions in the 2-D np.add.at order; a negative row
+    wraps to the same flat elements."""
+    buf = np.zeros(shape, dtype=g.dtype)
+    d = shape[1]
+    flat = ((idx * d)[..., None] + np.arange(d)).reshape(-1)
+    np.add.at(buf.reshape(-1), flat, g.reshape(-1))
+    return buf
 
 
 def sum_(a, axis=None):
@@ -448,33 +452,44 @@ def _im2col(x, kh, kw, stride, pad):
     n, c, h, w = x.shape
     if kh == kw == 1 and stride == 1 and pad == 0:
         return np.ascontiguousarray(x.transpose(0, 2, 3, 1).reshape(n * h * w, c)), h, w
+    return _window_columns((x,), kh, kw, stride, pad)
+
+
+def _window_columns(blocks, kh, kw, stride, pad):
+    """The columns of `_im2col` of the channel concatenation of `blocks`,
+    each (N, c_i, H, W), which are copied once, into the rows they are
+    read from."""
+    n, _, h, w = blocks[0].shape
+    c = sum(b.shape[1] for b in blocks)
     index, ho, wo = _im2col_index(c, h, w, kh, kw, stride, pad)
-    rows = np.empty((n, c * h * w + 1), dtype=x.dtype)
-    rows[:, :-1].reshape(n, c, h, w)[...] = x
+    rows = np.empty((n, c * h * w + 1), dtype=np.result_type(*blocks))
+    np.concatenate(blocks, axis=1, out=rows[:, :-1].reshape(n, c, h, w))
     rows[:, -1] = 0
     return np.take(rows, index, axis=1).reshape(n * ho * wo, c * kh * kw), ho, wo
 
 
-def _col2im(cols, x_shape, kh, kw, stride, pad, ho, wo):
-    """Sum the (n*ho*wo, c*kh*kw) column gradients back onto the input,
-    kernel offsets in row-major order.  The sum runs in (N, H, W, C), where
-    the channels are the inner run of both operands."""
+def _col2im(cols, x_shape, kh, kw, stride, pad, ho, wo, channels):
+    """Sum the (n*ho*wo, c*kh*kw) column gradients of the leading
+    `channels` input channels back onto the input, (N, H, W, channels),
+    kernel offsets in row-major order into zeros.  The sum runs in (N, H,
+    W, C), where the channels are the inner run of both operands."""
     n, c, h, w = x_shape
-    xp = np.zeros((n, h + 2 * pad, w + 2 * pad, c), dtype=cols.dtype)
+    xp = np.zeros((n, h + 2 * pad, w + 2 * pad, channels), dtype=cols.dtype)
     cols6 = cols.reshape(n, ho, wo, c, kh, kw)
     for i in range(kh):
         for j in range(kw):
-            xp[:, i:i + stride * ho:stride, j:j + stride * wo:stride] += cols6[..., i, j]
-    return xp[:, pad:pad + h, pad:pad + w].transpose(0, 3, 1, 2)
+            xp[:, i:i + stride * ho:stride, j:j + stride * wo:stride] += \
+                cols6[:, :, :, :channels, i, j]
+    return xp[:, pad:pad + h, pad:pad + w]
 
 
-def conv2d(x, weight, bias=None, stride=1, pad=0):
-    """x: (N,C,H,W), weight: (Cout,Cin,kh,kw), bias: (Cout,)."""
-    x, weight = as_tensor(x), as_tensor(weight)
-    cout, cin, kh, kw = weight.data.shape
-    n = x.data.shape[0]
-    cols, ho, wo = _im2col(x.data, kh, kw, stride, pad)
-    wmat = weight.data.reshape(cout, cin * kh * kw)
+def _conv(cols, n, ho, wo, x, weight, bias, x_grad):
+    """The node of a convolution of x, whose columns are `cols`: the GEMM
+    with the weight and the bias add, NCHW out.  Backward gives the weight
+    and bias their gradients, then x what `x_grad` makes of the (n*ho*wo,
+    c*kh*kw) column gradients."""
+    cout = weight.data.shape[0]
+    wmat = weight.data.reshape(cout, -1)
     out = cols @ wmat.T  # (n*ho*wo, cout)
     if bias is not None:
         bias = as_tensor(bias)
@@ -489,7 +504,40 @@ def conv2d(x, weight, bias=None, stride=1, pad=0):
         if bias is not None and bias.requires_grad:
             _acc(bias, gmat.sum(axis=0))
         if x.requires_grad:
-            gcols = gmat @ wmat
-            _acc(x, _col2im(gcols, x.data.shape, kh, kw, stride, pad, ho, wo))
+            _acc(x, x_grad(gmat @ wmat))
 
     return _make(out_data, parents, backward)
+
+
+def conv2d(x, weight, bias=None, stride=1, pad=0):
+    """x: (N,C,H,W), weight: (Cout,Cin,kh,kw), bias: (Cout,)."""
+    x, weight = as_tensor(x), as_tensor(weight)
+    n, c = x.data.shape[:2]
+    kh, kw = weight.data.shape[2:]
+    cols, ho, wo = _im2col(x.data, kh, kw, stride, pad)
+    return _conv(cols, n, ho, wo, x, weight, bias, lambda gcols: _col2im(
+        gcols, x.data.shape, kh, kw, stride, pad, ho, wo, c).transpose(0, 3, 1, 2))
+
+
+def embed_conv2d(table, class_ids, planes, weight, bias, stride=1, pad=0):
+    """conv2d over [table[class_ids] as NCHW channels; planes] as one node:
+    table (V, E), class_ids (N, H, W) ints, planes (N, P, H, W), weight
+    (Cout, E + P, kh, kw), bias (Cout,).
+
+    It builds the columns conv2d builds from that concatenation and keeps
+    them, not the embedded or concatenated input.  The table receives only
+    the gradient of the E embedding channels, scattered as `gather`
+    scatters a row lookup's; the planes are a constant.  The column
+    gradients still come from conv2d's GEMM over every channel: a GEMM
+    over the E channels' weight columns alone, or over the columns
+    reordered, need not give the same bits."""
+    table, weight = as_tensor(table), as_tensor(weight)
+    class_ids = np.asarray(class_ids, dtype=np.int64)
+    planes = np.asarray(planes, dtype=table.data.dtype)
+    kh, kw = weight.data.shape[2:]
+    emb = table.data[class_ids].transpose(0, 3, 1, 2)
+    cols, ho, wo = _window_columns((emb, planes), kh, kw, stride, pad)
+    n, e = emb.shape[:2]
+    shape = (n, e + planes.shape[1], *emb.shape[2:])
+    return _conv(cols, n, ho, wo, table, weight, bias, lambda gcols: _scatter_rows(
+        table.data.shape, class_ids, _col2im(gcols, shape, kh, kw, stride, pad, ho, wo, e)))

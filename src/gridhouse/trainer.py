@@ -189,15 +189,16 @@ def expert_cell_delta(point, cfg: ModelConfig):
     return cell, (point[0] - cx, point[1] - cy)
 
 
-def _fill_sub_policy_labels(sample, ex, cfg: ModelConfig):
-    """Set the expert's action, point and heatmap labels of a nav or
-    interact sample."""
+def _fill_sub_policy_labels(sample, ex, cfg: ModelConfig, heat=True):
+    """Set the expert's action and point labels of a nav or interact
+    sample, and with `heat` its heatmap labels."""
     index = NAV_INDEX if sample.family == "nav" else INTERACT_INDEX
     sample.expert_action = index[ex.action]
     if (sample.family == "interact" and ex.action in INTERACTIVE_ACTIONS
             and ex.point is not None):
         sample.expert_cell, sample.expert_delta = expert_cell_delta(ex.point, cfg)
-    sample.centers = heat_centers(sample.obs, cfg)
+    if heat:
+        sample.centers = heat_centers(sample.obs, cfg)
     return sample
 
 
@@ -407,11 +408,11 @@ def subgoal_accuracy(agent, episodes, cfg: ModelConfig):
 # skill-episode rollouts (pre-training)
 
 
-def _record_expert(sample_obs, subgoal, last_action, ex, cfg, family):
+def _record_expert(sample_obs, subgoal, last_action, ex, cfg, family, heat):
     skill, obj = subgoal_ids(cfg, subgoal)
     return _fill_sub_policy_labels(StepSample(
         obs=sample_obs, family=family, skill=skill, obj=obj,
-        last_action=action_id(last_action), expert_action=0), ex, cfg)
+        last_action=action_id(last_action), expert_action=0), ex, cfg, heat)
 
 
 def run_skill_episode(agent, episode, mode, rng, eps, cfg: ModelConfig,
@@ -420,10 +421,12 @@ def run_skill_episode(agent, episode, mode, rng, eps, cfg: ModelConfig,
     """Roll one sampled skill episode with epsilon-mixed control.
 
     eps = 1 reproduces the expert; eps = 0 is fully on-policy.  Expert
-    labels are recorded for every step either way.  The episode succeeds
-    on the step that completes the skill and otherwise runs to the budget;
-    Done is an ordinary step.  A wrong interaction the expert cannot undo
-    ends the episode without success.
+    labels are recorded for every step either way, except the heatmap
+    centres of a fully on-policy PPO collection (`collect_ppo` at eps 0):
+    only PPO reads its samples, and PPO reads no label.  The episode
+    succeeds on the step that completes the skill and otherwise runs to
+    the budget; Done is an ordinary step.  A wrong interaction the expert
+    cannot undo ends the episode without success.
     """
     sub = episode.subgoal
     family = SKILL_FAMILY[sub.skill]
@@ -431,11 +434,12 @@ def run_skill_episode(agent, episode, mode, rng, eps, cfg: ModelConfig,
     start = episode.initial_state
     samples = []
     memo = ForwardMemo()
+    heat = not (collect_ppo and eps == 0)
 
     def decide(traj, state, ex):
         obs = state.observation
         last = traj.steps[-1].action if traj.steps else None
-        sample = _record_expert(obs, sub, last, ex, cfg, family)
+        sample = _record_expert(obs, sub, last, ex, cfg, family, heat)
         if rng.random() < eps:
             action, point = ex.action, ex.point
             sample.action = sample.expert_action

@@ -35,6 +35,7 @@ def _op_cases(rng):
     # finite-difference evaluations
     ls_w = r(3, 4)
     gll_delta = r(2)
+    emb_ids, emb_planes = rng.integers(0, 4, size=(2, 5, 5)), r(2, 2, 5, 5)
 
     return {
         "add_mul_div": (lambda a, b: T.sum_(T.div(T.mul(a + b, a), b)),
@@ -47,8 +48,8 @@ def _op_cases(rng):
         "clip": (lambda a: T.sum_(T.square(T.clip(a, -0.8, 0.8))), [r(5)]),
         "conv2d": (lambda x, w, b: T.sum_(T.tanh(T.conv2d(x, w, b, stride=2, pad=1))),
                    [r(1, 2, 5, 5), r(3, 2, 3, 3), r(3)]),
-        "permute_reshape": (lambda a: T.sum_(T.square(
-            T.reshape(T.permute(a, (0, 2, 1)), (6, 2)))), [r(2, 2, 3)]),
+        "embed_conv2d": (lambda t, w, b: T.sum_(T.tanh(T.embed_conv2d(
+            t, emb_ids, emb_planes, w, b, stride=2, pad=1))), [r(4, 3), r(3, 5, 3, 3), r(3)]),
         "gather": (lambda a: T.sum_(T.square(a[idx])), [r(4, 3)]),
         "concat_stack": (lambda a, b: T.sum_(T.tanh(T.concat([a, b], axis=1))),
                          [r(2, 3), r(2, 2)]),

@@ -209,6 +209,32 @@ def _sliding_window_im2col(x, kh, kw, stride, pad):
     return np.ascontiguousarray(cols), ho, wo
 
 
+def _all_channels_col2im(cols, x_shape, kh, kw, stride, pad, ho, wo):
+    # the input gradient as conv2d computed it when it returned every
+    # channel: the kernel offsets summed in row-major order into zeros
+    n, c, h, w = x_shape
+    xp = np.zeros((n, h + 2 * pad, w + 2 * pad, c), dtype=cols.dtype)
+    cols6 = cols.reshape(n, ho, wo, c, kh, kw)
+    for i in range(kh):
+        for j in range(kw):
+            xp[:, i:i + stride * ho:stride, j:j + stride * wo:stride] += cols6[..., i, j]
+    return xp[:, pad:pad + h, pad:pad + w].transpose(0, 3, 1, 2)
+
+
+def _reference_conv2d(xd, wd, bd, gd, stride, pad):
+    """(value, x, w and b gradients) of the convolution of xd for output
+    gradient gd, computed as conv2d computed them from the two copies
+    above."""
+    n = xd.shape[0]
+    cout, _, kh, kw = wd.shape
+    cols, ho, wo = _sliding_window_im2col(xd, kh, kw, stride, pad)
+    wmat = wd.reshape(cout, -1)
+    out = (cols @ wmat.T + bd).reshape(n, ho, wo, cout).transpose(0, 3, 1, 2)
+    gmat = gd.transpose(0, 2, 3, 1).reshape(n * ho * wo, cout)
+    gx = _all_channels_col2im(gmat @ wmat, xd.shape, kh, kw, stride, pad, ho, wo)
+    return out, gx, (gmat.T @ cols).reshape(wd.shape), gmat.sum(axis=0)
+
+
 def _bits(a):
     # float32 as raw bits: -0.0 and 0.0 differ
     assert a.dtype == np.float32
@@ -217,29 +243,39 @@ def _bits(a):
 
 def test_model_convs_are_every_convolution_the_agent_runs(monkeypatch):
     seen = set()
-    conv2d = T.conv2d
+    conv2d, embed_conv2d = T.conv2d, T.embed_conv2d
 
     def spy(x, w, b=None, stride=1, pad=0):
         cout, cin, k, _ = w.shape
         seen.add((cin, x.shape[2], cout, k, stride, pad))
         return conv2d(x, w, b, stride=stride, pad=pad)
 
+    def embed_spy(table, class_ids, planes, w, b, stride=1, pad=0):
+        cout, cin, k, _ = w.shape
+        seen.add((cin, class_ids.shape[1], cout, k, stride, pad))
+        return embed_conv2d(table, class_ids, planes, w, b, stride=stride, pad=pad)
+
     cfg = ModelConfig(num_classes=NUM_CLASSES, vocab_size=8)
     agent = HierarchicalAgent(np.random.default_rng(0), cfg)
     state = randomize_scene(builtin_templates()[0], 2)
     cmap, planes = obs_planes([state.observation])
     monkeypatch.setattr(T, "conv2d", spy)
+    monkeypatch.setattr(T, "embed_conv2d", embed_spy)
     for enc in (agent.hl_encoder, agent.sub_encoder):
         z = enc(cmap, planes)
     agent.interact.forward(agent.interact.conditioning([0], [0], [0]), z)
     assert seen == set(MODEL_CONVS)
 
 
+# OpenBLAS picks its kernels by size: every batch an update may have
+BITWISE_BATCHES = [1, 2, 5, 13, 44, 64]
+
+
 @pytest.mark.parametrize("layout", ["nchw", "nhwc_view"])
-@pytest.mark.parametrize("n", [1, 64])
+@pytest.mark.parametrize("n", BITWISE_BATCHES)
 @pytest.mark.parametrize("cin,size,cout,k,stride,pad", MODEL_CONVS)
-def test_conv2d_is_bitwise_the_sliding_window_conv(monkeypatch, cin, size, cout, k,
-                                                   stride, pad, n, layout):
+def test_conv2d_is_bitwise_the_sliding_window_conv(cin, size, cout, k, stride, pad, n,
+                                                   layout):
     rng = np.random.default_rng(cin * 1000 + cout)
     xd = rng.normal(size=(n, cin, size, size)).astype(np.float32)
     xd[xd < -1.0] = -0.0     # relu-like zeros, with their sign
@@ -251,18 +287,40 @@ def test_conv2d_is_bitwise_the_sliding_window_conv(monkeypatch, cin, size, cout,
     ho = (size + 2 * pad - k) // stride + 1
     gd = rng.normal(size=(n, cout, ho, ho)).astype(np.float32)
 
-    def run():
-        x, w, b = (T.Tensor(a, requires_grad=True) for a in (xd, wd, bd))
-        out = T.conv2d(x, w, b, stride=stride, pad=pad)
-        out.backward(gd)
-        return [_bits(a) for a in (out.data, x.grad, w.grad, b.grad)]
+    x, w, b = (T.Tensor(a, requires_grad=True) for a in (xd, wd, bd))
+    out = T.conv2d(x, w, b, stride=stride, pad=pad)
+    out.backward(gd)
+    got = (out.data, x.grad, w.grad, b.grad)
+    for g, want in zip(got, _reference_conv2d(xd, wd, bd, gd, stride, pad)):
+        np.testing.assert_array_equal(_bits(g), _bits(want))
 
-    got = run()
-    with monkeypatch.context() as m:
-        m.setattr(T, "_im2col", _sliding_window_im2col)
-        want = run()
-    for g, w in zip(got, want):
-        np.testing.assert_array_equal(g, w)
+
+@pytest.mark.parametrize("n", BITWISE_BATCHES)
+def test_embed_conv2d_is_bitwise_the_lookup_permute_concat_conv_graph(n):
+    # the encoder's first layer before it was one node: the lookup
+    # table[ids] (N, H, W, E), its NCHW copy, the concatenation with the
+    # planes and conv2d; the table's gradient was the input gradient's E
+    # leading channels back in NHWC, scattered by np.add.at
+    rng = np.random.default_rng(n)
+    (cin, size, cout, k, stride, pad), e = MODEL_CONVS[0], 8
+    table = rng.normal(size=(NUM_CLASSES + 3, e)).astype(np.float32)
+    ids = rng.integers(0, NUM_CLASSES + 3, size=(n, size, size))
+    planes = rng.integers(0, 2, size=(n, cin - e, size, size)).astype(np.float32)
+    wd = (rng.normal(size=(cout, cin, k, k)) * 0.1).astype(np.float32)
+    bd = rng.normal(size=cout).astype(np.float32)
+    ho = (size + 2 * pad - k) // stride + 1
+    gd = rng.normal(size=(n, cout, ho, ho)).astype(np.float32)
+
+    t, w, b = (T.Tensor(a, requires_grad=True) for a in (table, wd, bd))
+    out = T.embed_conv2d(t, ids, planes, w, b, stride=stride, pad=pad)
+    out.backward(gd)
+    xd = np.concatenate([table[ids].transpose(0, 3, 1, 2), planes], axis=1)
+    want_out, gx, want_w, want_b = _reference_conv2d(xd, wd, bd, gd, stride, pad)
+    want_table = np.zeros_like(table)
+    np.add.at(want_table, ids, np.ascontiguousarray(gx[:, :e].transpose(0, 2, 3, 1)))
+    for g, want in zip((out.data, t.grad, w.grad, b.grad),
+                       (want_out, want_table, want_w, want_b)):
+        np.testing.assert_array_equal(_bits(g), _bits(want))
 
 
 def test_embedding_scatter_is_bitwise_np_add_at():
@@ -315,12 +373,15 @@ def _reachable_nodes(root):
 
 def test_the_multitask_loss_graph_keeps_its_node_count():
     # read with one node per GRU step and per unroll (496 when they were
-    # composed of ops); how an op builds its node must add or drop none
+    # composed of ops) and one per encoder's first layer (334 when that was
+    # a lookup, its NCHW copy, the planes and their concatenation before the
+    # conv, in each of the four encoder calls); how an op builds its node
+    # must add or drop none
     from gridhouse.verification import _hier_loss, micro_model_config
 
     cfg = micro_model_config()
     agent = HierarchicalAgent(np.random.default_rng(0), cfg)
-    assert _reachable_nodes(_hier_loss(agent, cfg, np.random.default_rng(1))) == 334
+    assert _reachable_nodes(_hier_loss(agent, cfg, np.random.default_rng(1))) == 318
 
 
 def test_a_token_step_and_an_unroll_add_one_gru_node_each():
@@ -346,7 +407,7 @@ UNARY_OPS = {
     "exp": T.exp, "log": T.log, "tanh": T.tanh, "sigmoid": T.sigmoid, "relu": T.relu,
     "softplus": T.softplus, "abs_": T.abs_, "square": T.square,
     "clip": lambda a: T.clip(a, 0.7, 1.2), "alias": T.alias,
-    "reshape": lambda a: T.reshape(a, (3, 2)), "permute": lambda a: T.permute(a, (1, 0)),
+    "reshape": lambda a: T.reshape(a, (3, 2)),
     "gather": lambda a: T.gather(a, np.array([1, 0, 1])),
     "sum_": lambda a: T.sum_(a, axis=0), "log_softmax": T.log_softmax,
 }
@@ -360,20 +421,25 @@ def _cell(w_z, b_z, w_r, b_r, w_h, b_h):
     return cell
 
 
-# the GRU ops on their input, initial hidden and six weights, with shapes
+# the GRU ops on their input, initial hidden and six weights, and the
+# encoder's first layer on its table, weight and bias (class ids and
+# planes are constants), with shapes
 GRU_WEIGHTS = [(4, 7), (4,)] * 3
-GRU_OPS = {
-    "gru_step": (lambda x, h, *w: nn.gru_step(_cell(*w), x, h), [(2, 3), (2, 4)]),
-    "gru_sequence": (lambda xs, h0, *w: nn.gru_sequence(_cell(*w), xs, h0), [(2, 3), (4,)]),
+CLASS_IDS, PLANES = np.arange(50).reshape(2, 5, 5) % 4, np.ones((2, 2, 5, 5))
+MULTI_OPS = {
+    "gru_step": (lambda x, h, *w: nn.gru_step(_cell(*w), x, h), [(2, 3), (2, 4), *GRU_WEIGHTS]),
+    "gru_sequence": (lambda xs, h0, *w: nn.gru_sequence(_cell(*w), xs, h0),
+                     [(2, 3), (4,), *GRU_WEIGHTS]),
+    "embed_conv2d": (lambda t, w, b: T.embed_conv2d(t, CLASS_IDS, PLANES, w, b, stride=2, pad=1),
+                     [(4, 3), (3, 5, 3, 3), (3,)]),
 }
 
 
-@pytest.mark.parametrize("name", [*UNARY_OPS, *BINARY_OPS, *GRU_OPS])
+@pytest.mark.parametrize("name", [*UNARY_OPS, *BINARY_OPS, *MULTI_OPS])
 def test_an_op_keeps_exactly_its_parameters_and_is_otherwise_a_leaf(name):
     rng = np.random.default_rng(5)
-    if name in GRU_OPS:
-        op, shapes = GRU_OPS[name]
-        shapes = shapes + GRU_WEIGHTS
+    if name in MULTI_OPS:
+        op, shapes = MULTI_OPS[name]
     else:
         op = UNARY_OPS.get(name) or BINARY_OPS[name]
         shapes = [(2, 3)] * (1 if name in UNARY_OPS else 2)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -170,7 +171,7 @@ def test_ppo_clip_formulas():
     np.testing.assert_allclose(logits.grad, np.zeros((2, 3)))
 
 
-def _collect_buffer(agent, n_steps=40, seed=0):
+def _collect_buffer(agent, n_steps=40, seed=0, eps=0.5):
     rng = np.random.default_rng(seed)
     session = SceneSession(TEMPLATES[:2], seed)
     buffer = []
@@ -181,13 +182,41 @@ def _collect_buffer(agent, n_steps=40, seed=0):
             session.reset_scene()
             continue
         samples, _, _ = run_skill_episode(agent, ep, InteractionMode.HARD, rng,
-                                          0.5, CFG, RewardConfig(),
+                                          eps, CFG, RewardConfig(),
                                           collect_ppo=True)
         if samples:
             TR.snapshot_behaviour(agent, samples)
             buffer.extend(samples)
         session.reset_scene()
     return buffer[:n_steps]
+
+
+# tracemalloc peaks (MiB) above entry of one teacher-forcing update on 64
+# expert steps and of one 64-step PPO minibatch of the default model: 56.6
+# and 41.2 when the encoder's first layer became one node that keeps no
+# embedded input (68.5 and 49.9 before); each bound is 5% over its value
+TF_PEAK_MIB, PPO_PEAK_MIB = 56.6 * 1.05, 41.2 * 1.05
+
+
+def test_an_update_stays_under_its_traced_memory_peak():
+    agent = HierarchicalAgent(np.random.default_rng(0), CFG)
+    tf = _collect_buffer(agent, 64, seed=1, eps=1.0)
+    ppo = _collect_buffer(agent, 64, seed=2)
+    opt = nn.Adam(agent.parameters())
+
+    def peak_mib(update):
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            update()
+            return (tracemalloc.get_traced_memory()[1] - entry) / 2 ** 20
+        finally:
+            tracemalloc.stop()
+
+    assert peak_mib(lambda: teacher_forcing_update(agent, tf, opt, CFG)) < TF_PEAK_MIB
+    opt.zero_grad()
+    assert peak_mib(lambda: ppo_update(agent, ppo, opt, PPOConfig(epochs=1, minibatch=64),
+                                       np.random.default_rng(3))) < PPO_PEAK_MIB
 
 
 @pytest.mark.usefixtures("float64")
@@ -944,6 +973,26 @@ def test_fixed_seed_training_is_bit_reproducible():
 
 # --------------------------------------------------------------------------
 # skill episodes under wrong interactions the expert cannot undo
+
+
+def test_an_on_policy_ppo_collection_builds_no_heatmap_labels(monkeypatch):
+    # PPO reads none; the steps it does read come out the same
+    agent = HierarchicalAgent(np.random.default_rng(0), SMALL)
+    episode = sample_skill_episode(SceneSession(TEMPLATES[:2], 3).state,
+                                   np.random.default_rng(3))
+    built, heat_centers = [], TR.heat_centers
+    monkeypatch.setattr(TR, "heat_centers",
+                        lambda obs, cfg: built.append(obs) or heat_centers(obs, cfg))
+
+    def steps(collect_ppo):
+        samples, _, _ = run_skill_episode(agent, episode, InteractionMode.HARD,
+                                          np.random.default_rng(4), 0.0, SMALL,
+                                          collect_ppo=collect_ppo)
+        return [(s.action, s.cell, s.delta, s.done, s.expert_action) for s in samples]
+
+    ppo = steps(True)
+    assert ppo and not built
+    assert steps(False) == ppo and len(built) == len(ppo)
 
 
 def _scripted_skill_episode(monkeypatch, objects, subgoal, action, wrong_iid):
