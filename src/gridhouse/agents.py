@@ -113,13 +113,13 @@ class HighLevelPolicy(Module):
 
     Training unrolls the GRU over an episode's `gru_input` rows
     (`trainer.high_level_logits`).  A rollout splits each gate's input
-    term into the image block's product, which `image_projection` computes
-    once per observation, and the context's, which `rollout_step` adds
-    each step with the bias; the recurrence is `nn.gru_recurrence`, the
-    one `nn.gru_sequence` runs.  The split sums a gate's pre-activation in
-    another order than the unroll's one dot product over [context; image;
-    h], so rollout gates differ from the teacher-forced ones in their low
-    bits."""
+    term into the image block's product (`image_projection`, once per
+    observation) and the context block's (`context_projection`, once per
+    last action and previous sub-goal), which `rollout_step` adds with the
+    bias; the recurrence is `nn.gru_recurrence`, the one `nn.gru_sequence`
+    runs.  The split sums a gate's pre-activation in another order than
+    the unroll's one dot product over [context; image; h], so rollout
+    gates differ from the teacher-forced ones in their low bits."""
 
     def __init__(self, rng, cfg: ModelConfig):
         super().__init__()
@@ -136,8 +136,8 @@ class HighLevelPolicy(Module):
         self.obj_head = self.add_child("obj_head", Linear(rng, cfg.hidden, cfg.num_classes))
 
     def initial_hidden(self):
-        """The zero hidden state of one episode, (1, hidden)."""
-        return T.Tensor(np.zeros((1, self.cfg.hidden), dtype=T.DEFAULT_DTYPE))
+        """The zero hidden state of one rollout episode, a (1, hidden) array."""
+        return np.zeros((1, self.cfg.hidden), dtype=T.DEFAULT_DTYPE)
 
     def context(self, z_task, last_action, last_skill, last_obj):
         z = T.concat([z_task,
@@ -159,20 +159,24 @@ class HighLevelPolicy(Module):
         flat = z_img.data.reshape(z_img.shape[0], -1)
         return tuple(flat @ w.T for w in self.gru.blocks(self.cfg.cond_dim, self.gru.in_dim))
 
-    def rollout_step(self, z_task, image_proj, last_action, last_skill, last_obj, hidden):
-        """(skill logits, object logits, next hidden) of one step from the
-        step's `image_projection`: each gate adds to it the context, scaled
-        by grid * grid as `_context_and_image` scales it, times its context
-        block, then its bias, and `nn.gru_recurrence` adds the recurrent
-        products.  The gates run in numpy and build no graph: rollouts
-        call it under `T.no_grad`."""
+    def context_projection(self, z_task, last_action, last_skill, last_obj):
+        """Each gate's product with the context, scaled by grid * grid as
+        `_context_and_image` scales it, (z, r, candidate), each (N, hidden):
+        the columns of w_z, w_r and w_h that `gru_input` fills with it."""
         cond = self.context(z_task, last_action, last_skill, last_obj).data
         cond = cond * float(self.cfg.grid * self.cfg.grid)
+        return tuple(cond @ w.T for w in self.gru.blocks(0, self.cfg.cond_dim))
+
+    def rollout_step(self, image_proj, context_proj, hidden):
+        """(skill logits, object logits, next hidden) of one step as arrays,
+        no graph: each gate adds its `image_projection` and
+        `context_projection`, then its bias, `nn.gru_recurrence` adds the
+        recurrent products, and the heads are `T.linear`'s forward."""
         g = self.gru
-        gx = [p + cond @ w.T + b.data for p, w, b in
-              zip(image_proj, g.blocks(0, self.cfg.cond_dim), (g.b_z, g.b_r, g.b_h))]
-        h = T.Tensor(nn.gru_recurrence(*gx, hidden.data, g.blocks(g.in_dim))[0])
-        return self.skill_head(h), self.obj_head(h), h
+        gx = [p + c + b.data for p, c, b in zip(image_proj, context_proj, (g.b_z, g.b_r, g.b_h))]
+        h = nn.gru_recurrence(*gx, hidden, g.blocks(g.in_dim))[0]
+        return (h @ self.skill_head.w.data.T + self.skill_head.b.data,
+                h @ self.obj_head.w.data.T + self.obj_head.b.data, h)
 
 
 class PointingHead(Module):
@@ -337,12 +341,12 @@ class HierarchicalAgent(Module):
 
 
 def sample_logits(logits_row, rng, greedy):
-    z = logits_row - logits_row.max()
-    p = np.exp(z)
-    p /= p.sum()
+    """The largest logit's index if `greedy`, else one drawn from the softmax."""
     if greedy:
-        return int(np.argmax(p)), p
-    return int(rng.choice(len(p), p=p)), p
+        return int(np.argmax(logits_row))
+    p = np.exp(logits_row - logits_row.max())
+    p /= p.sum()
+    return int(rng.choice(len(p), p=p))
 
 
 SKILL_FAMILY = {Skill.GoTo: "nav", **dict.fromkeys(INTERACTION_SKILLS, "interact"),
@@ -358,67 +362,83 @@ def point_from_grid(cfg: ModelConfig, cell_index, delta):
 
 
 class ForwardMemo:
-    """The last step's forwards of one episode, for the next step to reuse.
+    """Forwards of one episode, for its later steps to reuse.
 
-    A runner makes one per episode.  It keeps the high level's three gate
-    projections of the image feature (`HighLevelPolicy.image_projection`)
-    keyed by the `Observation` object, and the sub-policy forward output
-    keyed by that object plus (family, last-action id, skill id, object
-    id).  A matching key reuses the stored output; any other runs the
-    forward and replaces the entry.  Objects are compared by identity: a
-    step that leaves the state as it was hands its successor the very same
-    observation, whose arrays, and so the forward's bits, are unchanged,
-    and parameters are fixed within an episode.  So a reuse is exact; the
-    projections themselves sum each rollout gate in another order than the
-    teacher-forced unroll, which moves its low bits (`HighLevelPolicy`)."""
+    A runner makes one per episode.  It keeps every output it computed,
+    each once: the high level's three gate projections of the image
+    feature (`HighLevelPolicy.image_projection`) per `Observation.key`,
+    those of the context (`context_projection`) per (last-action id,
+    previous skill id, previous object id), and the sub-policy forward
+    output per observation key, family, last-action id, skill id and
+    object id.  Equal keys are equal inputs (four turns render the maps
+    they started from), and parameters and the task encoding, of which the
+    memo refuses a second one, are fixed within an episode; so a reuse is
+    exact.  The projections sum each rollout gate in another order than
+    the teacher-forced unroll, which moves its low bits."""
 
     def __init__(self):
-        self.hl = (None, None)          # (observation, gate projections)
-        self.sub = (None, None, None)   # (observation, key, forward output)
+        self.z_task = None              # the episode's task encoding
+        self.images, self.contexts, self.subs = {}, {}, {}
 
     def image_projection(self, agent, obs):
         """`agent.high.image_projection` of `agent.hl_encoder` on `obs` at
         batch 1."""
-        seen, proj = self.hl
-        if seen is not obs:
-            proj = agent.high.image_projection(agent.hl_encoder(*obs_planes([obs])))
-            self.hl = obs, proj
+        proj = self.images.get(obs.key)
+        if proj is None:
+            with T.no_grad():
+                proj = self.images[obs.key] = agent.high.image_projection(
+                    agent.hl_encoder(*obs_planes([obs])))
+        return proj
+
+    def context_projection(self, agent, z_task, key):
+        """`agent.high.context_projection` of `z_task` at batch 1, given
+        the ids `key` of the last action, the previous skill and its
+        object."""
+        if self.z_task is not z_task:
+            if self.z_task is not None:
+                raise ValueError("a ForwardMemo serves one episode's task encoding")
+            self.z_task = z_task
+        proj = self.contexts.get(key)
+        if proj is None:
+            last_action, skill, obj = key
+            with T.no_grad():
+                proj = self.contexts[key] = agent.high.context_projection(
+                    z_task, [last_action], [skill], [obj])
         return proj
 
     def sub_policy(self, agent, family, obs, last_action, skill, obj):
         """`sub_policy_forward` on `obs` at batch 1, given the ids of the
         last action, the skill and the conditioning object."""
-        key = (family, last_action, skill, obj)
-        seen, seen_key, out = self.sub
-        if seen is not obs or seen_key != key:
-            out = sub_policy_forward(agent, family, [obs], [last_action], [skill], [obj])
-            self.sub = obs, key, out
+        key = (obs.key, family, last_action, skill, obj)
+        out = self.subs.get(key)
+        if out is None:
+            out = self.subs[key] = sub_policy_forward(
+                agent, family, [obs], [last_action], [skill], [obj])
         return out
 
 
-@T.no_grad()
 def high_level_step(agent, z_task, obs, last_action, last_subgoal, hidden,
                     rng, greedy=False, *, memo: ForwardMemo):
     """Factorized sub-goal sampling: skill first, then the target class
     (masked out entirely for Answer/End).  Returns the sub-goal and the
-    next hidden state.  Rollout-only: no graph.  `memo` is the episode's
-    `ForwardMemo`: the image feature's three gate projections are reused
-    when the previous step decided on the same `obs` object (the key is
-    its identity), which is exact because parameters are fixed within an
-    episode; only the context, bias and recurrent terms run every step
-    (`HighLevelPolicy.rollout_step`).  Those gate sums differ from the
-    teacher-forced `trainer.high_level_logits` in their low bits."""
+    next hidden state, an array.  Rollout-only: no graph.  `memo` is the
+    episode's `ForwardMemo`: the image feature's three gate projections
+    are reused when an earlier step of the episode decided on an equal
+    `obs` (`Observation.key`), and the context's when one had the same
+    last action and previous sub-goal; both are exact because parameters
+    and `z_task` are fixed within an episode.  A step that reuses both
+    builds no `Tensor`: it runs the bias, the recurrence and the heads
+    (`HighLevelPolicy.rollout_step`), whose gate sums differ from
+    `trainer.high_level_logits` in their low bits."""
     image_proj = memo.image_projection(agent, obs)
-    skill_id, obj_id = subgoal_ids(agent.cfg, last_subgoal)
-    skill_logits, obj_logits, h = agent.high.rollout_step(
-        z_task, image_proj, [action_id(last_action)], [skill_id], [obj_id], hidden)
-    s_idx, _ = sample_logits(skill_logits.data[0], rng, greedy)
-    skill = Skill(s_idx)
+    context_proj = memo.context_projection(
+        agent, z_task, (action_id(last_action), *subgoal_ids(agent.cfg, last_subgoal)))
+    skill_logits, obj_logits, h = agent.high.rollout_step(image_proj, context_proj, hidden)
+    skill = Skill(sample_logits(skill_logits[0], rng, greedy))
     if skill in NO_OBJECT_SKILLS:
         sub = SubGoal(skill)
     else:
-        o_idx, _ = sample_logits(obj_logits.data[0], rng, greedy)
-        sub = SubGoal(skill, o_idx)
+        sub = SubGoal(skill, sample_logits(obj_logits[0], rng, greedy))
     return sub, h
 
 
@@ -440,10 +460,9 @@ def sub_policy_step(agent, subgoal, obs, last_action, rng, greedy=False, *,
     from their family's sub-policy, plus an interaction point for
     interactive primitives (extras then hold its grid cell and offset).
     Rollout-only: no graph.  `memo` is the episode's `ForwardMemo`: the
-    forward is reused when the previous step that ran one had the same
-    `obs` object (the key is its identity), family, last action and
-    sub-goal, which is exact because parameters are fixed within an
-    episode."""
+    forward is reused when an earlier step that ran one had an equal
+    `obs` (`Observation.key`), the same family, last action and sub-goal,
+    which is exact because parameters are fixed within an episode."""
     cfg = agent.cfg
     family = SKILL_FAMILY[subgoal.skill]
     if family in ("qa", "end"):
@@ -451,12 +470,12 @@ def sub_policy_step(agent, subgoal, obs, last_action, rng, greedy=False, *,
     skill_id, obj_id = subgoal_ids(cfg, subgoal)
     logits, _value, point_maps = memo.sub_policy(
         agent, family, obs, action_id(last_action), skill_id, obj_id)
-    idx, _ = sample_logits(logits.data[0], rng, greedy)
+    idx = sample_logits(logits.data[0], rng, greedy)
     action = (NAV_ACTION_SPACE if family == "nav" else INTERACT_ACTION_SPACE)[idx]
     if action not in INTERACTIVE_ACTIONS:
         return action, None, {}
     grid_logits, mu, nu, _heat = point_maps
-    cell, _ = sample_logits(grid_logits.data[0], rng, greedy)
+    cell = sample_logits(grid_logits.data[0], rng, greedy)
     mean = mu.data[0, :, cell]
     var = nu.data[0, :, cell]
     if greedy:

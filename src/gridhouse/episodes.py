@@ -57,14 +57,16 @@ def rollout(state: WorldState, decide, mode: InteractionMode, max_steps: int,
     that feeds a model reads `state.observation`, the expert reads it to
     aim an interaction, and `step` reads it for an interactive action; all
     three share the state's memo, as the expert, `step` and the milestones
-    share `state.geometry`.  A step that leaves the state as it was hands
-    its successor the same observation object, so a model-fed `decide`
-    keeps one `agents.ForwardMemo` per episode: on that object it reuses
-    the high level's image-block gate projections and the sub-policy
-    forward.  The reuse is exact because parameters are fixed while
-    `rollout` runs and the memo's key is the observation's identity; the
-    projected gates sum in another order than the teacher-forced unroll,
-    so they differ from it in their low bits.  The episode ends as
+    share `state.geometry`.  A model-fed `decide` keeps one
+    `agents.ForwardMemo` per episode, which computes the high level's
+    image-block gate projections and the sub-policy forward once per
+    equal observation (`Observation.key`; a step that leaves the state as
+    it was hands its successor the same one) and the context-block gate
+    projections once per last action and previous sub-goal.  The reuse is
+    exact because parameters and the task encoding are fixed while
+    `rollout` runs; the projected gates sum in another order than the
+    teacher-forced unroll, so they differ from it in their low bits.  The
+    episode ends as
     - "success" after a step whose successor satisfies `succeeded(state)`;
       the controller does not observe that step, so a wrong interaction
       that completes the goal needs no recovery

@@ -263,10 +263,11 @@ def gru_sequence(cell, xs, h0):
 
     The forward loop is `gru_recurrence`, which rollouts also run a step at
     a time (`agents.HighLevelPolicy.rollout_step`).  A rollout reuses each
-    gate's image-block product while the observation object stays the
-    same, which is exact because parameters are fixed within an episode,
-    and adds the context and bias to it; so its gate sums differ from this
-    unroll's in their low bits.
+    gate's image-block product per equal observation and its context-block
+    product per last action and previous sub-goal, which is exact because
+    parameters and the task encoding are fixed within an episode, and adds
+    the two and the bias; so its gate sums differ from this unroll's in
+    their low bits.
     """
     xs, h0 = T.as_tensor(xs), T.as_tensor(h0)
     i, n = cell.in_dim, xs.shape[0]

@@ -445,12 +445,19 @@ class Observation:
     depth_map: np.ndarray     # float32 (H, W), -1 where not visible
     state_bits: np.ndarray    # uint8 (4, H, W)
 
+    @cached_property
+    def key(self) -> bytes:
+        """The bytes of every map: observations with equal keys are equal."""
+        return b"".join(m.tobytes() for m in (self.class_map, self.instance_map,
+                                              self.depth_map, self.state_bits))
+
     def visible_instance_cells(self):
         """iid -> list of (col, row) observation cells."""
         out: dict[int, list] = {}
         rows, cols = np.nonzero(self.instance_map != NO_INSTANCE)
-        for row, col in zip(rows.tolist(), cols.tolist()):
-            out.setdefault(int(self.instance_map[row, col]), []).append((col, row))
+        iids = self.instance_map[rows, cols].tolist()
+        for iid, row, col in zip(iids, rows.tolist(), cols.tolist()):
+            out.setdefault(iid, []).append((col, row))
         return out
 
 

@@ -62,9 +62,20 @@ def test_high_level_masks_answer_and_end(agent, scene_obs):
 
 
 def test_uniform_logits_give_uniform_skill_distribution(agent):
-    # zeroed skill head: every skill probability is exactly 1/10
-    idx, p = sample_logits(np.zeros(len(Skill)), np.random.default_rng(0), False)
-    assert np.allclose(p, 1.0 / len(Skill))
+    # zeroed skill head: every skill is drawn with probability exactly 1/10
+    n = len(Skill)
+    rng, uniform = np.random.default_rng(0), np.random.default_rng(0)
+    draws = [sample_logits(np.zeros(n, dtype=np.float32), rng, False) for _ in range(200)]
+    assert draws == [int(uniform.choice(n, p=np.full(n, 1.0 / n))) for _ in range(200)]
+
+
+def test_greedy_decoding_takes_the_largest_logit():
+    # exp rounds both top logits to 1.0 in float32, so the argmax of the
+    # softmax would take the first of them; greedy takes the larger one
+    logits = np.array([0.0, 1e-8, -3.0], dtype=np.float32)
+    p = np.exp(logits - logits.max())
+    assert p[0] == p[1]
+    assert sample_logits(logits, None, True) == 1
 
 
 def test_hidden_state_changes_every_step(agent, scene_obs):
@@ -72,13 +83,13 @@ def test_hidden_state_changes_every_step(agent, scene_obs):
     z = agent.task_enc([[2, 5]])
     h = agent.high.initial_hidden()
     rng = np.random.default_rng(1)
-    seen = [h.data.copy()]
+    seen = [h.copy()]
     last = None
     memo = ForwardMemo()
     for _ in range(4):
         sub, h = high_level_step(agent, z, obs, None, last, h, rng, memo=memo)
         last = sub
-        seen.append(h.data.copy())
+        seen.append(h.copy())
     for a, b in zip(seen, seen[1:]):
         assert not np.allclose(a, b)
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 
 import numpy as np
+import pytest
 
 from gridhouse import agents, episodes, harness, trainer as TR, world as W
 from gridhouse.agents import ForwardMemo, HierarchicalAgent, ModelConfig
@@ -367,11 +368,15 @@ class _NeverHits(ForwardMemo):
     forwards."""
 
     def image_projection(self, agent, obs):
-        self.hl = (None, None)
+        self.images.clear()
         return super().image_projection(agent, obs)
 
+    def context_projection(self, agent, z_task, key):
+        self.contexts.clear()
+        return super().context_projection(agent, z_task, key)
+
     def sub_policy(self, agent, *args):
-        self.sub = (None, None, None)
+        self.subs.clear()
         return super().sub_policy(agent, *args)
 
 
@@ -386,31 +391,24 @@ def _leave_states_unchanged(monkeypatch):
     monkeypatch.setattr(episodes, "step", lambda state, *a: (state, real_step(state, *a)[1]))
 
 
-def _distinct_runs(keys):
-    """How many entries of `keys` differ from the one before; a key's
-    first element is an observation, compared by identity."""
-    runs, prev = 0, None
-    for key in keys:
-        if prev is None or key[0] is not prev[0] or key[1:] != prev[1:]:
-            runs += 1
-        prev = key
-    return runs
-
-
 def _forward_keys(state, traj):
-    """The memo keys of a greedy `act_episode` from `state`: the observation
-    each step decided on, and for the steps that run a sub-policy its
+    """The memo keys of a greedy `act_episode` from `state`: the key of the
+    observation each step decided on, the ids of each step's last action
+    and previous sub-goal, and for the steps that run a sub-policy its
     family and ids."""
     decided = [state] + [r.after for r in traj.steps[:-1]]
-    obs = [s.observation for s in decided]
-    sub = []
+    obs = [s.observation.key for s in decided]
+    context, sub = [], []
     for t, (o, r) in enumerate(zip(obs, traj.steps)):
+        prev = traj.steps[t - 1] if t else None
+        last = None if prev is None else prev.action
+        context.append((agents.action_id(last),
+                        *agents.subgoal_ids(SMALL, None if prev is None else prev.subgoal)))
         family = agents.SKILL_FAMILY[r.subgoal.skill]
         if family in ("nav", "interact"):
-            last = None if t == 0 else traj.steps[t - 1].action
             sub.append((o, family, agents.action_id(last),
                         *agents.subgoal_ids(SMALL, r.subgoal)))
-    return [(o,) for o in obs], sub
+    return obs, context, sub
 
 
 def test_act_episode_runs_each_forward_once_per_distinct_input(monkeypatch):
@@ -420,9 +418,9 @@ def test_act_episode_runs_each_forward_once_per_distinct_input(monkeypatch):
     for sub in (agent.nav, agent.interact):
         sub.action_head.w.data[...] = 0
         sub.action_head.b.data[...] = 0
-    encodes, projections, forwards = [], [], []
+    encodes, projections, contexts, forwards = [], [], [], []
     encode, forward = type(agent.hl_encoder).__call__, agents.sub_policy_forward
-    project = type(agent.high).image_projection
+    project, context = type(agent.high).image_projection, type(agent.high).context
 
     def counted_encode(self, *planes):
         encodes.append(self is agent.hl_encoder)
@@ -432,52 +430,102 @@ def test_act_episode_runs_each_forward_once_per_distinct_input(monkeypatch):
         projections.append(1)
         return project(self, z_img)
 
+    def counted_context(self, *args):
+        contexts.append(1)
+        return context(self, *args)
+
     def counted_forward(*args):
         forwards.append(1)
         return forward(*args)
 
     monkeypatch.setattr(type(agent.hl_encoder), "__call__", counted_encode)
     monkeypatch.setattr(type(agent.high), "image_projection", counted_projection)
+    monkeypatch.setattr(type(agent.high), "context", counted_context)
     monkeypatch.setattr(agents, "sub_policy_forward", counted_forward)
     for unchanged in (False, True):
         if unchanged:
             _leave_states_unchanged(monkeypatch)
         for task, template in _golden_tasks():
-            del encodes[:], projections[:], forwards[:]
+            del encodes[:], projections[:], contexts[:], forwards[:]
             state = task_initial_state(task, template)
             traj = act_episode(agent, task, state, HARD, np.random.default_rng(3),
                                greedy=True, vocab=VOCAB)
-            hl_keys, sub_keys = _forward_keys(state, traj)
-            # the image feature and its gate projections: once per run of
-            # equal observations
-            assert sum(encodes) == len(projections) == _distinct_runs(hl_keys)
-            assert sum(forwards) == _distinct_runs(sub_keys)
+            hl_keys, context_keys, sub_keys = _forward_keys(state, traj)
+            # the image feature and its gate projections: once per distinct
+            # observation in the episode
+            assert sum(encodes) == len(projections) == len(set(hl_keys))
+            # the context and its gate projections: once per distinct last
+            # action and previous sub-goal in the episode
+            assert len(contexts) == len(set(context_keys)) < len(traj.steps)
+            assert sum(forwards) == len(set(sub_keys))
             if unchanged:
                 assert sum(encodes) == len(projections) == 1 < len(traj.steps)
                 assert 0 < sum(forwards) < len(sub_keys)
 
 
+def test_a_memo_reuses_the_forwards_of_an_observation_rendered_again():
+    # four turns come back to the maps they started from, in another
+    # observation object
+    agent = HierarchicalAgent(np.random.default_rng(np.random.SeedSequence([0, 12001])),
+                              SMALL)
+    start = turned = _plates()
+    for _ in range(4):
+        turned = W.step(turned, A.RotateRight, None, HARD)[0]
+    again = turned.observation
+    assert again is not start.observation and again.key == start.observation.key
+    memo = ForwardMemo()
+    image = memo.image_projection(agent, start.observation)
+    nav = memo.sub_policy(agent, "nav", start.observation, agents.NONE_ACTION, 0, 0)
+    assert memo.image_projection(agent, again) is image
+    assert memo.sub_policy(agent, "nav", again, agents.NONE_ACTION, 0, 0) is nav
+    assert memo.sub_policy(agent, "nav", again, 0, 0, 0) is not nav
+
+
+def test_a_memo_serves_one_task_encoding():
+    # the context projections read the task encoding, so a memo that kept
+    # them for one episode must not hand them to another
+    agent = HierarchicalAgent(np.random.default_rng(np.random.SeedSequence([0, 12001])),
+                              SMALL)
+    key = (agents.NONE_ACTION, *agents.subgoal_ids(SMALL, None))
+    z_task, other = agent.task_enc([[2, 5]]), agent.task_enc([[2, 5]])
+    memo = ForwardMemo()
+    first = memo.context_projection(agent, z_task, key)
+    assert memo.context_projection(agent, z_task, key) is first
+    with pytest.raises(ValueError, match="one episode"):
+        memo.context_projection(agent, other, key)
+
+
 def test_memo_hits_leave_every_trajectory_as_it_was(monkeypatch):
-    # the golden runs, and greedy task episodes and on-policy skill episodes
-    # that never change their state, give the same records when no step
-    # may reuse a forward
+    # the golden runs, greedy task episodes with and without state changes
+    # and on-policy skill episodes that never change their state give the
+    # same records, and every high-level step the same logits and hidden
+    # state, when no step may reuse a forward
     agent = HierarchicalAgent(np.random.default_rng(np.random.SeedSequence([0, 12001])),
                               SMALL)
     skill_episodes = _skill_episodes()
+    step = agent.high.rollout_step
 
-    def unchanged_digest(put):
+    def memo_digest(put):
+        def put_step(*args):
+            out = step(*args)
+            put(*(x.tobytes() for x in out))
+            return out
+
         with monkeypatch.context() as m:
-            _leave_states_unchanged(m)
-            for task, template in _golden_tasks():
-                _put_traj(put, act_episode(agent, task, task_initial_state(task, template),
-                                           HARD, np.random.default_rng(3), greedy=True,
-                                           vocab=VOCAB))
+            m.setattr(agent.high, "rollout_step", put_step)
+            for unchanged in (False, True):
+                if unchanged:
+                    _leave_states_unchanged(m)
+                for task, template in _golden_tasks():
+                    _put_traj(put, act_episode(agent, task, task_initial_state(task, template),
+                                               HARD, np.random.default_rng(3), greedy=True,
+                                               vocab=VOCAB))
             rng = np.random.default_rng(8)
             for episode in skill_episodes:
                 _put_samples(put, TR.run_skill_episode(agent, episode, HARD, rng, 0.0,
                                                        SMALL, collect_ppo=True)[0])
 
-    with_memo = _digest(unchanged_digest)
+    with_memo = _digest(memo_digest)
     _never_hit(monkeypatch)
-    assert _digest(unchanged_digest) == with_memo
+    assert _digest(memo_digest) == with_memo
     assert _rollout_digests() == ROLLOUT_SHA256

@@ -504,23 +504,23 @@ def test_rollout_and_training_feed_the_high_level_the_same_ids(monkeypatch):
     from gridhouse.tasks import instruction_tokens
 
     agent = HierarchicalAgent(np.random.default_rng(0), SMALL)
-    step, gru_input = agent.high.rollout_step, agent.high.gru_input
+    project, gru_input = TR.ForwardMemo.context_projection, agent.high.gru_input
     by_id = {t["template_id"]: t for t in TEMPLATES}
     exin = generate_task("EXIN", "pickup", 0, TEMPLATES[0], 9, np.random.default_rng(1))
     iqa = generate_task("IQA", "existence", 0, TEMPLATES[2], 77, np.random.default_rng(2))
     for task in (exin, iqa):
         rolled, trained = [], []
 
-        def record_step(z_task, image_proj, *ids_and_hidden):
-            rolled.append(ids_and_hidden[:3])
-            return step(z_task, image_proj, *ids_and_hidden)
+        def record_ids(memo, agent, z_task, ids):
+            rolled.append(ids)
+            return project(memo, agent, z_task, ids)
 
         def record_gru_input(z_task, z_img, *ids):
             trained.append(ids)
             return gru_input(z_task, z_img, *ids)
 
         with monkeypatch.context() as m:
-            m.setattr(agent.high, "rollout_step", record_step)
+            m.setattr(TR.ForwardMemo, "context_projection", record_ids)
             # below eps 1 the high level steps on every step, whoever acts
             steps, _traj = TR.run_task_episode_sf(
                 agent, task, task_initial_state(task, by_id[task.scene_template_id]),
@@ -532,7 +532,7 @@ def test_rollout_and_training_feed_the_high_level_the_same_ids(monkeypatch):
                     agent, EpisodeBatch(instruction_tokens(task, VOCAB), steps), SMALL,
                     LossWeights())
         assert len(rolled) == len(steps) and len(trained) == 1
-        assert [[ids[k][0] for ids in rolled] for k in range(3)] == \
+        assert [[ids[k] for ids in rolled] for k in range(3)] == \
             [list(column) for column in trained[0]]
         # the episode starts with no previous object and later has one
         objects = trained[0][2]
@@ -550,8 +550,9 @@ def _gru_step_fold(cell, xs, h0):
 
 
 def test_rollout_high_level_logits_agree_with_teacher_forcing(monkeypatch):
-    # the rollout projects the image block once per observation and adds the
-    # context, bias and recurrent terms each step; the teacher-forced unroll
+    # the rollout projects the image block once per observation and the
+    # context block once per context, and adds the two, the bias and the
+    # recurrent terms each step; the teacher-forced unroll
     # takes each gate as one dot product over [context; image; h].  Only the
     # summation order differs: a gate sums K = in_dim + hidden float32
     # products, and reordering them moves it by about sqrt(K) ulps of its
@@ -570,7 +571,7 @@ def test_rollout_high_level_logits_agree_with_teacher_forcing(monkeypatch):
 
         def record_step(*args):
             skill_logits, obj_logits, h = step(*args)
-            rolled.append((skill_logits.data[0], obj_logits.data[0]))
+            rolled.append((skill_logits[0], obj_logits[0]))
             return skill_logits, obj_logits, h
 
         with monkeypatch.context() as m:

@@ -113,6 +113,18 @@ def test_render_apple_ahead_unoccluded():
     assert np.all(obs.class_map[cells[0][1], cells[0][0]] == CLASS_BASE + REG.id_of("Apple"))
 
 
+def test_an_observation_key_reads_every_map():
+    # equal keys must mean equal observations: a change to any one map,
+    # such as a state bit alone, gives another key
+    obs = render(make_state([{"class": "Apple", "pos": (5, 6)}], agent_cell=(5, 8)))
+    assert render(make_state([{"class": "Apple", "pos": (5, 6)}], agent_cell=(5, 8))).key \
+        == obs.key
+    for name in ("class_map", "instance_map", "depth_map", "state_bits"):
+        changed = getattr(obs, name).copy()
+        changed.flat[0] += 1
+        assert replace(obs, **{name: changed}).key != obs.key
+
+
 def test_render_apple_in_closed_fridge_hidden():
     state = make_state([
         {"class": "Fridge", "pos": (4, 4), "openness": Openness.CLOSED},
