@@ -85,14 +85,19 @@ class TaskEncoder(Module):
 
 
 def _encode_tokens(tok, gru, token_rows):
-    """Final GRU state over each row's token embeddings, from zeros: (N, D)."""
-    outs = []
+    """Final GRU state over each row's token embeddings, from zeros: (N, D).
+
+    Each distinct row runs once, as one `nn.gru_sequence` unroll (so each
+    gate sums its input term and bias, then its recurrent term), and its
+    last hidden state is gathered to every row that carries those tokens:
+    the gather sums the repeated rows' gradients before the unroll.  A row
+    of no tokens raises nn.ShapeMismatch."""
+    distinct, inverse = {}, []
     for row in token_rows:
-        h = T.Tensor(np.zeros(gru.hidden_dim, dtype=T.DEFAULT_DTYPE))
-        for t in row:
-            h = gru(tok(int(t)), h)
-        outs.append(h)
-    return T.stack(outs, axis=0)
+        inverse.append(distinct.setdefault(tuple(int(t) for t in row), len(distinct)))
+    h0 = np.zeros(gru.hidden_dim, dtype=T.DEFAULT_DTYPE)
+    finals = [nn.gru_sequence(gru, tok(row), h0)[len(row) - 1] for row in distinct]
+    return T.stack(finals, axis=0)[np.array(inverse)]
 
 
 def _context_and_image(cond, z_img):
@@ -117,9 +122,10 @@ class HighLevelPolicy(Module):
     observation) and the context block's (`context_projection`, once per
     last action and previous sub-goal), which `rollout_step` adds with the
     bias; the recurrence is `nn.gru_recurrence`, the one `nn.gru_sequence`
-    runs.  The split sums a gate's pre-activation in another order than
-    the unroll's one dot product over [context; image; h], so rollout
-    gates differ from the teacher-forced ones in their low bits."""
+    runs.  The unroll sums a gate's input term as one dot product over
+    [context; image], then adds the bias and the recurrent term; the
+    rollout's split input term sums in another order, so rollout gates
+    differ from the teacher-forced ones in their low bits."""
 
     def __init__(self, rng, cfg: ModelConfig):
         super().__init__()

@@ -145,13 +145,18 @@ class Conv2d(Module):
 
 
 class GRUCell(Module):
-    """Single-layer GRU cell.
+    """Single-layer GRU cell, run by `gru_sequence` (and, a step at a time
+    in rollouts, by `gru_recurrence`).
 
     Convention (fixed):
         z = sigmoid(W_z [x, h] + b_z)
         r = sigmoid(W_r [x, h] + b_r)
         hcand = tanh(W_h [x, r*h] + b_h)
         h' = (1 - z) * h + z * hcand
+
+    Each gate's pre-activation is summed as (x @ W_x.T + b) + h @ W_h.T:
+    its input block (the first in_dim columns) and bias first, over all
+    steps at once, then its recurrent block.
     """
 
     def __init__(self, rng, in_dim, hidden_dim):
@@ -166,65 +171,9 @@ class GRUCell(Module):
         self.w_h = self.register("w_h", _glorot(rng, (hidden_dim, cat), cat, hidden_dim))
         self.b_h = self.register("b_h", np.zeros(hidden_dim))
 
-    def __call__(self, x, h):
-        return gru_step(self, x, h)
-
     def blocks(self, start, stop=None):
         """Columns [start:stop] of w_z, w_r and w_h, as views: no copy."""
         return tuple(w.data[:, start:stop] for w in (self.w_z, self.w_r, self.w_h))
-
-
-def gru_step(cell, x, h):
-    """One GRU step as one graph node; x: (..., I), h: (..., D) -> h': (..., D).
-
-    The values are those of the cell's convention written as ops (concat,
-    linear, sigmoid, mul, tanh, add), and the backward adds every gradient
-    in the order that op graph did, so the bits are the same:
-      - h receives (1 - z) * g, then its share of r * h, then its block of
-        the [x, h] gate products;
-      - x receives its block of [x, r * h] before its block of [x, h];
-      - z sums its -z term and its z * cand term (two terms: either order).
-    Over an unroll backward runs the steps latest first, so w_z, w_r and
-    the biases sum their gradients latest step first.  w_h reaches the
-    node through a `T.alias` of its own per step, which keeps its gradient
-    summed earliest step first, the order the fixed-seed results were made
-    with.
-    """
-    x, h = T.as_tensor(x), T.as_tensor(h)
-    if x.shape[-1] != cell.in_dim or h.shape[-1] != cell.hidden_dim:
-        raise ShapeMismatch(f"gru_step got x{x.shape}, h{h.shape} for "
-                            f"I={cell.in_dim}, D={cell.hidden_dim}")
-    i = cell.in_dim
-    w_h = T.alias(cell.w_h)
-    xd, hd = x.data, h.data
-    xh = np.concatenate([xd, hd], axis=-1)
-    z = T.logistic(xh @ cell.w_z.data.T + cell.b_z.data)
-    r = T.logistic(xh @ cell.w_r.data.T + cell.b_r.data)
-    xrh = np.concatenate([xd, r * hd], axis=-1)
-    cand = np.tanh(xrh @ w_h.data.T + cell.b_h.data)
-    parents = (x, h, cell.w_z, cell.b_z, cell.w_r, cell.b_r, w_h, cell.b_h)
-
-    def backward(g):
-        gac = g * z * (1.0 - cand ** 2)
-        gxrh = gac @ w_h.data
-        grh = gxrh[..., i:]
-        gar = grh * hd * r * (1.0 - r)
-        gaz = (-(g * hd) + g * cand) * z * (1.0 - z)
-        gxh = gaz @ cell.w_z.data + gar @ cell.w_r.data
-        if h.requires_grad:
-            for part in (g * (1.0 - z), grh * r, gxh[..., i:]):
-                T._acc(h, part)
-        if x.requires_grad:
-            T._acc(x, gxrh[..., :i])
-            T._acc(x, gxh[..., :i])
-        for w, b, ga, inp in ((cell.w_z, cell.b_z, gaz, xh), (cell.w_r, cell.b_r, gar, xh),
-                              (w_h, cell.b_h, gac, xrh)):
-            if w.requires_grad:
-                T._acc(w, T.weight_grad(ga, inp))
-            if b.requires_grad:
-                T._acc(b, T.bias_grad(ga))
-
-    return T._make((1.0 - z) * hd + z * cand, parents, backward)
 
 
 def gru_recurrence(xz, xr, xc, h, rec):
@@ -240,30 +189,20 @@ def gru_recurrence(xz, xr, xc, h, rec):
 
 
 def gru_sequence(cell, xs, h0):
-    """Unroll over a (N, I) step sequence from one initial hidden (D,), as
-    one graph node whose backward runs backpropagation through time.
-    Returns the (N, D) hidden states after each step.
+    """Unroll over a (N, I) step sequence, N >= 1, from one initial hidden
+    (D,), as one graph node whose backward runs backpropagation through
+    time.  Returns the (N, D) hidden states after each step.
 
-    The input projections of all steps run as a single matmul; only the
-    (D x D) recurrent part runs stepwise.  The values are those of folding
-    gru_step, with each gate weight split into its input block (the first
-    I columns) and its recurrent block.  The backward adds every gradient
-    in the order of that unroll written as ops, so the bits are the same:
-      - steps run latest first; h_(t-1) receives its piece of the output
-        gradient, then (1 - z) * g, the z gate's recurrent product, its
-        share of r * h, then the r gate's recurrent product;
-      - the recurrent blocks of w_z and w_r sum latest step first, that of
-        w_h earliest step first (the order a `T.alias` per step gives, as
-        in gru_step);
-      - after the unroll xs receives the z projection's gradient, then the
-        candidate's, then the r projection's;
-      - each gate weight receives [input block + 0.0, recurrent block + 0.0]
-        at once: the bits of slicing the blocks out of it, whose gradient
-        is a scatter into zeros.
+    The input projections of all steps run as one matmul per gate; only
+    the (D x D) recurrent part runs stepwise, in `gru_recurrence`.  The
+    backward runs the steps latest first for the pre-activation gradients
+    and h's, then sums over the steps by matmul, in BLAS order: one per
+    gate for its input block, its recurrent block (against the hidden
+    states before each step, or r * h for the candidate) and xs.
 
-    The forward loop is `gru_recurrence`, which rollouts also run a step at
-    a time (`agents.HighLevelPolicy.rollout_step`).  A rollout reuses each
-    gate's image-block product per equal observation and its context-block
+    Rollouts run `gru_recurrence` a step at a time
+    (`agents.HighLevelPolicy.rollout_step`).  A rollout reuses each gate's
+    image-block product per equal observation and its context-block
     product per last action and previous sub-goal, which is exact because
     parameters and the task encoding are fixed within an episode, and adds
     the two and the bias; so its gate sums differ from this unroll's in
@@ -271,6 +210,9 @@ def gru_sequence(cell, xs, h0):
     """
     xs, h0 = T.as_tensor(xs), T.as_tensor(h0)
     i, n = cell.in_dim, xs.shape[0]
+    if xs.data.ndim != 2 or xs.shape[1] != i or h0.shape != (cell.hidden_dim,) or n == 0:
+        raise ShapeMismatch(f"gru_sequence got xs{xs.shape}, h0{h0.shape} for "
+                            f"I={i}, D={cell.hidden_dim}, N >= 1")
     (wxz, wxr, wxh), rec = cell.blocks(0, i), cell.blocks(i)
     whz, whr, whh = rec
     xz = xs.data @ wxz.T + cell.b_z.data
@@ -287,42 +229,28 @@ def gru_sequence(cell, xs, h0):
 
     def backward(g):
         # pre-activation gradients of z, r and the candidate, a row per step
-        gz, gr, gc = (np.zeros(xz.shape, xz.dtype) for _ in range(3))
-        carry = ()        # step t+1's contributions to h_t, in order
+        gz, gr, gc = (np.empty(xz.shape, xz.dtype) for _ in range(3))
+        carry = 0.0       # step t+1's gradient of h_t
         for t in reversed(range(n)):
-            gt = g[t]
-            for part in carry:
-                gt = gt + part
+            gt = g[t] + carry
             h, z, r, cand = hs[t], zs[t], rs[t], cands[t]
-            gac = gt * z * (1.0 - cand ** 2)
+            gc[t] = gac = gt * z * (1.0 - cand ** 2)
             grh = gac @ whh
-            gar = grh * h * r * (1.0 - r)
-            gaz = (-(gt * h) + gt * cand) * z * (1.0 - z)
-            gz[t] += gaz
-            gr[t] += gar
-            gc[t] += gac
-            carry = (gt * (1.0 - z), gaz @ whz, grh * r, gar @ whr)
+            gr[t] = gar = grh * h * r * (1.0 - r)
+            gz[t] = gaz = (gt * cand - gt * h) * z * (1.0 - z)
+            carry = gt * (1.0 - z) + grh * r + gaz @ whz + gar @ whr
         if h0.requires_grad:
-            for part in carry:
-                T._acc(h0, part)
+            T._acc(h0, carry)
         if xs.requires_grad:
-            for rows, wx in ((gz, wxz), (gc, wxh), (gr, wxr)):
-                T._acc(xs, rows @ wx)
-        latest_first = range(n - 1, -1, -1)
-        for w, b, rows, ins, order in ((cell.w_z, cell.b_z, gz, hs, latest_first),
-                                       (cell.w_r, cell.b_r, gr, hs, latest_first),
-                                       (cell.w_h, cell.b_h, gc, rhs, range(n))):
+            T._acc(xs, gz @ wxz + gr @ wxr + gc @ wxh)
+        before = np.stack(hs[:-1])
+        for w, b, rows, ins in ((cell.w_z, cell.b_z, gz, before),
+                                (cell.w_r, cell.b_r, gr, before),
+                                (cell.w_h, cell.b_h, gc, np.stack(rhs))):
             if w.requires_grad:
-                gw = np.empty_like(w.data)
-                np.add(T.weight_grad(rows, xs.data), 0.0, out=gw[:, :i])
-                # summed onto +0.0: the bits of the sum plus 0.0
-                rec = gw[:, i:]
-                rec[...] = 0.0
-                for t in order:
-                    rec += np.outer(rows[t], ins[t])
-                T._acc(w, gw)
+                T._acc(w, np.hstack((rows.T @ xs.data, rows.T @ ins)))
             if b.requires_grad:
-                T._acc(b, T.bias_grad(rows))
+                T._acc(b, rows.sum(axis=0))
 
     parents = (xs, h0, cell.w_z, cell.b_z, cell.w_r, cell.b_r, cell.w_h, cell.b_h)
     return T._make(np.stack(hs[1:], axis=0), parents, backward)

@@ -11,11 +11,10 @@ An op states its forward value and, per parent, its local gradient: a
 function of the node's gradient, one for `_unary` and one per operand for
 `_binary`.  The node keeps them as a tuple, and backward sums each result
 down to its parent's shape.  An op whose parents share backward work (one
-split, one GEMM) hands its node one closure through `_make`; so do the
-GRU recurrences of `nn`, `gru_step` and `gru_sequence`, whose closures run
-the backward of a whole step or unroll.  A node keeps parents and a
-backward only when grad is enabled and a parent requires grad; otherwise
-it is a leaf.
+split, one GEMM) hands its node one closure through `_make`; so does
+`nn.gru_sequence`, whose closure runs the backward of a whole GRU unroll.
+A node keeps parents and a backward only when grad is enabled and a
+parent requires grad; otherwise it is a leaf.
 
 conv2d is one GEMM over im2col columns.  `_im2col` builds them with one
 `np.take` through a flat index that `_im2col_index` computes once per
@@ -310,30 +309,11 @@ def linear(x, w, b=None):
         if x.requires_grad:
             _acc(x, g @ w.data)
         if w.requires_grad:
-            _acc(w, weight_grad(g, x.data))
+            _acc(w, g.T @ x.data if x.data.ndim == 2 else np.outer(g, x.data))
         if b is not None and b.requires_grad:
-            _acc(b, bias_grad(g))
+            _acc(b, g.sum(axis=0) if g.ndim == 2 else g)
 
     return _make(out_data, parents, backward)
-
-
-def weight_grad(g, x):
-    """The gradient of w in x @ w.T for output gradient g: g.T @ x, or
-    np.outer(g, x) for a 1-D x."""
-    return g.T @ x if x.ndim == 2 else np.outer(g, x)
-
-
-def bias_grad(g):
-    """The gradient of b in x @ w.T + b for output gradient g."""
-    return g.sum(axis=0) if g.ndim == 2 else g
-
-
-def alias(a):
-    """The values of `a` as a node of their own that passes its gradient on
-    unchanged.  A node per use fixes where in the order of backward that
-    gradient reaches `a` (see nn.gru_step)."""
-    a = as_tensor(a)
-    return _unary(a.data, a, _same)
 
 
 def reshape(a, shape):

@@ -7,7 +7,7 @@ import numpy as np
 
 from . import nn, tensor as T
 from .agents import (NONE_ACTION, NONE_SKILL, HierarchicalAgent, ModelConfig,
-                     action_id, subgoal_ids)
+                     _encode_tokens, action_id, subgoal_ids)
 from .skills import Skill
 from .world import Observation
 
@@ -29,8 +29,13 @@ def _op_cases(rng):
           float(rng.uniform(0.5, 3)))
          for _ in range(3)], (2, 4, 4))
     idx = rng.integers(0, 4, size=5)
-    cell = nn.GRUCell(np.random.default_rng(int(rng.integers(1 << 30))), 3, 4)
-    xg, hg = r(3), r(4)
+    net_rng = np.random.default_rng(int(rng.integers(1 << 30)))
+    tok, cell = nn.Embedding(net_rng, 6, 3), nn.GRUCell(net_rng, 3, 4)
+    # a repeated row and rows of three lengths: the gather sums the
+    # repeats' gradients before their one unroll
+    repeated = rng.integers(0, 6, size=3).tolist()
+    token_rows = [repeated, rng.integers(0, 6, size=1).tolist(), repeated,
+                  rng.integers(0, 6, size=5).tolist()]
     # constants captured once: the checked function must not change between
     # finite-difference evaluations
     ls_w = r(3, 4)
@@ -65,9 +70,9 @@ def _op_cases(rng):
             lambda mu, raw: nn.gaussian_log_likelihood(gll_delta, mu,
                                                        T.softplus(raw) + 1e-4),
             [r(2), r(2)]),
-        # grad_check perturbs the cell's own parameters in place
-        "gru_step": (lambda *_: T.square(nn.gru_step(cell, xg, hg)).sum(),
-                     cell.parameters()),
+        # grad_check perturbs the table and the cell's parameters in place
+        "encode_tokens": (lambda *_: T.square(_encode_tokens(tok, cell, token_rows)).sum(),
+                          [tok.table, *cell.parameters()]),
         "entropy_rows": (lambda a: nn.entropy_rows(a), [r(3, 4)]),
         "log_prob_rows": (lambda a: T.sum_(nn.log_prob_rows(a, idx[:3])), [r(3, 4)]),
         # 2-D and 1-D input, each with and without bias

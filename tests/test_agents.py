@@ -188,6 +188,53 @@ def test_qa_attention_and_answer_sum_to_one_in_float32(agent, scene_obs):
     assert abs(float(probs.sum()) - 1.0) <= 3 * probs.size * eps
 
 
+def _counting_unrolls(monkeypatch):
+    """A list that gains the step count of every nn.gru_sequence unroll."""
+    from gridhouse import nn
+
+    unrolls, unroll = [], nn.gru_sequence
+
+    def counted(cell, xs, h0):
+        unrolls.append(T.as_tensor(xs).shape[0])
+        return unroll(cell, xs, h0)
+
+    monkeypatch.setattr(nn, "gru_sequence", counted)
+    return unrolls
+
+
+def test_a_qa_batch_sharing_one_question_runs_one_unroll(monkeypatch, scene_obs):
+    from gridhouse.trainer import StepSample, _qa_loss
+
+    _, obs = scene_obs
+    qa_agent = HierarchicalAgent(np.random.default_rng(1), CFG)
+    samples = [StepSample(obs=obs, family="qa", skill=int(Skill.Answer),
+                          obj=CFG.num_classes, last_action=0, expert_action=0,
+                          answer_tokens=[2, 3, 4, 5], answer_label=k % 6)
+               for k in range(7)]
+    unrolls = _counting_unrolls(monkeypatch)
+    _qa_loss(qa_agent, samples).backward()
+    assert unrolls == [4]
+    assert qa_agent.qa.tok.table.grad is not None
+
+
+def test_the_task_encoder_runs_each_distinct_row_once(monkeypatch, agent):
+    enc = agent.task_enc
+    a, b = [2, 3, 4], [5, 6]
+    unrolls = _counting_unrolls(monkeypatch)
+    codes = enc([a, b, a]).data
+    assert unrolls == [3, 2]
+    assert codes.shape == (3, CFG.task_dim)
+    assert codes[0].tobytes() == codes[2].tobytes() != codes[1].tobytes()
+    assert codes[1].tobytes() == enc([b]).data[0].tobytes()
+
+
+def test_a_row_of_no_tokens_is_refused(agent):
+    from gridhouse.nn import ShapeMismatch
+
+    with pytest.raises(ShapeMismatch):
+        agent.task_enc([[2, 3], []])
+
+
 def test_act_episode_deterministic_and_end_agent(agent):
     task = generate_task("EXIN", "pickup", 0, TEMPLATES[0], 9,
                          np.random.default_rng(1))

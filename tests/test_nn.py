@@ -216,92 +216,160 @@ def test_gru_zero_params_halves_hidden():
     for p in cell.parameters():
         p.data = np.zeros_like(p.data)
     h = np.array([0.4, -1.0, 2.0, 0.0])
-    out = nn.gru_step(cell, np.ones(3), T.Tensor(h))
-    np.testing.assert_allclose(out.data, 0.5 * h, atol=1e-15)
+    out = nn.gru_sequence(cell, np.ones((1, 3)), T.Tensor(h))
+    np.testing.assert_allclose(out.data[0], 0.5 * h, atol=1e-15)
 
 
+@pytest.mark.usefixtures("float64")
 def test_gru_two_step_unroll_is_composition():
     rng = np.random.default_rng(5)
     cell = nn.GRUCell(rng, 3, 4)
-    x1, x2 = RNG.normal(size=3), RNG.normal(size=3)
+    xs = RNG.normal(size=(2, 3))
     h0 = RNG.normal(size=4)
-    h1 = nn.gru_step(cell, x1, T.Tensor(h0))
-    h2 = nn.gru_step(cell, x2, h1)
-    h1b = nn.gru_step(cell, x1, T.Tensor(h0))
-    h2b = nn.gru_step(cell, x2, T.Tensor(h1b.data))
-    np.testing.assert_allclose(h2.data, h2b.data, atol=1e-15)
+    h2 = nn.gru_sequence(cell, xs, T.Tensor(h0)).data[1]
+    h1 = nn.gru_sequence(cell, xs[:1], T.Tensor(h0)).data[0]
+    h2b = nn.gru_sequence(cell, xs[1:], T.Tensor(h1)).data[0]
+    np.testing.assert_allclose(h2, h2b, atol=1e-15)
 
 
 def test_gru_shape_mismatch():
     cell = nn.GRUCell(np.random.default_rng(1), 3, 4)
-    with pytest.raises(nn.ShapeMismatch):
-        nn.gru_step(cell, np.ones(5), np.ones(4))
+    for xs, h0 in ((np.ones((2, 5)), np.ones(4)), (np.ones(3), np.ones(4)),
+                   (np.ones((2, 3)), np.ones(5)), (np.ones((0, 3)), np.ones(4))):
+        with pytest.raises(nn.ShapeMismatch):
+            nn.gru_sequence(cell, xs, h0)
 
 
 @pytest.mark.usefixtures("float64")
 def test_gru_batched_matches_rowwise():
-    cell = nn.GRUCell(np.random.default_rng(2), 3, 4)
-    x = RNG.normal(size=(5, 3))
-    h = RNG.normal(size=(5, 4))
-    batched = nn.gru_step(cell, x, h).data
-    for i in range(5):
-        row = nn.gru_step(cell, x[i], h[i]).data
-        np.testing.assert_allclose(batched[i], row, atol=1e-12)
+    from gridhouse.agents import _encode_tokens
+
+    rng = np.random.default_rng(2)
+    tok, cell = nn.Embedding(rng, 6, 3), nn.GRUCell(rng, 3, 4)
+    rows = [[1, 2, 3], [4], [1, 2, 3], [0, 5]]
+    batched = _encode_tokens(tok, cell, rows).data
+    for i, row in enumerate(rows):
+        np.testing.assert_allclose(batched[i], _encode_tokens(tok, cell, [row]).data[0],
+                                   atol=1e-12)
 
 
 # --------------------------------------------------------------------------
-# one node per GRU step and per unroll: bitwise the op compositions
+# the GRU ops against a float64 reference of the GRUCell convention
 
 
 def _reference_gru_step(cell, x, h):
-    """gru_step composed of ops, a graph node each."""
-    x, h = T.as_tensor(x), T.as_tensor(h)
+    """One step of the GRUCell convention written as ops, [x, h] gates."""
     xh = T.concat([x, h], axis=-1)
     z = T.sigmoid(T.linear(xh, cell.w_z, cell.b_z))
     r = T.sigmoid(T.linear(xh, cell.w_r, cell.b_r))
-    xrh = T.concat([x, T.mul(r, h)], axis=-1)
-    hcand = T.tanh(T.linear(xrh, T.alias(cell.w_h), cell.b_h))
-    return T.mul(1.0 - z, h) + T.mul(z, hcand)
+    cand = T.tanh(T.linear(T.concat([x, T.mul(r, h)], axis=-1), cell.w_h, cell.b_h))
+    return T.mul(1.0 - z, h) + T.mul(z, cand)
 
 
 def _reference_gru_sequence(cell, xs, h0):
-    """gru_sequence composed of ops: sliced weight blocks, one input
-    projection per gate, and stepwise nodes for the recurrent part."""
-    xs = T.as_tensor(xs)
+    xs, h = T.as_tensor(xs), T.as_tensor(h0)
+    outs = []
+    for t in range(xs.shape[0]):
+        h = _reference_gru_step(cell, xs[t], h)
+        outs.append(h)
+    return T.stack(outs, axis=0)
+
+
+def _reference_encode_tokens(tok, gru, token_rows):
+    """Every row its own unroll, a step per token, with no sharing."""
+    outs = []
+    for row in token_rows:
+        h = T.Tensor(np.zeros(gru.hidden_dim))
+        for t in row:
+            h = _reference_gru_step(gru, tok(t), h)
+        outs.append(h)
+    return T.stack(outs, axis=0)
+
+
+def _against_float64_reference(monkeypatch, build, dtype, terms):
+    """Run `build()`, which returns (leaves, scalar loss), in `dtype` with
+    the GRU ops, and again in float64 with them replaced by the reference
+    compositions; every value the build draws is float32, so both see the
+    same inputs.  The loss and each leaf gradient must agree within
+    sqrt(terms) * eps(dtype) of the largest reference magnitude among them
+    all: summed in another order, n terms move by about sqrt(n) ulps of
+    their scale, and `terms` counts the products in the longest sum the
+    test's values go through.  One scale for every value, since a gradient
+    that cancels to about zero still carries its terms' rounding."""
+    from gridhouse import agents
+
+    def run(precision):
+        with T.precision(precision):
+            leaves, loss = build()
+            loss.backward()
+        return [loss.data] + [t.grad for t in leaves]
+
+    got = run(dtype)
+    with monkeypatch.context() as m:
+        m.setattr(nn, "gru_sequence", _reference_gru_sequence)
+        m.setattr(agents, "_encode_tokens", _reference_encode_tokens)
+        want = run(np.float64)
+    assert len(got) == len(want) and got[0].dtype == dtype
+    assert [g is None for g in got] == [w is None for w in want]
+    scale = max(float(np.abs(w).max()) for w in want if w is not None)
+    for g, w in zip(got, want):
+        if w is not None:
+            np.testing.assert_allclose(g, w, rtol=0,
+                                       atol=math.sqrt(terms) * np.finfo(dtype).eps * scale)
+
+
+def _composed_gru_sequence(cell, xs, h0):
+    """gru_sequence composed of ops, in its own forward order: sliced
+    weight blocks, one input projection per gate with the bias, and a
+    recurrent term per step added to it."""
+    xs, h = T.as_tensor(xs), T.as_tensor(h0)
     i = cell.in_dim
-    wxz, whz = cell.w_z[:, :i], cell.w_z[:, i:]
-    wxr, whr = cell.w_r[:, :i], cell.w_r[:, i:]
-    wxh, whh = cell.w_h[:, :i], cell.w_h[:, i:]
-    xz = T.linear(xs, wxz, cell.b_z)
-    xr = T.linear(xs, wxr, cell.b_r)
-    xh = T.linear(xs, wxh, cell.b_h)
-    h = T.as_tensor(h0)
+    xz = T.linear(xs, cell.w_z[:, :i], cell.b_z)
+    xr = T.linear(xs, cell.w_r[:, :i], cell.b_r)
+    xc = T.linear(xs, cell.w_h[:, :i], cell.b_h)
+    whz, whr, whh = cell.w_z[:, i:], cell.w_r[:, i:], cell.w_h[:, i:]
     outs = []
     for t in range(xs.shape[0]):
         z = T.sigmoid(xz[t] + T.linear(h, whz))
         r = T.sigmoid(xr[t] + T.linear(h, whr))
-        cand = T.tanh(xh[t] + T.linear(T.mul(r, h), T.alias(whh)))
+        cand = T.tanh(xc[t] + T.linear(T.mul(r, h), whh))
         h = T.mul(1.0 - z, h) + T.mul(z, cand)
         outs.append(h)
     return T.stack(outs, axis=0)
 
 
-def _fused_and_reference_bytes(monkeypatch, build):
-    """Bytes of the loss and of every leaf gradient that `build()` returns
-    as (leaves, loss), with the GRU ops and with their compositions."""
+def _against_composition(monkeypatch, build, dtype, terms):
+    """Run `build()`, which returns (leaves, scalar loss), in `dtype` with
+    gru_sequence and again with `_composed_gru_sequence` in its place.  The
+    forward runs the same operations in the same order, so the losses are
+    equal in bytes.  The backward sums in its own order (h's carry as one
+    expression, the three input projections of xs in one sum, each weight
+    block over the steps by one matmul) where the composition's autograd
+    sums node by node, so each leaf gradient agrees within sqrt(terms) *
+    eps(dtype) of the largest magnitude among them, as in
+    `_against_float64_reference`."""
     def run():
-        leaves, loss = build()
-        loss.backward()
-        return [loss.data.tobytes()] + [None if t.grad is None else t.grad.tobytes()
-                                        for t in leaves]
+        with T.precision(dtype):
+            leaves, loss = build()
+            loss.backward()
+        return [loss.data] + [t.grad for t in leaves]
 
-    fused = run()
+    got = run()
     with monkeypatch.context() as m:
-        m.setattr(nn, "gru_step", _reference_gru_step)
-        m.setattr(nn, "gru_sequence", _reference_gru_sequence)
-        reference = run()
-    assert len(fused) == len(reference)
-    return fused, reference
+        m.setattr(nn, "gru_sequence", _composed_gru_sequence)
+        want = run()
+    assert len(got) == len(want) and got[0].dtype == dtype
+    assert got[0].tobytes() == want[0].tobytes()
+    assert [g is None for g in got] == [w is None for w in want]
+    scale = max(float(np.abs(w).max()) for w in want[1:] if w is not None)
+    for g, w in zip(got[1:], want[1:]):
+        if w is not None:
+            np.testing.assert_allclose(g, w, rtol=0,
+                                       atol=math.sqrt(terms) * np.finfo(dtype).eps * scale)
+
+
+def _f32(a):
+    return np.asarray(a, dtype=np.float32)
 
 
 def _cell_leaves(cell, frozen):
@@ -317,28 +385,31 @@ def _cell_leaves(cell, frozen):
 @pytest.mark.parametrize("frozen", [False, True])
 def test_gru_step_is_bitwise_its_composition(monkeypatch, dtype, batched, h0_grad,
                                              outside, frozen):
-    # two token rows through one cell, from a shared initial hidden; with
-    # `outside`, every hidden state also feeds a term of the loss
+    # two token rows through one cell a step at a time, each step a
+    # one-step gru_sequence node, from a shared initial hidden; with
+    # `batched`, two streams of tokens step side by side from the rows of
+    # h0; with `outside`, every hidden state also feeds a term of the loss
     def build():
         rng = np.random.default_rng(17)
-        with T.precision(dtype):
-            cell = nn.GRUCell(rng, 3, 5)
-            table = T.Tensor(rng.normal(size=(6, 3)), requires_grad=True)
-            shape = (2, 5) if batched else (5,)
-            h0 = T.Tensor(rng.normal(size=shape), requires_grad=h0_grad)
-            loss = T.Tensor(0.0)
-            for row in ([1, 2, 3, 1], [3, 3, 0]):
-                h = h0
-                for tok in row:
-                    x = table[np.array([tok, 5 - tok])] if batched else table[tok]
-                    h = nn.gru_step(cell, x, h)
-                    if outside:
+        cell = nn.GRUCell(rng, 3, 5)
+        table = T.Tensor(rng.normal(size=(6, 3)), requires_grad=True)
+        h0 = T.Tensor(rng.normal(size=(2, 5) if batched else 5), requires_grad=h0_grad)
+        loss = T.Tensor(0.0)
+        for row in ([1, 2, 3, 1], [3, 3, 0]):
+            hs = [h0[0], h0[1]] if batched else [h0]
+            for tok in row:
+                hs = [nn.gru_sequence(cell, table[np.array([x])], h)[0]
+                      for x, h in zip((tok, 5 - tok), hs)]
+                if outside:
+                    for h in hs:
                         loss = loss + T.sum_(T.tanh(h))
+            for h in hs:
                 loss = loss + T.sum_(T.square(h))
-            return [table, h0, *_cell_leaves(cell, frozen)], loss
+        return [table, h0, *_cell_leaves(cell, frozen)], loss
 
-    fused, reference = _fused_and_reference_bytes(monkeypatch, build)
-    assert fused == reference
+    # 4 steps of 3 + 5 products per gate, over both rows and streams
+    _against_composition(monkeypatch, build, dtype,
+                         terms=2 * (2 if batched else 1) * 4 * (3 + 5))
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -353,26 +424,88 @@ def test_gru_sequence_is_bitwise_its_composition(monkeypatch, dtype, h0_grad, ou
     # episodes of one multi-task update do
     def build():
         rng = np.random.default_rng(23)
-        with T.precision(dtype):
-            cell = nn.GRUCell(rng, 4, 3)
-            x_leaf = T.Tensor(rng.normal(size=(6, 4)), requires_grad=True)
-            h0 = T.Tensor(rng.normal(size=3), requires_grad=h0_grad)
-            xs = T.tanh(x_leaf)
-            hs = nn.gru_sequence(cell, xs, h0)
-            loss = T.sum_(T.square(hs))
-            if outside:
-                loss = loss + T.sum_(T.mul(T.sigmoid(hs), rng.normal(size=(6, 3)))) + T.sum_(xs)
-            if two:
-                loss = loss + T.sum_(T.tanh(nn.gru_sequence(cell, T.tanh(x_leaf[1:]), h0)))
-            return [x_leaf, h0, *_cell_leaves(cell, frozen)], loss
+        cell = nn.GRUCell(rng, 4, 3)
+        x_leaf = T.Tensor(rng.normal(size=(6, 4)), requires_grad=True)
+        h0 = T.Tensor(rng.normal(size=3), requires_grad=h0_grad)
+        xs = T.tanh(x_leaf)
+        hs = nn.gru_sequence(cell, xs, h0)
+        loss = T.sum_(T.square(hs))
+        if outside:
+            loss = loss + T.sum_(T.mul(T.sigmoid(hs), rng.normal(size=(6, 3)))) + T.sum_(xs)
+        if two:
+            loss = loss + T.sum_(T.tanh(nn.gru_sequence(cell, T.tanh(x_leaf[1:]), h0)))
+        return [x_leaf, h0, *_cell_leaves(cell, frozen)], loss
 
-    fused, reference = _fused_and_reference_bytes(monkeypatch, build)
-    assert fused == reference
+    # 6 steps of 4 + 3 products per gate, over both unrolls
+    _against_composition(monkeypatch, build, dtype, terms=(2 if two else 1) * 6 * (4 + 3))
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_qa_batch_sharing_one_question_is_bitwise_the_composed_one(monkeypatch, dtype):
-    # an IQA episode's QA rows all carry the task's one token list
+@pytest.mark.parametrize("h0_grad", [False, True])
+@pytest.mark.parametrize("outside", [False, True])
+@pytest.mark.parametrize("frozen", [False, True])
+@pytest.mark.parametrize("two", [False, True])
+def test_gru_sequence_matches_the_float64_convention(monkeypatch, dtype, h0_grad, outside,
+                                                     frozen, two):
+    # with `outside`, the hidden states and the inputs also feed other
+    # terms; with `two`, a second unroll of the cell joins the loss, as two
+    # episodes of one multi-task update do
+    def build():
+        rng = np.random.default_rng(23)
+        cell = nn.GRUCell(rng, 4, 3)
+        x_leaf = T.Tensor(_f32(rng.normal(size=(6, 4))), requires_grad=True)
+        h0 = T.Tensor(_f32(rng.normal(size=3)), requires_grad=h0_grad)
+        xs = T.tanh(x_leaf)
+        hs = nn.gru_sequence(cell, xs, h0)
+        loss = T.sum_(T.square(hs))
+        if outside:
+            loss = loss + T.sum_(T.mul(T.sigmoid(hs), _f32(rng.normal(size=(6, 3))))) \
+                + T.sum_(xs)
+        if two:
+            loss = loss + T.sum_(T.tanh(nn.gru_sequence(cell, T.tanh(x_leaf[1:]), h0)))
+        return [x_leaf, h0, *_cell_leaves(cell, frozen)], loss
+
+    # 6 steps of 4 + 3 products per gate
+    _against_float64_reference(monkeypatch, build, dtype, terms=6 * (4 + 3))
+
+
+# token rows through one cell: three lengths with a row repeated, one
+# question on every row (a QA batch of an IQA episode), no repeat, and two
+# rows repeated in turn
+TOKEN_ROWS = {"repeat": [[1, 2, 3, 1], [3, 3, 0], [5], [1, 2, 3, 1]],
+              "same": [[1, 2, 3, 1]] * 4,
+              "distinct": [[1, 2, 3, 1], [3, 3, 0], [5], [2, 4]],
+              "interleaved": [[3, 3, 0], [1, 2], [3, 3, 0], [1, 2], [5]]}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("frozen", [False, True])
+@pytest.mark.parametrize("rows", list(TOKEN_ROWS))
+@pytest.mark.parametrize("outside", [False, True])
+def test_token_encoding_matches_the_float64_convention(monkeypatch, dtype, frozen, rows,
+                                                       outside):
+    # with `outside`, the codes also feed a term of their own per row
+    from gridhouse.agents import _encode_tokens
+
+    token_rows = TOKEN_ROWS[rows]
+
+    def build():
+        rng = np.random.default_rng(17)
+        tok, cell = nn.Embedding(rng, 6, 3), nn.GRUCell(rng, 3, 5)
+        codes = _encode_tokens(tok, cell, token_rows)
+        loss = T.sum_(T.square(codes))
+        if outside:
+            loss = loss + T.sum_(T.mul(T.tanh(codes), _f32(rng.normal(size=codes.shape))))
+        return [tok.table, *_cell_leaves(cell, frozen)], loss
+
+    # 4 steps of 3 + 5 products per gate, over as many rows as share them
+    _against_float64_reference(monkeypatch, build, dtype, terms=len(token_rows) * 4 * (3 + 5))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_qa_batch_sharing_one_question_matches_the_float64_convention(monkeypatch, dtype):
+    # an IQA episode's QA rows all carry the task's one token list: one
+    # unroll, whose gradient sums the five rows'
     from gridhouse.agents import HierarchicalAgent
     from gridhouse.skills import Skill
     from gridhouse.trainer import StepSample, _qa_loss
@@ -380,22 +513,21 @@ def test_qa_batch_sharing_one_question_is_bitwise_the_composed_one(monkeypatch, 
 
     def build():
         rng = np.random.default_rng(29)
-        with T.precision(dtype):
-            cfg = micro_model_config()
-            agent = HierarchicalAgent(np.random.default_rng(3), cfg)
-            tokens = [1, 4, 2, 5]
-            samples = [StepSample(obs=random_observation(rng, cfg), family="qa",
-                                  skill=int(Skill.Answer), obj=cfg.num_classes,
-                                  last_action=0, expert_action=0, answer_tokens=tokens,
-                                  answer_label=int(rng.integers(6)))
-                       for _ in range(5)]
-            return agent.parameters(), _qa_loss(agent, samples)
+        cfg = micro_model_config()
+        agent = HierarchicalAgent(np.random.default_rng(3), cfg)
+        samples = [StepSample(obs=random_observation(rng, cfg), family="qa",
+                              skill=int(Skill.Answer), obj=cfg.num_classes,
+                              last_action=0, expert_action=0, answer_tokens=[1, 4, 2, 5],
+                              answer_label=int(rng.integers(6)))
+                   for _ in range(5)]
+        return agent.parameters(), _qa_loss(agent, samples)
 
-    fused, reference = _fused_and_reference_bytes(monkeypatch, build)
-    assert fused == reference
+    # the encoder's first layer sums 13 * 3 * 3 products a cell, over the
+    # 8 * 8 cells of 5 frames for its weight gradient
+    _against_float64_reference(monkeypatch, build, dtype, terms=13 * 9 * 64 * 5)
 
 
-def test_two_episode_multitask_loss_is_bitwise_the_composed_one(monkeypatch):
+def test_two_episode_multitask_loss_matches_the_float64_convention(monkeypatch):
     # task encoder, QA question encoder and the high-level unroll of two
     # episodes in one loss, as a multi-task update with two episodes
     from gridhouse.agents import HierarchicalAgent
@@ -408,8 +540,8 @@ def test_two_episode_multitask_loss_is_bitwise_the_composed_one(monkeypatch):
             _hier_loss(agent, cfg, np.random.default_rng(2))
         return agent.parameters(), T.mul(loss, 0.5)
 
-    fused, reference = _fused_and_reference_bytes(monkeypatch, build)
-    assert fused == reference
+    # as the QA batch above, over the 2 * 4 frames of the two episodes
+    _against_float64_reference(monkeypatch, build, np.float32, terms=13 * 9 * 64 * 8)
 
 
 # --------------------------------------------------------------------------
@@ -428,7 +560,7 @@ def test_gradcheck_focal_on_random_map():
 def test_gradcheck_gru_all_params():
     rng = np.random.default_rng(3)
     cell = nn.GRUCell(rng, 3, 4)
-    x = RNG.normal(size=3)
+    xs = RNG.normal(size=(2, 3))
     h = RNG.normal(size=4)
 
     def fn(wz, bz, wr, br, wh, bh):
@@ -436,7 +568,7 @@ def test_gradcheck_gru_all_params():
         nn.Module.__init__(c)
         c.in_dim, c.hidden_dim = 3, 4
         c.w_z, c.b_z, c.w_r, c.b_r, c.w_h, c.b_h = wz, bz, wr, br, wh, bh
-        return T.square(nn.gru_step(c, x, h)).sum()
+        return T.square(nn.gru_sequence(c, xs, h)).sum()
 
     err = nn.grad_check(fn, [cell.w_z.data, cell.b_z.data, cell.w_r.data,
                              cell.b_r.data, cell.w_h.data, cell.b_h.data])

@@ -285,6 +285,17 @@ def test_build_splits_rejects_overrides_that_delete_a_bound_instance():
                 assert iid is None or state.has(iid), (split.name, e.task_type, iid)
 
 
+def test_build_splits_draws_enough_scenes_for_a_rare_slot(monkeypatch):
+    # at this seed (perfbench task_finetune seed 2812, operation 3) an LHIF
+    # pick_two slot of the train split finds a scene on its 14th draw
+    counts = desk_split_counts(1000)
+    splits = build_splits(TEMPLATES_ALL, counts=counts, seed=2106129568, n_unseen=2)
+    assert [len(s.episodes) for s in splits] == [sum(counts[s.name].values()) for s in splits]
+    monkeypatch.setattr(TK, "GENERATE_ATTEMPTS", 12)
+    with pytest.raises(RuntimeError, match="LHIF/pick_two for train"):
+        build_splits(TEMPLATES_ALL, counts=counts, seed=2106129568, n_unseen=2)
+
+
 def test_split_cycles_are_pinned():
     # the (task type, form, forced answer) cells build_splits cycles
     # through, in order; the golden digest's splits reach only the first

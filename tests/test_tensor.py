@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from gridhouse import nn, tensor as T
-from gridhouse.agents import HierarchicalAgent, ModelConfig, obs_planes
+from gridhouse.agents import HierarchicalAgent, ModelConfig, _encode_tokens, obs_planes
 from gridhouse.classes import desk_registry
 from gridhouse.nn import grad_check
 from gridhouse.scenes import builtin_templates
@@ -372,28 +372,32 @@ def _reachable_nodes(root):
 
 
 def test_the_multitask_loss_graph_keeps_its_node_count():
-    # read with one node per GRU step and per unroll (496 when they were
-    # composed of ops) and one per encoder's first layer (334 when that was
-    # a lookup, its NCHW copy, the planes and their concatenation before the
-    # conv, in each of the four encoder calls); how an op builds its node
-    # must add or drop none
+    # read as the loss's reachable nodes with one node per GRU unroll: each
+    # of the two token encodings (a task row, a QA row, three tokens each)
+    # is its unroll, lookup, zero initial hidden, last-state gather, stack
+    # and row gather, 6 nodes (318 when each token was a step node with its
+    # lookup and an alias of w_h, 11; 496 when the steps and the
+    # high-level unroll were composed of ops), and one node per encoder's
+    # first layer (334 when that was a lookup, its NCHW copy, the planes
+    # and their concatenation before the conv, in each of the four encoder
+    # calls); how an op builds its node must add or drop none
     from gridhouse.verification import _hier_loss, micro_model_config
 
     cfg = micro_model_config()
     agent = HierarchicalAgent(np.random.default_rng(0), cfg)
-    assert _reachable_nodes(_hier_loss(agent, cfg, np.random.default_rng(1))) == 318
+    assert _reachable_nodes(_hier_loss(agent, cfg, np.random.default_rng(1))) == 308
 
 
-def test_a_token_step_and_an_unroll_add_one_gru_node_each():
+def test_a_token_row_and_an_unroll_add_one_gru_node_each():
     rng = np.random.default_rng(4)
     cell, tok = nn.GRUCell(rng, 3, 4), nn.Embedding(rng, 6, 3)
-    h1 = cell(tok(2), T.Tensor(np.zeros(4)))
-    h2 = cell(tok(5), h1)
-    # the step, its lookup and the alias that carries w_h's gradient
-    assert _reachable_nodes(h2) - _reachable_nodes(h1) == 3
-    lookup, alias = h2._parents[0], h2._parents[6]
-    assert h2._parents[1] is h1 and lookup._parents == (tok.table,)
-    assert alias._parents == (cell.w_h,)
+    codes = _encode_tokens(tok, cell, [[2, 5, 1]])
+    # the row gather, the stack, the last-state gather, the unroll, its
+    # lookup of the table, its initial hidden and the six weights
+    assert codes.shape == (1, 4) and _reachable_nodes(codes) == 13
+    unroll = codes._parents[0]._parents[0]._parents[0]
+    assert unroll._parents[0]._parents == (tok.table,)
+    assert unroll._parents[2:] == tuple(cell.parameters())
 
     xs = T.Tensor(rng.normal(size=(7, 3)), requires_grad=True)
     hs = nn.gru_sequence(cell, xs, np.zeros(4))
@@ -406,7 +410,7 @@ def test_a_token_step_and_an_unroll_add_one_gru_node_each():
 UNARY_OPS = {
     "exp": T.exp, "log": T.log, "tanh": T.tanh, "sigmoid": T.sigmoid, "relu": T.relu,
     "softplus": T.softplus, "abs_": T.abs_, "square": T.square,
-    "clip": lambda a: T.clip(a, 0.7, 1.2), "alias": T.alias,
+    "clip": lambda a: T.clip(a, 0.7, 1.2),
     "reshape": lambda a: T.reshape(a, (3, 2)),
     "gather": lambda a: T.gather(a, np.array([1, 0, 1])),
     "sum_": lambda a: T.sum_(a, axis=0), "log_softmax": T.log_softmax,
@@ -421,13 +425,12 @@ def _cell(w_z, b_z, w_r, b_r, w_h, b_h):
     return cell
 
 
-# the GRU ops on their input, initial hidden and six weights, and the
+# the GRU unroll on its input, initial hidden and six weights, and the
 # encoder's first layer on its table, weight and bias (class ids and
 # planes are constants), with shapes
 GRU_WEIGHTS = [(4, 7), (4,)] * 3
 CLASS_IDS, PLANES = np.arange(50).reshape(2, 5, 5) % 4, np.ones((2, 2, 5, 5))
 MULTI_OPS = {
-    "gru_step": (lambda x, h, *w: nn.gru_step(_cell(*w), x, h), [(2, 3), (2, 4), *GRU_WEIGHTS]),
     "gru_sequence": (lambda xs, h0, *w: nn.gru_sequence(_cell(*w), xs, h0),
                      [(2, 3), (4,), *GRU_WEIGHTS]),
     "embed_conv2d": (lambda t, w, b: T.embed_conv2d(t, CLASS_IDS, PLANES, w, b, stride=2, pad=1),
@@ -455,9 +458,6 @@ def test_an_op_keeps_exactly_its_parameters_and_is_otherwise_a_leaf(name):
     out = op(*params)
     assert out.requires_grad and out._backward is not None
     parents = list(out._parents)
-    if name == "gru_step":      # w_h reaches the step through an alias of its own
-        assert parents[6]._parents == (params[6],)
-        parents[6] = params[6]
     assert len(parents) == len(params)
     assert all(p is q for p, q in zip(parents, params))
     if name in BINARY_OPS:

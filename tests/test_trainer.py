@@ -119,16 +119,29 @@ def test_epsilon_linear_exact():
     assert epsilon_at(0.25, 1.0, 0.6) == 1.0 + 0.25 * (0.6 - 1.0)
 
 
+def _convention_fold(cell, xs, h0):
+    """The hidden states of the GRUCell convention as written, [x, h] gates,
+    folded over xs's rows in float64 numpy: the unroll without
+    `nn.gru_recurrence`."""
+    w = {name: p.data.astype(np.float64) for name, p in cell.named_parameters()}
+    h, hs = np.asarray(h0, dtype=np.float64), []
+    for x in np.asarray(xs, dtype=np.float64):
+        xh = np.concatenate([x, h])
+        z = 1.0 / (1.0 + np.exp(-(w["w_z"] @ xh + w["b_z"])))
+        r = 1.0 / (1.0 + np.exp(-(w["w_r"] @ xh + w["b_r"])))
+        cand = np.tanh(w["w_h"] @ np.concatenate([x, r * h]) + w["b_h"])
+        h = (1.0 - z) * h + z * cand
+        hs.append(h)
+    return np.stack(hs)
+
+
 @pytest.mark.usefixtures("float64")
 def test_gru_sequence_matches_step_composition():
     cell = nn.GRUCell(np.random.default_rng(0), 5, 4)
     xs = np.random.default_rng(1).normal(size=(6, 5))
     h = np.zeros(4)
     seq = nn.gru_sequence(cell, xs, h).data
-    cur = T.Tensor(h)
-    for t in range(6):
-        cur = nn.gru_step(cell, xs[t], cur)
-        np.testing.assert_allclose(seq[t], cur.data, atol=1e-12)
+    np.testing.assert_allclose(seq, _convention_fold(cell, xs, h), rtol=0, atol=1e-12)
 
 
 # --------------------------------------------------------------------------
@@ -539,16 +552,6 @@ def test_rollout_and_training_feed_the_high_level_the_same_ids(monkeypatch):
         assert objects[0] == SMALL.num_classes and min(objects) < SMALL.num_classes
 
 
-def _gru_step_fold(cell, xs, h0):
-    """The hidden states of `nn.gru_step` folded over xs's rows: the
-    unroll written without `nn.gru_recurrence`."""
-    h, hs = T.as_tensor(h0), []
-    for x in T.as_tensor(xs).data:
-        h = nn.gru_step(cell, x, h)
-        hs.append(h.data)
-    return T.Tensor(np.stack(hs))
-
-
 def test_rollout_high_level_logits_agree_with_teacher_forcing(monkeypatch):
     # the rollout projects the image block once per observation and the
     # context block once per context, and adds the two, the bias and the
@@ -556,8 +559,9 @@ def test_rollout_high_level_logits_agree_with_teacher_forcing(monkeypatch):
     # takes each gate as one dot product over [context; image; h].  Only the
     # summation order differs: a gate sums K = in_dim + hidden float32
     # products, and reordering them moves it by about sqrt(K) ulps of its
-    # scale.  The unroll is also read through gru_step, so a fault in the
-    # recurrence that rollout and gru_sequence share shows too.
+    # scale.  The unroll is also read through a float64 fold of the GRUCell
+    # convention, so a fault in the recurrence that rollout and
+    # gru_sequence share shows too.
     from gridhouse.tasks import instruction_tokens
 
     agent = HierarchicalAgent(np.random.default_rng(0), SMALL)
@@ -583,7 +587,8 @@ def test_rollout_high_level_logits_agree_with_teacher_forcing(monkeypatch):
         with T.no_grad():
             forced = [TR.high_level_logits(agent, batch, SMALL)]
             with monkeypatch.context() as m:
-                m.setattr(nn, "gru_sequence", _gru_step_fold)
+                m.setattr(nn, "gru_sequence", lambda cell, xs, h0: T.Tensor(
+                    _convention_fold(cell, T.as_tensor(xs).data, T.as_tensor(h0).data)))
                 forced.append(TR.high_level_logits(agent, batch, SMALL))
         assert len(rolled) == len(steps) > 1
         for k in range(2):
@@ -961,7 +966,7 @@ def _parameter_sha256(agent):
 # BLAS sums can differ between BLAS builds and CPUs; these were computed
 # with numpy 2.4 and scipy-openblas 0.3.31 on x86-64.
 MICRO_PRETRAIN_SHA256 = "1bc16330f8bf979b991e742cdf63bafb08afcd4861b0e7720d1b3cd4b75a02c5"
-MICRO_FINETUNE_SHA256 = "a838d0873f78081815acfe957b8cba0d44432844f6efca82fb4ca696396522ea"
+MICRO_FINETUNE_SHA256 = "024ee45d897fd9e1069d967f477e5ad32ef0d464a75e061e1a797085dd546b26"
 
 
 def test_fixed_seed_training_is_bit_reproducible():
