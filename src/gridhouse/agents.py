@@ -73,6 +73,31 @@ class GridEncoder(Module):
         return T.relu(self.conv2(x))
 
 
+def encode(encoder, obs_batch):
+    """The encoder's feature maps (N, d, grid, grid) of N observations.
+
+    Observations with equal `Observation.key` are equal, so each distinct
+    one, in first-seen order, runs `obs_planes` and the encoder once, and
+    its row is gathered to every position that holds it.  The gather's
+    backward adds the gradients of a repeated row into zeros in batch order
+    before the encoder's backward, whose weight gradients then sum over the
+    distinct rows only.  A batch of distinct observations builds no
+    gather."""
+    frames, inverse = _first_seen(obs_batch, lambda obs: obs.key)
+    z_img = encoder(*obs_planes(frames))
+    return z_img if len(frames) == len(inverse) else z_img[inverse]
+
+
+def _first_seen(items, key):
+    """(the first item of each distinct `key(item)`, in first-seen order;
+    the index among them of every item's key): the rows a batch runs once,
+    and the gather index that gives each item its row back."""
+    firsts, inverse = {}, []
+    for item in items:
+        inverse.append(firsts.setdefault(key(item), (len(firsts), item))[0])
+    return [item for _, item in firsts.values()], np.array(inverse)
+
+
 class TaskEncoder(Module):
     def __init__(self, rng, cfg: ModelConfig):
         super().__init__()
@@ -92,12 +117,10 @@ def _encode_tokens(tok, gru, token_rows):
     last hidden state is gathered to every row that carries those tokens:
     the gather sums the repeated rows' gradients before the unroll.  A row
     of no tokens raises nn.ShapeMismatch."""
-    distinct, inverse = {}, []
-    for row in token_rows:
-        inverse.append(distinct.setdefault(tuple(int(t) for t in row), len(distinct)))
+    rows, inverse = _first_seen(token_rows, lambda row: tuple(int(t) for t in row))
     h0 = np.zeros(gru.hidden_dim, dtype=T.DEFAULT_DTYPE)
-    finals = [nn.gru_sequence(gru, tok(row), h0)[len(row) - 1] for row in distinct]
-    return T.stack(finals, axis=0)[np.array(inverse)]
+    finals = [nn.gru_sequence(gru, tok(row), h0)[len(row) - 1] for row in rows]
+    return T.stack(finals, axis=0)[inverse]
 
 
 def _context_and_image(cond, z_img):
@@ -393,7 +416,7 @@ class ForwardMemo:
         if proj is None:
             with T.no_grad():
                 proj = self.images[obs.key] = agent.high.image_projection(
-                    agent.hl_encoder(*obs_planes([obs])))
+                    encode(agent.hl_encoder, [obs]))
         return proj
 
     def context_projection(self, agent, z_task, key):
@@ -451,9 +474,11 @@ def high_level_step(agent, z_task, obs, last_action, last_subgoal, hidden,
 def sub_policy_forward(agent, family, obs_batch, last_action, skill, obj):
     """(action logits, value, point maps or None) of the "nav" or
     "interact" sub-policy on N steps: their observations and their ids of
-    the last action, the skill and the conditioning object."""
-    cmap, planes = obs_planes(obs_batch)
-    z_img = agent.sub_encoder(cmap, planes)
+    the last action, the skill and the conditioning object.  The shared
+    `sub_encoder` runs once per distinct observation (`encode`), so the
+    encoder's gradients sum each repeated observation's rows first; the
+    trunk and the heads run on all N rows."""
+    z_img = encode(agent.sub_encoder, obs_batch)
     sub = agent.nav if family == "nav" else agent.interact
     return sub.forward(sub.conditioning(last_action, skill, obj), z_img)
 
@@ -495,10 +520,11 @@ def sub_policy_step(agent, subgoal, obs, last_action, rng, greedy=False, *,
 
 def qa_logits(agent, token_rows, obs_batch):
     """(answer logits, attention weights) of the QA sub-policy for N
-    questions, each on its frame."""
+    questions, each on its frame.  Each distinct question runs one unroll
+    and each distinct frame one `sub_encoder` forward (`encode`); the
+    gathers sum the gradients of repeated rows before those run back."""
     q = agent.qa.encode_question(token_rows)
-    cmap, planes = obs_planes(obs_batch)
-    return agent.qa.forward(q, agent.sub_encoder(cmap, planes))
+    return agent.qa.forward(q, encode(agent.sub_encoder, obs_batch))
 
 
 @T.no_grad()

@@ -350,15 +350,26 @@ def stack(tensors, axis=0):
 
 
 def gather(a, idx):
-    """Numpy fancy indexing with scatter-add backward."""
+    """Numpy fancy indexing with scatter-add backward.
+
+    The backward adds each gathered element's gradient into zeros in index
+    order, `np.add.at`'s order, so a repeated row sums its gradients in
+    the order it was gathered.  An integer array into a 2-D table is the
+    row lookup of `_scatter_rows`; a 1-D integer array into a tensor of
+    more dimensions (`agents.encode`'s rows) adds whole rows, one at a
+    time, which gives the same bits at a fraction of np.add.at's cost."""
     a = as_tensor(a)
 
     def scatter(g):
-        if isinstance(idx, np.ndarray) and idx.dtype.kind == "i" and a.data.ndim == 2:
+        rows = isinstance(idx, np.ndarray) and idx.dtype.kind == "i"
+        if rows and a.data.ndim == 2:
             return _scatter_rows(a.data.shape, idx, g)   # every Embedding
         buf = np.zeros(a.data.shape, dtype=a.data.dtype)
-        if all(isinstance(i, (int, np.integer, slice))
-               for i in (idx if isinstance(idx, tuple) else (idx,))):
+        if rows and idx.ndim == 1 and a.data.ndim > 2:
+            for k, row in enumerate(idx.tolist()):
+                buf[row] += g[k]
+        elif all(isinstance(i, (int, np.integer, slice))
+                 for i in (idx if isinstance(idx, tuple) else (idx,))):
             buf[idx] += g   # ints and slices repeat no element: np.add.at's sum
         else:
             np.add.at(buf, idx, g)

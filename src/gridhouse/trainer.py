@@ -18,7 +18,7 @@ from . import nn, tensor as T
 from .agents import (ANSWER_SPACE, INTERACT_ACTION_SPACE, INTERACT_INDEX,
                      NAV_ACTION_SPACE, NAV_INDEX, NONE_ACTION, NONE_SKILL,
                      SKILL_FAMILY, ForwardMemo, ModelConfig, action_id, cell_center,
-                     high_level_step, obs_planes, qa_logits,
+                     encode, high_level_step, qa_logits,
                      sub_policy_forward, sub_policy_step, subgoal_ids)
 from .episodes import rollout
 from .planner import ExpertController, single_subgoal_stream
@@ -307,14 +307,15 @@ class EpisodeBatch:
 def high_level_logits(agent, episode: EpisodeBatch, cfg: ModelConfig):
     """(skill logits (N, |Skill|), object logits (N, C)) of the high level
     over an episode's N steps, teacher-forced on their recorded last
-    actions and previous sub-goals."""
+    actions and previous sub-goals.  `hl_encoder` runs once per distinct
+    observation of the episode (`encode`), so its gradients sum each
+    repeated observation's rows first; the GRU unrolls over all N steps."""
     steps = episode.steps
     n = len(steps)
     if n == 0:
         raise MissingLabels("empty episode")
     z_task = agent.task_enc([episode.task_tokens])
-    cmap, planes = obs_planes([s.obs for s in steps])
-    z_img = agent.hl_encoder(cmap, planes)
+    z_img = encode(agent.hl_encoder, [s.obs for s in steps])
     flat = agent.high.gru_input(
         T.mul(z_task, np.ones((n, 1), dtype=T.DEFAULT_DTYPE)), z_img,
         [s.last_action for s in steps],

@@ -6,8 +6,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import nn, tensor as T
-from .agents import (NONE_ACTION, NONE_SKILL, HierarchicalAgent, ModelConfig,
-                     _encode_tokens, action_id, subgoal_ids)
+from .agents import (NONE_ACTION, NONE_SKILL, GridEncoder, HierarchicalAgent,
+                     ModelConfig, _encode_tokens, action_id, encode, subgoal_ids)
 from .skills import Skill
 from .world import Observation
 
@@ -41,6 +41,14 @@ def _op_cases(rng):
     ls_w = r(3, 4)
     gll_delta = r(2)
     emb_ids, emb_planes = rng.integers(0, 4, size=(2, 5, 5)), r(2, 2, 5, 5)
+    # drawn from net_rng, so no draw from rng moves: a micro encoder over
+    # five frames, three of them one observation, whose rows' gradients the
+    # gather sums before the encoder's backward
+    micro = micro_model_config()
+    enc = GridEncoder(net_rng, micro)
+    first, second, third = (random_observation(net_rng, micro) for _ in range(3))
+    frames = [first, second, first, third, first]
+    enc_w = net_rng.uniform(-1.5, 1.5, size=(len(frames), micro.d, micro.grid, micro.grid))
 
     return {
         "add_mul_div": (lambda a, b: T.sum_(T.div(T.mul(a + b, a), b)),
@@ -81,6 +89,9 @@ def _op_cases(rng):
                    + T.sum_(T.tanh(T.linear(x1, w, b)))
                    + T.sum_(T.square(T.linear(x1, w))),
                    [r(3, 4), r(4), r(2, 4), r(2)]),
+        # grad_check perturbs the encoder's parameters in place
+        "encode": (lambda *_: T.sum_(T.mul(T.tanh(encode(enc, frames)), enc_w)),
+                   enc.parameters()),
     }
 
 

@@ -336,6 +336,22 @@ def test_embedding_scatter_is_bitwise_np_add_at():
     np.testing.assert_array_equal(_bits(t.grad), _bits(want))
 
 
+def test_row_scatter_is_bitwise_np_add_at():
+    # agents.encode gathers whole feature maps, (N, d, grid, grid), by a
+    # 1-D row index: repeated rows sum their gradients in index order
+    rng = np.random.default_rng(4)
+    feats = rng.normal(size=(20, 64, 8, 8)).astype(np.float32)
+    idx = rng.integers(0, 20, size=64)
+    idx[::5] -= 20   # negative rows address the same rows
+    assert len(set((idx % 20).tolist())) < len(idx)
+    g = rng.normal(size=(64, 64, 8, 8)).astype(np.float32)
+    t = T.Tensor(feats, requires_grad=True)
+    T.gather(t, idx).backward(g)
+    want = np.zeros_like(feats)
+    np.add.at(want, idx, g)
+    np.testing.assert_array_equal(_bits(t.grad), _bits(want))
+
+
 @pytest.mark.usefixtures("float64")
 def test_sum_mean_axis_grads():
     x = RNG.normal(size=(3, 4))
@@ -380,7 +396,8 @@ def test_the_multitask_loss_graph_keeps_its_node_count():
     # high-level unroll were composed of ops), and one node per encoder's
     # first layer (334 when that was a lookup, its NCHW copy, the planes
     # and their concatenation before the conv, in each of the four encoder
-    # calls); how an op builds its node must add or drop none
+    # calls; its frames are distinct, so `agents.encode` adds no gather);
+    # how an op builds its node must add or drop none
     from gridhouse.verification import _hier_loss, micro_model_config
 
     cfg = micro_model_config()

@@ -965,8 +965,8 @@ def _parameter_sha256(agent):
 # numerics on purpose updates them and says so in CHANGES.md.  float32
 # BLAS sums can differ between BLAS builds and CPUs; these were computed
 # with numpy 2.4 and scipy-openblas 0.3.31 on x86-64.
-MICRO_PRETRAIN_SHA256 = "1bc16330f8bf979b991e742cdf63bafb08afcd4861b0e7720d1b3cd4b75a02c5"
-MICRO_FINETUNE_SHA256 = "024ee45d897fd9e1069d967f477e5ad32ef0d464a75e061e1a797085dd546b26"
+MICRO_PRETRAIN_SHA256 = "6228cf3fa49f23f1f6d4fe301c072b2078e1106ce51a132d0b12a8f9e7359683"
+MICRO_FINETUNE_SHA256 = "92ed31e082b535eba97ee93ab9ef07dc136af719abb0c0e30a9097de13625984"
 
 
 def test_fixed_seed_training_is_bit_reproducible():
@@ -1042,3 +1042,193 @@ def test_skill_episode_ends_after_a_wrong_interaction_it_cannot_undo(monkeypatch
             monkeypatch, objects, subgoal, action, 1)
         assert not success and len(samples) == 1 and samples[0].done
         assert happened(final)
+
+
+# --------------------------------------------------------------------------
+# each distinct observation is encoded once per batch
+
+
+def _spy_encoders(monkeypatch):
+    """(encoder, batch size, output) of every GridEncoder forward from now on."""
+    from gridhouse.agents import GridEncoder
+
+    calls, forward = [], GridEncoder.__call__
+
+    def spy(self, class_maps, planes):
+        out = forward(self, class_maps, planes)
+        calls.append((self, len(class_maps), out))
+        return out
+
+    monkeypatch.setattr(GridEncoder, "__call__", spy)
+    return calls
+
+
+def _distinct(samples):
+    return len({s.obs.key for s in samples})
+
+
+def _with_repeats(batch):
+    """The batch and a copy of every third step, each with another last
+    action: rows that share their observation and differ in their ids."""
+    repeats = [copy.copy(s) for s in batch[::3]]
+    for s in repeats:
+        s.last_action = (s.last_action + 1) % TR.NONE_ACTION
+    return batch + repeats
+
+
+def _iqa_episode(agent, cfg):
+    """An expert IQA episode, which repeats its Answer step to the budget."""
+    from gridhouse.tasks import instruction_tokens
+
+    task = generate_task("IQA", "existence", 0, TEMPLATES[2], 77, np.random.default_rng(2))
+    state = task_initial_state(task, TEMPLATES[2])
+    steps, _traj = TR.run_task_episode_sf(agent, task, state, InteractionMode.HARD,
+                                          np.random.default_rng(3), 1.0, cfg, VOCAB)
+    return EpisodeBatch(instruction_tokens(task, VOCAB), steps)
+
+
+class _KeepGradients:
+    """An optimizer that moves nothing: each step keeps a copy of every
+    parameter's gradient (None where it has none)."""
+
+    def __init__(self, params):
+        self.params, self.grads = params, []
+
+    def zero_grad(self):
+        for p in self.params:
+            p.grad = None
+
+    def step(self):
+        self.grads.append([None if p.grad is None else p.grad.copy() for p in self.params])
+
+
+def test_each_batch_encodes_its_distinct_observations_once(monkeypatch):
+    from gridhouse.agents import qa_logits
+
+    agent = HierarchicalAgent(np.random.default_rng(0), CFG)
+    opt = _KeepGradients(agent.parameters())
+    tf = _with_repeats(_expert_batch(agent, n=24))
+    ppo = _collect_buffer(agent, 48, seed=2, eps=0.0)
+    small = HierarchicalAgent(np.random.default_rng(0), SMALL)
+    episode = _iqa_episode(small, SMALL)
+    families = [[s for s in batch if s.family == f] for batch in (tf, ppo)
+                for f in ("interact", "nav")]
+    assert all(_distinct(b) < len(b) for b in (tf, ppo, episode.steps))
+    calls = _spy_encoders(monkeypatch)
+
+    teacher_forcing_update(agent, tf, opt, CFG)
+    ppo_update(agent, ppo, opt, PPOConfig(epochs=1, minibatch=len(ppo)),
+               np.random.default_rng(0))
+    assert [n for _, n, _ in calls] == [_distinct(b) for b in families if b]
+    assert all(enc is agent.sub_encoder for enc, _, _ in calls)
+
+    calls.clear()
+    TR.multitask_episode_loss(small, episode, SMALL, LossWeights())
+    by_family = [[s for s in episode.steps if s.family == f] for f in ("interact", "nav", "qa")]
+    assert [(enc, n) for enc, n, _ in calls] == \
+        [(small.hl_encoder, _distinct(episode.steps))] + \
+        [(small.sub_encoder, _distinct(b)) for b in by_family if b]
+
+    calls.clear()
+    frames = [s.obs for s in tf[:3]]
+    qa_logits(agent, [[1, 2]] * 5, frames + frames[:2])
+    assert [n for _, n, _ in calls] == [len({o.key for o in frames})]
+
+
+def test_encode_gathers_only_a_batch_with_repeats(monkeypatch):
+    # every row is its observation's encoding; a batch of distinct
+    # observations is the encoder's output itself, no gather node
+    from dataclasses import replace
+
+    from gridhouse.agents import encode, obs_planes
+
+    agent = HierarchicalAgent(np.random.default_rng(0), SMALL)
+    enc = agent.sub_encoder
+    a = make_state([{"class": "Apple", "pos": (5, 6)}]).observation
+    # b differs from a in its state bits alone
+    b = replace(a, state_bits=a.state_bits ^ np.uint8(1))
+    c = _apple_scene(False).observation
+    alone = {o.key: enc(*obs_planes([o])).data for o in (a, b, c)}
+    assert len(alone) == 3
+    calls = _spy_encoders(monkeypatch)
+
+    z = encode(enc, [a, b, c])
+    assert [n for _, n, _ in calls] == [3] and z is calls[0][2]
+
+    calls.clear()
+    batch = [b, a, b, c, a, b]
+    firsts = [b.key, a.key, c.key]
+    z = encode(enc, batch)
+    assert [n for _, n, _ in calls] == [3] and z._parents == (calls[0][2],)
+    assert z.shape == (6, SMALL.d, SMALL.grid, SMALL.grid)
+    # the gather copies rows; the distinct batch's rows match each
+    # observation encoded alone up to BLAS row blocking
+    for row, obs in zip(z.data, batch):
+        np.testing.assert_array_equal(row, calls[0][2].data[firsts.index(obs.key)])
+        np.testing.assert_allclose(row, alone[obs.key][0], rtol=0,
+                                   atol=4 * np.finfo(np.float32).eps * np.abs(row).max())
+
+
+def _encode_every_row(encoder, obs_batch):
+    """The undeduplicated encode: the encoder over every row of the batch."""
+    from gridhouse.agents import obs_planes
+
+    return encoder(*obs_planes(obs_batch))
+
+
+@pytest.mark.parametrize("update", ["tf", "ppo", "multitask"])
+def test_deduplicated_updates_match_the_every_row_composition(monkeypatch, update):
+    # the encoders' weight gradients sum the repeated rows' gradients first
+    # and then the distinct rows, where encoding every row sums every row in
+    # one GEMM; each loss and parameter gradient agrees within sqrt(terms) *
+    # eps of the largest magnitude among them, terms the rows the first
+    # layer's weight gradient sums (batch * 16 * 16 output cells)
+    from gridhouse import agents
+
+    if update == "multitask":
+        cfg = SMALL
+        agent = HierarchicalAgent(np.random.default_rng(0), cfg)
+        episode = _iqa_episode(agent, cfg)
+        rows = len(episode.steps)
+
+        def run(opt):
+            loss = TR.multitask_episode_loss(agent, episode, cfg, LossWeights())
+            opt.zero_grad()
+            loss.backward()
+            opt.step()
+            return loss.item()
+    else:
+        agent = HierarchicalAgent(np.random.default_rng(0), CFG)
+        if update == "tf":
+            batch = _with_repeats(_expert_batch(agent, n=24))
+
+            def run(opt):
+                return teacher_forcing_update(agent, batch, opt, CFG)
+        else:
+            batch = _collect_buffer(agent, 48, seed=2, eps=0.0)
+
+            def run(opt):
+                return ppo_update(agent, batch, opt, PPOConfig(epochs=1, minibatch=len(batch)),
+                                  np.random.default_rng(0))
+        assert _distinct(batch) < len(batch)
+        rows = len(batch)
+
+    def grads():
+        opt = _KeepGradients(agent.parameters())
+        loss = run(opt)
+        assert len(opt.grads) == 1
+        return loss, opt.grads[0]
+
+    got_loss, got = grads()
+    with monkeypatch.context() as m:
+        m.setattr(agents, "encode", _encode_every_row)
+        m.setattr(TR, "encode", _encode_every_row)
+        want_loss, want = grads()
+    assert [g is None for g in got] == [w is None for w in want]
+    scale = max([abs(want_loss)] + [float(np.abs(w).max()) for w in want if w is not None])
+    atol = math.sqrt(rows * 16 * 16) * np.finfo(np.float32).eps * scale
+    assert abs(got_loss - want_loss) <= atol
+    for g, w in zip(got, want):
+        if w is not None:
+            assert g.dtype == np.float32
+            np.testing.assert_allclose(g, w, rtol=0, atol=atol)
