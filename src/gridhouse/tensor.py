@@ -5,7 +5,9 @@ broadcasting, the fused linear layer, reductions,
 indexing/gather, concat/reshape, the usual nonlinearities, a
 strided/padded conv2d, and `embed_conv2d`, a conv2d over an embedding
 lookup and constant planes.  Gradients accumulate additively (see `_acc`);
-backward() on a scalar fills every reachable grad buffer.
+backward() on a scalar fills the grad buffer of every reachable leaf and
+frees each intermediate gradient and backward as soon as it is used, so a
+graph is backpropagated once.
 
 An op states its forward value and, per parent, its local gradient: a
 function of the node's gradient, one for `_unary` and one per operand for
@@ -74,6 +76,11 @@ def no_grad():
         GRAD_ENABLED = prev
 
 
+class GraphConsumed(RuntimeError):
+    """backward() reached a node whose backward already ran: its gradient
+    and the arrays its backward saved are gone."""
+
+
 class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_owns_grad")
 
@@ -99,6 +106,17 @@ class Tensor:
     # -- graph ------------------------------------------------------------
 
     def backward(self, grad=None):
+        """Accumulate d(self)/d(leaf), times `grad`, into every leaf's grad.
+
+        Each node's backward runs once, latest first.  Right after it runs,
+        the node drops its `_backward`, and with it every array the op
+        saved for its backward (im2col columns, masks, a GRU unroll's
+        states), and, unless it is self, its grad.  An intermediate
+        gradient therefore lives only until its parents have received
+        theirs.  Leaves (parameters, `nn.grad_check` inputs) keep their
+        grads, self keeps its own, and every node keeps `_parents` and
+        `data`.  A second backward through a consumed node raises
+        GraphConsumed before any gradient is touched."""
         if grad is None:
             if self.data.size != 1:
                 raise ValueError("backward() without a gradient requires a scalar")
@@ -113,6 +131,8 @@ class Tensor:
                 continue
             if id(node) in seen:
                 continue
+            if node._parents and node._backward is None:
+                raise GraphConsumed("backward() through a graph it has already run through")
             seen.add(id(node))
             stack.append((node, True))
             for p in node._parents:
@@ -121,7 +141,12 @@ class Tensor:
         _acc(self, np.asarray(grad, dtype=self.data.dtype))
         for node in reversed(topo):
             back, g = node._backward, node.grad
-            if back is None or g is None:
+            if back is None:                # a leaf
+                continue
+            node._backward = None
+            if node is not self:
+                node.grad = None
+            if g is None:
                 continue
             if isinstance(back, tuple):     # a local gradient per parent
                 for p, local in zip(node._parents, back):
@@ -129,8 +154,6 @@ class Tensor:
                         _acc(p, _unbroadcast(local(g), p.data.shape))
             else:                           # a closure of `_make`
                 back(g)
-            # parents may now hold node.grad itself: never write into it
-            node._owns_grad = False
 
     # -- operators ---------------------------------------------------------
 

@@ -20,89 +20,110 @@ NET_COORDS = 20    # parameter coordinates sampled per network
 # op-level checks
 
 
-def _op_cases(rng):
-    def r(*shape, lo=-1.5, hi=1.5):
+def _op_cases():
+    """{name: build}: build(rng) draws one random configuration of the case,
+    its inputs and every constant, from `rng`, the case's own generator,
+    and returns the (fn, inputs) that grad_check takes."""
+    def r(rng, *shape, lo=-1.5, hi=1.5):
         return rng.uniform(lo, hi, size=shape)
 
-    heat_tgt = nn.gaussian_kernel_targets(
-        [(int(rng.integers(2)), (float(rng.uniform(0, 4)), float(rng.uniform(0, 4))),
-          float(rng.uniform(0.5, 3)))
-         for _ in range(3)], (2, 4, 4))
-    idx = rng.integers(0, 4, size=5)
-    net_rng = np.random.default_rng(int(rng.integers(1 << 30)))
-    tok, cell = nn.Embedding(net_rng, 6, 3), nn.GRUCell(net_rng, 3, 4)
-    # a repeated row and rows of three lengths: the gather sums the
-    # repeats' gradients before their one unroll
-    repeated = rng.integers(0, 6, size=3).tolist()
-    token_rows = [repeated, rng.integers(0, 6, size=1).tolist(), repeated,
-                  rng.integers(0, 6, size=5).tolist()]
-    # constants captured once: the checked function must not change between
-    # finite-difference evaluations
-    ls_w = r(3, 4)
-    gll_delta = r(2)
-    emb_ids, emb_planes = rng.integers(0, 4, size=(2, 5, 5)), r(2, 2, 5, 5)
-    # drawn from net_rng, so no draw from rng moves: a micro encoder over
-    # five frames, three of them one observation, whose rows' gradients the
-    # gather sums before the encoder's backward
-    micro = micro_model_config()
-    enc = GridEncoder(net_rng, micro)
-    first, second, third = (random_observation(net_rng, micro) for _ in range(3))
-    frames = [first, second, first, third, first]
-    enc_w = net_rng.uniform(-1.5, 1.5, size=(len(frames), micro.d, micro.grid, micro.grid))
+    def idx(rng):
+        return rng.integers(0, 4, size=5)
+
+    def embed_conv2d(rng):
+        ids, planes = rng.integers(0, 4, size=(2, 5, 5)), r(rng, 2, 2, 5, 5)
+        return (lambda t, w, b: T.sum_(T.tanh(T.embed_conv2d(
+            t, ids, planes, w, b, stride=2, pad=1))),
+            [r(rng, 4, 3), r(rng, 3, 5, 3, 3), r(rng, 3)])
+
+    def log_softmax(rng):
+        # constants captured once: the checked function must not change
+        # between finite-difference evaluations
+        w = r(rng, 3, 4)
+        return lambda a: T.sum_(T.mul(T.log_softmax(a, axis=-1), w)), [r(rng, 3, 4)]
+
+    def focal_loss_batched(rng):
+        tgt = nn.gaussian_kernel_targets(
+            [(int(rng.integers(2)), (float(rng.uniform(0, 4)), float(rng.uniform(0, 4))),
+              float(rng.uniform(0.5, 3)))
+             for _ in range(3)], (2, 4, 4))
+        return (lambda p: nn.focal_loss_batched(
+            T.clip(T.sigmoid(p), 0.02, 0.98), tgt.heat[None],
+            [1.0 / max(len(tgt.centers), 1)]), [r(rng, 1, 2, 4, 4)])
+
+    def gaussian_log_likelihood(rng):
+        delta = r(rng, 2)
+        return (lambda mu, raw: nn.gaussian_log_likelihood(delta, mu, T.softplus(raw) + 1e-4),
+                [r(rng, 2), r(rng, 2)])
+
+    def encode_tokens(rng):
+        net_rng = np.random.default_rng(int(rng.integers(1 << 30)))
+        tok, cell = nn.Embedding(net_rng, 6, 3), nn.GRUCell(net_rng, 3, 4)
+        # a repeated row and rows of three lengths: the gather sums the
+        # repeats' gradients before their one unroll
+        repeated = rng.integers(0, 6, size=3).tolist()
+        rows = [repeated, rng.integers(0, 6, size=1).tolist(), repeated,
+                rng.integers(0, 6, size=5).tolist()]
+        # grad_check perturbs the table and the cell's parameters in place
+        return (lambda *_: T.square(_encode_tokens(tok, cell, rows)).sum(),
+                [tok.table, *cell.parameters()])
+
+    def encode_case(rng):
+        # a micro encoder over five frames, three of them one observation,
+        # whose rows' gradients the gather sums before the encoder's backward
+        micro = micro_model_config()
+        enc = GridEncoder(rng, micro)
+        first, second, third = (random_observation(rng, micro) for _ in range(3))
+        frames = [first, second, first, third, first]
+        w = r(rng, len(frames), micro.d, micro.grid, micro.grid)
+        # grad_check perturbs the encoder's parameters in place
+        return (lambda *_: T.sum_(T.mul(T.tanh(encode(enc, frames)), w)),
+                enc.parameters())
+
+    def gru_sequence(rng):
+        # a 5-step unroll, over its inputs, initial hidden and the cell's
+        # six weights, which grad_check perturbs in place
+        cell = nn.GRUCell(np.random.default_rng(int(rng.integers(1 << 30))), 3, 4)
+        return (lambda xs, h0, *_: T.square(nn.gru_sequence(cell, xs, h0)).sum(),
+                [r(rng, 5, 3), r(rng, 4), *cell.parameters()])
 
     return {
-        "add_mul_div": (lambda a, b: T.sum_(T.div(T.mul(a + b, a), b)),
-                        [r(3, 4), r(3, 4, lo=0.5, hi=2.0)]),
-        "exp_log": (lambda a: T.sum_(T.log(T.exp(a) + 1.0)), [r(4, 2)]),
-        "tanh_sigmoid": (lambda a: T.sum_(T.tanh(T.sigmoid(a))), [r(5)]),
-        "relu_softplus": (lambda a: T.sum_(T.relu(a) + T.softplus(a)), [r(6)]),
-        "abs_square": (lambda a: T.sum_(T.abs_(a) + T.square(a)),
-                       [r(4) + np.sign(r(4)) * 0.2]),
-        "clip": (lambda a: T.sum_(T.square(T.clip(a, -0.8, 0.8))), [r(5)]),
-        "conv2d": (lambda x, w, b: T.sum_(T.tanh(T.conv2d(x, w, b, stride=2, pad=1))),
-                   [r(1, 2, 5, 5), r(3, 2, 3, 3), r(3)]),
-        "embed_conv2d": (lambda t, w, b: T.sum_(T.tanh(T.embed_conv2d(
-            t, emb_ids, emb_planes, w, b, stride=2, pad=1))), [r(4, 3), r(3, 5, 3, 3), r(3)]),
-        "gather": (lambda a: T.sum_(T.square(a[idx])), [r(4, 3)]),
-        "concat_stack": (lambda a, b: T.sum_(T.tanh(T.concat([a, b], axis=1))),
-                         [r(2, 3), r(2, 2)]),
-        "log_softmax": (lambda a: T.sum_(T.mul(T.log_softmax(a, axis=-1), ls_w)),
-                        [r(3, 4)]),
-        "sum_mean": (lambda a: T.square(T.mean(a, axis=0)).sum() +
-                     T.square(T.sum_(a, axis=1)).sum(), [r(3, 4)]),
-        "cross_entropy_rows": (lambda a: nn.cross_entropy_rows(a, idx[:3]), [r(3, 4)]),
-        "focal_loss_batched": (lambda p: nn.focal_loss_batched(
-            T.clip(T.sigmoid(p), 0.02, 0.98), heat_tgt.heat[None],
-            [1.0 / max(len(heat_tgt.centers), 1)]), [r(1, 2, 4, 4)]),
-        "gaussian_log_likelihood": (
-            lambda mu, raw: nn.gaussian_log_likelihood(gll_delta, mu,
-                                                       T.softplus(raw) + 1e-4),
-            [r(2), r(2)]),
-        # grad_check perturbs the table and the cell's parameters in place
-        "encode_tokens": (lambda *_: T.square(_encode_tokens(tok, cell, token_rows)).sum(),
-                          [tok.table, *cell.parameters()]),
-        "entropy_rows": (lambda a: nn.entropy_rows(a), [r(3, 4)]),
-        "log_prob_rows": (lambda a: T.sum_(nn.log_prob_rows(a, idx[:3])), [r(3, 4)]),
+        "add_mul_div": lambda rng: (lambda a, b: T.sum_(T.div(T.mul(a + b, a), b)),
+                                    [r(rng, 3, 4), r(rng, 3, 4, lo=0.5, hi=2.0)]),
+        "exp_log": lambda rng: (lambda a: T.sum_(T.log(T.exp(a) + 1.0)), [r(rng, 4, 2)]),
+        "tanh_sigmoid": lambda rng: (lambda a: T.sum_(T.tanh(T.sigmoid(a))), [r(rng, 5)]),
+        "relu_softplus": lambda rng: (lambda a: T.sum_(T.relu(a) + T.softplus(a)),
+                                      [r(rng, 6)]),
+        "abs_square": lambda rng: (lambda a: T.sum_(T.abs_(a) + T.square(a)),
+                                   [r(rng, 4) + np.sign(r(rng, 4)) * 0.2]),
+        "clip": lambda rng: (lambda a: T.sum_(T.square(T.clip(a, -0.8, 0.8))), [r(rng, 5)]),
+        "conv2d": lambda rng: (
+            lambda x, w, b: T.sum_(T.tanh(T.conv2d(x, w, b, stride=2, pad=1))),
+            [r(rng, 1, 2, 5, 5), r(rng, 3, 2, 3, 3), r(rng, 3)]),
+        "embed_conv2d": embed_conv2d,
+        "gather": lambda rng: (lambda a, i=idx(rng): T.sum_(T.square(a[i])), [r(rng, 4, 3)]),
+        "concat_stack": lambda rng: (lambda a, b: T.sum_(T.tanh(T.concat([a, b], axis=1))),
+                                     [r(rng, 2, 3), r(rng, 2, 2)]),
+        "log_softmax": log_softmax,
+        "sum_mean": lambda rng: (lambda a: T.square(T.mean(a, axis=0)).sum() +
+                                 T.square(T.sum_(a, axis=1)).sum(), [r(rng, 3, 4)]),
+        "cross_entropy_rows": lambda rng: (
+            lambda a, i=idx(rng)[:3]: nn.cross_entropy_rows(a, i), [r(rng, 3, 4)]),
+        "focal_loss_batched": focal_loss_batched,
+        "gaussian_log_likelihood": gaussian_log_likelihood,
+        "encode_tokens": encode_tokens,
+        "entropy_rows": lambda rng: (lambda a: nn.entropy_rows(a), [r(rng, 3, 4)]),
+        "log_prob_rows": lambda rng: (
+            lambda a, i=idx(rng)[:3]: T.sum_(nn.log_prob_rows(a, i)), [r(rng, 3, 4)]),
         # 2-D and 1-D input, each with and without bias
-        "linear": (lambda x2, x1, w, b: T.sum_(T.tanh(T.linear(x2, w, b)))
-                   + T.sum_(T.square(T.linear(x2, w)))
-                   + T.sum_(T.tanh(T.linear(x1, w, b)))
-                   + T.sum_(T.square(T.linear(x1, w))),
-                   [r(3, 4), r(4), r(2, 4), r(2)]),
-        # grad_check perturbs the encoder's parameters in place
-        "encode": (lambda *_: T.sum_(T.mul(T.tanh(encode(enc, frames)), enc_w)),
-                   enc.parameters()),
+        "linear": lambda rng: (lambda x2, x1, w, b: T.sum_(T.tanh(T.linear(x2, w, b)))
+                               + T.sum_(T.square(T.linear(x2, w)))
+                               + T.sum_(T.tanh(T.linear(x1, w, b)))
+                               + T.sum_(T.square(T.linear(x1, w))),
+                               [r(rng, 3, 4), r(rng, 4), r(rng, 2, 4), r(rng, 2)]),
+        "encode": encode_case,
+        "gru_sequence": gru_sequence,
     }
-
-
-def _gru_sequence_case(rng):
-    """The BPTT of nn.gru_sequence against finite differences: a 5-step
-    unroll, over its inputs, initial hidden and the cell's six weights."""
-    cell = nn.GRUCell(np.random.default_rng(int(rng.integers(1 << 30))), 3, 4)
-    xs, h0 = rng.uniform(-1.5, 1.5, size=(5, 3)), rng.uniform(-1.5, 1.5, size=4)
-    # grad_check perturbs the cell's own parameters in place
-    return (lambda xs, h0, *_: T.square(nn.gru_sequence(cell, xs, h0)).sum(),
-            [xs, h0, *cell.parameters()])
 
 
 def micro_model_config():
@@ -165,19 +186,26 @@ def _network_check(rng):
                          agent.parameters(), sample=(rng, NET_COORDS))
 
 
+def _case_rng(seed, config, name):
+    """The generator of configuration `config` of the row `name`: a row's
+    draws depend on nothing else, so adding, removing or reordering rows
+    moves no other row."""
+    return np.random.default_rng(np.random.SeedSequence([seed, 424242, config, *name.encode()]))
+
+
 def gradient_suite(seed=0):
     """Max guarded relative error per op and of the policy network, computed
-    in float64: every input, network and target is built inside the scope."""
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 424242]))
+    in float64: every input, network and target is built inside the scope,
+    each configuration from its own `_case_rng`."""
     report = {}
     with T.precision(np.float64):
-        for _ in range(OP_CONFIGS):
-            cases = _op_cases(rng)
-            for name, (fn, inputs) in cases.items():
-                err = nn.grad_check(fn, inputs, sample=(rng, 6))
-                report[name] = max(report.get(name, 0.0), err)
-        report["policy_hier"] = max(_network_check(rng) for _ in range(NET_CONFIGS))
-        # drawn last, so every row above keeps its draws
-        report["gru_sequence"] = max(nn.grad_check(*_gru_sequence_case(rng), sample=(rng, 6))
-                                     for _ in range(OP_CONFIGS))
+        for name, build in _op_cases().items():
+            errs = []
+            for config in range(OP_CONFIGS):
+                rng = _case_rng(seed, config, name)
+                fn, inputs = build(rng)
+                errs.append(nn.grad_check(fn, inputs, sample=(rng, 6)))
+            report[name] = max(errs)
+        report["policy_hier"] = max(_network_check(_case_rng(seed, config, "policy_hier"))
+                                    for config in range(NET_CONFIGS))
     return report

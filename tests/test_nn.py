@@ -598,6 +598,21 @@ def test_grad_check_command_passes(capsys):
     assert code == 0, out
 
 
+def test_a_new_grad_check_case_moves_no_other_row(monkeypatch):
+    # each row's configurations draw from generators of their own, so a
+    # case put in front of all the others leaves every row's value as it was
+    from gridhouse import verification as V
+
+    before = V.gradient_suite(seed=0)
+    cases = V._op_cases
+    monkeypatch.setattr(V, "_op_cases", lambda: {
+        "extra": lambda rng: (lambda a: T.sum_(T.tanh(a)), [rng.uniform(-1, 1, size=(4, 3))]),
+        **cases()})
+    after = V.gradient_suite(seed=0)
+    assert list(after) == ["extra", *before]
+    assert {name: after[name] for name in before} == before
+
+
 def test_grad_check_refuses_float32():
     # outside the float64 scope its inputs become float32 tensors, where
     # central differences at h = 1e-5 read relative errors up to 1.0
@@ -661,7 +676,7 @@ def test_adam_descends_quadratic():
 
 def test_adam_freeze_keeps_params_fixed():
     # a parameter frozen by clearing requires_grad gets no gradient, and
-    # Adam leaves it and its moments as they were
+    # Adam leaves it as it was and allocates it no moments
     a = T.Tensor(np.ones(2), requires_grad=False)
     b = T.Tensor(np.ones(2), requires_grad=True)
     opt = nn.Adam([a, b], lr=0.1)
@@ -670,7 +685,10 @@ def test_adam_freeze_keeps_params_fixed():
     opt.step()
     assert a.grad is None
     np.testing.assert_array_equal(a.data, np.ones(2))
-    assert not opt.m[0].any() and not opt.v[0].any()
+    assert opt.m[0] is None and opt.v[0] is None
+    state = opt.state_arrays()
+    assert not state["m0"].any() and not state["v0"].any()
+    assert opt.m[1].any() and opt.v[1].any()
     assert not np.allclose(b.data, np.ones(2))
 
 
@@ -702,7 +720,8 @@ def _reference_adam_step(opt, params, grads, m, v, t):
 def test_adam_in_place_blocks_match_the_out_of_place_formula(clip_norm):
     # a parameter over two blocks long, a small one, one that gets a
     # gradient on odd steps only (its moments hold on the others) and one
-    # that never gets a gradient (its moments stay zero), in float32
+    # that never gets a gradient (it gets no moments; its saved ones are
+    # zeros), in float32
     rng = np.random.default_rng(8)
     shapes = [(3, nn.ADAM_BLOCK - 5), (7,), (4, 2), (5,)]
     params = [T.Tensor(rng.normal(size=s).astype(np.float32), requires_grad=True)
@@ -710,8 +729,9 @@ def test_adam_in_place_blocks_match_the_out_of_place_formula(clip_norm):
     opt = nn.Adam(params, lr=0.01, clip_norm=clip_norm)
     arrays = [p.data for p in params]
     ref_p = [a.copy() for a in arrays]
-    ref_m = [m.copy() for m in opt.m]
-    ref_v = [v.copy() for v in opt.v]
+    assert opt.m == opt.v == [None] * len(params)
+    ref_m = [np.zeros_like(a) for a in arrays]
+    ref_v = [np.zeros_like(a) for a in arrays]
     for step in range(1, 6):
         grads = [rng.normal(size=s).astype(np.float32) * 3.0 for s in shapes[:3]] + [None]
         if step % 2 == 0:
@@ -720,13 +740,40 @@ def test_adam_in_place_blocks_match_the_out_of_place_formula(clip_norm):
             p.grad = g
         ref_p, ref_m, ref_v = _reference_adam_step(opt, ref_p, grads, ref_m, ref_v, step)
         opt.step()
+        state = opt.state_arrays()
         for i, p in enumerate(params):
             assert p.data is arrays[i]          # updated in place
-            assert p.data.dtype == opt.m[i].dtype == opt.v[i].dtype == np.float32
+            assert p.data.dtype == np.float32
             np.testing.assert_array_equal(p.data, ref_p[i])
-            np.testing.assert_array_equal(opt.m[i], ref_m[i])
-            np.testing.assert_array_equal(opt.v[i], ref_v[i])
-    assert not opt.m[3].any() and not opt.v[3].any()
+            for m, ref in ((state[f"m{i}"], ref_m[i]), (state[f"v{i}"], ref_v[i])):
+                assert m.dtype == np.float32
+                np.testing.assert_array_equal(m, ref)
+            if i < 3:                           # the live moments themselves
+                assert state[f"m{i}"] is opt.m[i] and state[f"v{i}"] is opt.v[i]
+    assert opt.m[3] is None and opt.v[3] is None
+
+
+def test_adam_allocates_moments_at_a_parameters_first_gradient():
+    # b's first gradient comes at step 3: until then it holds no moments,
+    # and its first update is the formula's from zero moments at t = 3
+    a = T.Tensor(np.ones(3, np.float32), requires_grad=True)
+    b = T.Tensor(np.ones(2, np.float32), requires_grad=True)
+    opt = nn.Adam([a, b], lr=0.1, clip_norm=0.0)
+    gb = np.array([-2.0, 0.5], np.float32)
+    for step in (1, 2, 3):
+        a.grad = np.full(3, 0.5, np.float32)
+        b.grad = gb if step == 3 else None
+        opt.step()
+        assert (opt.m[1] is None) == (opt.v[1] is None) == (step < 3)
+        assert opt.m[0] is not None
+    zeros = np.zeros(2, np.float32)
+    (p,), (m,), (v,) = _reference_adam_step(opt, [np.ones(2, np.float32)], [gb],
+                                            [zeros], [zeros], 3)
+    np.testing.assert_array_equal(b.data, p)
+    np.testing.assert_array_equal(opt.m[1], m)
+    np.testing.assert_array_equal(opt.v[1], v)
+    assert opt.m[1].dtype == opt.v[1].dtype == np.float32
+    assert sorted(opt.state_arrays()) == ["_t", "m0", "m1", "v0", "v1"]
 
 
 def _checkpoint_dtypes(path):
@@ -737,6 +784,39 @@ def _checkpoint_dtypes(path):
             sec, name = key.split("/", 1)
             dtypes.setdefault(sec, {})[name] = str(archive[key].dtype)
     return dtypes
+
+
+def test_pretrain_checkpoint_keeps_every_moment_name_shape_and_dtype(tmp_path, capsys):
+    # Adam allocates moments only for what it updates, but the checkpoint's
+    # opt/ section still holds m<i> and v<i> for every parameter i, in the
+    # parameter's shape and float32, so a resumed run reads the same names
+    # as ever; pre-training never updates the high level: its moments are
+    # zeros
+    from gridhouse.cli import _agent_for, _setup, main
+
+    ini = tmp_path / "tiny.ini"
+    ini.write_text("[model]\nd = 4\nhidden = 6\ntask_dim = 4\ntoken_dim = 3\n"
+                   "ctx_dim = 2\ncond_dim = 4\ntrunk_dim = 8\npoint_dim = 4\n"
+                   "enc_mid = 3\n[pretrain]\ntf_steps = 16\nsf_steps = 16\n"
+                   "ppo_steps = 16\nupdate_every = 16\n"
+                   "[ppo]\nhorizon = 16\nminibatch = 8\nepochs = 1\n")
+    assert main(["pretrain", "--config", str(ini), "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    opt = nn.load_checkpoint(tmp_path / "pretrain.ckpt")["opt"]
+    args = type("Args", (), {"config": str(ini), "seed": None})()
+    config, seed, registry, vocab, _ = _setup(args)
+    agent, _cfg = _agent_for(config, registry, vocab, seed)
+    params = agent.parameters()
+    assert sorted(opt) == sorted(["_t", *(f"{k}{i}" for i in range(len(params)) for k in "mv")])
+    assert opt["_t"].dtype == np.int64 and opt["_t"].shape == (1,) and opt["_t"][0] > 0
+    high = {id(p) for p in agent.level_params(high=True)}
+    assert high
+    for i, p in enumerate(params):
+        for m in (opt[f"m{i}"], opt[f"v{i}"]):
+            assert m.shape == p.data.shape and m.dtype == np.float32
+            if id(p) in high:
+                assert not m.any()
+    assert any(opt[f"v{i}"].any() for i, p in enumerate(params) if id(p) not in high)
 
 
 def test_float64_checkpoint_loads_into_a_float32_agent_and_evaluates(tmp_path):

@@ -374,6 +374,80 @@ def test_backward_determinism():
 
 
 # --------------------------------------------------------------------------
+# what backward keeps
+
+
+def _graph(root):
+    seen, stack, nodes = set(), [root], []
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            nodes.append(node)
+            stack.extend(node._parents)
+    return nodes
+
+
+def test_backward_frees_each_intermediate_once_its_parents_have_their_gradients():
+    # the op under y: when its backward runs, y, consumed before it, has
+    # dropped its gradient and backward, and the op itself has dropped its
+    # own gradient; afterwards only the leaves and the root hold gradients,
+    # and every node keeps its parents
+    rng = np.random.default_rng(11)
+    x = T.Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    w = T.Tensor(rng.normal(size=(1, 1, 2, 2)), requires_grad=True)
+    seen_then = []
+
+    def back(g):
+        seen_then.append((h.grad, y.grad, y._backward))
+        T._acc(x, 2.0 * g)
+
+    h = T._make(2.0 * x.data, (x,), back)
+    y = T.tanh(T.conv2d(T.reshape(h, (1, 1, 3, 4)), w, pad=1))
+    loss = T.sum_(T.square(y))
+    parents = {id(node): node._parents for node in _graph(loss)}
+    loss.backward()
+    assert seen_then == [(None, None, None)]
+    for node in _graph(loss):
+        assert node._parents == parents[id(node)]
+        assert node._backward is None
+        if node is loss or not node._parents:
+            assert node.grad is not None, node
+        else:
+            assert node.grad is None, node
+    assert x.grad.shape == x.shape and w.grad.shape == w.shape
+
+
+def test_a_second_backward_through_a_consumed_graph_raises():
+    # the root itself, and a new root over a consumed node: both raise
+    # before any gradient moves
+    x = T.Tensor(np.random.default_rng(12).normal(size=4), requires_grad=True)
+    shared = T.tanh(T.mul(x, 2.0))
+    loss = T.sum_(shared)
+    loss.backward()
+    before = x.grad.copy()
+    with pytest.raises(T.GraphConsumed):
+        loss.backward()
+    with pytest.raises(T.GraphConsumed):
+        T.sum_(T.square(shared)).backward()
+    np.testing.assert_array_equal(x.grad, before)
+    # a new graph over the same leaf backpropagates as usual
+    T.sum_(T.tanh(T.mul(x, 2.0))).backward()
+    np.testing.assert_array_equal(x.grad, before + before)
+
+
+@pytest.mark.usefixtures("float64")
+def test_grad_check_inputs_and_parameters_keep_their_gradients():
+    lin = nn.Linear(np.random.default_rng(2), 4, 3)
+    x = T.Tensor(np.random.default_rng(13).normal(size=(5, 4)))
+    assert grad_check(lambda w, b, xt: T.sum_(T.tanh(lin(xt))), [lin.w, lin.b, x]) < 1e-6
+    gz = 1.0 - np.tanh(x.data @ lin.w.data.T + lin.b.data) ** 2
+    np.testing.assert_allclose(lin.w.grad, gz.T @ x.data, rtol=1e-12)
+    np.testing.assert_allclose(lin.b.grad, gz.sum(axis=0), rtol=1e-12)
+    np.testing.assert_allclose(x.grad, gz @ lin.w.data, rtol=1e-12)
+
+
+# --------------------------------------------------------------------------
 # how nodes are built
 
 

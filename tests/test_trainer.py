@@ -205,17 +205,21 @@ def _collect_buffer(agent, n_steps=40, seed=0, eps=0.5):
 
 
 # tracemalloc peaks (MiB) above entry of one teacher-forcing update on 64
-# expert steps and of one 64-step PPO minibatch of the default model: 56.6
-# and 41.2 when the encoder's first layer became one node that keeps no
-# embedded input (68.5 and 49.9 before); each bound is 5% over its value
-TF_PEAK_MIB, PPO_PEAK_MIB = 56.6 * 1.05, 41.2 * 1.05
+# expert steps, its first, which allocates the sub-policies' Adam moments,
+# and of one 64-step PPO minibatch of the default model: 39.1 and 30.7
+# since backward frees each intermediate gradient and saved array once it
+# is used (56.6 and 36.9 before; 68.5 and 49.9 when the encoder's first
+# layer kept its embedded input); each bound is 5% over its value.
+# Constructing Adam over every parameter allocates no moments (22.0 MiB
+# when it allocated them all at once).
+TF_PEAK_MIB, PPO_PEAK_MIB, NEW_ADAM_MIB = 39.1 * 1.05, 30.7 * 1.05, 1.0
 
 
 def test_an_update_stays_under_its_traced_memory_peak():
     agent = HierarchicalAgent(np.random.default_rng(0), CFG)
     tf = _collect_buffer(agent, 64, seed=1, eps=1.0)
     ppo = _collect_buffer(agent, 64, seed=2)
-    opt = nn.Adam(agent.parameters())
+    opts = []
 
     def peak_mib(update):
         tracemalloc.start()
@@ -226,6 +230,8 @@ def test_an_update_stays_under_its_traced_memory_peak():
         finally:
             tracemalloc.stop()
 
+    assert peak_mib(lambda: opts.append(nn.Adam(agent.parameters()))) < NEW_ADAM_MIB
+    opt, = opts
     assert peak_mib(lambda: teacher_forcing_update(agent, tf, opt, CFG)) < TF_PEAK_MIB
     opt.zero_grad()
     assert peak_mib(lambda: ppo_update(agent, ppo, opt, PPOConfig(epochs=1, minibatch=64),
@@ -923,8 +929,12 @@ def test_training_keeps_parameters_gradients_and_moments_float32(monkeypatch):
             assert p.data.dtype == np.float32, name
             assert p.grad is None or p.grad.dtype == np.float32, name
         for opt in opts:
+            assert any(m is not None for m in opt.m)
             for m, v in zip(opt.m, opt.v):
-                assert m.dtype == v.dtype == np.float32
+                assert (m is None) == (v is None)
+                assert m is None or m.dtype == v.dtype == np.float32
+            assert {a.dtype for name, a in opt.state_arrays().items()
+                    if name != "_t"} == {np.dtype(np.float32)}
 
     agent = HierarchicalAgent(np.random.default_rng(0), CFG)
     opt, prog = _micro_pretrain(agent)
