@@ -7,6 +7,7 @@ feature map whose spatial grid coincides with the 8x8 pointing grid.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,12 +46,14 @@ class ModelConfig:
         return self.obs_size / self.grid
 
 
-def obs_planes(obs_batch):
-    """Stack observation channels into float planes (N, 6, H, W); the class
-    id plane is embedded by the encoder."""
-    class_maps = np.stack([o.class_map for o in obs_batch])
-    bits = np.stack([o.state_bits for o in obs_batch])
-    depth = np.stack([o.depth_map for o in obs_batch])
+def obs_planes(obs_batch, block=1):
+    """Stack observation channels into float planes (N, 6, H, W) read at
+    one pixel per block x block square; the class id plane is embedded by
+    the encoder."""
+    cut = np.s_[..., ::block, ::block]
+    class_maps = np.stack([o.class_map[cut] for o in obs_batch])
+    bits = np.stack([o.state_bits[cut] for o in obs_batch])
+    depth = np.stack([o.depth_map[cut] for o in obs_batch])
     return class_maps.astype(np.int64), np.concatenate(
         [bits.astype(T.DEFAULT_DTYPE),
          (depth[:, None, :, :] / 16.0).astype(T.DEFAULT_DTYPE)], axis=1)
@@ -58,7 +61,16 @@ def obs_planes(obs_batch):
 
 class GridEncoder(Module):
     """Symbolic-observation encoder: class embedding + state/depth planes
-    through two strided convolutions down to (d, grid, grid)."""
+    through two strided convolutions down to (d, grid, grid).
+
+    Its maps may hold one pixel per aligned block x block square of
+    observations constant on each square (`Observation.block`), for a
+    `block` that divides conv1's stride.  conv1 then runs over those
+    values with its 3x3 kernel folded (`T.embed_conv2d`): at block 2, a
+    2x2 / stride-1 kernel whose tap 0 is conv1's and whose tap 1 sums its
+    taps 1 and 2, rows first, then columns.  That is conv1 over the full
+    observation, up to the low bits the tap sums move; the parameters keep
+    their shapes and names."""
 
     def __init__(self, rng, cfg: ModelConfig):
         super().__init__()
@@ -66,10 +78,10 @@ class GridEncoder(Module):
         self.conv1 = self.add_child("conv1", Conv2d(rng, 8 + 5, cfg.enc_mid, k=3, stride=2, pad=1))
         self.conv2 = self.add_child("conv2", Conv2d(rng, cfg.enc_mid, cfg.d, k=3, stride=2, pad=1))
 
-    def __call__(self, class_maps, planes):
+    def __call__(self, class_maps, planes, block):
         c1 = self.conv1
         x = T.relu(T.embed_conv2d(self.cls_emb.table, class_maps, planes, c1.w, c1.b,
-                                  stride=c1.stride, pad=c1.pad))
+                                  stride=c1.stride, pad=c1.pad, block=block))
         return T.relu(self.conv2(x))
 
 
@@ -82,9 +94,16 @@ def encode(encoder, obs_batch):
     backward adds the gradients of a repeated row into zeros in batch order
     before the encoder's backward, whose weight gradients then sum over the
     distinct rows only.  A batch of distinct observations builds no
-    gather."""
+    gather.  The encoder reads the batch at the largest block that divides
+    both the observations' `block` and conv1's stride (2 for rendered
+    observations, 1 for hand-built ones); a batch that mixes block sizes
+    raises ValueError."""
     frames, inverse = _first_seen(obs_batch, lambda obs: obs.key)
-    z_img = encoder(*obs_planes(frames))
+    blocks = {obs.block for obs in frames}
+    if len(blocks) != 1:
+        raise ValueError(f"encode takes a nonempty batch of one block size: {sorted(blocks)}")
+    block = math.gcd(blocks.pop(), encoder.conv1.stride)
+    z_img = encoder(*obs_planes(frames, block), block)
     return z_img if len(frames) == len(inverse) else z_img[inverse]
 
 
@@ -226,7 +245,9 @@ class PointingHead(Module):
         self.nu_head = self.add_child("nu_head", Conv2d(rng, d, 2, k=1))
         self.heat_head = self.add_child("heat_head", Conv2d(rng, d, cfg.num_classes, k=1))
 
-    def __call__(self, cond, z_img):
+    def __call__(self, cond, z_img, heat):
+        """(grid logits, offset means, offset variances, heatmap): the
+        heatmap only if `heat` (the supervised loss), else None."""
         n = z_img.shape[0]
         shift = T.reshape(self.ctx(cond), (n, self.cfg.point_dim, 1, 1))
         aug = T.relu(self.conv2(T.relu(self.conv1(z_img) + shift)))
@@ -234,8 +255,7 @@ class PointingHead(Module):
         grid_logits = T.reshape(self.grid_head(aug), (n, b * b))
         mu = T.reshape(self.mu_head(aug), (n, 2, b * b))
         nu = T.softplus(T.reshape(self.nu_head(aug), (n, 2, b * b))) + nn.VAR_FLOOR
-        heat = T.sigmoid(self.heat_head(aug))
-        return grid_logits, mu, nu, heat
+        return grid_logits, mu, nu, T.sigmoid(self.heat_head(aug)) if heat else None
 
 
 class SubPolicy(Module):
@@ -263,12 +283,14 @@ class SubPolicy(Module):
                       self.obj_emb(np.asarray(obj, dtype=np.int64))], axis=-1)
         return self.cond(z)
 
-    def forward(self, cond, z_img):
+    def forward(self, cond, z_img, heat=False):
+        """(action logits, value, pointing head output or None); the
+        pointing head's heatmap only if `heat`."""
         n = z_img.shape[0]
         hid = T.relu(self.trunk(_context_and_image(cond, z_img)))
         action_logits = self.action_head(hid)
         value = T.reshape(self.value_head(hid), (n,))
-        point = self.pointing(cond, z_img) if self.pointing is not None else None
+        point = self.pointing(cond, z_img, heat) if self.pointing is not None else None
         return action_logits, value, point
 
 
@@ -471,16 +493,17 @@ def high_level_step(agent, z_task, obs, last_action, last_subgoal, hidden,
     return sub, h
 
 
-def sub_policy_forward(agent, family, obs_batch, last_action, skill, obj):
+def sub_policy_forward(agent, family, obs_batch, last_action, skill, obj, heat=False):
     """(action logits, value, point maps or None) of the "nav" or
     "interact" sub-policy on N steps: their observations and their ids of
-    the last action, the skill and the conditioning object.  The shared
-    `sub_encoder` runs once per distinct observation (`encode`), so the
-    encoder's gradients sum each repeated observation's rows first; the
-    trunk and the heads run on all N rows."""
+    the last action, the skill and the conditioning object.  The point
+    maps hold the heatmap only if `heat`, which only the supervised loss
+    reads.  The shared `sub_encoder` runs once per distinct observation
+    (`encode`), so the encoder's gradients sum each repeated observation's
+    rows first; the trunk and the heads run on all N rows."""
     z_img = encode(agent.sub_encoder, obs_batch)
     sub = agent.nav if family == "nav" else agent.interact
-    return sub.forward(sub.conditioning(last_action, skill, obj), z_img)
+    return sub.forward(sub.conditioning(last_action, skill, obj), z_img, heat)
 
 
 @T.no_grad()
@@ -505,7 +528,7 @@ def sub_policy_step(agent, subgoal, obs, last_action, rng, greedy=False, *,
     action = (NAV_ACTION_SPACE if family == "nav" else INTERACT_ACTION_SPACE)[idx]
     if action not in INTERACTIVE_ACTIONS:
         return action, None, {}
-    grid_logits, mu, nu, _heat = point_maps
+    grid_logits, mu, nu, _ = point_maps
     cell = sample_logits(grid_logits.data[0], rng, greedy)
     mean = mu.data[0, :, cell]
     var = nu.data[0, :, cell]

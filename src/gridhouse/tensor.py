@@ -19,16 +19,28 @@ A node keeps parents and a backward only when grad is enabled and a
 parent requires grad; otherwise it is a leaf.
 
 conv2d is one GEMM over im2col columns.  `_im2col` builds them with one
-`np.take` through a flat index that `_im2col_index` computes once per
-geometry and memoizes, read-only; a padded tap reads a zero appended to
-each sample's row, and a 1x1 stride-1 conv takes the channels-last
-transpose of its input as its columns.  The columns, and so
+clipping `np.take` through a flat index that `_im2col_index` computes
+once per geometry and memoizes, read-only; a padded tap reads a zero
+appended to each sample's row, and a 1x1 stride-1 conv takes the
+channels-last transpose of its input as its columns.  The columns, and so
 every product, are the same bits a sliding-window copy gives.  `_col2im`
 keeps summing the kernel offsets in row-major order into zeros: a pixel
 that several windows cover is a float32 sum whose last bits depend on that
 order, so a different scatter would change every input gradient.  It
 returns only the leading channels asked for, in (N, H, W, C):
 `embed_conv2d` needs just its embedding channels, in the lookup's layout.
+
+`embed_conv2d` may run at block resolution.  An observation is painted as
+aligned block x block squares of one value (`world.render` records the
+size), so a stride-2 layer over it reads one value through several taps:
+with block 2, taps 1 and 2 of its 3x3 / stride-2 / pad-1 kernel read the
+same square.  The node then takes one value per square and folds the
+kernel to 2x2 / stride 1 / padding 1 before and 0 after: tap 0 stays,
+taps 1 and 2 are summed, rows first, then columns.  That is the same
+function with 52 column entries per output in place of 117; the sums of
+weights before the products move the output and gradients in their low
+bits.  The weight keeps its shape and receives each folded tap's
+gradient at both taps that went into it.
 
 Dtype contract: every Tensor holds DEFAULT_DTYPE, float32, so the model
 trains, rolls out and evaluates in float32.  Float64 exists only inside
@@ -446,13 +458,14 @@ def softmax(a, axis=-1):
 @cache
 def _im2col_index(c, h, w, kh, kw, stride, pad):
     """Read-only (ho*wo, c*kh*kw) flat index into one sample's (c*h*w + 1)
-    row, whose last element is the zero every padded tap reads; built once
-    per geometry."""
-    ho = (h + 2 * pad - kh) // stride + 1
-    wo = (w + 2 * pad - kw) // stride + 1
+    row, whose last element is the zero every padded tap reads; `pad` is
+    the (before, after) padding of both axes.  Built once per geometry."""
+    before, after = pad
+    ho = (h + before + after - kh) // stride + 1
+    wo = (w + before + after - kw) // stride + 1
     # input row r and column q of every tap, on axes (ho, wo, c, kh, kw)
-    r = (np.arange(ho) * stride - pad)[:, None, None, None, None] + np.arange(kh)[:, None]
-    q = (np.arange(wo) * stride - pad)[:, None, None, None] + np.arange(kw)
+    r = (np.arange(ho) * stride - before)[:, None, None, None, None] + np.arange(kh)[:, None]
+    q = (np.arange(wo) * stride - before)[:, None, None, None] + np.arange(kw)
     inside = (r >= 0) & (r < h) & (q >= 0) & (q < w)
     flat = np.where(inside, np.arange(c)[:, None, None] * (h * w) + r * w + q, c * h * w)
     index = flat.reshape(ho * wo, c * kh * kw).astype(np.intp)
@@ -464,7 +477,7 @@ def _im2col(x, kh, kw, stride, pad):
     """C-contiguous (n*ho*wo, c*kh*kw) columns: row (n, i, j) holds the
     window at output (i, j), taps in (c, kh, kw) order, padding as zeros."""
     n, c, h, w = x.shape
-    if kh == kw == 1 and stride == 1 and pad == 0:
+    if kh == kw == 1 and stride == 1 and pad == (0, 0):
         return np.ascontiguousarray(x.transpose(0, 2, 3, 1).reshape(n * h * w, c)), h, w
     return _window_columns((x,), kh, kw, stride, pad)
 
@@ -479,7 +492,11 @@ def _window_columns(blocks, kh, kw, stride, pad):
     rows = np.empty((n, c * h * w + 1), dtype=np.result_type(*blocks))
     np.concatenate(blocks, axis=1, out=rows[:, :-1].reshape(n, c, h, w))
     rows[:, -1] = 0
-    return np.take(rows, index, axis=1).reshape(n * ho * wo, c * kh * kw), ho, wo
+    # every index is in range, so clipping changes none; it skips the
+    # bounds check and measured the fastest gather at every model geometry
+    # at batches 1 and 16 (CHANGES.md)
+    cols = np.take(rows, index, axis=1, mode="clip")
+    return cols.reshape(n * ho * wo, c * kh * kw), ho, wo
 
 
 def _col2im(cols, x_shape, kh, kw, stride, pad, ho, wo, channels):
@@ -488,22 +505,25 @@ def _col2im(cols, x_shape, kh, kw, stride, pad, ho, wo, channels):
     kernel offsets in row-major order into zeros.  The sum runs in (N, H,
     W, C), where the channels are the inner run of both operands."""
     n, c, h, w = x_shape
-    xp = np.zeros((n, h + 2 * pad, w + 2 * pad, channels), dtype=cols.dtype)
+    before, after = pad
+    xp = np.zeros((n, h + before + after, w + before + after, channels), dtype=cols.dtype)
     cols6 = cols.reshape(n, ho, wo, c, kh, kw)
     for i in range(kh):
         for j in range(kw):
             xp[:, i:i + stride * ho:stride, j:j + stride * wo:stride] += \
                 cols6[:, :, :, :channels, i, j]
-    return xp[:, pad:pad + h, pad:pad + w]
+    return xp[:, before:before + h, before:before + w]
 
 
-def _conv(cols, n, ho, wo, x, weight, bias, x_grad):
+def _conv(cols, n, ho, wo, x, weight, bias, x_grad, taps=None):
     """The node of a convolution of x, whose columns are `cols`: the GEMM
-    with the weight and the bias add, NCHW out.  Backward gives the weight
-    and bias their gradients, then x what `x_grad` makes of the (n*ho*wo,
-    c*kh*kw) column gradients."""
+    with the weight (folded by `taps`, see `_fold_kernel`) and the bias
+    add, NCHW out.  Backward gives the weight and bias their gradients,
+    then x what `x_grad` makes of the (n*ho*wo, c*kh*kw) column
+    gradients."""
     cout = weight.data.shape[0]
-    wmat = weight.data.reshape(cout, -1)
+    kernel = weight.data if taps is None else _fold_kernel(weight.data, taps)
+    wmat = kernel.reshape(cout, -1)
     out = cols @ wmat.T  # (n*ho*wo, cout)
     if bias is not None:
         bias = as_tensor(bias)
@@ -514,7 +534,9 @@ def _conv(cols, n, ho, wo, x, weight, bias, x_grad):
     def backward(g):
         gmat = g.transpose(0, 2, 3, 1).reshape(n * ho * wo, cout)
         if weight.requires_grad:
-            _acc(weight, (gmat.T @ cols).reshape(weight.data.shape))
+            gk = (gmat.T @ cols).reshape(kernel.shape)
+            # each tap receives the gradient of the folded tap it went into
+            _acc(weight, gk if taps is None else gk[:, :, taps[:, None], taps])
         if bias is not None and bias.requires_grad:
             _acc(bias, gmat.sum(axis=0))
         if x.requires_grad:
@@ -523,20 +545,74 @@ def _conv(cols, n, ho, wo, x, weight, bias, x_grad):
     return _make(out_data, parents, backward)
 
 
+def _pads(pad):
+    """(before, after) padding of an int or a pair."""
+    return (pad, pad) if isinstance(pad, (int, np.integer)) else tuple(pad)
+
+
 def conv2d(x, weight, bias=None, stride=1, pad=0):
-    """x: (N,C,H,W), weight: (Cout,Cin,kh,kw), bias: (Cout,)."""
+    """x: (N,C,H,W), weight: (Cout,Cin,kh,kw), bias: (Cout,); pad is an
+    int or the (before, after) padding of both axes."""
     x, weight = as_tensor(x), as_tensor(weight)
     n, c = x.data.shape[:2]
     kh, kw = weight.data.shape[2:]
+    pad = _pads(pad)
     cols, ho, wo = _im2col(x.data, kh, kw, stride, pad)
     return _conv(cols, n, ho, wo, x, weight, bias, lambda gcols: _col2im(
         gcols, x.data.shape, kh, kw, stride, pad, ho, wo, c).transpose(0, 3, 1, 2))
 
 
-def embed_conv2d(table, class_ids, planes, weight, bias, stride=1, pad=0):
+@cache
+def _block_geometry(k, stride, pad, block, size):
+    """(taps, stride, (before, after) padding) of a k-tap convolution with
+    `stride` and `pad` over an axis of `size` * `block` pixels made of
+    aligned runs of `block` equal pixels, run instead over the `size` run
+    values (block divides stride).  Tap t of output i reads pixel stride*i
+    - pad + t, which lies in run (stride/block)*i + floor((t - pad)/block),
+    so `taps[t]` (read-only) is that run's offset within the folded
+    window: taps that read one run are summed into one.  At block 1 it is
+    the convolution itself, with no more trailing padding than an output
+    reads."""
+    before = -(-pad // block)
+    taps = (np.arange(k) - pad) // block + before
+    taps.flags.writeable = False
+    step = stride // block
+    ho = (size * block + 2 * pad - k) // stride + 1
+    after = max(0, step * (ho - 1) - before + int(taps[-1]) + 1 - size)
+    return taps, step, (before, after)
+
+
+def _fold_kernel(weight, taps):
+    """The (Cout, Cin, k', k') kernel whose tap (a, b) sums the weight's
+    taps (t, u) with taps[t] == a and taps[u] == b: rows first, then
+    columns, each starting from a copy of its first tap and adding the
+    others in tap order (at block 1, a copy of the weight)."""
+    taps = taps.tolist()
+    first = [t for t in range(len(taps)) if t == 0 or taps[t] != taps[t - 1]]
+    rest = [t for t in range(len(taps)) if t not in first]
+    rows = weight[:, :, first]
+    for t in rest:
+        rows[:, :, taps[t]] += weight[:, :, t]
+    kernel = rows[:, :, :, first]
+    for t in rest:
+        kernel[:, :, :, taps[t]] += rows[:, :, :, t]
+    return kernel
+
+
+def embed_conv2d(table, class_ids, planes, weight, bias, stride=1, pad=0, block=1):
     """conv2d over [table[class_ids] as NCHW channels; planes] as one node:
-    table (V, E), class_ids (N, H, W) ints, planes (N, P, H, W), weight
-    (Cout, E + P, kh, kw), bias (Cout,).
+    table (V, E), class_ids (N, H, H) ints, planes (N, P, H, H), weight
+    (Cout, E + P, k, k), bias (Cout,).
+
+    The ids and planes may hold one pixel per aligned block x block square
+    of an input that is constant on each square (`block` divides
+    `stride`): the output is conv2d's over that input, (N, Cout, ho, ho)
+    for its H * block pixels.  The node then runs over the H x H values
+    with the kernel folded (`_block_geometry`, `_fold_kernel`): a tap sum
+    of the weights in place of a sum of the products, so the output and
+    the table's gradient move in their low bits; the weight receives each
+    folded tap's gradient at every tap folded into it.  At block 1 it is
+    conv2d's computation.
 
     It builds the columns conv2d builds from that concatenation and keeps
     them, not the embedded or concatenated input.  The table receives only
@@ -548,10 +624,17 @@ def embed_conv2d(table, class_ids, planes, weight, bias, stride=1, pad=0):
     table, weight = as_tensor(table), as_tensor(weight)
     class_ids = np.asarray(class_ids, dtype=np.int64)
     planes = np.asarray(planes, dtype=table.data.dtype)
+    n, h, w = class_ids.shape
     kh, kw = weight.data.shape[2:]
+    if h != w or kh != kw or stride % block:
+        raise ValueError(f"embed_conv2d takes square maps and kernels and a block that "
+                         f"divides the stride: {h}x{w} maps, {kh}x{kw} kernel, "
+                         f"block {block}, stride {stride}")
+    taps, step, pads = _block_geometry(kh, stride, pad, block, h)
+    k = int(taps[-1]) + 1
     emb = table.data[class_ids].transpose(0, 3, 1, 2)
-    cols, ho, wo = _window_columns((emb, planes), kh, kw, stride, pad)
-    n, e = emb.shape[:2]
-    shape = (n, e + planes.shape[1], *emb.shape[2:])
+    cols, ho, wo = _window_columns((emb, planes), k, k, step, pads)
+    e = emb.shape[1]
+    shape = (n, e + planes.shape[1], h, w)
     return _conv(cols, n, ho, wo, table, weight, bias, lambda gcols: _scatter_rows(
-        table.data.shape, class_ids, _col2im(gcols, shape, kh, kw, stride, pad, ho, wo, e)))
+        table.data.shape, class_ids, _col2im(gcols, shape, k, k, step, pads, ho, wo, e)), taps)

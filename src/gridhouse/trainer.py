@@ -206,11 +206,11 @@ def _fill_sub_policy_labels(sample, ex, cfg: ModelConfig, heat=True):
 # supervised losses
 
 
-def _forward(agent, family, samples):
+def _forward(agent, family, samples, heat=False):
     """`sub_policy_forward` of the family's sub-policy on the samples."""
     return sub_policy_forward(agent, family, [s.obs for s in samples],
                               [s.last_action for s in samples],
-                              [s.skill for s in samples], [s.obj for s in samples])
+                              [s.skill for s in samples], [s.obj for s in samples], heat)
 
 
 def _sub_loss(agent, family, samples, cfg: ModelConfig, weights: LossWeights):
@@ -218,7 +218,7 @@ def _sub_loss(agent, family, samples, cfg: ModelConfig, weights: LossWeights):
     pointing head, also grid CE + weighted offset log-likelihood on
     expert-interactive steps and the focal/L1 auxiliary losses on every
     step."""
-    logits, _value, point_maps = _forward(agent, family, samples)
+    logits, _value, point_maps = _forward(agent, family, samples, heat=True)
     n = len(samples)
     total = T.mul(nn.cross_entropy_rows(logits, [s.expert_action for s in samples]),
                   weights.action_ce)

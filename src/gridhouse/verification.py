@@ -36,6 +36,14 @@ def _op_cases():
             t, ids, planes, w, b, stride=2, pad=1))),
             [r(rng, 4, 3), r(rng, 3, 5, 3, 3), r(rng, 3)])
 
+    def embed_conv2d_block(rng):
+        # the folded first layer: ids and planes of 3x3 squares of 2x2
+        # pixels, under a 3x3 / stride-2 / pad-1 kernel
+        ids, planes = rng.integers(0, 4, size=(2, 3, 3)), r(rng, 2, 2, 3, 3)
+        return (lambda t, w, b: T.sum_(T.tanh(T.embed_conv2d(
+            t, ids, planes, w, b, stride=2, pad=1, block=2))),
+            [r(rng, 4, 3), r(rng, 3, 5, 3, 3), r(rng, 3)])
+
     def log_softmax(rng):
         # constants captured once: the checked function must not change
         # between finite-difference evaluations
@@ -101,6 +109,7 @@ def _op_cases():
             lambda x, w, b: T.sum_(T.tanh(T.conv2d(x, w, b, stride=2, pad=1))),
             [r(rng, 1, 2, 5, 5), r(rng, 3, 2, 3, 3), r(rng, 3)]),
         "embed_conv2d": embed_conv2d,
+        "embed_conv2d_block": embed_conv2d_block,
         "gather": lambda rng: (lambda a, i=idx(rng): T.sum_(T.square(a[i])), [r(rng, 4, 3)]),
         "concat_stack": lambda rng: (lambda a, b: T.sum_(T.tanh(T.concat([a, b], axis=1))),
                                      [r(rng, 2, 3), r(rng, 2, 2)]),

@@ -444,6 +444,8 @@ class Observation:
     instance_map: np.ndarray  # int32 (H, W), NO_INSTANCE where none
     depth_map: np.ndarray     # float32 (H, W), -1 where not visible
     state_bits: np.ndarray    # uint8 (4, H, W)
+    # every map is constant on the aligned block x block squares
+    block: int = 1
 
     @cached_property
     def key(self) -> bytes:
@@ -536,8 +538,10 @@ def render(state: WorldState) -> Observation:
     depth[flat] = np.repeat(table.dist[idx], repeat)
     for b in range(4):
         bits[b, flat] = np.repeat(geom.state_grid[b, vy, vx], repeat)
+    # a cell paints up x up pixels from row n - up * (r + 1) and column
+    # up * (l + half): squares of gcd(n, up) pixels aligned at 0
     return Observation(n, n, class_map.reshape(n, n), inst_map.reshape(n, n),
-                       depth.reshape(n, n), bits.reshape(4, n, n))
+                       depth.reshape(n, n), bits.reshape(4, n, n), math.gcd(n, cfg.upsample))
 
 
 def instance_distance(state: WorldState, instance_id) -> float:

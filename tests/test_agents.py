@@ -41,7 +41,7 @@ def scene_obs():
 def test_encoder_output_shape(agent, scene_obs):
     _, obs = scene_obs
     cmap, planes = obs_planes([obs])
-    z = agent.hl_encoder(cmap, planes)
+    z = agent.hl_encoder(cmap, planes, 1)
     assert z.shape == (1, CFG.d, CFG.grid, CFG.grid)
 
 
@@ -286,9 +286,9 @@ def test_pointing_heatmap_channels_cover_classes(agent, scene_obs):
     _, obs = scene_obs
     cmap, planes = obs_planes([obs])
     with T.no_grad():
-        z = agent.sub_encoder(cmap, planes)
+        z = agent.sub_encoder(cmap, planes, 1)
         cond = agent.interact.conditioning([13], [int(Skill.Pickup)], [0])
-        _logits, _value, (grid_logits, mu, nu, heat) = agent.interact.forward(cond, z)
+        _logits, _value, (grid_logits, mu, nu, heat) = agent.interact.forward(cond, z, heat=True)
     assert heat.shape == (1, CFG.num_classes, CFG.grid, CFG.grid)
     assert grid_logits.shape == (1, CFG.grid * CFG.grid)
     assert mu.shape == (1, 2, CFG.grid * CFG.grid)
@@ -326,7 +326,7 @@ def test_qa_trains_on_toy_state_questions():
     for epoch in range(60):
         q = agent.qa.encode_question([tokens] * len(train))
         cmap, planes = planes_of([f for f, _ in train])
-        z = agent.sub_encoder(cmap, planes)
+        z = agent.sub_encoder(cmap, planes, 1)
         logits, _att = agent.qa.forward(q, z)
         loss = nn.cross_entropy_rows(logits, [ANSWER_SPACE.index(a) for _, a in train])
         opt.zero_grad()

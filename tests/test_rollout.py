@@ -344,9 +344,9 @@ def _rollout_digests():
 # rng draws on purpose updates that runner's digest and says so in
 # CHANGES.md.  Same BLAS caveat as the training goldens in test_trainer.py.
 ROLLOUT_SHA256 = {
-    "act_episode": "27a6ceeddc87236bf48d6a2114141c700bb2d46807353204c6af28c877e54a55",
+    "act_episode": "dd90c374dcd3034d73736b59c8c4e2c59fe8c42aa7db867f459907747110e9c7",
     "run_task_episode_sf": "a07868c40c0dfc8b21ebbd206de7d44bb08588da59ca22e04725c1015f2b1be6",
-    "run_skill_episode": "a39b938b25ef92b1845cedd94fedd80b88c5890a9f041a85aff52d2846ed80ee",
+    "run_skill_episode": "d3faabd2c38572854f147b038ea381602ac2e2d95cf76d46383cf09c13a13498",
     "run_skill_episode_policy":
         "8b585683aeeeaab64dcc85221585f6ab7679d8760ec7922867c36c84d2d1fab5",
     "run_expert_episode": "40ac398fb26ff2d287855abbf590aa002a4f73cf5f8009eeabe0271af746cd9b",

@@ -2,15 +2,18 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from gridhouse import nn, tensor as T
-from gridhouse.agents import HierarchicalAgent, ModelConfig, _encode_tokens, obs_planes
+from gridhouse.agents import (GridEncoder, HierarchicalAgent, ModelConfig, _encode_tokens,
+                              encode, obs_planes)
 from gridhouse.classes import desk_registry
 from gridhouse.nn import grad_check
 from gridhouse.scenes import builtin_templates
-from gridhouse.world import randomize_scene
+from gridhouse.world import Heading, randomize_scene, with_agent
 
 RNG = np.random.default_rng(20240817)
 
@@ -155,8 +158,11 @@ def test_concat_stack_reshape_grads():
 
 NUM_CLASSES = len(desk_registry())
 # (cin, size, cout, kernel, stride, pad) of every convolution HierarchicalAgent
-# runs: GridEncoder conv1 and conv2, PointingHead conv1, conv2 and its heads
-MODEL_CONVS = [(13, 32, 24, 3, 2, 1), (24, 16, 64, 3, 2, 1), (64, 8, 48, 1, 1, 0),
+# runs: GridEncoder conv1 on full maps and, folded, on the 2x2 squares of a
+# rendered observation, its conv2, PointingHead conv1, conv2 and its heads;
+# pad is an int or the (before, after) padding of both axes
+MODEL_CONVS = [(13, 32, 24, 3, 2, 1), (13, 16, 24, 2, 1, (1, 0)), (24, 16, 64, 3, 2, 1),
+               (64, 8, 48, 1, 1, 0),
                (48, 8, 48, 3, 1, 1), (48, 8, 1, 1, 1, 0), (48, 8, 2, 1, 1, 0),
                (48, 8, NUM_CLASSES, 1, 1, 0)]
 CONV_KSP = sorted({(k, stride, pad) for *_, k, stride, pad in MODEL_CONVS})
@@ -171,9 +177,10 @@ def test_conv2d_matches_naive_loops(k, stride, pad):
     b = RNG.normal(size=(4,))
     out = T.conv2d(T.Tensor(x), T.Tensor(w), T.Tensor(b), stride=stride, pad=pad).data
 
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    ho = (6 + 2 * pad - k) // stride + 1
-    wo = (5 + 2 * pad - k) // stride + 1
+    before, after = T._pads(pad)
+    xp = np.pad(x, ((0, 0), (0, 0), (before, after), (before, after)))
+    ho = (6 + before + after - k) // stride + 1
+    wo = (5 + before + after - k) // stride + 1
     ref = np.zeros((2, 4, ho, wo))
     for n in range(2):
         for c in range(4):
@@ -200,9 +207,10 @@ def test_conv2d_grads(k, stride, pad):
 def _sliding_window_im2col(x, kh, kw, stride, pad):
     # the columns as conv2d first built them: pad, window view, 6-D copy
     n, c, h, w = x.shape
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
-    ho = (h + 2 * pad - kh) // stride + 1
-    wo = (w + 2 * pad - kw) // stride + 1
+    before, after = T._pads(pad)
+    xp = np.pad(x, ((0, 0), (0, 0), (before, after), (before, after)))
+    ho = (h + before + after - kh) // stride + 1
+    wo = (w + before + after - kw) // stride + 1
     win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
     win = win[:, :, ::stride, ::stride, :, :]  # (n, c, ho, wo, kh, kw)
     cols = win.transpose(0, 2, 3, 1, 4, 5).reshape(n * ho * wo, c * kh * kw)
@@ -213,12 +221,13 @@ def _all_channels_col2im(cols, x_shape, kh, kw, stride, pad, ho, wo):
     # the input gradient as conv2d computed it when it returned every
     # channel: the kernel offsets summed in row-major order into zeros
     n, c, h, w = x_shape
-    xp = np.zeros((n, h + 2 * pad, w + 2 * pad, c), dtype=cols.dtype)
+    before, after = T._pads(pad)
+    xp = np.zeros((n, h + before + after, w + before + after, c), dtype=cols.dtype)
     cols6 = cols.reshape(n, ho, wo, c, kh, kw)
     for i in range(kh):
         for j in range(kw):
             xp[:, i:i + stride * ho:stride, j:j + stride * wo:stride] += cols6[..., i, j]
-    return xp[:, pad:pad + h, pad:pad + w].transpose(0, 3, 1, 2)
+    return xp[:, before:before + h, before:before + w].transpose(0, 3, 1, 2)
 
 
 def _reference_conv2d(xd, wd, bd, gd, stride, pad):
@@ -242,6 +251,9 @@ def _bits(a):
 
 
 def test_model_convs_are_every_convolution_the_agent_runs(monkeypatch):
+    # the encoder's first layer runs its GEMM over the folded kernel on a
+    # rendered observation's 2x2 squares, and over its own kernel on a
+    # hand-built observation's pixels
     seen = set()
     conv2d, embed_conv2d = T.conv2d, T.embed_conv2d
 
@@ -250,20 +262,26 @@ def test_model_convs_are_every_convolution_the_agent_runs(monkeypatch):
         seen.add((cin, x.shape[2], cout, k, stride, pad))
         return conv2d(x, w, b, stride=stride, pad=pad)
 
-    def embed_spy(table, class_ids, planes, w, b, stride=1, pad=0):
+    def embed_spy(table, class_ids, planes, w, b, stride=1, pad=0, block=1):
         cout, cin, k, _ = w.shape
-        seen.add((cin, class_ids.shape[1], cout, k, stride, pad))
-        return embed_conv2d(table, class_ids, planes, w, b, stride=stride, pad=pad)
+        size = class_ids.shape[1]
+        if block == 1:
+            seen.add((cin, size, cout, k, stride, pad))
+        else:
+            taps, step, pads = T._block_geometry(k, stride, pad, block, size)
+            seen.add((cin, size, cout, int(taps[-1]) + 1, step, pads))
+        return embed_conv2d(table, class_ids, planes, w, b, stride=stride, pad=pad,
+                            block=block)
 
     cfg = ModelConfig(num_classes=NUM_CLASSES, vocab_size=8)
     agent = HierarchicalAgent(np.random.default_rng(0), cfg)
-    state = randomize_scene(builtin_templates()[0], 2)
-    cmap, planes = obs_planes([state.observation])
+    obs = randomize_scene(builtin_templates()[0], 2).observation
+    assert obs.block == 2
     monkeypatch.setattr(T, "conv2d", spy)
     monkeypatch.setattr(T, "embed_conv2d", embed_spy)
-    for enc in (agent.hl_encoder, agent.sub_encoder):
-        z = enc(cmap, planes)
-    agent.interact.forward(agent.interact.conditioning([0], [0], [0]), z)
+    for enc, o in ((agent.hl_encoder, obs), (agent.sub_encoder, replace(obs, block=1))):
+        z = encode(enc, [o])
+    agent.interact.forward(agent.interact.conditioning([0], [0], [0]), z, heat=True)
     assert seen == set(MODEL_CONVS)
 
 
@@ -284,7 +302,8 @@ def test_conv2d_is_bitwise_the_sliding_window_conv(cin, size, cout, k, stride, p
         xd = np.ascontiguousarray(xd.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
     wd = (rng.normal(size=(cout, cin, k, k)) * 0.1).astype(np.float32)
     bd = rng.normal(size=cout).astype(np.float32)
-    ho = (size + 2 * pad - k) // stride + 1
+    before, after = T._pads(pad)
+    ho = (size + before + after - k) // stride + 1
     gd = rng.normal(size=(n, cout, ho, ho)).astype(np.float32)
 
     x, w, b = (T.Tensor(a, requires_grad=True) for a in (xd, wd, bd))
@@ -321,6 +340,79 @@ def test_embed_conv2d_is_bitwise_the_lookup_permute_concat_conv_graph(n):
     for g, want in zip((out.data, t.grad, w.grad, b.grad),
                        (want_out, want_table, want_w, want_b)):
         np.testing.assert_array_equal(_bits(g), _bits(want))
+
+
+# (kernel, stride, pad, block): the encoder's first layer at block 2, and
+# other folds, with taps that split, merge across the padding or all merge
+BLOCK_GEOMETRIES = [(3, 2, 1, 2), (3, 2, 0, 2), (2, 2, 1, 2), (4, 2, 2, 2), (1, 2, 0, 2),
+                    (5, 4, 2, 2), (5, 4, 2, 4), (3, 4, 1, 4)]
+
+
+@pytest.mark.usefixtures("float64")
+@pytest.mark.parametrize("k,stride,pad,block", BLOCK_GEOMETRIES)
+def test_embed_conv2d_at_a_block_is_the_conv_over_the_repeated_input(k, stride, pad, block):
+    # the folded node against the same node over every pixel of the input
+    # its block x block squares make, which the bitwise test above pins to
+    # the lookup, concatenation and conv2d graph
+    rng = np.random.default_rng(k * 100 + stride * 10 + pad + block)
+    n, e, p, size = 3, 4, 2, 5
+    ids = rng.integers(-2, 6, size=(n, size, size))
+    planes = rng.normal(size=(n, p, size, size))
+    table, w, b = rng.normal(size=(6, e)), rng.normal(size=(3, e + p, k, k)), rng.normal(size=3)
+
+    def run(ids, planes, block):
+        params = [T.Tensor(a, requires_grad=True) for a in (table, w, b)]
+        out = T.embed_conv2d(*params[:1], ids, planes, *params[1:], stride=stride, pad=pad,
+                             block=block)
+        T.sum_(T.mul(T.tanh(out), np.arange(out.data.size).reshape(out.shape) % 7)).backward()
+        return [out.data] + [t.grad for t in params]
+
+    def repeat(a):
+        return np.repeat(np.repeat(a, block, axis=-2), block, axis=-1)
+
+    got, want = run(ids, planes, block), run(repeat(ids), repeat(planes), 1)
+    for g, v in zip(got, want):
+        assert g.shape == v.shape
+        np.testing.assert_allclose(g, v, rtol=0, atol=1e-12 * np.abs(v).max())
+
+
+def _rendered_frames(count):
+    """`count` distinct rendered observations: builtin scenes over seeds and
+    the four headings."""
+    frames, keys = [], set()
+    for seed in range(count):
+        for template in builtin_templates():
+            state = randomize_scene(template, seed)
+            for heading in Heading:
+                obs = with_agent(state, heading=heading).observation
+                if obs.key not in keys and len(frames) < count:
+                    keys.add(obs.key)
+                    frames.append(obs)
+    return frames
+
+
+@pytest.mark.usefixtures("float64")
+@pytest.mark.parametrize("n", [1, 5, 64])
+def test_the_encoder_at_block_2_is_the_full_resolution_encoder(n):
+    # encode reads a rendered batch at its 2x2 squares; the encoder over
+    # every pixel is the same function: output and every parameter gradient
+    enc = GridEncoder(np.random.default_rng(n), ModelConfig(num_classes=NUM_CLASSES,
+                                                           vocab_size=8))
+    frames = _rendered_frames(n)
+    assert {o.block for o in frames} == {2}
+    w = np.random.default_rng(0).normal(size=(n, 64, 8, 8))
+
+    def run(z_of):
+        for t in enc.parameters():
+            t.grad = None
+        z = z_of()
+        T.sum_(T.mul(z, w)).backward()
+        return [z.data] + [t.grad for t in enc.parameters()]
+
+    got = run(lambda: encode(enc, frames))
+    want = run(lambda: enc(*obs_planes(frames), 1))
+    for g, v in zip(got, want):
+        np.testing.assert_allclose(g, v, rtol=0, atol=1e-12 * np.abs(v).max())
 
 
 def test_embedding_scatter_is_bitwise_np_add_at():

@@ -975,8 +975,8 @@ def _parameter_sha256(agent):
 # numerics on purpose updates them and says so in CHANGES.md.  float32
 # BLAS sums can differ between BLAS builds and CPUs; these were computed
 # with numpy 2.4 and scipy-openblas 0.3.31 on x86-64.
-MICRO_PRETRAIN_SHA256 = "6228cf3fa49f23f1f6d4fe301c072b2078e1106ce51a132d0b12a8f9e7359683"
-MICRO_FINETUNE_SHA256 = "92ed31e082b535eba97ee93ab9ef07dc136af719abb0c0e30a9097de13625984"
+MICRO_PRETRAIN_SHA256 = "ed40b4591d8bbf8bd623046c007e7c09b9b713934055c23cb2872898c63fb1f3"
+MICRO_FINETUNE_SHA256 = "cbfbe5f26b8d9dabdaf12448feaf59fcf1cc5b3ce66a5ed7574f9871663dab63"
 
 
 def test_fixed_seed_training_is_bit_reproducible():
@@ -1064,8 +1064,8 @@ def _spy_encoders(monkeypatch):
 
     calls, forward = [], GridEncoder.__call__
 
-    def spy(self, class_maps, planes):
-        out = forward(self, class_maps, planes)
+    def spy(self, class_maps, planes, block):
+        out = forward(self, class_maps, planes, block)
         calls.append((self, len(class_maps), out))
         return out
 
@@ -1150,7 +1150,7 @@ def test_encode_gathers_only_a_batch_with_repeats(monkeypatch):
     # observations is the encoder's output itself, no gather node
     from dataclasses import replace
 
-    from gridhouse.agents import encode, obs_planes
+    from gridhouse.agents import encode
 
     agent = HierarchicalAgent(np.random.default_rng(0), SMALL)
     enc = agent.sub_encoder
@@ -1158,7 +1158,7 @@ def test_encode_gathers_only_a_batch_with_repeats(monkeypatch):
     # b differs from a in its state bits alone
     b = replace(a, state_bits=a.state_bits ^ np.uint8(1))
     c = _apple_scene(False).observation
-    alone = {o.key: enc(*obs_planes([o])).data for o in (a, b, c)}
+    alone = {o.key: encode(enc, [o]).data for o in (a, b, c)}
     assert len(alone) == 3
     calls = _spy_encoders(monkeypatch)
 
@@ -1179,11 +1179,45 @@ def test_encode_gathers_only_a_batch_with_repeats(monkeypatch):
                                    atol=4 * np.finfo(np.float32).eps * np.abs(row).max())
 
 
+def test_only_the_supervised_loss_runs_the_heatmap_head(monkeypatch):
+    # rollouts, the behaviour snapshot and the PPO log-probabilities read no
+    # heatmap; the supervised sub-policy loss runs the head on every row
+    agent = HierarchicalAgent(np.random.default_rng(0), CFG)
+    pointing, rows = agent.interact.pointing, []
+    head = pointing.heat_head
+    monkeypatch.setattr(pointing, "heat_head", lambda x: rows.append(x.shape[0]) or head(x))
+    buffer = _collect_buffer(agent, 24)
+    assert any(s.family == "interact" for s in buffer)
+    TR._policy_logp_value(agent, buffer)
+    assert rows == []
+    batch = [s for s in _expert_batch(agent) if s.family == "interact"]
+    TR._sub_loss(agent, "interact", batch, CFG, LossWeights())
+    assert rows == [len(batch)]
+
+
+def test_encode_refuses_a_batch_of_mixed_block_sizes():
+    # a rendered observation is read at its 2x2 squares, a hand-built one
+    # at every pixel: one batch cannot hold both
+    from dataclasses import replace
+
+    from gridhouse.agents import encode
+
+    enc = HierarchicalAgent(np.random.default_rng(0), SMALL).sub_encoder
+    a = make_state([{"class": "Apple", "pos": (5, 6)}]).observation
+    b = _apple_scene(False).observation
+    assert a.block == b.block == 2
+    encode(enc, [a, b])
+    with pytest.raises(ValueError, match="one block size"):
+        encode(enc, [a, replace(b, block=1)])
+
+
 def _encode_every_row(encoder, obs_batch):
-    """The undeduplicated encode: the encoder over every row of the batch."""
+    """The undeduplicated encode: the encoder over every row of the batch,
+    at the block `encode` reads it at."""
     from gridhouse.agents import obs_planes
 
-    return encoder(*obs_planes(obs_batch))
+    block = math.gcd(obs_batch[0].block, encoder.conv1.stride)
+    return encoder(*obs_planes(obs_batch, block), block)
 
 
 @pytest.mark.parametrize("update", ["tf", "ppo", "multitask"])

@@ -125,6 +125,27 @@ def test_an_observation_key_reads_every_map():
         assert replace(obs, **{name: changed}).key != obs.key
 
 
+@pytest.mark.parametrize("obs_size,upsample", [(32, 1), (32, 2), (32, 4), (30, 4)])
+def test_every_map_is_constant_on_the_blocks_render_records(obs_size, upsample):
+    # the encoder reads one pixel per block x block square: a cell paints
+    # its upsample x upsample square from row obs_size - upsample * (r + 1),
+    # so squares of gcd(obs_size, upsample) pixels aligned at 0 hold one value
+    cfg = WorldConfig(obs_size=obs_size, upsample=upsample)
+    block = math.gcd(obs_size, upsample)
+    for template in builtin_templates():
+        for seed in range(3):
+            state = randomize_scene(template, seed, config=cfg)
+            for heading in Heading:
+                for pitch in (-1, 0, 1):
+                    obs = W.with_agent(state, heading=heading, pitch=pitch).observation
+                    assert obs.block == block
+                    for m in (obs.class_map, obs.instance_map, obs.depth_map,
+                              obs.state_bits):
+                        cells = m[..., ::block, ::block]
+                        assert np.array_equal(
+                            m, np.repeat(np.repeat(cells, block, axis=-2), block, axis=-1))
+
+
 def test_render_apple_in_closed_fridge_hidden():
     state = make_state([
         {"class": "Fridge", "pos": (4, 4), "openness": Openness.CLOSED},
