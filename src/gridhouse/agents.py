@@ -283,14 +283,26 @@ class SubPolicy(Module):
                       self.obj_emb(np.asarray(obj, dtype=np.int64))], axis=-1)
         return self.cond(z)
 
-    def forward(self, cond, z_img, heat=False):
+    def forward(self, cond, z_img, heat=False, point_rows=None):
         """(action logits, value, pointing head output or None); the
-        pointing head's heatmap only if `heat`."""
+        pointing head's heatmap only if `heat`.
+
+        The trunk and the action and value heads run on every row.  The
+        pointing head runs on the rows `point_rows` indexes, in that order
+        (None: every row), so its outputs have one row per index; with no
+        index, or no pointing head, the point output is None.  PPO passes
+        the rows whose executed action took a point, the only ones whose
+        log-prob reads the head."""
         n = z_img.shape[0]
         hid = T.relu(self.trunk(_context_and_image(cond, z_img)))
         action_logits = self.action_head(hid)
         value = T.reshape(self.value_head(hid), (n,))
-        point = self.pointing(cond, z_img, heat) if self.pointing is not None else None
+        point = None
+        if self.pointing is not None:
+            if point_rows is None:
+                point = self.pointing(cond, z_img, heat)
+            elif len(point_rows):
+                point = self.pointing(cond[point_rows], z_img[point_rows], heat)
         return action_logits, value, point
 
 
@@ -493,17 +505,22 @@ def high_level_step(agent, z_task, obs, last_action, last_subgoal, hidden,
     return sub, h
 
 
-def sub_policy_forward(agent, family, obs_batch, last_action, skill, obj, heat=False):
+def sub_policy_forward(agent, family, obs_batch, last_action, skill, obj, heat=False,
+                       point_rows=None):
     """(action logits, value, point maps or None) of the "nav" or
     "interact" sub-policy on N steps: their observations and their ids of
     the last action, the skill and the conditioning object.  The point
     maps hold the heatmap only if `heat`, which only the supervised loss
     reads.  The shared `sub_encoder` runs once per distinct observation
     (`encode`), so the encoder's gradients sum each repeated observation's
-    rows first; the trunk and the heads run on all N rows."""
+    rows first; the trunk and the action and value heads run on all N
+    rows.  The pointing head runs on the rows `point_rows` indexes (None:
+    all N, as rollouts and the supervised loss ask), and the point maps
+    hold those rows only (None when it is empty): the PPO log-prob reads
+    the head on the rows that executed a point, and no other row."""
     z_img = encode(agent.sub_encoder, obs_batch)
     sub = agent.nav if family == "nav" else agent.interact
-    return sub.forward(sub.conditioning(last_action, skill, obj), z_img, heat)
+    return sub.forward(sub.conditioning(last_action, skill, obj), z_img, heat, point_rows)
 
 
 @T.no_grad()

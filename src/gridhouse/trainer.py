@@ -206,11 +206,12 @@ def _fill_sub_policy_labels(sample, ex, cfg: ModelConfig, heat=True):
 # supervised losses
 
 
-def _forward(agent, family, samples, heat=False):
+def _forward(agent, family, samples, heat=False, point_rows=None):
     """`sub_policy_forward` of the family's sub-policy on the samples."""
     return sub_policy_forward(agent, family, [s.obs for s in samples],
                               [s.last_action for s in samples],
-                              [s.skill for s in samples], [s.obj for s in samples], heat)
+                              [s.skill for s in samples], [s.obj for s in samples], heat,
+                              point_rows)
 
 
 def _sub_loss(agent, family, samples, cfg: ModelConfig, weights: LossWeights):
@@ -476,32 +477,35 @@ def run_skill_episode(agent, episode, mode, rng, eps, cfg: ModelConfig,
 
 def _policy_logp_value(agent, samples):
     """Joint log-prob of the stored actions (+ grid cell + offset for
-    executed interactive actions) and the value estimates."""
+    executed interactive actions) and the value estimates.
+
+    The pointing head runs on the interact rows whose executed action
+    took a point (`cell >= 0`) and on no other: the other rows' log-probs
+    hold no pointing term, so the head's output there would go unread."""
     nav_rows = [i for i, s in enumerate(samples) if s.family == "nav"]
     int_rows = [i for i, s in enumerate(samples) if s.family == "interact"]
     logps, values, ents = [], [], []
 
     def fill(rows, family):
         subset = [samples[i] for i in rows]
-        logits, value, point_maps = _forward(agent, family, subset)
+        idx = np.array([j for j, s in enumerate(subset) if s.cell >= 0], dtype=np.intp)
+        logits, value, point_maps = _forward(agent, family, subset, point_rows=idx)
         logp_rows = nn.log_prob_rows(logits, [s.action for s in subset])
         ents.append(nn.entropy_rows(logits))
-        extra = [(j, s) for j, s in enumerate(subset)
-                 if s.cell >= 0 and point_maps is not None]
-        if extra:
+        if point_maps is not None:
+            # row k of the point maps is subset row idx[k]
             grid_logits, mu, nu, _ = point_maps
-            idx = np.array([j for j, _ in extra])
-            cells = np.array([s.cell for _, s in extra])
-            g = T.gather(grid_logits, (idx, slice(None)))
-            glogp = nn.log_prob_rows(g, cells)
-            ents.append(nn.entropy_rows(g))
-            mu_sel = T.gather(mu, (idx, slice(None), cells))
-            nu_sel = T.gather(nu, (idx, slice(None), cells))
-            deltas = np.array([s.delta for _, s in extra])
+            k = np.arange(len(idx))
+            cells = np.array([subset[j].cell for j in idx])
+            glogp = nn.log_prob_rows(grid_logits, cells)
+            ents.append(nn.entropy_rows(grid_logits))
+            mu_sel = T.gather(mu, (k, slice(None), cells))
+            nu_sel = T.gather(nu, (k, slice(None), cells))
+            deltas = np.array([subset[j].delta for j in idx])
             ll_rows = T.sum_(nn.gaussian_log_terms(deltas, mu_sel, nu_sel), axis=1)
             # row j of point k reads slot 1 + k, every other row the zero slot
             slot = np.zeros(len(subset), dtype=np.intp)
-            slot[idx] = np.arange(1, len(extra) + 1)
+            slot[idx] = k + 1
             zero = np.zeros(1, dtype=T.DEFAULT_DTYPE)
             logp_rows = logp_rows + T.gather(T.concat([zero, glogp + ll_rows]), slot)
         logps.append(logp_rows)

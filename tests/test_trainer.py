@@ -12,7 +12,7 @@ import pytest
 
 from gridhouse import nn, tensor as T
 from gridhouse import trainer as TR
-from gridhouse.agents import HierarchicalAgent, ModelConfig
+from gridhouse.agents import HierarchicalAgent, ModelConfig, PointingHead, encode
 from gridhouse.classes import desk_registry
 from gridhouse.episodes import run_expert_episode
 from gridhouse.planner import ExpertStep
@@ -206,13 +206,13 @@ def _collect_buffer(agent, n_steps=40, seed=0, eps=0.5):
 
 # tracemalloc peaks (MiB) above entry of one teacher-forcing update on 64
 # expert steps, its first, which allocates the sub-policies' Adam moments,
-# and of one 64-step PPO minibatch of the default model: 39.1 and 30.7
-# since backward frees each intermediate gradient and saved array once it
-# is used (56.6 and 36.9 before; 68.5 and 49.9 when the encoder's first
-# layer kept its embedded input); each bound is 5% over its value.
-# Constructing Adam over every parameter allocates no moments (22.0 MiB
-# when it allocated them all at once).
-TF_PEAK_MIB, PPO_PEAK_MIB, NEW_ADAM_MIB = 39.1 * 1.05, 30.7 * 1.05, 1.0
+# and of one 64-step PPO minibatch of the default model (50 nav rows, 10
+# interact rows without a point and 4 with one): 34.7 and 20.4, the PPO
+# minibatch 22.1 when its log-prob ran the pointing head on every interact
+# row; each bound is 5% over its value.  Constructing Adam over every
+# parameter allocates no moments (22.0 MiB when it allocated them all at
+# once).
+TF_PEAK_MIB, PPO_PEAK_MIB, NEW_ADAM_MIB = 34.7 * 1.05, 20.4 * 1.05, 1.0
 
 
 def test_an_update_stays_under_its_traced_memory_peak():
@@ -252,9 +252,15 @@ def test_ppo_ratio_is_one_at_behavior_snapshot():
 def test_ppo_ratio_is_one_at_behavior_snapshot_in_float32():
     # behaviour and update recompute each log-prob in float32 over different
     # batches, so they may differ by a few ulps of |logp|; allowed: 16 ulps,
-    # |ratio - 1| <= 16 * eps * max(1, |logp|) with eps = finfo(float32).eps
+    # |ratio - 1| <= 16 * eps * max(1, |logp|) with eps = finfo(float32).eps.
+    # The pointing head runs on each batch's pointed interact rows only, so
+    # the snapshot (one episode's rows) and the update (the whole buffer)
+    # run it over different row subsets: the buffer holds interact rows
+    # with a point and without one.
     agent = HierarchicalAgent(np.random.default_rng(0), CFG)
     buffer = _collect_buffer(agent, 24)
+    interact = [s for s in buffer if s.family == "interact"]
+    assert any(s.cell >= 0 for s in interact) and any(s.cell < 0 for s in interact)
     with T.no_grad():
         logp, _, _ = TR._policy_logp_value(agent, buffer)
     assert logp.data.dtype == np.float32
@@ -303,6 +309,35 @@ def test_policy_logp_value_puts_each_row_in_its_sample_order():
     np.testing.assert_allclose(logp.data, want_logp, rtol=1e-9, atol=1e-9)
     np.testing.assert_allclose(value.data, want_value, rtol=1e-9, atol=1e-9)
     np.testing.assert_allclose(entropy.item(), want_ent, rtol=1e-9)
+
+
+def test_ppo_runs_the_pointing_head_on_the_pointed_rows_only(monkeypatch):
+    # the PPO log-prob reads the pointing head only at interact rows whose
+    # executed action took a point: one call, on exactly those rows in
+    # sample order; an interact batch with no point and a nav batch make
+    # none
+    agent = HierarchicalAgent(np.random.default_rng(0), CFG)
+    buffer = _collect_buffer(agent, 24)
+    pointed = [s for s in buffer if s.family == "interact" and s.cell >= 0]
+    unpointed = [s for s in buffer if s.family == "interact" and s.cell < 0]
+    nav = [s for s in buffer if s.family == "nav"]
+    assert pointed and unpointed and nav
+    calls, head = [], PointingHead.__call__
+
+    def spy(self, cond, z_img, heat):
+        calls.append((z_img.data.copy(), heat))
+        return head(self, cond, z_img, heat)
+
+    monkeypatch.setattr(PointingHead, "__call__", spy)
+    TR._policy_logp_value(agent, buffer)
+    (z_img, heat), = calls
+    assert z_img.shape[0] == len(pointed) and not heat
+    want = encode(agent.sub_encoder, [s.obs for s in pointed]).data
+    np.testing.assert_allclose(z_img, want, rtol=1e-5, atol=1e-6)
+    calls.clear()
+    for batch in (unpointed, nav):
+        TR._policy_logp_value(agent, batch)
+    assert calls == []
 
 
 def test_ppo_update_runs_and_changes_params():
@@ -985,6 +1020,23 @@ def test_fixed_seed_training_is_bit_reproducible():
     assert _parameter_sha256(agent) == MICRO_PRETRAIN_SHA256
     _micro_finetune(agent)
     assert _parameter_sha256(agent) == MICRO_FINETUNE_SHA256
+
+
+# The micro run's one PPO update sees nav rows only; this golden is one
+# float32 update over a buffer of nav rows, interact rows with an executed
+# point and interact rows without one, 2 epochs of minibatch 16.
+PPO_UPDATE_SHA256 = "e6bf42c4b5cc17f7f501d1061e5885fb35c25cae5a9e1379b131597cdeda21b6"
+
+
+def test_a_ppo_update_over_every_kind_of_row_is_bit_reproducible():
+    agent = HierarchicalAgent(np.random.default_rng(0), CFG)
+    buffer = _collect_buffer(agent, 24)
+    kinds = [(s.family, s.cell >= 0) for s in buffer]
+    assert [kinds.count(k) for k in (("nav", False), ("interact", False),
+                                     ("interact", True))] == [10, 8, 6]
+    ppo_update(agent, buffer, nn.Adam(agent.parameters()), PPOConfig(epochs=2, minibatch=16),
+               np.random.default_rng(0))
+    assert _parameter_sha256(agent) == PPO_UPDATE_SHA256
 
 
 # --------------------------------------------------------------------------
