@@ -112,11 +112,17 @@ def run_expert_episode(initial_state: WorldState, remaining_fn,
                        mode: InteractionMode = InteractionMode.HARD,
                        max_steps: int = 100, expected_answer=None,
                        intervene=None) -> Trajectory:
-    """Execute the privileged expert until End or the step budget.
+    """Execute the privileged expert until its own End or Answer step, or
+    the step budget.
 
-    `intervene(t, state, expert_step)` may return a replacement
-    (action, point) to inject a wrong action (used by recovery tests); the
-    controller then monitors and recovers exactly as during training.
+    The episode ends as "end" after a step on which the expert's own
+    action is End's `Done` or Answer's `Done`: in IQA the answer ends the
+    episode, and `traj.answer` holds `expected_answer`.  A Done from a
+    settled state returns that same state, so running on past the answer
+    would only repeat it.  `intervene(t, state, expert_step)` may return a
+    replacement (action, point) to inject a wrong action (used by recovery
+    tests); the controller then monitors and recovers exactly as during
+    training, and an injected step never ends the episode.
     """
     def decide(traj, state, ex):
         action, point = ex.action, ex.point
@@ -127,7 +133,8 @@ def run_expert_episode(initial_state: WorldState, remaining_fn,
         own = action is ex.action
         if own and ex.subgoal.skill is Skill.Answer:
             traj.answer = expected_answer
-        ends = own and ex.subgoal.skill is Skill.End and action is PrimitiveAction.Done
+        # the controller labels both End and Answer with Done
+        ends = own and ex.subgoal.skill in (Skill.Answer, Skill.End)
         return ex.subgoal, action, point, ends
 
     return rollout(initial_state, decide, mode, max_steps,

@@ -7,6 +7,7 @@ bit-reproducible.
 
 from __future__ import annotations
 
+import math
 import zipfile
 from dataclasses import dataclass, field
 
@@ -262,39 +263,57 @@ def gru_sequence(cell, xs, h0):
 
 @dataclass
 class HeatmapTarget:
-    """Gaussian-smoothed center map plus per-center offset targets.
+    """Gaussian-smoothed center maps of a batch plus per-center offset
+    targets.
 
-    heat: (C', H', W') with value 1.0 exactly at each center cell;
-    overlapping kernels combine by elementwise max.
+    heat: (N, C', H', W') with value 1.0 exactly at each center cell;
+    overlapping kernels combine by elementwise max.  centers[i] lists
+    sample i's (class_idx, cell_xy, offset_xy) in the order it was given.
     """
 
     heat: np.ndarray
-    centers: list = field(default_factory=list)  # (class_idx, cell_xy, offset_xy)
+    centers: list = field(default_factory=list)
 
 
 def kernel_sigma(footprint_radius):
     return max(SIGMA_MIN, footprint_radius / SIGMA_RADIUS_DIV)
 
 
-def gaussian_kernel_targets(centers, grid_shape):
-    """Build a HeatmapTarget.
+def gaussian_kernel_targets(center_lists, grid_shape):
+    """Build the HeatmapTarget of a batch in one pass over its centers.
 
-    centers: iterable of (class_idx, (cx, cy), footprint_radius) where
-    (cx, cy) are continuous coordinates in heatmap-grid units.  The peak
-    cell is floor(cx), floor(cy); the offset target is the residual from
-    that cell's center, in grid units.
+    center_lists: per sample, an iterable of (class_idx, (cx, cy),
+    footprint_radius) where (cx, cy) are continuous coordinates in
+    heatmap-grid units.  The peak cell is floor(cx), floor(cy); the offset
+    target is the residual from that cell's center, in grid units.  Every
+    center's kernel is one float64 plane of a (K, H', W') array, rounded
+    to the maps' dtype and folded into them by one `np.maximum.at`.
+    Rounding is monotone, so each cell holds the rounded maximum of its
+    kernels, as when each float64 kernel is maxed into the map in turn.
     """
     nc, gh, gw = grid_shape
-    heat = np.zeros((nc, gh, gw), dtype=T.DEFAULT_DTYPE)
-    ys, xs = np.mgrid[0:gh, 0:gw]
-    recorded = []
-    for cls, (cx, cy), radius in centers:
-        ix = min(int(np.floor(cx)), gw - 1)
-        iy = min(int(np.floor(cy)), gh - 1)
-        sigma = kernel_sigma(radius)
-        kern = np.exp(-(((xs - ix) ** 2 + (ys - iy) ** 2) / (2.0 * sigma ** 2)))
-        np.maximum(heat[cls], kern, out=heat[cls])
-        recorded.append((cls, (ix, iy), (cx - (ix + 0.5), cy - (iy + 0.5))))
+    heat = np.zeros((len(center_lists), nc, gh, gw), dtype=T.DEFAULT_DTYPE)
+    planes, peaks, scales, recorded = [], [], [], []
+    for i, centers in enumerate(center_lists):
+        mine = []
+        for cls, (cx, cy), radius in centers:
+            ix = min(math.floor(cx), gw - 1)
+            iy = min(math.floor(cy), gh - 1)
+            planes.append(i * nc + cls)
+            peaks.append((ix, iy))
+            scales.append(2.0 * kernel_sigma(radius) ** 2)
+            mine.append((cls, (ix, iy), (cx - (ix + 0.5), cy - (iy + 0.5))))
+        recorded.append(mine)
+    if planes:
+        ys, xs = np.mgrid[0:gh, 0:gw]
+        ix, iy = (a[:, None, None] for a in np.array(peaks).T)
+        kern = np.exp(-(((xs - ix) ** 2 + (ys - iy) ** 2)
+                        / np.array(scales)[:, None, None]))
+        # one flat index per kernel cell: numpy runs `ufunc.at` with a 1-d
+        # index and operands of one dtype on its fast path, about 40 times
+        # faster than with a 2-d index or a float64 operand
+        cells = (np.array(planes)[:, None] * (gh * gw) + np.arange(gh * gw)).ravel()
+        np.maximum.at(heat.reshape(-1), cells, kern.astype(heat.dtype).ravel())
     return HeatmapTarget(heat=heat, centers=recorded)
 
 

@@ -419,7 +419,10 @@ def _treatment_remaining(task, state):
 
 
 def _question_milestones(task, state):
-    """IQA: reach the target, open a closed receptacle asked about, Answer."""
+    """IQA: reach the target, open a closed receptacle asked about, Answer.
+
+    Never `[]`: the expert's own Answer step ends the episode
+    (`episodes.run_expert_episode`), so no End follows it."""
     t_iid = task.target_iid
     if not state.has(t_iid):
         raise InfeasibleTask("question target vanished")
@@ -546,7 +549,9 @@ def remaining_milestones(task: TaskInstance, state: WorldState) -> list:
 
 def remaining_fn(task: TaskInstance):
     """ExpertController callback: the `(SubGoal, instance hint or None)`
-    pairs still needed, ending in End."""
+    pairs still needed, ending in End.  An IQA list holds Answer before its
+    End; the expert's episode ends on its Answer step, so it never reaches
+    that End."""
 
     def fn(state):
         return remaining_milestones(task, state) + [(SubGoal(Skill.End), None)]
@@ -555,7 +560,9 @@ def remaining_fn(task: TaskInstance):
 
 
 def replay_expert(task: TaskInstance, template, mode, registry, config):
-    """The expert's episode on `task` from its initial state."""
+    """The expert's episode on `task` from its initial state.  It ends as
+    "end" on the expert's own End step, or for an IQA task on its own
+    Answer step with `traj.answer` set to `task.answer`."""
     state = task_initial_state(task, template, registry=registry, config=config)
     return run_expert_episode(state, remaining_fn(task), mode, max_steps=task.max_steps,
                               expected_answer=task.answer)

@@ -238,25 +238,21 @@ def _sub_loss(agent, family, samples, cfg: ModelConfig, weights: LossWeights):
         total = total + T.mul(ll, -weights.lambda_g)
     # auxiliary heatmap + offset losses over all visible object centers,
     # batched across the whole step batch
-    heats = np.zeros((n, cfg.num_classes, cfg.grid, cfg.grid), dtype=T.DEFAULT_DTYPE)
-    inv_m = np.zeros(n, dtype=T.DEFAULT_DTYPE)
-    l1_rows, l1_cells, l1_offs, l1_w = [], [], [], []
-    for i, s in enumerate(samples):
-        if not s.centers:
-            continue
-        tgt = nn.gaussian_kernel_targets(s.centers, (cfg.num_classes, cfg.grid, cfg.grid))
-        heats[i] = tgt.heat
-        inv_m[i] = 1.0 / max(len(tgt.centers), 1)
-        for cls, (ix, iy), (ox, oy) in tgt.centers:
+    tgt = nn.gaussian_kernel_targets([s.centers for s in samples],
+                                     (cfg.num_classes, cfg.grid, cfg.grid))
+    inv_m = np.array([1.0 / len(c) if c else 0.0 for c in tgt.centers],
+                     dtype=T.DEFAULT_DTYPE)
+    l1_rows, l1_cells, l1_offs = [], [], []
+    for i, centers in enumerate(tgt.centers):
+        for _cls, (ix, iy), (ox, oy) in centers:
             l1_rows.append(i)
             l1_cells.append(ix + iy * cfg.grid)
             l1_offs.append((ox * cfg.cell_px, oy * cfg.cell_px))
-            l1_w.append(inv_m[i])
-    if inv_m.any():
-        total = total + T.mul(nn.focal_loss_batched(heat, heats, inv_m), weights.focal)
+    if l1_rows:
+        total = total + T.mul(nn.focal_loss_batched(heat, tgt.heat, inv_m), weights.focal)
         mu_sel = T.gather(mu, (np.array(l1_rows), slice(None), np.array(l1_cells)))
         l1 = T.sum_(T.abs_(mu_sel - np.array(l1_offs)), axis=1)
-        total = total + T.mul(T.sum_(T.mul(l1, np.array(l1_w))), weights.l1)
+        total = total + T.mul(T.sum_(T.mul(l1, inv_m[l1_rows])), weights.l1)
     return T.mul(total, 1.0 / n)
 
 

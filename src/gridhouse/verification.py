@@ -52,12 +52,12 @@ def _op_cases():
 
     def focal_loss_batched(rng):
         tgt = nn.gaussian_kernel_targets(
-            [(int(rng.integers(2)), (float(rng.uniform(0, 4)), float(rng.uniform(0, 4))),
-              float(rng.uniform(0.5, 3)))
-             for _ in range(3)], (2, 4, 4))
+            [[(int(rng.integers(2)), (float(rng.uniform(0, 4)), float(rng.uniform(0, 4))),
+               float(rng.uniform(0.5, 3)))
+              for _ in range(3)]], (2, 4, 4))
         return (lambda p: nn.focal_loss_batched(
-            T.clip(T.sigmoid(p), 0.02, 0.98), tgt.heat[None],
-            [1.0 / max(len(tgt.centers), 1)]), [r(rng, 1, 2, 4, 4)])
+            T.clip(T.sigmoid(p), 0.02, 0.98), tgt.heat,
+            [1.0 / len(tgt.centers[0])]), [r(rng, 1, 2, 4, 4)])
 
     def gaussian_log_likelihood(rng):
         delta = r(rng, 2)

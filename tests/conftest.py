@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -16,6 +18,18 @@ from gridhouse.world import (AgentPose, Heading, ObjectInstance, Openness,
 # and no example database; each test sets only its `max_examples`
 settings.register_profile("fixed", deadline=None, derandomize=True, database=None)
 settings.load_profile("fixed")
+
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def pytest_report_header(config):
+    """The numpy build and BLAS settings the golden digests depend on (see
+    the comment above MICRO_PRETRAIN_SHA256), printed so that a failing pin
+    shows its environment in the log."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    threads = ", ".join(f"{v}={os.environ.get(v, 'unset')}" for v in BLAS_THREAD_VARIABLES)
+    return [f"numpy {np.__version__}; BLAS {blas.get('name')} {blas.get('version')}",
+            f"BLAS threads: {threads}"]
 
 REG = desk_registry()
 TEMPLATES_BY_ID = {t["template_id"]: t for t in builtin_templates()}

@@ -34,10 +34,27 @@ def focal_loss_reference(pred, heat, num_centers, alpha=2.0, beta=4.0):
 
 
 def focal_one(pred, tgt):
-    """The training-path focal loss at N=1 on one HeatmapTarget."""
+    """The training-path focal loss at N=1 on a HeatmapTarget of one sample."""
     pred = T.as_tensor(pred)
-    return nn.focal_loss_batched(T.reshape(pred, (1,) + pred.shape), tgt.heat[None],
-                                 [1.0 / max(len(tgt.centers), 1)])
+    return nn.focal_loss_batched(T.reshape(pred, (1,) + pred.shape), tgt.heat,
+                                 [1.0 / max(len(tgt.centers[0]), 1)])
+
+
+def kernel_targets_reference(centers, grid_shape):
+    """One sample's (heat, recorded centers), one kernel plane at a time,
+    each folded into the map by `np.maximum`."""
+    nc, gh, gw = grid_shape
+    heat = np.zeros((nc, gh, gw), dtype=T.DEFAULT_DTYPE)
+    ys, xs = np.mgrid[0:gh, 0:gw]
+    recorded = []
+    for cls, (cx, cy), radius in centers:
+        ix = min(int(np.floor(cx)), gw - 1)
+        iy = min(int(np.floor(cy)), gh - 1)
+        sigma = nn.kernel_sigma(radius)
+        kern = np.exp(-(((xs - ix) ** 2 + (ys - iy) ** 2) / (2.0 * sigma ** 2)))
+        np.maximum(heat[cls], kern, out=heat[cls])
+        recorded.append((cls, (ix, iy), (cx - (ix + 0.5), cy - (iy + 0.5))))
+    return heat, recorded
 
 
 def make_target(rng, shape, n_centers):
@@ -48,7 +65,7 @@ def make_target(rng, shape, n_centers):
         cx = float(rng.uniform(0, gw))
         cy = float(rng.uniform(0, gh))
         centers.append((cls, (cx, cy), float(rng.uniform(0.5, 6.0))))
-    return nn.gaussian_kernel_targets(centers, shape)
+    return nn.gaussian_kernel_targets([centers], shape)
 
 
 # --------------------------------------------------------------------------
@@ -56,22 +73,41 @@ def make_target(rng, shape, n_centers):
 
 
 def test_kernel_center_is_one_and_sigma_decay():
-    tgt = nn.gaussian_kernel_targets([(0, (3.2, 4.7), 1.0)], (2, 8, 8))
-    assert tgt.heat[0, 4, 3] == 1.0
+    tgt = nn.gaussian_kernel_targets([[(0, (3.2, 4.7), 1.0)]], (2, 8, 8))
+    assert tgt.heat[0, 0, 4, 3] == 1.0
     # pixel at distance sigma from center: exp(-0.5)
     sigma = nn.kernel_sigma(1.0)
     assert sigma == 1.0
-    assert abs(tgt.heat[0, 4, 4] - math.exp(-0.5)) < 1e-12
+    assert abs(tgt.heat[0, 0, 4, 4] - math.exp(-0.5)) < 1e-12
     assert abs(math.exp(-0.5) - 0.6065306597) < 1e-9
 
 
 def test_kernel_overlap_takes_elementwise_max():
     tgt = nn.gaussian_kernel_targets(
-        [(0, (1.0, 1.0), 1.0), (0, (3.0, 1.0), 1.0)], (1, 6, 6))
+        [[(0, (1.0, 1.0), 1.0), (0, (3.0, 1.0), 1.0)]], (1, 6, 6))
     # the midpoint pixel sees both kernels; max wins
     v1 = math.exp(-((2 - 1) ** 2) / 2.0)
-    assert abs(tgt.heat[0, 1, 2] - v1) < 1e-12
-    assert len(tgt.centers) == 2
+    assert abs(tgt.heat[0, 0, 1, 2] - v1) < 1e-12
+    assert len(tgt.centers[0]) == 2
+
+
+def test_batched_kernel_targets_equal_the_per_center_loop_bit_for_bit():
+    rng = np.random.default_rng(5)
+    for shape in [(3, 8, 8)] * 30 + [(2, 5, 7)] * 10:
+        nc, gh, gw = shape
+        # empty samples, repeated classes and centers past the last cell
+        lists = [[(int(rng.integers(nc)),
+                   (float(rng.uniform(0, gw + 1)), float(rng.uniform(0, gh + 1))),
+                   float(rng.uniform(0.3, 9.0)))
+                  for _ in range(int(rng.integers(0, 7)))]
+                 for _ in range(int(rng.integers(1, 12)))]
+        tgt = nn.gaussian_kernel_targets(lists, shape)
+        assert tgt.heat.shape == (len(lists),) + shape
+        assert tgt.heat.dtype == T.DEFAULT_DTYPE
+        for i, centers in enumerate(lists):
+            heat, recorded = kernel_targets_reference(centers, shape)
+            assert tgt.heat[i].tobytes() == heat.tobytes()
+            assert tgt.centers[i] == recorded
 
 
 def test_kernel_sigma_rule():
@@ -85,13 +121,13 @@ def test_kernel_sigma_rule():
 
 def test_focal_hand_scalars():
     # Y=1, pred=0.5: -(0.5)^2 ln 0.5 = 0.173287
-    heat = np.ones((1, 1, 1))
-    tgt = nn.HeatmapTarget(heat=heat, centers=[(0, (0, 0), (0.0, 0.0))])
+    heat = np.ones((1, 1, 1, 1))
+    tgt = nn.HeatmapTarget(heat=heat, centers=[[(0, (0, 0), (0.0, 0.0))]])
     loss = focal_one(np.array([[[0.5]]]), tgt)
     assert abs(loss.item() - 0.173287) < 1e-6
 
     # Y=0, pred=0.9: -(0.9)^2 ln 0.1 = 1.865094
-    tgt0 = nn.HeatmapTarget(heat=np.zeros((1, 1, 1)), centers=tgt.centers)
+    tgt0 = nn.HeatmapTarget(heat=np.zeros((1, 1, 1, 1)), centers=tgt.centers)
     loss0 = focal_one(np.array([[[0.9]]]), tgt0)
     assert abs(loss0.item() - 1.865094) < 1e-6
 
@@ -106,12 +142,12 @@ def test_focal_matches_reference_on_random_maps():
         tgt = make_target(RNG, (3, 8, 8), int(RNG.integers(1, 5)))
         pred = RNG.uniform(0.01, 0.99, size=(3, 8, 8))
         got = focal_one(pred, tgt).item()
-        want = focal_loss_reference(pred, tgt.heat, len(tgt.centers))
+        want = focal_loss_reference(pred, tgt.heat[0], len(tgt.centers[0]))
         assert abs(got - want) < 1e-9
 
 
 def test_focal_shape_mismatch():
-    tgt = nn.HeatmapTarget(heat=np.zeros((1, 2, 2)))
+    tgt = nn.HeatmapTarget(heat=np.zeros((1, 1, 2, 2)), centers=[[]])
     with pytest.raises(nn.ShapeMismatch):
         focal_one(np.zeros((1, 3, 3)), tgt)
 

@@ -349,9 +349,9 @@ ROLLOUT_SHA256 = {
     "run_skill_episode": "d3faabd2c38572854f147b038ea381602ac2e2d95cf76d46383cf09c13a13498",
     "run_skill_episode_policy":
         "8b585683aeeeaab64dcc85221585f6ab7679d8760ec7922867c36c84d2d1fab5",
-    "run_expert_episode": "40ac398fb26ff2d287855abbf590aa002a4f73cf5f8009eeabe0271af746cd9b",
+    "run_expert_episode": "a7f2021f51db822b3a8c352d8ad1c14c8ce2e91bbe0e9317ac52df7f0cb8ca09",
     "run_expert_episode+intervene":
-        "a8db70db9fb5a68fdd3a35a227e0d54562a9b554f69813e0f19f8184ff19ab7f",
+        "2215cc2108486e8eda408e946f5c518c66e25d29b10798e10a5dc677aad871d0",
 }
 
 

@@ -10,14 +10,15 @@ import pytest
 
 from gridhouse import tasks as TK, world as W
 from gridhouse.classes import desk_registry
-from gridhouse.episodes import Trajectory, run_expert_episode
+from gridhouse.episodes import Trajectory, rollout, run_expert_episode
+from gridhouse.planner import ExpertController
 from gridhouse.scenes import builtin_templates
 from gridhouse.skills import Skill, SubGoal
 from gridhouse.tasks import (FULL_SPLIT_COUNTS, TEMPLATES, DatasetSplit,
                              InsufficientScenes, TaskInstance,
                              UnsatisfiableTemplate, build_splits, build_vocab,
                              desk_split_counts, generate_task, load_split,
-                             remaining_fn, split_content_hash,
+                             remaining_fn, replay_expert, split_content_hash,
                              task_initial_state, task_success, tokenize,
                              verify_episode, write_splits)
 from gridhouse.world import (Cleanliness, Openness, Temperature, state_hash)
@@ -370,46 +371,108 @@ def test_tokenizer_and_vocab():
 # golden task content
 
 
-def _task_content_digest():
-    """SHA-256 over every (family, task type, form) generated on two fixed
-    scenes, each with its expert replay, and over the content hashes of the
-    scale-3000 splits at seed 0."""
-    h = hashlib.sha256()
-
-    def put(*xs):
-        h.update(repr(xs).encode())
-
+def _generated_tasks():
+    """Every (family, task type, form) generated on two fixed scenes:
+    yields (key, template, task), where task is the UnsatisfiableTemplate
+    raised when generation refuses."""
     for family, types in TEMPLATES.items():
         for task_type, forms in types.items():
             for form in range(len(forms)):
                 for seed in (11, 12):
                     template = TEMPLATES_ALL[(seed + form) % len(TEMPLATES_ALL)]
-                    put(family, task_type, form, seed)
+                    key = (family, task_type, form, seed)
                     try:
                         task = generate_task(family, task_type, form, template,
                                              seed, np.random.default_rng(seed))
                     except UnsatisfiableTemplate as e:
-                        put("unsatisfiable", str(e))
-                        continue
-                    put(json.dumps(task.to_json(), sort_keys=True))
-                    traj = run_expert_episode(task_initial_state(task, template),
-                                              remaining_fn(task),
-                                              max_steps=task.max_steps,
-                                              expected_answer=task.answer)
-                    for r in traj.steps:
-                        put(r.t, r.subgoal, r.action.name, r.point, r.success,
-                            r.reason, r.target, r.state_hash)
-                    put(traj.terminated, traj.answer)
+                        task = e
+                    yield key, template, task
+
+
+def _task_content_digest():
+    """SHA-256 over the tasks of `_generated_tasks` and over the content
+    hashes of the scale-3000 splits at seed 0."""
+    h = hashlib.sha256()
+
+    def put(*xs):
+        h.update(repr(xs).encode())
+
+    for key, _template, task in _generated_tasks():
+        put(*key)
+        if isinstance(task, UnsatisfiableTemplate):
+            put("unsatisfiable", str(task))
+        else:
+            put(json.dumps(task.to_json(), sort_keys=True))
     for split in build_splits(TEMPLATES_ALL, counts=desk_split_counts(3000), seed=0,
                               n_unseen=2):
         put(split.name, split_content_hash(split))
     return h.hexdigest()
 
 
+def _expert_replay_digest():
+    """SHA-256 over the expert's replay of each task of `_generated_tasks`:
+    every step, the ending and the answer."""
+    h = hashlib.sha256()
+
+    def put(*xs):
+        h.update(repr(xs).encode())
+
+    for key, template, task in _generated_tasks():
+        if isinstance(task, UnsatisfiableTemplate):
+            continue
+        put(*key)
+        traj = run_expert_episode(task_initial_state(task, template),
+                                  remaining_fn(task), max_steps=task.max_steps,
+                                  expected_answer=task.answer)
+        for r in traj.steps:
+            put(r.t, r.subgoal, r.action.name, r.point, r.success,
+                r.reason, r.target, r.state_hash)
+        put(traj.terminated, traj.answer)
+    return h.hexdigest()
+
+
 # Any change to task generation, expert milestones or split sampling moves
-# this digest; a change that means to must say so.
-TASK_CONTENT_SHA256 = "a0ff1fe65f36862b2065efa9787c117616db5c1d6c2c14441651547d2214ddf6"
+# TASK_CONTENT_SHA256; any change to how the expert plays a task moves
+# EXPERT_REPLAY_SHA256.  A change that means to must say so.
+TASK_CONTENT_SHA256 = "5b84b1a5a60a443e33b6413632b62eb839c5798e408fda131805989e959a600c"
+EXPERT_REPLAY_SHA256 = "b2f0dfa2eecc9f7d28e9abfd7ff1e374b5cac2d148c69b360538870d15412d44"
 
 
 def test_task_content_is_bit_identical_to_the_golden_digest():
     assert _task_content_digest() == TASK_CONTENT_SHA256
+
+
+def test_expert_replays_are_bit_identical_to_the_golden_digest():
+    assert _expert_replay_digest() == EXPERT_REPLAY_SHA256
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_an_iqa_replay_stops_at_its_answer_where_running_on_changes_nothing(seed):
+    # what a replay's callers read (the final state and frame, the answer
+    # and the collapsed sub-goal trace) is what an expert that never ends
+    # reaches at its step budget: every step past the answer is a Done
+    # from a settled state
+    def never_ends(traj, state, ex):
+        if ex.subgoal.skill is Skill.Answer:
+            traj.answer = task.answer
+        return ex.subgoal, ex.action, ex.point, False
+
+    episodes = [task for split in build_splits(TEMPLATES_ALL, desk_split_counts(3000),
+                                               seed=seed, n_unseen=2)
+                for task in split.episodes]
+    for task in episodes:
+        template = TBY[task.scene_template_id]
+        traj = replay_expert(task, template, W.InteractionMode.HARD, None, None)
+        assert traj.terminated == "end", (task.family, task.task_type)
+        if task.family != "IQA":
+            continue
+        assert traj.steps[-1].subgoal == SubGoal(Skill.Answer)
+        assert traj.answer == task.answer
+        longest = rollout(task_initial_state(task, template), never_ends,
+                          W.InteractionMode.HARD, task.max_steps,
+                          ExpertController(remaining_fn(task), W.InteractionMode.HARD))
+        assert longest.terminated == "budget"
+        assert state_hash(traj.final_state) == state_hash(longest.final_state)
+        assert traj.final_state.observation.key == longest.final_state.observation.key
+        assert traj.answer == longest.answer
+        assert traj.subgoal_sequence == longest.subgoal_sequence

@@ -1039,6 +1039,30 @@ def test_a_ppo_update_over_every_kind_of_row_is_bit_reproducible():
     assert _parameter_sha256(agent) == PPO_UPDATE_SHA256
 
 
+def _qa_sample_digest():
+    """SHA-256 over the Answer-skill samples of pre-training on fixed seeds:
+    each sample's observation key, answer label and question tokens."""
+    h = hashlib.sha256()
+    session, rng = SceneSession(TEMPLATES, 3), np.random.default_rng(13)
+    for _ in range(16):
+        samples = TR._qa_episode_samples(session, rng, CFG, VOCAB, InteractionMode.HARD)
+        h.update(repr(len(samples)).encode())
+        for s in samples:
+            h.update(s.obs.key)
+            h.update(repr((s.answer_label, list(s.answer_tokens))).encode())
+        session.reset_scene()
+    return h.hexdigest()
+
+
+# The QA samples read the expert replay's final frame and answer; any
+# change to either moves this digest.
+QA_SAMPLES_SHA256 = "3bec0aa8cdf3cec387ab99a5905445a4de14068a2896141f4fea79b13bbfa001"
+
+
+def test_qa_samples_are_bit_identical_to_the_golden_digest():
+    assert _qa_sample_digest() == QA_SAMPLES_SHA256
+
+
 # --------------------------------------------------------------------------
 # skill episodes under wrong interactions the expert cannot undo
 

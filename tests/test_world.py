@@ -548,7 +548,7 @@ def test_expert_replays_build_a_fixed_number_of_memos(monkeypatch):
                                       max_steps=task.max_steps, expected_answer=task.answer)
             episodes += 1
             steps += len(traj.steps)
-    assert (episodes, steps) == (28, 1340)
+    assert (episodes, steps) == (28, 343)
     assert calls == {"build_geometry": 101, "render": 50, "_propagation_effects": 112}
 
 
