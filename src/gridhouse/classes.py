@@ -7,6 +7,7 @@ scenes use.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 
 @dataclass(frozen=True)
@@ -30,7 +31,7 @@ class ObjectClassDef:
 
 class ClassRegistry:
     def __init__(self, defs):
-        self.defs: list[ObjectClassDef] = list(defs)
+        self.defs: tuple[ObjectClassDef, ...] = tuple(defs)
         self.by_name = {d.name: i for i, d in enumerate(self.defs)}
         if len(self.by_name) != len(self.defs):
             raise ValueError("duplicate class names")
@@ -54,8 +55,11 @@ _DISH_SPOTS = ("CounterTop", "DiningTable", "Cabinet", "Sink", "Shelf")
 _DESK_SPOTS = ("DiningTable", "SideTable", "Shelf")
 
 
+@cache
 def desk_registry() -> ClassRegistry:
-    """Curated class set used by the built-in desk-scale scenes."""
+    """Curated class set used by the built-in desk-scale scenes: one shared
+    registry, built on the first call.  Nothing mutates a registry, and a
+    scene template compiles once per registry (`world.randomize_scene`)."""
     defs = [
         # fixed receptacles / appliances
         ObjectClassDef("CounterTop", receptacle=True, size=6),

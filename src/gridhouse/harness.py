@@ -96,6 +96,17 @@ def act_episode(agent, task, initial_state, mode: InteractionMode, rng,
     return rollout(initial_state, decide, mode, task.max_steps)
 
 
+def _failure_reason(task, traj, ok) -> str | None:
+    """Why an evaluated episode failed: None on success, "wrong_answer"
+    for an IQA episode that recorded a wrong answer, else how the rollout
+    ended ("end" or "budget")."""
+    if ok:
+        return None
+    if task.family == "IQA" and traj.answer is not None:
+        return "wrong_answer"
+    return traj.terminated
+
+
 def evaluate(agent, split, templates_by_id, vocab, mode=InteractionMode.HARD, *,
              greedy, registry=None, config=None, seed=0,
              results=None) -> MetricsTable:
@@ -118,7 +129,7 @@ def evaluate(agent, split, templates_by_id, vocab, mode=InteractionMode.HARD, *,
             results.append(EpisodeResult(
                 task_id=i, family=task.family,
                 split=split.name, success=ok,
-                steps=len(traj.steps)))
+                steps=len(traj.steps), failure_reason=_failure_reason(task, traj, ok)))
     rates = {f: 100.0 * hits[f] / counts[f] for f in counts}
     return MetricsTable(split=split.name, family_rates=rates, counts=counts)
 

@@ -6,19 +6,22 @@ serves per-step labels (a*, p*) for imitation, and the ExpertController
 additionally monitors executed interactions so a wrong one can be undone
 by inserting a reversing sub-goal.
 
-Navigation labels come from one reverse BFS per (geometry, target cells):
-the distance from every pose to the nearest pose that sees a target cell
-in range, memoized on the state's `geometry`, which steps moving only the
-agent share.  Each step takes the first move one level closer, which is
-the path FIFO BFS from the agent's pose would return.  The expert reads
-the state's `observation` only to aim an interaction (`expert_point`).
+Navigation labels come from one reverse BFS per (navigation key, target
+cells): the distance from every pose to the nearest pose that sees a
+target cell in range.  A memo is keyed by everything it reads, so the
+fields live in one bounded `lru_cache` keyed by the geometry's blocked
+and opaque cells, the grid size, the config and the target cells, and a
+field serves every state, episode and call that agree on them.  Each
+step takes the first move one level closer, which is the path FIFO BFS
+from the agent's pose would return.  The expert reads the state's
+`observation` only to aim an interaction (`expert_point`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, lru_cache
 
 import numpy as np
 
@@ -51,6 +54,8 @@ class Irrecoverable(RuntimeError):
 # navigation successors: every navigation action but Done, which does not move
 _MOVES = tuple(a for a in W.NAV_ACTION_SPACE if a is not PrimitiveAction.Done)
 _PITCHES = (-1, 0, 1)
+# distance fields kept across states, episodes and calls; one is a few KB
+FIELD_CACHE_SIZE = 256
 
 
 def _node_of(state):
@@ -116,11 +121,10 @@ def _pose_masks(w, h):
             blocks(every, pitches=(1,)))
 
 
-def _goal_blocks(state, cell, cells, view):
+def _goal_blocks(opaque, cfg, cell, cells, view):
     """The goal test for every pose at `cell`: the first bits of the
     (heading, pitch) blocks whose pose sees a target cell while standing
     in range of one (not necessarily the same cell)."""
-    cfg = state.config
     ax, ay = cell
     if min(abs(cx - ax) + abs(cy - ay) for cx, cy in cells) > cfg.interaction_range + 1:
         return 0
@@ -130,7 +134,7 @@ def _goal_blocks(state, cell, cells, view):
     blocks = 0
     for cx, cy in cells:
         pattern = view.get((cx - ax, cy - ay), 0)
-        if pattern & ~blocks and line_of_sight(state.geometry.opaque, cell, (cx, cy)):
+        if pattern & ~blocks and line_of_sight(opaque, cell, (cx, cy)):
             blocks |= pattern
     return blocks
 
@@ -139,34 +143,39 @@ def _goal_test(state, cells):
     """Whether the agent's pose sees a target cell in range."""
     area = state.width * state.height
     pose = state.agent
-    blocks = _goal_blocks(state, pose.cell, cells, _view_patterns(state.config, area))
+    blocks = _goal_blocks(state.geometry.opaque, state.config, pose.cell, cells,
+                          _view_patterns(state.config, area))
     return bool(blocks >> _block(pose.heading, pose.pitch, area) & 1)
 
 
-def _distance_field(state, cells):
+def _nav_key(state):
+    """Everything a distance field reads of a state: the geometry's
+    `blocked` and `opaque` as bytes, the grid size and the config."""
+    geom = state.geometry
+    return (geom.blocked.tobytes(), geom.opaque.tobytes(), state.width, state.height,
+            state.config)
+
+
+@lru_cache(maxsize=FIELD_CACHE_SIZE)
+def _distance_field(nav, cells):
     """Levels of one reverse BFS from the goal poses over the moves of
     `nav_pose`: levels[k] holds every pose k moves from the nearest goal
-    pose.  It reads only the geometry, the grid size and the config, so it
-    is memoized on the geometry per target-cell tuple and serves every
-    state that shares the geometry."""
-    geom = state.geometry
-    memo = geom.__dict__.setdefault("_fields", {})
-    key = tuple(cells)
-    levels = memo.get(key)
-    if levels is not None:
-        return levels
-    w, h = state.width, state.height
+    pose.  The field is keyed by everything it reads, the nav key
+    (`_nav_key`) and the target-cell tuple, so one computation serves
+    every state, episode and call whose scene agrees on them."""
+    blocked, opaque_bytes, w, h, cfg = nav
+    opaque = np.frombuffer(opaque_bytes, dtype=bool).reshape(h, w)
     area = w * h
-    view = _view_patterns(state.config, area)
-    reach = math.ceil(state.config.interaction_range)
+    view = _view_patterns(cfg, area)
+    reach = math.ceil(cfg.interaction_range)
     seen = 0
     for x, y in {(x, y) for cx, cy in cells
                  for x in range(max(cx - reach, 0), min(cx + reach + 1, w))
                  for y in range(max(cy - reach, 0), min(cy + reach + 1, h))}:
-        seen |= _goal_blocks(state, (x, y), cells, view) << y * w + x
+        seen |= _goal_blocks(opaque, cfg, (x, y), cells, view) << y * w + x
 
     copies, ahead, north, west, down, up = _pose_masks(w, h)
-    free = _bits(~geom.blocked) * copies
+    free = _bits(~np.frombuffer(blocked, dtype=bool)) * copies
     # MoveAhead enters a free cell from the cell behind it
     enters = [(free & inside, shift) for inside, shift in ahead]
     not_north, not_west, not_down, not_up = ~north, ~west, ~down, ~up
@@ -186,8 +195,7 @@ def _distance_field(state, cells):
         before |= (frontier & not_down) >> 4 * area | (frontier & not_up) << 4 * area
         frontier = before & ~seen
         seen |= frontier
-    memo[key] = levels = tuple(levels)
-    return levels
+    return tuple(levels)
 
 
 def _walk(state, cells):
@@ -195,7 +203,7 @@ def _walk(state, cells):
     target cell in range: at each pose, the first of `_MOVES` whose
     successor is one level closer.  That is the shortest path first in
     `_MOVES` order, the one FIFO BFS with that successor order returns."""
-    levels = _distance_field(state, cells)
+    levels = _distance_field(_nav_key(state), tuple(cells))
     node = _node_of(state)
     bit = _pose_bit(state, node)
     dist = next((k for k, level in enumerate(levels) if level >> bit & 1), None)

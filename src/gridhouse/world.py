@@ -5,6 +5,12 @@ The agent observes an egocentric cell grid (default 32x32): a 16x16-cell
 world window rendered at 2x2 observation cells per world cell, facing-up,
 with occlusion ray casting.  Interaction points are continuous
 observation coordinates resolved against the rendered instance map.
+
+A memo is keyed by everything it reads.  A state's scene memos live on
+the state and pass only to successors with the very same walls and
+objects (`_carry`); a compiled template is keyed by the template's
+pickled bytes and the registry (`randomize_scene`), a footprint by its
+anchor and size.
 """
 
 from __future__ import annotations
@@ -12,9 +18,10 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import pickle
 from dataclasses import dataclass, field, replace
 from enum import Enum, IntEnum
-from functools import cache, cached_property
+from functools import cache, cached_property, lru_cache
 
 import numpy as np
 
@@ -270,10 +277,14 @@ def with_agent(state: WorldState, **pose) -> WorldState:
     return out
 
 
-def footprint_cells(anchor, size):
+@lru_cache(maxsize=1024)
+def footprint_cells(anchor, size) -> tuple:
+    """The cells an object of `size` anchored at `anchor` covers, row by
+    row from the anchor in rows ceil(sqrt(size)) wide; one shared tuple
+    per (anchor, size)."""
     x, y = anchor
     w = math.ceil(math.sqrt(size))
-    return [(x + i % w, y + i // w) for i in range(size)]
+    return tuple((x + i % w, y + i // w) for i in range(size))
 
 
 def state_hash(state: WorldState) -> str:
@@ -310,59 +321,50 @@ def build_geometry(state: WorldState) -> SceneGeometry:
     state_grid = np.zeros((4, h, w), dtype=np.uint8)
     opaque = state.walls.copy()
     blocked = state.walls.copy()
-    display: dict[int, list] = {}
     defs = state.registry.defs
-
-    # gather one row per displayed cell, then scatter layer by layer
-    rows_x, rows_y, rows_cls, rows_iid = [], [], [], []
-    rows_bits, rows_opq = [], []
     children: dict[int, list] = {}
     for o in state.objects:
         if o.container is not None:
             children.setdefault(o.container, []).append(o)
 
-    def paint(obj, cells):
-        display.setdefault(obj.instance_id, []).extend(cells)
-        cls = defs[obj.class_id]
-        opq = cls.occludes and obj.openness is not Openness.OPEN
-        bits = (obj.openness is Openness.OPEN, obj.power is Power.ON,
-                obj.cleanliness is Cleanliness.DIRTY, obj.sliced)
-        for (cx, cy) in cells:
-            rows_x.append(cx)
-            rows_y.append(cy)
-            rows_cls.append(CLASS_BASE + obj.class_id)
-            rows_iid.append(obj.instance_id)
-            rows_bits.append(bits)
-            rows_opq.append(opq)
-
+    # one (object, cells) group per painted object, in painting order
+    groups, footprints = [], []
     for obj in state.objects:
         if obj.anchor is None:
             continue  # contained or held; rendered via its container chain
         cells = footprint_cells(obj.anchor, obj.size)
-        blocked[[c[1] for c in cells], [c[0] for c in cells]] = True
-        cls = defs[obj.class_id]
-        if cls.enclosed and obj.openness is Openness.CLOSED:
-            paint(obj, cells)
+        footprints.extend(cells)
+        if defs[obj.class_id].enclosed and obj.openness is Openness.CLOSED:
+            groups.append((obj, cells))
             continue
         # open/surface receptacle: anchor cell stays the receptacle,
         # contents take the remaining footprint cells in slot order
         contents = sorted(children.get(obj.instance_id, ()),
                           key=lambda o: o.instance_id)
         slots = cells[1:]
-        used = set()
-        for k, item in enumerate(contents):
-            if k < len(slots):
-                paint(item, [slots[k]])
-                used.add(slots[k])
-        paint(obj, [cells[0]] + [c for c in slots if c not in used])
+        groups.extend((item, [cell]) for item, cell in zip(contents, slots))
+        groups.append((obj, [cells[0], *slots[len(contents):]]))
 
-    if rows_x:
-        xs = np.array(rows_x)
-        ys = np.array(rows_y)
-        class_grid[ys, xs] = rows_cls
-        inst_grid[ys, xs] = rows_iid
-        state_grid[:, ys, xs] = np.array(rows_bits, dtype=np.uint8).T
-        opaque[ys, xs] |= np.array(rows_opq, dtype=bool)
+    display: dict[int, list] = {}
+    for obj, cells in groups:
+        display.setdefault(obj.instance_id, []).extend(cells)
+    if footprints:
+        xs, ys = np.array(footprints).T
+        blocked[ys, xs] = True
+    if groups:
+        # each group's row (class, instance, four state bits, opaque),
+        # repeated over its cells and scattered layer by layer
+        xs, ys = np.array([c for _, cells in groups for c in cells]).T
+        rows = [(CLASS_BASE + o.class_id, o.instance_id, o.openness is Openness.OPEN,
+                 o.power is Power.ON, o.cleanliness is Cleanliness.DIRTY, o.sliced,
+                 defs[o.class_id].occludes and o.openness is not Openness.OPEN)
+                for o, _ in groups]
+        values = np.repeat(np.array(rows, dtype=np.int64),
+                           [len(cells) for _, cells in groups], axis=0).T
+        class_grid[ys, xs] = values[0]
+        inst_grid[ys, xs] = values[1]
+        state_grid[:, ys, xs] = values[2:6]
+        opaque[ys, xs] |= values[6].astype(bool)
     return SceneGeometry(class_grid, inst_grid, state_grid, opaque, blocked, display)
 
 
@@ -861,6 +863,68 @@ def initial_states(cls, rng, randomize):
     return openness, power, clean
 
 
+@dataclass(frozen=True)
+class _CompiledTemplate:
+    """What `randomize_scene` reads of a template and the registry, checked
+    and laid out once: the fixtures as (class id, class, anchor, size), the
+    movables' class ids sorted most-constrained first, each such class's
+    candidate receptacles as (fixture id, capacity) in fixture order, the
+    agent's free cells and one read-only `walls` array for every scene."""
+    template_id: object
+    width: int
+    height: int
+    walls: np.ndarray
+    randomize: bool
+    fixtures: tuple
+    wanted: tuple
+    candidates: dict
+    free: tuple
+
+
+@lru_cache(maxsize=64)
+def _compile_template(content: bytes, registry: ClassRegistry) -> _CompiledTemplate:
+    """The compiled form of the template pickled as `content`.  Raises the
+    `PlacementInfeasible` (or `KeyError` for an unknown class) of the
+    first fixture that does not fit; an exception is never cached."""
+    template = pickle.loads(content)
+    width, height = template["width"], template["height"]
+    walls = _border_walls(width, height)
+    for (x, y) in template.get("interior_walls", []):
+        walls[y, x] = True
+    walls.flags.writeable = False
+
+    fixtures, occupied = [], set()
+    for fx in template["fixtures"]:
+        cls_id = registry.id_of(fx["class"])
+        cls = registry[cls_id]
+        size = fx.get("size", cls.size)
+        for c in footprint_cells(tuple(fx["pos"]), size):
+            if not (0 < c[0] < width - 1 and 0 < c[1] < height - 1) or walls[c[1], c[0]]:
+                raise PlacementInfeasible(f"fixture {fx['class']} at {fx['pos']} off-floor")
+            if c in occupied:
+                raise PlacementInfeasible(f"fixture overlap at {c}")
+            occupied.add(c)
+        fixtures.append((cls_id, cls, tuple(fx["pos"]), size))
+
+    # expand (class, count) specs, most-constrained classes first so tight
+    # receptacles are not starved
+    wanted = []
+    for spec in template.get("movables", []):
+        cls_id = registry.id_of(spec["class"])
+        wanted.extend([cls_id] * spec.get("count", 1))
+    wanted.sort(key=lambda cid: (len(registry[cid].placements), registry[cid].name))
+    # (fixture id, `capacity` of the fixture) of each class's receptacles
+    candidates = {cid: tuple((iid, max(1, size - 1))
+                             for iid, (_cls_id, rec, _anchor, size) in enumerate(fixtures)
+                             if rec.receptacle and rec.name in registry[cid].placements)
+                  for cid in wanted}
+    free = tuple((x, y) for y in range(1, height - 1) for x in range(1, width - 1)
+                 if not walls[y, x] and (x, y) not in occupied)
+    return _CompiledTemplate(template.get("template_id"), width, height, walls,
+                             template.get("randomize_states", True), tuple(fixtures),
+                             tuple(wanted), candidates, free)
+
+
 def randomize_scene(template: dict, seed: int,
                     registry: ClassRegistry | None = None,
                     config: WorldConfig | None = None) -> WorldState:
@@ -869,83 +933,57 @@ def randomize_scene(template: dict, seed: int,
     Fixtures keep their listed positions; movables are assigned uniformly
     among receptacles compatible with their placement rules; the agent
     starts at a random traversable cell.
+
+    The template compiles once per content and registry: the compile is
+    keyed by everything it reads, the template's pickled bytes and the
+    registry, so an edited template compiles afresh.  A call makes only
+    the seed's draws, and the scenes of one compile share its read-only
+    `walls`.
     """
     registry = registry or desk_registry()
     config = config or WorldConfig()
+    scene = _compile_template(pickle.dumps(template), registry)
     rng = np.random.default_rng(np.uint64(seed))
-    width, height = template["width"], template["height"]
-    walls = _border_walls(width, height)
-    for (x, y) in template.get("interior_walls", []):
-        walls[y, x] = True
-    randomize = template.get("randomize_states", True)
-
     objects: list[ObjectInstance] = []
-    occupied = set()
-    next_id = 0
-    for fx in template["fixtures"]:
-        cls_id = registry.id_of(fx["class"])
-        cls = registry[cls_id]
-        size = fx.get("size", cls.size)
-        cells = footprint_cells(tuple(fx["pos"]), size)
-        for c in cells:
-            if not (0 < c[0] < width - 1 and 0 < c[1] < height - 1) or walls[c[1], c[0]]:
-                raise PlacementInfeasible(f"fixture {fx['class']} at {fx['pos']} off-floor")
-            if c in occupied:
-                raise PlacementInfeasible(f"fixture overlap at {c}")
-            occupied.add(c)
-        openness, power, clean = initial_states(cls, rng, randomize)
+    for cls_id, cls, anchor, size in scene.fixtures:
+        openness, power, clean = initial_states(cls, rng, scene.randomize)
         objects.append(ObjectInstance(
-            instance_id=next_id, class_id=cls_id, anchor=tuple(fx["pos"]),
+            instance_id=len(objects), class_id=cls_id, anchor=anchor,
             container=None, size=size, is_receptacle=cls.receptacle,
             openness=openness, power=power, cleanliness=clean))
-        next_id += 1
 
-    recs = [o for o in objects if o.is_receptacle]
-    # expand (class, count) specs, most-constrained classes first so tight
-    # receptacles are not starved; retry whole assignments on dead ends
-    wanted = []
-    for spec in template.get("movables", []):
-        cls_id = registry.id_of(spec["class"])
-        for _ in range(spec.get("count", 1)):
-            wanted.append(cls_id)
-    wanted.sort(key=lambda cid: (len(registry[cid].placements), registry[cid].name))
+    # retry whole assignments on dead ends
     assignment = None
     for _attempt in range(20):
-        load = {o.instance_id: 0 for o in recs}
+        load = [0] * len(scene.fixtures)
         trial = []
-        for cls_id in wanted:
-            cls = registry[cls_id]
-            slots = [r for r in recs
-                     if registry[r.class_id].name in cls.placements
-                     and load[r.instance_id] < capacity(r)]
+        for cls_id in scene.wanted:
+            slots = [iid for iid, cap in scene.candidates[cls_id] if load[iid] < cap]
             if not slots:
                 trial = None
                 break
             pick = slots[int(rng.integers(len(slots)))]
-            load[pick.instance_id] += 1
-            trial.append((cls_id, pick.instance_id))
+            load[pick] += 1
+            trial.append((cls_id, pick))
         if trial is not None:
             assignment = trial
             break
-    if assignment is None and wanted:
+    if assignment is None and scene.wanted:
         raise PlacementInfeasible("movable placement unsatisfiable for template "
-                                  f"{template.get('template_id')}")
+                                  f"{scene.template_id}")
     for cls_id, container in assignment or []:
         cls = registry[cls_id]
-        openness, power, clean = initial_states(cls, rng, randomize)
+        openness, power, clean = initial_states(cls, rng, scene.randomize)
         objects.append(ObjectInstance(
-            instance_id=next_id, class_id=cls_id, anchor=None,
+            instance_id=len(objects), class_id=cls_id, anchor=None,
             container=container, size=1, is_receptacle=cls.receptacle,
             openness=openness, power=power, cleanliness=clean))
-        next_id += 1
 
-    free = [(x, y) for y in range(1, height - 1) for x in range(1, width - 1)
-            if not walls[y, x] and (x, y) not in occupied]
-    if not free:
+    if not scene.free:
         raise PlacementInfeasible("no traversable cell for the agent")
-    cell = free[int(rng.integers(len(free)))]
+    cell = scene.free[int(rng.integers(len(scene.free)))]
     heading = Heading(int(rng.integers(4)))
-    return WorldState(width=width, height=height, walls=walls,
+    return WorldState(width=scene.width, height=scene.height, walls=scene.walls,
                       objects=tuple(objects),
                       agent=AgentPose(cell=cell, heading=heading),
                       registry=registry, config=config)

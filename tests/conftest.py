@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from gridhouse import tensor as T
+from gridhouse import planner, tensor as T, world
 from gridhouse.classes import desk_registry
 from gridhouse.scenes import builtin_templates
 from gridhouse.world import (AgentPose, Heading, ObjectInstance, Openness,
@@ -64,6 +64,14 @@ def make_state(objects=(), agent_cell=(5, 8), heading=Heading.NORTH, pitch=0,
         agent=AgentPose(cell=agent_cell, heading=heading, pitch=pitch, held=held),
         registry=REG, config=config or WorldConfig(),
     )
+
+
+@pytest.fixture(autouse=True)
+def cold_scene_caches():
+    """Empty the scene caches before each test, so that no test passes on
+    entries an earlier test left behind."""
+    for memo in (world._compile_template, world.footprint_cells, planner._distance_field):
+        memo.cache_clear()
 
 
 @pytest.fixture

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from gridhouse import world as W
+from gridhouse import planner as P, world as W
 from gridhouse.episodes import run_expert_episode
 from gridhouse.planner import (ExpertController, ExpertStep, Irrecoverable,
                                Unreachable, shortest_path_to_instance,
@@ -142,8 +142,51 @@ def test_distance_field_walk_is_the_reference_bfs_path(scene, seed, cell, headin
     except Unreachable:
         with pytest.raises(Unreachable):
             shortest_path_to_instance(state, iid)
-        return
-    assert shortest_path_to_instance(state, iid) == want
+        want = None
+    else:
+        assert shortest_path_to_instance(state, iid) == want
+    # the walk left its field in the cache, keyed by what the field reads:
+    # the field served from there is the one a cold cache computes
+    key = (P._nav_key(state), tuple(geom.display_cells[iid]))
+    hits = P._distance_field.cache_info().hits
+    served = P._distance_field(*key)
+    assert P._distance_field.cache_info().hits == hits + 1
+    P._distance_field.cache_clear()
+    assert P._distance_field(*key) == served
+
+
+def test_a_field_is_never_served_across_an_open_or_close_that_changes_opaque():
+    # opening the closed Fridge clears opaque cells; every other target
+    # keeps its cells, so only the nav key tells the two scenes apart
+    closed = randomize_scene(TEMPLATES_BY_ID["kitchen_a"], 3)
+    fridge = next(o for o in closed.objects if REG[o.class_id].name == "Fridge")
+    if fridge.openness is not Openness.CLOSED:
+        closed = closed.with_object(dataclasses.replace(fridge, openness=Openness.CLOSED))
+    opened = closed.with_object(dataclasses.replace(fridge, openness=Openness.OPEN))
+    assert not np.array_equal(closed.geometry.opaque, opened.geometry.opaque)
+    assert np.array_equal(closed.geometry.blocked, opened.geometry.blocked)
+    targets = [iid for iid, cells in closed.geometry.display_cells.items()
+               if opened.geometry.display_cells.get(iid) == cells]
+    moved = 0
+    for iid in targets:
+        cells = tuple(closed.geometry.display_cells[iid])
+        before = P._distance_field(P._nav_key(closed), cells)   # cached first
+        got = P._distance_field(P._nav_key(opened), cells)
+        P._distance_field.cache_clear()
+        assert got == P._distance_field(P._nav_key(opened), cells)
+        moved += got != before
+    assert moved > 0
+
+
+def test_the_field_cache_stays_within_its_bound():
+    assert P._distance_field.cache_info().maxsize == P.FIELD_CACHE_SIZE
+    for seed in range(40):
+        state = randomize_scene(FIELD_TEMPLATES[seed % len(FIELD_TEMPLATES)], seed)
+        for cells in state.geometry.display_cells.values():
+            P._distance_field(P._nav_key(state), tuple(cells))
+    info = P._distance_field.cache_info()
+    assert info.misses > P.FIELD_CACHE_SIZE
+    assert info.currsize == P.FIELD_CACHE_SIZE
 
 
 def test_a_walled_off_target_is_unreachable_for_field_and_reference():

@@ -529,3 +529,35 @@ def test_memo_hits_leave_every_trajectory_as_it_was(monkeypatch):
     _never_hit(monkeypatch)
     assert _digest(memo_digest) == with_memo
     assert _rollout_digests() == ROLLOUT_SHA256
+
+
+def test_evaluate_gives_a_failure_reason_for_every_failure_and_none_for_a_success(
+        monkeypatch):
+    from gridhouse.tasks import DatasetSplit, build_splits, desk_split_counts
+    agent = HierarchicalAgent(np.random.default_rng(np.random.SeedSequence([0, 12001])),
+                              SMALL)
+    splits = build_splits(TEMPLATES, desk_split_counts(3000), seed=0, n_unseen=2)
+    split = DatasetSplit("mixed", [t for s in splits[1:] for t in s.episodes], [])
+    by_id = {t["template_id"]: t for t in TEMPLATES}
+    trajs, real = [], harness.act_episode
+    monkeypatch.setattr(harness, "act_episode",
+                        lambda *a, **k: trajs.append(real(*a, **k)) or trajs[-1])
+    reasons = set()
+    for greedy in (False, True):
+        del trajs[:]
+        results = []
+        table = harness.evaluate(agent, split, by_id, VOCAB, greedy=greedy, seed=5,
+                                 results=results)
+        assert len(results) == len(trajs) == len(split.episodes)
+        for task, traj, r in zip(split.episodes, trajs, results):
+            if r.success:
+                assert r.failure_reason is None
+                continue
+            want = ("wrong_answer" if task.family == "IQA" and traj.answer is not None
+                    else traj.terminated)
+            assert r.failure_reason == want in ("wrong_answer", "end", "budget")
+            reasons.add(want)
+        # nothing evaluate counts depends on the reasons
+        assert table.family_rates == harness.evaluate(
+            agent, split, by_id, VOCAB, greedy=greedy, seed=5).family_rates
+    assert reasons == {"wrong_answer", "end", "budget"}

@@ -475,8 +475,58 @@ def assert_fields_equal(got, want):
             assert a == b, f.name
 
 
+def reference_build_geometry(state):
+    """build_geometry as one row per painted cell, gathered by six appends."""
+    h, w = state.height, state.width
+    class_grid = np.full((h, w), FLOOR, dtype=np.int16)
+    class_grid[state.walls] = WALL
+    inst_grid = np.full((h, w), NO_INSTANCE, dtype=np.int32)
+    state_grid = np.zeros((4, h, w), dtype=np.uint8)
+    opaque, blocked = state.walls.copy(), state.walls.copy()
+    display, rows = {}, []
+    children = {}
+    for o in state.objects:
+        if o.container is not None:
+            children.setdefault(o.container, []).append(o)
+
+    def paint(obj, cells):
+        display.setdefault(obj.instance_id, []).extend(cells)
+        cls = state.registry[obj.class_id]
+        bits = (obj.openness is Openness.OPEN, obj.power is Power.ON,
+                obj.cleanliness is W.Cleanliness.DIRTY, obj.sliced)
+        for cx, cy in cells:
+            rows.append((cx, cy, CLASS_BASE + obj.class_id, obj.instance_id, bits,
+                         cls.occludes and obj.openness is not Openness.OPEN))
+
+    for obj in state.objects:
+        if obj.anchor is None:
+            continue
+        cells = list(footprint_cells(obj.anchor, obj.size))
+        blocked[[c[1] for c in cells], [c[0] for c in cells]] = True
+        if state.registry[obj.class_id].enclosed and obj.openness is Openness.CLOSED:
+            paint(obj, cells)
+            continue
+        contents = sorted(children.get(obj.instance_id, ()), key=lambda o: o.instance_id)
+        slots, used = cells[1:], set()
+        for k, item in enumerate(contents):
+            if k < len(slots):
+                paint(item, [slots[k]])
+                used.add(slots[k])
+        paint(obj, [cells[0]] + [c for c in slots if c not in used])
+    if rows:
+        xs, ys = np.array([r[0] for r in rows]), np.array([r[1] for r in rows])
+        class_grid[ys, xs] = [r[2] for r in rows]
+        inst_grid[ys, xs] = [r[3] for r in rows]
+        state_grid[:, ys, xs] = np.array([r[4] for r in rows], dtype=np.uint8).T
+        opaque[ys, xs] |= np.array([r[5] for r in rows], dtype=bool)
+    return W.SceneGeometry(class_grid, inst_grid, state_grid, opaque, blocked, display)
+
+
 def assert_memos_fresh(state):
     assert_fields_equal(state.geometry, build_geometry(state))
+    geom = reference_build_geometry(state)
+    assert_fields_equal(state.geometry, geom)
+    assert list(state.geometry.display_cells) == list(geom.display_cells)
     # a copy holds no memos, so its render builds the geometry afresh
     assert_fields_equal(state.observation, render(replace(state)))
     assert state_hash(state) == reference_state_hash(state)
@@ -700,6 +750,150 @@ def test_randomize_seed_diversity_against_enumeration():
         assert d["Apple"] in legal_apple
         assert d["Book"] in legal_book
     assert assignment(s0)["Apple"] in legal_apple
+
+
+def reference_randomize_scene(template, seed):
+    """randomize_scene as one per-call body: checks and lays out the
+    template on every call."""
+    rng = np.random.default_rng(np.uint64(seed))
+    width, height = template["width"], template["height"]
+    walls = W._border_walls(width, height)
+    for (x, y) in template.get("interior_walls", []):
+        walls[y, x] = True
+    randomize = template.get("randomize_states", True)
+    objects, occupied = [], set()
+    for fx in template["fixtures"]:
+        cls_id = REG.id_of(fx["class"])
+        cls = REG[cls_id]
+        size = fx.get("size", cls.size)
+        for c in footprint_cells(tuple(fx["pos"]), size):
+            if not (0 < c[0] < width - 1 and 0 < c[1] < height - 1) or walls[c[1], c[0]]:
+                raise PlacementInfeasible(f"fixture {fx['class']} at {fx['pos']} off-floor")
+            if c in occupied:
+                raise PlacementInfeasible(f"fixture overlap at {c}")
+            occupied.add(c)
+        openness, power, clean = W.initial_states(cls, rng, randomize)
+        objects.append(W.ObjectInstance(
+            instance_id=len(objects), class_id=cls_id, anchor=tuple(fx["pos"]),
+            container=None, size=size, is_receptacle=cls.receptacle,
+            openness=openness, power=power, cleanliness=clean))
+    recs = [o for o in objects if o.is_receptacle]
+    wanted = []
+    for spec in template.get("movables", []):
+        wanted += [REG.id_of(spec["class"])] * spec.get("count", 1)
+    wanted.sort(key=lambda cid: (len(REG[cid].placements), REG[cid].name))
+    assignment = None
+    for _attempt in range(20):
+        load = {o.instance_id: 0 for o in recs}
+        trial = []
+        for cls_id in wanted:
+            slots = [r for r in recs if REG[r.class_id].name in REG[cls_id].placements
+                     and load[r.instance_id] < W.capacity(r)]
+            if not slots:
+                trial = None
+                break
+            pick = slots[int(rng.integers(len(slots)))]
+            load[pick.instance_id] += 1
+            trial.append((cls_id, pick.instance_id))
+        if trial is not None:
+            assignment = trial
+            break
+    if assignment is None and wanted:
+        raise PlacementInfeasible("movable placement unsatisfiable for template "
+                                  f"{template.get('template_id')}")
+    for cls_id, container in assignment or []:
+        cls = REG[cls_id]
+        openness, power, clean = W.initial_states(cls, rng, randomize)
+        objects.append(W.ObjectInstance(
+            instance_id=len(objects), class_id=cls_id, anchor=None,
+            container=container, size=1, is_receptacle=cls.receptacle,
+            openness=openness, power=power, cleanliness=clean))
+    free = [(x, y) for y in range(1, height - 1) for x in range(1, width - 1)
+            if not walls[y, x] and (x, y) not in occupied]
+    if not free:
+        raise PlacementInfeasible("no traversable cell for the agent")
+    cell = free[int(rng.integers(len(free)))]
+    heading = Heading(int(rng.integers(4)))
+    return W.WorldState(width=width, height=height, walls=walls, objects=tuple(objects),
+                        agent=W.AgentPose(cell=cell, heading=heading), registry=REG)
+
+
+def assert_same_scene(got, want):
+    assert state_hash(got) == state_hash(want)
+    assert got.walls.dtype == want.walls.dtype and np.array_equal(got.walls, want.walls)
+    assert got.agent == want.agent
+
+
+@pytest.mark.parametrize("template", builtin_templates(), ids=lambda t: t["template_id"])
+def test_randomize_scene_is_the_per_call_reference(template):
+    for seed in range(50):
+        assert_same_scene(randomize_scene(template, seed),
+                          reference_randomize_scene(template, seed))
+
+
+def test_scenes_of_one_template_share_one_read_only_walls_array():
+    t = TEMPLATES_BY_ID["kitchen_d"]
+    a, b = randomize_scene(t, 1), randomize_scene(t, 2)
+    assert a.walls is b.walls
+    with pytest.raises(ValueError):
+        a.walls[1, 1] = True
+    assert not a.walls[1, 1]
+
+
+def test_an_edited_template_under_the_same_id_compiles_afresh():
+    t = TEMPLATES_BY_ID["kitchen_a"]
+    before = randomize_scene(t, 5)
+    edited = {**t, "interior_walls": [[6, 5]],
+              "fixtures": [dict(fx, pos=[1, 7]) if fx["class"] == "GarbageCan" else fx
+                           for fx in t["fixtures"]]}
+    assert edited["template_id"] == t["template_id"]
+    after = randomize_scene(edited, 5)
+    assert_same_scene(after, reference_randomize_scene(edited, 5))
+    assert after.walls[5, 6] and not before.walls[5, 6]
+    assert state_hash(after) != state_hash(before)
+    # and the original still gets its own compile
+    assert_same_scene(randomize_scene(t, 5), before)
+    # an edit in place is a new content too
+    t2 = {**t, "movables": [dict(m) for m in t["movables"]]}
+    randomize_scene(t2, 5)
+    t2["movables"][0]["count"] = 2
+    assert_same_scene(randomize_scene(t2, 5), reference_randomize_scene(t2, 5))
+
+
+BAD_TEMPLATES = {
+    "off-floor": {"fixtures": [{"class": "Fridge", "pos": [6, 6]}]},
+    "on a wall": {"interior_walls": [[2, 2]], "fixtures": [{"class": "Sink", "pos": [1, 2]}]},
+    "overlap": {"fixtures": [{"class": "Shelf", "pos": [1, 1]},
+                             {"class": "Drawer", "pos": [2, 1]}]},
+    "no receptacle": {"fixtures": [{"class": "Shelf", "pos": [1, 1]}],
+                      "movables": [{"class": "Apple", "count": 1}]},
+    "too many": {"fixtures": [{"class": "Sink", "pos": [1, 1]}],
+                 "movables": [{"class": "Egg", "count": 2}]},
+    "no free cell": {"width": 3, "height": 3, "interior_walls": [[1, 1]], "fixtures": []},
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_TEMPLATES))
+def test_a_bad_template_raises_what_the_reference_raises(name):
+    t = {"template_id": name, "width": 7, "height": 7, "randomize_states": False,
+         "movables": [], **BAD_TEMPLATES[name]}
+    for seed in (0, 1):
+        with pytest.raises(PlacementInfeasible) as want:
+            reference_randomize_scene(t, seed)
+        with pytest.raises(PlacementInfeasible) as got:
+            randomize_scene(t, seed)
+        assert str(got.value) == str(want.value)
+
+
+def test_the_desk_registry_is_built_once_and_cannot_grow():
+    from gridhouse.classes import desk_registry
+    reg = desk_registry()
+    assert desk_registry() is reg
+    assert randomize_scene(TEMPLATES_BY_ID["kitchen_b"], 0).registry is reg
+    assert make_state().registry is reg
+    with pytest.raises(AttributeError):
+        reg.defs.append(reg.defs[0])
+    assert len(reg) == 34
 
 
 def test_randomize_infeasible_template():
