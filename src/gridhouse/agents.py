@@ -1,8 +1,8 @@
 """Hierarchical policy: sub-goal head + navigation/interaction/QA
 sub-policies with the grid+offset pointing head.
 
-Shapes follow the desk-scale defaults: observations encode to a d x w x h
-feature map whose spatial grid coincides with the 8x8 pointing grid.
+The pointing grid is the encoder's feature map: an observation of
+obs_size pixels a side encodes to d x grid x grid, 8 x 8 at the default 32.
 """
 
 from __future__ import annotations
@@ -15,8 +15,7 @@ import numpy as np
 from . import nn, tensor as T
 from .nn import Conv2d, Embedding, GRUCell, Linear, Module
 from .skills import INTERACTION_SKILLS, NO_OBJECT_SKILLS, Skill, SubGoal
-from .world import (CLASS_BASE, INTERACTIVE_ACTIONS, NAV_ACTION_SPACE,
-                    PrimitiveAction, WorldConfig)
+from .world import CLASS_BASE, INTERACTIVE_ACTIONS, NAV_ACTION_SPACE, PrimitiveAction
 
 INTERACT_ACTION_SPACE = tuple(PrimitiveAction)  # all 13
 ANSWER_SPACE = ("Yes", "No", "0", "1", "2", "3")
@@ -29,9 +28,8 @@ INTERACT_INDEX = {a: i for i, a in enumerate(INTERACT_ACTION_SPACE)}
 class ModelConfig:
     num_classes: int
     vocab_size: int
-    obs_size: int = WorldConfig.obs_size
+    obs_size: int
     d: int = 64            # feature dim of the conv map
-    grid: int = 8          # w = h = pointing grid B
     hidden: int = 128      # high-level GRU width
     task_dim: int = 64
     token_dim: int = 32
@@ -40,6 +38,12 @@ class ModelConfig:
     trunk_dim: int = 128
     point_dim: int = 48
     enc_mid: int = 24
+
+    @property
+    def grid(self) -> int:
+        """w = h of the encoder's feature map after its two stride-2
+        convolutions, the pointing grid B."""
+        return math.ceil(self.obs_size / 4)
 
     @property
     def cell_px(self) -> float:
@@ -65,12 +69,8 @@ class GridEncoder(Module):
 
     Its maps may hold one pixel per aligned block x block square of
     observations constant on each square (`Observation.block`), for a
-    `block` that divides conv1's stride.  conv1 then runs over those
-    values with its 3x3 kernel folded (`T.embed_conv2d`): at block 2, a
-    2x2 / stride-1 kernel whose tap 0 is conv1's and whose tap 1 sums its
-    taps 1 and 2, rows first, then columns.  That is conv1 over the full
-    observation, up to the low bits the tap sums move; the parameters keep
-    their shapes and names."""
+    `block` that divides conv1's stride; conv1 then runs with its kernel
+    folded, as `T.embed_conv2d` states."""
 
     def __init__(self, rng, cfg: ModelConfig):
         super().__init__()
@@ -160,14 +160,11 @@ class HighLevelPolicy(Module):
 
     Training unrolls the GRU over an episode's `gru_input` rows
     (`trainer.high_level_logits`).  A rollout splits each gate's input
-    term into the image block's product (`image_projection`, once per
-    observation) and the context block's (`context_projection`, once per
-    last action and previous sub-goal), which `rollout_step` adds with the
-    bias; the recurrence is `nn.gru_recurrence`, the one `nn.gru_sequence`
-    runs.  The unroll sums a gate's input term as one dot product over
-    [context; image], then adds the bias and the recurrent term; the
-    rollout's split input term sums in another order, so rollout gates
-    differ from the teacher-forced ones in their low bits."""
+    term into the image block's product (`image_projection`) and the
+    context block's (`context_projection`), which `rollout_step` adds with
+    the bias; the recurrence is `nn.gru_recurrence`, the one
+    `nn.gru_sequence` runs.  `ForwardMemo` states when a rollout reuses
+    the products and how its gates differ from the unroll's."""
 
     def __init__(self, rng, cfg: ModelConfig):
         super().__init__()
@@ -427,20 +424,22 @@ def point_from_grid(cfg: ModelConfig, cell_index, delta):
 class ForwardMemo:
     """Forwards of one episode, for its later steps to reuse.
 
-    A runner makes one per episode.  It keeps every output it computed,
-    each once: the high level's three gate projections of the image
-    feature (`HighLevelPolicy.image_projection`) per `Observation.key`,
-    those of the context (`context_projection`) per (last-action id,
-    previous skill id, previous object id), and the sub-policy forward
-    output per observation key, family, last-action id, skill id and
-    object id.  Equal keys are equal inputs (four turns render the maps
-    they started from), and parameters and the task encoding, of which the
-    memo refuses a second one, are fixed within an episode; so a reuse is
-    exact.  The projections sum each rollout gate in another order than
-    the teacher-forced unroll, which moves its low bits."""
+    A runner makes one per episode, given the episode's task encoding
+    (None when no step runs the high level).  It keeps every output it
+    computed, each once: the high level's three gate projections of the
+    image feature (`HighLevelPolicy.image_projection`) per
+    `Observation.key`, those of the context (`context_projection`) per
+    (last-action id, previous skill id, previous object id), and the
+    sub-policy forward output per observation key, family, last-action
+    id, skill id and object id.  Equal keys are equal inputs (four turns
+    render the maps they started from), and parameters and the task
+    encoding are fixed within an episode, so a hit is exact.  The
+    projections sum each rollout gate in another order than the
+    teacher-forced unroll (`nn.gru_sequence`), which moves its low
+    bits."""
 
-    def __init__(self):
-        self.z_task = None              # the episode's task encoding
+    def __init__(self, z_task=None):
+        self.z_task = z_task
         self.images, self.contexts, self.subs = {}, {}, {}
 
     def image_projection(self, agent, obs):
@@ -453,20 +452,16 @@ class ForwardMemo:
                     encode(agent.hl_encoder, [obs]))
         return proj
 
-    def context_projection(self, agent, z_task, key):
-        """`agent.high.context_projection` of `z_task` at batch 1, given
-        the ids `key` of the last action, the previous skill and its
-        object."""
-        if self.z_task is not z_task:
-            if self.z_task is not None:
-                raise ValueError("a ForwardMemo serves one episode's task encoding")
-            self.z_task = z_task
+    def context_projection(self, agent, key):
+        """`agent.high.context_projection` of the episode's task encoding
+        at batch 1, given the ids `key` of the last action, the previous
+        skill and its object."""
         proj = self.contexts.get(key)
         if proj is None:
             last_action, skill, obj = key
             with T.no_grad():
                 proj = self.contexts[key] = agent.high.context_projection(
-                    z_task, [last_action], [skill], [obj])
+                    self.z_task, [last_action], [skill], [obj])
         return proj
 
     def sub_policy(self, agent, family, obs, last_action, skill, obj):
@@ -480,22 +475,17 @@ class ForwardMemo:
         return out
 
 
-def high_level_step(agent, z_task, obs, last_action, last_subgoal, hidden,
-                    rng, greedy=False, *, memo: ForwardMemo):
+def high_level_step(agent, obs, last_action, last_subgoal, hidden, rng, greedy=False, *,
+                    memo: ForwardMemo):
     """Factorized sub-goal sampling: skill first, then the target class
     (masked out entirely for Answer/End).  Returns the sub-goal and the
-    next hidden state, an array.  Rollout-only: no graph.  `memo` is the
-    episode's `ForwardMemo`: the image feature's three gate projections
-    are reused when an earlier step of the episode decided on an equal
-    `obs` (`Observation.key`), and the context's when one had the same
-    last action and previous sub-goal; both are exact because parameters
-    and `z_task` are fixed within an episode.  A step that reuses both
-    builds no `Tensor`: it runs the bias, the recurrence and the heads
-    (`HighLevelPolicy.rollout_step`), whose gate sums differ from
-    `trainer.high_level_logits` in their low bits."""
+    next hidden state, an array.  Rollout-only: no graph.  The gate
+    projections come from `memo`, the episode's `ForwardMemo`, which
+    holds its task encoding; a step that reuses both builds no `Tensor`
+    and runs only `HighLevelPolicy.rollout_step`."""
     image_proj = memo.image_projection(agent, obs)
     context_proj = memo.context_projection(
-        agent, z_task, (action_id(last_action), *subgoal_ids(agent.cfg, last_subgoal)))
+        agent, (action_id(last_action), *subgoal_ids(agent.cfg, last_subgoal)))
     skill_logits, obj_logits, h = agent.high.rollout_step(image_proj, context_proj, hidden)
     skill = Skill(sample_logits(skill_logits[0], rng, greedy))
     if skill in NO_OBJECT_SKILLS:
@@ -530,10 +520,8 @@ def sub_policy_step(agent, subgoal, obs, last_action, rng, greedy=False, *,
     Done with no forward; GoTo and the interaction skills sample an action
     from their family's sub-policy, plus an interaction point for
     interactive primitives (extras then hold its grid cell and offset).
-    Rollout-only: no graph.  `memo` is the episode's `ForwardMemo`: the
-    forward is reused when an earlier step that ran one had an equal
-    `obs` (`Observation.key`), the same family, last action and sub-goal,
-    which is exact because parameters are fixed within an episode."""
+    Rollout-only: no graph.  The forward comes from `memo`, the episode's
+    `ForwardMemo`."""
     cfg = agent.cfg
     family = SKILL_FAMILY[subgoal.skill]
     if family in ("qa", "end"):

@@ -123,12 +123,12 @@ def cmd_gen_episodes(args):
 def cmd_pretrain(args):
     from . import nn
     from .config import write_manifest
+    from .tasks import split_templates
     from .trainer import pretrain
 
     config, seed, registry, vocab, templates = _setup(args)
+    train_templates, _ = split_templates(templates, config.get("tasks", "n_unseen", int))
     agent, cfg = _agent_for(config, registry, vocab, seed)
-    n_unseen = config.get("tasks", "n_unseen", int)
-    train_templates = templates[:-n_unseen]
     sched = config.pretrain_schedule()
     opt, progress = pretrain(
         agent, train_templates, sched, cfg, seed=seed,
@@ -212,13 +212,14 @@ def cmd_eval(args):
 
 
 def cmd_eval_skills(args):
+    from .tasks import split_templates
+
     config, seed, registry, vocab, templates = _setup(args)
+    pools = split_templates(templates, config.get("tasks", "n_unseen", int))
     agent, _cfg = _agent_for(config, registry, vocab, seed)
     _load_model(agent, args.ckpt)
-    n_unseen = config.get("tasks", "n_unseen", int)
     rows = [(split_name, _skill_table(agent, config, pool, vocab, seed, registry))
-            for split_name, pool in (("seen", templates[:-n_unseen]),
-                                     ("unseen", templates[-n_unseen:]))]
+            for split_name, pool in zip(("seen", "unseen"), pools)]
     os.makedirs(args.out, exist_ok=True)
     skills = list(rows[0][1].keys())
     with open(os.path.join(args.out, "skills.csv"), "w") as f:

@@ -2,11 +2,10 @@
 
 Each section is one dataclass (`SECTIONS`) and its keys are the fields
 with a default, so a field's default is its key's and the default's type
-parses the key's text.  One mapping is left: the inherited fields that are
-no keys, and `[multitask] lr_high`, which is `ScheduleConfig.lr`.  Loading
-rejects an unknown section, key or value by name; a key that names an
-entry of a table (`CHOICES`) takes only that table's names.  Some
-tunables are no keys but constants of the modules that use them: the
+parses the key's text; a field with no default is given by the run.
+Loading rejects an unknown section, key or value by name; a key that
+names an entry of a table (`CHOICES`) takes only that table's names.
+Some tunables are no keys but constants of the modules that use them: the
 skill sampler's teleport radius and step budgets, the focal-loss
 exponents and kernel width (`nn.FOCAL_ALPHA`, `nn.SIGMA_MIN`, ...), the
 gradient clip and the optimizer betas and epsilon (`nn.ADAM_BETAS`,
@@ -25,24 +24,20 @@ from functools import partialmethod
 
 from .agents import ModelConfig
 from .tasks import FAMILIES
-from .trainer import (SKILL_GROUPS, LossWeights, PPOConfig, RewardConfig,
-                      ScheduleConfig)
+from .trainer import (SKILL_GROUPS, LossWeights, MultitaskSchedule, PPOConfig,
+                      PretrainSchedule, RewardConfig)
 from .world import InteractionMode, WorldConfig
 
 
 @dataclass
-class Pretrain(ScheduleConfig):
+class Pretrain(PretrainSchedule):
     grouping: str = "joint"
     qa_fraction: float = 0.08
     mode: InteractionMode = InteractionMode.HARD
 
 
 @dataclass
-class Multitask(ScheduleConfig):
-    tf_steps: int = 50_000
-    sf_steps: int = 50_000
-    ppo_steps: int = 0
-    eps_end: float = 0.6
+class Multitask(MultitaskSchedule):
     episodes_per_update: int = 2
     mode: InteractionMode = InteractionMode.HARD
     single_family: str = ""
@@ -54,26 +49,16 @@ Eval = make_dataclass("Eval", [("greedy", bool, True)])
 Runtime = make_dataclass("Runtime", [("seed", int, 0)])
 
 
-# section -> (its dataclass, {field: its key where the names differ, or
-# None for a field that is no key}); [model] obs_size is [world]'s
-SECTIONS = {
-    "world": (WorldConfig, {}), "tasks": (Tasks, {}),
-    "model": (ModelConfig, {"obs_size": None}),
-    "rewards": (RewardConfig, {}), "loss": (LossWeights, {}),
-    "ppo": (PPOConfig, {}), "pretrain": (Pretrain, {"lr_sub": None}),
-    "multitask": (Multitask, {"lr": "lr_high", "ppo_steps": None,
-                              "reset_period": None, "update_every": None}),
-    "eval": (Eval, {}), "runtime": (Runtime, {}),
-}
-# (section, field) -> the values a string key takes
+SECTIONS = {"world": WorldConfig, "tasks": Tasks, "model": ModelConfig,
+            "rewards": RewardConfig, "loss": LossWeights, "ppo": PPOConfig,
+            "pretrain": Pretrain, "multitask": Multitask, "eval": Eval,
+            "runtime": Runtime}
+# (section, key) -> the values a string key takes
 CHOICES = {("pretrain", "grouping"): tuple(SKILL_GROUPS),
            ("multitask", "single_family"): ("", *FAMILIES)}
-# section -> {field: default}, for every field that has one
+# section -> {key: default}
 _DEFAULT_VALUES = {s: {f.name: f.default for f in fields(cls) if f.default is not MISSING}
-                   for s, (cls, _) in SECTIONS.items()}
-# section -> {key: field}
-KEYS = {s: {named.get(f, f): f for f in _DEFAULT_VALUES[s] if named.get(f, f)}
-        for s, (_, named) in SECTIONS.items()}
+                   for s, cls in SECTIONS.items()}
 
 
 def _text(value) -> str:
@@ -85,10 +70,10 @@ def _text(value) -> str:
 
 @dataclass
 class RunConfig:
-    values: dict   # section -> {field: value}, the file's over the defaults
+    values: dict   # section -> {key: value}, the file's over the defaults
 
     def get(self, section, key, cast=str):
-        return cast(self.values[section][KEYS[section][key]])
+        return cast(self.values[section][key])
 
     def _view(self, cls, section, **given):
         """`cls` filled from a section's values, `given` ones over them."""
@@ -99,8 +84,8 @@ class RunConfig:
     rewards = partialmethod(_view, RewardConfig, "rewards")
     loss_weights = partialmethod(_view, LossWeights, "loss")
     ppo = partialmethod(_view, PPOConfig, "ppo")
-    pretrain_schedule = partialmethod(_view, ScheduleConfig, "pretrain")
-    multitask_schedule = partialmethod(_view, ScheduleConfig, "multitask")
+    pretrain_schedule = partialmethod(_view, PretrainSchedule, "pretrain")
+    multitask_schedule = partialmethod(_view, MultitaskSchedule, "multitask")
 
     def model(self, num_classes, vocab_size) -> ModelConfig:
         return self._view(ModelConfig, "model", num_classes=num_classes,
@@ -112,8 +97,8 @@ class RunConfig:
 
     def to_dict(self) -> dict:
         """{section: {key: text}} of the resolved values, for the manifest."""
-        return {s: {k: _text(self.values[s][f]) for k, f in keys.items()}
-                for s, keys in KEYS.items()}
+        return {s: {k: _text(v) for k, v in values.items()}
+                for s, values in self.values.items()}
 
 
 DEFAULTS = RunConfig(_DEFAULT_VALUES).to_dict()
@@ -130,21 +115,20 @@ def load_config(path=None) -> RunConfig:
                 # a missing section header reports over several lines
                 raise ValueError(f"{path}: {e}".replace("\n", " ")) from None
         for section in parser.sections():
-            if section not in KEYS:
+            if section not in values:
                 raise ValueError(f"{path}: unknown section [{section}]")
             for key, text in parser.items(section):
-                if key not in KEYS[section]:
+                if key not in values[section]:
                     raise ValueError(f"{path}: unknown key [{section}] {key}")
-                field = KEYS[section][key]
-                default = values[section][field]
-                allowed = CHOICES.get((section, field))
+                default = values[section][key]
+                allowed = CHOICES.get((section, key))
                 if allowed is not None and text not in allowed:
                     raise ValueError(f"{path}: [{section}] {key}: {text!r} is not one of "
                                      f"{allowed}")
                 try:
-                    values[section][field] = (parser.getboolean(section, key)
-                                              if isinstance(default, bool)
-                                              else type(default)(text))
+                    values[section][key] = (parser.getboolean(section, key)
+                                            if isinstance(default, bool)
+                                            else type(default)(text))
                 except ValueError as e:
                     raise ValueError(f"{path}: [{section}] {key}: {e}") from None
     return RunConfig(values)

@@ -7,7 +7,7 @@ import json
 from dataclasses import dataclass, field
 
 from .planner import ExpertController, ExpertStep, Irrecoverable
-from .skills import Skill, SubGoal
+from .skills import NO_OBJECT_SKILLS, Skill, SubGoal
 from .world import InteractionMode, PrimitiveAction, WorldState, state_hash, step
 
 
@@ -58,15 +58,8 @@ def rollout(state: WorldState, decide, mode: InteractionMode, max_steps: int,
     aim an interaction, and `step` reads it for an interactive action; all
     three share the state's memo, as the expert, `step` and the milestones
     share `state.geometry`.  A model-fed `decide` keeps one
-    `agents.ForwardMemo` per episode, which computes the high level's
-    image-block gate projections and the sub-policy forward once per
-    equal observation (`Observation.key`; a step that leaves the state as
-    it was hands its successor the same one) and the context-block gate
-    projections once per last action and previous sub-goal.  The reuse is
-    exact because parameters and the task encoding are fixed while
-    `rollout` runs; the projected gates sum in another order than the
-    teacher-forced unroll, so they differ from it in their low bits.  The
-    episode ends as
+    `agents.ForwardMemo` per episode, whose docstring has the reuse rule.
+    The episode ends as
     - "success" after a step whose successor satisfies `succeeded(state)`;
       the controller does not observe that step, so a wrong interaction
       that completes the goal needs no recovery
@@ -134,7 +127,7 @@ def run_expert_episode(initial_state: WorldState, remaining_fn,
         if own and ex.subgoal.skill is Skill.Answer:
             traj.answer = expected_answer
         # the controller labels both End and Answer with Done
-        ends = own and ex.subgoal.skill in (Skill.Answer, Skill.End)
+        ends = own and ex.subgoal.skill in NO_OBJECT_SKILLS
         return ex.subgoal, action, point, ends
 
     return rollout(initial_state, decide, mode, max_steps,

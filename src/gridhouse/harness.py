@@ -42,7 +42,6 @@ class EpisodeResult:
     success: bool
     steps: int
     failure_reason: str | None = None
-    trajectory_path: str | None = None
 
 
 @dataclass
@@ -73,9 +72,8 @@ def act_episode(agent, task, initial_state, mode: InteractionMode, rng,
     episode's steps share one `ForwardMemo`."""
     tokens = instruction_tokens(task, vocab)
     with T.no_grad():
-        z_task = agent.task_enc([tokens])
+        memo = ForwardMemo(agent.task_enc([tokens]))
     hidden = agent.high.initial_hidden()
-    memo = ForwardMemo()
 
     def decide(traj, state, ex):
         nonlocal hidden
@@ -83,7 +81,7 @@ def act_episode(agent, task, initial_state, mode: InteractionMode, rng,
         prev = traj.steps[-1] if traj.steps else None
         last_action = None if prev is None else prev.action
         sub, hidden = high_level_step(
-            agent, z_task, obs, last_action, None if prev is None else prev.subgoal,
+            agent, obs, last_action, None if prev is None else prev.subgoal,
             hidden, rng, greedy, memo=memo)
         if sub.skill is Skill.Answer and task.family == "IQA" and traj.answer is None:
             probs = qa_answer(agent, tokens, obs)

@@ -202,12 +202,8 @@ def gru_sequence(cell, xs, h0):
     states before each step, or r * h for the candidate) and xs.
 
     Rollouts run `gru_recurrence` a step at a time
-    (`agents.HighLevelPolicy.rollout_step`).  A rollout reuses each gate's
-    image-block product per equal observation and its context-block
-    product per last action and previous sub-goal, which is exact because
-    parameters and the task encoding are fixed within an episode, and adds
-    the two and the bias; so its gate sums differ from this unroll's in
-    their low bits.
+    (`agents.HighLevelPolicy.rollout_step`) on reused input products
+    (`agents.ForwardMemo`), so their gates differ in the low bits.
     """
     xs, h0 = T.as_tensor(xs), T.as_tensor(h0)
     i, n = cell.in_dim, xs.shape[0]

@@ -26,7 +26,8 @@ from functools import cache, lru_cache
 import numpy as np
 
 from . import world as W
-from .skills import SKILL_PRIMITIVE, Skill, SubGoal, skill_success, state_change
+from .skills import (NO_OBJECT_SKILLS, SKILL_PRIMITIVE, Skill, SubGoal, skill_success,
+                     state_change)
 from .world import (AgentPose, InteractionMode, PrimitiveAction, WorldState,
                     instance_distance, line_of_sight)
 
@@ -395,7 +396,7 @@ class ExpertController:
                 raise Irrecoverable(f"recovery target {hint} not displayed")
         else:
             sub, hint = self.remaining_fn(state)[0]
-            if sub.skill in (Skill.Answer, Skill.End):
+            if sub.skill in NO_OBJECT_SKILLS:
                 return ExpertStep(sub, PrimitiveAction.Done, None, None)
             if hint is None or not state.has(hint) \
                     or not _applicable(state, sub.skill, state.obj(hint)):
@@ -439,7 +440,7 @@ def single_subgoal_stream(subgoal: SubGoal, initial_state: WorldState):
 
     def fn(state):
         end = (SubGoal(Skill.End), None)
-        if subgoal.skill in (Skill.Answer, Skill.End) or \
+        if subgoal.skill in NO_OBJECT_SKILLS or \
                 skill_success(subgoal, initial_state, state):
             return [end]
         return [(subgoal, None), end]

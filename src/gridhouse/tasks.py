@@ -173,8 +173,7 @@ def apply_overrides(state: WorldState, ops) -> WorldState:
             openness, power, clean = W.initial_states(cls, None, False)
             new = W.ObjectInstance(
                 instance_id=nid, class_id=cid, anchor=None, container=dest,
-                size=1, is_receptacle=cls.receptacle,
-                openness=openness, power=power, cleanliness=clean)
+                size=1, openness=openness, power=power, cleanliness=clean)
             state = replace(state, objects=state.objects + (new,))
         elif kind == "vacate":
             recep_iid, n_free = op[1], op[2]
@@ -619,7 +618,7 @@ def _treatable(state, kind):
 
 def _fixture_recep_classes(state):
     return sorted({o.class_id for o in state.objects
-                   if o.is_receptacle and o.anchor is not None})
+                   if state.cls(o).receptacle and o.anchor is not None})
 
 
 def _choice(rng, seq):
@@ -1015,6 +1014,15 @@ def verify_episode(task: TaskInstance, templates_by_id, registry=None, config=No
 GENERATE_ATTEMPTS = 32
 
 
+def split_templates(templates, n_unseen):
+    """(train templates, unseen templates): the last `n_unseen` are held
+    out.  Raises InsufficientScenes unless both parts are nonempty."""
+    if n_unseen < 1 or n_unseen >= len(templates):
+        raise InsufficientScenes(f"need at least one train and one unseen template: "
+                                 f"n_unseen = {n_unseen} of {len(templates)}")
+    return templates[:-n_unseen], templates[-n_unseen:]
+
+
 def build_splits(scene_templates, counts, seed=0, registry=None, config=None, *,
                  n_unseen) -> list[DatasetSplit]:
     """Deterministic dataset construction.
@@ -1025,10 +1033,7 @@ def build_splits(scene_templates, counts, seed=0, registry=None, config=None, *,
     trace is stored as the episode's expert decomposition.  An episode
     slot that fails `GENERATE_ATTEMPTS` scene draws raises RuntimeError.
     """
-    if n_unseen < 1 or n_unseen >= len(scene_templates):
-        raise InsufficientScenes("need at least one reserved unseen template")
-    train_templates = scene_templates[:-n_unseen]
-    unseen_templates = scene_templates[-n_unseen:]
+    train_templates, unseen_templates = split_templates(scene_templates, n_unseen)
     templates_by_id = {t["template_id"]: t for t in scene_templates}
     root = np.random.SeedSequence(seed)
     split_seeds = root.spawn(len(SPLIT_NAMES))

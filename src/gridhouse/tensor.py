@@ -30,17 +30,8 @@ order, so a different scatter would change every input gradient.  It
 returns only the leading channels asked for, in (N, H, W, C):
 `embed_conv2d` needs just its embedding channels, in the lookup's layout.
 
-`embed_conv2d` may run at block resolution.  An observation is painted as
-aligned block x block squares of one value (`world.render` records the
-size), so a stride-2 layer over it reads one value through several taps:
-with block 2, taps 1 and 2 of its 3x3 / stride-2 / pad-1 kernel read the
-same square.  The node then takes one value per square and folds the
-kernel to 2x2 / stride 1 / padding 1 before and 0 after: tap 0 stays,
-taps 1 and 2 are summed, rows first, then columns.  That is the same
-function with 52 column entries per output in place of 117; the sums of
-weights before the products move the output and gradients in their low
-bits.  The weight keeps its shape and receives each folded tap's
-gradient at both taps that went into it.
+`embed_conv2d` may run at block resolution; its docstring states the
+kernel fold.
 
 Dtype contract: every Tensor holds DEFAULT_DTYPE, float32, so the model
 trains, rolls out and evaluates in float32.  Float64 exists only inside
@@ -606,13 +597,19 @@ def embed_conv2d(table, class_ids, planes, weight, bias, stride=1, pad=0, block=
 
     The ids and planes may hold one pixel per aligned block x block square
     of an input that is constant on each square (`block` divides
-    `stride`): the output is conv2d's over that input, (N, Cout, ho, ho)
-    for its H * block pixels.  The node then runs over the H x H values
-    with the kernel folded (`_block_geometry`, `_fold_kernel`): a tap sum
-    of the weights in place of a sum of the products, so the output and
-    the table's gradient move in their low bits; the weight receives each
-    folded tap's gradient at every tap folded into it.  At block 1 it is
-    conv2d's computation.
+    `stride`), as an observation painted in such squares is
+    (`world.render` records the size): the output is conv2d's over that
+    input, (N, Cout, ho, ho) for its H * block pixels.  A stride-2 kernel
+    then reads one value through several taps; with block 2, taps 1 and 2
+    of a 3x3 / stride-2 / pad-1 kernel read the same square.  The node
+    runs over the H x H values with the kernel folded (`_block_geometry`,
+    `_fold_kernel`), at block 2 to 2x2 / stride 1 / padding 1 before and
+    0 after: tap 0 stays, taps 1 and 2 are summed, rows first, then
+    columns.  That is the same function with 52 column entries per output
+    in place of 117; the tap sums of the weights in place of sums of the
+    products move the output and the table's gradient in their low bits.
+    The weight keeps its shape and receives each folded tap's gradient at
+    every tap folded into it.  At block 1 it is conv2d's computation.
 
     It builds the columns conv2d builds from that concatenation and keeps
     them, not the embedded or concatenated input.  The table receives only

@@ -22,8 +22,9 @@ from .agents import (ANSWER_SPACE, INTERACT_ACTION_SPACE, INTERACT_INDEX,
                      sub_policy_forward, sub_policy_step, subgoal_ids)
 from .episodes import rollout
 from .planner import ExpertController, single_subgoal_stream
-from .skills import (NoFeasibleSkill, PRETRAIN_SKILLS, SceneSession, Skill,
-                     periodic_reset, sample_skill_episode, skill_success)
+from .skills import (INTERACTION_SKILLS, NoFeasibleSkill, PRETRAIN_SKILLS,
+                     SceneSession, Skill, periodic_reset, sample_skill_episode,
+                     skill_success)
 from .tasks import (TEMPLATES, UnsatisfiableTemplate, generate_task,
                     instruction_tokens, remaining_fn, replay_expert,
                     task_initial_state)
@@ -82,17 +83,27 @@ class LossWeights:
 
 
 @dataclass
-class ScheduleConfig:
+class PretrainSchedule:
     tf_steps: int = 200_000
     sf_steps: int = 200_000
     ppo_steps: int = 400_000
     eps_start: float = 1.0
     eps_end: float = 0.0
     lr: float = 3e-4
-    lr_sub: float = 3e-5
     reset_period: int = 10
     update_every: int = 64
     grad_clip: ClassVar[float] = 0.5
+
+
+@dataclass
+class MultitaskSchedule:
+    tf_steps: int = 50_000
+    sf_steps: int = 50_000
+    eps_start: float = 1.0
+    eps_end: float = 0.6
+    lr_high: float = 3e-4
+    lr_sub: float = 3e-5
+    grad_clip: ClassVar[float] = PretrainSchedule.grad_clip
 
 
 def epsilon_at(progress: float, start: float, end: float) -> float:
@@ -123,8 +134,8 @@ def compute_reward(state_after, action, point, subgoal, expert_step,
     r_visible = 1.0 if target_visible else 0.0
     r_act = 1.0 if action == expert_step.action else 0.0
     r_point = 0.0
-    interactive_skill = subgoal.skill not in (Skill.GoTo, Skill.Answer, Skill.End)
-    if interactive_skill and point is not None and expert_step.point is not None:
+    if (subgoal.skill in INTERACTION_SKILLS and point is not None
+            and expert_step.point is not None):
         d2 = ((point[0] - expert_step.point[0]) ** 2
               + (point[1] - expert_step.point[1]) ** 2)
         sigma = cfg.sigma_point * state_after.config.upsample  # world cells to px
@@ -167,7 +178,7 @@ class StepSample:
 
 def heat_centers(obs, cfg: ModelConfig):
     """Per-visible-instance (class, center, radius) in pointing-grid units."""
-    scale = cfg.obs_size / cfg.grid
+    scale = cfg.cell_px
     out = []
     for iid, cells in obs.visible_instance_cells().items():
         xs = [c[0] + 0.5 for c in cells]
@@ -598,7 +609,8 @@ class PretrainProgress:
     pending: list = field(default_factory=list, repr=False)
 
 
-def stage_epsilon(stage, done, budget, schedule: ScheduleConfig) -> float:
+def stage_epsilon(stage, done, budget,
+                  schedule: PretrainSchedule | MultitaskSchedule) -> float:
     """Probability of taking the expert's action: 1 in TF, decaying from
     `eps_start` to `eps_end` over the SF budget, 0 in PPO."""
     if stage == "tf":
@@ -614,7 +626,7 @@ SKILL_GROUPS = {"joint": PRETRAIN_SKILLS,
                 "navigate": (Skill.GoTo,)}
 
 
-def pretrain(agent, templates, schedule: ScheduleConfig, cfg: ModelConfig,
+def pretrain(agent, templates, schedule: PretrainSchedule, cfg: ModelConfig,
              *, grouping, qa_fraction, vocab, seed=0, mode=InteractionMode.HARD,
              reward_cfg=None, ppo_cfg: PPOConfig | None = None,
              weights: LossWeights | None = None,
@@ -751,10 +763,9 @@ def run_task_episode_sf(agent, task, state, mode, rng, eps, cfg, vocab):
     agent_acts = eps < 1
     if agent_acts:
         with T.no_grad():
-            z_task = agent.task_enc([tokens])
+            memo = ForwardMemo(agent.task_enc([tokens]))
         hidden = agent.high.initial_hidden()
     samples = []
-    memo = ForwardMemo()
 
     def decide(traj, state, ex):
         nonlocal hidden
@@ -764,8 +775,7 @@ def run_task_episode_sf(agent, task, state, mode, rng, eps, cfg, vocab):
         last_sub = None if prev is None else prev.subgoal
         if agent_acts:
             sub, hidden = high_level_step(
-                agent, z_task, obs, last_action, last_sub, hidden, rng, greedy=False,
-                memo=memo)
+                agent, obs, last_action, last_sub, hidden, rng, greedy=False, memo=memo)
         samples.append(_task_sample(obs, ex, last_action, last_sub, task, tokens, cfg))
         if rng.random() < eps:
             sub, action, point = ex.subgoal, ex.action, ex.point
@@ -798,7 +808,7 @@ def _task_sample(obs, ex, last_action, last_sub, task, tokens, cfg):
     return sample
 
 
-def train_multitask(agent, split, templates_by_id, schedule: ScheduleConfig,
+def train_multitask(agent, split, templates_by_id, schedule: MultitaskSchedule,
                     cfg: ModelConfig, vocab, seed=0,
                     mode=InteractionMode.HARD, weights=None,
                     registry=None, world_config=None, single_family=None, *,
@@ -811,7 +821,7 @@ def train_multitask(agent, split, templates_by_id, schedule: ScheduleConfig,
     and Adam leaves it as it was."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, 311]))
     weights = weights or LossWeights()
-    opt_hl = nn.Adam(agent.level_params(high=True), lr=schedule.lr,
+    opt_hl = nn.Adam(agent.level_params(high=True), lr=schedule.lr_high,
                      clip_norm=schedule.grad_clip)
     opt_sub = nn.Adam(agent.level_params(high=False), lr=schedule.lr_sub,
                       clip_norm=schedule.grad_clip)

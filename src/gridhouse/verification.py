@@ -137,7 +137,7 @@ def _op_cases():
 
 def micro_model_config():
     return ModelConfig(num_classes=3, vocab_size=7, obs_size=8,
-                       d=4, grid=2, hidden=6, task_dim=4, token_dim=3,
+                       d=4, hidden=6, task_dim=4, token_dim=3,
                        ctx_dim=2, cond_dim=4, trunk_dim=8, point_dim=4,
                        enc_mid=3)
 
@@ -148,7 +148,7 @@ def random_observation(rng, cfg):
     inst = rng.integers(-1, 4, size=(n, n)).astype(np.int32)
     depth = rng.uniform(0, 8, size=(n, n)).astype(np.float32)
     bits = rng.integers(0, 2, size=(4, n, n)).astype(np.uint8)
-    return Observation(n, n, class_map, inst, depth, bits)
+    return Observation(class_map, inst, depth, bits)
 
 
 def _hier_loss(agent, cfg, rng):

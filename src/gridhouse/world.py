@@ -157,7 +157,6 @@ class ObjectInstance:
     anchor: tuple[int, int] | None   # top-level footprint anchor, or None
     container: int | None            # containing instance id, or None
     size: int = 1
-    is_receptacle: bool = False
     openness: Openness = Openness.NOT_OPENABLE
     power: Power = Power.NOT_TOGGLEABLE
     cleanliness: Cleanliness = Cleanliness.NA
@@ -253,8 +252,9 @@ def capacity(obj: ObjectInstance) -> int:
 def has_room(state: WorldState, obj: ObjectInstance) -> bool:
     """A receptacle a held object can be put into now: no closed door in
     the way and a free slot."""
-    return (obj.is_receptacle
-            and not (state.cls(obj).enclosed and obj.openness is not Openness.OPEN)
+    cls = state.registry[obj.class_id]
+    return (cls.receptacle
+            and not (cls.enclosed and obj.openness is not Openness.OPEN)
             and len(state.contents_of(obj.instance_id)) < capacity(obj))
 
 
@@ -440,8 +440,6 @@ def cell_visible_from(state: WorldState, pose: AgentPose, cell):
 
 @dataclass
 class Observation:
-    width: int
-    height: int
     class_map: np.ndarray     # int16 (H, W)
     instance_map: np.ndarray  # int32 (H, W), NO_INSTANCE where none
     depth_map: np.ndarray     # float32 (H, W), -1 where not visible
@@ -542,7 +540,7 @@ def render(state: WorldState) -> Observation:
         bits[b, flat] = np.repeat(geom.state_grid[b, vy, vx], repeat)
     # a cell paints up x up pixels from row n - up * (r + 1) and column
     # up * (l + half): squares of gcd(n, up) pixels aligned at 0
-    return Observation(n, n, class_map.reshape(n, n), inst_map.reshape(n, n),
+    return Observation(class_map.reshape(n, n), inst_map.reshape(n, n),
                        depth.reshape(n, n), bits.reshape(4, n, n), math.gcd(n, cfg.upsample))
 
 
@@ -591,8 +589,9 @@ def is_visible(state: WorldState, instance_id) -> bool:
 
 
 def _point_cell(obs: Observation, x, y):
-    col = min(max(int(x), 0), obs.width - 1)
-    row = min(max(int(y), 0), obs.height - 1)
+    height, width = obs.instance_map.shape
+    col = min(max(int(x), 0), width - 1)
+    row = min(max(int(y), 0), height - 1)
     return col, row
 
 
@@ -949,8 +948,8 @@ def randomize_scene(template: dict, seed: int,
         openness, power, clean = initial_states(cls, rng, scene.randomize)
         objects.append(ObjectInstance(
             instance_id=len(objects), class_id=cls_id, anchor=anchor,
-            container=None, size=size, is_receptacle=cls.receptacle,
-            openness=openness, power=power, cleanliness=clean))
+            container=None, size=size, openness=openness, power=power,
+            cleanliness=clean))
 
     # retry whole assignments on dead ends
     assignment = None
@@ -976,8 +975,8 @@ def randomize_scene(template: dict, seed: int,
         openness, power, clean = initial_states(cls, rng, scene.randomize)
         objects.append(ObjectInstance(
             instance_id=len(objects), class_id=cls_id, anchor=None,
-            container=container, size=1, is_receptacle=cls.receptacle,
-            openness=openness, power=power, cleanliness=clean))
+            container=container, size=1, openness=openness, power=power,
+            cleanliness=clean))
 
     if not scene.free:
         raise PlacementInfeasible("no traversable cell for the agent")

@@ -50,7 +50,6 @@ def make_state(objects=(), agent_cell=(5, 8), heading=Heading.NORTH, pitch=0,
             anchor=tuple(spec["pos"]) if spec.get("pos") is not None else None,
             container=spec.get("container"),
             size=spec.get("size", cls.size),
-            is_receptacle=cls.receptacle,
             openness=spec.get("openness",
                               Openness.CLOSED if cls.enclosed else Openness.NOT_OPENABLE),
             power=spec.get("power",

@@ -23,7 +23,7 @@ from gridhouse.world import InteractionMode, randomize_scene
 
 REG = desk_registry()
 VOCAB = build_vocab(REG)
-CFG = ModelConfig(num_classes=len(REG), vocab_size=len(VOCAB))
+CFG = ModelConfig(num_classes=len(REG), vocab_size=len(VOCAB), obs_size=32)
 TEMPLATES = builtin_templates()
 
 
@@ -51,9 +51,9 @@ def test_high_level_masks_answer_and_end(agent, scene_obs):
     h = agent.high.initial_hidden()
     rng = np.random.default_rng(0)
     last = None
-    memo = ForwardMemo()
+    memo = ForwardMemo(z)
     for i in range(60):
-        sub, h = high_level_step(agent, z, obs, None, last, h, rng, memo=memo)
+        sub, h = high_level_step(agent, obs, None, last, h, rng, memo=memo)
         if sub.skill in NO_OBJECT_SKILLS:
             assert sub.object_class is None
         else:
@@ -85,9 +85,9 @@ def test_hidden_state_changes_every_step(agent, scene_obs):
     rng = np.random.default_rng(1)
     seen = [h.copy()]
     last = None
-    memo = ForwardMemo()
+    memo = ForwardMemo(z)
     for _ in range(4):
-        sub, h = high_level_step(agent, z, obs, None, last, h, rng, memo=memo)
+        sub, h = high_level_step(agent, obs, None, last, h, rng, memo=memo)
         last = sub
         seen.append(h.copy())
     for a, b in zip(seen, seen[1:]):
@@ -304,7 +304,7 @@ def test_qa_trains_on_toy_state_questions():
     from gridhouse.world import Openness
     from dataclasses import replace as dc_replace
 
-    cfg = ModelConfig(num_classes=len(REG), vocab_size=len(VOCAB))
+    cfg = ModelConfig(num_classes=len(REG), vocab_size=len(VOCAB), obs_size=32)
     agent = HierarchicalAgent(np.random.default_rng(11), cfg)
     tokens = [VOCAB.get(t, 1) for t in ["is", "the", "fridge", "open"]]
     rng = np.random.default_rng(0)

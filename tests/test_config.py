@@ -8,11 +8,19 @@ import dataclasses
 import pathlib
 import re
 
+import numpy as np
 import pytest
 
 from gridhouse import config as C
+from gridhouse.agents import (NONE_ACTION, ForwardMemo, HierarchicalAgent, encode,
+                              high_level_step, sub_policy_step, subgoal_ids)
+from gridhouse.classes import desk_registry
 from gridhouse.cli import main
-from gridhouse.world import InteractionMode
+from gridhouse.scenes import builtin_templates
+from gridhouse.skills import Skill, SubGoal
+from gridhouse.tasks import build_vocab
+from gridhouse.verification import micro_model_config
+from gridhouse.world import InteractionMode, randomize_scene
 
 CLI = pathlib.Path(C.__file__).with_name("cli.py")
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -69,12 +77,48 @@ def test_every_default_key_has_an_effect(tmp_path):
     dead = []
     for section, keys in C.DEFAULTS.items():
         for key, value in keys.items():
-            choices = C.CHOICES.get((section, C.KEYS[section][key]), ())
+            choices = C.CHOICES.get((section, key), ())
             config = _load_text(tmp_path,
                                 f"[{section}]\n{key} = {_perturbed(value, choices)}\n")
             if _views(config) == base and (section, key) not in read_by_cli:
                 dead.append((section, key))
     assert not dead, f"keys that change no typed view and that cli.py never reads: {dead}"
+
+
+# the narrow model widths of the gradient checks, as INI values
+MICRO_WIDTHS = {k: str(getattr(micro_model_config(), k)) for k in C.DEFAULTS["model"]}
+
+
+@pytest.mark.parametrize("section, key, text", [
+    *((s, k, None) for s in ("world", "model") for k in C.DEFAULTS[s]),
+    ("world", "obs_size", "24")])
+def test_every_world_and_model_key_builds_a_model_that_steps_both_levels(tmp_path,
+                                                                          section, key,
+                                                                          text):
+    # the encoder's map, and so the pointing grid, follows [world] obs_size
+    # with no other key to edit; None perturbs the key's micro or default value
+    values = {"world": {}, "model": dict(MICRO_WIDTHS)}
+    values[section][key] = text or _perturbed(
+        values[section].get(key, C.DEFAULTS[section][key]))
+    config = _load_text(tmp_path, "".join(
+        f"[{s}]\n" + "".join(f"{k} = {v}\n" for k, v in kv.items())
+        for s, kv in values.items()))
+    registry = desk_registry()
+    cfg = config.model(len(registry), len(build_vocab(registry)))
+    agent = HierarchicalAgent(np.random.default_rng(0), cfg)
+    obs = randomize_scene(builtin_templates()[0], 1, registry, config.world()).observation
+    assert obs.class_map.shape == (cfg.obs_size, cfg.obs_size)
+    assert encode(agent.hl_encoder, [obs]).shape == (1, cfg.d, cfg.grid, cfg.grid)
+    rng = np.random.default_rng(0)
+    memo = ForwardMemo(agent.task_enc([[2, 5]]))
+    sub, _h = high_level_step(agent, obs, None, None, agent.high.initial_hidden(), rng,
+                              memo=memo)
+    pickup = SubGoal(Skill.Pickup, registry.id_of("Apple"))
+    for subgoal in (SubGoal(Skill.GoTo, registry.id_of("Fridge")), sub, pickup):
+        sub_policy_step(agent, subgoal, obs, None, rng, memo=memo)
+    grid_logits = memo.sub_policy(agent, "interact", obs, NONE_ACTION,
+                                  *subgoal_ids(cfg, pickup))[2][0]
+    assert grid_logits.shape == (1, cfg.grid * cfg.grid)
 
 
 # --------------------------------------------------------------------------
@@ -101,7 +145,7 @@ DEFAULT_VALUES = {
     "world.obs_size": 32, "world.upsample": 2, "world.view_depth": 8,
     "world.pitch_shift": 3, "world.interaction_range": 2.0, "world.standard_box": 3,
     "model.num_classes": 5, "model.vocab_size": 7, "model.obs_size": 32,
-    "model.d": 64, "model.grid": 8, "model.hidden": 128, "model.task_dim": 64,
+    "model.d": 64, "model.hidden": 128, "model.task_dim": 64,
     "model.token_dim": 32, "model.ctx_dim": 16, "model.cond_dim": 64,
     "model.trunk_dim": 128, "model.point_dim": 48, "model.enc_mid": 24,
     "rewards.w_success": 20.0, "rewards.w_visible": 1.0, "rewards.w_act": 1.0,
@@ -113,13 +157,12 @@ DEFAULT_VALUES = {
     "pretrain_schedule.tf_steps": 200000, "pretrain_schedule.sf_steps": 200000,
     "pretrain_schedule.ppo_steps": 400000, "pretrain_schedule.eps_start": 1.0,
     "pretrain_schedule.eps_end": 0.0, "pretrain_schedule.lr": 0.0003,
-    "pretrain_schedule.lr_sub": 3e-05, "pretrain_schedule.reset_period": 10,
-    "pretrain_schedule.update_every": 64, "pretrain_schedule.grad_clip": 0.5,
+    "pretrain_schedule.reset_period": 10, "pretrain_schedule.update_every": 64,
+    "pretrain_schedule.grad_clip": 0.5,
     "multitask_schedule.tf_steps": 50000, "multitask_schedule.sf_steps": 50000,
-    "multitask_schedule.ppo_steps": 0, "multitask_schedule.eps_start": 1.0,
-    "multitask_schedule.eps_end": 0.6, "multitask_schedule.lr": 0.0003,
-    "multitask_schedule.lr_sub": 3e-05, "multitask_schedule.reset_period": 10,
-    "multitask_schedule.update_every": 64, "multitask_schedule.grad_clip": 0.5,
+    "multitask_schedule.eps_start": 1.0, "multitask_schedule.eps_end": 0.6,
+    "multitask_schedule.lr_high": 0.0003, "multitask_schedule.lr_sub": 3e-05,
+    "multitask_schedule.grad_clip": 0.5,
     "mode.pretrain": InteractionMode.HARD, "mode.multitask": InteractionMode.HARD,
     "get.runtime.seed": 0, "get.tasks.scale": 30, "get.tasks.n_unseen": 2,
     "get.pretrain.grouping": "joint", "get.pretrain.qa_fraction": 0.08,
@@ -148,10 +191,13 @@ def test_resolved_values_are_the_recorded_ones(name):
 
 
 def test_defaults_are_the_fields_of_the_section_dataclasses():
-    assert sum(map(len, C.DEFAULTS.values())) == 58
+    assert sum(map(len, C.DEFAULTS.values())) == 57
     assert C.DEFAULTS["multitask"]["lr_high"] == "0.0003"
     assert C.DEFAULTS["eval"] == {"greedy": "true"}
-    assert "obs_size" not in C.DEFAULTS["model"]
+    assert not {"obs_size", "grid"} & set(C.DEFAULTS["model"])
+    view = {f.name for f in dataclasses.fields(C.load_config().multitask_schedule())}
+    assert "lr_high" in view
+    assert not {"lr", "ppo_steps", "reset_period", "update_every"} & view
     assert C.load_config().to_dict() == C.DEFAULTS
 
 
@@ -175,6 +221,7 @@ def test_manifest_records_the_resolved_values(tmp_path):
     ("[tasks]\nscale = 1e3\n", "[tasks] scale"),
     ("[pretrain]\ngrouping = jiont\n", "[pretrain] grouping: 'jiont'"),
     ("[multitask]\nsingle_family = shif\n", "[multitask] single_family: 'shif'"),
+    ("[model]\ngrid = 8\n", "[model] grid"),
     ("[pretrain]\ntf_steps = 10\ntf_steps = 20\n", "'tf_steps' in section 'pretrain'"),
     ("tf_steps = 10\n", "no section headers"),
 ])
@@ -195,7 +242,7 @@ def test_values_parse_by_the_default_type(tmp_path):
                         "lr_high = 1e-3\n")
     assert config.get("eval", "greedy", bool) is False
     assert config.mode("multitask") is InteractionMode.STANDARD
-    assert config.multitask_schedule().lr == 1e-3
+    assert config.multitask_schedule().lr_high == 1e-3
 
 
 def test_eval_skills_honours_the_pretrain_mode_and_eval_greedy(tmp_path, monkeypatch):
@@ -206,7 +253,7 @@ def test_eval_skills_honours_the_pretrain_mode_and_eval_greedy(tmp_path, monkeyp
 
     ini = tmp_path / "run.ini"
     ini.write_text("[pretrain]\nmode = standard\n[eval]\ngreedy = false\n"
-                   "[model]\nd = 4\ngrid = 2\nhidden = 6\ntask_dim = 4\ntoken_dim = 3\n"
+                   "[model]\nd = 4\nhidden = 6\ntask_dim = 4\ntoken_dim = 3\n"
                    "ctx_dim = 2\ncond_dim = 4\ntrunk_dim = 8\npoint_dim = 4\nenc_mid = 3\n")
     args = type("Args", (), {"config": str(ini), "seed": 0})()
     config, seed, registry, vocab, _ = _setup(args)

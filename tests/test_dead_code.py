@@ -1,6 +1,7 @@
 """No function, method or class in the package lives without a caller,
-no attribute it stores goes unread, no parameter goes unread and no
-parameter default is the only value its function ever sees."""
+no attribute it stores or dataclass field it declares goes unread, no
+parameter goes unread and no parameter default is the only value its
+function ever sees."""
 
 from __future__ import annotations
 
@@ -261,3 +262,53 @@ def test_every_parameter_is_read():
     assert unread - set(ALLOWED_UNREAD) == set(), \
         "a parameter its function never reads; delete it or allow it with a reason"
     assert set(ALLOWED_UNREAD) - unread == set()
+
+
+# dataclass fields that no attribute load in src/ or perfbench/ reads:
+# each stays for the reason given
+ALLOWED_FIELDS = {
+    "harness.EpisodeResult.task_id": "the per-episode record `evaluate(results=...)` "
+                                     "hands its caller",
+    "harness.EpisodeResult.failure_reason": "the per-episode record "
+                                            "`evaluate(results=...)` hands its caller",
+}
+
+
+def _is_dataclass(node):
+    """Whether a class definition is decorated `@dataclass` or `@dataclass(...)`."""
+    return any(ast.unparse(d).split("(")[0] == "dataclass" for d in node.decorator_list)
+
+
+def _unread_fields():
+    """`module.Class.field` for every field of a dataclass in the package
+    that no attribute load in src/ or perfbench/ reads, whatever its base.
+    A class that reads its own fields through `dataclasses.fields`, and a
+    config section class (`config.SECTIONS`), whose fields the loader
+    reads by name, count as read."""
+    from gridhouse.config import SECTIONS
+
+    sections = {cls.__name__ for cls in SECTIONS.values()}
+    read, fields = set(), set()
+    for path, tree in _sources():
+        read.update(node.attr for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load))
+        if path.parent != PACKAGE:
+            continue
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.ClassDef) and _is_dataclass(node)) \
+                    or node.name in sections \
+                    or any(isinstance(n, ast.Name) and n.id == "fields"
+                           for n in ast.walk(node)):
+                continue
+            fields.update((f"{path.stem}.{node.name}", stmt.target.id) for stmt in node.body
+                          if isinstance(stmt, ast.AnnAssign)
+                          and isinstance(stmt.target, ast.Name)
+                          and "ClassVar" not in ast.unparse(stmt.annotation))
+    return {f"{owner}.{name}" for owner, name in fields if name not in read}
+
+
+def test_every_dataclass_field_is_read():
+    unread = _unread_fields()
+    assert unread - set(ALLOWED_FIELDS) == set(), \
+        "a field nothing reads; delete it or allow it with a reason"
+    assert set(ALLOWED_FIELDS) - unread == set()

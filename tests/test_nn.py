@@ -945,7 +945,7 @@ def test_checkpoint_of_another_agent_is_rejected_with_its_names(tmp_path, capsys
     assert "high.gru.w_z" in str(err.value)        # missing from the checkpoint
 
     ini = tmp_path / "tiny.ini"
-    ini.write_text("[model]\nd = 4\ngrid = 2\nhidden = 6\ntask_dim = 4\n"
+    ini.write_text("[model]\nd = 4\nhidden = 6\ntask_dim = 4\n"
                    "token_dim = 3\nctx_dim = 2\ncond_dim = 4\ntrunk_dim = 8\n"
                    "point_dim = 4\nenc_mid = 3\n")
     args = type("Args", (), {"config": str(ini), "seed": 0})()
@@ -973,7 +973,7 @@ def test_a_checkpoint_in_the_tiled_layout_is_refused_and_not_loaded():
     # read the tiled context as channels, with no context weights of its own
     from gridhouse.agents import HierarchicalAgent, ModelConfig
 
-    cfg = ModelConfig(num_classes=10, vocab_size=40)
+    cfg = ModelConfig(num_classes=10, vocab_size=40, obs_size=32)
     tiled_in = (cfg.cond_dim + cfg.d) * cfg.grid * cfg.grid
     agent = HierarchicalAgent(np.random.default_rng(0), cfg)
     before = {name: arr.copy() for name, arr in agent.state_arrays().items()}

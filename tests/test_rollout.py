@@ -5,7 +5,6 @@ from __future__ import annotations
 import hashlib
 
 import numpy as np
-import pytest
 
 from gridhouse import agents, episodes, harness, trainer as TR, world as W
 from gridhouse.agents import ForwardMemo, HierarchicalAgent, ModelConfig
@@ -26,9 +25,9 @@ VOCAB = build_vocab(REG)
 TEMPLATES = builtin_templates()
 HARD = InteractionMode.HARD
 # full-size observations and pointing grid, narrow layers: every head runs
-SMALL = ModelConfig(num_classes=len(REG), vocab_size=len(VOCAB), d=8, hidden=16,
-                    task_dim=8, token_dim=4, ctx_dim=4, cond_dim=8, trunk_dim=16,
-                    point_dim=8, enc_mid=6)
+SMALL = ModelConfig(num_classes=len(REG), vocab_size=len(VOCAB), obs_size=32, d=8,
+                    hidden=16, task_dim=8, token_dim=4, ctx_dim=4, cond_dim=8,
+                    trunk_dim=16, point_dim=8, enc_mid=6)
 
 
 # --------------------------------------------------------------------------
@@ -371,9 +370,9 @@ class _NeverHits(ForwardMemo):
         self.images.clear()
         return super().image_projection(agent, obs)
 
-    def context_projection(self, agent, z_task, key):
+    def context_projection(self, agent, key):
         self.contexts.clear()
-        return super().context_projection(agent, z_task, key)
+        return super().context_projection(agent, key)
 
     def sub_policy(self, agent, *args):
         self.subs.clear()
@@ -481,18 +480,23 @@ def test_a_memo_reuses_the_forwards_of_an_observation_rendered_again():
     assert memo.sub_policy(agent, "nav", again, 0, 0, 0) is not nav
 
 
-def test_a_memo_serves_one_task_encoding():
-    # the context projections read the task encoding, so a memo that kept
-    # them for one episode must not hand them to another
+def test_a_memo_projects_the_context_of_its_own_task_encoding():
+    # the context projections read the task encoding the memo was built
+    # with, so each episode's memo holds only its own
     agent = HierarchicalAgent(np.random.default_rng(np.random.SeedSequence([0, 12001])),
                               SMALL)
-    key = (agents.NONE_ACTION, *agents.subgoal_ids(SMALL, None))
-    z_task, other = agent.task_enc([[2, 5]]), agent.task_enc([[2, 5]])
-    memo = ForwardMemo()
-    first = memo.context_projection(agent, z_task, key)
-    assert memo.context_projection(agent, z_task, key) is first
-    with pytest.raises(ValueError, match="one episode"):
-        memo.context_projection(agent, other, key)
+    ids = (agents.NONE_ACTION, *agents.subgoal_ids(SMALL, None))
+    projections = []
+    for tokens in ([2, 5], [7, 3, 4]):
+        z_task = agent.task_enc([tokens])
+        memo = ForwardMemo(z_task)
+        first = memo.context_projection(agent, ids)
+        assert memo.context_projection(agent, ids) is first
+        want = agent.high.context_projection(z_task, *([i] for i in ids))
+        for got, w in zip(first, want):
+            np.testing.assert_array_equal(got, w)
+        projections.append(first)
+    assert not np.array_equal(projections[0][0], projections[1][0])
 
 
 def test_memo_hits_leave_every_trajectory_as_it_was(monkeypatch):

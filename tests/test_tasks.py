@@ -336,6 +336,21 @@ def test_an_unknown_task_type_is_a_value_error():
 def test_split_reserved_templates_guard():
     with pytest.raises(InsufficientScenes):
         build_splits(TEMPLATES_ALL[:1], counts=SMALL_COUNTS, seed=0, n_unseen=2)
+    assert TK.split_templates(TEMPLATES_ALL, 2) == (TEMPLATES_ALL[:-2], TEMPLATES_ALL[-2:])
+
+
+@pytest.mark.parametrize("n_unseen", [0, len(TEMPLATES_ALL)])
+@pytest.mark.parametrize("command", ["gen-episodes", "pretrain", "eval-skills"])
+def test_every_command_that_splits_templates_refuses_an_empty_part_in_one_line(
+        tmp_path, capsys, command, n_unseen):
+    from gridhouse.cli import main
+
+    ini = tmp_path / "run.ini"
+    ini.write_text(f"[tasks]\nn_unseen = {n_unseen}\n")
+    assert main([command, "--config", str(ini), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "InsufficientScenes" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_splits_roundtrip_and_soundness(small_splits, tmp_path):

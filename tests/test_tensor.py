@@ -273,7 +273,7 @@ def test_model_convs_are_every_convolution_the_agent_runs(monkeypatch):
         return embed_conv2d(table, class_ids, planes, w, b, stride=stride, pad=pad,
                             block=block)
 
-    cfg = ModelConfig(num_classes=NUM_CLASSES, vocab_size=8)
+    cfg = ModelConfig(num_classes=NUM_CLASSES, vocab_size=8, obs_size=32)
     agent = HierarchicalAgent(np.random.default_rng(0), cfg)
     obs = randomize_scene(builtin_templates()[0], 2).observation
     assert obs.block == 2
@@ -397,7 +397,7 @@ def test_the_encoder_at_block_2_is_the_full_resolution_encoder(n):
     # encode reads a rendered batch at its 2x2 squares; the encoder over
     # every pixel is the same function: output and every parameter gradient
     enc = GridEncoder(np.random.default_rng(n), ModelConfig(num_classes=NUM_CLASSES,
-                                                           vocab_size=8))
+                                                           vocab_size=8, obs_size=32))
     frames = _rendered_frames(n)
     assert {o.block for o in frames} == {2}
     w = np.random.default_rng(0).normal(size=(n, 64, 8, 8))

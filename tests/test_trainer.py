@@ -21,8 +21,8 @@ from gridhouse.skills import (SceneSession, SkillEpisode, Skill, SubGoal,
                               sample_skill_episode)
 from gridhouse.tasks import (DatasetSplit, build_vocab, generate_task, remaining_fn,
                              task_initial_state)
-from gridhouse.trainer import (EpisodeBatch, LossWeights, PPOConfig,
-                               PretrainProgress, RewardConfig, ScheduleConfig,
+from gridhouse.trainer import (EpisodeBatch, LossWeights, MultitaskSchedule, PPOConfig,
+                               PretrainProgress, PretrainSchedule, RewardConfig,
                                compute_gae, compute_reward, epsilon_at,
                                group_by_family, multi_task_sample,
                                ppo_update, pretrain,
@@ -33,11 +33,11 @@ from conftest import make_state
 
 REG = desk_registry()
 VOCAB = build_vocab(REG)
-CFG = ModelConfig(num_classes=len(REG), vocab_size=len(VOCAB))
+CFG = ModelConfig(num_classes=len(REG), vocab_size=len(VOCAB), obs_size=32)
 # small: for tests where the expert acts and the model only labels
-SMALL = ModelConfig(num_classes=len(REG), vocab_size=len(VOCAB), d=8, hidden=16,
-                    task_dim=8, token_dim=4, ctx_dim=4, cond_dim=8, trunk_dim=16,
-                    point_dim=8, enc_mid=6)
+SMALL = ModelConfig(num_classes=len(REG), vocab_size=len(VOCAB), obs_size=32, d=8,
+                    hidden=16, task_dim=8, token_dim=4, ctx_dim=4, cond_dim=8,
+                    trunk_dim=16, point_dim=8, enc_mid=6)
 TEMPLATES = builtin_templates()
 
 
@@ -565,9 +565,9 @@ def test_rollout_and_training_feed_the_high_level_the_same_ids(monkeypatch):
     for task in (exin, iqa):
         rolled, trained = [], []
 
-        def record_ids(memo, agent, z_task, ids):
+        def record_ids(memo, agent, ids):
             rolled.append(ids)
-            return project(memo, agent, z_task, ids)
+            return project(memo, agent, ids)
 
         def record_gru_input(z_task, z_img, *ids):
             trained.append(ids)
@@ -755,7 +755,7 @@ def test_trivial_predictors_read_exactly_their_subgoal_floors(monkeypatch):
 
 def test_pretrain_stage_order_and_zero_skip():
     agent = HierarchicalAgent(np.random.default_rng(0), CFG)
-    sched = ScheduleConfig(tf_steps=40, sf_steps=0, ppo_steps=0)
+    sched = PretrainSchedule(tf_steps=40, sf_steps=0, ppo_steps=0)
     _, prog = pretrain(agent, TEMPLATES[:2], sched, CFG, seed=2, vocab=VOCAB,
                        grouping="joint", qa_fraction=0.0)
     assert prog.stage == "done"
@@ -805,17 +805,17 @@ def _assert_resume_is_exact(sched, stage, stop_at, **kw):
 
 
 def test_pretrain_mid_stage_resume_is_exact():
-    sched = ScheduleConfig(tf_steps=120, sf_steps=0, ppo_steps=0,
+    sched = PretrainSchedule(tf_steps=120, sf_steps=0, ppo_steps=0,
                            update_every=32)
     _assert_resume_is_exact(sched, "tf", 60)
 
 
 def test_pretrain_resume_keeps_pending_sf_and_ppo_samples():
-    sf = ScheduleConfig(tf_steps=0, sf_steps=120, ppo_steps=0, update_every=32)
+    sf = PretrainSchedule(tf_steps=0, sf_steps=120, ppo_steps=0, update_every=32)
     _assert_resume_is_exact(sf, "sf", 40)
     # the stop lands at 60 steps with the buffer part-filled, and the stage
     # ends at 180 steps with 80 samples, fewer than a horizon, to flush
-    ppo = ScheduleConfig(tf_steps=0, sf_steps=0, ppo_steps=150)
+    ppo = PretrainSchedule(tf_steps=0, sf_steps=0, ppo_steps=150)
     _assert_resume_is_exact(ppo, "ppo", 20,
                             ppo_cfg=PPOConfig(horizon=96, minibatch=16, epochs=1))
 
@@ -837,7 +837,7 @@ def test_train_multitask_decays_epsilon_toward_the_schedule_end(monkeypatch):
     by_id = {t["template_id"]: t for t in TEMPLATES}
     with pytest.raises(_Stop):
         TR.train_multitask(agent, DatasetSplit("train", [task], []), by_id,
-                           ScheduleConfig(tf_steps=0, sf_steps=10, eps_end=0.25),
+                           MultitaskSchedule(tf_steps=0, sf_steps=10, eps_end=0.25),
                            CFG, VOCAB, episodes_per_update=2)
     assert ends == [0.25]
 
@@ -858,8 +858,8 @@ def test_train_multitask_trains_every_step_it_counts(monkeypatch):
     by_id = {t["template_id"]: t for t in TEMPLATES}
     TR.train_multitask(HierarchicalAgent(np.random.default_rng(1), SMALL),
                        DatasetSplit("train", tasks, []), by_id,
-                       ScheduleConfig(tf_steps=15, sf_steps=40), SMALL, VOCAB,
-                       episodes_per_update=2,
+                       MultitaskSchedule(tf_steps=15, sf_steps=40, eps_end=0.0), SMALL,
+                       VOCAB, episodes_per_update=2,
                        on_round=lambda stage, steps_done: counted.update(steps_done))
     assert sum(trained) == sum(counted.values())
 
@@ -888,8 +888,8 @@ def test_train_multitask_computes_no_gradient_for_the_frozen_block(monkeypatch):
     for on_round, sf_steps in ((None, 8), (stop, 0)):
         try:
             TR.train_multitask(agent, DatasetSplit("train", [task], []), by_id,
-                               ScheduleConfig(tf_steps=8, sf_steps=sf_steps), SMALL,
-                               VOCAB, episodes_per_update=1, on_round=on_round)
+                               MultitaskSchedule(tf_steps=8, sf_steps=sf_steps,
+                                                 eps_end=0.0), SMALL, VOCAB, episodes_per_update=1, on_round=on_round)
         except _Stop:
             pass
         # restored afterwards, also when the call raises
@@ -916,9 +916,9 @@ def test_pretrain_trains_every_step_it_counts(monkeypatch):
     monkeypatch.setattr(TR, "teacher_forcing_update", record_tf)
     monkeypatch.setattr(TR, "ppo_update", record_ppo)
     for sched, ppo_cfg in (
-            (ScheduleConfig(tf_steps=40, sf_steps=40, ppo_steps=0, update_every=32),
+            (PretrainSchedule(tf_steps=40, sf_steps=40, ppo_steps=0, update_every=32),
              None),
-            (ScheduleConfig(tf_steps=0, sf_steps=0, ppo_steps=150),
+            (PretrainSchedule(tf_steps=0, sf_steps=0, ppo_steps=150),
              PPOConfig(horizon=96, minibatch=16, epochs=1))):
         trained.clear()
         _, progress = pretrain(HierarchicalAgent(np.random.default_rng(0), CFG),
@@ -929,7 +929,7 @@ def test_pretrain_trains_every_step_it_counts(monkeypatch):
 
 def test_qa_fraction_leaves_the_ppo_stage_alone():
     # PPO never trains the QA head, so it draws no QA coin either
-    sched = ScheduleConfig(tf_steps=0, sf_steps=0, ppo_steps=96)
+    sched = PretrainSchedule(tf_steps=0, sf_steps=0, ppo_steps=96)
     digests = set()
     for qa_fraction in (0.0, 0.5):
         agent = HierarchicalAgent(np.random.default_rng(0), SMALL)
@@ -983,7 +983,7 @@ def test_training_keeps_parameters_gradients_and_moments_float32(monkeypatch):
 
 
 def _micro_pretrain(agent):
-    sched = ScheduleConfig(tf_steps=32, sf_steps=32, ppo_steps=48, update_every=32)
+    sched = PretrainSchedule(tf_steps=32, sf_steps=32, ppo_steps=48, update_every=32)
     return pretrain(agent, TEMPLATES[:2], sched, CFG, seed=4, vocab=VOCAB,
                     grouping="joint", qa_fraction=0.0,
                     ppo_cfg=PPOConfig(horizon=48, minibatch=16, epochs=1))
@@ -994,7 +994,8 @@ def _micro_finetune(agent):
                          np.random.default_rng(5))
     by_id = {t["template_id"]: t for t in TEMPLATES}
     return TR.train_multitask(agent, DatasetSplit("train", [task], []), by_id,
-                              ScheduleConfig(tf_steps=8, sf_steps=8), CFG, VOCAB,
+                              MultitaskSchedule(tf_steps=8, sf_steps=8, eps_end=0.0),
+                              CFG, VOCAB,
                               episodes_per_update=1)
 
 

@@ -775,9 +775,9 @@ def reference_randomize_scene(template, seed):
         openness, power, clean = W.initial_states(cls, rng, randomize)
         objects.append(W.ObjectInstance(
             instance_id=len(objects), class_id=cls_id, anchor=tuple(fx["pos"]),
-            container=None, size=size, is_receptacle=cls.receptacle,
-            openness=openness, power=power, cleanliness=clean))
-    recs = [o for o in objects if o.is_receptacle]
+            container=None, size=size, openness=openness, power=power,
+            cleanliness=clean))
+    recs = [o for o in objects if REG[o.class_id].receptacle]
     wanted = []
     for spec in template.get("movables", []):
         wanted += [REG.id_of(spec["class"])] * spec.get("count", 1)
@@ -806,8 +806,8 @@ def reference_randomize_scene(template, seed):
         openness, power, clean = W.initial_states(cls, rng, randomize)
         objects.append(W.ObjectInstance(
             instance_id=len(objects), class_id=cls_id, anchor=None,
-            container=container, size=1, is_receptacle=cls.receptacle,
-            openness=openness, power=power, cleanliness=clean))
+            container=container, size=1, openness=openness, power=power,
+            cleanliness=clean))
     free = [(x, y) for y in range(1, height - 1) for x in range(1, width - 1)
             if not walls[y, x] and (x, y) not in occupied]
     if not free:
@@ -916,4 +916,4 @@ def test_builtin_templates_all_load_and_randomize():
         assert not geom.blocked[s.agent.cell[1], s.agent.cell[0]]
         for o in s.objects:
             if o.container is not None:
-                assert s.obj(o.container).is_receptacle
+                assert s.cls(s.obj(o.container)).receptacle
